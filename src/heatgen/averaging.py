@@ -178,6 +178,10 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
 _SINH_RATIO_COEFFS = [1.0 / math.factorial(2 * m + 1) for m in range(7)]
 _COSH_COEFFS = [1.0 / math.factorial(2 * m) for m in range(7)]
 _SCALE_TARGET = 0.5
+# Quadrature limits: hermgauss(k) costs O(k^2) and the tensor grid holds
+# nodes**p points, each with its own factor matrices.
+_MAX_NODES = 512
+_MAX_GRID_POINTS = 64**3
 
 
 def _sinh_ratio_dets(mats: np.ndarray) -> np.ndarray:
@@ -291,7 +295,9 @@ def numeric_average(
     margin of pi (or where the holonomy factor loses positivity) are
     rejected, counted, and resampled; the result is the scalar-prefactor
     times the mean over the retained domain, with the Monte Carlo standard
-    error or a quadrature refinement delta as std_error.
+    error or a quadrature refinement delta as std_error.  The sample
+    count (at least 2) and the quadrature grid (1.._MAX_NODES nodes, at
+    most _MAX_GRID_POINTS points) are checked before anything is built.
     """
     if t <= 0:
         raise NonPositiveT(f"t must be positive, got {t}")
@@ -299,6 +305,25 @@ def numeric_average(
         method = "quadrature" if spec.p <= 3 else "mc"
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "mc" and samples < 2:
+        raise ValueError(
+            f"Monte Carlo needs at least 2 samples for a standard error, "
+            f"got {samples}"
+        )
+    if method == "quadrature":
+        if spec.p > 3:
+            raise ValueError(
+                "tensorized quadrature is limited to p <= 3; use mc"
+            )
+        if not 1 <= nodes <= _MAX_NODES:
+            raise ValueError(
+                f"quadrature nodes must be in 1..{_MAX_NODES}, got {nodes}"
+            )
+        if nodes**spec.p > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"a quadrature grid of {nodes}^{spec.p} points exceeds the "
+                f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
+            )
     curv = curvature_scalars(spec, hol)
     try:
         prefactor = math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
@@ -337,11 +362,6 @@ def numeric_average(
         sem = float(values.std(ddof=1) / math.sqrt(samples))
         return NumericAverage(
             prefactor * mean, prefactor * sem, hits, samples + hits, "mc"
-        )
-
-    if spec.p > 3:
-        raise ValueError(
-            "tensorized quadrature is limited to p <= 3; use mc"
         )
 
     transform = 2.0 * _inv_sqrt(beta_f)

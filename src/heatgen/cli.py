@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .averaging import numeric_average
 from .curvature import curvature_scalars, derive_holonomy, validate_symmetric_space
 from .errors import (
     HeatgenError,
+    InvalidTime,
     NonPositiveT,
     OrderTooLarge,
     ParseError,
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .invariants import compare, heat_coefficients
 
-_USAGE_ERRORS = (UnknownSpace, NonPositiveT)
+_USAGE_ERRORS = (UnknownSpace, NonPositiveT, InvalidTime)
 _DATA_ERRORS = (ParseError, ValidationError, OrderTooLarge)
 
 
@@ -40,6 +42,15 @@ def _resolve_space(token: str, validate: bool = True):
         if Path(token).exists():
             return cat.load(token, validate=validate)
         raise
+
+
+def _check_times(times: list[float]) -> None:
+    """Every evaluation time must be a finite positive number."""
+    for t in times:
+        if not math.isfinite(t):
+            raise InvalidTime(f"t must be finite, got {t}")
+        if t <= 0:
+            raise NonPositiveT(f"t must be positive, got {t}")
 
 
 def _fmt_float(x: float) -> str:
@@ -130,8 +141,7 @@ def _cmd_coeffs(args) -> int:
 
 def _cmd_eval(args) -> int:
     spec = _resolve_space(args.space)
-    if args.t <= 0:
-        raise NonPositiveT(f"t must be positive, got {args.t}")
+    _check_times([args.t])
     hol = derive_holonomy(spec)
     if args.method == "series":
         report = heat_coefficients(spec, args.order, budget=args.budget)
@@ -180,9 +190,10 @@ def _cmd_compare(args) -> int:
     try:
         t_grid = [float(x) for x in args.t.split(",") if x]
     except ValueError:
-        raise UnknownSpace(f"bad t grid {args.t!r}")  # mapped to exit 2
-    if not t_grid or any(t <= 0 for t in t_grid):
-        raise NonPositiveT("every t must be positive")
+        raise InvalidTime(f"bad t grid {args.t!r}") from None
+    if not t_grid:
+        raise InvalidTime(f"empty t grid {args.t!r}")
+    _check_times(t_grid)
     report = compare(
         spec,
         args.order,
@@ -216,7 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", type=int, default=4,
                            help="t truncation order (default 4)")
         p.add_argument("--budget", type=int, default=None,
-                       help="trace enumeration word budget override")
+                       help="override the trace expansion budget, in "
+                            "coefficient-matrix pairs sum_m C(p+m-1,m)^2 "
+                            "(default 10^8, or HEATGEN_BUDGET)")
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
         p.add_argument("--timing", action="store_true",

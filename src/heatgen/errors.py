@@ -51,3 +51,7 @@ class OrderMismatch(HeatgenError):
 
 class NonPositiveT(HeatgenError):
     """Evaluation time must be strictly positive."""
+
+
+class InvalidTime(HeatgenError):
+    """A time argument is malformed or not a finite number."""

@@ -215,6 +215,20 @@ def span_decompose(
 # ---------------------------------------------------------------------------
 
 
+def max_abs(array: np.ndarray) -> int:
+    """Largest entry magnitude of an int64 or object integer array."""
+    return int(np.abs(array).max()) if array.size else 0
+
+
+def exact_dtype(bound: int, *arrays: np.ndarray):
+    """int64 when a magnitude bound on every entry and partial sum stays
+    below _INT64_SAFE and no operand is already object, else object
+    (Python ints), so integer arithmetic never wraps."""
+    if bound < _INT64_SAFE and all(a.dtype != object for a in arrays):
+        return np.int64
+    return object
+
+
 def _flatten(nested):
     if isinstance(nested, (list, tuple)):
         for item in nested:
@@ -255,17 +269,9 @@ class ScaledTensor:
             den = lcm(den, v.denominator)
         ints = [int(v * den) for v in vals]
         big = max((abs(i) for i in ints), default=0)
-        dtype = np.int64 if big < _INT64_SAFE else object
-        arr = np.empty(len(ints), dtype=dtype)
+        arr = np.empty(len(ints), dtype=exact_dtype(big))
         arr[:] = ints
         return cls(arr.reshape(shape) if shape else arr.reshape(()), den)
-
-    def _max_abs(self) -> int:
-        if self.array.size == 0:
-            return 0
-        if self.array.dtype == object:
-            return max(abs(int(x)) for x in self.array.ravel())
-        return int(np.abs(self.array).max())
 
     def to_fractions(self):
         den = self.denom
@@ -292,9 +298,8 @@ class ScaledTensor:
         if self.array.size == 0:
             return True
         a, b = self.array, other.array
-        bound = max(self._max_abs() * other.denom,
-                    other._max_abs() * self.denom)
-        if (a.dtype == object or b.dtype == object or bound >= _INT64_SAFE):
+        bound = max(max_abs(a) * other.denom, max_abs(b) * self.denom)
+        if exact_dtype(bound, a, b) is object:
             a = a.astype(object)
             b = b.astype(object)
         return bool(np.array_equal(a * other.denom, b * self.denom))
@@ -311,7 +316,7 @@ def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
     # total number of summed terms.
     bound = 1
     for op in operands:
-        bound *= max(op._max_abs(), 1)
+        bound *= max(max_abs(op.array), 1)
     in_specs = subscripts.split("->")[0].split(",")
     out_spec = subscripts.split("->")[1] if "->" in subscripts else ""
     sizes: dict[str, int] = {}
@@ -321,7 +326,7 @@ def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
     for ch, dim in sizes.items():
         if ch not in out_spec:
             bound *= max(dim, 1)
-    if bound >= _INT64_SAFE or any(a.dtype == object for a in arrays):
+    if exact_dtype(bound, *arrays) is object:
         arrays = [a.astype(object) for a in arrays]
     result = np.einsum(subscripts, *arrays)
     return ScaledTensor(np.asarray(result), denom)

@@ -9,13 +9,16 @@ c_m = 2^{2m} B_{2m} / (2m (2m)!), so c_1 = 1/6 and c_2 = -1/180.  The
 coefficients are computed twice, from that closed form and from a formal
 logarithm of the sinh z / z series, and must agree exactly.
 
-Trace powers of the omega-linear matrices D(omega) and F(omega) are
-enumerated over index words of length 2m.  Words are grouped into cyclic
-equivalence classes generated directly in lexicographic order, each class
-weighted by its period (its number of distinct rotations), and each trace
-is assembled from two cached half-word products.  All arithmetic is exact:
-generator matrices are rescaled to integer entries with the denominator
-tracked per generator.
+Trace powers of the omega-linear matrices D(omega) and F(omega) are built
+over monomials, not index words.  Each generator family is scaled to
+integers over one common denominator; the omega^alpha coefficients of
+X^k for every degree-k monomial alpha are stacked into one integer array,
+step k coming from step k-1 times each generator.  The coefficients of
+tr X^{2m} are then a Gram matrix tr(P_m[alpha] P_m[beta]) scattered onto
+alpha + beta, with monomials ranked by an additive mixed-radix code.  The
+work, and the budget, is counted in coefficient-matrix pairs of that Gram
+step, sum_m C(p+m-1, m)^2.  All arithmetic is exact: arrays are int64 only
+where a magnitude bound proves it safe, and Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
+
+import numpy as np
 
 from .curvature import HolonomyRealization
 from .errors import InternalInconsistency, OrderTooLarge
+from .rational import ScaledTensor, exact_dtype, max_abs
 
 __all__ = [
     "bernoulli",
@@ -45,7 +51,8 @@ _BUDGET_ENV = "HEATGEN_BUDGET"
 
 
 def enumeration_budget() -> int:
-    """Word budget for trace enumeration, overridable via HEATGEN_BUDGET."""
+    """Budget in trace_units for integrand_log_expansion, overridable via
+    HEATGEN_BUDGET."""
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_WORD_BUDGET
@@ -275,84 +282,102 @@ class OmegaPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Trace enumeration over cyclic index words
+# Trace powers over monomial-indexed matrix powers
 # ---------------------------------------------------------------------------
 
-
-def _necklaces(length: int, alphabet: int):
-    """Yield (word, period) for each cyclic class of words of the given
-    length, the word being the lexicographically least representative and
-    the period its number of distinct rotations.  Periods over all classes
-    sum to alphabet**length."""
-    a = [0] * (length + 1)
-
-    def gen(t: int, q: int):
-        if t > length:
-            if length % q == 0:
-                yield tuple(a[1:]), q
-            return
-        a[t] = a[t - q]
-        yield from gen(t + 1, q)
-        for j in range(a[t - q] + 1, alphabet):
-            a[t] = j
-            yield from gen(t + 1, t)
-
-    if alphabet > 0 and length > 0:
-        yield from gen(1, 1)
+# Gram rows are built in blocks of at most this many entries.
+_GRAM_BLOCK = 2**20
 
 
-def _integerize(mats) -> tuple[list[list[list[int]]], list[int]]:
-    """Rescale Fraction matrices to integer matrices, one denominator per
-    matrix, so word traces stay in integer arithmetic."""
-    out, dens = [], []
-    for mat in mats:
-        den = 1
-        for row in mat:
-            for x in row:
-                den = lcm(den, Fraction(x).denominator)
-        out.append([[int(x * den) for x in row] for row in mat])
-        dens.append(den)
-    return out, dens
+def trace_units(p: int, order: int) -> int:
+    """Work units of integrand_log_expansion: the coefficient-matrix pairs
+    of its Gram step, sum_m C(p+m-1, m)^2 for m = 1..order."""
+    return sum(comb(p + m - 1, m) ** 2 for m in range(1, order + 1))
 
 
-def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def _monomial_codes(p: int, top: int) -> list[np.ndarray]:
+    """codes[k] lists the degree-k monomials in p variables, k <= top, as
+    sorted mixed-radix codes sum_i e_i R^i with R = top + 1.  The code is
+    additive, so the monomial alpha + beta has code(alpha) + code(beta)
+    and searchsorted on codes[k] ranks any degree-k monomial."""
+    radix = top + 1
+    dtype = exact_dtype(radix**p)
+    weights = np.array([radix**i for i in range(p)], dtype=dtype)
+    codes = [np.zeros(1, dtype=dtype)]
+    for _ in range(top):
+        # Sort and drop repeats by hand: np.unique pulls in numpy.ma on
+        # first use, which costs more than the whole expansion for small p.
+        step = np.sort((codes[-1][:, None] + weights).ravel())
+        codes.append(step[np.r_[True, step[1:] != step[:-1]]])
+    return codes
 
 
-def _product_tables(mats: list[list[list[int]]], upto: int) -> list[dict]:
-    """tables[L] maps each index word of length L to its matrix product."""
-    p = len(mats)
-    tables: list[dict] = [dict() for _ in range(upto + 1)]
-    dim = len(mats[0]) if mats else 0
-    tables[0] = {(): [[int(i == j) for j in range(dim)] for i in range(dim)]}
-    if upto >= 1:
-        tables[1] = {(i,): mats[i] for i in range(p)}
-    for length in range(2, upto + 1):
-        prev = tables[length - 1]
-        cur = {}
-        for word, mat in prev.items():
-            for i in range(p):
-                cur[word + (i,)] = _imatmul(mat, mats[i])
-        tables[length] = cur
-    return tables
+def _decode(codes: np.ndarray, p: int, top: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of mixed-radix codes from _monomial_codes."""
+    radix = top + 1
+    digits = np.empty((len(codes), p), dtype=codes.dtype)
+    rest = codes.copy()
+    for i in range(p):
+        # Not np.divmod: it has no loop for object arrays.
+        digits[:, i] = rest % radix
+        rest //= radix
+    return [tuple(map(int, row)) for row in digits.tolist()]
 
 
-def _split_trace(tables: list[dict], word: tuple[int, ...]) -> int:
-    half = len(word) // 2
-    a = tables[half][word[:half]]
-    b = tables[half][word[half:]]
-    return sum(
-        a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a))
-    )
+def _trace_power_sums(
+    gens: np.ndarray, order: int, codes: list[np.ndarray]
+) -> list[np.ndarray]:
+    """sums[m][rank(gamma)] = coefficient of omega^gamma in
+    tr (sum_i omega_i gens[i])^{2m}, for m = 1..order (sums[0] unused).
 
-
-def _word_denominator(dens: list[int], exps: tuple[int, ...]) -> int:
-    acc = 1
-    for d, e in zip(dens, exps):
-        if e and d != 1:
-            acc *= d**e
-    return acc
+    powers[k][rank(alpha)] is the omega^alpha coefficient of X^k, the sum
+    of gens along every word with letter counts alpha.  Step k adds
+    powers[k-1][beta] @ gens[i] onto beta + e_i, which for a fixed i hits
+    every target once.  A word of length 2m splits into two halves of
+    length m, so the trace coefficient is sum over alpha + beta = gamma of
+    tr(powers[m][alpha] @ powers[m][beta]): a Gram matrix of the flattened
+    powers, scattered onto the code of alpha + beta.  The Gram matrix is
+    symmetric, so only pairs with rank(alpha) <= rank(beta) are formed and
+    the off-diagonal ones count twice."""
+    p, dim = gens.shape[0], gens.shape[1]
+    weights = codes[1]  # code of e_i, sorted by i
+    powers = [np.eye(dim, dtype=gens.dtype)[None]]
+    for k in range(1, order + 1):
+        prev = powers[-1]
+        # Each monomial collects at most min(p, k) products.
+        bound = max_abs(prev) * max_abs(gens) * dim * min(p, k)
+        dtype = exact_dtype(bound, prev, gens)
+        prev, step = prev.astype(dtype), gens.astype(dtype)
+        cur = np.zeros((len(codes[k]), dim, dim), dtype=dtype)
+        for i in range(p):
+            cur[np.searchsorted(codes[k], codes[k - 1] + weights[i])] += (
+                prev @ step[i]
+            )
+        powers.append(cur)
+    sums = [None]
+    for m in range(1, order + 1):
+        half = powers[m]
+        n = len(half)
+        # A Gram entry is a sum of dim^2 products; each degree-2m monomial
+        # collects at most n of them.
+        bound = max_abs(half) ** 2 * dim * dim * n
+        dtype = exact_dtype(bound, half)
+        rows = half.astype(dtype).reshape(n, dim * dim)
+        cols = half.astype(dtype).transpose(0, 2, 1).reshape(n, dim * dim).T
+        out = np.zeros(len(codes[2 * m]), dtype=dtype)
+        block = max(1, _GRAM_BLOCK // n)
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            gram = rows[s:e] @ cols[:, s:]
+            square = gram[:, : e - s]
+            gram[:, : e - s] = np.triu(square) + np.triu(square, 1)
+            gram[:, e - s :] *= 2
+            idx = np.searchsorted(
+                codes[2 * m], codes[m][s:e, None] + codes[m][s:]
+            )
+            np.add.at(out, idx, gram)
+        sums.append(out)
+    return sums
 
 
 def integrand_log_expansion(
@@ -363,8 +388,9 @@ def integrand_log_expansion(
     Returns sum over m of t^m (c_m / 4^m) [ tr F(omega)^{2m}/2
     - tr D(omega)^{2m}/2 ] as an OmegaPolynomial of the given t order,
     where D(omega) and F(omega) are the omega-linear generator matrices
-    and c_m are the log(sinh z/z) coefficients.  The number of index words
-    sum_m p^{2m} must stay within the enumeration budget."""
+    and c_m are the log(sinh z/z) coefficients.  The work units
+    trace_units(p, order) must stay within the budget; this is checked
+    before anything is built."""
     p = hol.p
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -372,44 +398,32 @@ def integrand_log_expansion(
     if p == 0 or order == 0:
         return result
     limit = enumeration_budget() if budget is None else budget
-    total_words = sum(p ** (2 * m) for m in range(1, order + 1))
-    if total_words > limit:
+    units = trace_units(p, order)
+    if units > limit:
         raise OrderTooLarge(
-            f"trace enumeration needs {total_words} index words for p={p}, "
-            f"order {order}, exceeding the budget of {limit}; lower the "
-            f"order, use a numeric average, or raise {_BUDGET_ENV}"
+            f"the trace expansion needs {units} units (coefficient-matrix "
+            f"pairs, sum_m C(p+m-1,m)^2) for p={p}, order {order}, "
+            f"exceeding the budget of {limit}; lower the order, use a "
+            f"numeric average, or raise {_BUDGET_ENV}"
         )
     cs = log_sinh_ratio_series(order)
-    d_int, d_dens = _integerize(hol.D)
-    f_int, f_dens = _integerize(hol.F_mats)
-    d_tables = _product_tables(d_int, order)
-    f_tables = _product_tables(f_int, order)
+    codes = _monomial_codes(p, 2 * order)
+    d = ScaledTensor.from_nested(hol.D)
+    f = ScaledTensor.from_nested(hol.F_mats)
+    d_sums = _trace_power_sums(d.array, order, codes)
+    f_sums = _trace_power_sums(f.array, order, codes)
     terms: dict = {}
     for m in range(1, order + 1):
         coef = cs[m - 1] / Fraction(4**m) / 2
-        sums_d: dict[tuple[int, ...], int] = {}
-        sums_f: dict[tuple[int, ...], int] = {}
-        for word, period in _necklaces(2 * m, p):
-            counts = [0] * p
-            for ch in word:
-                counts[ch] += 1
-            exps = tuple(counts)
-            td = _split_trace(d_tables, word)
-            if td:
-                sums_d[exps] = sums_d.get(exps, 0) + period * td
-            tf = _split_trace(f_tables, word)
-            if tf:
-                sums_f[exps] = sums_f.get(exps, 0) + period * tf
-        for exps in set(sums_d) | set(sums_f):
-            tf = Fraction(
-                sums_f.get(exps, 0), _word_denominator(f_dens, exps)
-            )
-            td = Fraction(
-                sums_d.get(exps, 0), _word_denominator(d_dens, exps)
-            )
-            val = coef * (tf - td)
+        d_den, f_den = d.denom ** (2 * m), f.denom ** (2 * m)
+        nz = np.flatnonzero((d_sums[m] != 0) | (f_sums[m] != 0))
+        exps_list = _decode(codes[2 * m][nz], p, 2 * order)
+        for exps, td, tf in zip(
+            exps_list, d_sums[m][nz].tolist(), f_sums[m][nz].tolist()
+        ):
+            val = coef * (Fraction(tf, f_den) - Fraction(td, d_den))
             if val:
-                terms[(m, exps)] = terms.get((m, exps), Fraction(0)) + val
+                terms[(m, exps)] = val
     return OmegaPolynomial(p, order, terms)
 
 

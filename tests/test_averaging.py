@@ -203,6 +203,38 @@ def test_quadrature_limited_to_three_variables(specs, hols):
         hg.numeric_average(specs["S4"], hols["S4"], 0.1, method="quadrature")
 
 
+@pytest.mark.parametrize("samples", [1, 0, -5])
+def test_mc_needs_two_samples(specs, hols, samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        hg.numeric_average(specs["S2"], hols["S2"], 0.1, method="mc",
+                           samples=samples)
+
+
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Fail the test if a quadrature rule or grid is ever built."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("quadrature grid built before validation")
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", boom)
+    monkeypatch.setattr(np, "meshgrid", boom)
+
+
+@pytest.mark.parametrize("nodes", [0, -1, 10**12])
+def test_quadrature_node_count_checked_first(specs, hols, no_grid, nodes):
+    with pytest.raises(ValueError, match="nodes must be in"):
+        hg.numeric_average(specs["S2"], hols["S2"], 0.1,
+                           method="quadrature", nodes=nodes)
+
+
+def test_quadrature_grid_size_checked_first(specs, hols, no_grid):
+    assert specs["S3"].p == 3
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        hg.numeric_average(specs["S3"], hols["S3"], 0.1,
+                           method="quadrature", nodes=65)
+
+
 def test_auto_method_selection(specs, hols):
     q = hg.numeric_average(specs["S2"], hols["S2"], 0.05, nodes=16)
     assert q.method == "quadrature"

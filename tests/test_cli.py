@@ -6,6 +6,7 @@ import re
 import pytest
 
 import heatgen as hg
+from heatgen import cli
 from heatgen.cli import main
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -187,6 +188,33 @@ def test_eval_nonpositive_t_exits_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("method", ["series", "mc", "quadrature"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_eval_non_finite_t_exits_two(capsys, method, t):
+    code, out, err = run(capsys, "eval", "S3", f"--t={t}", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_eval_mc_single_sample_exits_two(capsys):
+    code, out, err = run(
+        capsys, "eval", "S3", "--t", "0.1", "--method", "mc", "--samples", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "at least 2 samples" in err
+
+
+def test_eval_huge_node_count_exits_two(capsys):
+    code, _, err = run(
+        capsys, "eval", "S3", "--t", "0.1", "--method", "quadrature",
+        "--nodes", "1000000000"
+    )
+    assert code == 2
+    assert "nodes must be in" in err
+
+
 def test_eval_mc_reproducible(capsys):
     args = ("eval", "S2", "--t", "0.05", "--method", "mc", "--samples",
             "2000", "--seed", "11", "--json")
@@ -239,6 +267,20 @@ def test_compare_multiple_times(capsys):
 
 def test_compare_bad_grid_exits_two(capsys):
     code, _, err = run(capsys, "compare", "S2", "--t", "abc")
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("grid", ["abc", "0.05,x", ",", "0.05,nan", "inf"])
+def test_compare_malformed_grid_is_a_time_error(capsys, monkeypatch, grid):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("compare ran on a malformed grid")
+
+    monkeypatch.setattr("heatgen.cli.compare", unreachable)
+    with pytest.raises(hg.InvalidTime):
+        cli._cmd_compare(cli._build_parser().parse_args(
+            ["compare", "S2", "--t", grid]))
+    code, _, err = run(capsys, "compare", "S2", "--t", grid)
     assert code == 2
     assert "error:" in err
 

@@ -1,16 +1,20 @@
 """Series engine: Bernoulli numbers, the log sinh-ratio expansion, exact
-truncated series types, and the trace enumeration."""
+truncated series types, and the trace-power expansion."""
 
+import itertools
 import math
 import os
+import random
+import types
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatgen as hg
-from heatgen import series
+from heatgen import rational, series
 
 
 # ---------------------------------------------------------------------------
@@ -131,81 +135,127 @@ def test_omega_free_series_picks_out_scalar_terms():
 
 
 # ---------------------------------------------------------------------------
-# Cyclic word enumeration
+# Trace powers against a brute-force sum over every index word
 # ---------------------------------------------------------------------------
 
 
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=8))
-@settings(deadline=None)
-def test_necklace_periods_partition_all_words(p, length):
-    total = sum(period for _, period in series._necklaces(length, p))
-    assert total == p**length
+def _word_trace(mats, word):
+    prod = mats[word[0]]
+    for ch in word[1:]:
+        prod = rational.matmul(prod, mats[ch])
+    return rational.trace(prod)
 
 
-def test_necklace_representatives_are_cyclic_minima():
-    for word, period in series._necklaces(6, 3):
-        rotations = {word[i:] + word[:i] for i in range(6)}
-        assert word == min(rotations)
-        assert len(rotations) == period
+def _word_sum_expansion(hol, order):
+    """integrand_log_expansion from its definition: tr X^{2m} summed over
+    all p^{2m} index words, with no grouping or reuse of products."""
+    cs = series.log_sinh_ratio_series(order)
+    terms: dict = {}
+    for m in range(1, order + 1):
+        coef = cs[m - 1] / F(4**m) / 2
+        for word in itertools.product(range(hol.p), repeat=2 * m):
+            key = (m, tuple(word.count(i) for i in range(hol.p)))
+            val = coef * (
+                _word_trace(hol.F_mats, word) - _word_trace(hol.D, word)
+            )
+            terms[key] = terms.get(key, F(0)) + val
+    return hg.OmegaPolynomial(hol.p, order, terms)
 
 
-def test_split_trace_matches_direct_product():
-    import random
+_ENTRIES = {
+    "int": lambda rng: F(rng.randint(-3, 3)),
+    "rational": lambda rng: F(rng.randint(-9, 9), rng.randint(1, 12)),
+    # int64 for the generators, promoted to Python ints once the powers
+    # or the Gram step could pass 2**62.
+    "promoted": lambda rng: F(rng.randint(-(2**21), 2**21)),
+    # Entries above 2**62: Python ints from the start.
+    "huge": lambda rng: F(rng.randint(-(2**70), 2**70), rng.randint(1, 2**40)),
+}
 
-    rng = random.Random(5)
-    mats = [
-        [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        for _ in range(2)
-    ]
-    tables = series._product_tables(mats, 3)
-    for word in [(0, 1, 0, 1), (1, 1, 1, 1), (0, 0, 1, 0), (1, 0)]:
-        prod = tables[1][(word[0],)]
-        for ch in word[1:]:
-            prod = series._imatmul(prod, mats[ch])
-        assert series._split_trace(tables, word) == sum(
-            prod[i][i] for i in range(3)
+
+def _random_hol(kind, p, dim, seed):
+    """A stand-in holonomy with p random D and F matrices; the expansion
+    reads nothing else, so F need not be p x p here."""
+    rng = random.Random(seed)
+
+    def mats(size):
+        return tuple(
+            rational.matrix(
+                [[_ENTRIES[kind](rng) for _ in range(size)]
+                 for _ in range(size)]
+            )
+            for _ in range(p)
         )
 
+    return types.SimpleNamespace(p=p, D=mats(dim), F_mats=mats(dim + 1))
 
-def test_necklace_trace_sum_equals_full_word_sum():
-    # The grouped enumeration must agree with brute force over all words,
-    # which is exactly invariance of the trace under cyclic rotation.
-    import itertools
-    import random
 
-    rng = random.Random(11)
-    p, dim, length = 3, 3, 4
-    mats = [
-        [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
-        for _ in range(p)
-    ]
-    tables = series._product_tables(mats, length // 2)
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@pytest.mark.parametrize(
+    "p,dim,order",
+    # p = 40 at order 1: 3**40 > 2**62, so the monomial codes themselves
+    # are Python ints.
+    [(1, 3, 4), (2, 3, 3), (3, 2, 3), (40, 1, 1)],
+)
+def test_log_expansion_matches_full_word_sum(kind, p, dim, order):
+    hol = _random_hol(kind, p, dim, seed=f"{kind}-{p}")
+    assert hg.integrand_log_expansion(hol, order) == _word_sum_expansion(
+        hol, order
+    )
 
-    def word_trace(word):
-        prod = mats[word[0]]
-        for ch in word[1:]:
-            prod = series._imatmul(prod, mats[ch])
-        return sum(prod[i][i] for i in range(dim))
 
-    brute: dict = {}
-    for word in itertools.product(range(p), repeat=length):
-        counts = [0] * p
-        for ch in word:
-            counts[ch] += 1
-        key = tuple(counts)
-        brute[key] = brute.get(key, 0) + word_trace(word)
-    grouped: dict = {}
-    for word, period in series._necklaces(length, p):
-        counts = [0] * p
-        for ch in word:
-            counts[ch] += 1
-        key = tuple(counts)
-        grouped[key] = grouped.get(key, 0) + period * series._split_trace(
-            tables, word
-        )
-    brute = {k: v for k, v in brute.items() if v}
-    grouped = {k: v for k, v in grouped.items() if v}
-    assert brute == grouped
+def test_trace_power_sums_fall_back_to_python_ints():
+    hol = _random_hol("promoted", 2, 3, seed=4)
+    gens = rational.ScaledTensor.from_nested(hol.D).array
+    assert gens.dtype == np.int64
+    sums = series._trace_power_sums(gens, 3, series._monomial_codes(2, 6))
+    assert sums[1].dtype == np.int64
+    assert sums[3].dtype == object
+
+
+def test_builtin_log_expansion_matches_full_word_sum(hols):
+    for name, order in (("S2xS2", 2), ("S4", 1), ("S2xS3", 2)):
+        assert hg.integrand_log_expansion(
+            hols[name], order
+        ) == _word_sum_expansion(hols[name], order)
+
+
+def test_gram_blocks_do_not_change_the_result(hols, monkeypatch):
+    whole = hg.integrand_log_expansion(hols["S4"], 3)
+    # One Gram row per block: every pair crosses a block boundary.
+    monkeypatch.setattr(series, "_GRAM_BLOCK", 1)
+    assert hg.integrand_log_expansion(hols["S4"], 3) == whole
+    assert hg.integrand_log_expansion(
+        hols["S2xS3"], 2
+    ) == _word_sum_expansion(hols["S2xS3"], 2)
+
+
+def test_trace_units():
+    # One generator: one unit per order, the same as one word per order.
+    assert [series.trace_units(1, k) for k in range(5)] == [0, 1, 2, 3, 4]
+    assert series.trace_units(6, 4) == 6**2 + 21**2 + 56**2 + 126**2
+    # S6 (p = 15) at order 4 fits the default budget.
+    assert series.trace_units(15, 4) == 9_840_625 < hg.DEFAULT_WORD_BUDGET
+
+
+def test_budget_refusal_precedes_allocation(monkeypatch):
+    monkeypatch.delenv("HEATGEN_BUDGET", raising=False)
+
+    class Unbuilt:
+        p = 10**6
+
+        @property
+        def D(self):
+            raise AssertionError("generators read before the budget check")
+
+        F_mats = D
+
+    with pytest.raises(hg.OrderTooLarge) as info:
+        hg.integrand_log_expansion(Unbuilt(), 3)
+    message = str(info.value)
+    assert str(series.trace_units(10**6, 3)) in message
+    assert "units" in message
+    assert str(hg.DEFAULT_WORD_BUDGET) in message
 
 
 # ---------------------------------------------------------------------------
