@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curvature import HolonomyRealization, SpaceSpec, curvature_scalars
-from .errors import HeatgenError, NonPositiveT
+from .curvature import HolonomyRealization, Prepared
+from .errors import HeatgenError, check_time
 from .rational import Matrix
 from .series import OmegaPolynomial, TSeries
 
@@ -253,8 +253,7 @@ def _inv_sqrt(sym: np.ndarray) -> np.ndarray:
 class _Integrand:
     """Shared evaluation core for both numeric methods."""
 
-    def __init__(self, spec: SpaceSpec, hol: HolonomyRealization, t: float,
-                 margin: float):
+    def __init__(self, hol: HolonomyRealization, t: float, margin: float):
         self.t = t
         self.bound = math.pi - margin
         self.D = _float_stack(hol.D) if hol.p else np.zeros((0, hol.n, hol.n))
@@ -279,8 +278,7 @@ class _Integrand:
 
 
 def numeric_average(
-    spec: SpaceSpec,
-    hol: HolonomyRealization,
+    prep: Prepared,
     t: float,
     method: str = "auto",
     *,
@@ -297,10 +295,11 @@ def numeric_average(
     times the mean over the retained domain, with the Monte Carlo standard
     error or a quadrature refinement delta as std_error.  The sample
     count (at least 2) and the quadrature grid (1.._MAX_NODES nodes, at
-    most _MAX_GRID_POINTS points) are checked before anything is built.
+    most _MAX_GRID_POINTS points) are checked before anything is built,
+    as is t, which must be finite and positive.
     """
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    check_time(t)
+    spec, hol, curv = prep.spec, prep.hol, prep.curv
     if method == "auto":
         method = "quadrature" if spec.p <= 3 else "mc"
     if method not in ("mc", "quadrature"):
@@ -324,7 +323,6 @@ def numeric_average(
                 f"a quadrature grid of {nodes}^{spec.p} points exceeds the "
                 f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
             )
-    curv = curvature_scalars(spec, hol)
     try:
         prefactor = math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
     except OverflowError:
@@ -336,7 +334,7 @@ def numeric_average(
         return NumericAverage(prefactor, 0.0, 0, 0, method)
 
     beta_f = np.array([[float(x) for x in row] for row in spec.beta])
-    integrand = _Integrand(spec, hol, t, margin)
+    integrand = _Integrand(hol, t, margin)
 
     if method == "mc":
         transform = math.sqrt(2.0) * _inv_sqrt(beta_f)

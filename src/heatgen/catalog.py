@@ -19,8 +19,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .curvature import SpaceSpec, derive_holonomy, validate_symmetric_space
-from .errors import InvalidSpaceSpec, ParseError, UnknownSpace, ValidationError
+from .curvature import SpaceSpec, prepare
+from .errors import InvalidSpaceSpec, ParseError, UnknownSpace
 
 SCHEMA_VERSION = 1
 
@@ -214,13 +214,7 @@ def load(path, validate: bool = True) -> SpaceSpec:
     except InvalidSpaceSpec as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if validate:
-        report = validate_symmetric_space(spec, derive_holonomy(spec))
-        if not report.all_passed:
-            raise ValidationError(
-                f"{path}: structural checks failed: "
-                + ", ".join(report.failed_names()),
-                report=report,
-            )
+        prepare(spec)
     return spec
 
 

@@ -13,44 +13,41 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import catalog as cat
 from .averaging import numeric_average
-from .curvature import curvature_scalars, derive_holonomy, validate_symmetric_space
+from .curvature import (
+    curvature_scalars,
+    derive_holonomy,
+    prepare,
+    validate_symmetric_space,
+)
 from .errors import (
     HeatgenError,
     InvalidTime,
     NonPositiveT,
-    OrderTooLarge,
-    ParseError,
     UnknownSpace,
-    ValidationError,
+    check_time,
 )
 from .invariants import compare, heat_coefficients
 
-_USAGE_ERRORS = (UnknownSpace, NonPositiveT, InvalidTime)
-_DATA_ERRORS = (ParseError, ValidationError, OrderTooLarge)
+# Usage errors exit 2.  Library-level misuse (quadrature with too many
+# generators, negative order, ...) raises ValueError, and unreadable files
+# OSError; both are usage errors at the CLI surface too.
+_USAGE_ERRORS = (UnknownSpace, NonPositiveT, InvalidTime, ValueError, OSError)
 
 
-def _resolve_space(token: str, validate: bool = True):
+def _resolve_space(token: str):
+    """A builtin by name, else a space file, loaded without validation:
+    every command validates its space exactly once, itself."""
     try:
         return cat.builtin(token)
     except UnknownSpace:
         if Path(token).exists():
-            return cat.load(token, validate=validate)
+            return cat.load(token, validate=False)
         raise
-
-
-def _check_times(times: list[float]) -> None:
-    """Every evaluation time must be a finite positive number."""
-    for t in times:
-        if not math.isfinite(t):
-            raise InvalidTime(f"t must be finite, got {t}")
-        if t <= 0:
-            raise NonPositiveT(f"t must be positive, got {t}")
 
 
 def _fmt_float(x: float) -> str:
@@ -63,10 +60,8 @@ def _checks_json(checks) -> list[dict]:
     ]
 
 
-def _emit_report(report, args, extra_checks=()) -> None:
-    checks = tuple(extra_checks) + report.checks
-    if report.validation is not None:
-        checks = report.validation.checks + checks
+def _emit_report(report, args) -> None:
+    checks = report.validation.checks + report.checks
     timing = report.timing_ms if args.timing else None
     if args.json:
         doc = {
@@ -99,9 +94,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # Load without the validation gate: reporting which checks fail is
-    # this command's whole job.
-    spec = _resolve_space(args.space, validate=False)
+    # No validation gate here: reporting which checks fail is this
+    # command's whole job.
+    spec = _resolve_space(args.space)
     hol = derive_holonomy(spec)
     report = validate_symmetric_space(spec, hol)
     payload_checks = list(report.checks)
@@ -133,18 +128,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    spec = _resolve_space(args.space)
-    report = heat_coefficients(spec, args.order, budget=args.budget)
+    prep = prepare(_resolve_space(args.space))
+    report = heat_coefficients(prep, args.order, budget=args.budget)
     _emit_report(report, args)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    spec = _resolve_space(args.space)
-    _check_times([args.t])
-    hol = derive_holonomy(spec)
+    prep = prepare(_resolve_space(args.space))
+    spec = prep.spec
+    check_time(args.t)
     if args.method == "series":
-        report = heat_coefficients(spec, args.order, budget=args.budget)
+        report = heat_coefficients(prep, args.order, budget=args.budget)
         value = report.eval_float(args.t)
         doc = {
             "space": spec.name,
@@ -158,8 +153,7 @@ def _cmd_eval(args) -> int:
         }
     else:
         result = numeric_average(
-            spec,
-            hol,
+            prep,
             args.t,
             args.method,
             samples=args.samples,
@@ -186,16 +180,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = _resolve_space(args.space)
+    prep = prepare(_resolve_space(args.space))
     try:
         t_grid = [float(x) for x in args.t.split(",") if x]
     except ValueError:
         raise InvalidTime(f"bad t grid {args.t!r}") from None
     if not t_grid:
         raise InvalidTime(f"empty t grid {args.t!r}")
-    _check_times(t_grid)
+    for t in t_grid:
+        check_time(t)
     report = compare(
-        spec,
+        prep,
         args.order,
         t_grid,
         method=args.method,
@@ -276,17 +271,6 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # Library-level misuse (quadrature with too many generators,
-        # negative order, ...) is a usage error at the CLI surface.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except HeatgenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,8 @@ R_abcd = beta_ik E^i_ab E^k_cd.  From this datum the module derives the
 connection generators D_i, their structure constants F, and the combined
 motion-algebra matrices C_A, then checks the identities that characterise
 a locally symmetric space.  All of it is exact rational arithmetic.
+prepare() runs derivation, checks and curvature scalars once per datum
+and is the one place that turns a failed check into ValidationError.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import (
     DegenerateBasis,
     InternalInconsistency,
     InvalidSpaceSpec,
+    ValidationError,
 )
 from .rational import Matrix, ScaledTensor, exact_einsum
 
@@ -34,6 +37,8 @@ __all__ = [
     "derive_holonomy",
     "validate_symmetric_space",
     "curvature_scalars",
+    "Prepared",
+    "prepare",
 ]
 
 
@@ -236,11 +241,7 @@ def _check_generator_identity(spec: SpaceSpec, hol: HolonomyRealization) -> Chec
     # F[j][i][k] is the D_j coefficient in [D_i, D_k]; the right side wants
     # the free holonomy index up, i.e. F^i_jk.
     rhs = exact_einsum("jab,ijk->ikab", E, F)
-    lhs = ScaledTensor(
-        lhs1.array * lhs2.denom - lhs2.array * lhs1.denom,
-        lhs1.denom * lhs2.denom,
-    )
-    ok = lhs.equals(rhs)
+    ok = (lhs1 - lhs2).equals(rhs)
     return CheckResult(
         name, ok, "holds" if ok else "generator/connection intertwining fails"
     )
@@ -259,8 +260,7 @@ def _check_integrability(spec: SpaceSpec) -> CheckResult:
     t2 = exact_einsum("fgeb,eacd->fgabcd", R, Rup)
     t3 = exact_einsum("fgec,edab->fgabcd", R, Rup)
     t4 = exact_einsum("fged,ecab->fgabcd", R, Rup)
-    total = ScaledTensor(t1.array - t2.array + t3.array - t4.array, t1.denom)
-    ok = total.is_zero()
+    ok = (t1 - t2 + t3 - t4).is_zero()
     return CheckResult(
         name, ok, "holds" if ok else "curvature is not parallel"
     )
@@ -276,9 +276,7 @@ def _check_structure_jacobi(hol: HolonomyRealization) -> CheckResult:
     j1 = exact_einsum("aed,bdc->abce", Carr, Carr)
     j2 = exact_einsum("bed,cda->abce", Carr, Carr)
     j3 = exact_einsum("ced,adb->abce", Carr, Carr)
-    dd = j1.denom
-    total = ScaledTensor(j1.array + j2.array + j3.array, dd)
-    ok = total.is_zero()
+    ok = (j1 + j2 + j3).is_zero()
     return CheckResult(
         name, ok, "holds" if ok else "combined structure constants fail Jacobi"
     )
@@ -291,19 +289,15 @@ def _check_riemann_symmetries(spec: SpaceSpec) -> CheckResult:
     if spec.p == 0 or spec.n == 0:
         return CheckResult(name, True, "flat datum; vacuous")
     R = reconstructed_riemann(spec)
-    a = R.array
     failures = []
-    swap_ab = np.einsum("abcd->bacd", a)
-    swap_cd = np.einsum("abcd->abdc", a)
-    swap_pairs = np.einsum("abcd->cdab", a)
-    bianchi = a + np.einsum("abcd->acdb", a) + np.einsum("abcd->adbc", a)
-    if not ScaledTensor(a + swap_ab, R.denom).is_zero():
+    if not (R + exact_einsum("abcd->bacd", R)).is_zero():
         failures.append("antisymmetry in the first pair")
-    if not ScaledTensor(a + swap_cd, R.denom).is_zero():
+    if not (R + exact_einsum("abcd->abdc", R)).is_zero():
         failures.append("antisymmetry in the second pair")
-    if not ScaledTensor(a - swap_pairs, R.denom).is_zero():
+    if not (R - exact_einsum("abcd->cdab", R)).is_zero():
         failures.append("pair exchange symmetry")
-    if not ScaledTensor(bianchi, R.denom).is_zero():
+    cyclic = exact_einsum("abcd->acdb", R) + exact_einsum("abcd->adbc", R)
+    if not (R + cyclic).is_zero():
         failures.append("first Bianchi identity")
     ok = not failures
     return CheckResult(name, ok, "holds" if ok else "; ".join(failures))
@@ -395,3 +389,37 @@ def curvature_scalars(spec: SpaceSpec, hol: HolonomyRealization) -> CurvatureRep
             f"{R_G_direct}"
         )
     return CurvatureReport(spec.name, riemann, ricci, R, R_H, R_G)
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """A validated curvature datum with everything derived from it once:
+    the holonomy realization, the passed structural checks and the exact
+    curvature scalars.  Every exact and numeric computation of a space
+    starts from one of these; build it with prepare()."""
+
+    spec: SpaceSpec
+    hol: HolonomyRealization
+    validation: ValidationReport
+    curv: CurvatureReport
+
+
+def prepare(spec: SpaceSpec | Prepared) -> Prepared:
+    """Derive the holonomy, run the structural checks and compute the
+    curvature scalars of a datum, once.
+
+    Raises ValidationError, carrying the report, when a check fails.  A
+    Prepared passes through unchanged, so a caller that already holds one
+    does not repeat the work.
+    """
+    if isinstance(spec, Prepared):
+        return spec
+    hol = derive_holonomy(spec)
+    validation = validate_symmetric_space(spec, hol)
+    if not validation.all_passed:
+        raise ValidationError(
+            f"{spec.name}: structural checks failed: "
+            + ", ".join(validation.failed_names()),
+            report=validation,
+        )
+    return Prepared(spec, hol, validation, curvature_scalars(spec, hol))

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all heatgen modules."""
+"""Exception hierarchy shared by all heatgen modules, and the one check
+of an evaluation time."""
+
+import math
 
 
 class HeatgenError(Exception):
@@ -55,3 +58,12 @@ class NonPositiveT(HeatgenError):
 
 class InvalidTime(HeatgenError):
     """A time argument is malformed or not a finite number."""
+
+
+def check_time(t: float) -> None:
+    """An evaluation time must be a finite positive number: InvalidTime
+    when it is not finite, NonPositiveT when it is not positive."""
+    if not math.isfinite(t):
+        raise InvalidTime(f"t must be finite, got {t}")
+    if t <= 0:
+        raise NonPositiveT(f"t must be positive, got {t}")

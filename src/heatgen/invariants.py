@@ -26,20 +26,13 @@ from . import rational
 from .averaging import average, numeric_average
 from .curvature import (
     CheckResult,
-    CurvatureReport,
+    Prepared,
     SpaceSpec,
     ValidationReport,
-    curvature_scalars,
-    derive_holonomy,
+    prepare,
     reconstructed_riemann,
-    validate_symmetric_space,
 )
-from .errors import (
-    InternalInconsistency,
-    NonPositiveT,
-    OrderMismatch,
-    ValidationError,
-)
+from .errors import InternalInconsistency, OrderMismatch, check_time
 from .rational import ScaledTensor, exact_einsum
 from .series import TSeries, exponentiate_with_prefactor, integrand_log_expansion
 
@@ -62,22 +55,18 @@ class HeatReport:
     order: int
     coeffs: tuple[Fraction, ...]
     checks: tuple[CheckResult, ...]
-    validation: ValidationReport | None
+    validation: ValidationReport
     timing_ms: float
 
     @property
     def all_passed(self) -> bool:
-        ok = all(c.passed for c in self.checks)
-        if self.validation is not None:
-            ok = ok and self.validation.all_passed
-        return ok
+        return self.validation.all_passed and all(
+            c.passed for c in self.checks
+        )
 
     def eval_float(self, t: float) -> float:
         """Horner evaluation of sum_k a_k t^k."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
+        return TSeries(self.order, self.coeffs).eval_float(t)
 
     def remainder_estimate(self, t: float) -> float:
         """Magnitude of the last retained term, used as the truncation
@@ -86,9 +75,10 @@ class HeatReport:
 
 
 def heat_coefficients(
-    spec: SpaceSpec, order: int, *, budget: int | None = None
+    spec: SpaceSpec | Prepared, order: int, *, budget: int | None = None
 ) -> HeatReport:
-    """Exact coefficients a_0..a_order for a validated curvature datum.
+    """Exact coefficients a_0..a_order of a curvature datum, prepared here
+    unless a Prepared is passed.
 
     Raises ValidationError when the structural identity checks fail and
     propagates OrderTooLarge from the trace enumeration.
@@ -96,10 +86,9 @@ def heat_coefficients(
     if order < 0:
         raise ValueError("order must be nonnegative")
     start = time.perf_counter()
-    hol = derive_holonomy(spec)
-    report = validate_or_raise(spec, hol)
-    curv = curvature_scalars(spec, hol)
-    log_poly = integrand_log_expansion(hol, order, budget=budget)
+    prep = prepare(spec)
+    spec, curv = prep.spec, prep.curv
+    log_poly = integrand_log_expansion(prep.hol, order, budget=budget)
     integrand = exponentiate_with_prefactor(log_poly, curv.R, curv.R_H)
     beta_inv = rational.inverse(spec.beta) if spec.p else ()
     series = average(integrand, beta_inv)
@@ -113,28 +102,14 @@ def heat_coefficients(
         order=order,
         coeffs=series.coeffs,
         checks=(),
-        validation=report,
+        validation=prep.validation,
         timing_ms=elapsed,
     )
 
 
-def validate_or_raise(spec: SpaceSpec, hol) -> ValidationReport:
-    report = validate_symmetric_space(spec, hol)
-    if not report.all_passed:
-        raise ValidationError(
-            f"{spec.name}: structural checks failed: "
-            + ", ".join(report.failed_names()),
-            report=report,
-        )
-    return report
-
-
-def closed_form_coefficients(
-    spec: SpaceSpec, curv: CurvatureReport | None = None
-) -> tuple[Fraction, Fraction]:
+def closed_form_coefficients(prep: Prepared) -> tuple[Fraction, Fraction]:
     """Closed-form (a_1, a_2) from the curvature invariants alone."""
-    if curv is None:
-        curv = curvature_scalars(spec, derive_holonomy(spec))
+    spec, curv = prep.spec, prep.curv
     if spec.n == 0 or spec.p == 0:
         return Fraction(0), Fraction(0)
     ginv = ScaledTensor.from_nested(rational.inverse(spec.g))
@@ -160,17 +135,10 @@ def product_factorize(
         raise OrderMismatch(
             "every factor must be expanded at least to the requested order"
         )
-    acc = [Fraction(1)] + [Fraction(0)] * order
+    acc = TSeries.constant(1, order)
     for rep in reports:
-        nxt = [Fraction(0)] * (order + 1)
-        for i in range(order + 1):
-            if not acc[i]:
-                continue
-            for j in range(order + 1 - i):
-                if rep.coeffs[j]:
-                    nxt[i + j] += acc[i] * rep.coeffs[j]
-        acc = nxt
-    return tuple(acc)
+        acc = acc * TSeries(rep.order, rep.coeffs)
+    return acc.coeffs
 
 
 def _sphere_multiplicity(n: int, level: int) -> int:
@@ -194,8 +162,7 @@ def sphere_spectral_trace(n: int, t: float) -> float:
     below 1e-16 of the running total."""
     if not 2 <= n <= 6:
         raise ValueError("spectral oracle covers n in 2..6")
-    if t <= 0:
-        raise NonPositiveT(f"t must be positive, got {t}")
+    check_time(t)
     total = 0.0
     level = 0
     while True:
@@ -235,7 +202,7 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
 
 
 def compare(
-    spec: SpaceSpec,
+    spec: SpaceSpec | Prepared,
     order: int,
     t_grid: Sequence[float],
     *,
@@ -252,16 +219,18 @@ def compare(
     the closed form, product factorization when the space is a builtin
     product, the spectral sum for builtin spheres on each grid time, and
     the floating-point average on each grid time within three standard
-    errors plus the truncation remainder.
+    errors plus the truncation remainder.  The datum is prepared once, here
+    unless a Prepared is passed, and shared by the pipeline and the
+    oracles; each factor of a product is prepared on its own.
     """
     start = time.perf_counter()
-    base = heat_coefficients(spec, order, budget=budget)
-    hol = derive_holonomy(spec)
-    curv = curvature_scalars(spec, hol)
+    prep = prepare(spec)
+    spec = prep.spec
+    base = heat_coefficients(prep, order, budget=budget)
     checks: list[CheckResult] = []
 
     if order >= 1:
-        want = curv.R / 6
+        want = prep.curv.R / 6
         got = base.coeffs[1]
         checks.append(
             _check(
@@ -271,7 +240,7 @@ def compare(
             )
         )
     if order >= 2:
-        _, a2 = closed_form_coefficients(spec, curv)
+        _, a2 = closed_form_coefficients(prep)
         got = base.coeffs[2]
         checks.append(
             _check(
@@ -320,7 +289,7 @@ def compare(
 
     for t in t_grid:
         num = numeric_average(
-            spec, hol, t, method, samples=samples, nodes=nodes, seed=seed
+            prep, t, method, samples=samples, nodes=nodes, seed=seed
         )
         series_val = base.eval_float(t)
         remainder = base.remainder_estimate(t)
@@ -345,6 +314,6 @@ def compare(
         order=order,
         coeffs=base.coeffs,
         checks=tuple(checks),
-        validation=base.validation,
+        validation=prep.validation,
         timing_ms=elapsed,
     )

@@ -291,18 +291,29 @@ class ScaledTensor:
             return all(int(x) == 0 for x in self.array.ravel())
         return not self.array.any()
 
-    def equals(self, other: "ScaledTensor") -> bool:
-        """Exact comparison: cross-multiply the denominators."""
+    def _combine(self, other: "ScaledTensor", sign: int) -> "ScaledTensor":
+        """self + sign * other over the lcm of the two denominators."""
         if self.array.shape != other.array.shape:
-            return False
-        if self.array.size == 0:
-            return True
+            raise ValueError("tensor shapes differ")
+        den = lcm(self.denom, other.denom)
+        fa, fb = den // self.denom, den // other.denom
         a, b = self.array, other.array
-        bound = max(max_abs(a) * other.denom, max_abs(b) * self.denom)
+        bound = max(max_abs(a), 1) * fa + max(max_abs(b), 1) * fb
         if exact_dtype(bound, a, b) is object:
-            a = a.astype(object)
-            b = b.astype(object)
-        return bool(np.array_equal(a * other.denom, b * self.denom))
+            a, b = a.astype(object), b.astype(object)
+        return ScaledTensor(np.asarray(a * fa + sign * (b * fb)), den)
+
+    def __add__(self, other: "ScaledTensor") -> "ScaledTensor":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "ScaledTensor") -> "ScaledTensor":
+        return self._combine(other, -1)
+
+    def equals(self, other: "ScaledTensor") -> bool:
+        """Exact comparison: the difference over a common denominator."""
+        return (
+            self.array.shape == other.array.shape and (self - other).is_zero()
+        )
 
 
 def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:

@@ -83,17 +83,6 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-def _useries_mul(a: list[Fraction], b: list[Fraction], k: int) -> list[Fraction]:
-    out = [Fraction(0)] * (k + 1)
-    for i, x in enumerate(a[: k + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[: k + 1 - i]):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 @lru_cache(maxsize=None)
 def log_sinh_ratio_series(k: int) -> tuple[Fraction, ...]:
     """Coefficients (c_1, ..., c_k) of log(sinh z / z) in powers of z^2.
@@ -107,16 +96,15 @@ def log_sinh_ratio_series(k: int) -> tuple[Fraction, ...]:
     )
     # sinh z / z = sum_m u^m / (2m+1)!  with u = z^2; log via the
     # alternating series applied to the tail s - 1.
-    s = [Fraction(1, factorial(2 * m + 1)) for m in range(k + 1)]
-    tail = [Fraction(0)] + s[1:]
-    logs = [Fraction(0)] * (k + 1)
-    power = [Fraction(1)] + [Fraction(0)] * k
+    tail = TSeries(k, (Fraction(0),) + tuple(
+        Fraction(1, factorial(2 * m + 1)) for m in range(1, k + 1)
+    ))
+    logs = TSeries.constant(0, k)
+    power = TSeries.constant(1, k)
     for j in range(1, k + 1):
-        power = _useries_mul(power, tail, k)
-        sign = Fraction((-1) ** (j + 1), j)
-        for idx in range(k + 1):
-            logs[idx] += sign * power[idx]
-    formal = tuple(logs[1:])
+        power = power * tail
+        logs = logs + power.scale(Fraction((-1) ** (j + 1), j))
+    formal = logs.coeffs[1:]
     if formal != closed:
         raise InternalInconsistency(
             "log(sinh z/z) series mismatch between the Bernoulli closed "

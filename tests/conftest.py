@@ -20,6 +20,11 @@ def hols(specs):
 
 
 @pytest.fixture(scope="session")
+def prepared(specs):
+    return {name: hg.prepare(spec) for name, spec in specs.items()}
+
+
+@pytest.fixture(scope="session")
 def s2_order6():
     return hg.heat_coefficients(hg.builtin("S2"), 6)
 

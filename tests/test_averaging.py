@@ -179,34 +179,41 @@ def test_max_singular_value_mask():
 # ---------------------------------------------------------------------------
 
 
-def test_numeric_average_flat_is_prefactor_only(specs, hols):
-    out = hg.numeric_average(specs["flat2"], hols["flat2"], 0.7)
+def test_numeric_average_flat_is_prefactor_only(prepared):
+    out = hg.numeric_average(prepared["flat2"], 0.7)
     assert out.value == 1.0
     assert out.std_error == 0.0
     assert out.singularity_hits == 0
     assert out.evaluations == 0
 
 
-def test_numeric_average_rejects_nonpositive_t(specs, hols):
+def test_numeric_average_rejects_nonpositive_t(prepared):
     for bad in (0.0, -1.0):
         with pytest.raises(hg.NonPositiveT):
-            hg.numeric_average(specs["S2"], hols["S2"], bad)
+            hg.numeric_average(prepared["S2"], bad)
 
 
-def test_numeric_average_unknown_method(specs, hols):
+@pytest.mark.parametrize("method", ["mc", "quadrature"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_numeric_average_rejects_non_finite_t(prepared, method, bad):
+    with pytest.raises(hg.InvalidTime):
+        hg.numeric_average(prepared["S2"], bad, method)
+
+
+def test_numeric_average_unknown_method(prepared):
     with pytest.raises(ValueError):
-        hg.numeric_average(specs["S2"], hols["S2"], 0.1, method="magic")
+        hg.numeric_average(prepared["S2"], 0.1, method="magic")
 
 
-def test_quadrature_limited_to_three_variables(specs, hols):
+def test_quadrature_limited_to_three_variables(prepared):
     with pytest.raises(ValueError, match="p <= 3"):
-        hg.numeric_average(specs["S4"], hols["S4"], 0.1, method="quadrature")
+        hg.numeric_average(prepared["S4"], 0.1, method="quadrature")
 
 
 @pytest.mark.parametrize("samples", [1, 0, -5])
-def test_mc_needs_two_samples(specs, hols, samples):
+def test_mc_needs_two_samples(prepared, samples):
     with pytest.raises(ValueError, match="at least 2 samples"):
-        hg.numeric_average(specs["S2"], hols["S2"], 0.1, method="mc",
+        hg.numeric_average(prepared["S2"], 0.1, method="mc",
                            samples=samples)
 
 
@@ -222,84 +229,84 @@ def no_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("nodes", [0, -1, 10**12])
-def test_quadrature_node_count_checked_first(specs, hols, no_grid, nodes):
+def test_quadrature_node_count_checked_first(prepared, no_grid, nodes):
     with pytest.raises(ValueError, match="nodes must be in"):
-        hg.numeric_average(specs["S2"], hols["S2"], 0.1,
+        hg.numeric_average(prepared["S2"], 0.1,
                            method="quadrature", nodes=nodes)
 
 
-def test_quadrature_grid_size_checked_first(specs, hols, no_grid):
+def test_quadrature_grid_size_checked_first(specs, prepared, no_grid):
     assert specs["S3"].p == 3
     with pytest.raises(ValueError, match="exceeds the limit"):
-        hg.numeric_average(specs["S3"], hols["S3"], 0.1,
+        hg.numeric_average(prepared["S3"], 0.1,
                            method="quadrature", nodes=65)
 
 
-def test_auto_method_selection(specs, hols):
-    q = hg.numeric_average(specs["S2"], hols["S2"], 0.05, nodes=16)
+def test_auto_method_selection(prepared):
+    q = hg.numeric_average(prepared["S2"], 0.05, nodes=16)
     assert q.method == "quadrature"
-    m = hg.numeric_average(specs["S4"], hols["S4"], 0.05, samples=2000)
+    m = hg.numeric_average(prepared["S4"], 0.05, samples=2000)
     assert m.method == "mc"
 
 
-def test_mc_is_reproducible_per_seed(specs, hols):
+def test_mc_is_reproducible_per_seed(prepared):
     kw = dict(method="mc", samples=5000, seed=42)
-    a = hg.numeric_average(specs["S2"], hols["S2"], 0.05, **kw)
-    b = hg.numeric_average(specs["S2"], hols["S2"], 0.05, **kw)
+    a = hg.numeric_average(prepared["S2"], 0.05, **kw)
+    b = hg.numeric_average(prepared["S2"], 0.05, **kw)
     assert a == b
-    c = hg.numeric_average(specs["S2"], hols["S2"], 0.05, method="mc",
+    c = hg.numeric_average(prepared["S2"], 0.05, method="mc",
                            samples=5000, seed=43)
     assert c.value != a.value
 
 
-def test_methods_agree_on_s2(specs, hols):
-    q = hg.numeric_average(specs["S2"], hols["S2"], 0.05,
+def test_methods_agree_on_s2(prepared):
+    q = hg.numeric_average(prepared["S2"], 0.05,
                            method="quadrature", nodes=40)
-    m = hg.numeric_average(specs["S2"], hols["S2"], 0.05, method="mc",
+    m = hg.numeric_average(prepared["S2"], 0.05, method="mc",
                            samples=60_000, seed=7)
     assert q.value == pytest.approx(m.value,
                                     abs=4 * m.std_error + 10 * q.std_error)
 
 
-def test_quadrature_refinement_delta_only_with_enough_nodes(specs, hols):
-    coarse = hg.numeric_average(specs["S2"], hols["S2"], 0.05,
+def test_quadrature_refinement_delta_only_with_enough_nodes(prepared):
+    coarse = hg.numeric_average(prepared["S2"], 0.05,
                                 method="quadrature", nodes=8)
     assert coarse.std_error == 0.0
-    fine = hg.numeric_average(specs["S2"], hols["S2"], 0.05,
+    fine = hg.numeric_average(prepared["S2"], 0.05,
                               method="quadrature", nodes=20)
     assert fine.std_error >= 0.0
     assert fine.evaluations == 20 + 16
 
 
-def test_singularity_hits_counted(specs, hols):
-    out = hg.numeric_average(specs["S2"], hols["S2"], 9.0, method="mc",
+def test_singularity_hits_counted(prepared):
+    out = hg.numeric_average(prepared["S2"], 9.0, method="mc",
                              samples=2000, seed=1)
     assert out.singularity_hits > 0
     assert out.evaluations == 2000 + out.singularity_hits
     assert math.isfinite(out.value) and out.value > 0
 
-    quad = hg.numeric_average(specs["S2"], hols["S2"], 9.0,
+    quad = hg.numeric_average(prepared["S2"], 9.0,
                               method="quadrature", nodes=24)
     assert quad.singularity_hits > 0
 
 
-def test_mc_aborts_when_ball_rejects_everything(specs, hols):
+def test_mc_aborts_when_ball_rejects_everything(prepared):
     # margin > pi empties the acceptance region entirely.
     with pytest.raises(hg.HeatgenError, match="rejects essentially every"):
-        hg.numeric_average(specs["S2"], hols["S2"], 0.1, method="mc",
+        hg.numeric_average(prepared["S2"], 0.1, method="mc",
                            samples=50, seed=0, margin=4.0)
 
 
-def test_prefactor_overflow_reported(specs, hols):
+def test_prefactor_overflow_reported(prepared):
     with pytest.raises(hg.HeatgenError, match="far too large"):
-        hg.numeric_average(specs["S2"], hols["S2"], 1e12, method="mc",
+        hg.numeric_average(prepared["S2"], 1e12, method="mc",
                            samples=10, seed=0)
 
 
-def test_tight_margin_rejects_more(specs, hols):
-    loose = hg.numeric_average(specs["S2"], hols["S2"], 1.0, method="mc",
+def test_tight_margin_rejects_more(prepared):
+    loose = hg.numeric_average(prepared["S2"], 1.0, method="mc",
                                samples=3000, seed=2, margin=0.01)
-    tight = hg.numeric_average(specs["S2"], hols["S2"], 1.0, method="mc",
+    tight = hg.numeric_average(prepared["S2"], 1.0, method="mc",
                                samples=3000, seed=2, margin=2.9)
     assert tight.singularity_hits > loose.singularity_hits
 

@@ -6,7 +6,7 @@ import re
 import pytest
 
 import heatgen as hg
-from heatgen import cli
+from heatgen import cli, curvature
 from heatgen.cli import main
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -55,7 +55,8 @@ def test_validate_json_schema(capsys):
     assert all(c["pass"] for c in doc["checks"])
 
 
-def test_validate_bad_file_exits_one(capsys, tmp_path):
+def squashed_file(tmp_path) -> str:
+    """A space file that parses but fails the generator identity."""
     base = hg.builtin("S3")
     from fractions import Fraction as F
 
@@ -69,7 +70,11 @@ def test_validate_bad_file_exits_one(capsys, tmp_path):
     )
     path = tmp_path / "squashed.json"
     hg.save(bad, path)
-    code, out, _ = run(capsys, "validate", str(path))
+    return str(path)
+
+
+def test_validate_bad_file_exits_one(capsys, tmp_path):
+    code, out, _ = run(capsys, "validate", squashed_file(tmp_path))
     assert code == 1
     assert "[FAIL] generator_connection_identity" in out
 
@@ -142,6 +147,14 @@ def test_coeffs_from_saved_file(capsys, tmp_path):
     code, out, _ = run(capsys, "coeffs", str(path), "--order", "2", "--json")
     assert code == 0
     assert json.loads(out)["a"] == ["1", "1/3", "1/15"]
+
+
+def test_coeffs_invalid_file_exits_one(capsys, tmp_path):
+    code, out, err = run(capsys, "coeffs", squashed_file(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "squashed: structural checks failed" in err
+    assert "generator_connection_identity" in err
 
 
 def test_unknown_space_exits_two(capsys):
@@ -289,3 +302,47 @@ def test_compare_negative_time_exits_two(capsys):
     code, _, err = run(capsys, "compare", "S2", "--t", "0.05,-0.1")
     assert code == 2
     assert "error:" in err
+
+
+# ---------------------------------------------------------------------------
+# Each command prepares its space once
+# ---------------------------------------------------------------------------
+
+
+def counted(monkeypatch, name) -> list:
+    """Count the calls of a curvature-module function."""
+    calls = []
+    original = getattr(curvature, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(curvature, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--order", "2"),
+    ("eval", "--t", "0.05", "--order", "2"),
+    ("eval", "--t", "0.05", "--method", "mc", "--samples", "200"),
+    ("eval", "--t", "0.05", "--method", "quadrature", "--nodes", "6"),
+    ("compare", "--order", "2", "--method", "quadrature", "--nodes", "12"),
+])
+def test_file_commands_prepare_once(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "three_sphere.json"
+    hg.save(hg.builtin("S3"), path)
+    stages = [counted(monkeypatch, name) for name in (
+        "derive_holonomy", "validate_symmetric_space", "curvature_scalars")]
+    code, _, _ = run(capsys, argv[0], str(path), *argv[1:], "--json")
+    assert code == 0
+    assert [len(calls) for calls in stages] == [1, 1, 1]
+
+
+def test_compare_product_prepares_each_space_once(capsys, monkeypatch):
+    scalars = counted(monkeypatch, "curvature_scalars")
+    code, _, _ = run(capsys, "compare", "S2xS2", "--order", "2",
+                     "--method", "quadrature", "--nodes", "12", "--json")
+    assert code == 0
+    # S2xS2 itself, then each S2 factor of the product check.
+    assert len(scalars) == 3

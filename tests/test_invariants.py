@@ -104,6 +104,21 @@ def test_heat_coefficients_rejects_invalid_data():
         hg.heat_coefficients(squashed, 2)
 
 
+def test_metric_scaled_by_huge_power_of_three():
+    # (mu g, beta, E) has a_k / mu^2k; mu = 3^40 overflows int64 in the
+    # generator identity check unless its sums are promoted.
+    base = hg.builtin("S2")
+    mu = 3**40
+    big = hg.SpaceSpec(
+        name="S2big", n=base.n, p=base.p,
+        g=tuple(tuple(mu * x for x in row) for row in base.g),
+        beta=base.beta, E=base.E,
+    )
+    want = hg.heat_coefficients(base, 4).coeffs
+    got = hg.heat_coefficients(big, 4).coeffs
+    assert got == tuple(a / F(3) ** (80 * k) for k, a in enumerate(want))
+
+
 def test_validation_report_attached(s2_order6):
     rep = s2_order6.validation
     assert rep is not None and rep.all_passed
@@ -124,25 +139,25 @@ def test_report_eval_and_remainder(s2_order6):
 # ---------------------------------------------------------------------------
 
 
-def test_closed_form_coefficients_values(specs):
-    a1, a2 = hg.closed_form_coefficients(specs["S2"])
+def test_closed_form_coefficients_values(prepared):
+    a1, a2 = hg.closed_form_coefficients(prepared["S2"])
     assert (a1, a2) == (F(1, 3), F(1, 15))
-    a1, a2 = hg.closed_form_coefficients(specs["S4"])
+    a1, a2 = hg.closed_form_coefficients(prepared["S4"])
     assert (a1, a2) == (F(2), F(29, 15))
-    assert hg.closed_form_coefficients(specs["flat2"]) == (F(0), F(0))
+    assert hg.closed_form_coefficients(prepared["flat2"]) == (F(0), F(0))
 
 
 @pytest.mark.parametrize("name,n", [("S2", 2), ("S3", 3), ("S4", 4),
                                     ("S5", 5), ("S6", 6)])
-def test_sphere_a1_is_scalar_curvature_over_six(specs, name, n):
-    a1, _ = hg.closed_form_coefficients(specs[name])
+def test_sphere_a1_is_scalar_curvature_over_six(prepared, name, n):
+    a1, _ = hg.closed_form_coefficients(prepared[name])
     assert a1 == F(n * (n - 1), 6)
 
 
-def test_pipeline_matches_closed_forms_on_products(specs):
+def test_pipeline_matches_closed_forms_on_products(specs, prepared):
     for name in ("S2xS2", "S2xS3"):
         rep = hg.heat_coefficients(specs[name], 2)
-        a1, a2 = hg.closed_form_coefficients(specs[name])
+        a1, a2 = hg.closed_form_coefficients(prepared[name])
         assert rep.coeffs[1] == a1
         assert rep.coeffs[2] == a2
 
@@ -185,6 +200,17 @@ def test_spectral_trace_input_validation():
         hg.sphere_spectral_trace(7, 0.1)
     with pytest.raises(hg.NonPositiveT):
         hg.sphere_spectral_trace(3, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectral_trace_rejects_non_finite_t(bad):
+    with pytest.raises(hg.InvalidTime):
+        hg.sphere_spectral_trace(2, bad)
+
+
+def test_compare_rejects_non_finite_t(specs):
+    with pytest.raises(hg.InvalidTime):
+        hg.compare(specs["S2"], 2, [math.nan])
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -118,3 +118,27 @@ def test_scaled_tensor_equality_cross_denominator():
 def test_scaled_tensor_is_zero_empty_and_filled():
     assert rational.ScaledTensor(np.zeros((2, 2), dtype=np.int64), 1).is_zero()
     assert not rational.ScaledTensor.from_nested([[0, 1]]).is_zero()
+
+
+def test_scaled_tensor_add_sub_over_common_denominator():
+    a = rational.ScaledTensor.from_nested([[F(1, 2), F(1, 3)]])
+    b = rational.ScaledTensor.from_nested([[F(1, 4), F(-2, 3)]])
+    assert (a + b).to_fractions() == ((F(3, 4), F(-1, 3)),)
+    assert (a - b).to_fractions() == ((F(1, 4), F(1)),)
+    assert (a + b).array.dtype == np.int64
+    with pytest.raises(ValueError):
+        a + rational.ScaledTensor.from_nested([F(1)])
+
+
+def test_scaled_tensor_sums_promote_instead_of_wrapping():
+    near = 2**62 - 1
+    a = rational.ScaledTensor(np.array([near, -near], dtype=np.int64), 1)
+    total = a + a
+    assert total.array.dtype == object
+    assert total.to_fractions() == (F(2 * near), F(-2 * near))
+    # A huge denominator alone must promote, even against a zero array.
+    zero = rational.ScaledTensor(np.zeros(1, dtype=np.int64), 1)
+    tiny = rational.ScaledTensor(np.ones(1, dtype=np.int64), 3**40)
+    assert (zero - tiny).to_fractions() == (F(-1, 3**40),)
+    assert not zero.equals(tiny)
+    assert tiny.equals(rational.ScaledTensor.from_nested([F(1, 3**40)]))

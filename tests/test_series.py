@@ -56,11 +56,11 @@ def test_log_sinh_ratio_exponentiates_back():
     # exp of the claimed series must reproduce sinh(z)/z = sum u^m/(2m+1)!
     k = 8
     cs = hg.log_sinh_ratio_series(k)
-    logs = [F(0)] + list(cs)
+    logs = hg.TSeries(k, (F(0),) + cs)
     acc = [F(1)] + [F(0)] * k
-    power = [F(1)] + [F(0)] * k
+    power = hg.TSeries.constant(1, k)
     for j in range(1, k + 1):
-        power = series._useries_mul(power, logs, k)
+        power = power * logs
         for idx in range(k + 1):
             acc[idx] += F(1, math.factorial(j)) * power[idx]
     assert acc == [F(1, math.factorial(2 * m + 1)) for m in range(k + 1)]
