@@ -6,12 +6,20 @@ entries of the inverse of beta.  That normalization is pinned down by the
 one-dimensional quadrature oracle: for p = 1, beta = 1 the even moments
 must be <omega^{2k}> = (2k-1)!! 2^k.
 
-Two independent exact engines compute the moments.  wick_moment sums over
-pairings by a memoized recursion; fock_moment runs a normal-ordering
-calculus in which each variable acts on a creation-operator polynomial as
-(2 sum_k beta^{ik} b*_k .) + d/d b*_i, with the overall normalization
-calibrated once per beta on the degree-2 moment.  The two must agree
-exactly on every key.
+The production path, whitened_average, factors beta = L diag(d) L^T
+exactly, rewrites the generators in eta = L^T omega, whose covariance is
+the diagonal 2 diag(1/d), and averages the dense exponential of
+series.dense_integrand with the closed form <eta^{2b}> = prod_i
+(2b_i - 1)!! (2/d_i)^{b_i}.
+
+Two independent exact engines compute the same moments in omega and serve
+as its oracles, through average() on an OmegaPolynomial.  wick_moment
+sums over pairings by a memoized recursion; fock_moment runs a
+normal-ordering calculus in which each variable acts on a
+creation-operator polynomial as (2 sum_k beta^{ik} b*_k .) + d/d b*_i,
+with the overall normalization calibrated once per beta on the degree-2
+moment.  The two must agree exactly on every key.  Their memos are
+bounded, so a long-lived process does not grow with every beta it sees.
 
 The numeric path evaluates the full (not truncated) integrand in floating
 point, by Monte Carlo or tensorized Gauss-Hermite quadrature, restricted
@@ -31,12 +39,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import rational
 from .curvature import HolonomyRealization, Prepared
-from .errors import HeatgenError, check_time
-from .rational import Matrix
-from .series import OmegaPolynomial, TSeries
+from .errors import HeatgenError, InternalInconsistency, check_time
+from .rational import Matrix, ScaledTensor, exact_einsum
+from .series import OmegaPolynomial, TSeries, check_budget, dense_integrand
 
 __all__ = [
+    "whitened_average",
     "wick_moment",
     "fock_moment",
     "average",
@@ -47,33 +57,44 @@ __all__ = [
     "random_rational_omegas",
 ]
 
-_BETA_REGISTRY: dict[tuple, int] = {}
-_BETA_BY_ID: list[tuple] = []
+# Entries kept by each moment memo of the oracle engines: enough for a
+# whole average at catalog orders, bounded for a long-lived process.
+_MOMENT_MEMO = 2**15
 
 
-def _intern_matrix(mat: Matrix) -> int:
-    key = tuple(tuple(Fraction(x) for x in row) for row in mat)
-    ident = _BETA_REGISTRY.get(key)
-    if ident is None:
-        ident = len(_BETA_BY_ID)
-        _BETA_REGISTRY[key] = ident
-        _BETA_BY_ID.append(key)
-    return ident
+class _Covariance:
+    """An exact covariance matrix as a memo key, hashed once."""
+
+    __slots__ = ("rows", "_hash")
+
+    def __init__(self, rows: tuple):
+        self.rows = rows
+        self._hash = hash(rows)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Covariance) and self.rows == other.rows
 
 
-@lru_cache(maxsize=None)
-def _wick(beta_id: int, key: tuple[int, ...]) -> Fraction:
+def _intern_matrix(mat: Matrix) -> _Covariance:
+    """beta_inv as the memo key of the moment engines."""
+    return _Covariance(tuple(tuple(Fraction(x) for x in row) for row in mat))
+
+
+@lru_cache(maxsize=_MOMENT_MEMO)
+def _wick(binv: _Covariance, key: tuple[int, ...]) -> Fraction:
     if not key:
         return Fraction(1)
     if len(key) % 2:
         return Fraction(0)
-    binv = _BETA_BY_ID[beta_id]
     first, rest = key[0], key[1:]
     total = Fraction(0)
     for idx in range(len(rest)):
-        cov = 2 * binv[first][rest[idx]]
+        cov = 2 * binv.rows[first][rest[idx]]
         if cov:
-            total += cov * _wick(beta_id, rest[:idx] + rest[idx + 1 :])
+            total += cov * _wick(binv, rest[:idx] + rest[idx + 1 :])
     return total
 
 
@@ -116,22 +137,21 @@ def _fock_apply(state: dict, i: int, binv) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _fock_raw(beta_id: int, key: tuple[int, ...]) -> Fraction:
-    binv = _BETA_BY_ID[beta_id]
-    p = len(binv)
+@lru_cache(maxsize=_MOMENT_MEMO)
+def _fock_raw(binv: _Covariance, key: tuple[int, ...]) -> Fraction:
+    p = len(binv.rows)
     state: dict = {(0,) * p: Fraction(1)}
     for i in reversed(key):
-        state = _fock_apply(state, i, binv)
+        state = _fock_apply(state, i, binv.rows)
     return state.get((0,) * p, Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _fock_scale(beta_id: int) -> Fraction:
+@lru_cache(maxsize=64)
+def _fock_scale(binv: _Covariance) -> Fraction:
     """Normalization fixed once per beta by matching the degree-2 moment
     from the pairing engine."""
-    raw = _fock_raw(beta_id, (0, 0))
-    want = _wick(beta_id, (0, 0))
+    raw = _fock_raw(binv, (0, 0))
+    want = _wick(binv, (0, 0))
     if raw == 0:
         if want == 0:
             return Fraction(1)
@@ -149,8 +169,8 @@ def fock_moment(key, beta_inv: Matrix) -> Fraction:
         return Fraction(1)
     if len(idx) % 2:
         return Fraction(0)
-    beta_id = _intern_matrix(beta_inv)
-    return _fock_raw(beta_id, idx) * _fock_scale(beta_id) ** (len(idx) // 2)
+    binv = _intern_matrix(beta_inv)
+    return _fock_raw(binv, idx) * _fock_scale(binv) ** (len(idx) // 2)
 
 
 def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
@@ -169,6 +189,76 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
         if moment:
             coeffs[grade] += val * moment
     return TSeries(poly.order, tuple(coeffs))
+
+
+def _whiten(
+    hol: HolonomyRealization, beta: Matrix
+) -> tuple[ScaledTensor, ScaledTensor, tuple[Fraction, ...]]:
+    """Factor beta = L diag(d) L^T and rewrite the generator families in
+    eta = L^T omega: D'_j = sum_i (L^{-T})_{ij} D_i, and the same for
+    F_mats, so that D(omega) = D'(eta).  Returns D', F' and the pivots d;
+    eta has the diagonal covariance 2 diag(1/d)."""
+    try:
+        lower, pivots = rational.ldl(beta)
+    except ValueError as exc:
+        raise InternalInconsistency(
+            f"beta passed validation but has no LDL^T factorization: {exc}"
+        ) from None
+    back = ScaledTensor.from_nested(
+        rational.transpose(rational.inverse(lower))
+    )
+    d, f = (
+        exact_einsum("ij,iab->jab", back, ScaledTensor.from_nested(gens))
+        .reduced()
+        for gens in (hol.D, hol.F_mats)
+    )
+    return d, f, pivots
+
+
+def whitened_average(
+    hol: HolonomyRealization,
+    beta: Matrix,
+    order: int,
+    *,
+    budget: int | None = None,
+) -> TSeries:
+    """<exp(L(omega, t))> over omega ~ N(0, 2 beta^{-1}), truncated at the
+    order, where L is the omega-dependent log of the integrand
+    (integrand_log_expansion): the exact production average.
+
+    The generators are whitened (_whiten), the exponential is built
+    densely grade by grade in eta (series.dense_integrand), and each even
+    monomial eta^{2b} averages to prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The
+    work units trace_units + exp_units are checked against the budget
+    before anything is built."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    p = hol.p
+    if p == 0 or order == 0:
+        return TSeries.constant(1, order)
+    check_budget(p, order, budget, exponential=True)
+    d, f, pivots = _whiten(hol, beta)
+    poly = dense_integrand(d, f, order)
+    variances = [2 / x for x in pivots]
+    coeffs = []
+    for g in range(order + 1):
+        nums, half = poly.even_part(g)
+        # prod_i (2b_i - 1)!! v_i^{b_i}, as integers over the common
+        # denominator prod_i den(v_i)^g.
+        moments = np.ones(len(half), dtype=object)
+        scale = 1
+        for i, v in enumerate(variances):
+            table = [
+                math.prod(range(2 * b - 1, 0, -2))
+                * v.numerator**b
+                * v.denominator ** (g - b)
+                for b in range(g + 1)
+            ]
+            moments *= np.array(table, dtype=object)[half[:, i]]
+            scale *= v.denominator**g
+        total = int(np.dot(nums.astype(object), moments))
+        coeffs.append(Fraction(total, poly.grades[g].denom * scale))
+    return TSeries(order, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

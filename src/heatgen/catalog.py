@@ -149,6 +149,10 @@ def _parse_rational(text, where: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ParseError(f"{where}: zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        # Python refuses integers of more than sys.get_int_max_str_digits()
+        # digits.
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _parse_matrix(data, rows: int, cols: int, where: str):

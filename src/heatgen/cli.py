@@ -222,9 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", type=int, default=4,
                            help="t truncation order (default 4)")
         p.add_argument("--budget", type=int, default=None,
-                       help="override the trace expansion budget, in "
-                            "coefficient-matrix pairs sum_m C(p+m-1,m)^2 "
-                            "(default 10^8, or HEATGEN_BUDGET)")
+                       help="override the expansion budget, in "
+                            "coefficient pairs of the trace powers and "
+                            "their exponential (default 10^8, or "
+                            "HEATGEN_BUDGET)")
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
         p.add_argument("--timing", action="store_true",

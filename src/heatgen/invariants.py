@@ -2,9 +2,9 @@
 
 The diagonal short-time expansion is reported through coefficients a_k
 normalized so that the diagonal equals (4 pi t)^{-n/2} sum_k a_k t^k; a_0
-is always 1.  The pipeline multiplies the scalar prefactor
-exp((R/8 + R_H/6) t) into the exponentiated trace-power series and takes
-the exact Gaussian average.
+is always 1.  The pipeline takes the exact Gaussian average of the
+exponentiated trace-power series (averaging.whitened_average) and
+multiplies in the scalar prefactor exp((R/8 + R_H/6) t).
 
 Cross-checks implemented here: the closed forms a_1 = R/6 and
 a_2 = R^2/72 - |Ric|^2/180 + |Riem|^2/180 (the Laplacian term drops since
@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from . import catalog as _catalog
 from . import rational
-from .averaging import average, numeric_average
+from .averaging import numeric_average, whitened_average
 from .curvature import (
     CheckResult,
     Prepared,
@@ -34,7 +36,7 @@ from .curvature import (
 )
 from .errors import InternalInconsistency, OrderMismatch, check_time
 from .rational import ScaledTensor, exact_einsum
-from .series import TSeries, exponentiate_with_prefactor, integrand_log_expansion
+from .series import TSeries, to_float
 
 __all__ = [
     "HeatReport",
@@ -71,7 +73,7 @@ class HeatReport:
     def remainder_estimate(self, t: float) -> float:
         """Magnitude of the last retained term, used as the truncation
         error proxy."""
-        return abs(float(self.coeffs[self.order])) * t**self.order
+        return abs(to_float(self.coeffs[self.order])) * t**self.order
 
 
 def heat_coefficients(
@@ -88,10 +90,13 @@ def heat_coefficients(
     start = time.perf_counter()
     prep = prepare(spec)
     spec, curv = prep.spec, prep.curv
-    log_poly = integrand_log_expansion(prep.hol, order, budget=budget)
-    integrand = exponentiate_with_prefactor(log_poly, curv.R, curv.R_H)
-    beta_inv = rational.inverse(spec.beta) if spec.p else ()
-    series = average(integrand, beta_inv)
+    averaged = whitened_average(prep.hol, spec.beta, order, budget=budget)
+    # The omega-free prefactor exp((R/8 + R_H/6) t), term by term.
+    rate = curv.R / 8 + curv.R_H / 6
+    prefactor = [Fraction(1)]
+    for m in range(1, order + 1):
+        prefactor.append(prefactor[-1] * rate / m)
+    series = averaged * TSeries(order, tuple(prefactor))
     if series[0] != 1:
         raise InternalInconsistency(
             f"zeroth coefficient is {series[0]}, expected 1"
@@ -141,40 +146,41 @@ def product_factorize(
     return acc.coeffs
 
 
-def _sphere_multiplicity(n: int, level: int) -> int:
-    """Dimension of the level-l eigenspace of the Laplacian on the unit
-    n-sphere."""
-    if level == 0:
-        return 1
-    num = (2 * level + n - 1) * math.comb(level + n - 2, n - 2)
-    if num % (n - 1):
-        raise InternalInconsistency("non-integer eigenspace dimension")
-    return num // (n - 1)
-
-
 def sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
 
 
+# The spectral sum stops at L = ceil(sqrt(50/t)) + 5 levels: the terms
+# past L add less than (tL^2)^{(n-2)/2} e^{-tL^2} < 1e-18 of the total for
+# n <= 6.  More than _MAX_SPECTRAL_LEVELS levels (t below about 5e-13)
+# are refused; they are summed in chunks of _SPECTRAL_CHUNK.
+_MAX_SPECTRAL_LEVELS = 10**7
+_SPECTRAL_CHUNK = 2**16
+
+
 def sphere_spectral_trace(n: int, t: float) -> float:
     """Heat kernel diagonal on the unit n-sphere by direct eigenvalue sum:
-    Vol^{-1} sum_l mult(l) exp(-t l (l+n-1)), truncated once a term drops
-    below 1e-16 of the running total."""
+    Vol^{-1} sum_l mult(l) exp(-t l (l+n-1)), with the level-l eigenspace
+    dimension mult(l) = (2l+n-1) (l+n-2)! / (l! (n-1)!), over the levels
+    predicted from t.  Raises ValueError when t needs more than
+    _MAX_SPECTRAL_LEVELS levels."""
     if not 2 <= n <= 6:
         raise ValueError("spectral oracle covers n in 2..6")
     check_time(t)
-    total = 0.0
-    level = 0
-    while True:
-        term = _sphere_multiplicity(n, level) * math.exp(
-            -t * level * (level + n - 1)
+    levels = math.ceil(math.sqrt(50.0 / t)) + 5
+    if levels > _MAX_SPECTRAL_LEVELS:
+        raise ValueError(
+            f"the spectral sum at t={t:g} needs {levels} levels, more than "
+            f"the cap of {_MAX_SPECTRAL_LEVELS}; use a larger t"
         )
-        total += term
-        level += 1
-        if level > 4 and term < 1e-16 * total:
-            break
-        if level > 100_000:
-            raise InternalInconsistency("spectral sum failed to converge")
+    total = 0.0
+    for start in range(0, levels, _SPECTRAL_CHUNK):
+        stop = min(start + _SPECTRAL_CHUNK, levels)
+        level = np.arange(start, stop, dtype=float)
+        mult = (2 * level + n - 1) / (n - 1)
+        for j in range(1, n - 1):
+            mult *= (level + j) / j
+        total += float(np.sum(mult * np.exp(-t * level * (level + n - 1))))
     return total / sphere_volume(n)
 
 

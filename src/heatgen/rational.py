@@ -11,7 +11,7 @@ could overflow.  Results stay exact in both regimes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -160,6 +160,31 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in m)
 
 
+def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
+    """Exact factorization a = L diag(d) L^T of a symmetric positive
+    definite matrix, with L unit lower-triangular.  Raises ValueError at
+    the first pivot d_j that is not positive."""
+    n = len(a)
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d: list[Fraction] = []
+    for j in range(n):
+        pivot = a[j][j] - sum(
+            (lower[j][k] ** 2 * d[k] for k in range(j)), Fraction(0)
+        )
+        if pivot <= 0:
+            raise ValueError(f"matrix is not positive definite (pivot {j})")
+        d.append(pivot)
+        for i in range(j + 1, n):
+            lower[i][j] = (
+                a[i][j]
+                - sum(
+                    (lower[i][k] * lower[j][k] * d[k] for k in range(j)),
+                    Fraction(0),
+                )
+            ) / pivot
+    return tuple(tuple(row) for row in lower), tuple(d)
+
+
 def span_decompose(
     basis: Sequence[Matrix], targets: Sequence[Matrix]
 ) -> tuple[int, list[tuple[Fraction, ...] | None]]:
@@ -283,6 +308,14 @@ class ScaledTensor:
             return Fraction(int(a), den)
 
         return conv(self.array)
+
+    def reduced(self) -> "ScaledTensor":
+        """The same tensor with gcd(denom, every entry) divided out."""
+        content = int(np.gcd.reduce(self.array, axis=None))
+        if not content:
+            return ScaledTensor(self.array, 1)
+        common = gcd(self.denom, content)
+        return ScaledTensor(self.array // common, self.denom // common)
 
     def is_zero(self) -> bool:
         if self.array.size == 0:

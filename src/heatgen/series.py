@@ -15,10 +15,21 @@ integers over one common denominator; the omega^alpha coefficients of
 X^k for every degree-k monomial alpha are stacked into one integer array,
 step k coming from step k-1 times each generator.  The coefficients of
 tr X^{2m} are then a Gram matrix tr(P_m[alpha] P_m[beta]) scattered onto
-alpha + beta, with monomials ranked by an additive mixed-radix code.  The
-work, and the budget, is counted in coefficient-matrix pairs of that Gram
-step, sum_m C(p+m-1, m)^2.  All arithmetic is exact: arrays are int64 only
-where a magnitude bound proves it safe, and Python ints otherwise.
+alpha + beta, with monomials ranked by an additive mixed-radix code.  All
+arithmetic is exact: arrays are int64 only where a magnitude bound proves
+it safe, and Python ints otherwise.
+
+Grade m of the log is kept as one integer array over the degree-2m codes
+with one denominator.  The production path, dense_integrand, exponentiates
+it in that form by the recurrence g E_g = sum_m m P_m E_{g-m}, pairing the
+nonzero entries of each product and scattering them onto the summed
+codes; averaging.whitened_average runs it on whitened generators and
+averages in closed form.  integrand_log_expansion returns the same log as
+an OmegaPolynomial, whose dict-of-Fraction exp and the prefactor product
+exponentiate_with_prefactor are kept as the independent oracle of that
+path.  The work, and the budget, is counted in coefficient pairs: the
+Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus the exponential's
+products (exp_units).
 """
 
 from __future__ import annotations
@@ -27,12 +38,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, lcm
 
 import numpy as np
 
 from .curvature import HolonomyRealization
-from .errors import InternalInconsistency, OrderTooLarge
+from .errors import HeatgenError, InternalInconsistency, OrderTooLarge
 from .rational import ScaledTensor, exact_dtype, max_abs
 
 __all__ = [
@@ -40,7 +52,9 @@ __all__ = [
     "log_sinh_ratio_series",
     "TSeries",
     "OmegaPolynomial",
+    "GradedSeries",
     "integrand_log_expansion",
+    "dense_integrand",
     "exponentiate_with_prefactor",
     "DEFAULT_WORD_BUDGET",
     "enumeration_budget",
@@ -51,7 +65,7 @@ _BUDGET_ENV = "HEATGEN_BUDGET"
 
 
 def enumeration_budget() -> int:
-    """Budget in trace_units for integrand_log_expansion, overridable via
+    """Budget in work units for check_budget, overridable via
     HEATGEN_BUDGET."""
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
@@ -65,7 +79,8 @@ def enumeration_budget() -> int:
     return value
 
 
-@lru_cache(maxsize=None)
+# bernoulli(m) reads B_0..B_{m-1}, so m below this bound never recomputes.
+@lru_cache(maxsize=1024)
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m (B_1 = -1/2), by the defining recurrence
     sum_{j=0}^{m} binom(m+1, j) B_j = 0."""
@@ -83,7 +98,7 @@ def bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def log_sinh_ratio_series(k: int) -> tuple[Fraction, ...]:
     """Coefficients (c_1, ..., c_k) of log(sinh z / z) in powers of z^2.
 
@@ -168,8 +183,19 @@ class TSeries:
     def eval_float(self, t: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+            acc = acc * t + to_float(c)
         return acc
+
+
+def to_float(c: Fraction) -> float:
+    """float(c); HeatgenError when c lies beyond the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise HeatgenError(
+            f"an exact coefficient with {len(str(abs(c.numerator)))} digits "
+            f"is beyond the float range"
+        ) from None
 
 
 class OmegaPolynomial:
@@ -300,16 +326,17 @@ def _monomial_codes(p: int, top: int) -> list[np.ndarray]:
     return codes
 
 
-def _decode(codes: np.ndarray, p: int, top: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of mixed-radix codes from _monomial_codes."""
+def _exponents(codes: np.ndarray, p: int, top: int) -> np.ndarray:
+    """Exponent rows, one per monomial, of mixed-radix codes from
+    _monomial_codes."""
     radix = top + 1
-    digits = np.empty((len(codes), p), dtype=codes.dtype)
+    digits = np.empty((len(codes), p), dtype=np.int64)
     rest = codes.copy()
     for i in range(p):
         # Not np.divmod: it has no loop for object arrays.
         digits[:, i] = rest % radix
         rest //= radix
-    return [tuple(map(int, row)) for row in digits.tolist()]
+    return digits
 
 
 def _trace_power_sums(
@@ -368,6 +395,173 @@ def _trace_power_sums(
     return sums
 
 
+def exp_units(p: int, order: int) -> int:
+    """Work units of the dense exponential in dense_integrand: coefficient
+    pairs of its products P_m E_{g-m}, sum over 1 <= m <= g <= order of
+    N_{2m} N_{2(g-m)} with N_k = C(p+k-1, k) degree-k monomials."""
+    sizes = [comb(p + 2 * j - 1, 2 * j) for j in range(order + 1)]
+    below = list(accumulate(sizes))
+    return sum(sizes[m] * below[order - m] for m in range(1, order + 1))
+
+
+def check_budget(
+    p: int, order: int, budget: int | None, *, exponential: bool
+) -> None:
+    """Raise OrderTooLarge when an expansion in p > 0 variables needs more
+    work units than the budget (default: enumeration_budget()): the
+    trace_units of the log, plus exp_units when it is exponentiated.
+
+    Every grade of the log, and every product of the exponential, costs
+    at least one unit, so an order whose least count exceeds the budget
+    is refused before any binomial is summed."""
+    limit = enumeration_budget() if budget is None else budget
+    least = order + (order * (order + 1) // 2 if exponential else 0)
+    if least > limit:
+        needs = f"at least {least}"
+    else:
+        units = trace_units(p, order)
+        if exponential:
+            units += exp_units(p, order)
+        if units <= limit:
+            return
+        needs = str(units)
+    parts = "coefficient-matrix pairs, sum_m C(p+m-1,m)^2" + (
+        ", plus the coefficient pairs of the exponential" if exponential
+        else ""
+    )
+    raise OrderTooLarge(
+        f"the expansion needs {needs} work units ({parts}) for p={p}, "
+        f"order {order}, exceeding the budget of {limit}; lower the order, "
+        f"use a numeric average, or raise {_BUDGET_ENV}"
+    )
+
+
+def _graded_log(
+    d: ScaledTensor, f: ScaledTensor, order: int, codes: list[np.ndarray]
+) -> list[ScaledTensor]:
+    """grades[m][rank(gamma)] is the coefficient of t^m omega^gamma in
+    sum_m t^m (c_m / 4^m) [tr F(omega)^{2m}/2 - tr D(omega)^{2m}/2], over
+    the degree-2m codes (grades[0] unused)."""
+    cs = log_sinh_ratio_series(order)
+    d_sums = _trace_power_sums(d.array, order, codes)
+    f_sums = _trace_power_sums(f.array, order, codes)
+    grades = [None]
+    for m in range(1, order + 1):
+        coef = cs[m - 1] / (2 * 4**m)
+        f_den, d_den = f.denom ** (2 * m), d.denom ** (2 * m)
+        den = lcm(f_den, d_den)
+        tf, td = f_sums[m], d_sums[m]
+        f_scale, d_scale = den // f_den, den // d_den
+        # At least 1 per term: the scales multiply even an all-zero array.
+        bound = abs(coef.numerator) * (
+            max(max_abs(tf), 1) * f_scale + max(max_abs(td), 1) * d_scale
+        )
+        dtype = exact_dtype(bound, tf, td)
+        num = coef.numerator * (
+            tf.astype(dtype) * f_scale - td.astype(dtype) * d_scale
+        )
+        grades.append(ScaledTensor(num, coef.denominator * den).reduced())
+    return grades
+
+
+def _nonzero(grade: ScaledTensor, codes: np.ndarray):
+    """(codes, values) of the nonzero entries of a dense grade."""
+    nz = np.flatnonzero(grade.array)
+    return codes[nz], grade.array[nz]
+
+
+def _scatter_product(out, out_codes, a, b, scale: int) -> None:
+    """out[rank(alpha + beta)] += scale * a[alpha] * b[beta] over the
+    nonzero entries (codes, values) a and b, in blocks of at most
+    _GRAM_BLOCK pairs.  The codes are additive, so alpha + beta is ranked
+    by searchsorted on the sum of the two codes."""
+    if len(a[1]) > len(b[1]):
+        a, b = b, a
+    (a_codes, a_vals), (b_codes, b_vals) = a, b
+    rows, cols = a_vals.astype(out.dtype) * scale, b_vals.astype(out.dtype)
+    block = max(1, _GRAM_BLOCK // len(cols))
+    for s in range(0, len(rows), block):
+        idx = np.searchsorted(
+            out_codes, a_codes[s : s + block, None] + b_codes
+        )
+        np.add.at(out, idx, rows[s : s + block, None] * cols)
+
+
+def _graded_exp(
+    log: list[ScaledTensor], codes: list[np.ndarray]
+) -> list[ScaledTensor]:
+    """exp of a graded log, grade g over the degree-2g codes, by the
+    recurrence g E_g = sum_{m=1..g} m P_m E_{g-m} (E_0 = 1) that comes
+    from dE/dt = P'(t) E.
+
+    The products of one grade share the lcm of their denominators.  An
+    entry collects at most min(nnz P_m, nnz E_{g-m}) pairs from each
+    product, which bounds it for the int64 test."""
+    exp = [ScaledTensor(np.ones(1, dtype=np.int64), 1)]
+    log_nz = [None] + [
+        _nonzero(grade, codes[2 * m]) for m, grade in enumerate(log[1:], 1)
+    ]
+    exp_nz = [_nonzero(exp[0], codes[0])]
+    for g in range(1, len(log)):
+        ms = [
+            m for m in range(1, g + 1)
+            if len(log_nz[m][1]) and len(exp_nz[g - m][1])
+        ]
+        pair_den = {m: log[m].denom * exp[g - m].denom for m in ms}
+        den = lcm(1, *pair_den.values())
+        scale = {m: m * (den // pair_den[m]) for m in ms}
+        bound = sum(
+            scale[m]
+            * max_abs(log_nz[m][1])
+            * max_abs(exp_nz[g - m][1])
+            * min(len(log_nz[m][1]), len(exp_nz[g - m][1]))
+            for m in ms
+        )
+        factors = [log_nz[m][1] for m in ms] + [exp_nz[g - m][1] for m in ms]
+        out = np.zeros(len(codes[2 * g]), dtype=exact_dtype(bound, *factors))
+        for m in ms:
+            _scatter_product(
+                out, codes[2 * g], log_nz[m], exp_nz[g - m], scale[m]
+            )
+        exp.append(ScaledTensor(out, g * den).reduced())
+        exp_nz.append(_nonzero(exp[g], codes[2 * g]))
+    return exp
+
+
+@dataclass(frozen=True, eq=False)
+class GradedSeries:
+    """A polynomial in p variables graded by t, stored densely: grade g is
+    the ScaledTensor grades[g] over the degree-2g monomials codes[2g],
+    one exact integer array (int64 or Python ints) over one denominator."""
+
+    p: int
+    codes: tuple[np.ndarray, ...]
+    grades: tuple[ScaledTensor, ...]
+
+    def even_part(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """(numerators, exponent rows beta) of the all-even monomials
+        2 beta of grade g, the only ones with a nonzero centred Gaussian
+        moment.  The additive code of 2 beta is twice that of beta."""
+        top = len(self.codes) - 1
+        pos = np.searchsorted(self.codes[2 * g], 2 * self.codes[g])
+        return self.grades[g].array[pos], _exponents(
+            self.codes[g], self.p, top
+        )
+
+
+def dense_integrand(
+    d: ScaledTensor, f: ScaledTensor, order: int
+) -> GradedSeries:
+    """exp of the omega-dependent log of the integrand for generator
+    families d (p, n, n) and f (p, p, p): the same graded log as
+    integrand_log_expansion, exponentiated grade by grade.  Its work is
+    trace_units + exp_units, which the caller checks first."""
+    p = d.array.shape[0]
+    codes = _monomial_codes(p, 2 * order)
+    log = _graded_log(d, f, order, codes)
+    return GradedSeries(p, tuple(codes), tuple(_graded_exp(log, codes)))
+
+
 def integrand_log_expansion(
     hol: HolonomyRealization, order: int, budget: int | None = None
 ) -> OmegaPolynomial:
@@ -382,36 +576,22 @@ def integrand_log_expansion(
     p = hol.p
     if order < 0:
         raise ValueError("order must be nonnegative")
-    result = OmegaPolynomial(p, order, {})
     if p == 0 or order == 0:
-        return result
-    limit = enumeration_budget() if budget is None else budget
-    units = trace_units(p, order)
-    if units > limit:
-        raise OrderTooLarge(
-            f"the trace expansion needs {units} units (coefficient-matrix "
-            f"pairs, sum_m C(p+m-1,m)^2) for p={p}, order {order}, "
-            f"exceeding the budget of {limit}; lower the order, use a "
-            f"numeric average, or raise {_BUDGET_ENV}"
-        )
-    cs = log_sinh_ratio_series(order)
+        return OmegaPolynomial(p, order, {})
+    check_budget(p, order, budget, exponential=False)
     codes = _monomial_codes(p, 2 * order)
-    d = ScaledTensor.from_nested(hol.D)
-    f = ScaledTensor.from_nested(hol.F_mats)
-    d_sums = _trace_power_sums(d.array, order, codes)
-    f_sums = _trace_power_sums(f.array, order, codes)
+    log = _graded_log(
+        ScaledTensor.from_nested(hol.D),
+        ScaledTensor.from_nested(hol.F_mats),
+        order,
+        codes,
+    )
     terms: dict = {}
     for m in range(1, order + 1):
-        coef = cs[m - 1] / Fraction(4**m) / 2
-        d_den, f_den = d.denom ** (2 * m), f.denom ** (2 * m)
-        nz = np.flatnonzero((d_sums[m] != 0) | (f_sums[m] != 0))
-        exps_list = _decode(codes[2 * m][nz], p, 2 * order)
-        for exps, td, tf in zip(
-            exps_list, d_sums[m][nz].tolist(), f_sums[m][nz].tolist()
-        ):
-            val = coef * (Fraction(tf, f_den) - Fraction(td, d_den))
-            if val:
-                terms[(m, exps)] = val
+        monomials, values = _nonzero(log[m], codes[2 * m])
+        rows = _exponents(monomials, p, 2 * order).tolist()
+        for exps, val in zip(rows, values.tolist()):
+            terms[(m, tuple(exps))] = Fraction(val, log[m].denom)
     return OmegaPolynomial(p, order, terms)
 
 

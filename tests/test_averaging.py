@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatgen as hg
-from heatgen import averaging
+from heatgen import averaging, rational, series
 from heatgen.rational import inverse
 
 ID1 = ((F(1),),)
@@ -112,6 +113,124 @@ def test_moments_match_adaptive_quadrature():
             epsrel=1e-13,
         )
         assert abs(num - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+def _random_spd(rng, size):
+    """A random rational symmetric positive definite matrix, A A^T + 1."""
+    a = rational.matrix(
+        [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)]
+         for _ in range(size)]
+    )
+    return rational.add(
+        rational.matmul(a, rational.transpose(a)), rational.identity(size)
+    )
+
+
+def _whitened_moment(key, beta):
+    """<omega_{k1} ... omega_{kd}> from the whitened closed form: with
+    beta = L diag(d) L^T and omega = L^{-T} eta, eta has covariance
+    2 diag(1/d), and <eta^e> = prod_i (e_i - 1)!! (2/d_i)^{e_i/2} when
+    every e_i is even."""
+    lower, d = rational.ldl(beta)
+    back = rational.transpose(rational.inverse(lower))
+    p = len(beta)
+    # Expand the product of the linear forms omega_k = sum_j back[k][j]
+    # eta_j into eta monomials.
+    poly = {(0,) * p: F(1)}
+    for k in key:
+        out: dict = {}
+        for exps, coef in poly.items():
+            for j in range(p):
+                if back[k][j]:
+                    up = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+                    out[up] = out.get(up, F(0)) + coef * back[k][j]
+        poly = out
+    total = F(0)
+    for exps, coef in poly.items():
+        if all(e % 2 == 0 for e in exps):
+            term = coef
+            for e, di in zip(exps, d):
+                term *= double_factorial(e - 1) * (2 / di) ** (e // 2)
+            total += term
+    return total
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_moment_engines_match_whitened_closed_form(size, seed):
+    beta = _random_spd(random.Random(f"{size}-{seed}"), size)
+    assert any(beta[i][j] for i in range(size) for j in range(i))
+    binv = inverse(beta)
+    for deg in range(7):
+        for key in itertools.combinations_with_replacement(range(size), deg):
+            want = _whitened_moment(key, beta)
+            assert hg.wick_moment(key, binv) == want
+            assert hg.fock_moment(key, binv) == want
+
+
+def test_moment_memos_stay_bounded():
+    def tables():
+        return {
+            name: len(value)
+            for name, value in vars(averaging).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set))
+        }
+
+    before = tables()
+    for k in range(500):
+        binv = inverse(((F(k + 2), F(1)), (F(1), F(k + 3))))
+        hg.wick_moment((0, 0, 1, 1), binv)
+        hg.fock_moment((0, 0, 1, 1), binv)
+    assert tables() == before
+    for module in (averaging, series):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                info = value.cache_info()
+                assert info.maxsize is not None, name
+                assert info.currsize <= info.maxsize, name
+    # 500 distinct betas filled the per-beta calibration memo to its bound.
+    assert averaging._fock_scale.cache_info().currsize == (
+        averaging._fock_scale.cache_info().maxsize
+    )
+
+
+# ---------------------------------------------------------------------------
+# The production average: exact whitening and closed-form moments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,order", [("S2", 5), ("S2xS3", 3), ("S4", 3)])
+def test_whitened_average_matches_dict_oracle(prepared, name, order):
+    prep = prepared[name]
+    log_poly = hg.integrand_log_expansion(prep.hol, order)
+    want = hg.average(log_poly.exp(), inverse(prep.spec.beta))
+    assert hg.whitened_average(prep.hol, prep.spec.beta, order) == want
+
+
+def test_whitened_average_checks_budget_before_building(monkeypatch):
+    monkeypatch.delenv("HEATGEN_BUDGET", raising=False)
+
+    class Unbuilt:
+        p = 10**3
+
+        @property
+        def D(self):
+            raise AssertionError("generators read before the budget check")
+
+        F_mats = D
+
+    with pytest.raises(hg.OrderTooLarge) as info:
+        hg.whitened_average(Unbuilt(), None, 3)
+    units = series.trace_units(10**3, 3) + series.exp_units(10**3, 3)
+    assert str(units) in str(info.value)
+
+
+def test_whitened_average_refuses_a_non_positive_pivot(prepared):
+    hol = prepared["S2xS2"].hol
+    singular = rational.matrix([[1, 1], [1, 1]])
+    with pytest.raises(hg.InternalInconsistency, match="pivot 1"):
+        hg.whitened_average(hol, singular, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,23 @@ def test_compare_malformed_grid_is_a_time_error(capsys, monkeypatch, grid):
     assert "error:" in err
 
 
+def test_compare_small_time_runs_the_spectral_oracle(capsys):
+    # About 2.2e5 eigenvalue levels; this gave up at 1e5 levels and
+    # reported an internal inconsistency before.
+    code, out, err = run(capsys, "compare", "S2", "--order", "2",
+                         "--t", "1e-9", "--json")
+    assert code == 0, err
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert checks["spectral_oracle@t=1e-09"]
+
+
+def test_compare_time_beyond_the_spectral_cap_exits_two(capsys):
+    code, _, err = run(capsys, "compare", "S2", "--order", "2",
+                       "--t", "1e-14")
+    assert code == 2
+    assert "cap of 10000000" in err
+
+
 def test_compare_negative_time_exits_two(capsys):
     code, _, err = run(capsys, "compare", "S2", "--t", "0.05,-0.1")
     assert code == 2

@@ -1,11 +1,15 @@
 """End-to-end coefficient pipeline against independent closed forms."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatgen as hg
+from heatgen import invariants, rational, series
 from heatgen.invariants import sphere_volume
 
 
@@ -119,6 +123,133 @@ def test_metric_scaled_by_huge_power_of_three():
     assert got == tuple(a / F(3) ** (80 * k) for k, a in enumerate(want))
 
 
+def _scaled(spec, lam, c=F(1)):
+    """The datum (lam g, lam beta, c E)."""
+    return hg.SpaceSpec(
+        name=spec.name, n=spec.n, p=spec.p,
+        g=rational.scale(spec.g, lam),
+        beta=rational.scale(spec.beta, lam),
+        E=tuple(rational.scale(e, c) for e in spec.E),
+    )
+
+
+def _verdicts(spec):
+    hol = hg.derive_holonomy(spec)
+    return [
+        (c.name, c.passed)
+        for c in hg.validate_symmetric_space(spec, hol).checks
+    ]
+
+
+HUGE_RATIONALS = st.builds(F, st.integers(1, 2**90), st.integers(1, 2**90))
+SCALED_SPACES = [("S2", 4), ("S3", 3), ("S2xS3", 2)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(lam=HUGE_RATIONALS)
+@pytest.mark.parametrize("name,order", SCALED_SPACES)
+def test_scaling_law_is_exact(specs, name, order, lam):
+    # (lam g, lam beta, E) keeps D and F and divides the covariance by
+    # lam, so a_k becomes a_k / lam^k; the whitening pivots are lam d_i.
+    base = specs[name]
+    big = _scaled(base, lam)
+    assert _verdicts(big) == _verdicts(base)
+    want = hg.heat_coefficients(base, order).coeffs
+    got = hg.heat_coefficients(big, order).coeffs
+    assert got == tuple(a / lam**k for k, a in enumerate(want))
+
+
+@settings(max_examples=6, deadline=None)
+@given(lam=HUGE_RATIONALS, c=HUGE_RATIONALS)
+@pytest.mark.parametrize("name,order", SCALED_SPACES)
+def test_scaling_law_with_huge_generators(specs, name, order, lam, c):
+    # c E scales D and F by c, so the dense exponential runs on Python
+    # ints, and the curvature by c^2: a_k becomes a_k c^2k / lam^k.
+    base = specs[name]
+    big = _scaled(base, lam, c)
+    assert _verdicts(big) == _verdicts(base)
+    want = hg.heat_coefficients(base, order).coeffs
+    got = hg.heat_coefficients(big, order).coeffs
+    assert got == tuple(a * c ** (2 * k) / lam**k for k, a in enumerate(want))
+
+
+@settings(max_examples=6, deadline=None)
+@given(lam=HUGE_RATIONALS)
+def test_scaling_keeps_a_failed_verdict(specs, lam):
+    base = specs["S3"]
+    squashed = hg.SpaceSpec(
+        name="squashed", n=3, p=3, g=base.g,
+        beta=((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2))),
+        E=base.E,
+    )
+    verdicts = _verdicts(squashed)
+    assert not all(passed for _, passed in verdicts)
+    assert _verdicts(_scaled(squashed, lam)) == verdicts
+
+
+def _dict_oracle(prep, order):
+    """The coefficients through the dict pipeline: the trace log as an
+    OmegaPolynomial, OmegaPolynomial.exp with the prefactor, and the Wick
+    average against beta^{-1}."""
+    log_poly = hg.integrand_log_expansion(prep.hol, order)
+    integrand = hg.exponentiate_with_prefactor(
+        log_poly, prep.curv.R, prep.curv.R_H
+    )
+    return hg.average(integrand, rational.inverse(prep.spec.beta)).coeffs
+
+
+@pytest.mark.parametrize("name,order", [("S4", 4), ("S5", 3)])
+def test_heat_coefficients_match_dict_oracle(prepared, name, order):
+    prep = prepared[name]
+    assert hg.heat_coefficients(prep, order).coeffs == _dict_oracle(
+        prep, order
+    )
+
+
+def test_non_diagonal_beta_file_matches_dict_oracle(tmp_path):
+    # The generator change E'^i = sum_j (N^{-T})_ij E^j, beta' = N beta
+    # N^T with N unit lower-triangular leaves the curvature, and so every
+    # a_k, unchanged.
+    base = hg.builtin("S2xS3")
+    p = base.p
+    rng = random.Random(11)
+    mix = rational.matrix(
+        [[F(int(i == j)) if j >= i
+          else F(rng.randint(-3, 3), rng.randint(1, 4))
+          for j in range(p)] for i in range(p)]
+    )
+    back = rational.transpose(rational.inverse(mix))
+    gens = tuple(
+        rational.matrix(
+            [[sum((back[i][j] * base.E[j][a][b] for j in range(p)), F(0))
+              for b in range(base.n)] for a in range(base.n)]
+        )
+        for i in range(p)
+    )
+    beta = rational.matmul(rational.matmul(mix, base.beta),
+                           rational.transpose(mix))
+    assert any(beta[i][j] for i in range(p) for j in range(i))
+    path = tmp_path / "mixed.json"
+    hg.save(hg.SpaceSpec("mixed", base.n, p, base.g, beta, gens), path)
+    prep = hg.prepare(hg.load(path))
+    got = hg.heat_coefficients(prep, 3).coeffs
+    assert got == _dict_oracle(prep, 3)
+    assert got == hg.heat_coefficients(base, 3).coeffs
+
+
+def test_s6_order4_fits_the_default_budget(monkeypatch):
+    monkeypatch.delenv("HEATGEN_BUDGET", raising=False)
+    rep = hg.heat_coefficients(hg.builtin("S6"), 4)
+    assert rep.coeffs == (F(1), F(5), F(12), F(1139, 63), F(833, 45))
+
+
+def test_budget_counts_log_and_exponential_units(specs):
+    units = series.trace_units(6, 3) + series.exp_units(6, 3)
+    hg.heat_coefficients(specs["S4"], 3, budget=units)
+    with pytest.raises(hg.OrderTooLarge, match=str(units)):
+        hg.heat_coefficients(specs["S4"], 3, budget=units - 1)
+
+
 def test_validation_report_attached(s2_order6):
     rep = s2_order6.validation
     assert rep is not None and rep.all_passed
@@ -218,6 +349,21 @@ def test_spectral_trace_large_time_limit(n):
     # Only the constant eigenfunction survives: the trace tends to 1/Vol.
     assert hg.sphere_spectral_trace(n, 50.0) * sphere_volume(n) == \
         pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_spectral_trace_small_time(n):
+    # t = 1e-9 needs about 2.2e5 levels; the normalized trace is then
+    # 1 + a_1 t to double precision, with a_1 = n(n-1)/6.
+    t = 1e-9
+    value = (4 * math.pi * t) ** (n / 2) * hg.sphere_spectral_trace(n, t)
+    assert value == pytest.approx(1 + n * (n - 1) / 6 * t, rel=1e-13)
+
+
+def test_spectral_trace_refuses_beyond_the_level_cap():
+    cap = str(invariants._MAX_SPECTRAL_LEVELS)
+    with pytest.raises(ValueError, match=cap):
+        hg.sphere_spectral_trace(2, 1e-14)
 
 
 def test_sphere_volumes():

@@ -1,5 +1,6 @@
 """Exact linear algebra helpers."""
 
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -142,3 +143,49 @@ def test_scaled_tensor_sums_promote_instead_of_wrapping():
     assert (zero - tiny).to_fractions() == (F(-1, 3**40),)
     assert not zero.equals(tiny)
     assert tiny.equals(rational.ScaledTensor.from_nested([F(1, 3**40)]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ldl_reconstructs_positive_definite_matrices(seed):
+    rng = random.Random(seed)
+    size = 1 + seed % 4
+    a = rational.matrix(
+        [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(size)]
+         for _ in range(size)]
+    )
+    # a a^T + 1 is symmetric positive definite.
+    spd = rational.add(
+        rational.matmul(a, rational.transpose(a)), rational.identity(size)
+    )
+    lower, d = rational.ldl(spd)
+    assert all(lower[i][i] == 1 for i in range(size))
+    assert all(
+        lower[i][j] == 0 for i in range(size) for j in range(i + 1, size)
+    )
+    assert all(x > 0 for x in d)
+    diag = tuple(
+        tuple(d[i] if i == j else F(0) for j in range(size))
+        for i in range(size)
+    )
+    assert rational.matmul(
+        rational.matmul(lower, diag), rational.transpose(lower)
+    ) == spd
+
+
+def test_ldl_rejects_a_non_positive_pivot():
+    with pytest.raises(ValueError, match="pivot 1"):
+        rational.ldl(rational.matrix([[1, 2], [2, 4]]))
+    with pytest.raises(ValueError, match="pivot 0"):
+        rational.ldl(rational.matrix([[-1]]))
+
+
+def test_scaled_tensor_reduced_divides_out_the_content():
+    array = np.array([4, -6, 0], dtype=np.int64)
+    t = rational.ScaledTensor(array, 10).reduced()
+    assert (t.array.tolist(), t.denom) == ([2, -3, 0], 5)
+    big = rational.ScaledTensor(np.array([3**50, 0], dtype=object), 3**52)
+    assert big.reduced().to_fractions() == (F(1, 9), F(0))
+    assert big.reduced().denom == 9
+    # An all-zero int64 array against a denominator beyond int64.
+    zero = rational.ScaledTensor(np.zeros(2, dtype=np.int64), 3**50).reduced()
+    assert (zero.array.tolist(), zero.denom) == ([0, 0], 1)

@@ -238,6 +238,68 @@ def test_trace_units():
     assert series.trace_units(15, 4) == 9_840_625 < hg.DEFAULT_WORD_BUDGET
 
 
+def test_exp_units():
+    # One generator: grade g pairs P_m with E_{g-m} for m = 1..g.
+    assert [series.exp_units(1, k) for k in range(5)] == [0, 1, 3, 6, 10]
+    assert series.exp_units(2, 1) == 3
+    # S6 (p = 15) at order 4, with N_k = C(14+k, k) degree-k monomials:
+    # log and exponential together fit the default budget.
+    n2, n4, n6, n8 = 120, 3060, 38760, 319770
+    assert series.exp_units(15, 4) == (
+        n2 + (n2 * n2 + n4) + (2 * n2 * n4 + n6) + (2 * n2 * n6 + n4 * n4 + n8)
+    )
+    total = series.trace_units(15, 4) + series.exp_units(15, 4)
+    assert total == 29_617_135 < hg.DEFAULT_WORD_BUDGET
+
+
+def _dense_to_poly(dense, order):
+    """A GradedSeries as an OmegaPolynomial, entry by entry."""
+    terms = {}
+    for g in range(order + 1):
+        num, den = dense.grades[g].array, dense.grades[g].denom
+        nz = np.flatnonzero(num)
+        exps = series._exponents(dense.codes[2 * g][nz], dense.p, 2 * order)
+        for row, val in zip(exps.tolist(), num[nz].tolist()):
+            terms[(g, tuple(row))] = F(val, den)
+    return hg.OmegaPolynomial(dense.p, order, terms)
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+@pytest.mark.parametrize("p,dim,order", [(1, 3, 5), (2, 3, 3), (3, 2, 3)])
+def test_dense_integrand_matches_dict_exp(kind, p, dim, order):
+    hol = _random_hol(kind, p, dim, seed=f"exp-{kind}-{p}")
+    dense = series.dense_integrand(
+        rational.ScaledTensor.from_nested(hol.D),
+        rational.ScaledTensor.from_nested(hol.F_mats),
+        order,
+    )
+    assert _dense_to_poly(dense, order) == hg.integrand_log_expansion(
+        hol, order
+    ).exp()
+
+
+def test_dense_exp_falls_back_to_python_ints():
+    hol = _random_hol("promoted", 2, 3, seed=4)
+    dense = series.dense_integrand(
+        rational.ScaledTensor.from_nested(hol.D),
+        rational.ScaledTensor.from_nested(hol.F_mats),
+        3,
+    )
+    assert dense.grades[1].array.dtype == np.int64
+    assert dense.grades[3].array.dtype == object
+    assert _dense_to_poly(dense, 3) == hg.integrand_log_expansion(hol, 3).exp()
+
+
+def test_dense_exp_blocks_do_not_change_the_result(hols, monkeypatch):
+    d = rational.ScaledTensor.from_nested(hols["S2xS3"].D)
+    f = rational.ScaledTensor.from_nested(hols["S2xS3"].F_mats)
+    whole = _dense_to_poly(series.dense_integrand(d, f, 3), 3)
+    # One pair per block: every product crosses a block boundary.
+    monkeypatch.setattr(series, "_GRAM_BLOCK", 1)
+    assert _dense_to_poly(series.dense_integrand(d, f, 3), 3) == whole
+    assert whole == hg.integrand_log_expansion(hols["S2xS3"], 3).exp()
+
+
 def test_budget_refusal_precedes_allocation(monkeypatch):
     monkeypatch.delenv("HEATGEN_BUDGET", raising=False)
 
