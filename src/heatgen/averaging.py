@@ -208,9 +208,8 @@ def _whiten(
         rational.transpose(rational.inverse(lower))
     )
     d, f = (
-        exact_einsum("ij,iab->jab", back, ScaledTensor.from_nested(gens))
-        .reduced()
-        for gens in (hol.D, hol.F_mats)
+        exact_einsum("ij,iab->jab", back, gens).reduced()
+        for gens in (hol.tensors.D, hol.tensors.F_mats)
     )
     return d, f, pivots
 

@@ -54,6 +54,31 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# str() of an int refuses more than sys.get_int_max_str_digits() digits
+# (4300 by default, never below 640), but exact coefficients can be longer.
+# Integers above _CHUNK_BITS (fewer than 640 digits) are split in two by a
+# power of ten, recursively, so the limit is never met or changed.
+_CHUNK_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _fmt_rational(c) -> str:
+    """str(c) for an exact rational of any length."""
+    if c.denominator == 1:
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
 def _checks_json(checks) -> list[dict]:
     return [
         {"name": c.name, "pass": c.passed, "detail": c.detail} for c in checks
@@ -67,7 +92,7 @@ def _emit_report(report, args) -> None:
         doc = {
             "space": report.space,
             "order": report.order,
-            "a": [str(c) for c in report.coeffs],
+            "a": [_fmt_rational(c) for c in report.coeffs],
             "checks": _checks_json(checks),
             "timing_ms": timing,
         }
@@ -75,7 +100,7 @@ def _emit_report(report, args) -> None:
         return
     print(f"space {report.space}, order {report.order}")
     for k, c in enumerate(report.coeffs):
-        print(f"a_{k} = {c}")
+        print(f"a_{k} = {_fmt_rational(c)}")
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"
         print(f"[{mark}] {c.name}: {c.detail}")
@@ -103,8 +128,11 @@ def _cmd_validate(args) -> int:
     detail_extra = None
     if report.all_passed:
         curv = curvature_scalars(spec, hol)
-        detail_extra = (
-            f"R = {curv.R}, R_H = {curv.R_H}, R_G = {curv.R_G}"
+        detail_extra = ", ".join(
+            f"{name} = {_fmt_rational(value)}"
+            for name, value in (
+                ("R", curv.R), ("R_H", curv.R_H), ("R_G", curv.R_G)
+            )
         )
     if args.json:
         doc = {

@@ -6,15 +6,19 @@ of antisymmetric generator matrices E^i that reconstruct the curvature as
 R_abcd = beta_ik E^i_ab E^k_cd.  From this datum the module derives the
 connection generators D_i, their structure constants F, and the combined
 motion-algebra matrices C_A, then checks the identities that characterise
-a locally symmetric space.  All of it is exact rational arithmetic.
+a locally symmetric space.  All of it is exact arithmetic on
+integer-scaled tensors (rational.ScaledTensor): a datum is converted
+once (SpaceSpec.tensors) and a realization carries its own tensors next
+to its Fraction fields (HolonomyRealization.tensors).
 prepare() runs derivation, checks and curvature scalars once per datum
 and is the one place that turns a failed check into ValidationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +30,13 @@ from .errors import (
     InvalidSpaceSpec,
     ValidationError,
 )
-from .rational import Matrix, ScaledTensor, exact_einsum
+from .rational import Matrix, ScaledTensor, assemble, exact_einsum
 
 __all__ = [
     "SpaceSpec",
+    "SpecTensors",
     "HolonomyRealization",
+    "HolonomyTensors",
     "CheckResult",
     "ValidationReport",
     "CurvatureReport",
@@ -64,6 +70,20 @@ class ValidationReport:
 
     def failed_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.checks if not c.passed)
+
+
+@dataclass(frozen=True)
+class SpecTensors:
+    """A datum as exact integer-scaled tensors, converted once: the
+    inverse metric ginv (n, n), beta and its inverse (p, p), the
+    generators E (p, n, n) and the curvature riemann (n, n, n, n),
+    R_abcd = beta_ik E^i_ab E^k_cd."""
+
+    ginv: ScaledTensor
+    beta: ScaledTensor
+    beta_inv: ScaledTensor
+    E: ScaledTensor
+    riemann: ScaledTensor
 
 
 @dataclass(frozen=True)
@@ -108,13 +128,44 @@ class SpaceSpec:
             raise InvalidSpaceSpec("g is not positive definite")
         if self.p and not rational.is_positive_definite(self.beta):
             raise InvalidSpaceSpec("beta is not positive definite")
-        if self.p:
-            rank, _ = rational.span_decompose(self.E, ())
-            if rank < self.p:
-                raise InvalidSpaceSpec(
-                    "redundant holonomy generators: the E matrices are "
-                    "linearly dependent"
-                )
+        if self.p and not rational.independent(self._generators):
+            raise InvalidSpaceSpec(
+                "redundant holonomy generators: the E matrices are "
+                "linearly dependent"
+            )
+
+    @cached_property
+    def _generators(self) -> ScaledTensor:
+        return ScaledTensor.from_nested(self.E, (self.p, self.n, self.n))
+
+    @cached_property
+    def tensors(self) -> SpecTensors:
+        """The datum's tensors, built on first use and kept: derivation,
+        checks and curvature scalars all read these."""
+        n, p = self.n, self.p
+        beta = ScaledTensor.from_nested(self.beta, (p, p))
+        E = self._generators
+        return SpecTensors(
+            ginv=ScaledTensor.from_nested(rational.inverse(self.g), (n, n)),
+            beta=beta,
+            beta_inv=ScaledTensor.from_nested(
+                rational.inverse(self.beta), (p, p)
+            ),
+            E=E,
+            riemann=exact_einsum("ik,iab,kcd->abcd", beta, E, E),
+        )
+
+
+@dataclass(frozen=True)
+class HolonomyTensors:
+    """A realization as exact integer-scaled tensors: D (p, n, n), F
+    (p, p, p) indexed like HolonomyRealization.F, F_mats (p, p, p) with
+    F_mats[i, j, k] = F[j, i, k], and C (n+p, n+p, n+p)."""
+
+    D: ScaledTensor
+    F: ScaledTensor
+    F_mats: ScaledTensor
+    C: ScaledTensor
 
 
 @dataclass(frozen=True)
@@ -124,7 +175,8 @@ class HolonomyRealization:
     D holds the p tangent-space generators, F their structure constants
     with F[j][i][k] the coefficient of D_j in [D_i, D_k].  gamma is the
     block inner product on the combined (tangent + holonomy) index, and C
-    the combined generator matrices, translations first.
+    the combined generator matrices, translations first.  The same data
+    as tensors is the tensors property.
     """
 
     n: int
@@ -133,6 +185,24 @@ class HolonomyRealization:
     F: tuple[tuple[tuple[Fraction, ...], ...], ...]
     gamma: Matrix
     C: tuple[Matrix, ...]
+    # derive_holonomy passes the tensors it computed; otherwise they are
+    # converted from the fields above on first use.
+    _tensors: HolonomyTensors | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    @property
+    def tensors(self) -> HolonomyTensors:
+        if self._tensors is None:
+            n, p = self.n, self.p
+            F = ScaledTensor.from_nested(self.F, (p, p, p))
+            object.__setattr__(self, "_tensors", HolonomyTensors(
+                D=ScaledTensor.from_nested(self.D, (p, n, n)),
+                F=F,
+                F_mats=exact_einsum("jik->ijk", F),
+                C=ScaledTensor.from_nested(self.C, (n + p,) * 3),
+            ))
+        return self._tensors
 
     @property
     def F_mats(self) -> tuple[Matrix, ...]:
@@ -149,83 +219,69 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
     """Derive connection generators, structure constants, and the combined
     motion-algebra matrices from a curvature datum.
 
-    D_i = -g^{-1} (sum_k beta_ik E^k); the structure constants come from an
-    exact linear solve of [D_i, D_k] against the D basis, not from any
-    assumed form.  Raises CommutatorOutsideSpan if the D's fail to close,
-    DegenerateBasis if they are linearly dependent.
+    D_i = -g^{-1} (sum_k beta_ik E^k).  The structure constants come from
+    an exact solve of [D_i, D_k] against the D basis, not from any assumed
+    form: the Gram system G F_ik = (tr(D_j^T [D_i, D_k]))_j with
+    G_jk = tr(D_j^T D_k), which is nonsingular exactly when the D's are
+    independent, followed by the reconstruction sum_j F^j_ik D_j =
+    [D_i, D_k].  Raises DegenerateBasis if the D's are linearly
+    dependent, CommutatorOutsideSpan, naming the first pair (i, k) in
+    order, if they fail to close.  All of it is integer-scaled tensor
+    arithmetic on spec.tensors.
     """
     n, p = spec.n, spec.p
-    ginv = rational.inverse(spec.g) if n else ()
-    D = []
-    for i in range(p):
-        acc = rational.zeros(n, n)
-        for k in range(p):
-            if spec.beta[i][k]:
-                acc = rational.add(
-                    acc, rational.scale(spec.E[k], spec.beta[i][k])
-                )
-        D.append(rational.scale(rational.matmul(ginv, acc), Fraction(-1)))
-    D = tuple(D)
+    st = spec.tensors
+    D = exact_einsum("ab,ik,kbc->iac", st.ginv, st.beta, st.E).scale(-1)
+    D = D.reduced()  # small numerators keep the later products in int64
 
-    pairs = [(i, k) for i in range(p) for k in range(i + 1, p)]
-    comms = [rational.commutator(D[i], D[k]) for i, k in pairs]
-    rank, coeffs = rational.span_decompose(D, comms)
-    if p and rank < p:
+    first, second = np.triu_indices(p, 1)
+    left, right = D[first], D[second]
+    comms = exact_einsum("qab,qbc->qac", left, right) - exact_einsum(
+        "qab,qbc->qac", right, left
+    )
+    gram = exact_einsum("jab,kab->jk", D, D)
+    try:
+        coeffs = rational.solve(gram, exact_einsum("jab,qab->jq", D, comms))
+    except ZeroDivisionError:
         raise DegenerateBasis(
             "connection generators are linearly dependent; structure "
             "constants are not well defined"
+        ) from None
+    outside = (exact_einsum("jq,jab->qab", coeffs, D) - comms).nonzero_rows()
+    if outside.any():
+        q = int(np.flatnonzero(outside)[0])
+        raise CommutatorOutsideSpan(
+            f"[D_{first[q]}, D_{second[q]}] is not a combination of the D "
+            f"generators"
         )
-    zero = Fraction(0)
-    F = [[[zero] * p for _ in range(p)] for _ in range(p)]
-    for (i, k), sol in zip(pairs, coeffs):
-        if sol is None:
-            raise CommutatorOutsideSpan(
-                f"[D_{i}, D_{k}] is not a combination of the D generators"
-            )
-        for j in range(p):
-            F[j][i][k] = sol[j]
-            F[j][k][i] = -sol[j]
-    F = tuple(tuple(tuple(row) for row in mat) for mat in F)
+    F = assemble((p, p, p), [
+        ((slice(None), first, second), coeffs),
+        ((slice(None), second, first), coeffs.scale(-1)),
+    ])
+    F_mats = exact_einsum("jik->ijk", F)
 
     N = n + p
-    gamma = [[zero] * N for _ in range(N)]
-    for a in range(n):
-        for b in range(n):
-            gamma[a][b] = spec.g[a][b]
-    for i in range(p):
-        for k in range(p):
-            gamma[n + i][n + k] = spec.beta[i][k]
-    gamma = tuple(tuple(row) for row in gamma)
+    tangent, holonomy = slice(0, n), slice(n, N)
+    C = assemble((N, N, N), [
+        ((tangent, tangent, holonomy), exact_einsum("iba->abi", D).scale(-1)),
+        ((tangent, holonomy, tangent), exact_einsum("iab->aib", st.E)),
+        ((holonomy, tangent, tangent), D),
+        ((holonomy, holonomy, holonomy), F_mats),
+    ])
 
-    C = []
-    for a in range(n):
-        mat = [[zero] * N for _ in range(N)]
-        for b in range(n):
-            for i in range(p):
-                mat[b][n + i] = -D[i][b][a]
-                mat[n + i][b] = spec.E[i][a][b]
-        C.append(tuple(tuple(row) for row in mat))
-    for i in range(p):
-        mat = [[zero] * N for _ in range(N)]
-        for a in range(n):
-            for b in range(n):
-                mat[a][b] = D[i][a][b]
-        for j in range(p):
-            for k in range(p):
-                mat[n + j][n + k] = F[j][i][k]
-        C.append(tuple(tuple(row) for row in mat))
-
-    return HolonomyRealization(n=n, p=p, D=D, F=F, gamma=gamma, C=tuple(C))
-
-
-def reconstructed_riemann(spec: SpaceSpec) -> ScaledTensor:
-    """R_abcd = beta_ik E^i_ab E^k_cd as an exact scaled-integer tensor."""
-    if spec.p == 0:
-        n = spec.n
-        return ScaledTensor(np.zeros((n, n, n, n), dtype=np.int64), 1)
-    E = ScaledTensor.from_nested(spec.E)
-    beta = ScaledTensor.from_nested(spec.beta)
-    return exact_einsum("ik,iab,kcd->abcd", beta, E, E)
+    zero = Fraction(0)
+    gamma = tuple(tuple(row) + (zero,) * p for row in spec.g) + tuple(
+        (zero,) * n + tuple(row) for row in spec.beta
+    )
+    return HolonomyRealization(
+        n=n,
+        p=p,
+        D=D.to_fractions(),
+        F=F.to_fractions(),
+        gamma=gamma,
+        C=C.to_fractions(),
+        _tensors=HolonomyTensors(D=D, F=F, F_mats=F_mats, C=C),
+    )
 
 
 def _check_generator_identity(spec: SpaceSpec, hol: HolonomyRealization) -> CheckResult:
@@ -233,9 +289,8 @@ def _check_generator_identity(spec: SpaceSpec, hol: HolonomyRealization) -> Chec
     name = "generator_connection_identity"
     if spec.p == 0:
         return CheckResult(name, True, "no holonomy generators; vacuous")
-    E = ScaledTensor.from_nested(spec.E)
-    D = ScaledTensor.from_nested(hol.D)
-    F = ScaledTensor.from_nested(hol.F)
+    E = spec.tensors.E
+    D, F = hol.tensors.D, hol.tensors.F
     lhs1 = exact_einsum("ibc,kca->ikab", E, D)
     lhs2 = exact_einsum("iac,kcb->ikab", E, D)
     # F[j][i][k] is the D_j coefficient in [D_i, D_k]; the right side wants
@@ -253,13 +308,15 @@ def _check_integrability(spec: SpaceSpec) -> CheckResult:
     name = "curvature_integrability"
     if spec.p == 0 or spec.n == 0:
         return CheckResult(name, True, "flat datum; vacuous")
-    R = reconstructed_riemann(spec)
-    ginv = ScaledTensor.from_nested(rational.inverse(spec.g))
+    R, ginv = spec.tensors.riemann, spec.tensors.ginv
     Rup = exact_einsum("ef,fbcd->ebcd", ginv, R)
-    t1 = exact_einsum("fgea,ebcd->fgabcd", R, Rup)
-    t2 = exact_einsum("fgeb,eacd->fgabcd", R, Rup)
-    t3 = exact_einsum("fgec,edab->fgabcd", R, Rup)
-    t4 = exact_einsum("fged,ecab->fgabcd", R, Rup)
+    # All four terms are index permutations of one contraction
+    # U_fgxbcd = R_fgex R^e_bcd.
+    U = exact_einsum("fgex,ebcd->fgxbcd", R, Rup)
+    t1 = U
+    t2 = exact_einsum("fgbacd->fgabcd", U)
+    t3 = exact_einsum("fgcdab->fgabcd", U)
+    t4 = exact_einsum("fgdcab->fgabcd", U)
     ok = (t1 - t2 + t3 - t4).is_zero()
     return CheckResult(
         name, ok, "holds" if ok else "curvature is not parallel"
@@ -272,10 +329,11 @@ def _check_structure_jacobi(hol: HolonomyRealization) -> CheckResult:
     name = "structure_jacobi"
     if hol.n + hol.p == 0:
         return CheckResult(name, True, "empty algebra; vacuous")
-    Carr = ScaledTensor.from_nested(hol.C)
+    Carr = hol.tensors.C
+    # The three cyclic terms are index permutations of one contraction.
     j1 = exact_einsum("aed,bdc->abce", Carr, Carr)
-    j2 = exact_einsum("bed,cda->abce", Carr, Carr)
-    j3 = exact_einsum("ced,adb->abce", Carr, Carr)
+    j2 = exact_einsum("bcae->abce", j1)
+    j3 = exact_einsum("cabe->abce", j1)
     ok = (j1 + j2 + j3).is_zero()
     return CheckResult(
         name, ok, "holds" if ok else "combined structure constants fail Jacobi"
@@ -288,7 +346,7 @@ def _check_riemann_symmetries(spec: SpaceSpec) -> CheckResult:
     name = "riemann_symmetries"
     if spec.p == 0 or spec.n == 0:
         return CheckResult(name, True, "flat datum; vacuous")
-    R = reconstructed_riemann(spec)
+    R = spec.tensors.riemann
     failures = []
     if not (R + exact_einsum("abcd->bacd", R)).is_zero():
         failures.append("antisymmetry in the first pair")
@@ -346,41 +404,22 @@ def curvature_scalars(spec: SpaceSpec, hol: HolonomyRealization) -> CurvatureRep
     if n == 0:
         return CurvatureReport(spec.name, (), (), zero, zero, zero)
 
-    R4 = reconstructed_riemann(spec)
-    ginv_m = rational.inverse(spec.g)
-    ginv = ScaledTensor.from_nested(ginv_m)
-    ricci_t = exact_einsum("cd,dacb->ab", ginv, R4)
-    scalar_t = exact_einsum("ab,ab->", ginv, ricci_t)
-    riemann = R4.to_fractions()
-    ricci = ricci_t.to_fractions()
-    R = scalar_t.to_fractions()
-
-    if p:
-        beta_inv = rational.inverse(spec.beta)
-        F_mats = hol.F_mats
-        R_H = -sum(
-            (
-                beta_inv[i][k] * rational.trace_product(F_mats[i], F_mats[k])
-                for i in range(p)
-                for k in range(p)
-                if beta_inv[i][k]
-            ),
-            zero,
-        ) / 4
-    else:
-        R_H = zero
-
-    gamma_inv = rational.inverse(hol.gamma)
+    st, ht = spec.tensors, hol.tensors
+    ricci_t = exact_einsum("cd,dacb->ab", st.ginv, st.riemann)
+    R = exact_einsum("ab,ab->", st.ginv, ricci_t).to_fractions()
+    # tr(F_i F_k) contracted against beta^{ik}, and tr(C_A C_B) against
+    # the inverse of the block-diagonal gamma.
+    R_H = -exact_einsum(
+        "ik,ijl,klj->", st.beta_inv, ht.F_mats, ht.F_mats
+    ).to_fractions() / 4
     N = n + p
-    R_G_direct = -sum(
-        (
-            gamma_inv[A][B] * rational.trace_product(hol.C[A], hol.C[B])
-            for A in range(N)
-            for B in range(N)
-            if gamma_inv[A][B]
-        ),
-        zero,
-    ) / 4
+    gamma_inv = assemble((N, N), [
+        ((slice(0, n), slice(0, n)), st.ginv),
+        ((slice(n, N), slice(n, N)), st.beta_inv),
+    ])
+    R_G_direct = -exact_einsum(
+        "AB,Axy,Byx->", gamma_inv, ht.C, ht.C
+    ).to_fractions() / 4
     R_G = Fraction(3, 4) * R + R_H
     if R_G != R_G_direct:
         raise InternalInconsistency(
@@ -388,7 +427,10 @@ def curvature_scalars(spec: SpaceSpec, hol: HolonomyRealization) -> CurvatureRep
             f"(3/4)R + R_H = {R_G} but the direct contraction gives "
             f"{R_G_direct}"
         )
-    return CurvatureReport(spec.name, riemann, ricci, R, R_H, R_G)
+    return CurvatureReport(
+        spec.name, st.riemann.to_fractions(), ricci_t.to_fractions(), R,
+        R_H, R_G,
+    )
 
 
 @dataclass(frozen=True)

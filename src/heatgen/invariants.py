@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from . import catalog as _catalog
-from . import rational
 from .averaging import numeric_average, whitened_average
 from .curvature import (
     CheckResult,
@@ -32,7 +31,6 @@ from .curvature import (
     SpaceSpec,
     ValidationReport,
     prepare,
-    reconstructed_riemann,
 )
 from .errors import InternalInconsistency, OrderMismatch, check_time
 from .rational import ScaledTensor, exact_einsum
@@ -117,11 +115,10 @@ def closed_form_coefficients(prep: Prepared) -> tuple[Fraction, Fraction]:
     spec, curv = prep.spec, prep.curv
     if spec.n == 0 or spec.p == 0:
         return Fraction(0), Fraction(0)
-    ginv = ScaledTensor.from_nested(rational.inverse(spec.g))
+    ginv, riem = spec.tensors.ginv, spec.tensors.riemann
     ric = ScaledTensor.from_nested(curv.ricci)
     ric_up = exact_einsum("xa,yb,ab->xy", ginv, ginv, ric)
     ric_sq = exact_einsum("ab,ab->", ric, ric_up).to_fractions()
-    riem = reconstructed_riemann(spec)
     up1 = exact_einsum("xa,abcd->xbcd", ginv, riem)
     up2 = exact_einsum("yb,xbcd->xycd", ginv, up1)
     up3 = exact_einsum("zc,xycd->xyzd", ginv, up2)

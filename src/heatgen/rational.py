@@ -1,11 +1,13 @@
 """Exact rational linear algebra on small dense matrices and tensors.
 
 Matrices are immutable tuples of tuples of Fraction and all arithmetic is
-exact.  For the tensor identity checks, which contract up to five indices,
-there is an integer fast path: every tensor is rescaled by the lcm of its
-entry denominators so numpy can contract int64 arrays, with an automatic
-promotion to Python-int object arrays whenever a magnitude bound says int64
-could overflow.  Results stay exact in both regimes.
+exact.  The curvature layer works on an integer fast path instead: every
+tensor is rescaled by the lcm of its entry denominators so numpy can
+contract, scale, assemble and solve (fraction-free elimination) int64
+arrays, with an automatic promotion to Python-int object arrays whenever a
+magnitude bound says int64 could overflow.  Results stay exact in both
+regimes.  The Fraction matrix helpers remain as the reference that tests
+compare the fast path against.
 """
 
 from __future__ import annotations
@@ -133,12 +135,16 @@ def determinant(a: Matrix) -> Fraction:
 
 
 def is_positive_definite(a: Matrix) -> bool:
-    """Sylvester criterion: every leading principal minor positive."""
-    n = len(a)
-    return all(
-        determinant(tuple(row[: k + 1] for row in a[: k + 1])) > 0
-        for k in range(n)
-    )
+    """Whether a symmetric matrix is positive definite: exactly when its
+    LDL^T factorization exists with every pivot positive.  A matrix that
+    is not symmetric is not positive definite."""
+    if not is_symmetric(a):
+        return False
+    try:
+        ldl(a)
+    except ValueError:
+        return False
+    return True
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -151,12 +157,13 @@ def inverse(a: Matrix) -> Matrix:
         if piv is None:
             raise ZeroDivisionError("matrix is singular")
         m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        if m[col][col] != 1:
+            inv = 1 / m[col][col]
+            m[col] = [x * inv for x in m[col]]
         for r in range(n):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
 
 
@@ -168,9 +175,9 @@ def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     d: list[Fraction] = []
     for j in range(n):
-        pivot = a[j][j] - sum(
-            (lower[j][k] ** 2 * d[k] for k in range(j)), Fraction(0)
-        )
+        # Terms with a zero factor are skipped: catalog data is sparse.
+        row = [(k, lower[j][k] * d[k]) for k in range(j) if lower[j][k]]
+        pivot = a[j][j] - sum((lower[j][k] * w for k, w in row), Fraction(0))
         if pivot <= 0:
             raise ValueError(f"matrix is not positive definite (pivot {j})")
         d.append(pivot)
@@ -178,7 +185,7 @@ def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
             lower[i][j] = (
                 a[i][j]
                 - sum(
-                    (lower[i][k] * lower[j][k] * d[k] for k in range(j)),
+                    (lower[i][k] * w for k, w in row if lower[i][k]),
                     Fraction(0),
                 )
             ) / pivot
@@ -270,6 +277,17 @@ def _shape(nested) -> tuple[int, ...]:
     return ()
 
 
+def _nest(flat: list, shape: tuple[int, ...]):
+    """Nested tuples of the given shape over a flat row-major list."""
+    if not shape:
+        return flat[0]
+    if not flat:
+        return tuple(_nest([], shape[1:]) for _ in range(shape[0]))
+    for size in reversed(shape[1:]):
+        flat = [tuple(flat[i : i + size]) for i in range(0, len(flat), size)]
+    return tuple(flat)
+
+
 class ScaledTensor:
     """An exact rational tensor stored as integer_array / denom.
 
@@ -286,28 +304,32 @@ class ScaledTensor:
         self.denom = denom
 
     @classmethod
-    def from_nested(cls, nested) -> "ScaledTensor":
-        shape = _shape(nested)
+    def from_nested(cls, nested, shape: tuple[int, ...] | None = None
+                    ) -> "ScaledTensor":
+        """Convert nested sequences of rationals.  An explicit shape gives
+        empty data its full shape, e.g. (0, n, n) for no generators."""
+        if shape is None:
+            shape = _shape(nested)
         vals = [rat(x) for x in _flatten(nested)]
         den = 1
         for v in vals:
             den = lcm(den, v.denominator)
-        ints = [int(v * den) for v in vals]
+        ints = [v.numerator * (den // v.denominator) for v in vals]
         big = max((abs(i) for i in ints), default=0)
         arr = np.empty(len(ints), dtype=exact_dtype(big))
         arr[:] = ints
-        return cls(arr.reshape(shape) if shape else arr.reshape(()), den)
+        return cls(arr.reshape(shape), den)
 
     def to_fractions(self):
-        den = self.denom
+        """The entries as nested tuples of Fraction (a Fraction for a
+        0-d tensor).  Equal numerators share one Fraction."""
+        values = self.array.ravel().tolist()
+        memo = {v: Fraction(int(v), self.denom) for v in set(values)}
+        return _nest([memo[v] for v in values], self.array.shape)
 
-        def conv(a):
-            # Iterating an object array yields plain ints, not 0-d arrays.
-            if isinstance(a, np.ndarray) and a.ndim:
-                return tuple(conv(x) for x in a)
-            return Fraction(int(a), den)
-
-        return conv(self.array)
+    def __getitem__(self, index) -> "ScaledTensor":
+        """The sub-tensor at a numpy index, over the same denominator."""
+        return ScaledTensor(self.array[index], self.denom)
 
     def reduced(self) -> "ScaledTensor":
         """The same tensor with gcd(denom, every entry) divided out."""
@@ -316,6 +338,25 @@ class ScaledTensor:
             return ScaledTensor(self.array, 1)
         common = gcd(self.denom, content)
         return ScaledTensor(self.array // common, self.denom // common)
+
+    def scale(self, c) -> "ScaledTensor":
+        """c times the tensor for a rational c, promoted to Python ints
+        when the scaled numerators could leave the int64 range."""
+        c = Fraction(c)
+        # At least 1: numpy refuses to multiply int64 by a too large int
+        # even when every entry is zero.
+        bound = max(max_abs(self.array), 1) * abs(c.numerator)
+        dtype = exact_dtype(bound, self.array)
+        return ScaledTensor(
+            self.array.astype(dtype, copy=False) * c.numerator,
+            self.denom * c.denominator,
+        )
+
+    def nonzero_rows(self) -> np.ndarray:
+        """Boolean per index of the first axis: whether that slice holds a
+        nonzero entry."""
+        rest = tuple(range(1, self.array.ndim))
+        return (self.array != 0).any(axis=rest)
 
     def is_zero(self) -> bool:
         if self.array.size == 0:
@@ -374,3 +415,67 @@ def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
         arrays = [a.astype(object) for a in arrays]
     result = np.einsum(subscripts, *arrays)
     return ScaledTensor(np.asarray(result), denom)
+
+
+def assemble(shape: tuple[int, ...], blocks) -> ScaledTensor:
+    """A tensor of the given shape that is zero except for its blocks:
+    each (index, tensor) pair writes the tensor at array[index], for any
+    numpy index (slices or index arrays).  Every block is brought to the
+    lcm of the block denominators, in int64 only when that stays safe."""
+    den = lcm(1, *(t.denom for _, t in blocks))
+    bound = max(
+        (max(max_abs(t.array), 1) * (den // t.denom) for _, t in blocks),
+        default=0,
+    )
+    dtype = exact_dtype(bound, *(t.array for _, t in blocks))
+    out = np.zeros(shape, dtype=dtype)
+    for index, t in blocks:
+        out[index] = t.array.astype(dtype, copy=False) * (den // t.denom)
+    return ScaledTensor(out, den)
+
+
+def solve(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
+    """x with a @ x = b for a square nonsingular a (m, m) and b (m, r).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on the integer
+    numerators of [a | b]: step k replaces every row i != k by
+    (p_k row_i - a_ik row_k) / p_{k-1}, with p_k the k-th pivot.  Every
+    entry is then a minor of [a | b], so each division is exact, and at
+    the end the left block is p_{m-1} I and the right one p_{m-1} a^-1 b.
+    Each step runs in int64 only when its products stay below
+    _INT64_SAFE, in Python ints otherwise.  Raises ZeroDivisionError when
+    a is singular."""
+    m = a.array.shape[0]
+    work = np.concatenate([a.array, b.array], axis=1)
+    prev = 1
+    for k in range(m):
+        nonzero = np.flatnonzero(work[k:, k])
+        if not nonzero.size:
+            raise ZeroDivisionError("matrix is singular")
+        if nonzero[0]:
+            work[[k, k + nonzero[0]]] = work[[k + nonzero[0], k]]
+        row, col = work[k].copy(), work[:, k].copy()
+        pivot = int(row[k])
+        bound = abs(pivot) * max_abs(work) + max_abs(col) * max_abs(row)
+        dtype = exact_dtype(bound, work)
+        work, row, col = (x.astype(dtype, copy=False) for x in (work, row, col))
+        work = (pivot * work - col[:, None] * row) // prev
+        work[k] = row
+        prev = pivot
+    # x = (a.denom / b.denom) * right / p_{m-1}
+    right = ScaledTensor(work[:, m:], 1)
+    return right.scale(Fraction(a.denom, b.denom * prev)).reduced()
+
+
+def independent(stack: ScaledTensor) -> bool:
+    """Whether the slices stack[0], stack[1], ... are linearly independent:
+    exactly when their Gram matrix of entrywise inner products is
+    nonsingular."""
+    rows = stack.array.shape[0]
+    flat = ScaledTensor(stack.array.reshape(rows, -1), stack.denom)
+    gram = exact_einsum("ix,jx->ij", flat, flat)
+    try:
+        solve(gram, ScaledTensor(np.zeros((rows, 0), dtype=np.int64), 1))
+    except ZeroDivisionError:
+        return False
+    return True

@@ -109,18 +109,17 @@ def log_sinh_ratio_series(k: int) -> tuple[Fraction, ...]:
         Fraction(4**m) * bernoulli(2 * m) / (2 * m * factorial(2 * m))
         for m in range(1, k + 1)
     )
-    # sinh z / z = sum_m u^m / (2m+1)!  with u = z^2; log via the
-    # alternating series applied to the tail s - 1.
-    tail = TSeries(k, (Fraction(0),) + tuple(
-        Fraction(1, factorial(2 * m + 1)) for m in range(1, k + 1)
-    ))
-    logs = TSeries.constant(0, k)
-    power = TSeries.constant(1, k)
-    for j in range(1, k + 1):
-        power = power * tail
-        logs = logs + power.scale(Fraction((-1) ** (j + 1), j))
-    formal = logs.coeffs[1:]
-    if formal != closed:
+    # sinh z / z = s(u) = sum_m s_m u^m with s_m = 1/(2m+1)! and u = z^2.
+    # l = log s satisfies u l' s = u s', so with s_0 = 1
+    # l_m = s_m - (1/m) sum_{j<m} j l_j s_{m-j}: O(k^2) products.
+    s = [Fraction(1, factorial(2 * m + 1)) for m in range(k + 1)]
+    formal: list[Fraction] = [Fraction(0)]
+    for m in range(1, k + 1):
+        acc = sum(
+            (j * formal[j] * s[m - j] for j in range(1, m)), Fraction(0)
+        )
+        formal.append(s[m] - acc / m)
+    if tuple(formal[1:]) != closed:
         raise InternalInconsistency(
             "log(sinh z/z) series mismatch between the Bernoulli closed "
             "form and the formal logarithm"
@@ -193,9 +192,19 @@ def to_float(c: Fraction) -> float:
         return float(c)
     except OverflowError:
         raise HeatgenError(
-            f"an exact coefficient with {len(str(abs(c.numerator)))} digits "
+            f"an exact coefficient with {_digits(abs(c.numerator))} digits "
             f"is beyond the float range"
         ) from None
+
+
+def _digits(n: int) -> int:
+    """Decimal digits of n > 0, without str(n), which refuses ints of more
+    than sys.get_int_max_str_digits() digits."""
+    # 0.30102999 < log10(2): a lower bound, raised to the exact count.
+    digits = (n.bit_length() - 1) * 30102999 // 10**8 + 1
+    while n >= 10**digits:
+        digits += 1
+    return digits
 
 
 class OmegaPolynomial:

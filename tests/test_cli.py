@@ -2,11 +2,13 @@
 
 import json
 import re
+import sys
+from fractions import Fraction as F
 
 import pytest
 
 import heatgen as hg
-from heatgen import cli, curvature
+from heatgen import cli, curvature, rational
 from heatgen.cli import main
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -363,3 +365,143 @@ def test_compare_product_prepares_each_space_once(capsys, monkeypatch):
     assert code == 0
     # S2xS2 itself, then each S2 factor of the product check.
     assert len(scalars) == 3
+
+
+def tilted_three_sphere():
+    """S3 under the generator change N (unit lower triangular): E' =
+    N^-T E, beta' = N beta N^T, so beta' is not diagonal."""
+    base = hg.builtin("S3")
+    N = rational.matrix([[1, 0, 0], [F(1, 2), 1, 0], [-1, F(2, 3), 1]])
+    ninv_t = rational.transpose(rational.inverse(N))
+    E = tuple(
+        rational.matrix(
+            [[sum((ninv_t[i][j] * base.E[j][a][b] for j in range(3)), F(0))
+              for b in range(3)] for a in range(3)]
+        )
+        for i in range(3)
+    )
+    beta = rational.matmul(rational.matmul(N, base.beta), rational.transpose(N))
+    return hg.SpaceSpec("tilted", 3, 3, base.g, beta, E)
+
+
+def count_conversions(monkeypatch):
+    """Record every ScaledTensor.from_nested argument and every call of
+    the Fraction matrix loops."""
+    converted, loops = [], []
+    from_nested = rational.ScaledTensor.from_nested.__func__
+
+    def spy(cls, nested, shape=None):
+        converted.append(nested)
+        return from_nested(cls, nested, shape)
+
+    monkeypatch.setattr(rational.ScaledTensor, "from_nested", classmethod(spy))
+    for name in ("matmul", "commutator", "trace_product", "span_decompose"):
+        original = getattr(rational, name)
+
+        def loop(*args, _original=original, _name=name):
+            loops.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(rational, name, loop)
+    return converted, loops
+
+
+def datum_matrices(spec):
+    """What one exact request may convert: beta, E, g^-1, beta^-1 and the
+    whitening factor L^-T of beta = L diag(d) L^T."""
+    lower, _ = rational.ldl(spec.beta)
+    return [spec.beta, spec.E, rational.inverse(spec.g),
+            rational.inverse(spec.beta),
+            rational.transpose(rational.inverse(lower))]
+
+
+@pytest.mark.parametrize("make", [tilted_three_sphere,
+                                  lambda: hg.builtin("S2xS3")])
+def test_prepare_and_coefficients_convert_only_the_datum(monkeypatch, make):
+    spec = make()
+    converted, loops = count_conversions(monkeypatch)
+    prep = hg.prepare(spec)
+    hg.heat_coefficients(prep, 3)
+    # E was converted once, by the datum's own independence check, and
+    # is not converted again.
+    allowed = datum_matrices(spec)
+    allowed.remove(spec.E)
+    assert len(converted) == len(allowed)
+    assert all(any(c == a for a in allowed) for c in converted)
+    assert spec.tensors.E is spec._generators
+    hol = prep.hol
+    for derived in (hol.D, hol.F, hol.F_mats, hol.C):
+        assert all(c != derived for c in converted)
+    assert loops == []
+
+
+def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
+    spec = tilted_three_sphere()
+    path = tmp_path / "tilted.json"
+    hg.save(spec, path)
+    converted, loops = count_conversions(monkeypatch)
+    code, _, _ = run(capsys, "coeffs", str(path), "--order", "3", "--json")
+    assert code == 0
+    allowed = datum_matrices(spec)
+    assert len(converted) == len(allowed)
+    assert all(any(c == a for a in allowed) for c in converted)
+    assert loops == []
+
+
+# ---------------------------------------------------------------------------
+# Exact rationals beyond the interpreter's int-to-string limit
+# ---------------------------------------------------------------------------
+
+
+def huge_two_sphere(tmp_path):
+    """S2 with beta scaled by 10^1500: a_k has about 1500 k digits."""
+    base = hg.builtin("S2")
+    spec = hg.SpaceSpec(
+        "S2huge", base.n, base.p, base.g,
+        rational.scale(base.beta, F(10**1500)), base.E,
+    )
+    path = tmp_path / "huge.json"
+    hg.save(spec, path)
+    return spec, str(path)
+
+
+def parse_unlimited(texts):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [F(t) for t in texts]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_coefficients_beyond_the_int_str_limit_print_exactly(capsys, tmp_path):
+    spec, path = huge_two_sphere(tmp_path)
+    want = list(hg.heat_coefficients(spec, 4).coeffs)
+    assert want[3].numerator.bit_length() > 4300 * 3.32
+    code, out, err = run(capsys, "coeffs", path, "--order", "3", "--json")
+    assert code == 0, err
+    assert parse_unlimited(json.loads(out)["a"]) == want[:4]
+    code, out, err = run(capsys, "coeffs", path, "--order", "4")
+    assert code == 0, err
+    values = [line.split(" = ")[1] for line in out.splitlines()
+              if line.startswith("a_")]
+    assert parse_unlimited(values) == want
+
+
+def test_huge_coefficient_beyond_float_range_exits_one(capsys, tmp_path):
+    _, path = huge_two_sphere(tmp_path)
+    code, _, err = run(capsys, "eval", path, "--order", "4", "--t", "0.1")
+    assert code == 1
+    assert "digits is beyond the float range" in err
+
+
+@pytest.mark.parametrize("digits", [1, 639, 640, 641, 4300, 4301, 12345])
+def test_decimal_conversion_matches_str(digits):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in (10 ** (digits - 1), 10**digits - 1, 7**digits // 3):
+            for value in (n, -n, F(n, 7**digits + 2), F(-3, n + 1)):
+                assert cli._fmt_rational(F(value)) == str(F(value))
+    finally:
+        sys.set_int_max_str_digits(old)

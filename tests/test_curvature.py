@@ -1,8 +1,11 @@
 """Curvature data, holonomy derivation, validation, and scalar invariants."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatgen as hg
 from heatgen import rational
@@ -309,3 +312,216 @@ def test_ricci_proportional_to_metric_on_spheres(specs):
         for a in range(n):
             for b in range(n):
                 assert curv.ricci[a][b] == (n - 1) * spec.g[a][b]
+
+
+# ---------------------------------------------------------------------------
+# derive_holonomy against a per-entry Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_holonomy(spec):
+    """(D, F, gamma, C) by per-entry Fraction arithmetic: commutators from
+    rational.commutator, structure constants from span_decompose.  Raises
+    CommutatorOutsideSpan for the first pair (i, k), i < k, that does not
+    close."""
+    n, p = spec.n, spec.p
+    ginv = rational.inverse(spec.g)
+    D = []
+    for i in range(p):
+        acc = rational.zeros(n, n)
+        for k in range(p):
+            acc = rational.add(acc, rational.scale(spec.E[k], spec.beta[i][k]))
+        D.append(rational.scale(rational.matmul(ginv, acc), F(-1)))
+    pairs = [(i, k) for i in range(p) for k in range(i + 1, p)]
+    comms = [rational.commutator(D[i], D[k]) for i, k in pairs]
+    rank, sols = rational.span_decompose(D, comms)
+    assert rank == p
+    fs = [[[F(0)] * p for _ in range(p)] for _ in range(p)]
+    for (i, k), sol in zip(pairs, sols):
+        if sol is None:
+            raise hg.CommutatorOutsideSpan(
+                f"[D_{i}, D_{k}] is not a combination of the D generators"
+            )
+        for j in range(p):
+            fs[j][i][k], fs[j][k][i] = sol[j], -sol[j]
+    big_n = n + p
+    gamma = [[F(0)] * big_n for _ in range(big_n)]
+    C = [[[F(0)] * big_n for _ in range(big_n)] for _ in range(big_n)]
+    for a in range(n):
+        for b in range(n):
+            gamma[a][b] = spec.g[a][b]
+            for i in range(p):
+                C[a][b][n + i] = -D[i][b][a]
+                C[a][n + i][b] = spec.E[i][a][b]
+                C[n + i][a][b] = D[i][a][b]
+    for i in range(p):
+        for j in range(p):
+            gamma[n + i][n + j] = spec.beta[i][j]
+            for k in range(p):
+                C[n + i][n + j][n + k] = fs[j][i][k]
+
+    def freeze(x):
+        return tuple(freeze(y) for y in x) if isinstance(x, list) else x
+
+    return tuple(D), freeze(fs), freeze(gamma), freeze(C)
+
+
+def assert_matches_oracle(spec):
+    hol = hg.derive_holonomy(spec)
+    assert (hol.D, hol.F, hol.gamma, hol.C) == oracle_holonomy(spec)
+    if hol.p and hg.validate_symmetric_space(spec, hol).all_passed:
+        binv = rational.inverse(spec.beta)
+        want = -sum(
+            (binv[i][k] * rational.trace_product(hol.F_mats[i], hol.F_mats[k])
+             for i in range(hol.p) for k in range(hol.p)),
+            F(0),
+        ) / 4
+        assert hg.curvature_scalars(spec, hol).R_H == want
+
+
+@pytest.mark.parametrize(
+    "name", ["S2", "S3", "S4", "S5", "S6", "S2xS2", "S2xS3", "flat3"]
+)
+def test_derive_holonomy_matches_fraction_oracle(name):
+    assert_matches_oracle(hg.builtin(name))
+
+
+def test_derive_holonomy_matches_oracle_on_a_huge_metric():
+    base = hg.builtin("S2")
+    mu = 3**40
+    big = hg.SpaceSpec(
+        "S2big", base.n, base.p, rational.scale(base.g, F(mu)), base.beta,
+        base.E,
+    )
+    assert_matches_oracle(big)
+    assert hg.derive_holonomy(big).D[0][0][1] == F(-1, mu)
+
+
+def moved(spec, P, N, mu, nu):
+    """The datum moved by a tangent change P, a generator change N and
+    the scalings (mu, nu): g' = mu P^T g P, E'^i = sum_j (N^-T)_ij P^T E^j P,
+    beta' = nu N beta N^T."""
+    PT = rational.transpose(P)
+    E = [rational.matmul(rational.matmul(PT, m), P) for m in spec.E]
+    ninv_t = rational.transpose(rational.inverse(N))
+    E = tuple(
+        tuple(
+            tuple(
+                sum((ninv_t[i][j] * E[j][a][b] for j in range(spec.p)), F(0))
+                for b in range(spec.n)
+            )
+            for a in range(spec.n)
+        )
+        for i in range(spec.p)
+    )
+    g = rational.scale(rational.matmul(rational.matmul(PT, spec.g), P), mu)
+    beta = rational.scale(
+        rational.matmul(rational.matmul(N, spec.beta), rational.transpose(N)),
+        nu,
+    )
+    return hg.SpaceSpec(spec.name, spec.n, spec.p, g, beta, E)
+
+
+SMALL = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+SCALES = st.one_of(
+    st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(F, st.integers(1, 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def moved_spaces(draw):
+    spec = hg.builtin(draw(st.sampled_from(["S2", "S3", "S2xS2", "S2xS3"])))
+    n, p = spec.n, spec.p
+    diag = [draw(st.builds(F, st.integers(1, 3), st.integers(1, 2)))
+            for _ in range(n)]
+    P = tuple(
+        tuple(diag[j] if i == j else draw(SMALL) if i < j else F(0)
+              for j in range(n))
+        for i in range(n)
+    )
+    N = tuple(
+        tuple(F(1) if i == j else draw(SMALL) if i > j else F(0)
+              for j in range(p))
+        for i in range(p)
+    )
+    return moved(spec, P, N, draw(SCALES), draw(SCALES))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=moved_spaces())
+def test_derive_holonomy_matches_oracle_on_moved_spaces(spec):
+    assert_matches_oracle(spec)
+    assert hg.validate_symmetric_space(
+        spec, hg.derive_holonomy(spec)
+    ).all_passed
+
+
+def elementary(n, a, b):
+    return antisym(n, {(a, b): 1})
+
+
+@pytest.mark.parametrize("gens,pair", [
+    # [D_0, D_1] = 0 closes; [D_0, D_2] is the first pair outside the span.
+    (((0, 1), (2, 3), (0, 2)), (0, 2)),
+    # so(3) on 0, 1, 2 closes and D_3 on (2, 3) commutes with D_0 on
+    # (0, 1); [D_1, D_3] is the first pair outside the span.
+    (((0, 1), (0, 2), (1, 2), (2, 3)), (1, 3)),
+    (((0, 1), (1, 2)), (0, 1)),
+])
+def test_commutator_outside_span_names_the_first_pair(gens, pair):
+    n = 4
+    spec = hg.SpaceSpec(
+        "open", n, len(gens), ident(n), ident(len(gens)),
+        tuple(elementary(n, a, b) for a, b in gens),
+    )
+    with pytest.raises(hg.CommutatorOutsideSpan) as want:
+        oracle_holonomy(spec)
+    with pytest.raises(hg.CommutatorOutsideSpan) as got:
+        hg.derive_holonomy(spec)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"[D_{pair[0]}, D_{pair[1]}]")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gens=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4))
+        .filter(lambda ab: ab[0] < ab[1]),
+        min_size=2, max_size=5, unique=True,
+    ),
+    weights=st.lists(st.integers(1, 4), min_size=5, max_size=5),
+)
+def test_closure_verdict_matches_oracle(gens, weights):
+    # Elementary generators on five axes either close (sums of so(k)
+    # blocks) or not; a diagonal beta rescales them.
+    n, p = 5, len(gens)
+    beta = tuple(
+        tuple(F(weights[i]) if i == j else F(0) for j in range(p))
+        for i in range(p)
+    )
+    spec = hg.SpaceSpec(
+        "random", n, p, ident(n), beta,
+        tuple(elementary(n, a, b) for a, b in gens),
+    )
+    try:
+        want = oracle_holonomy(spec)
+    except hg.CommutatorOutsideSpan as exc:
+        with pytest.raises(hg.CommutatorOutsideSpan, match=re.escape(str(exc))):
+            hg.derive_holonomy(spec)
+        return
+    hol = hg.derive_holonomy(spec)
+    assert (hol.D, hol.F, hol.gamma, hol.C) == want
+
+
+def test_hand_built_realization_converts_its_own_fields():
+    # A realization built from fields alone gets its tensors from those
+    # fields, so the checks see exactly what it holds.
+    fresh = hg.derive_holonomy(hg.builtin("S3"))
+    copy = hg.HolonomyRealization(
+        n=3, p=3, D=fresh.D, F=fresh.F, gamma=fresh.gamma, C=fresh.C
+    )
+    assert copy == fresh
+    assert copy.tensors.D.equals(fresh.tensors.D)
+    assert copy.tensors.F_mats.equals(fresh.tensors.F_mats)
+    assert copy.tensors.C.equals(fresh.tensors.C)

@@ -189,3 +189,116 @@ def test_scaled_tensor_reduced_divides_out_the_content():
     # An all-zero int64 array against a denominator beyond int64.
     zero = rational.ScaledTensor(np.zeros(2, dtype=np.int64), 3**50).reduced()
     assert (zero.array.tolist(), zero.denom) == ([0, 0], 1)
+
+
+def _sylvester(a):
+    """Positive definiteness by Sylvester's criterion, as an oracle."""
+    return all(
+        rational.determinant(tuple(row[: k + 1] for row in a[: k + 1])) > 0
+        for k in range(len(a))
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_positive_definite_agrees_with_sylvester(seed):
+    rng = random.Random(f"pd-{seed}")
+    size = 1 + seed % 5
+    a = [[F(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1):
+            a[i][j] = a[j][i] = F(rng.randint(-4, 6), rng.randint(1, 3))
+        # A dominant diagonal on every other seed: both verdicts occur.
+        if seed % 2:
+            a[i][i] += 8
+    a = rational.matrix(a)
+    assert rational.is_positive_definite(a) == _sylvester(a)
+
+
+def test_positive_definite_needs_symmetry():
+    assert not rational.is_positive_definite(rational.matrix([[1, 1], [0, 1]]))
+    assert rational.is_positive_definite(())
+
+
+def test_scale_promotes_at_the_int64_edge():
+    edge = 2**61
+    t = rational.ScaledTensor(np.array([edge - 1, -3], dtype=np.int64), 5)
+    # 2 (2^61 - 1) stays below the 2^62 guard, 2 * 2^61 does not.
+    assert t.scale(2).array.dtype == np.int64
+    assert t.scale(F(-2, 7)).to_fractions() == (
+        F(-2 * (edge - 1), 35), F(6, 35)
+    )
+    up = rational.ScaledTensor(np.array([edge, 1], dtype=np.int64), 1)
+    assert up.scale(2).array.dtype == object
+    assert up.scale(2).to_fractions() == (F(2**62), F(2))
+    # A factor beyond int64 promotes even an all-zero array.
+    zero = rational.ScaledTensor(np.zeros(2, dtype=np.int64), 1)
+    assert zero.scale(3**50).to_fractions() == (F(0), F(0))
+    assert zero.scale(F(1, 3**50)).denom == 3**50
+
+
+def test_assemble_places_blocks_over_one_denominator():
+    a = rational.ScaledTensor.from_nested([[F(1, 2), F(1)]])
+    b = rational.ScaledTensor.from_nested([F(-1, 3)])
+    out = rational.assemble((2, 3), [
+        ((slice(0, 1), slice(1, 3)), a),
+        ((1, np.array([0])), b),
+    ])
+    assert out.denom == 6
+    assert out.to_fractions() == (
+        (F(0), F(1, 2), F(1)), (F(-1, 3), F(0), F(0))
+    )
+    huge = rational.ScaledTensor(np.array([1], dtype=np.int64), 3**45)
+    mixed = rational.assemble((2,), [((slice(0, 1),), huge),
+                                     ((slice(1, 2),), b)])
+    assert mixed.array.dtype == object
+    assert mixed.to_fractions() == (F(1, 3**45), F(-1, 3))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_solve_matches_the_fraction_inverse(seed):
+    rng = random.Random(f"solve-{seed}")
+    size, cols = 1 + seed % 6, seed % 4
+    # Every third system has entries near 2^40, so the Bareiss minors
+    # leave the int64 range; sparse rows force row swaps.
+    scale = 2**40 if seed % 3 == 0 else 1
+
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-5, 5) * scale + rng.randint(-1, 1),
+                 rng.randint(1, 4))
+
+    a = rational.matrix([[entry() for _ in range(size)] for _ in range(size)])
+    b = tuple(tuple(entry() for _ in range(cols)) for _ in range(size))
+    ta = rational.ScaledTensor.from_nested(a, (size, size))
+    tb = rational.ScaledTensor.from_nested(b, (size, cols))
+    if rational.determinant(a) == 0:
+        with pytest.raises(ZeroDivisionError):
+            rational.solve(ta, tb)
+        return
+    want = rational.matmul(rational.inverse(a), b) if cols else tuple(
+        () for _ in range(size)
+    )
+    assert rational.solve(ta, tb).to_fractions() == want
+
+
+def test_solve_refuses_a_singular_matrix():
+    a = rational.ScaledTensor.from_nested([[1, 2], [2, 4]])
+    with pytest.raises(ZeroDivisionError):
+        rational.solve(a, rational.ScaledTensor.from_nested([[1], [1]]))
+
+
+def test_scaled_tensor_rows_and_shapes():
+    t = rational.ScaledTensor.from_nested(
+        [[[0, 0], [0, 0]], [[0, F(1, 2)], [0, 0]], [[3, 0], [0, 0]]]
+    )
+    assert t.nonzero_rows().tolist() == [False, True, True]
+    assert t[np.array([2, 1])].to_fractions() == (
+        ((F(3), F(0)), (F(0), F(0))), ((F(0), F(1, 2)), (F(0), F(0)))
+    )
+    empty = rational.ScaledTensor.from_nested((), (0, 3, 3))
+    assert empty.array.shape == (0, 3, 3)
+    assert empty.to_fractions() == ()
+    assert rational.ScaledTensor.from_nested(
+        ((), ()), (2, 0)
+    ).to_fractions() == ((), ())

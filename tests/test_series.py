@@ -52,6 +52,47 @@ def test_log_sinh_ratio_leading_terms():
     assert cs[3] == F(-1, 37800)
 
 
+def _cubic_formal_log(k):
+    """log(sinh z / z) in u = z^2 by the alternating series of the tail,
+    k truncated products: the cubic-cost formal logarithm, as an oracle."""
+    tail = hg.TSeries(k, (F(0),) + tuple(
+        F(1, math.factorial(2 * m + 1)) for m in range(1, k + 1)
+    ))
+    logs = hg.TSeries.constant(0, k)
+    power = hg.TSeries.constant(1, k)
+    for j in range(1, k + 1):
+        power = power * tail
+        logs = logs + power.scale(F((-1) ** (j + 1), j))
+    return logs.coeffs[1:]
+
+
+def test_log_sinh_ratio_matches_the_cubic_formal_logarithm():
+    assert hg.log_sinh_ratio_series(40) == _cubic_formal_log(40)
+    long = hg.log_sinh_ratio_series(120)
+    m = 120
+    assert len(long) == m
+    assert long[-1] == F(4**m) * hg.bernoulli(2 * m) / (
+        2 * m * math.factorial(2 * m)
+    )
+
+
+def test_log_sinh_ratio_cross_check_is_live(monkeypatch):
+    # A wrong Bernoulli number breaks the closed form but not the
+    # log-derivative recurrence, so the two must disagree.
+    exact = series.bernoulli
+
+    def wrong(m):
+        return exact(m) + (1 if m == 6 else 0)
+
+    series.log_sinh_ratio_series.cache_clear()
+    monkeypatch.setattr(series, "bernoulli", wrong)
+    try:
+        with pytest.raises(hg.InternalInconsistency, match="mismatch"):
+            series.log_sinh_ratio_series(5)
+    finally:
+        series.log_sinh_ratio_series.cache_clear()
+
+
 def test_log_sinh_ratio_exponentiates_back():
     # exp of the claimed series must reproduce sinh(z)/z = sum u^m/(2m+1)!
     k = 8
