@@ -22,11 +22,16 @@ moment.  The two must agree exactly on every key.  Their memos are
 bounded, so a long-lived process does not grow with every beta it sees.
 
 The numeric path evaluates the full (not truncated) integrand in floating
-point, by Monte Carlo or tensorized Gauss-Hermite quadrature, restricted
-to the ball where the largest singular value of sqrt(t) D(omega)/2 stays
-below pi minus a margin; the factor determinants are computed without any
-eigendecomposition, via scaling-and-squaring of the (sinh X / X, cosh X)
-pair followed by an LU determinant.
+point, by Monte Carlo or tensorized Gauss-Hermite quadrature.  Both
+factors are skew once rewritten by the Cholesky factors of g and beta
+(see _Integrand), so each point costs one symmetric eigensolve per
+factor: with s_j^2 the eigenvalues of X^T X, det(sinh X / X) =
+prod_j sin(s_j)/s_j, and the point is kept inside the regularity ball
+max_j s_j < pi - margin, a condition that does not depend on the tangent
+or holonomy basis.  Quadrature evaluates half of its symmetric grid, the
+integrand being even.  _sinh_ratio_dets, an eigenvalue-free
+scaling-and-squaring of (sinh X / X, cosh X) followed by an LU
+determinant, is the reference that tests and check_det_factorization use.
 """
 
 from __future__ import annotations
@@ -303,18 +308,21 @@ def _sinh_ratio_dets(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(ratio)
 
 
-def _max_singular_value_below(mats: np.ndarray, bound: float) -> np.ndarray:
-    """Boolean mask: largest singular value strictly below the bound.
-    The Frobenius norm certifies most rows without an SVD."""
-    if mats.size == 0:
-        return np.ones(mats.shape[0], dtype=bool)
-    fro = np.sqrt((mats * mats).sum(axis=(-2, -1)))
-    ok = fro < bound
-    unsure = np.flatnonzero(~ok)
-    if unsure.size:
-        tops = np.linalg.svd(mats[unsure], compute_uv=False)[..., 0]
-        ok[unsure] = tops < bound
-    return ok
+def _skew_sinc_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det(sinh(X)/X) and the largest singular value for a batch of
+    skew-symmetric matrices, from one symmetric eigensolve each.
+
+    X^T X = -X^2 has the eigenvalues s_j^2, where the i s_j are those of
+    X, and sinh(i s)/(i s) = sin(s)/s, so det(sinh(X)/X) = prod_j
+    sin(s_j)/s_j.  The determinant is a smooth function of the s_j^2, so
+    the clamp of a tiny negative s_j^2 to zero costs no accuracy.
+    """
+    count, d = mats.shape[0], mats.shape[-1]
+    if count == 0 or d == 0:
+        return np.ones(count), np.zeros(count)
+    z = np.linalg.eigvalsh(-(mats @ mats))
+    s = np.sqrt(np.maximum(z, 0.0))
+    return np.prod(np.sinc(s / math.pi), axis=-1), s[:, -1]
 
 
 @dataclass(frozen=True)
@@ -328,9 +336,10 @@ class NumericAverage:
     method: str
 
 
-def _float_stack(mats) -> np.ndarray:
+def _float_stack(mats, factor: Fraction = Fraction(1)) -> np.ndarray:
     return np.array(
-        [[[float(x) for x in row] for row in m] for m in mats], dtype=float
+        [[[float(x * factor) for x in row] for row in m] for m in mats],
+        dtype=float,
     )
 
 
@@ -339,31 +348,117 @@ def _inv_sqrt(sym: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
+def _near_unit(mat: Matrix) -> tuple[np.ndarray, Fraction]:
+    """mat / 4^k as floats and the exact 2^-k, for a power of four 4^k
+    within a factor of 4 of the largest entry of mat: the floats stay in
+    range however large or small the entries are, and a power of two adds
+    no rounding."""
+    top = max(abs(x) for row in mat for x in row)
+    k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
+    shrink = Fraction(1, 2**k) if k >= 0 else Fraction(2**-k)
+    quarter = shrink * shrink
+    return np.array([[float(x * quarter) for x in row] for row in mat]), shrink
+
+
+def _skew_stack(gens: np.ndarray, metric: Matrix) -> np.ndarray:
+    """C^T G C^{-T} for each G in the stack, with metric = C C^T up to a
+    positive scale (Cholesky): skew-symmetric when metric . G is
+    antisymmetric.  The rounding is antisymmetrized away, which leaves an
+    already skew G (metric = I) bit for bit unchanged."""
+    chol = np.linalg.cholesky(_near_unit(metric)[0])
+    out = chol.T @ gens @ np.linalg.inv(chol).T
+    return (out - out.transpose(0, 2, 1)) / 2.0
+
+
+def _check_beta_invariance(prep: Prepared) -> None:
+    """beta F_i + F_i^T beta = 0 exactly, for every structure matrix F_i.
+
+    It follows from the validated datum.  The curvature is R = sum_jl
+    beta^{jl} (g D_j) (x) (g D_l), since g D_i = -beta_ik E^k.
+    Integrability says each curvature operator, a combination of the
+    D_i, annihilates R as a derivation, and every D_i is such a
+    combination because beta^{-1} is nonsingular and the g D_l, like the
+    E^k, are independent.  The derivation D_i sends g D_j to
+    sum_m (F_i)_mj g D_m, so the D_m (x) D_l coefficients of D_i . R are
+    (F_i beta^{-1} + beta^{-1} F_i^T)_ml, which must vanish: multiply by
+    beta on both sides.  With g D(omega) antisymmetric by construction
+    (E is), both factors of the numeric integrand are skew in the
+    Cholesky bases of g and beta.  Raises InternalInconsistency if the
+    identity fails, which no validated datum allows."""
+    lowered = exact_einsum(
+        "jl,ilk->ijk", prep.spec.tensors.beta, prep.hol.tensors.F_mats
+    )
+    if not (lowered + exact_einsum("ijk->ikj", lowered)).is_zero():
+        raise InternalInconsistency(
+            f"{prep.spec.name}: the structure matrices F_i are not "
+            f"beta-antisymmetric although the datum passed validation"
+        )
+
+
 class _Integrand:
-    """Shared evaluation core for both numeric methods."""
+    """Shared evaluation core for both numeric methods, as a function of
+    the sample or node z with omega = spread beta^{-1/2} z.
 
-    def __init__(self, hol: HolonomyRealization, t: float, margin: float):
-        self.t = t
+    D(omega) is skew for g, g D(omega) = -sum_ik beta_ik omega_i E^k
+    being antisymmetric, and each F_i for beta (_check_beta_invariance).
+    Once per request both families are rewritten by the Cholesky factors
+    of g and beta (_skew_stack), a similarity, so that every factor matrix
+    is skew: det(sinh X / X) and its regularity ball then come from one
+    symmetric eigensolve per factor and point (_skew_sinc_dets), and the
+    ball max_j s_j < pi - margin is the same in every tangent and
+    holonomy basis.  The map from z to omega is folded into the
+    generators, after dividing beta by 4^k and the generators by 2^k
+    exactly (_near_unit), which changes no factor matrix and keeps every
+    float in range."""
+
+    def __init__(
+        self, prep: Prepared, t: float, margin: float, spread: float
+    ):
+        spec, hol = prep.spec, prep.hol
+        _check_beta_invariance(prep)
         self.bound = math.pi - margin
-        self.D = _float_stack(hol.D) if hol.p else np.zeros((0, hol.n, hol.n))
-        self.F = _float_stack(hol.F_mats) if hol.p else np.zeros((0, 0, 0))
-        self.half_sqrt_t = math.sqrt(t) / 2.0
+        beta, shrink = _near_unit(spec.beta)
+        root = spread * math.sqrt(t) / 2.0 * _inv_sqrt(beta)
 
-    def __call__(self, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (values at accepted rows, acceptance mask)."""
-        x = np.einsum("si,iab->sab", omegas, self.D) * self.half_sqrt_t
-        y = np.einsum("si,ijk->sjk", omegas, self.F) * self.half_sqrt_t
-        ok = _max_singular_value_below(x, self.bound)
-        ok &= _max_singular_value_below(y, self.bound)
-        det_d = _sinh_ratio_dets(x[ok])
-        det_f = _sinh_ratio_dets(y[ok])
-        positive = (det_d > 0.0) & (det_f > 0.0)
-        if not positive.all():
-            keep = np.flatnonzero(ok)
-            ok[keep[~positive]] = False
-            det_d = det_d[positive]
-            det_f = det_f[positive]
-        return np.sqrt(det_f) / np.sqrt(det_d), ok
+        def whitened(gens, metric):
+            skew = _skew_stack(_float_stack(gens, shrink), metric)
+            return np.einsum("ij,iab->jab", root, skew)
+
+        self.D = whitened(hol.D, spec.g)
+        self.F = whitened(hol.F_mats, spec.beta)
+
+    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (values, acceptance mask); rejected rows hold 0."""
+        count = len(z)
+        x = (z @ self.D.reshape(len(self.D), -1)).reshape(
+            (count,) + self.D.shape[1:]
+        )
+        y = (z @ self.F.reshape(len(self.F), -1)).reshape(
+            (count,) + self.F.shape[1:]
+        )
+        det_d, top_d = _skew_sinc_dets(x)
+        det_f, top_f = _skew_sinc_dets(y)
+        # Inside the ball every sin(s)/s is positive; the guard keeps a
+        # rounding accident from reaching the square roots.
+        ok = (top_d < self.bound) & (top_f < self.bound)
+        ok &= (det_d > 0.0) & (det_f > 0.0)
+        vals = np.zeros(count)
+        vals[ok] = np.sqrt(det_f[ok]) / np.sqrt(det_d[ok])
+        return vals, ok
+
+
+def _even_grid(
+    integrand: _Integrand, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The integrand on a grid with pts[N-1-i] = -pts[i], from its first
+    ceil(N/2) points: the integrand is even, so the rest is the mirror."""
+    half = (len(pts) + 1) // 2
+    vals, ok = integrand(pts[:half])
+    back = len(pts) - half
+    return (
+        np.concatenate([vals, vals[:back][::-1]]),
+        np.concatenate([ok, ok[:back][::-1]]),
+    )
 
 
 def numeric_average(
@@ -378,17 +473,17 @@ def numeric_average(
 ) -> NumericAverage:
     """Evaluate the full generating average at time t in floating point.
 
-    Samples falling where a factor matrix has a singular value within the
-    margin of pi (or where the holonomy factor loses positivity) are
-    rejected, counted, and resampled; the result is the scalar-prefactor
-    times the mean over the retained domain, with the Monte Carlo standard
-    error or a quadrature refinement delta as std_error.  The sample
-    count (at least 2) and the quadrature grid (1.._MAX_NODES nodes, at
-    most _MAX_GRID_POINTS points) are checked before anything is built,
-    as is t, which must be finite and positive.
+    Samples falling where a factor matrix, in its skew form, has a
+    singular value within the margin of pi (or where a factor loses
+    positivity) are rejected, counted, and resampled; the result is the
+    scalar-prefactor times the mean over the retained domain, with the
+    Monte Carlo standard error or a quadrature refinement delta as
+    std_error.  The sample count (at least 2) and the quadrature grid
+    (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS points) are checked
+    before anything is built, as is t, which must be finite and positive.
     """
     check_time(t)
-    spec, hol, curv = prep.spec, prep.hol, prep.curv
+    spec, curv = prep.spec, prep.curv
     if method == "auto":
         method = "quadrature" if spec.p <= 3 else "mc"
     if method not in ("mc", "quadrature"):
@@ -422,21 +517,28 @@ def numeric_average(
     if spec.p == 0:
         return NumericAverage(prefactor, 0.0, 0, 0, method)
 
-    beta_f = np.array([[float(x) for x in row] for row in spec.beta])
-    integrand = _Integrand(hol, t, margin)
+    # omega ~ N(0, 2 beta^{-1}) is sqrt(2) beta^{-1/2} z for a standard
+    # normal z, and 2 beta^{-1/2} x for a node x of the weight exp(-x^2).
+    spread = math.sqrt(2.0) if method == "mc" else 2.0
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            integrand = _Integrand(prep, t, margin, spread)
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
+        raise HeatgenError(
+            "g or beta spans more than the float range, or the factor "
+            "matrices exceed it; this datum has no numeric average"
+        ) from None
 
     if method == "mc":
-        transform = math.sqrt(2.0) * _inv_sqrt(beta_f)
         rng = np.random.default_rng(seed)
         values = np.empty(samples)
         filled = hits = 0
         empty_rounds = 0
         while filled < samples:
             draw = min(65536, samples - filled)
-            z = rng.standard_normal((draw, spec.p))
-            vals, ok = integrand(z @ transform.T)
+            vals, ok = integrand(rng.standard_normal((draw, spec.p)))
             accepted = int(ok.sum())
-            values[filled : filled + accepted] = vals
+            values[filled : filled + accepted] = vals[ok]
             filled += accepted
             hits += draw - accepted
             empty_rounds = empty_rounds + 1 if accepted == 0 else 0
@@ -451,18 +553,16 @@ def numeric_average(
             prefactor * mean, prefactor * sem, hits, samples + hits, "mc"
         )
 
-    transform = 2.0 * _inv_sqrt(beta_f)
-
     def tensor_value(k: int) -> tuple[float, int, int]:
         x1, w1 = np.polynomial.hermite.hermgauss(k)
         grids = np.meshgrid(*([x1] * spec.p), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         wgrids = np.meshgrid(*([w1] * spec.p), indexing="ij")
         weight = np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
-        vals, ok = integrand(pts @ transform.T)
-        full = np.zeros(len(pts))
-        full[ok] = vals
-        total = float((weight * full).sum()) * math.pi ** (-spec.p / 2)
+        # hermgauss nodes are exactly symmetric, so on this C-ordered grid
+        # point N-1-i is minus point i.
+        vals, ok = _even_grid(integrand, pts)
+        total = float((weight * vals).sum()) * math.pi ** (-spec.p / 2)
         return total, int((~ok).sum()), len(pts)
 
     value, hits, used = tensor_value(nodes)

@@ -12,6 +12,7 @@ emitted under --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from .errors import (
     check_time,
 )
 from .invariants import compare, heat_coefficients
+from .rational import format_rational
 
 # Usage errors exit 2.  Library-level misuse (quadrature with too many
 # generators, negative order, ...) raises ValueError, and unreadable files
@@ -54,31 +56,6 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-# str() of an int refuses more than sys.get_int_max_str_digits() digits
-# (4300 by default, never below 640), but exact coefficients can be longer.
-# Integers above _CHUNK_BITS (fewer than 640 digits) are split in two by a
-# power of ten, recursively, so the limit is never met or changed.
-_CHUNK_BITS = 2000
-
-
-def _decimal(n: int) -> str:
-    """str(n) for an int of any length."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    if n.bit_length() <= _CHUNK_BITS:
-        return str(n)
-    half = n.bit_length() * 3 // 20  # about half of its decimal digits
-    high, low = divmod(n, 10**half)
-    return _decimal(high) + _decimal(low).zfill(half)
-
-
-def _fmt_rational(c) -> str:
-    """str(c) for an exact rational of any length."""
-    if c.denominator == 1:
-        return _decimal(c.numerator)
-    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
-
-
 def _checks_json(checks) -> list[dict]:
     return [
         {"name": c.name, "pass": c.passed, "detail": c.detail} for c in checks
@@ -92,7 +69,7 @@ def _emit_report(report, args) -> None:
         doc = {
             "space": report.space,
             "order": report.order,
-            "a": [_fmt_rational(c) for c in report.coeffs],
+            "a": [format_rational(c) for c in report.coeffs],
             "checks": _checks_json(checks),
             "timing_ms": timing,
         }
@@ -100,7 +77,7 @@ def _emit_report(report, args) -> None:
         return
     print(f"space {report.space}, order {report.order}")
     for k, c in enumerate(report.coeffs):
-        print(f"a_{k} = {_fmt_rational(c)}")
+        print(f"a_{k} = {format_rational(c)}")
     for c in checks:
         mark = "PASS" if c.passed else "FAIL"
         print(f"[{mark}] {c.name}: {c.detail}")
@@ -129,7 +106,7 @@ def _cmd_validate(args) -> int:
     if report.all_passed:
         curv = curvature_scalars(spec, hol)
         detail_extra = ", ".join(
-            f"{name} = {_fmt_rational(value)}"
+            f"{name} = {format_rational(value)}"
             for name, value in (
                 ("R", curv.R), ("R_H", curv.R_H), ("R_G", curv.R_G)
             )
@@ -292,9 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to main and kept: a long-lived
+    process parses many command lines, and importing builds nothing."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

@@ -33,7 +33,7 @@ from .curvature import (
     prepare,
 )
 from .errors import InternalInconsistency, OrderMismatch, check_time
-from .rational import ScaledTensor, exact_einsum
+from .rational import ScaledTensor, exact_einsum, format_rational
 from .series import TSeries, to_float
 
 __all__ = [
@@ -239,7 +239,8 @@ def compare(
             _check(
                 "a1_closed_form",
                 got == want,
-                f"pipeline {got}, scalar curvature gives {want}",
+                f"pipeline {format_rational(got)}, scalar curvature "
+                f"gives {format_rational(want)}",
             )
         )
     if order >= 2:
@@ -249,7 +250,8 @@ def compare(
             _check(
                 "a2_closed_form",
                 got == a2,
-                f"pipeline {got}, curvature invariants give {a2}",
+                f"pipeline {format_rational(got)}, curvature invariants "
+                f"give {format_rational(a2)}",
             )
         )
 
@@ -264,8 +266,8 @@ def compare(
             _check(
                 "product_factorization",
                 conv == base.coeffs,
-                f"direct {[str(c) for c in base.coeffs]} vs convolution "
-                f"{[str(c) for c in conv]}",
+                f"direct {[format_rational(c) for c in base.coeffs]} vs "
+                f"convolution {[format_rational(c) for c in conv]}",
             )
         )
 

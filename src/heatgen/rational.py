@@ -242,6 +242,31 @@ def span_decompose(
     return rank, out
 
 
+# str() of an int refuses more than sys.get_int_max_str_digits() digits
+# (4300 by default, never below 640), but exact coefficients can be longer.
+# Integers above _CHUNK_BITS (fewer than 640 digits) are split in two by a
+# power of ten, recursively, so the limit is never met or changed.
+_CHUNK_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def format_rational(c) -> str:
+    """str(c) for an exact rational of any length."""
+    if c.denominator == 1:
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+
+
 # ---------------------------------------------------------------------------
 # Integer-scaled tensors for fast exact contractions.
 # ---------------------------------------------------------------------------

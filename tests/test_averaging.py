@@ -1,5 +1,6 @@
 """Gaussian moment engines and the floating-point average."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import heatgen as hg
 from heatgen import averaging, rational, series
 from heatgen.rational import inverse
+from test_curvature import moved, moved_spaces
 
 ID1 = ((F(1),),)
 BETA2 = ((F(2), F(1)), (F(1), F(3)))
@@ -284,13 +286,60 @@ def test_sinh_ratio_dets_zero_matrix():
     assert np.allclose(averaging._sinh_ratio_dets(mats), 1.0)
 
 
-def test_max_singular_value_mask():
-    close = 2.3 * np.eye(2)  # Frobenius 3.25 > pi but top value 2.3 < pi
-    big = np.diag([3.3, 0.1])
-    small = np.diag([0.2, 0.1])
-    mats = np.stack([close, big, small])
-    mask = averaging._max_singular_value_below(mats, math.pi)
-    assert mask.tolist() == [True, False, True]
+def rotation_blocks(thetas, n, rng=None):
+    """A skew n x n matrix with the 2x2 rotation blocks theta J, turned by
+    a random orthogonal matrix when rng is given: its singular values are
+    the thetas, each twice, and zeros."""
+    out = np.zeros((n, n))
+    for k, theta in enumerate(thetas):
+        out[2 * k, 2 * k + 1], out[2 * k + 1, 2 * k] = -theta, theta
+    if rng is not None:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        out = q @ out @ q.T
+        out = (out - out.T) / 2.0
+    return out
+
+
+def test_skew_ball_mask():
+    # The cases of the Frobenius/SVD mask this ball replaced, as skew
+    # matrices with the same top singular values: the first has Frobenius
+    # norm 3.25 > pi but top value 2.3 < pi.
+    mats = np.stack([rotation_blocks(thetas, 4) for thetas in
+                     ([2.3, 0.0], [3.3, 0.1], [0.2, 0.1])])
+    _, tops = averaging._skew_sinc_dets(mats)
+    assert (tops < math.pi).tolist() == [True, False, True]
+
+
+def svd_top(mats):
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_skew_kernel_matches_the_eigen_free_reference(n):
+    rng = np.random.default_rng(n)
+    bound = math.pi - 0.01
+    raw = rng.standard_normal((60, n, n)) * rng.uniform(0.05, 1.2, (60, 1, 1))
+    batch = [(raw - raw.transpose(0, 2, 1)) / 2.0, np.zeros((2, n, n))]
+    if n >= 2:
+        # Rotations just inside and just outside the ball, beside smaller
+        # blocks, in random bases.
+        for theta in (bound * (1 - 1e-9), bound * (1 + 1e-9), 1.0, 3.5):
+            rest = list(rng.uniform(0.0, 2.0, n // 2 - 1))
+            batch.append(rotation_blocks([theta] + rest, n, rng)[None])
+    mats = np.concatenate(batch)
+    dets, tops = averaging._skew_sinc_dets(mats)
+    np.testing.assert_allclose(
+        dets, averaging._sinh_ratio_dets(mats), rtol=1e-9, atol=1e-12
+    )
+    np.testing.assert_allclose(tops, svd_top(mats), rtol=1e-12, atol=1e-15)
+    assert ((tops < bound) == (svd_top(mats) < bound)).all()
+    if n >= 2:
+        assert (tops[-4:-2] < bound).tolist() == [True, False]
+
+
+def test_skew_kernel_on_an_empty_batch():
+    dets, tops = averaging._skew_sinc_dets(np.zeros((0, 3, 3)))
+    assert dets.shape == tops.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +471,194 @@ def test_prefactor_overflow_reported(prepared):
                            samples=10, seed=0)
 
 
+def test_beta_beyond_the_float_range_is_reported():
+    # One factor's beta is 10^400 times smaller than the other's: no
+    # float matrix holds both.
+    s2 = hg.builtin("S2")
+    tiny = hg.SpaceSpec("S2tiny", s2.n, s2.p, s2.g,
+                        rational.scale(s2.beta, F(1, 10**400)), s2.E)
+    prep = hg.prepare(hg.catalog.product_spec("wide", s2, tiny))
+    for method in ("mc", "quadrature"):
+        with pytest.raises(hg.HeatgenError, match="float range"):
+            hg.numeric_average(prep, 0.1, method, samples=10, nodes=8)
+
+
 def test_tight_margin_rejects_more(prepared):
     loose = hg.numeric_average(prepared["S2"], 1.0, method="mc",
                                samples=3000, seed=2, margin=0.01)
     tight = hg.numeric_average(prepared["S2"], 1.0, method="mc",
                                samples=3000, seed=2, margin=2.9)
     assert tight.singularity_hits > loose.singularity_hits
+
+
+def moved_along(spec, P):
+    """The datum in the tangent basis changed by P (test_curvature.moved)."""
+    ident = rational.identity(spec.p)
+    return moved(spec, P, ident, F(1), F(1))
+
+
+TANGENT_MOVES = {
+    "S2": ((F(2), F(1)), (F(0), F(1, 3))),
+    "S3": ((F(1), F(-2), F(1, 2)), (F(0), F(3), F(1)), (F(0), F(0), F(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TANGENT_MOVES))
+@pytest.mark.parametrize("method", ["mc", "quadrature"])
+def test_numeric_average_does_not_depend_on_the_tangent_basis(
+    prepared, name, method
+):
+    # g' = P^T P is not the identity, so a ball on the raw singular values
+    # of D(omega) would reject different points (S2 at t=2: 33 and 243
+    # hits; S3: 378 and 32387).
+    base = prepared[name]
+    other = hg.prepare(moved_along(base.spec, TANGENT_MOVES[name]))
+    assert other.spec.g != base.spec.g
+    kw = dict(method=method, samples=20_000, seed=4, nodes=24)
+    want = hg.numeric_average(base, 2.0, **kw)
+    got = hg.numeric_average(other, 2.0, **kw)
+    assert want.singularity_hits > 0
+    assert got.singularity_hits == want.singularity_hits
+    assert got.evaluations == want.evaluations
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+
+
+class ReferenceIntegrand:
+    """The integrand as evaluated before the skew eigensolve: omega from
+    the symmetric root of beta, the raw factor matrices, the Frobenius/SVD
+    ball and the eigenvalue-free determinant of the accepted rows."""
+
+    def __init__(self, prep, t, margin, spread):
+        w, v = np.linalg.eigh(np.array(prep.spec.beta, dtype=float))
+        self.transform = spread * (v / np.sqrt(w)) @ v.T
+        self.D = np.array(prep.hol.D, dtype=float)
+        self.F = np.array(prep.hol.F_mats, dtype=float)
+        self.half_sqrt_t = math.sqrt(t) / 2.0
+        self.bound = math.pi - margin
+
+    def __call__(self, z):
+        omegas = z @ self.transform.T
+        x = np.einsum("si,iab->sab", omegas, self.D) * self.half_sqrt_t
+        y = np.einsum("si,ijk->sjk", omegas, self.F) * self.half_sqrt_t
+        ok = (svd_top(x) < self.bound) & (svd_top(y) < self.bound)
+        det_d = averaging._sinh_ratio_dets(x[ok])
+        det_f = averaging._sinh_ratio_dets(y[ok])
+        positive = (det_d > 0.0) & (det_f > 0.0)
+        ok[np.flatnonzero(ok)[~positive]] = False
+        vals = np.zeros(len(z))
+        vals[ok] = np.sqrt(det_f[positive]) / np.sqrt(det_d[positive])
+        return vals, ok
+
+
+def full_grid(integrand, pts):
+    return integrand(pts)
+
+
+# Every numeric average of the benchmark's numeric-oracle workload, at the
+# CLI's default samples and nodes.
+ORACLE_AVERAGES = [
+    ("S4", 0.05, "mc", 11), ("S2xS3", 0.05, "mc", 12),
+    ("S2xS3", 0.1, "mc", 13), ("S3", 0.05, "quadrature", 0),
+    ("S3", 0.1, "quadrature", 0), ("S2xS2", 0.05, "quadrature", 0),
+]
+
+
+@pytest.mark.parametrize("name,t,method,seed", ORACLE_AVERAGES)
+def test_numeric_average_matches_the_reference_path(
+    prepared, monkeypatch, name, t, method, seed
+):
+    got = hg.numeric_average(prepared[name], t, method, seed=seed)
+    monkeypatch.setattr(averaging, "_Integrand", ReferenceIntegrand)
+    monkeypatch.setattr(averaging, "_even_grid", full_grid)
+    want = hg.numeric_average(prepared[name], t, method, seed=seed)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    # A refinement delta of zero is rounding noise of the value's size.
+    assert got.std_error == pytest.approx(
+        want.std_error, rel=1e-12, abs=1e-12 * abs(want.value)
+    )
+    assert got.singularity_hits == want.singularity_hits
+    assert got.evaluations == want.evaluations
+    assert got.method == want.method == method
+
+
+@pytest.mark.parametrize("name,t", [("S2", 2.0), ("S2xS2", 1.5), ("S3", 2.0)])
+@pytest.mark.parametrize("nodes", [7, 8, 15, 16])
+def test_mirrored_quadrature_equals_the_full_grid(
+    prepared, monkeypatch, name, t, nodes
+):
+    prep = prepared[name]
+    integrand = averaging._Integrand(prep, t, 0.01, 2.0)
+    x1, _ = np.polynomial.hermite.hermgauss(nodes)
+    grids = np.meshgrid(*([x1] * prep.spec.p), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    vals, ok = averaging._even_grid(integrand, pts)
+    want_vals, want_ok = integrand(pts)
+    np.testing.assert_array_equal(ok, want_ok)
+    np.testing.assert_allclose(vals, want_vals, rtol=1e-15, atol=0)
+
+    got = hg.numeric_average(prep, t, "quadrature", nodes=nodes)
+    monkeypatch.setattr(averaging, "_even_grid", full_grid)
+    want = hg.numeric_average(prep, t, "quadrature", nodes=nodes)
+    assert got.singularity_hits == want.singularity_hits > 0
+    assert got.evaluations == want.evaluations
+    assert got.value == pytest.approx(want.value, rel=1e-14)
+
+
+@st.composite
+def moved_products(draw):
+    """A product of two moved builtins, each with its own scales."""
+    left, right = (
+        hg.builtin(draw(st.sampled_from(["S2", "S3"]))) for _ in range(2)
+    )
+    scales = st.builds(F, st.integers(1, 2**40), st.integers(1, 2**40))
+    parts = [
+        moved(spec, rational.identity(spec.n), rational.identity(spec.p),
+              draw(scales), draw(scales))
+        for spec in (left, right)
+    ]
+    return hg.catalog.product_spec("product", *parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=st.one_of(moved_spaces(), moved_products()))
+def test_structure_matrices_are_beta_antisymmetric(spec):
+    prep = hg.prepare(spec)
+    averaging._check_beta_invariance(prep)
+    beta = spec.beta
+    for f in prep.hol.F_mats:
+        lowered = rational.matmul(beta, f)
+        assert rational.add(lowered, rational.transpose(lowered)) == (
+            rational.zeros(spec.p, spec.p)
+        )
+    # The skew forms carry the determinant of the raw factor matrices,
+    # inside the ball, at a time t R = 0.3 that puts most samples there.
+    t = float(F(3, 10) / prep.curv.R)
+    integrand = averaging._Integrand(prep, t, 0.01, math.sqrt(2.0))
+    reference = ReferenceIntegrand(prep, t, 0.01, math.sqrt(2.0))
+    z = np.random.default_rng(0).standard_normal((20, spec.p))
+    omegas = z @ reference.transform.T
+    for raw, skew in ((reference.D, integrand.D), (reference.F, integrand.F)):
+        x = np.einsum("si,iab->sab", omegas, raw) * reference.half_sqrt_t
+        dets, tops = averaging._skew_sinc_dets(
+            np.einsum("si,iab->sab", z, skew)
+        )
+        inside = tops < math.pi
+        assert inside.sum() >= 10
+        np.testing.assert_allclose(
+            dets[inside], averaging._sinh_ratio_dets(x[inside]), rtol=1e-10
+        )
+
+
+def test_broken_beta_invariance_is_an_internal_inconsistency(prepared):
+    prep = prepared["S3"]
+    F_broken = tuple(
+        tuple(tuple(2 * x if j == 0 else x for x in row) for row in plane)
+        for j, plane in enumerate(prep.hol.F)
+    )
+    hol = dataclasses.replace(prep.hol, F=F_broken, _tensors=None)
+    broken = dataclasses.replace(prep, hol=hol)
+    with pytest.raises(hg.InternalInconsistency, match="beta-antisymmetric"):
+        hg.numeric_average(broken, 0.1, method="mc", samples=10)
 
 
 # ---------------------------------------------------------------------------

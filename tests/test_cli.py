@@ -453,12 +453,13 @@ def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def huge_two_sphere(tmp_path):
-    """S2 with beta scaled by 10^1500: a_k has about 1500 k digits."""
+def huge_two_sphere(tmp_path, factor=F(10**1500)):
+    """S2 with beta scaled by a factor; by 10^1500, a_k has about 1500 k
+    digits."""
     base = hg.builtin("S2")
     spec = hg.SpaceSpec(
         "S2huge", base.n, base.p, base.g,
-        rational.scale(base.beta, F(10**1500)), base.E,
+        rational.scale(base.beta, factor), base.E,
     )
     path = tmp_path / "huge.json"
     hg.save(spec, path)
@@ -495,6 +496,42 @@ def test_huge_coefficient_beyond_float_range_exits_one(capsys, tmp_path):
     assert "digits is beyond the float range" in err
 
 
+def test_compare_details_beyond_the_int_str_limit(capsys, tmp_path):
+    # beta / 10^2500: a_2 = 1/(15 10^4999) is past 4300 digits, while the
+    # curvature is small enough for the numeric average.
+    spec, path = huge_two_sphere(tmp_path, F(1, 10**2500))
+    a2 = hg.heat_coefficients(spec, 2).coeffs[2]
+    argv = ("compare", path, "--order", "2", "--t", "1e-9",
+            "--method", "quadrature", "--nodes", "8")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert f"curvature invariants give {rational.format_rational(a2)}" in out
+    assert "[PASS] numeric_average@t=1e-09" in out
+    # beta * 10^2500: the curvature is too large for any numeric average,
+    # an error (exit 1), not the int-to-string limit (exit 2).
+    _, path = huge_two_sphere(tmp_path, F(10**2500))
+    code, out, err = run(capsys, *argv[:1], path, *argv[2:])
+    assert code == 1
+    assert "scalar prefactor overflows" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli._build_parser
+
+    def counting():
+        built.append(True)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    cli._parser.cache_clear()
+    argv = ("coeffs", "S3", "--order", "3", "--json")
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert built == [True]
+    assert first == second and first[0] == 0
+
+
 @pytest.mark.parametrize("digits", [1, 639, 640, 641, 4300, 4301, 12345])
 def test_decimal_conversion_matches_str(digits):
     old = sys.get_int_max_str_digits()
@@ -502,6 +539,6 @@ def test_decimal_conversion_matches_str(digits):
     try:
         for n in (10 ** (digits - 1), 10**digits - 1, 7**digits // 3):
             for value in (n, -n, F(n, 7**digits + 2), F(-3, n + 1)):
-                assert cli._fmt_rational(F(value)) == str(F(value))
+                assert rational.format_rational(F(value)) == str(F(value))
     finally:
         sys.set_int_max_str_digits(old)
