@@ -214,7 +214,7 @@ def _whiten(
     )
     d, f = (
         exact_einsum("ij,iab->jab", back, gens).reduced()
-        for gens in (hol.tensors.D, hol.tensors.F_mats)
+        for gens in (hol.D, hol.F_mats)
     )
     return d, f, pivots
 
@@ -336,11 +336,14 @@ class NumericAverage:
     method: str
 
 
-def _float_stack(mats, factor: Fraction = Fraction(1)) -> np.ndarray:
-    return np.array(
-        [[[float(x * factor) for x in row] for row in m] for m in mats],
-        dtype=float,
-    )
+def _float_stack(
+    tensor: ScaledTensor, factor: Fraction = Fraction(1)
+) -> np.ndarray:
+    """factor times the tensor's entries as floats, each correctly rounded
+    by Python-int true division, as float(Fraction) rounds them."""
+    num, den = factor.numerator, tensor.denom * factor.denominator
+    flat = [x * num / den for x in tensor.array.ravel().tolist()]
+    return np.array(flat, dtype=float).reshape(tensor.array.shape)
 
 
 def _inv_sqrt(sym: np.ndarray) -> np.ndarray:
@@ -386,7 +389,7 @@ def _check_beta_invariance(prep: Prepared) -> None:
     Cholesky bases of g and beta.  Raises InternalInconsistency if the
     identity fails, which no validated datum allows."""
     lowered = exact_einsum(
-        "jl,ilk->ijk", prep.spec.tensors.beta, prep.hol.tensors.F_mats
+        "jl,ilk->ijk", prep.spec.tensors.beta, prep.hol.F_mats
     )
     if not (lowered + exact_einsum("ijk->ikj", lowered)).is_zero():
         raise InternalInconsistency(
@@ -601,15 +604,10 @@ def check_det_factorization(
     if count == 0:
         return DetFactorizationReport(0, 0.0, ())
     omegas = np.array(rows, dtype=float).reshape(count, p)
-    big_n = n + p
-    c_hol = (
-        _float_stack(hol.C[n:]) if p else np.zeros((0, big_n, big_n))
-    )
-    d_stack = _float_stack(hol.D) if p else np.zeros((0, n, n))
-    f_stack = _float_stack(hol.F_mats) if p else np.zeros((0, 0, 0))
-    combined = np.einsum("si,iAB->sAB", omegas, c_hol) / 2.0
-    tangent = np.einsum("si,iab->sab", omegas, d_stack) / 2.0
-    holonomy = np.einsum("si,ijk->sjk", omegas, f_stack) / 2.0
+    half = omegas / 2.0
+    combined = np.einsum("si,iAB->sAB", half, _float_stack(hol.C[n:]))
+    tangent = np.einsum("si,iab->sab", half, _float_stack(hol.D))
+    holonomy = np.einsum("si,ijk->sjk", half, _float_stack(hol.F_mats))
     lhs = _sinh_ratio_dets(combined)
     rhs = _sinh_ratio_dets(tangent) * _sinh_ratio_dets(holonomy)
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .curvature import SpaceSpec, prepare
 from .errors import InvalidSpaceSpec, ParseError, UnknownSpace
+from .rational import format_rational
 
 SCHEMA_VERSION = 1
 
@@ -222,10 +223,6 @@ def load(path, validate: bool = True) -> SpaceSpec:
     return spec
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def save(spec: SpaceSpec, path) -> None:
     """Write a space file that load() reproduces exactly."""
     doc = {
@@ -233,10 +230,10 @@ def save(spec: SpaceSpec, path) -> None:
         "name": spec.name,
         "n": spec.n,
         "p": spec.p,
-        "g": [[_format_rational(x) for x in row] for row in spec.g],
-        "beta": [[_format_rational(x) for x in row] for row in spec.beta],
+        "g": [[format_rational(x) for x in row] for row in spec.g],
+        "beta": [[format_rational(x) for x in row] for row in spec.beta],
         "E": [
-            [[_format_rational(x) for x in row] for row in mat]
+            [[format_rational(x) for x in row] for row in mat]
             for mat in spec.E
         ],
     }

@@ -19,17 +19,13 @@ from pathlib import Path
 
 from . import catalog as cat
 from .averaging import numeric_average
-from .curvature import (
-    curvature_scalars,
-    derive_holonomy,
-    prepare,
-    validate_symmetric_space,
-)
+from .curvature import prepare
 from .errors import (
     HeatgenError,
     InvalidTime,
     NonPositiveT,
     UnknownSpace,
+    ValidationError,
     check_time,
 )
 from .invariants import compare, heat_coefficients
@@ -96,15 +92,14 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    # No validation gate here: reporting which checks fail is this
-    # command's whole job.
+    # A failed check is this command's report, not an error.
     spec = _resolve_space(args.space)
-    hol = derive_holonomy(spec)
-    report = validate_symmetric_space(spec, hol)
-    payload_checks = list(report.checks)
-    detail_extra = None
-    if report.all_passed:
-        curv = curvature_scalars(spec, hol)
+    try:
+        prep = prepare(spec)
+    except ValidationError as exc:
+        report, detail_extra = exc.report, None
+    else:
+        report, curv = prep.validation, prep.curv
         detail_extra = ", ".join(
             f"{name} = {format_rational(value)}"
             for name, value in (
@@ -116,7 +111,7 @@ def _cmd_validate(args) -> int:
             "space": spec.name,
             "order": None,
             "a": [],
-            "checks": _checks_json(payload_checks),
+            "checks": _checks_json(report.checks),
             "timing_ms": None,
         }
         if detail_extra:
@@ -124,7 +119,7 @@ def _cmd_validate(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(f"space {spec.name}: n={spec.n}, p={spec.p}")
-        for c in payload_checks:
+        for c in report.checks:
             mark = "PASS" if c.passed else "FAIL"
             print(f"[{mark}] {c.name}: {c.detail}")
         if detail_extra:

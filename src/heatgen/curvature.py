@@ -8,15 +8,15 @@ connection generators D_i, their structure constants F, and the combined
 motion-algebra matrices C_A, then checks the identities that characterise
 a locally symmetric space.  All of it is exact arithmetic on
 integer-scaled tensors (rational.ScaledTensor): a datum is converted
-once (SpaceSpec.tensors) and a realization carries its own tensors next
-to its Fraction fields (HolonomyRealization.tensors).
+once (SpaceSpec.tensors), and a realization holds nothing but tensors
+(HolonomyRealization), so its fields are the one copy of derived data.
 prepare() runs derivation, checks and curvature scalars once per datum
 and is the one place that turns a failed check into ValidationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,7 +36,6 @@ __all__ = [
     "SpaceSpec",
     "SpecTensors",
     "HolonomyRealization",
-    "HolonomyTensors",
     "CheckResult",
     "ValidationReport",
     "CurvatureReport",
@@ -156,63 +155,28 @@ class SpaceSpec:
         )
 
 
-@dataclass(frozen=True)
-class HolonomyTensors:
-    """A realization as exact integer-scaled tensors: D (p, n, n), F
-    (p, p, p) indexed like HolonomyRealization.F, F_mats (p, p, p) with
-    F_mats[i, j, k] = F[j, i, k], and C (n+p, n+p, n+p)."""
-
-    D: ScaledTensor
-    F: ScaledTensor
-    F_mats: ScaledTensor
-    C: ScaledTensor
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolonomyRealization:
-    """Connection generators derived from a SpaceSpec.
+    """Connection generators derived from a SpaceSpec, as exact tensors.
 
-    D holds the p tangent-space generators, F their structure constants
-    with F[j][i][k] the coefficient of D_j in [D_i, D_k].  gamma is the
-    block inner product on the combined (tangent + holonomy) index, and C
-    the combined generator matrices, translations first.  The same data
-    as tensors is the tensors property.
+    D (p, n, n) holds the p tangent-space generators, F (p, p, p) their
+    structure constants with F[j, i, k] the coefficient of D_j in
+    [D_i, D_k], and C (n+p, n+p, n+p) the combined generator matrices,
+    translations first.
     """
 
     n: int
     p: int
-    D: tuple[Matrix, ...]
-    F: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    gamma: Matrix
-    C: tuple[Matrix, ...]
-    # derive_holonomy passes the tensors it computed; otherwise they are
-    # converted from the fields above on first use.
-    _tensors: HolonomyTensors | None = field(
-        default=None, compare=False, repr=False
-    )
+    D: ScaledTensor
+    F: ScaledTensor
+    C: ScaledTensor
 
-    @property
-    def tensors(self) -> HolonomyTensors:
-        if self._tensors is None:
-            n, p = self.n, self.p
-            F = ScaledTensor.from_nested(self.F, (p, p, p))
-            object.__setattr__(self, "_tensors", HolonomyTensors(
-                D=ScaledTensor.from_nested(self.D, (p, n, n)),
-                F=F,
-                F_mats=exact_einsum("jik->ijk", F),
-                C=ScaledTensor.from_nested(self.C, (n + p,) * 3),
-            ))
-        return self._tensors
-
-    @property
-    def F_mats(self) -> tuple[Matrix, ...]:
+    @cached_property
+    def F_mats(self) -> ScaledTensor:
         """Structure constants repackaged as matrices acting on holonomy
-        indices: (F_i)[j][k] multiplies D_j in [D_i, D_k]."""
-        p = self.p
-        return tuple(
-            tuple(tuple(self.F[j][i][k] for k in range(p)) for j in range(p))
-            for i in range(p)
-        )
+        indices: F_mats[i, j, k] = F[j, i, k] multiplies D_j in
+        [D_i, D_k]."""
+        return exact_einsum("jik->ijk", self.F)
 
 
 def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
@@ -258,7 +222,6 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
         ((slice(None), first, second), coeffs),
         ((slice(None), second, first), coeffs.scale(-1)),
     ])
-    F_mats = exact_einsum("jik->ijk", F)
 
     N = n + p
     tangent, holonomy = slice(0, n), slice(n, N)
@@ -266,22 +229,9 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
         ((tangent, tangent, holonomy), exact_einsum("iba->abi", D).scale(-1)),
         ((tangent, holonomy, tangent), exact_einsum("iab->aib", st.E)),
         ((holonomy, tangent, tangent), D),
-        ((holonomy, holonomy, holonomy), F_mats),
+        ((holonomy, holonomy, holonomy), exact_einsum("jik->ijk", F)),
     ])
-
-    zero = Fraction(0)
-    gamma = tuple(tuple(row) + (zero,) * p for row in spec.g) + tuple(
-        (zero,) * n + tuple(row) for row in spec.beta
-    )
-    return HolonomyRealization(
-        n=n,
-        p=p,
-        D=D.to_fractions(),
-        F=F.to_fractions(),
-        gamma=gamma,
-        C=C.to_fractions(),
-        _tensors=HolonomyTensors(D=D, F=F, F_mats=F_mats, C=C),
-    )
+    return HolonomyRealization(n=n, p=p, D=D, F=F, C=C)
 
 
 def _check_generator_identity(spec: SpaceSpec, hol: HolonomyRealization) -> CheckResult:
@@ -289,8 +239,7 @@ def _check_generator_identity(spec: SpaceSpec, hol: HolonomyRealization) -> Chec
     name = "generator_connection_identity"
     if spec.p == 0:
         return CheckResult(name, True, "no holonomy generators; vacuous")
-    E = spec.tensors.E
-    D, F = hol.tensors.D, hol.tensors.F
+    E, D, F = spec.tensors.E, hol.D, hol.F
     lhs1 = exact_einsum("ibc,kca->ikab", E, D)
     lhs2 = exact_einsum("iac,kcb->ikab", E, D)
     # F[j][i][k] is the D_j coefficient in [D_i, D_k]; the right side wants
@@ -329,9 +278,8 @@ def _check_structure_jacobi(hol: HolonomyRealization) -> CheckResult:
     name = "structure_jacobi"
     if hol.n + hol.p == 0:
         return CheckResult(name, True, "empty algebra; vacuous")
-    Carr = hol.tensors.C
     # The three cyclic terms are index permutations of one contraction.
-    j1 = exact_einsum("aed,bdc->abce", Carr, Carr)
+    j1 = exact_einsum("aed,bdc->abce", hol.C, hol.C)
     j2 = exact_einsum("bcae->abce", j1)
     j3 = exact_einsum("cabe->abce", j1)
     ok = (j1 + j2 + j3).is_zero()
@@ -367,8 +315,10 @@ def validate_symmetric_space(
     """Run the four structural identity checks and report each outcome.
 
     A failing check never raises here; callers that need a hard error can
-    inspect the report.  Note the checks take D and F from the supplied
-    realization, so stale structure constants are detected.
+    inspect the report.  The checks read D, F and C from the supplied
+    realization's fields, the only copy it holds, so stale structure
+    constants are detected however it was built: by derive_holonomy,
+    its constructor or dataclasses.replace.
     """
     checks = (
         _check_generator_identity(spec, hol),
@@ -381,11 +331,11 @@ def validate_symmetric_space(
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Exact curvature tensors and scalar invariants of a validated datum."""
+    """Exact Ricci tensor and scalar invariants of a validated datum; the
+    Riemann tensor is spec.tensors.riemann."""
 
     space: str
-    riemann: tuple  # nested tuples of Fraction, index order abcd
-    ricci: Matrix
+    ricci: ScaledTensor
     R: Fraction
     R_H: Fraction
     R_G: Fraction
@@ -397,28 +347,25 @@ def curvature_scalars(spec: SpaceSpec, hol: HolonomyRealization) -> CurvatureRep
 
     R_H = -(1/4) beta^{ik} tr(F_i F_k) and the combined scalar identity
     R_G = (3/4) R + R_H must agree with the direct contraction of the C
-    matrices against gamma; disagreement raises InternalInconsistency.
+    matrices against the block-diagonal metric g + beta on the combined
+    index; disagreement raises InternalInconsistency.
     """
     n, p = spec.n, spec.p
-    zero = Fraction(0)
-    if n == 0:
-        return CurvatureReport(spec.name, (), (), zero, zero, zero)
-
-    st, ht = spec.tensors, hol.tensors
-    ricci_t = exact_einsum("cd,dacb->ab", st.ginv, st.riemann)
-    R = exact_einsum("ab,ab->", st.ginv, ricci_t).to_fractions()
+    st = spec.tensors
+    ricci = exact_einsum("cd,dacb->ab", st.ginv, st.riemann)
+    R = exact_einsum("ab,ab->", st.ginv, ricci).to_fractions()
     # tr(F_i F_k) contracted against beta^{ik}, and tr(C_A C_B) against
-    # the inverse of the block-diagonal gamma.
+    # the inverse of the combined metric.
     R_H = -exact_einsum(
-        "ik,ijl,klj->", st.beta_inv, ht.F_mats, ht.F_mats
+        "ik,ijl,klj->", st.beta_inv, hol.F_mats, hol.F_mats
     ).to_fractions() / 4
     N = n + p
-    gamma_inv = assemble((N, N), [
+    combined_inv = assemble((N, N), [
         ((slice(0, n), slice(0, n)), st.ginv),
         ((slice(n, N), slice(n, N)), st.beta_inv),
     ])
     R_G_direct = -exact_einsum(
-        "AB,Axy,Byx->", gamma_inv, ht.C, ht.C
+        "AB,Axy,Byx->", combined_inv, hol.C, hol.C
     ).to_fractions() / 4
     R_G = Fraction(3, 4) * R + R_H
     if R_G != R_G_direct:
@@ -427,10 +374,7 @@ def curvature_scalars(spec: SpaceSpec, hol: HolonomyRealization) -> CurvatureRep
             f"(3/4)R + R_H = {R_G} but the direct contraction gives "
             f"{R_G_direct}"
         )
-    return CurvatureReport(
-        spec.name, st.riemann.to_fractions(), ricci_t.to_fractions(), R,
-        R_H, R_G,
-    )
+    return CurvatureReport(spec.name, ricci, R, R_H, R_G)
 
 
 @dataclass(frozen=True)

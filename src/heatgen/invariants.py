@@ -32,8 +32,13 @@ from .curvature import (
     ValidationReport,
     prepare,
 )
-from .errors import InternalInconsistency, OrderMismatch, check_time
-from .rational import ScaledTensor, exact_einsum, format_rational
+from .errors import (
+    HeatgenError,
+    InternalInconsistency,
+    OrderMismatch,
+    check_time,
+)
+from .rational import exact_einsum, format_rational
 from .series import TSeries, to_float
 
 __all__ = [
@@ -115,8 +120,7 @@ def closed_form_coefficients(prep: Prepared) -> tuple[Fraction, Fraction]:
     spec, curv = prep.spec, prep.curv
     if spec.n == 0 or spec.p == 0:
         return Fraction(0), Fraction(0)
-    ginv, riem = spec.tensors.ginv, spec.tensors.riemann
-    ric = ScaledTensor.from_nested(curv.ricci)
+    ginv, riem, ric = spec.tensors.ginv, spec.tensors.riemann, curv.ricci
     ric_up = exact_einsum("xa,yb,ab->xy", ginv, ginv, ric)
     ric_sq = exact_einsum("ab,ab->", ric, ric_up).to_fractions()
     up1 = exact_einsum("xa,abcd->xbcd", ginv, riem)
@@ -150,9 +154,12 @@ def sphere_volume(n: int) -> float:
 # The spectral sum stops at L = ceil(sqrt(50/t)) + 5 levels: the terms
 # past L add less than (tL^2)^{(n-2)/2} e^{-tL^2} < 1e-18 of the total for
 # n <= 6.  More than _MAX_SPECTRAL_LEVELS levels (t below about 5e-13)
-# are refused; they are summed in chunks of _SPECTRAL_CHUNK.
+# are refused; they are summed in chunks of _SPECTRAL_CHUNK.  compare
+# allows the series a relative error of _SPECTRAL_TOL against the sum,
+# beyond its truncation remainder.
 _MAX_SPECTRAL_LEVELS = 10**7
 _SPECTRAL_CHUNK = 2**16
+_SPECTRAL_TOL = 1e-3
 
 
 def sphere_spectral_trace(n: int, t: float) -> float:
@@ -204,6 +211,17 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _timed_check(name: str, measure, t: float) -> CheckResult:
+    """The check measure(t) -> (passed, detail) at one grid time.  A
+    HeatgenError, such as a value beyond the float range at this t, fails
+    this check alone and becomes its detail."""
+    try:
+        passed, detail = measure(t)
+    except HeatgenError as exc:
+        return _check(name, False, str(exc))
+    return _check(name, passed, detail)
+
+
 def compare(
     spec: SpaceSpec | Prepared,
     order: int,
@@ -213,7 +231,6 @@ def compare(
     samples: int = 200_000,
     nodes: int = 40,
     seed: int = 0,
-    spectral_tol: float = 1e-3,
     budget: int | None = None,
 ) -> HeatReport:
     """Run the exact pipeline and every independent oracle that applies.
@@ -222,11 +239,15 @@ def compare(
     the closed form, product factorization when the space is a builtin
     product, the spectral sum for builtin spheres on each grid time, and
     the floating-point average on each grid time within three standard
-    errors plus the truncation remainder.  The datum is prepared once, here
-    unless a Prepared is passed, and shared by the pipeline and the
-    oracles; each factor of a product is prepared on its own.
+    errors plus the truncation remainder.  A grid time at which a check
+    raises HeatgenError fails that check, with the message as its detail,
+    and the others still run.  The datum is prepared once, here unless a
+    Prepared is passed, and shared by the pipeline and the oracles; each
+    factor of a product is prepared on its own.
     """
     start = time.perf_counter()
+    for t in t_grid:
+        check_time(t)
     prep = prepare(spec)
     spec = prep.spec
     base = heat_coefficients(prep, order, budget=budget)
@@ -272,27 +293,20 @@ def compare(
         )
 
     sphere_n = _catalog.sphere_dimension(spec.name)
-    if sphere_n is not None:
-        for t in t_grid:
-            series_val = base.eval_float(t)
-            oracle = (4 * math.pi * t) ** (sphere_n / 2) * sphere_spectral_trace(
-                sphere_n, t
-            )
-            rel = abs(series_val - oracle) / abs(oracle)
-            budget_rel = (
-                base.remainder_estimate(t) / abs(oracle) + spectral_tol
-            )
-            checks.append(
-                _check(
-                    f"spectral_oracle@t={t:g}",
-                    rel <= budget_rel,
-                    f"series {series_val:.12g}, eigenvalue sum "
-                    f"{oracle:.12g}, rel err {rel:.3g} (allowed "
-                    f"{budget_rel:.3g})",
-                )
-            )
 
-    for t in t_grid:
+    def spectral(t: float) -> tuple[bool, str]:
+        series_val = base.eval_float(t)
+        oracle = (4 * math.pi * t) ** (sphere_n / 2) * sphere_spectral_trace(
+            sphere_n, t
+        )
+        rel = abs(series_val - oracle) / abs(oracle)
+        budget_rel = base.remainder_estimate(t) / abs(oracle) + _SPECTRAL_TOL
+        return rel <= budget_rel, (
+            f"series {series_val:.12g}, eigenvalue sum {oracle:.12g}, rel "
+            f"err {rel:.3g} (allowed {budget_rel:.3g})"
+        )
+
+    def numeric(t: float) -> tuple[bool, str]:
         num = numeric_average(
             prep, t, method, samples=samples, nodes=nodes, seed=seed
         )
@@ -303,15 +317,20 @@ def compare(
         else:
             tol = 10.0 * num.std_error + remainder + 1e-8
         diff = abs(num.value - series_val)
-        checks.append(
-            _check(
-                f"numeric_average@t={t:g}",
-                diff <= tol,
-                f"{num.method} {num.value:.12g} vs series "
-                f"{series_val:.12g}, |diff| {diff:.3g} <= tol {tol:.3g}, "
-                f"hits {num.singularity_hits}",
-            )
+        return diff <= tol, (
+            f"{num.method} {num.value:.12g} vs series {series_val:.12g}, "
+            f"|diff| {diff:.3g} <= tol {tol:.3g}, hits "
+            f"{num.singularity_hits}"
         )
+
+    if sphere_n is not None:
+        checks.extend(
+            _timed_check(f"spectral_oracle@t={t:g}", spectral, t)
+            for t in t_grid
+        )
+    checks.extend(
+        _timed_check(f"numeric_average@t={t:g}", numeric, t) for t in t_grid
+    )
 
     elapsed = (time.perf_counter() - start) * 1000.0
     return HeatReport(

@@ -589,12 +589,7 @@ def integrand_log_expansion(
         return OmegaPolynomial(p, order, {})
     check_budget(p, order, budget, exponential=False)
     codes = _monomial_codes(p, 2 * order)
-    log = _graded_log(
-        ScaledTensor.from_nested(hol.D),
-        ScaledTensor.from_nested(hol.F_mats),
-        order,
-        codes,
-    )
+    log = _graded_log(hol.D, hol.F_mats, order, codes)
     terms: dict = {}
     for m in range(1, order + 1):
         monomials, values = _nonzero(log[m], codes[2 * m])

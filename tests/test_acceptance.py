@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import heatgen as hg
 from heatgen import rational
 from heatgen.invariants import sphere_spectral_trace
+from test_curvature import combined_metric
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -261,15 +262,15 @@ def test_criterion_9_scalar_identity(specs, hols):
     for name, spec in specs.items():
         hol = hols[name]
         curv = hg.curvature_scalars(spec, hol)
-        ginv = rational.inverse(hol.gamma)
-        dim = len(hol.gamma)
+        metric = combined_metric(spec)
+        ginv = rational.inverse(metric)
+        dim = len(metric)
+        C = hol.C.to_fractions()
         total = F(0)
         for a in range(dim):
             for b in range(dim):
                 if ginv[a][b]:
-                    total += ginv[a][b] * rational.trace_product(
-                        hol.C[a], hol.C[b]
-                    )
+                    total += ginv[a][b] * rational.trace_product(C[a], C[b])
         combined = -total / 4
         want = F(3, 4) * curv.R + curv.R_H
         if combined != want or combined != curv.R_G:

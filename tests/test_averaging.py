@@ -531,8 +531,8 @@ class ReferenceIntegrand:
     def __init__(self, prep, t, margin, spread):
         w, v = np.linalg.eigh(np.array(prep.spec.beta, dtype=float))
         self.transform = spread * (v / np.sqrt(w)) @ v.T
-        self.D = np.array(prep.hol.D, dtype=float)
-        self.F = np.array(prep.hol.F_mats, dtype=float)
+        self.D = np.array(prep.hol.D.to_fractions(), dtype=float)
+        self.F = np.array(prep.hol.F_mats.to_fractions(), dtype=float)
         self.half_sqrt_t = math.sqrt(t) / 2.0
         self.bound = math.pi - margin
 
@@ -625,7 +625,7 @@ def test_structure_matrices_are_beta_antisymmetric(spec):
     prep = hg.prepare(spec)
     averaging._check_beta_invariance(prep)
     beta = spec.beta
-    for f in prep.hol.F_mats:
+    for f in prep.hol.F_mats.to_fractions():
         lowered = rational.matmul(beta, f)
         assert rational.add(lowered, rational.transpose(lowered)) == (
             rational.zeros(spec.p, spec.p)
@@ -649,16 +649,35 @@ def test_structure_matrices_are_beta_antisymmetric(spec):
         )
 
 
-def test_broken_beta_invariance_is_an_internal_inconsistency(prepared):
-    prep = prepared["S3"]
-    F_broken = tuple(
+def broken_structure_constants(prep):
+    """prep with the D_0 coefficients of its structure constants doubled,
+    put in by dataclasses.replace."""
+    F_broken = rational.ScaledTensor.from_nested(tuple(
         tuple(tuple(2 * x if j == 0 else x for x in row) for row in plane)
-        for j, plane in enumerate(prep.hol.F)
-    )
-    hol = dataclasses.replace(prep.hol, F=F_broken, _tensors=None)
-    broken = dataclasses.replace(prep, hol=hol)
+        for j, plane in enumerate(prep.hol.F.to_fractions())
+    ))
+    hol = dataclasses.replace(prep.hol, F=F_broken)
+    return dataclasses.replace(prep, hol=hol)
+
+
+def test_broken_beta_invariance_is_an_internal_inconsistency(prepared):
+    broken = broken_structure_constants(prepared["S3"])
     with pytest.raises(hg.InternalInconsistency, match="beta-antisymmetric"):
         hg.numeric_average(broken, 0.1, method="mc", samples=10)
+
+
+def test_replaced_structure_constants_reach_every_reader(prepared):
+    # F_mats, the structural checks and the float integrand all read the
+    # one F the realization holds, so a replaced F cannot pass one reader
+    # and be used unchecked by another.
+    prep = prepared["S3"]
+    broken = broken_structure_constants(prep)
+    assert broken.hol.F_mats.equals(
+        rational.exact_einsum("jik->ijk", broken.hol.F)
+    )
+    assert hg.validate_symmetric_space(prep.spec, broken.hol).failed_names()
+    with pytest.raises(hg.InternalInconsistency, match="beta-antisymmetric"):
+        hg.numeric_average(broken, 0.1, method="quadrature", nodes=8)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -431,7 +432,7 @@ def test_prepare_and_coefficients_convert_only_the_datum(monkeypatch, make):
     assert spec.tensors.E is spec._generators
     hol = prep.hol
     for derived in (hol.D, hol.F, hol.F_mats, hol.C):
-        assert all(c != derived for c in converted)
+        assert all(c != derived.to_fractions() for c in converted)
     assert loops == []
 
 
@@ -446,6 +447,37 @@ def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
     assert len(converted) == len(allowed)
     assert all(any(c == a for a in allowed) for c in converted)
     assert loops == []
+
+
+def count_fraction_views(monkeypatch):
+    """Record the rank of every tensor passed to
+    ScaledTensor.to_fractions."""
+    ranks = []
+    to_fractions = rational.ScaledTensor.to_fractions
+
+    def spy(self):
+        ranks.append(self.array.ndim)
+        return to_fractions(self)
+
+    monkeypatch.setattr(rational.ScaledTensor, "to_fractions", spy)
+    return ranks
+
+
+@pytest.mark.parametrize("make", [tilted_three_sphere,
+                                  lambda: hg.builtin("S2xS3")])
+def test_requests_convert_only_scalars_to_fractions(
+    capsys, monkeypatch, tmp_path, make
+):
+    # Derived tensors stay tensors: only the scalar contractions (R, R_H,
+    # R_G and the closed-form invariants) become Fractions.
+    spec = make()
+    path = tmp_path / "space.json"
+    hg.save(spec, path)
+    ranks = count_fraction_views(monkeypatch)
+    hg.heat_coefficients(hg.prepare(spec), 3)
+    code, _, _ = run(capsys, "coeffs", str(path), "--order", "3", "--json")
+    assert code == 0
+    assert ranks and set(ranks) == {0}
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +539,35 @@ def test_compare_details_beyond_the_int_str_limit(capsys, tmp_path):
     assert code == 0, err
     assert f"curvature invariants give {rational.format_rational(a2)}" in out
     assert "[PASS] numeric_average@t=1e-09" in out
-    # beta * 10^2500: the curvature is too large for any numeric average,
-    # an error (exit 1), not the int-to-string limit (exit 2).
+    # beta * 10^2500: the curvature is too large for any numeric average.
+    # That time is one FAIL line (exit 1, not the int-to-string limit's
+    # exit 2), and the exact checks still report.
     _, path = huge_two_sphere(tmp_path, F(10**2500))
     code, out, err = run(capsys, *argv[:1], path, *argv[2:])
     assert code == 1
-    assert "scalar prefactor overflows" in err
+    failed = [line for line in out.splitlines()
+              if line.startswith("[FAIL] numeric_average@t=1e-09: ")]
+    assert len(failed) == 1 and "scalar prefactor overflows" in failed[0]
+    assert "[PASS] a1_closed_form" in out
+    assert "[PASS] a2_closed_form" in out
+
+
+def test_save_writes_entries_beyond_the_int_str_limit(capsys, tmp_path):
+    # beta * 10^5000 has 5001 digits; load keeps refusing it as input.
+    spec, path = huge_two_sphere(tmp_path, F(10**5000))
+    doc = json.loads(Path(path).read_text())
+    entries = [x for row in doc["beta"] for x in row]
+    assert parse_unlimited(entries) == [x for row in spec.beta for x in row]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        back = hg.load(path, validate=False)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (back.g, back.beta, back.E) == (spec.g, spec.beta, spec.E)
+    code, _, err = run(capsys, "validate", path)
+    assert code == 1
+    assert err.startswith("error: beta[0][0]: ")
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

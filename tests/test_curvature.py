@@ -1,5 +1,6 @@
 """Curvature data, holonomy derivation, validation, and scalar invariants."""
 
+import dataclasses
 import re
 from fractions import Fraction as F
 
@@ -23,6 +24,20 @@ def antisym(n, entries):
 
 def ident(n):
     return tuple(tuple(F(1 if i == j else 0) for j in range(n)) for i in range(n))
+
+
+def combined_metric(spec):
+    """g + beta, block diagonal on the combined (tangent + holonomy)
+    index."""
+    n, p = spec.n, spec.p
+    return tuple(tuple(row) + (F(0),) * p for row in spec.g) + tuple(
+        (F(0),) * n + tuple(row) for row in spec.beta
+    )
+
+
+def as_fractions(hol):
+    """(D, F, C) of a realization as nested tuples of Fraction."""
+    return hol.D.to_fractions(), hol.F.to_fractions(), hol.C.to_fractions()
 
 
 # ---------------------------------------------------------------------------
@@ -62,16 +77,16 @@ def test_spec_rejects_shape_mismatch():
 
 
 def test_s2_connection_generator():
-    hol = hg.derive_holonomy(hg.builtin("S2"))
-    assert hol.D[0] == ((F(0), F(-1)), (F(1), F(0)))
-    assert hol.F == (((F(0),),),)
+    D, Fs, _ = as_fractions(hg.derive_holonomy(hg.builtin("S2")))
+    assert D[0] == ((F(0), F(-1)), (F(1), F(0)))
+    assert Fs == (((F(0),),),)
 
 
 def test_s3_structure_constants_are_so3():
     hol = hg.derive_holonomy(hg.builtin("S3"))
     nonzero = {
         (j, i, k): v
-        for j, mat in enumerate(hol.F)
+        for j, mat in enumerate(hol.F.to_fractions())
         for i, row in enumerate(mat)
         for k, v in enumerate(row)
         if v and i < k
@@ -81,14 +96,15 @@ def test_s3_structure_constants_are_so3():
 
 def test_structure_constants_reproduce_commutators(hols):
     for hol in hols.values():
+        D, Fs, _ = as_fractions(hol)
         for i in range(hol.p):
             for k in range(i + 1, hol.p):
-                comm = rational.commutator(hol.D[i], hol.D[k])
+                comm = rational.commutator(D[i], D[k])
                 recon = rational.zeros(hol.n, hol.n)
                 for j in range(hol.p):
-                    if hol.F[j][i][k]:
+                    if Fs[j][i][k]:
                         recon = rational.add(
-                            recon, rational.scale(hol.D[j], hol.F[j][i][k])
+                            recon, rational.scale(D[j], Fs[j][i][k])
                         )
                 assert comm == recon
 
@@ -97,46 +113,29 @@ def test_combined_generators_close_under_commutators(hols):
     # [C_A, C_B] must equal the combination of C's dictated by the C
     # matrices' own entries, for every catalog space.
     for hol in hols.values():
+        C = hol.C.to_fractions()
         big_n = hol.n + hol.p
         for a in range(big_n):
             for b in range(a + 1, big_n):
-                comm = rational.commutator(hol.C[a], hol.C[b])
+                comm = rational.commutator(C[a], C[b])
                 recon = rational.zeros(big_n, big_n)
                 for c in range(big_n):
-                    coef = hol.C[a][c][b]
+                    coef = C[a][c][b]
                     if coef:
                         recon = rational.add(
-                            recon, rational.scale(hol.C[c], coef)
+                            recon, rational.scale(C[c], coef)
                         )
                 assert comm == recon
 
 
-def test_gamma_is_block_diagonal(specs, hols):
-    for name, hol in hols.items():
-        spec = specs[name]
-        n, p = spec.n, spec.p
-        for a in range(n):
-            for i in range(p):
-                assert hol.gamma[a][n + i] == 0
-                assert hol.gamma[n + i][a] == 0
-        assert tuple(
-            tuple(hol.gamma[a][b] for b in range(n)) for a in range(n)
-        ) == spec.g
-        assert tuple(
-            tuple(hol.gamma[n + i][n + k] for k in range(p)) for i in range(p)
-        ) == spec.beta
-
-
 def test_flat_space_has_abelian_translations():
-    hol = hg.derive_holonomy(hg.builtin("flat2"))
-    assert hol.D == ()
-    assert hol.F == ()
-    assert len(hol.C) == 2
+    D, Fs, C = as_fractions(hg.derive_holonomy(hg.builtin("flat2")))
+    assert D == ()
+    assert Fs == ()
+    assert len(C) == 2
     for a in range(2):
         for b in range(2):
-            assert rational.commutator(hol.C[a], hol.C[b]) == rational.zeros(
-                2, 2
-            )
+            assert rational.commutator(C[a], C[b]) == rational.zeros(2, 2)
 
 
 def test_commutator_outside_span():
@@ -173,9 +172,10 @@ def test_uniformly_rescaled_beta_is_still_symmetric():
     )
     hol = hg.derive_holonomy(scaled)
     assert hg.validate_symmetric_space(scaled, hol).all_passed
-    base = hg.derive_holonomy(s3)
+    got = hol.F.to_fractions()
+    base = hg.derive_holonomy(s3).F.to_fractions()
     assert all(
-        hol.F[j][i][k] == 2 * base.F[j][i][k]
+        got[j][i][k] == 2 * base[j][i][k]
         for j in range(3)
         for i in range(3)
         for k in range(3)
@@ -198,11 +198,9 @@ def test_scaling_beta_scales_scalar_curvature():
         assert curv.R == c * 6
 
 
-def test_stale_structure_constants_fail_generator_identity():
-    # Refreshing D for a rescaled beta while keeping the old F breaks the
-    # intertwining identity and nothing else.
+def doubled_beta_three_sphere():
     s3 = hg.builtin("S3")
-    scaled = hg.SpaceSpec(
+    return hg.SpaceSpec(
         "S3-rescaled",
         3,
         3,
@@ -210,10 +208,29 @@ def test_stale_structure_constants_fail_generator_identity():
         tuple(tuple(2 * x for x in row) for row in s3.beta),
         s3.E,
     )
+
+
+def test_stale_structure_constants_fail_generator_identity():
+    # Refreshing D for a rescaled beta while keeping the old F breaks the
+    # intertwining identity and nothing else.
+    scaled = doubled_beta_three_sphere()
     fresh = hg.derive_holonomy(scaled)
-    stale = hg.derive_holonomy(s3)
+    stale = hg.derive_holonomy(hg.builtin("S3"))
     franken = hg.HolonomyRealization(
-        n=3, p=3, D=fresh.D, F=stale.F, gamma=fresh.gamma, C=fresh.C
+        n=3, p=3, D=fresh.D, F=stale.F, C=fresh.C
+    )
+    report = hg.validate_symmetric_space(scaled, franken)
+    assert report.failed_names() == ("generator_connection_identity",)
+
+
+def test_replaced_stale_structure_constants_fail_generator_identity():
+    # The same stale F put in by dataclasses.replace: the checks read the
+    # realization's own fields, so the copy fails like the one built
+    # through the constructor.
+    scaled = doubled_beta_three_sphere()
+    fresh = hg.derive_holonomy(scaled)
+    franken = dataclasses.replace(
+        fresh, F=hg.derive_holonomy(hg.builtin("S3")).F
     )
     report = hg.validate_symmetric_space(scaled, franken)
     assert report.failed_names() == ("generator_connection_identity",)
@@ -276,15 +293,17 @@ def test_combined_scalar_identity_all_catalog(specs, hols):
     for name, spec in specs.items():
         hol = hols[name]
         curv = hg.curvature_scalars(spec, hol)
-        gamma_inv = rational.inverse(hol.gamma) if hol.gamma else ()
+        metric = combined_metric(spec)
+        metric_inv = rational.inverse(metric) if metric else ()
+        C = hol.C.to_fractions()
         big_n = spec.n + spec.p
         direct = -sum(
             (
-                gamma_inv[a][b]
-                * rational.trace_product(hol.C[a], hol.C[b])
+                metric_inv[a][b]
+                * rational.trace_product(C[a], C[b])
                 for a in range(big_n)
                 for b in range(big_n)
-                if gamma_inv[a][b]
+                if metric_inv[a][b]
             ),
             F(0),
         ) / 4
@@ -295,23 +314,24 @@ def test_sphere_riemann_closed_form(specs):
     # Unit sphere curvature: R_abcd = g_ac g_bd - g_ad g_bc.
     for n in (2, 3, 4):
         spec = specs[f"S{n}"]
-        curv = hg.curvature_scalars(spec, hg.derive_holonomy(spec))
+        riemann = spec.tensors.riemann.to_fractions()
         g = spec.g
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     for d in range(n):
                         want = g[a][c] * g[b][d] - g[a][d] * g[b][c]
-                        assert curv.riemann[a][b][c][d] == want
+                        assert riemann[a][b][c][d] == want
 
 
 def test_ricci_proportional_to_metric_on_spheres(specs):
     for n in (2, 5):
         spec = specs[f"S{n}"]
         curv = hg.curvature_scalars(spec, hg.derive_holonomy(spec))
+        ricci = curv.ricci.to_fractions()
         for a in range(n):
             for b in range(n):
-                assert curv.ricci[a][b] == (n - 1) * spec.g[a][b]
+                assert ricci[a][b] == (n - 1) * spec.g[a][b]
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +340,7 @@ def test_ricci_proportional_to_metric_on_spheres(specs):
 
 
 def oracle_holonomy(spec):
-    """(D, F, gamma, C) by per-entry Fraction arithmetic: commutators from
+    """(D, F, C) by per-entry Fraction arithmetic: commutators from
     rational.commutator, structure constants from span_decompose.  Raises
     CommutatorOutsideSpan for the first pair (i, k), i < k, that does not
     close."""
@@ -345,34 +365,32 @@ def oracle_holonomy(spec):
         for j in range(p):
             fs[j][i][k], fs[j][k][i] = sol[j], -sol[j]
     big_n = n + p
-    gamma = [[F(0)] * big_n for _ in range(big_n)]
     C = [[[F(0)] * big_n for _ in range(big_n)] for _ in range(big_n)]
     for a in range(n):
         for b in range(n):
-            gamma[a][b] = spec.g[a][b]
             for i in range(p):
                 C[a][b][n + i] = -D[i][b][a]
                 C[a][n + i][b] = spec.E[i][a][b]
                 C[n + i][a][b] = D[i][a][b]
     for i in range(p):
         for j in range(p):
-            gamma[n + i][n + j] = spec.beta[i][j]
             for k in range(p):
                 C[n + i][n + j][n + k] = fs[j][i][k]
 
     def freeze(x):
         return tuple(freeze(y) for y in x) if isinstance(x, list) else x
 
-    return tuple(D), freeze(fs), freeze(gamma), freeze(C)
+    return tuple(D), freeze(fs), freeze(C)
 
 
 def assert_matches_oracle(spec):
     hol = hg.derive_holonomy(spec)
-    assert (hol.D, hol.F, hol.gamma, hol.C) == oracle_holonomy(spec)
+    assert as_fractions(hol) == oracle_holonomy(spec)
     if hol.p and hg.validate_symmetric_space(spec, hol).all_passed:
         binv = rational.inverse(spec.beta)
+        F_mats = hol.F_mats.to_fractions()
         want = -sum(
-            (binv[i][k] * rational.trace_product(hol.F_mats[i], hol.F_mats[k])
+            (binv[i][k] * rational.trace_product(F_mats[i], F_mats[k])
              for i in range(hol.p) for k in range(hol.p)),
             F(0),
         ) / 4
@@ -394,7 +412,7 @@ def test_derive_holonomy_matches_oracle_on_a_huge_metric():
         base.E,
     )
     assert_matches_oracle(big)
-    assert hg.derive_holonomy(big).D[0][0][1] == F(-1, mu)
+    assert hg.derive_holonomy(big).D.to_fractions()[0][0][1] == F(-1, mu)
 
 
 def moved(spec, P, N, mu, nu):
@@ -510,18 +528,4 @@ def test_closure_verdict_matches_oracle(gens, weights):
         with pytest.raises(hg.CommutatorOutsideSpan, match=re.escape(str(exc))):
             hg.derive_holonomy(spec)
         return
-    hol = hg.derive_holonomy(spec)
-    assert (hol.D, hol.F, hol.gamma, hol.C) == want
-
-
-def test_hand_built_realization_converts_its_own_fields():
-    # A realization built from fields alone gets its tensors from those
-    # fields, so the checks see exactly what it holds.
-    fresh = hg.derive_holonomy(hg.builtin("S3"))
-    copy = hg.HolonomyRealization(
-        n=3, p=3, D=fresh.D, F=fresh.F, gamma=fresh.gamma, C=fresh.C
-    )
-    assert copy == fresh
-    assert copy.tensors.D.equals(fresh.tensors.D)
-    assert copy.tensors.F_mats.equals(fresh.tensors.F_mats)
-    assert copy.tensors.C.equals(fresh.tensors.C)
+    assert as_fractions(hg.derive_holonomy(spec)) == want

@@ -191,14 +191,13 @@ def _word_sum_expansion(hol, order):
     """integrand_log_expansion from its definition: tr X^{2m} summed over
     all p^{2m} index words, with no grouping or reuse of products."""
     cs = series.log_sinh_ratio_series(order)
+    D, F_mats = hol.D.to_fractions(), hol.F_mats.to_fractions()
     terms: dict = {}
     for m in range(1, order + 1):
         coef = cs[m - 1] / F(4**m) / 2
         for word in itertools.product(range(hol.p), repeat=2 * m):
             key = (m, tuple(word.count(i) for i in range(hol.p)))
-            val = coef * (
-                _word_trace(hol.F_mats, word) - _word_trace(hol.D, word)
-            )
+            val = coef * (_word_trace(F_mats, word) - _word_trace(D, word))
             terms[key] = terms.get(key, F(0)) + val
     return hg.OmegaPolynomial(hol.p, order, terms)
 
@@ -220,13 +219,13 @@ def _random_hol(kind, p, dim, seed):
     rng = random.Random(seed)
 
     def mats(size):
-        return tuple(
+        return rational.ScaledTensor.from_nested(tuple(
             rational.matrix(
                 [[_ENTRIES[kind](rng) for _ in range(size)]
                  for _ in range(size)]
             )
             for _ in range(p)
-        )
+        ))
 
     return types.SimpleNamespace(p=p, D=mats(dim), F_mats=mats(dim + 1))
 
@@ -247,7 +246,7 @@ def test_log_expansion_matches_full_word_sum(kind, p, dim, order):
 
 def test_trace_power_sums_fall_back_to_python_ints():
     hol = _random_hol("promoted", 2, 3, seed=4)
-    gens = rational.ScaledTensor.from_nested(hol.D).array
+    gens = hol.D.array
     assert gens.dtype == np.int64
     sums = series._trace_power_sums(gens, 3, series._monomial_codes(2, 6))
     assert sums[1].dtype == np.int64
@@ -309,11 +308,7 @@ def _dense_to_poly(dense, order):
 @pytest.mark.parametrize("p,dim,order", [(1, 3, 5), (2, 3, 3), (3, 2, 3)])
 def test_dense_integrand_matches_dict_exp(kind, p, dim, order):
     hol = _random_hol(kind, p, dim, seed=f"exp-{kind}-{p}")
-    dense = series.dense_integrand(
-        rational.ScaledTensor.from_nested(hol.D),
-        rational.ScaledTensor.from_nested(hol.F_mats),
-        order,
-    )
+    dense = series.dense_integrand(hol.D, hol.F_mats, order)
     assert _dense_to_poly(dense, order) == hg.integrand_log_expansion(
         hol, order
     ).exp()
@@ -321,19 +316,14 @@ def test_dense_integrand_matches_dict_exp(kind, p, dim, order):
 
 def test_dense_exp_falls_back_to_python_ints():
     hol = _random_hol("promoted", 2, 3, seed=4)
-    dense = series.dense_integrand(
-        rational.ScaledTensor.from_nested(hol.D),
-        rational.ScaledTensor.from_nested(hol.F_mats),
-        3,
-    )
+    dense = series.dense_integrand(hol.D, hol.F_mats, 3)
     assert dense.grades[1].array.dtype == np.int64
     assert dense.grades[3].array.dtype == object
     assert _dense_to_poly(dense, 3) == hg.integrand_log_expansion(hol, 3).exp()
 
 
 def test_dense_exp_blocks_do_not_change_the_result(hols, monkeypatch):
-    d = rational.ScaledTensor.from_nested(hols["S2xS3"].D)
-    f = rational.ScaledTensor.from_nested(hols["S2xS3"].F_mats)
+    d, f = hols["S2xS3"].D, hols["S2xS3"].F_mats
     whole = _dense_to_poly(series.dense_integrand(d, f, 3), 3)
     # One pair per block: every product crosses a block boundary.
     monkeypatch.setattr(series, "_GRAM_BLOCK", 1)
