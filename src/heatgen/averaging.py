@@ -27,7 +27,7 @@ factors are skew once rewritten by the Cholesky factors of g and beta
 (see _Integrand), so each point costs one symmetric eigensolve per
 factor: with s_j^2 the eigenvalues of X^T X, det(sinh X / X) =
 prod_j sin(s_j)/s_j, and the point is kept inside the regularity ball
-max_j s_j < pi - margin, a condition that does not depend on the tangent
+max_j s_j < pi - _MARGIN, a condition that does not depend on the tangent
 or holonomy basis.  Quadrature evaluates half of its symmetric grid, the
 integrand being even.  _sinh_ratio_dets, an eigenvalue-free
 scaling-and-squaring of (sinh X / X, cosh X) followed by an LU
@@ -272,6 +272,9 @@ def whitened_average(
 _SINH_RATIO_COEFFS = [1.0 / math.factorial(2 * m + 1) for m in range(7)]
 _COSH_COEFFS = [1.0 / math.factorial(2 * m) for m in range(7)]
 _SCALE_TARGET = 0.5
+# A point is kept when every factor's top singular value stays below
+# pi - _MARGIN, where sinh X / X is still well away from singular.
+_MARGIN = 0.01
 # Quadrature limits: hermgauss(k) costs O(k^2) and the tensor grid holds
 # nodes**p points, each with its own factor matrices.
 _MAX_NODES = 512
@@ -472,12 +475,11 @@ def numeric_average(
     samples: int = 100_000,
     nodes: int = 40,
     seed: int = 0,
-    margin: float = 0.01,
 ) -> NumericAverage:
     """Evaluate the full generating average at time t in floating point.
 
     Samples falling where a factor matrix, in its skew form, has a
-    singular value within the margin of pi (or where a factor loses
+    singular value within _MARGIN of pi (or where a factor loses
     positivity) are rejected, counted, and resampled; the result is the
     scalar-prefactor times the mean over the retained domain, with the
     Monte Carlo standard error or a quadrature refinement delta as
@@ -525,7 +527,7 @@ def numeric_average(
     spread = math.sqrt(2.0) if method == "mc" else 2.0
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            integrand = _Integrand(prep, t, margin, spread)
+            integrand = _Integrand(prep, t, _MARGIN, spread)
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
         raise HeatgenError(
             "g or beta spans more than the float range, or the factor "

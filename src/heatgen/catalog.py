@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .curvature import SpaceSpec, prepare
 from .errors import InvalidSpaceSpec, ParseError, UnknownSpace
-from .rational import format_rational
+from .rational import Matrix, format_rational, identity, zeros
 
 SCHEMA_VERSION = 1
 
@@ -46,7 +46,6 @@ def catalog_names() -> tuple[str, ...]:
 
 def _sphere_spec(n: int, name: str) -> SpaceSpec:
     pairs = [(c, d) for c in range(n) for d in range(c + 1, n)]
-    p = len(pairs)
     one, zero = Fraction(1), Fraction(0)
     E = []
     for c, d in pairs:
@@ -54,59 +53,34 @@ def _sphere_spec(n: int, name: str) -> SpaceSpec:
         mat[c][d] = one
         mat[d][c] = -one
         E.append(tuple(tuple(row) for row in mat))
-    ident = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-    identp = tuple(
-        tuple(one if i == j else zero for j in range(p)) for i in range(p)
-    )
-    return SpaceSpec(name=name, n=n, p=p, g=ident, beta=identp, E=tuple(E))
+    return SpaceSpec(name=name, n=n, p=len(pairs), g=identity(n),
+                     beta=identity(len(pairs)), E=tuple(E))
 
 
 def _flat_spec(n: int, name: str) -> SpaceSpec:
-    one, zero = Fraction(1), Fraction(0)
-    ident = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
+    return SpaceSpec(name=name, n=n, p=0, g=identity(n), beta=(), E=())
+
+
+def _block_diag(a: Matrix, b: Matrix) -> Matrix:
+    """The square matrix with diagonal blocks a and b, zero elsewhere."""
+    zero = Fraction(0)
+    return tuple(tuple(row) + (zero,) * len(b) for row in a) + tuple(
+        (zero,) * len(a) + tuple(row) for row in b
     )
-    return SpaceSpec(name=name, n=n, p=0, g=ident, beta=(), E=())
 
 
 def product_spec(name: str, left: SpaceSpec, right: SpaceSpec) -> SpaceSpec:
     """Block direct sum of two curvature data."""
-    n = left.n + right.n
-    p = left.p + right.p
-    zero = Fraction(0)
-
-    def embed(mat, size, offset):
-        out = [[zero] * n for _ in range(n)]
-        for i in range(size):
-            for j in range(size):
-                out[offset + i][offset + j] = mat[i][j]
-        return tuple(tuple(row) for row in out)
-
-    g = [[zero] * n for _ in range(n)]
-    for i in range(left.n):
-        for j in range(left.n):
-            g[i][j] = left.g[i][j]
-    for i in range(right.n):
-        for j in range(right.n):
-            g[left.n + i][left.n + j] = right.g[i][j]
-    beta = [[zero] * p for _ in range(p)]
-    for i in range(left.p):
-        for j in range(left.p):
-            beta[i][j] = left.beta[i][j]
-    for i in range(right.p):
-        for j in range(right.p):
-            beta[left.p + i][left.p + j] = right.beta[i][j]
-    E = tuple(embed(m, left.n, 0) for m in left.E) + tuple(
-        embed(m, right.n, left.n) for m in right.E
+    pad_left, pad_right = zeros(left.n, left.n), zeros(right.n, right.n)
+    E = tuple(_block_diag(m, pad_right) for m in left.E) + tuple(
+        _block_diag(pad_left, m) for m in right.E
     )
     return SpaceSpec(
         name=name,
-        n=n,
-        p=p,
-        g=tuple(tuple(row) for row in g),
-        beta=tuple(tuple(row) for row in beta),
+        n=left.n + right.n,
+        p=left.p + right.p,
+        g=_block_diag(left.g, right.g),
+        beta=_block_diag(left.beta, right.beta),
         E=E,
     )
 

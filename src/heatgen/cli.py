@@ -187,8 +187,6 @@ def _cmd_compare(args) -> int:
         raise InvalidTime(f"bad t grid {args.t!r}") from None
     if not t_grid:
         raise InvalidTime(f"empty t grid {args.t!r}")
-    for t in t_grid:
-        check_time(t)
     report = compare(
         prep,
         args.order,
@@ -216,11 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pcat = sub.add_parser("catalog", help="list builtin spaces")
     pcat.set_defaults(func=_cmd_catalog)
 
-    def add_common(p, with_order=True):
+    def add_common(p):
         p.add_argument("space", help="builtin name or space file path")
-        if with_order:
-            p.add_argument("--order", type=int, default=4,
-                           help="t truncation order (default 4)")
+        p.add_argument("--order", type=int, default=4,
+                       help="t truncation order (default 4)")
         p.add_argument("--budget", type=int, default=None,
                        help="override the expansion budget, in "
                             "coefficient pairs of the trace powers and "

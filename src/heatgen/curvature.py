@@ -10,6 +10,9 @@ a locally symmetric space.  All of it is exact arithmetic on
 integer-scaled tensors (rational.ScaledTensor): a datum is converted
 once (SpaceSpec.tensors), and a realization holds nothing but tensors
 (HolonomyRealization), so its fields are the one copy of derived data.
+Construction converts the generators first and checks their
+antisymmetry and independence on that tensor; the metrics are checked
+as Fraction matrices, positive definiteness by an exact LDL^T.
 prepare() runs derivation, checks and curvature scalars once per datum
 and is the one place that turns a failed check into ValidationError.
 """
@@ -117,17 +120,22 @@ class SpaceSpec:
         for i, mat in enumerate(self.E):
             if len(mat) != self.n or any(len(r) != self.n for r in mat):
                 raise InvalidSpaceSpec(f"generator {i} must be n-by-n")
-            if not rational.is_antisymmetric(mat):
-                raise InvalidSpaceSpec(f"generator {i} is not antisymmetric")
-        if not rational.is_symmetric(self.g):
-            raise InvalidSpaceSpec("g is not symmetric")
-        if not rational.is_symmetric(self.beta):
-            raise InvalidSpaceSpec("beta is not symmetric")
-        if self.n and not rational.is_positive_definite(self.g):
-            raise InvalidSpaceSpec("g is not positive definite")
-        if self.p and not rational.is_positive_definite(self.beta):
-            raise InvalidSpaceSpec("beta is not positive definite")
-        if self.p and not rational.independent(self._generators):
+        E = self._generators
+        skew = (E + exact_einsum("iab->iba", E)).nonzero_rows()
+        if skew.any():
+            first = int(skew.argmax())
+            raise InvalidSpaceSpec(f"generator {first} is not antisymmetric")
+        metrics = (("g", self.g), ("beta", self.beta))
+        for label, mat in metrics:
+            if not rational.is_symmetric(mat):
+                raise InvalidSpaceSpec(f"{label} is not symmetric")
+        for label, mat in metrics:
+            try:
+                rational.ldl(mat)
+            except ValueError:
+                message = f"{label} is not positive definite"
+                raise InvalidSpaceSpec(message) from None
+        if self.p and not rational.independent(E):
             raise InvalidSpaceSpec(
                 "redundant holonomy generators: the E matrices are "
                 "linearly dependent"

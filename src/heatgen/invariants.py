@@ -236,8 +236,9 @@ def compare(
     """Run the exact pipeline and every independent oracle that applies.
 
     Checks attached to the returned report: a_1 against R/6, a_2 against
-    the closed form, product factorization when the space is a builtin
-    product, the spectral sum for builtin spheres on each grid time, and
+    the closed form, product factorization when the datum is a builtin
+    product's, the spectral sum on each grid time when it is a builtin
+    sphere's (equal to catalog.builtin(spec.name), not only named so), and
     the floating-point average on each grid time within three standard
     errors plus the truncation remainder.  A grid time at which a check
     raises HeatgenError fails that check, with the message as its detail,
@@ -277,6 +278,9 @@ def compare(
         )
 
     factors = _catalog.PRODUCT_FACTORS.get(spec.name)
+    sphere_n = _catalog.sphere_dimension(spec.name)
+    if (factors or sphere_n) and spec != _catalog.builtin(spec.name):
+        factors = sphere_n = None
     if factors:
         parts = [
             heat_coefficients(_catalog.builtin(f), order, budget=budget)
@@ -291,8 +295,6 @@ def compare(
                 f"convolution {[format_rational(c) for c in conv]}",
             )
         )
-
-    sphere_n = _catalog.sphere_dimension(spec.name)
 
     def spectral(t: float) -> tuple[bool, str]:
         series_val = base.eval_float(t)

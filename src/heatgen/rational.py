@@ -6,8 +6,9 @@ tensor is rescaled by the lcm of its entry denominators so numpy can
 contract, scale, assemble and solve (fraction-free elimination) int64
 arrays, with an automatic promotion to Python-int object arrays whenever a
 magnitude bound says int64 could overflow.  Results stay exact in both
-regimes.  The Fraction matrix helpers remain as the reference that tests
-compare the fast path against.
+regimes.  The Fraction matrix helpers build the builtin data (identity,
+zeros), check a datum's metrics (is_symmetric, ldl) and remain the
+reference that tests compare the fast path against.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ def matrix(rows) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
     return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
+        tuple(one if i == j else zero for j in range(n)) for i in range(n)
     )
 
 
@@ -103,12 +105,6 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
 
 
-def is_antisymmetric(a: Matrix) -> bool:
-    return all(
-        a[i][j] == -a[j][i] for i in range(len(a)) for j in range(i + 1)
-    )
-
-
 def determinant(a: Matrix) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination."""
     n = len(a)
@@ -132,19 +128,6 @@ def determinant(a: Matrix) -> Fraction:
             m[i][k] = Fraction(0)
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def is_positive_definite(a: Matrix) -> bool:
-    """Whether a symmetric matrix is positive definite: exactly when its
-    LDL^T factorization exists with every pivot positive.  A matrix that
-    is not symmetric is not positive definite."""
-    if not is_symmetric(a):
-        return False
-    try:
-        ldl(a)
-    except ValueError:
-        return False
-    return True
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -20,7 +20,11 @@ arithmetic is exact: arrays are int64 only where a magnitude bound proves
 it safe, and Python ints otherwise.
 
 Grade m of the log is kept as one integer array over the degree-2m codes
-with one denominator.  The production path, dense_integrand, exponentiates
+with one denominator: the ScaledTensor difference of the two trace-power
+sums, scaled by c_m / (2 4^m).  ScaledTensor's - and scale pick int64 or
+Python ints for it, so the only coefficient bounds written out here are
+the two of _trace_power_sums (matrix powers, Gram step) and the one of
+_graded_exp.  The production path, dense_integrand, exponentiates
 it in that form by the recurrence g E_g = sum_m m P_m E_{g-m}, pairing the
 nonzero entries of each product and scattering them onto the summed
 codes; averaging.whitened_average runs it on whitened generators and
@@ -456,20 +460,9 @@ def _graded_log(
     f_sums = _trace_power_sums(f.array, order, codes)
     grades = [None]
     for m in range(1, order + 1):
-        coef = cs[m - 1] / (2 * 4**m)
-        f_den, d_den = f.denom ** (2 * m), d.denom ** (2 * m)
-        den = lcm(f_den, d_den)
-        tf, td = f_sums[m], d_sums[m]
-        f_scale, d_scale = den // f_den, den // d_den
-        # At least 1 per term: the scales multiply even an all-zero array.
-        bound = abs(coef.numerator) * (
-            max(max_abs(tf), 1) * f_scale + max(max_abs(td), 1) * d_scale
-        )
-        dtype = exact_dtype(bound, tf, td)
-        num = coef.numerator * (
-            tf.astype(dtype) * f_scale - td.astype(dtype) * d_scale
-        )
-        grades.append(ScaledTensor(num, coef.denominator * den).reduced())
+        tf = ScaledTensor(f_sums[m], f.denom ** (2 * m))
+        td = ScaledTensor(d_sums[m], d.denom ** (2 * m))
+        grades.append((tf - td).scale(cs[m - 1] / (2 * 4**m)).reduced())
     return grades
 
 

@@ -458,11 +458,12 @@ def test_singularity_hits_counted(prepared):
     assert quad.singularity_hits > 0
 
 
-def test_mc_aborts_when_ball_rejects_everything(prepared):
+def test_mc_aborts_when_ball_rejects_everything(prepared, monkeypatch):
     # margin > pi empties the acceptance region entirely.
+    monkeypatch.setattr(averaging, "_MARGIN", 4.0)
     with pytest.raises(hg.HeatgenError, match="rejects essentially every"):
         hg.numeric_average(prepared["S2"], 0.1, method="mc",
-                           samples=50, seed=0, margin=4.0)
+                           samples=50, seed=0)
 
 
 def test_prefactor_overflow_reported(prepared):
@@ -483,11 +484,13 @@ def test_beta_beyond_the_float_range_is_reported():
             hg.numeric_average(prep, 0.1, method, samples=10, nodes=8)
 
 
-def test_tight_margin_rejects_more(prepared):
+def test_tight_margin_rejects_more(prepared, monkeypatch):
+    assert averaging._MARGIN == 0.01
     loose = hg.numeric_average(prepared["S2"], 1.0, method="mc",
-                               samples=3000, seed=2, margin=0.01)
+                               samples=3000, seed=2)
+    monkeypatch.setattr(averaging, "_MARGIN", 2.9)
     tight = hg.numeric_average(prepared["S2"], 1.0, method="mc",
-                               samples=3000, seed=2, margin=2.9)
+                               samples=3000, seed=2)
     assert tight.singularity_hits > loose.singularity_hits
 
 

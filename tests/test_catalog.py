@@ -7,6 +7,7 @@ import pytest
 
 import heatgen as hg
 from heatgen import catalog
+from test_curvature import moved
 
 
 def test_catalog_names_cover_builtins():
@@ -54,6 +55,44 @@ def test_product_is_block_sum():
     # second factor's generators live in the second block only
     assert prod.E[1][2][3] == s3.E[0][0][1]
     assert all(prod.E[1][i][j] == 0 for i in range(2) for j in range(2))
+
+
+def test_moved_product_is_block_sum_with_cauchy_coefficients():
+    # Factors moved by the spacegen laws, so neither g nor beta is the
+    # identity: P upper triangular with a rational diagonal, N unit lower
+    # triangular, and the scalings mu, nu.
+    s2 = moved(hg.builtin("S2"), ((F(2), F(1, 2)), (F(0), F(1, 3))),
+               ((F(1),),), F(3, 2), F(5, 7))
+    s3 = moved(
+        hg.builtin("S3"),
+        ((F(1), F(-2, 3), F(1)), (F(0), F(3, 2), F(1, 3)),
+         (F(0), F(0), F(1, 2))),
+        ((F(1), F(0), F(0)), (F(-1, 2), F(1), F(0)), (F(2, 3), F(1), F(1))),
+        F(2, 5), F(4),
+    )
+    assert s2.g != hg.builtin("S2").g and s3.beta != hg.builtin("S3").beta
+    prod = catalog.product_spec("moved", s2, s3)
+
+    def block_sum(a, b):
+        return tuple(
+            tuple(a[i][j] if i < len(a) and j < len(a) else
+                  b[i - len(a)][j - len(a)] if i >= len(a) and j >= len(a)
+                  else F(0)
+                  for j in range(len(a) + len(b)))
+            for i in range(len(a) + len(b))
+        )
+
+    zero2, zero3 = ((F(0),) * 2,) * 2, ((F(0),) * 3,) * 3
+    assert prod == hg.SpaceSpec(
+        "moved", 5, 4, block_sum(s2.g, s3.g), block_sum(s2.beta, s3.beta),
+        tuple(block_sum(m, zero3) for m in s2.E)
+        + tuple(block_sum(zero2, m) for m in s3.E),
+    )
+    order = 3
+    a, b, c = (hg.heat_coefficients(s, order).coeffs for s in (s2, s3, prod))
+    assert c == tuple(
+        sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(order + 1)
+    )
 
 
 def test_sphere_dimension_helper():

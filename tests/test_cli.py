@@ -292,13 +292,37 @@ def test_compare_malformed_grid_is_a_time_error(capsys, monkeypatch, grid):
     def unreachable(*args, **kwargs):
         raise AssertionError("compare ran on a malformed grid")
 
-    monkeypatch.setattr("heatgen.cli.compare", unreachable)
+    # compare checks the grid before any computation.
+    monkeypatch.setattr("heatgen.invariants.heat_coefficients", unreachable)
     with pytest.raises(hg.InvalidTime):
         cli._cmd_compare(cli._build_parser().parse_args(
             ["compare", "S2", "--t", grid]))
     code, _, err = run(capsys, "compare", "S2", "--t", grid)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("name, oracle", [
+    ("S2xS2", "product_factorization"), ("S2", "spectral_oracle@t=0.05"),
+])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_compare_oracles_follow_the_datum_not_the_name(
+    capsys, tmp_path, name, oracle, scale
+):
+    # A saved builtin keeps the builtin oracles.  A valid file that reuses
+    # the name for the builtin with g and beta doubled has other a_k, so
+    # those oracles do not apply to it.
+    base = hg.builtin(name)
+    path = tmp_path / f"{name}.json"
+    hg.save(hg.SpaceSpec(name, base.n, base.p, rational.scale(base.g, scale),
+                         rational.scale(base.beta, scale), base.E), path)
+    code, out, err = run(capsys, "compare", str(path), "--order", "2",
+                         "--t", "0.05", "--method", "quadrature", "--nodes",
+                         "12", "--json")
+    assert code == 0, out + err
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert (oracle in checks) == (scale == 1)
+    assert all(checks.values())
 
 
 def test_compare_small_time_runs_the_spectral_oracle(capsys):

@@ -51,6 +51,23 @@ def test_spec_rejects_non_antisymmetric_generator():
         hg.SpaceSpec("bad", 2, 1, ident(2), ((F(1),),), (bad,))
 
 
+def test_spec_names_the_first_non_antisymmetric_generator():
+    # Generators 1 and 2 both gain a diagonal entry.
+    s3 = hg.builtin("S3")
+
+    def unit(k):
+        return tuple(
+            tuple(F(int(a == b == k)) for b in range(3)) for a in range(3)
+        )
+
+    E = (s3.E[0], rational.add(s3.E[1], unit(2)),
+         rational.add(s3.E[2], unit(0)))
+    with pytest.raises(
+        hg.InvalidSpaceSpec, match="^generator 1 is not antisymmetric$"
+    ):
+        hg.SpaceSpec("bad", 3, 3, s3.g, s3.beta, E)
+
+
 def test_spec_rejects_indefinite_metric():
     g = ((F(0), F(0)), (F(0), F(1)))
     e = antisym(2, {(0, 1): 1})

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from heatgen import rational
+from heatgen.curvature import SpaceSpec
+from heatgen.errors import InvalidSpaceSpec
 
 
 def test_rat_accepts_int_str_fraction():
@@ -50,10 +52,20 @@ def test_determinant_singular():
     assert rational.determinant(m) == 0
 
 
+def _ldl_accepts(a) -> bool:
+    """Whether rational.ldl factors a, the positive definiteness test of
+    SpaceSpec."""
+    try:
+        rational.ldl(a)
+    except ValueError:
+        return False
+    return True
+
+
 def test_positive_definite():
-    assert rational.is_positive_definite(rational.matrix([[2, 1], [1, 2]]))
-    assert not rational.is_positive_definite(rational.matrix([[1, 2], [2, 1]]))
-    assert not rational.is_positive_definite(rational.matrix([[0, 0], [0, 1]]))
+    assert _ldl_accepts(rational.matrix([[2, 1], [1, 2]]))
+    assert not _ldl_accepts(rational.matrix([[1, 2], [2, 1]]))
+    assert not _ldl_accepts(rational.matrix([[0, 0], [0, 1]]))
 
 
 def test_inverse_roundtrip():
@@ -211,12 +223,17 @@ def test_positive_definite_agrees_with_sylvester(seed):
         if seed % 2:
             a[i][i] += 8
     a = rational.matrix(a)
-    assert rational.is_positive_definite(a) == _sylvester(a)
+    assert _ldl_accepts(a) == _sylvester(a)
 
 
 def test_positive_definite_needs_symmetry():
-    assert not rational.is_positive_definite(rational.matrix([[1, 1], [0, 1]]))
-    assert rational.is_positive_definite(())
+    # ldl reads only the lower triangle, so SpaceSpec checks symmetry
+    # first: this g has the identity's pivots but is not symmetric.
+    lopsided = rational.matrix([[1, 1], [0, 1]])
+    assert _ldl_accepts(lopsided)
+    with pytest.raises(InvalidSpaceSpec, match="^g is not symmetric$"):
+        SpaceSpec("lopsided", 2, 0, lopsided, (), ())
+    assert _ldl_accepts(())
 
 
 def test_scale_promotes_at_the_int64_edge():
