@@ -6,11 +6,11 @@ entries of the inverse of beta.  That normalization is pinned down by the
 one-dimensional quadrature oracle: for p = 1, beta = 1 the even moments
 must be <omega^{2k}> = (2k-1)!! 2^k.
 
-The production path, whitened_average, factors beta = L diag(d) L^T
-exactly, rewrites the generators in eta = L^T omega, whose covariance is
-the diagonal 2 diag(1/d), and averages the dense exponential of
-series.dense_integrand with the closed form <eta^{2b}> = prod_i
-(2b_i - 1)!! (2/d_i)^{b_i}.
+The production path, whitened_average, reads the datum's exact factor
+beta = L diag(d) L^T (SpaceSpec.beta_ldl, from construction), rewrites
+the generators in eta = L^T omega, of diagonal covariance 2 diag(1/d),
+and averages the dense exponential of series.dense_integrand with the
+closed form <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
 
 Two independent exact engines compute the same moments in omega and serve
 as its oracles, through average() on an OmegaPolynomial.  wick_moment
@@ -196,52 +196,39 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
     return TSeries(poly.order, tuple(coeffs))
 
 
-def _whiten(
-    hol: HolonomyRealization, beta: Matrix
-) -> tuple[ScaledTensor, ScaledTensor, tuple[Fraction, ...]]:
-    """Factor beta = L diag(d) L^T and rewrite the generator families in
-    eta = L^T omega: D'_j = sum_i (L^{-T})_{ij} D_i, and the same for
-    F_mats, so that D(omega) = D'(eta).  Returns D', F' and the pivots d;
-    eta has the diagonal covariance 2 diag(1/d)."""
-    try:
-        lower, pivots = rational.ldl(beta)
-    except ValueError as exc:
-        raise InternalInconsistency(
-            f"beta passed validation but has no LDL^T factorization: {exc}"
-        ) from None
-    back = ScaledTensor.from_nested(
-        rational.transpose(rational.inverse(lower))
-    )
+def _whiten(prep: Prepared) -> tuple[ScaledTensor, ScaledTensor, tuple]:
+    """Rewrite the generator families in eta = L^T omega, with beta =
+    L diag(d) L^T the datum's factor: D'_j = sum_i (L^{-1})_{ji} D_i, and
+    the same for F_mats, so that D(omega) = D'(eta).  Returns D', F' and
+    the pivots d; eta has the diagonal covariance 2 diag(1/d)."""
+    lower, pivots = prep.spec.beta_ldl
+    back = rational.solve(ScaledTensor.from_nested(lower))
     d, f = (
-        exact_einsum("ij,iab->jab", back, gens).reduced()
-        for gens in (hol.D, hol.F_mats)
+        exact_einsum("ji,iab->jab", back, gens).reduced()
+        for gens in (prep.hol.D, prep.hol.F_mats)
     )
     return d, f, pivots
 
 
 def whitened_average(
-    hol: HolonomyRealization,
-    beta: Matrix,
-    order: int,
-    *,
-    budget: int | None = None,
+    prep: Prepared, order: int, *, budget: int | None = None
 ) -> TSeries:
     """<exp(L(omega, t))> over omega ~ N(0, 2 beta^{-1}), truncated at the
     order, where L is the omega-dependent log of the integrand
     (integrand_log_expansion): the exact production average.
 
-    The generators are whitened (_whiten), the exponential is built
-    densely grade by grade in eta (series.dense_integrand), and each even
-    monomial eta^{2b} averages to prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The
-    work units trace_units + exp_units are checked against the budget
-    before anything is built."""
+    The generators are whitened by the datum's own factor of beta
+    (_whiten), the exponential is built densely grade by grade in eta
+    (series.dense_integrand), and each even monomial eta^{2b} averages to
+    prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The work units trace_units +
+    exp_units are checked against the budget before anything is built."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = hol.p
+    p = prep.hol.p
     if p == 0 or order == 0:
         return TSeries.constant(1, order)
     check_budget(p, order, budget, exponential=True)
-    d, f, pivots = _whiten(hol, beta)
+    d, f, pivots = _whiten(prep)
     poly = dense_integrand(d, f, order)
     variances = [2 / x for x in pivots]
     coeffs = []

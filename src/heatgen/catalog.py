@@ -30,7 +30,7 @@ PRODUCT_FACTORS: dict[str, tuple[str, str]] = {
     "S2xS2": ("S2", "S2"),
     "S2xS3": ("S2", "S3"),
 }
-_FLAT_RE = re.compile(r"^flat\(?([0-9]+)\)?$")
+_FLAT_RE = re.compile(r"^flat(?:([0-9]+)|\(([0-9]+)\))$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
@@ -98,7 +98,7 @@ def builtin(name: str) -> SpaceSpec:
         return product_spec(name, builtin(a), builtin(b))
     m = _FLAT_RE.match(name)
     if m:
-        n = int(m.group(1))
+        n = int(m.group(1) or m.group(2))
         if n == 0:
             raise UnknownSpace("flat dimension must be at least 1")
         return _flat_spec(n, f"flat({n})")

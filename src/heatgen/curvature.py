@@ -8,11 +8,11 @@ connection generators D_i, their structure constants F, and the combined
 motion-algebra matrices C_A, then checks the identities that characterise
 a locally symmetric space.  All of it is exact arithmetic on
 integer-scaled tensors (rational.ScaledTensor): a datum is converted
-once (SpaceSpec.tensors), and a realization holds nothing but tensors
+once, at construction, and a realization holds nothing but tensors
 (HolonomyRealization), so its fields are the one copy of derived data.
-Construction converts the generators first and checks their
-antisymmetry and independence on that tensor; the metrics are checked
-as Fraction matrices, positive definiteness by an exact LDL^T.
+Construction checks symmetries and independence on those tensors and
+factors each metric once by an exact LDL^T, its positive-definiteness
+test, keeping beta's factor (SpaceSpec.beta_ldl) for the whitened average.
 prepare() runs derivation, checks and curvature scalars once per datum
 and is the one place that turns a failed check into ValidationError.
 """
@@ -120,21 +120,19 @@ class SpaceSpec:
         for i, mat in enumerate(self.E):
             if len(mat) != self.n or any(len(r) != self.n for r in mat):
                 raise InvalidSpaceSpec(f"generator {i} must be n-by-n")
-        E = self._generators
+        g, beta, E = self._exact
         skew = (E + exact_einsum("iab->iba", E)).nonzero_rows()
         if skew.any():
             first = int(skew.argmax())
             raise InvalidSpaceSpec(f"generator {first} is not antisymmetric")
-        metrics = (("g", self.g), ("beta", self.beta))
-        for label, mat in metrics:
-            if not rational.is_symmetric(mat):
+        for label, mat in (("g", g), ("beta", beta)):
+            if not np.array_equal(mat.array, mat.array.T):
                 raise InvalidSpaceSpec(f"{label} is not symmetric")
-        for label, mat in metrics:
-            try:
-                rational.ldl(mat)
-            except ValueError:
-                message = f"{label} is not positive definite"
-                raise InvalidSpaceSpec(message) from None
+        try:
+            rational.ldl(self.g)  # factored for its check only
+        except ValueError:
+            raise InvalidSpaceSpec("g is not positive definite") from None
+        self.beta_ldl  # factored here, once, and kept
         if self.p and not rational.independent(E):
             raise InvalidSpaceSpec(
                 "redundant holonomy generators: the E matrices are "
@@ -142,22 +140,36 @@ class SpaceSpec:
             )
 
     @cached_property
-    def _generators(self) -> ScaledTensor:
-        return ScaledTensor.from_nested(self.E, (self.p, self.n, self.n))
+    def _exact(self) -> tuple[ScaledTensor, ScaledTensor, ScaledTensor]:
+        """g, beta and E as tensors, converted once, at construction,
+        which names the field of any entry that is not exact."""
+        n, p = self.n, self.p
+        out = []
+        for key, shape in (("g", (n, n)), ("beta", (p, p)), ("E", (p, n, n))):
+            try:
+                out.append(ScaledTensor.from_nested(getattr(self, key), shape))
+            except TypeError as exc:
+                raise InvalidSpaceSpec(f"{key}: {exc}") from None
+        return tuple(out)
+
+    @cached_property
+    def beta_ldl(self) -> tuple[Matrix, tuple[Fraction, ...]]:
+        """beta = L diag(d) L^T as (L, d), factored once, by the
+        positive-definiteness check at construction."""
+        try:
+            return rational.ldl(self.beta)
+        except ValueError:
+            raise InvalidSpaceSpec("beta is not positive definite") from None
 
     @cached_property
     def tensors(self) -> SpecTensors:
         """The datum's tensors, built on first use and kept: derivation,
         checks and curvature scalars all read these."""
-        n, p = self.n, self.p
-        beta = ScaledTensor.from_nested(self.beta, (p, p))
-        E = self._generators
+        g, beta, E = self._exact
         return SpecTensors(
-            ginv=ScaledTensor.from_nested(rational.inverse(self.g), (n, n)),
+            ginv=rational.solve(g),
             beta=beta,
-            beta_inv=ScaledTensor.from_nested(
-                rational.inverse(self.beta), (p, p)
-            ),
+            beta_inv=rational.solve(beta),
             E=E,
             riemann=exact_einsum("ik,iab,kcd->abcd", beta, E, E),
         )

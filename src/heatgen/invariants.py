@@ -93,7 +93,7 @@ def heat_coefficients(
     start = time.perf_counter()
     prep = prepare(spec)
     spec, curv = prep.spec, prep.curv
-    averaged = whitened_average(prep.hol, spec.beta, order, budget=budget)
+    averaged = whitened_average(prep, order, budget=budget)
     # The omega-free prefactor exp((R/8 + R_H/6) t), term by term.
     rate = curv.R / 8 + curv.R_H / 6
     prefactor = [Fraction(1)]

@@ -6,9 +6,10 @@ tensor is rescaled by the lcm of its entry denominators so numpy can
 contract, scale, assemble and solve (fraction-free elimination) int64
 arrays, with an automatic promotion to Python-int object arrays whenever a
 magnitude bound says int64 could overflow.  Results stay exact in both
-regimes.  The Fraction matrix helpers build the builtin data (identity,
-zeros), check a datum's metrics (is_symmetric, ldl) and remain the
-reference that tests compare the fast path against.
+regimes; reduced() is the canonical form (lowest terms, int64 whenever
+the entries fit) and solve() gives every exact inverse.  Requests use
+only identity, zeros (builtin data) and ldl (metric checks) of the
+Fraction matrix helpers; the rest remain the tests' reference.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ def trace_product(a: Matrix, b: Matrix) -> Fraction:
         (a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b))),
         Fraction(0),
     )
-
-
-def is_symmetric(a: Matrix) -> bool:
-    return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(i))
 
 
 def determinant(a: Matrix) -> Fraction:
@@ -340,12 +337,16 @@ class ScaledTensor:
         return ScaledTensor(self.array[index], self.denom)
 
     def reduced(self) -> "ScaledTensor":
-        """The same tensor with gcd(denom, every entry) divided out."""
-        content = int(np.gcd.reduce(self.array, axis=None))
-        if not content:
-            return ScaledTensor(self.array, 1)
-        common = gcd(self.denom, content)
-        return ScaledTensor(self.array // common, self.denom // common)
+        """The tensor in canonical form: gcd(denom, every entry) divided
+        out, and int64 whenever the reduced entries fit below _INT64_SAFE."""
+        array, denom = self.array, 1
+        content = int(np.gcd.reduce(array, axis=None))
+        if content:
+            common = gcd(self.denom, content)
+            array, denom = array // common, self.denom // common
+        if array.dtype == object and max_abs(array) < _INT64_SAFE:
+            array = array.astype(np.int64)
+        return ScaledTensor(array, denom)
 
     def scale(self, c) -> "ScaledTensor":
         """c times the tensor for a rational c, promoted to Python ints
@@ -367,10 +368,6 @@ class ScaledTensor:
         return (self.array != 0).any(axis=rest)
 
     def is_zero(self) -> bool:
-        if self.array.size == 0:
-            return True
-        if self.array.dtype == object:
-            return all(int(x) == 0 for x in self.array.ravel())
         return not self.array.any()
 
     def _combine(self, other: "ScaledTensor", sign: int) -> "ScaledTensor":
@@ -442,8 +439,9 @@ def assemble(shape: tuple[int, ...], blocks) -> ScaledTensor:
     return ScaledTensor(out, den)
 
 
-def solve(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
-    """x with a @ x = b for a square nonsingular a (m, m) and b (m, r).
+def solve(a: ScaledTensor, b: ScaledTensor | None = None) -> ScaledTensor:
+    """x with a @ x = b for a square nonsingular a (m, m) and b (m, r);
+    b defaults to the identity, so solve(a) is the inverse of a.
 
     Fraction-free Gauss-Jordan elimination (Bareiss) on the integer
     numerators of [a | b]: step k replaces every row i != k by
@@ -454,6 +452,8 @@ def solve(a: ScaledTensor, b: ScaledTensor) -> ScaledTensor:
     _INT64_SAFE, in Python ints otherwise.  Raises ZeroDivisionError when
     a is singular."""
     m = a.array.shape[0]
+    if b is None:
+        b = ScaledTensor(np.eye(m, dtype=np.int64), 1)
     work = np.concatenate([a.array, b.array], axis=1)
     prev = 1
     for k in range(m):

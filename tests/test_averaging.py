@@ -207,7 +207,7 @@ def test_whitened_average_matches_dict_oracle(prepared, name, order):
     prep = prepared[name]
     log_poly = hg.integrand_log_expansion(prep.hol, order)
     want = hg.average(log_poly.exp(), inverse(prep.spec.beta))
-    assert hg.whitened_average(prep.hol, prep.spec.beta, order) == want
+    assert hg.whitened_average(prep, order) == want
 
 
 def test_whitened_average_checks_budget_before_building(monkeypatch):
@@ -222,17 +222,17 @@ def test_whitened_average_checks_budget_before_building(monkeypatch):
 
         F_mats = D
 
+    class Unprepared:
+        hol = Unbuilt()
+
+        @property
+        def spec(self):
+            raise AssertionError("datum read before the budget check")
+
     with pytest.raises(hg.OrderTooLarge) as info:
-        hg.whitened_average(Unbuilt(), None, 3)
+        hg.whitened_average(Unprepared(), 3)
     units = series.trace_units(10**3, 3) + series.exp_units(10**3, 3)
     assert str(units) in str(info.value)
-
-
-def test_whitened_average_refuses_a_non_positive_pivot(prepared):
-    hol = prepared["S2xS2"].hol
-    singular = rational.matrix([[1, 1], [1, 1]])
-    with pytest.raises(hg.InternalInconsistency, match="pivot 1"):
-        hg.whitened_average(hol, singular, 2)
 
 
 # ---------------------------------------------------------------------------

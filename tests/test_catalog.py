@@ -30,6 +30,12 @@ def test_flat_accepts_both_spellings():
     assert a.n == 3 and a.p == 0
 
 
+@pytest.mark.parametrize("name", ["flat(3", "flat3)"])
+def test_flat_rejects_unbalanced_parentheses(name):
+    with pytest.raises(hg.UnknownSpace):
+        hg.builtin(name)
+
+
 def test_flat_zero_dimension_rejected():
     with pytest.raises(hg.UnknownSpace):
         hg.builtin("flat0")

@@ -1,5 +1,6 @@
 """Command line behavior: output shape, determinism, exit codes."""
 
+import dataclasses
 import json
 import re
 import sys
@@ -411,7 +412,7 @@ def tilted_three_sphere():
 
 def count_conversions(monkeypatch):
     """Record every ScaledTensor.from_nested argument and every call of
-    the Fraction matrix loops."""
+    the Fraction matrix loops and factorizations."""
     converted, loops = [], []
     from_nested = rational.ScaledTensor.from_nested.__func__
 
@@ -420,7 +421,8 @@ def count_conversions(monkeypatch):
         return from_nested(cls, nested, shape)
 
     monkeypatch.setattr(rational.ScaledTensor, "from_nested", classmethod(spy))
-    for name in ("matmul", "commutator", "trace_product", "span_decompose"):
+    for name in ("matmul", "commutator", "trace_product", "span_decompose",
+                 "inverse", "transpose", "ldl"):
         original = getattr(rational, name)
 
         def loop(*args, _original=original, _name=name):
@@ -432,32 +434,25 @@ def count_conversions(monkeypatch):
 
 
 def datum_matrices(spec):
-    """What one exact request may convert: beta, E, g^-1, beta^-1 and the
-    whitening factor L^-T of beta = L diag(d) L^T."""
-    lower, _ = rational.ldl(spec.beta)
-    return [spec.beta, spec.E, rational.inverse(spec.g),
-            rational.inverse(spec.beta),
-            rational.transpose(rational.inverse(lower))]
+    """What one exact request converts, in order: g, beta and E when the
+    datum is constructed, then the whitening factor L of beta = L diag(d)
+    L^T."""
+    return [spec.g, spec.beta, spec.E, spec.beta_ldl[0]]
 
 
 @pytest.mark.parametrize("make", [tilted_three_sphere,
                                   lambda: hg.builtin("S2xS3")])
 def test_prepare_and_coefficients_convert_only_the_datum(monkeypatch, make):
-    spec = make()
+    base = make()
     converted, loops = count_conversions(monkeypatch)
+    spec = dataclasses.replace(base)
+    # Construction converts the datum and factors each metric, once.
+    assert loops == ["ldl", "ldl"]
     prep = hg.prepare(spec)
     hg.heat_coefficients(prep, 3)
-    # E was converted once, by the datum's own independence check, and
-    # is not converted again.
-    allowed = datum_matrices(spec)
-    allowed.remove(spec.E)
-    assert len(converted) == len(allowed)
-    assert all(any(c == a for a in allowed) for c in converted)
-    assert spec.tensors.E is spec._generators
-    hol = prep.hol
-    for derived in (hol.D, hol.F, hol.F_mats, hol.C):
-        assert all(c != derived.to_fractions() for c in converted)
-    assert loops == []
+    assert converted == datum_matrices(spec)
+    assert spec.tensors.E is spec._exact[2]
+    assert loops == ["ldl", "ldl"]
 
 
 def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
@@ -467,10 +462,8 @@ def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
     converted, loops = count_conversions(monkeypatch)
     code, _, _ = run(capsys, "coeffs", str(path), "--order", "3", "--json")
     assert code == 0
-    allowed = datum_matrices(spec)
-    assert len(converted) == len(allowed)
-    assert all(any(c == a for a in allowed) for c in converted)
-    assert loops == []
+    assert converted == datum_matrices(spec)
+    assert loops == ["ldl", "ldl"]
 
 
 def count_fraction_views(monkeypatch):

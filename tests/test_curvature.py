@@ -1,9 +1,11 @@
 """Curvature data, holonomy derivation, validation, and scalar invariants."""
 
 import dataclasses
+import math
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,24 @@ def test_spec_rejects_indefinite_metric():
     e = antisym(2, {(0, 1): 1})
     with pytest.raises(hg.InvalidSpaceSpec, match="positive definite"):
         hg.SpaceSpec("bad", 2, 1, g, ((F(1),),), (e,))
+    s2xs2 = hg.builtin("S2xS2")
+    singular = ((F(1), F(1)), (F(1), F(1)))
+    with pytest.raises(
+        hg.InvalidSpaceSpec, match="^beta is not positive definite$"
+    ):
+        dataclasses.replace(s2xs2, beta=singular)
+
+
+@pytest.mark.parametrize("field", ["g", "beta", "E"])
+def test_spec_rejects_float_entries_naming_the_field(field):
+    s2 = hg.builtin("S2")
+    inexact = {
+        "g": ((0.5, 0), (0, 1)),
+        "beta": ((0.5,),),
+        "E": (((0, 0.5), (-0.5, 0)),),
+    }
+    with pytest.raises(hg.InvalidSpaceSpec, match=f"^{field}: .*float"):
+        dataclasses.replace(s2, **{field: inexact[field]})
 
 
 def test_spec_rejects_dependent_generators():
@@ -490,6 +510,17 @@ def test_derive_holonomy_matches_oracle_on_moved_spaces(spec):
     assert hg.validate_symmetric_space(
         spec, hg.derive_holonomy(spec)
     ).all_passed
+
+
+def test_moved_data_keeps_small_tensors_in_int64():
+    # Reduced entries of F and C are 0 and +-1 here, so both stay int64.
+    P = rational.matrix([[2, 0, 0], [F(1, 2), F(1, 3), 0], [-1, F(2, 3), 1]])
+    spec = moved(hg.builtin("S3"), P, ident(3), 1, 1)
+    hol = hg.prepare(spec).hol
+    for derived in (hol.F, hol.C):
+        assert derived.array.dtype == np.int64
+    report = hg.heat_coefficients(spec, 4)
+    assert report.coeffs == tuple(F(1, math.factorial(k)) for k in range(5))
 
 
 def elementary(n, a, b):

@@ -131,6 +131,11 @@ def test_scaled_tensor_equality_cross_denominator():
 def test_scaled_tensor_is_zero_empty_and_filled():
     assert rational.ScaledTensor(np.zeros((2, 2), dtype=np.int64), 1).is_zero()
     assert not rational.ScaledTensor.from_nested([[0, 1]]).is_zero()
+    assert rational.ScaledTensor(np.zeros((0, 3), dtype=np.int64), 1).is_zero()
+    for values, zero in (([0, 2**70], False), ([[0, 0], [0, -(2**70)]], False),
+                         ([0, 0, 0], True), ([], True)):
+        t = rational.ScaledTensor(np.array(values, dtype=object), 1)
+        assert t.is_zero() == zero
 
 
 def test_scaled_tensor_add_sub_over_common_denominator():
@@ -201,6 +206,27 @@ def test_scaled_tensor_reduced_divides_out_the_content():
     # An all-zero int64 array against a denominator beyond int64.
     zero = rational.ScaledTensor(np.zeros(2, dtype=np.int64), 3**50).reduced()
     assert (zero.array.tolist(), zero.denom) == ([0, 0], 1)
+
+
+def test_reduced_demotes_object_arrays_that_fit_int64():
+    # Reduced entries 2**62 - 1 and -1 fit: the result is int64.
+    top = rational._INT64_SAFE - 1
+    fits = rational.ScaledTensor(np.array([3 * top, -3], dtype=object), 6)
+    t = fits.reduced()
+    assert t.array.dtype == np.int64
+    assert (t.array.tolist(), t.denom) == ([top, -1], 2)
+    zero = rational.ScaledTensor(np.zeros(2, dtype=object), 7).reduced()
+    assert zero.array.dtype == np.int64 and zero.denom == 1
+
+
+def test_reduced_keeps_object_arrays_past_int64():
+    # One past the guard stays a Python int, whatever the denominator.
+    edge = rational._INT64_SAFE
+    for array, denom in (([edge, 1], 1), ([3 * edge, 3], 9)):
+        t = rational.ScaledTensor(np.array(array, dtype=object), denom)
+        t = t.reduced()
+        assert t.array.dtype == object
+        assert t.array.tolist()[0] == edge
 
 
 def _sylvester(a):
