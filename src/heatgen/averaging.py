@@ -227,7 +227,7 @@ def whitened_average(
     p = prep.hol.p
     if p == 0 or order == 0:
         return TSeries.constant(1, order)
-    check_budget(p, order, budget, exponential=True)
+    check_budget(p, order, budget)
     d, f, pivots = _whiten(prep)
     poly = dense_integrand(d, f, order)
     variances = [2 / x for x in pivots]

@@ -8,8 +8,10 @@ which reconstructs R_abcd = g_ac g_bd - g_ad g_bc exactly.  Products are
 block direct sums of their factors.
 
 Files are JSON with every rational written as a string such as "3" or
-"-7/2"; floats never appear.  Loading validates the structural identities
-by default.
+"-7/2"; floats never appear.  Loading parses the file and constructs the
+datum, whose constructor checks shapes, symmetry and definiteness; the
+structural identities are checked by curvature.prepare, which every
+computation runs first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .curvature import SpaceSpec, prepare
+from .curvature import SpaceSpec
 from .errors import InvalidSpaceSpec, ParseError, UnknownSpace
 from .rational import Matrix, format_rational, identity, zeros
 
@@ -146,12 +148,14 @@ def _parse_matrix(data, rows: int, cols: int, where: str):
     return tuple(out)
 
 
-def load(path, validate: bool = True) -> SpaceSpec:
-    """Read a space file, optionally running the structural validator.
+def load(path) -> SpaceSpec:
+    """Read a space file into a SpaceSpec, without the structural checks
+    (curvature.prepare runs those).
 
     Syntax errors, wrong schema versions, unknown fields, malformed
-    rationals, and generator-level defects raise ParseError with the
-    offending location; identity-check failures raise ValidationError.
+    rationals, and construction defects (shapes, symmetry, positive
+    definiteness, generator independence) raise ParseError with the
+    offending location.
     """
     text = Path(path).read_text()
     try:
@@ -189,12 +193,9 @@ def load(path, validate: bool = True) -> SpaceSpec:
         _parse_matrix(mat, n, n, f"E[{i}]") for i, mat in enumerate(doc["E"])
     )
     try:
-        spec = SpaceSpec(name=name, n=n, p=p, g=g, beta=beta, E=E)
+        return SpaceSpec(name=name, n=n, p=p, g=g, beta=beta, E=E)
     except InvalidSpaceSpec as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if validate:
-        prepare(spec)
-    return spec
 
 
 def save(spec: SpaceSpec, path) -> None:

@@ -38,14 +38,30 @@ _USAGE_ERRORS = (UnknownSpace, NonPositiveT, InvalidTime, ValueError, OSError)
 
 
 def _resolve_space(token: str):
-    """A builtin by name, else a space file, loaded without validation:
+    """A builtin by name, else a space file.  Neither is validated here:
     every command validates its space exactly once, itself."""
     try:
         return cat.builtin(token)
     except UnknownSpace:
         if Path(token).exists():
-            return cat.load(token, validate=False)
+            return cat.load(token)
         raise
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --budget: a positive integer.  A non-integer gets
+    the message argparse gives type=int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value}"
+        )
+    return value
 
 
 def _fmt_float(x: float) -> str:
@@ -218,11 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("space", help="builtin name or space file path")
         p.add_argument("--order", type=int, default=4,
                        help="t truncation order (default 4)")
-        p.add_argument("--budget", type=int, default=None,
-                       help="override the expansion budget, in "
+        p.add_argument("--budget", type=_positive_int, default=None,
+                       help="the expansion budget, a positive number of "
                             "coefficient pairs of the trace powers and "
-                            "their exponential (default 10^8, or "
-                            "HEATGEN_BUDGET)")
+                            "their exponential (default 10^8)")
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
         p.add_argument("--timing", action="store_true",

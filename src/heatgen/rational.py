@@ -32,13 +32,17 @@ def rat(x) -> Fraction:
     Floats are rejected on purpose: exact data must never pass through
     binary floating point.
     """
+    return Fraction(x) if isinstance(x, str) else _exact_scalar(x)
+
+
+def _exact_scalar(x) -> Fraction:
+    """An int or Fraction as a Fraction; TypeError for any other type,
+    strings included, since a datum holds exact numbers, not text."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational scalar")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
@@ -311,11 +315,12 @@ class ScaledTensor:
     @classmethod
     def from_nested(cls, nested, shape: tuple[int, ...] | None = None
                     ) -> "ScaledTensor":
-        """Convert nested sequences of rationals.  An explicit shape gives
-        empty data its full shape, e.g. (0, n, n) for no generators."""
+        """Convert nested sequences of ints and Fractions (anything else
+        raises TypeError).  An explicit shape gives empty data its full
+        shape, e.g. (0, n, n) for no generators."""
         if shape is None:
             shape = _shape(nested)
-        vals = [rat(x) for x in _flatten(nested)]
+        vals = [_exact_scalar(x) for x in _flatten(nested)]
         den = 1
         for v in vals:
             den = lcm(den, v.denominator)

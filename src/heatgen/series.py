@@ -33,12 +33,13 @@ an OmegaPolynomial, whose dict-of-Fraction exp and the prefactor product
 exponentiate_with_prefactor are kept as the independent oracle of that
 path.  The work, and the budget, is counted in coefficient pairs: the
 Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus the exponential's
-products (exp_units).
+products (exp_units).  check_budget is the one gate for both paths; the
+budget is the caller's budget= (the CLI's --budget), DEFAULT_WORD_BUDGET
+when None.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,26 +62,9 @@ __all__ = [
     "dense_integrand",
     "exponentiate_with_prefactor",
     "DEFAULT_WORD_BUDGET",
-    "enumeration_budget",
 ]
 
 DEFAULT_WORD_BUDGET = 10**8
-_BUDGET_ENV = "HEATGEN_BUDGET"
-
-
-def enumeration_budget() -> int:
-    """Budget in work units for check_budget, overridable via
-    HEATGEN_BUDGET."""
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_WORD_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise OrderTooLarge(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise OrderTooLarge(f"{_BUDGET_ENV} must be positive, got {value}")
-    return value
 
 
 # bernoulli(m) reads B_0..B_{m-1}, so m below this bound never recomputes.
@@ -151,12 +135,6 @@ class TSeries:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
 
-    def __add__(self, other: "TSeries") -> "TSeries":
-        k = min(self.order, other.order)
-        return TSeries(
-            k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
     def __mul__(self, other: "TSeries") -> "TSeries":
         k = min(self.order, other.order)
         out = [Fraction(0)] * (k + 1)
@@ -167,21 +145,6 @@ class TSeries:
                 if b:
                     out[i + j] += a * b
         return TSeries(k, tuple(out))
-
-    def scale(self, c) -> "TSeries":
-        f = Fraction(c)
-        return TSeries(self.order, tuple(f * x for x in self.coeffs))
-
-    def exp(self) -> "TSeries":
-        """exp of a series with zero constant term, truncated exactly."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp needs a vanishing constant term")
-        result = TSeries.constant(1, self.order)
-        power = TSeries.constant(1, self.order)
-        for j in range(1, self.order + 1):
-            power = power * self
-            result = result + power.scale(Fraction(1, factorial(j)))
-        return result
 
     def eval_float(self, t: float) -> float:
         acc = 0.0
@@ -298,15 +261,6 @@ class OmegaPolynomial:
             result = result + power.scale(Fraction(1, factorial(j)))
         return result
 
-    def omega_free_series(self) -> TSeries:
-        """The t-series obtained by setting every omega variable to zero."""
-        zero_key = (0,) * self.p
-        coeffs = [Fraction(0)] * (self.order + 1)
-        for (g, exps), val in self.terms.items():
-            if exps == zero_key:
-                coeffs[g] = val
-        return TSeries(self.order, tuple(coeffs))
-
 
 # ---------------------------------------------------------------------------
 # Trace powers over monomial-indexed matrix powers
@@ -417,35 +371,29 @@ def exp_units(p: int, order: int) -> int:
     return sum(sizes[m] * below[order - m] for m in range(1, order + 1))
 
 
-def check_budget(
-    p: int, order: int, budget: int | None, *, exponential: bool
-) -> None:
-    """Raise OrderTooLarge when an expansion in p > 0 variables needs more
-    work units than the budget (default: enumeration_budget()): the
-    trace_units of the log, plus exp_units when it is exponentiated.
+def check_budget(p: int, order: int, budget: int | None) -> None:
+    """Raise OrderTooLarge when the exponential of an expansion in p > 0
+    variables needs more work units than the budget (default
+    DEFAULT_WORD_BUDGET): trace_units of the log plus exp_units.
 
     Every grade of the log, and every product of the exponential, costs
     at least one unit, so an order whose least count exceeds the budget
     is refused before any binomial is summed."""
-    limit = enumeration_budget() if budget is None else budget
-    least = order + (order * (order + 1) // 2 if exponential else 0)
+    limit = DEFAULT_WORD_BUDGET if budget is None else budget
+    least = order + order * (order + 1) // 2
     if least > limit:
         needs = f"at least {least}"
     else:
-        units = trace_units(p, order)
-        if exponential:
-            units += exp_units(p, order)
+        units = trace_units(p, order) + exp_units(p, order)
         if units <= limit:
             return
         needs = str(units)
-    parts = "coefficient-matrix pairs, sum_m C(p+m-1,m)^2" + (
-        ", plus the coefficient pairs of the exponential" if exponential
-        else ""
-    )
     raise OrderTooLarge(
-        f"the expansion needs {needs} work units ({parts}) for p={p}, "
-        f"order {order}, exceeding the budget of {limit}; lower the order, "
-        f"use a numeric average, or raise {_BUDGET_ENV}"
+        f"the expansion needs {needs} work units (coefficient-matrix "
+        f"pairs, sum_m C(p+m-1,m)^2, plus the coefficient pairs of the "
+        f"exponential) for p={p}, order {order}, exceeding the budget of "
+        f"{limit}; lower the order, use a numeric average, or raise "
+        f"--budget (budget= in the library)"
     )
 
 
@@ -572,15 +520,16 @@ def integrand_log_expansion(
     Returns sum over m of t^m (c_m / 4^m) [ tr F(omega)^{2m}/2
     - tr D(omega)^{2m}/2 ] as an OmegaPolynomial of the given t order,
     where D(omega) and F(omega) are the omega-linear generator matrices
-    and c_m are the log(sinh z/z) coefficients.  The work units
-    trace_units(p, order) must stay within the budget; this is checked
+    and c_m are the log(sinh z/z) coefficients.  Its callers always
+    exponentiate it, so the work units of log and exponential,
+    trace_units + exp_units, must stay within the budget; this is checked
     before anything is built."""
     p = hol.p
     if order < 0:
         raise ValueError("order must be nonnegative")
     if p == 0 or order == 0:
         return OmegaPolynomial(p, order, {})
-    check_budget(p, order, budget, exponential=False)
+    check_budget(p, order, budget)
     codes = _monomial_codes(p, 2 * order)
     log = _graded_log(hol.D, hol.F_mats, order, codes)
     terms: dict = {}

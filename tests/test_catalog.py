@@ -201,7 +201,7 @@ def test_load_missing_field(tmp_path):
         hg.load(path)
 
 
-def test_load_validates_by_default(tmp_path):
+def test_load_parses_and_prepare_validates(tmp_path):
     # An anisotropically squashed S3 parses fine but is not symmetric.
     s3 = hg.builtin("S3")
     squashed = hg.SpaceSpec(
@@ -214,12 +214,12 @@ def test_load_validates_by_default(tmp_path):
     )
     path = tmp_path / "squashed.json"
     hg.save(squashed, path)
-    with pytest.raises(hg.ValidationError) as err:
-        hg.load(path)
-    assert "generator_connection_identity" in str(err.value)
-    # ... unless validation is explicitly waived.
-    loaded = hg.load(path, validate=False)
+    # load parses only; the structural checks are prepare's.
+    loaded = hg.load(path)
     assert loaded == squashed
+    with pytest.raises(hg.ValidationError) as err:
+        hg.prepare(loaded)
+    assert "generator_connection_identity" in str(err.value)
 
 
 def test_uniformly_rescaled_sphere_file_loads(tmp_path):

@@ -139,6 +139,19 @@ def test_coeffs_budget_exhaustion_exits_one(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("space", ["S2", "flat3"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_is_a_usage_error(capsys, space, budget):
+    # Refused by argparse for every space, flat ones included, which
+    # never reach the budget check.
+    with pytest.raises(SystemExit) as info:
+        main(["coeffs", space, "--budget", budget])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "argument --budget: expected a positive integer" in err
+    assert "Traceback" not in err
+
+
 def test_coeffs_negative_order_exits_two(capsys):
     code, _, err = run(capsys, "coeffs", "S2", "--order", "-1")
     assert code == 2
@@ -384,6 +397,16 @@ def test_file_commands_prepare_once(capsys, monkeypatch, tmp_path, argv):
     assert [len(calls) for calls in stages] == [1, 1, 1]
 
 
+def test_coefficients_of_a_loaded_file_prepare_once(monkeypatch, tmp_path):
+    # load only parses; heat_coefficients is the one gate.
+    path = tmp_path / "three_sphere.json"
+    hg.save(hg.builtin("S3"), path)
+    stages = [counted(monkeypatch, name) for name in (
+        "derive_holonomy", "validate_symmetric_space")]
+    hg.heat_coefficients(hg.load(path), 2)
+    assert [len(calls) for calls in stages] == [1, 1]
+
+
 def test_compare_product_prepares_each_space_once(capsys, monkeypatch):
     scalars = counted(monkeypatch, "curvature_scalars")
     code, _, _ = run(capsys, "compare", "S2xS2", "--order", "2",
@@ -578,7 +601,7 @@ def test_save_writes_entries_beyond_the_int_str_limit(capsys, tmp_path):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        back = hg.load(path, validate=False)
+        back = hg.load(path)
     finally:
         sys.set_int_max_str_digits(old)
     assert (back.g, back.beta, back.E) == (spec.g, spec.beta, spec.E)

@@ -85,14 +85,19 @@ def test_spec_rejects_indefinite_metric():
 
 @pytest.mark.parametrize("field", ["g", "beta", "E"])
 def test_spec_rejects_float_entries_naming_the_field(field):
+    # Floats and rational strings alike: a datum holds ints and Fractions.
     s2 = hg.builtin("S2")
-    inexact = {
-        "g": ((0.5, 0), (0, 1)),
-        "beta": ((0.5,),),
-        "E": (((0, 0.5), (-0.5, 0)),),
-    }
-    with pytest.raises(hg.InvalidSpaceSpec, match=f"^{field}: .*float"):
-        dataclasses.replace(s2, **{field: inexact[field]})
+    for kind, half, minus_half, zero, one in (
+        ("float", 0.5, -0.5, 0, 1),
+        ("str", "1/2", "-1/2", "0", "1"),
+    ):
+        inexact = {
+            "g": ((half, zero), (zero, one)),
+            "beta": ((half,),),
+            "E": (((zero, half), (minus_half, zero)),),
+        }
+        with pytest.raises(hg.InvalidSpaceSpec, match=f"^{field}: .*{kind}$"):
+            dataclasses.replace(s2, **{field: inexact[field]})
 
 
 def test_spec_rejects_dependent_generators():

@@ -237,8 +237,7 @@ def test_non_diagonal_beta_file_matches_dict_oracle(tmp_path):
     assert got == hg.heat_coefficients(base, 3).coeffs
 
 
-def test_s6_order4_fits_the_default_budget(monkeypatch):
-    monkeypatch.delenv("HEATGEN_BUDGET", raising=False)
+def test_s6_order4_fits_the_default_budget():
     rep = hg.heat_coefficients(hg.builtin("S6"), 4)
     assert rep.coeffs == (F(1), F(5), F(12), F(1139, 63), F(833, 45))
 

@@ -58,12 +58,13 @@ def _cubic_formal_log(k):
     tail = hg.TSeries(k, (F(0),) + tuple(
         F(1, math.factorial(2 * m + 1)) for m in range(1, k + 1)
     ))
-    logs = hg.TSeries.constant(0, k)
+    logs = [F(0)] * (k + 1)
     power = hg.TSeries.constant(1, k)
     for j in range(1, k + 1):
         power = power * tail
-        logs = logs + power.scale(F((-1) ** (j + 1), j))
-    return logs.coeffs[1:]
+        for idx, c in enumerate(power.coeffs):
+            logs[idx] += F((-1) ** (j + 1), j) * c
+    return tuple(logs[1:])
 
 
 def test_log_sinh_ratio_matches_the_cubic_formal_logarithm():
@@ -112,19 +113,6 @@ def test_log_sinh_ratio_exponentiates_back():
 # ---------------------------------------------------------------------------
 
 
-def test_tseries_exp_matches_exponential():
-    t = hg.TSeries(5, (F(0), F(1), F(0), F(0), F(0), F(0)))
-    assert t.exp().coeffs == tuple(
-        F(1, math.factorial(k)) for k in range(6)
-    )
-
-
-def test_tseries_exp_requires_zero_constant():
-    t = hg.TSeries(2, (F(1), F(0), F(0)))
-    with pytest.raises(ValueError):
-        t.exp()
-
-
 def test_tseries_mul_truncates_to_min_order():
     a = hg.TSeries(3, (F(1), F(1), F(0), F(0)))
     b = hg.TSeries(2, (F(1), F(2), F(3)))
@@ -136,16 +124,6 @@ def test_tseries_mul_truncates_to_min_order():
 def test_tseries_eval_float():
     t = hg.TSeries(2, (F(1), F(1, 2), F(1, 4)))
     assert t.eval_float(2.0) == pytest.approx(1 + 1 + 1)
-
-
-@given(
-    st.lists(st.fractions(max_denominator=20), min_size=4, max_size=4),
-    st.lists(st.fractions(max_denominator=20), min_size=4, max_size=4),
-)
-def test_tseries_exp_is_homomorphism(a, b):
-    sa = hg.TSeries(3, tuple([F(0)] + a[1:]))
-    sb = hg.TSeries(3, tuple([F(0)] + b[1:]))
-    assert (sa + sb).exp() == sa.exp() * sb.exp()
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +143,6 @@ def test_omega_polynomial_truncates_by_grade():
     a = hg.OmegaPolynomial(1, 2, {(2, (2,)): F(1)})
     sq = a * a
     assert sq.terms == {}
-
-
-def test_omega_free_series_picks_out_scalar_terms():
-    poly = hg.OmegaPolynomial(
-        2, 3, {(0, (0, 0)): F(1), (2, (0, 0)): F(1, 7), (1, (2, 0)): F(4)}
-    )
-    s = poly.omega_free_series()
-    assert s.coeffs == (F(1), F(0), F(1, 7), F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +301,7 @@ def test_dense_exp_blocks_do_not_change_the_result(hols, monkeypatch):
     assert whole == hg.integrand_log_expansion(hols["S2xS3"], 3).exp()
 
 
-def test_budget_refusal_precedes_allocation(monkeypatch):
-    monkeypatch.delenv("HEATGEN_BUDGET", raising=False)
-
+def test_budget_refusal_precedes_allocation():
     class Unbuilt:
         p = 10**6
 
@@ -346,8 +314,10 @@ def test_budget_refusal_precedes_allocation(monkeypatch):
     with pytest.raises(hg.OrderTooLarge) as info:
         hg.integrand_log_expansion(Unbuilt(), 3)
     message = str(info.value)
-    assert str(series.trace_units(10**6, 3)) in message
+    units = series.trace_units(10**6, 3) + series.exp_units(10**6, 3)
+    assert str(units) in message
     assert "units" in message
+    assert "--budget" in message
     assert str(hg.DEFAULT_WORD_BUDGET) in message
 
 
@@ -397,20 +367,23 @@ def test_budget_refusal():
         hg.integrand_log_expansion(hol, 4, budget=100)
 
 
-def test_budget_env_override(hols, monkeypatch):
-    # S2 has a single generator, so order 3 enumerates exactly 3 words.
+def test_log_budget_counts_the_exponential_it_feeds(hols):
+    # S2 has a single generator: order 3 costs 3 log units and 6
+    # exponential units, and the log is refused below their sum.
+    units = series.trace_units(1, 3) + series.exp_units(1, 3)
+    assert units == 9
+    assert hg.integrand_log_expansion(hols["S2"], 3, budget=units).terms
+    with pytest.raises(hg.OrderTooLarge, match="budget of 8;"):
+        hg.integrand_log_expansion(hols["S2"], 3, budget=units - 1)
+
+
+def test_budget_environment_variable_is_not_read(hols, monkeypatch):
+    # The budget is budget= (the CLI's --budget) alone; an environment
+    # value that refused S2 at order 3 before is ignored.
     monkeypatch.setenv("HEATGEN_BUDGET", "2")
-    with pytest.raises(hg.OrderTooLarge):
-        hg.integrand_log_expansion(hols["S2"], 3)
-    monkeypatch.setenv("HEATGEN_BUDGET", "3")
-    poly = hg.integrand_log_expansion(hols["S2"], 3)
-    assert poly.terms
-
-
-def test_budget_env_rejects_garbage(monkeypatch):
-    monkeypatch.setenv("HEATGEN_BUDGET", "lots")
-    with pytest.raises(hg.OrderTooLarge):
-        series.enumeration_budget()
+    assert hg.integrand_log_expansion(hols["S2"], 3).terms
+    rep = hg.heat_coefficients(hg.builtin("S2"), 3)
+    assert rep.coeffs == (F(1), F(1, 3), F(1, 15), F(4, 315))
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +395,9 @@ def test_prefactor_alone_for_vanishing_log():
     poly = hg.OmegaPolynomial(1, 3, {})
     out = hg.exponentiate_with_prefactor(poly, F(6), F(3, 2))
     # R/8 + R_H/6 = 1, so the scalar series is exp(t).
-    assert out.omega_free_series().coeffs == tuple(
-        F(1, math.factorial(k)) for k in range(4)
-    )
+    assert out.terms == {
+        (k, (0,)): F(1, math.factorial(k)) for k in range(4)
+    }
 
 
 def test_prefactor_times_log_expansion_s2():
