@@ -12,14 +12,10 @@ the generators in eta = L^T omega, of diagonal covariance 2 diag(1/d),
 and averages the dense exponential of series.dense_integrand with the
 closed form <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
 
-Two independent exact engines compute the same moments in omega and serve
-as its oracles, through average() on an OmegaPolynomial.  wick_moment
-sums over pairings by a memoized recursion; fock_moment runs a
-normal-ordering calculus in which each variable acts on a
-creation-operator polynomial as (2 sum_k beta^{ik} b*_k .) + d/d b*_i,
-with the overall normalization calibrated once per beta on the degree-2
-moment.  The two must agree exactly on every key.  Their memos are
-bounded, so a long-lived process does not grow with every beta it sees.
+average() on an OmegaPolynomial is its oracle: it takes the same
+moments in omega from wick_moment, a memoized sum over pairings.  The
+memo is bounded, so a long-lived process does not grow with every beta
+it sees.
 
 The numeric path evaluates the full (not truncated) integrand in floating
 point, by Monte Carlo or tensorized Gauss-Hermite quadrature.  Both
@@ -29,15 +25,14 @@ factor: with s_j^2 the eigenvalues of X^T X, det(sinh X / X) =
 prod_j sin(s_j)/s_j, and the point is kept inside the regularity ball
 max_j s_j < pi - _MARGIN, a condition that does not depend on the tangent
 or holonomy basis.  Quadrature evaluates half of its symmetric grid, the
-integrand being even.  _sinh_ratio_dets, an eigenvalue-free
-scaling-and-squaring of (sinh X / X, cosh X) followed by an LU
-determinant, is the reference that tests and check_det_factorization use.
+integrand being even.  Monte Carlo and quadrature sizes are capped
+(_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS) and checked before anything
+is built.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rational
-from .curvature import HolonomyRealization, Prepared
+from .curvature import Prepared
 from .errors import HeatgenError, InternalInconsistency, check_time
 from .rational import Matrix, ScaledTensor, exact_einsum
 from .series import OmegaPolynomial, TSeries, check_budget, dense_integrand
@@ -53,17 +48,13 @@ from .series import OmegaPolynomial, TSeries, check_budget, dense_integrand
 __all__ = [
     "whitened_average",
     "wick_moment",
-    "fock_moment",
     "average",
     "NumericAverage",
     "numeric_average",
-    "DetFactorizationReport",
-    "check_det_factorization",
-    "random_rational_omegas",
 ]
 
-# Entries kept by each moment memo of the oracle engines: enough for a
-# whole average at catalog orders, bounded for a long-lived process.
+# Entries kept by the moment memo of the oracle path: enough for a whole
+# average at catalog orders, bounded for a long-lived process.
 _MOMENT_MEMO = 2**15
 
 
@@ -111,71 +102,6 @@ def wick_moment(key, beta_inv: Matrix) -> Fraction:
     if any(i < 0 or i >= p for i in idx):
         raise ValueError("moment index out of range")
     return _wick(_intern_matrix(beta_inv), idx)
-
-
-def _fock_apply(state: dict, i: int, binv) -> dict:
-    """One variable acting on a creation polynomial: create against the
-    covariance row, plus differentiate in the i-th creator."""
-    p = len(binv)
-    out: dict = {}
-    for mono, coef in state.items():
-        for k in range(p):
-            w = 2 * binv[i][k]
-            if w:
-                up = list(mono)
-                up[k] += 1
-                key = tuple(up)
-                acc = out.get(key, Fraction(0)) + w * coef
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        if mono[i]:
-            down = list(mono)
-            down[i] -= 1
-            key = tuple(down)
-            acc = out.get(key, Fraction(0)) + mono[i] * coef
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
-
-
-@lru_cache(maxsize=_MOMENT_MEMO)
-def _fock_raw(binv: _Covariance, key: tuple[int, ...]) -> Fraction:
-    p = len(binv.rows)
-    state: dict = {(0,) * p: Fraction(1)}
-    for i in reversed(key):
-        state = _fock_apply(state, i, binv.rows)
-    return state.get((0,) * p, Fraction(0))
-
-
-@lru_cache(maxsize=64)
-def _fock_scale(binv: _Covariance) -> Fraction:
-    """Normalization fixed once per beta by matching the degree-2 moment
-    from the pairing engine."""
-    raw = _fock_raw(binv, (0, 0))
-    want = _wick(binv, (0, 0))
-    if raw == 0:
-        if want == 0:
-            return Fraction(1)
-        raise HeatgenError("degenerate covariance in moment calibration")
-    return want / raw
-
-
-def fock_moment(key, beta_inv: Matrix) -> Fraction:
-    """The same Gaussian moment via the normal-ordering engine."""
-    idx = tuple(sorted(int(i) for i in key))
-    p = len(beta_inv)
-    if any(i < 0 or i >= p for i in idx):
-        raise ValueError("moment index out of range")
-    if not idx:
-        return Fraction(1)
-    if len(idx) % 2:
-        return Fraction(0)
-    binv = _intern_matrix(beta_inv)
-    return _fock_raw(binv, idx) * _fock_scale(binv) ** (len(idx) // 2)
 
 
 def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
@@ -256,9 +182,6 @@ def whitened_average(
 # Floating-point evaluation of the untruncated integrand
 # ---------------------------------------------------------------------------
 
-_SINH_RATIO_COEFFS = [1.0 / math.factorial(2 * m + 1) for m in range(7)]
-_COSH_COEFFS = [1.0 / math.factorial(2 * m) for m in range(7)]
-_SCALE_TARGET = 0.5
 # A point is kept when every factor's top singular value stays below
 # pi - _MARGIN, where sinh X / X is still well away from singular.
 _MARGIN = 0.01
@@ -266,36 +189,8 @@ _MARGIN = 0.01
 # nodes**p points, each with its own factor matrices.
 _MAX_NODES = 512
 _MAX_GRID_POINTS = 64**3
-
-
-def _sinh_ratio_dets(mats: np.ndarray) -> np.ndarray:
-    """det(sinh(X)/X) for a batch of square matrices, eigenvalue-free.
-
-    X is halved until its Frobenius norm is small, sinh(X)/X and cosh(X)
-    are summed as short even series, the halving is undone with the
-    doubling rules T(2X) = T(X) cosh(X), cosh(2X) = 2 cosh(X)^2 - 1, and
-    the determinant comes from an LU factorization.
-    """
-    if mats.size == 0:
-        return np.ones(mats.shape[0])
-    d = mats.shape[-1]
-    if d == 0:
-        return np.ones(mats.shape[0])
-    fro = np.sqrt((mats * mats).sum(axis=(-2, -1)))
-    fmax = float(fro.max())
-    halvings = max(0, math.ceil(math.log2(fmax / _SCALE_TARGET))) if fmax > _SCALE_TARGET else 0
-    y = mats / (2.0**halvings)
-    y2 = y @ y
-    eye = np.broadcast_to(np.eye(d), y2.shape)
-    ratio = np.zeros_like(y2)
-    cosh = np.zeros_like(y2)
-    for c_r, c_c in zip(reversed(_SINH_RATIO_COEFFS), reversed(_COSH_COEFFS)):
-        ratio = ratio @ y2 + c_r * eye
-        cosh = cosh @ y2 + c_c * eye
-    for _ in range(halvings):
-        ratio = ratio @ cosh
-        cosh = 2.0 * (cosh @ cosh) - eye
-    return np.linalg.det(ratio)
+# Monte Carlo limit: 50 times compare's default, and a buffer of 80 MB.
+_MAX_SAMPLES = 10**7
 
 
 def _skew_sinc_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,9 +221,7 @@ class NumericAverage:
     method: str
 
 
-def _float_stack(
-    tensor: ScaledTensor, factor: Fraction = Fraction(1)
-) -> np.ndarray:
+def _float_stack(tensor: ScaledTensor, factor: Fraction) -> np.ndarray:
     """factor times the tensor's entries as floats, each correctly rounded
     by Python-int true division, as float(Fraction) rounds them."""
     num, den = factor.numerator, tensor.denom * factor.denominator
@@ -470,9 +363,10 @@ def numeric_average(
     positivity) are rejected, counted, and resampled; the result is the
     scalar-prefactor times the mean over the retained domain, with the
     Monte Carlo standard error or a quadrature refinement delta as
-    std_error.  The sample count (at least 2) and the quadrature grid
-    (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS points) are checked
-    before anything is built, as is t, which must be finite and positive.
+    std_error.  The sample count (2.._MAX_SAMPLES) and the quadrature
+    grid (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS points) are
+    checked before anything is built, as is t, which must be finite and
+    positive.
     """
     check_time(t)
     spec, curv = prep.spec, prep.curv
@@ -484,6 +378,10 @@ def numeric_average(
         raise ValueError(
             f"Monte Carlo needs at least 2 samples for a standard error, "
             f"got {samples}"
+        )
+    if method == "mc" and samples > _MAX_SAMPLES:
+        raise ValueError(
+            f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got {samples}"
         )
     if method == "quadrature":
         if spec.p > 3:
@@ -566,54 +464,4 @@ def numeric_average(
         err = 0.0
     return NumericAverage(
         prefactor * value, prefactor * err, hits, used, "quadrature"
-    )
-
-
-@dataclass(frozen=True)
-class DetFactorizationReport:
-    """Outcome of the combined-determinant factorization identity check."""
-
-    samples: int
-    max_rel_err: float
-    failures: tuple[int, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.failures
-
-
-def check_det_factorization(
-    hol: HolonomyRealization, omega_samples, tol: float = 1e-10
-) -> DetFactorizationReport:
-    """det T(sum_i omega_i C_i / 2) = det T(D(omega)/2) det T(F(omega)/2)
-    with T(X) = sinh(X)/X, checked in floating point per sample."""
-    n, p = hol.n, hol.p
-    rows = [tuple(float(Fraction(x)) for x in s) for s in omega_samples]
-    count = len(rows)
-    if count == 0:
-        return DetFactorizationReport(0, 0.0, ())
-    omegas = np.array(rows, dtype=float).reshape(count, p)
-    half = omegas / 2.0
-    combined = np.einsum("si,iAB->sAB", half, _float_stack(hol.C[n:]))
-    tangent = np.einsum("si,iab->sab", half, _float_stack(hol.D))
-    holonomy = np.einsum("si,ijk->sjk", half, _float_stack(hol.F_mats))
-    lhs = _sinh_ratio_dets(combined)
-    rhs = _sinh_ratio_dets(tangent) * _sinh_ratio_dets(holonomy)
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
-    rel = np.abs(lhs - rhs) / scale
-    failures = tuple(int(i) for i in np.flatnonzero(rel > tol))
-    return DetFactorizationReport(count, float(rel.max()), failures)
-
-
-def random_rational_omegas(
-    p: int, count: int, seed: int = 0, denominator: int = 64
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Deterministic rational sample vectors in [-1, 1]^p."""
-    rng = random.Random(seed)
-    return tuple(
-        tuple(
-            Fraction(rng.randint(-denominator, denominator), denominator)
-            for _ in range(p)
-        )
-        for _ in range(count)
     )

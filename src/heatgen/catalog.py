@@ -152,19 +152,25 @@ def load(path) -> SpaceSpec:
     """Read a space file into a SpaceSpec, without the structural checks
     (curvature.prepare runs those).
 
-    Syntax errors, wrong schema versions, unknown fields, malformed
-    rationals, and construction defects (shapes, symmetry, positive
-    definiteness, generator independence) raise ParseError with the
-    offending location.
+    Text that is not UTF-8, syntax errors, JSON nested beyond the
+    parser's recursion limit, a schema_version other than the integer
+    SCHEMA_VERSION, unknown fields, malformed rationals, and construction
+    defects (shapes, symmetry, positive definiteness, generator
+    independence) raise ParseError with the offending location.
     """
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     unknown = sorted(set(doc) - set(_REQUIRED_FIELDS))
@@ -173,9 +179,11 @@ def load(path) -> SpaceSpec:
     missing = [f for f in _REQUIRED_FIELDS if f not in doc]
     if missing:
         raise ParseError(f"{path}: missing fields {missing}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if (not isinstance(version, int) or isinstance(version, bool)
+            or version != SCHEMA_VERSION):
         raise ParseError(
-            f"{path}: unsupported schema_version {doc['schema_version']!r}"
+            f"{path}: unsupported schema_version {version!r}"
         )
     name = doc["name"]
     if not isinstance(name, str) or not name:

@@ -47,7 +47,6 @@ __all__ = [
     "closed_form_coefficients",
     "product_factorize",
     "sphere_spectral_trace",
-    "spectral_coefficient_fit",
     "compare",
 ]
 
@@ -186,25 +185,6 @@ def sphere_spectral_trace(n: int, t: float) -> float:
             mult *= (level + j) / j
         total += float(np.sum(mult * np.exp(-t * level * (level + n - 1))))
     return total / sphere_volume(n)
-
-
-def spectral_coefficient_fit(n: int, t0: float = 0.01) -> tuple[float, float]:
-    """Self-check of the spectral oracle: fit the first two normalized
-    expansion coefficients from three small times.  Returns (a0, a1),
-    which must come out near 1 and n(n-1)/6."""
-    ts = (t0, t0 / 2, t0 / 4)
-    ys = [
-        (4 * math.pi * t) ** (n / 2) * sphere_spectral_trace(n, t) for t in ts
-    ]
-    # Quadratic fit through three points; the constant and linear terms
-    # are what we report.
-    x0, x1, x2 = ts
-    y0, y1, y2 = ys
-    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
-    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
-    b = (x2**2 * (y0 - y1) + x1**2 * (y2 - y0) + x0**2 * (y1 - y2)) / denom
-    c = y0 - a * x0**2 - b * x0
-    return c, b
 
 
 def _check(name: str, passed: bool, detail: str) -> CheckResult:

@@ -1,22 +1,21 @@
 """Exact rational linear algebra on small dense matrices and tensors.
 
-Matrices are immutable tuples of tuples of Fraction and all arithmetic is
-exact.  The curvature layer works on an integer fast path instead: every
-tensor is rescaled by the lcm of its entry denominators so numpy can
-contract, scale, assemble and solve (fraction-free elimination) int64
-arrays, with an automatic promotion to Python-int object arrays whenever a
-magnitude bound says int64 could overflow.  Results stay exact in both
-regimes; reduced() is the canonical form (lowest terms, int64 whenever
-the entries fit) and solve() gives every exact inverse.  Requests use
-only identity, zeros (builtin data) and ldl (metric checks) of the
-Fraction matrix helpers; the rest remain the tests' reference.
+A datum's matrices are immutable tuples of tuples of Fraction; identity
+and zeros build the builtin data, and ldl factors a metric for its
+positive definiteness check.  Every other computation works on integer
+tensors: each tensor is rescaled by the lcm of its entry denominators so
+numpy can contract, scale, assemble and solve (fraction-free
+elimination) int64 arrays, with an automatic promotion to Python-int
+object arrays whenever a magnitude bound says int64 could overflow.
+Results stay exact in both regimes; reduced() is the canonical form
+(lowest terms, int64 whenever the entries fit) and solve() gives every
+exact inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 import numpy as np
 
@@ -24,15 +23,6 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 # int64 contractions are kept well away from 2**63 by this guard.
 _INT64_SAFE = 2**62
-
-
-def rat(x) -> Fraction:
-    """Coerce an int, string, or Fraction to Fraction.
-
-    Floats are rejected on purpose: exact data must never pass through
-    binary floating point.
-    """
-    return Fraction(x) if isinstance(x, str) else _exact_scalar(x)
 
 
 def _exact_scalar(x) -> Fraction:
@@ -47,14 +37,6 @@ def _exact_scalar(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-def matrix(rows) -> Matrix:
-    """Build an immutable Fraction matrix from any nested iterable."""
-    out = tuple(tuple(rat(x) for x in row) for row in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged rows in matrix")
-    return out
-
-
 def identity(n: int) -> Matrix:
     one, zero = Fraction(1), Fraction(0)
     return tuple(
@@ -65,90 +47,6 @@ def identity(n: int) -> Matrix:
 def zeros(r: int, c: int) -> Matrix:
     zero = Fraction(0)
     return tuple(tuple(zero for _ in range(c)) for _ in range(r))
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return sub(matmul(a, b), matmul(b, a))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def trace_product(a: Matrix, b: Matrix) -> Fraction:
-    """tr(a @ b) without forming the product."""
-    return sum(
-        (a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b))),
-        Fraction(0),
-    )
-
-
-def determinant(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [list(row) for row in a]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(a)
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        if m[col][col] != 1:
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
@@ -174,56 +72,6 @@ def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
                 )
             ) / pivot
     return tuple(tuple(row) for row in lower), tuple(d)
-
-
-def span_decompose(
-    basis: Sequence[Matrix], targets: Sequence[Matrix]
-) -> tuple[int, list[tuple[Fraction, ...] | None]]:
-    """Express each target matrix in the linear span of the basis matrices.
-
-    Returns (rank of the basis, list of coefficient tuples), with None in
-    place of any target that lies outside the span.  A single Gauss-Jordan
-    elimination over the stacked column vectors handles every target at
-    once, which keeps repeated solves against the same basis cheap.
-    """
-    if not basis:
-        flat_ok = [all(x == 0 for row in t for x in row) for t in targets]
-        return 0, [() if ok else None for ok in flat_ok]
-    dim = len(basis[0]) * len(basis[0][0])
-    nb = len(basis)
-    cols = [
-        [m[i][j] for m in basis] + [t[i][j] for t in targets]
-        for i in range(len(basis[0]))
-        for j in range(len(basis[0][0]))
-    ]  # one row per vectorized entry
-    rows = [list(map(Fraction, r)) for r in cols]
-    pivots: list[tuple[int, int]] = []  # (row, basis column)
-    r = 0
-    for c in range(nb):
-        piv = next((i for i in range(r, dim) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    rank = len(pivots)
-    out: list[tuple[Fraction, ...] | None] = []
-    for k in range(len(targets)):
-        col = nb + k
-        if any(rows[i][col] != 0 for i in range(rank, dim)):
-            out.append(None)
-            continue
-        coeffs = [Fraction(0)] * nb
-        for row_i, c in pivots:
-            coeffs[c] = rows[row_i][col]
-        out.append(tuple(coeffs))
-    return rank, out
 
 
 # str() of an int refuses more than sys.get_int_max_str_digits() digits

@@ -1,0 +1,456 @@
+"""Reference implementations that the tests hold heatgen to.
+
+No request and no compare call runs any of this.  It uses only public
+heatgen names, so each reference stays independent of the code it
+checks:
+
+- Fraction matrices as tuples of tuples, with per-entry arithmetic;
+- fock_moment, a Gaussian moment engine unrelated to wick_moment;
+- sinh_ratio_dets, an eigenvalue-free det(sinh X / X), and the
+  determinant factorization identity built on it;
+- the two-sphere coefficients by series inversion in one variable, and a
+  fit of the sphere spectral sum;
+- curvature data moved by changes of basis and scalings, as functions
+  and as Hypothesis strategies.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+from functools import cache
+from typing import Sequence
+
+import numpy as np
+from hypothesis import strategies as st
+
+import heatgen as hg
+from heatgen.rational import Matrix, identity
+
+# ---------------------------------------------------------------------------
+# Fraction matrices
+# ---------------------------------------------------------------------------
+
+
+def rat(x) -> Fraction:
+    """Coerce an int, string, or Fraction to Fraction.
+
+    Floats and bools raise TypeError: exact data must never pass through
+    binary floating point.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
+        raise TypeError(f"expected exact rational, got {type(x).__name__}")
+    return Fraction(x)
+
+
+def matrix(rows) -> Matrix:
+    """Build an immutable Fraction matrix from any nested iterable."""
+    out = tuple(tuple(rat(x) for x in row) for row in rows)
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise ValueError("ragged rows in matrix")
+    return out
+
+
+def add(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def sub(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def scale(a: Matrix, c: Fraction) -> Matrix:
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return sub(matmul(a, b), matmul(b, a))
+
+
+def transpose(a: Matrix) -> Matrix:
+    return tuple(zip(*a))
+
+
+def trace(a: Matrix) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def trace_product(a: Matrix, b: Matrix) -> Fraction:
+    """tr(a @ b) without forming the product."""
+    return sum(
+        (a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(b))),
+        Fraction(0),
+    )
+
+
+def determinant(a: Matrix) -> Fraction:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
+    m = [list(row) for row in a]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan elimination."""
+    n = len(a)
+    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        m[col], m[piv] = m[piv], m[col]
+        if m[col][col] != 1:
+            inv = 1 / m[col][col]
+            m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def span_decompose(
+    basis: Sequence[Matrix], targets: Sequence[Matrix]
+) -> tuple[int, list[tuple[Fraction, ...] | None]]:
+    """Express each target matrix in the linear span of the basis matrices.
+
+    Returns (rank of the basis, list of coefficient tuples), with None in
+    place of any target that lies outside the span.  A single Gauss-Jordan
+    elimination over the stacked column vectors handles every target at
+    once.
+    """
+    if not basis:
+        flat_ok = [all(x == 0 for row in t for x in row) for t in targets]
+        return 0, [() if ok else None for ok in flat_ok]
+    dim = len(basis[0]) * len(basis[0][0])
+    nb = len(basis)
+    cols = [
+        [m[i][j] for m in basis] + [t[i][j] for t in targets]
+        for i in range(len(basis[0]))
+        for j in range(len(basis[0][0]))
+    ]  # one row per vectorized entry
+    rows = [list(map(Fraction, r)) for r in cols]
+    pivots: list[tuple[int, int]] = []  # (row, basis column)
+    r = 0
+    for c in range(nb):
+        piv = next((i for i in range(r, dim) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(dim):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+    rank = len(pivots)
+    out: list[tuple[Fraction, ...] | None] = []
+    for k in range(len(targets)):
+        col = nb + k
+        if any(rows[i][col] != 0 for i in range(rank, dim)):
+            out.append(None)
+            continue
+        coeffs = [Fraction(0)] * nb
+        for row_i, c in pivots:
+            coeffs[c] = rows[row_i][col]
+        out.append(tuple(coeffs))
+    return rank, out
+
+
+def random_spd(rng: random.Random, size: int) -> Matrix:
+    """A random rational symmetric positive definite matrix, A A^T + 1."""
+    a = tuple(
+        tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+              for _ in range(size))
+        for _ in range(size)
+    )
+    return add(matmul(a, transpose(a)), identity(size))
+
+
+def combined_scalar(spec, hol) -> Fraction:
+    """R_G as -1/4 sum_AB (g + beta)^{AB} tr(C_A C_B), entry by entry,
+    with g + beta block diagonal on the combined (tangent + holonomy)
+    index."""
+    n, p = spec.n, spec.p
+    metric_inv = inverse(
+        tuple(tuple(row) + (Fraction(0),) * p for row in spec.g)
+        + tuple((Fraction(0),) * n + tuple(row) for row in spec.beta)
+    )
+    C = hol.C.to_fractions()
+    return -sum(
+        (
+            metric_inv[a][b] * trace_product(C[a], C[b])
+            for a in range(len(C))
+            for b in range(len(C))
+            if metric_inv[a][b]
+        ),
+        Fraction(0),
+    ) / 4
+
+
+# ---------------------------------------------------------------------------
+# Gaussian moments by normal ordering
+# ---------------------------------------------------------------------------
+
+
+def _fock_apply(state: dict, i: int, binv: Matrix) -> dict:
+    """One variable acting on a creation polynomial: create against the
+    covariance row, plus differentiate in the i-th creator."""
+    out: dict = {}
+
+    def bump(mono, k, step, weight):
+        key = mono[:k] + (mono[k] + step,) + mono[k + 1:]
+        out[key] = out.get(key, Fraction(0)) + weight
+
+    for mono, coef in state.items():
+        for k, entry in enumerate(binv[i]):
+            if entry:
+                bump(mono, k, 1, 2 * entry * coef)
+        if mono[i]:
+            bump(mono, i, -1, mono[i] * coef)
+    return {key: value for key, value in out.items() if value}
+
+
+@cache
+def _fock_raw(binv: Matrix, key: tuple[int, ...]) -> Fraction:
+    p = len(binv)
+    state: dict = {(0,) * p: Fraction(1)}
+    for i in reversed(key):
+        state = _fock_apply(state, i, binv)
+    return state.get((0,) * p, Fraction(0))
+
+
+def fock_moment(key, beta_inv: Matrix) -> Fraction:
+    """The Gaussian moment of heatgen.wick_moment by a normal-ordering
+    calculus: each variable acts on a creation-operator polynomial as
+    (2 sum_k beta^{ik} b*_k .) + d/d b*_i, and the vacuum coefficient is
+    the moment, up to a normalization calibrated on the degree-2 moment
+    of wick_moment.  An odd key never returns to the vacuum.  beta_inv is
+    a tuple matrix, the memo key."""
+    idx = tuple(sorted(key))
+    calibration = hg.wick_moment((0, 0), beta_inv) / _fock_raw(
+        beta_inv, (0, 0)
+    )
+    return _fock_raw(beta_inv, idx) * calibration ** (len(idx) // 2)
+
+
+# ---------------------------------------------------------------------------
+# det(sinh X / X) without eigenvalues
+# ---------------------------------------------------------------------------
+
+_SINH_RATIO_COEFFS = [1.0 / math.factorial(2 * m + 1) for m in range(7)]
+_COSH_COEFFS = [1.0 / math.factorial(2 * m) for m in range(7)]
+_SCALE_TARGET = 0.5
+
+
+def sinh_ratio_dets(mats: np.ndarray) -> np.ndarray:
+    """det(sinh(X)/X) for a batch of square matrices, eigenvalue-free.
+
+    X is halved until its Frobenius norm is small, sinh(X)/X and cosh(X)
+    are summed as short even series, the halving is undone with the
+    doubling rules T(2X) = T(X) cosh(X), cosh(2X) = 2 cosh(X)^2 - 1, and
+    the determinant comes from an LU factorization.
+    """
+    if mats.size == 0:
+        return np.ones(mats.shape[0])
+    d = mats.shape[-1]
+    fro = np.sqrt((mats * mats).sum(axis=(-2, -1)))
+    fmax = float(fro.max())
+    halvings = 0
+    if fmax > _SCALE_TARGET:
+        halvings = math.ceil(math.log2(fmax / _SCALE_TARGET))
+    y = mats / (2.0**halvings)
+    y2 = y @ y
+    eye = np.broadcast_to(np.eye(d), y2.shape)
+    ratio = np.zeros_like(y2)
+    cosh = np.zeros_like(y2)
+    for c_r, c_c in zip(reversed(_SINH_RATIO_COEFFS), reversed(_COSH_COEFFS)):
+        ratio = ratio @ y2 + c_r * eye
+        cosh = cosh @ y2 + c_c * eye
+    for _ in range(halvings):
+        ratio = ratio @ cosh
+        cosh = 2.0 * (cosh @ cosh) - eye
+    return np.linalg.det(ratio)
+
+
+def random_rational_omegas(
+    p: int, count: int, seed: int = 0, denominator: int = 64
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Deterministic rational sample vectors in [-1, 1]^p."""
+    rng = random.Random(seed)
+    return tuple(
+        tuple(
+            Fraction(rng.randint(-denominator, denominator), denominator)
+            for _ in range(p)
+        )
+        for _ in range(count)
+    )
+
+
+def check_det_factorization(hol, omega_samples) -> float:
+    """The largest relative error, over a nonempty list of samples, of
+    det T(sum_i omega_i C_i / 2) = det T(D(omega)/2) det T(F(omega)/2)
+    with T(X) = sinh(X)/X, in floating point."""
+    count = len(omega_samples)
+    half = np.array(omega_samples, dtype=float).reshape(count, hol.p) / 2.0
+
+    def dets(stack):
+        gens = np.array(stack.to_fractions(), dtype=float)
+        return sinh_ratio_dets(
+            np.einsum("si,iab->sab", half, gens.reshape(stack.array.shape))
+        )
+
+    lhs = dets(hol.C[hol.n:])
+    rhs = dets(hol.D) * dets(hol.F_mats)
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+    return float((np.abs(lhs - rhs) / scale).max())
+
+
+# ---------------------------------------------------------------------------
+# Sphere references
+# ---------------------------------------------------------------------------
+
+
+def double_factorial(k: int) -> int:
+    out = 1
+    while k > 1:
+        out *= k
+        k -= 2
+    return out
+
+
+def sin_ratio_inverse_series(order: int) -> list[Fraction]:
+    """Coefficients q_m of z/sin(z) in powers of z^2, by inverting the
+    sin(z)/z series.  Classical values: 1, 1/6, 7/360, 31/15120, ..."""
+    s = [Fraction((-1) ** m, math.factorial(2 * m + 1))
+         for m in range(order + 1)]
+    q = [Fraction(1)]
+    for m in range(1, order + 1):
+        q.append(-sum(q[j] * s[m - j] for j in range(m)))
+    return q
+
+
+def two_sphere_series(order: int) -> tuple[Fraction, ...]:
+    """Independent 1-D oracle for the unit two-sphere.
+
+    The average reduces to a single Gaussian variable with second moment 2:
+    <(u/sin u)> with u^2 = t w^2 / 4, times the scalar factor exp(t/4), so
+    a_k = sum_m q_m (2m-1)!!/2^m * (1/4)^{k-m}/(k-m)!.  No pipeline code.
+    """
+    q = sin_ratio_inverse_series(order)
+    return tuple(
+        sum(
+            (
+                q[m] * double_factorial(2 * m - 1) / 2**m
+                / (4 ** (k - m) * math.factorial(k - m))
+                for m in range(k + 1)
+            ),
+            Fraction(0),
+        )
+        for k in range(order + 1)
+    )
+
+
+def spectral_coefficient_fit(n: int, t0: float = 0.01) -> tuple[float, float]:
+    """Self-check of the spectral oracle: fit the first two normalized
+    expansion coefficients from three small times.  Returns (a0, a1),
+    which must come out near 1 and n(n-1)/6."""
+    ts = (t0, t0 / 2, t0 / 4)
+    ys = [
+        (4 * math.pi * t) ** (n / 2) * hg.sphere_spectral_trace(n, t)
+        for t in ts
+    ]
+    # Quadratic fit through three points; the constant and linear terms
+    # are what we report.
+    x0, x1, x2 = ts
+    y0, y1, y2 = ys
+    denom = (x0 - x1) * (x0 - x2) * (x1 - x2)
+    a = (x2 * (y1 - y0) + x1 * (y0 - y2) + x0 * (y2 - y1)) / denom
+    b = (x2**2 * (y0 - y1) + x1**2 * (y2 - y0) + x0**2 * (y1 - y2)) / denom
+    c = y0 - a * x0**2 - b * x0
+    return c, b
+
+
+# ---------------------------------------------------------------------------
+# Moved curvature data
+# ---------------------------------------------------------------------------
+
+
+def moved(spec, P, N, mu, nu):
+    """The datum moved by a tangent change P, a generator change N and
+    the scalings (mu, nu): g' = mu P^T g P, E'^i = sum_j (N^-T)_ij P^T E^j P,
+    beta' = nu N beta N^T."""
+    PT = transpose(P)
+    E = [matmul(matmul(PT, m), P) for m in spec.E]
+    ninv_t = transpose(inverse(N))
+    E = tuple(
+        tuple(
+            tuple(
+                sum((ninv_t[i][j] * E[j][a][b] for j in range(spec.p)),
+                    Fraction(0))
+                for b in range(spec.n)
+            )
+            for a in range(spec.n)
+        )
+        for i in range(spec.p)
+    )
+    g = scale(matmul(matmul(PT, spec.g), P), mu)
+    beta = scale(matmul(matmul(N, spec.beta), transpose(N)), nu)
+    return hg.SpaceSpec(spec.name, spec.n, spec.p, g, beta, E)
+
+
+SMALL = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+SCALES = st.one_of(
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def moved_spaces(draw):
+    """A builtin moved by an upper triangular P with a rational diagonal,
+    a unit lower triangular N and two scalings."""
+    spec = hg.builtin(draw(st.sampled_from(["S2", "S3", "S2xS2", "S2xS3"])))
+    n, p = spec.n, spec.p
+    diag = [draw(st.builds(Fraction, st.integers(1, 3), st.integers(1, 2)))
+            for _ in range(n)]
+    P = tuple(
+        tuple(diag[j] if i == j else draw(SMALL) if i < j else Fraction(0)
+              for j in range(n))
+        for i in range(n)
+    )
+    N = tuple(
+        tuple(Fraction(1) if i == j else draw(SMALL) if i > j else Fraction(0)
+              for j in range(p))
+        for i in range(p)
+    )
+    return moved(spec, P, N, draw(SCALES), draw(SCALES))

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatgen as hg
+import oracles
 from heatgen import averaging, rational, series
-from heatgen.rational import inverse
-from test_curvature import moved, moved_spaces
+from oracles import double_factorial, fock_moment, inverse
 
 ID1 = ((F(1),),)
 BETA2 = ((F(2), F(1)), (F(1), F(3)))
@@ -24,14 +24,6 @@ BINV2 = inverse(BETA2)
 # ---------------------------------------------------------------------------
 # Exact moments
 # ---------------------------------------------------------------------------
-
-
-def double_factorial(k):
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -44,19 +36,17 @@ def test_wick_one_dimensional_closed_form(k):
 def test_odd_moments_vanish():
     assert hg.wick_moment((0,), ID1) == 0
     assert hg.wick_moment((0, 0, 0), ID1) == 0
-    assert hg.fock_moment((0, 1, 1), BINV2) == 0
+    assert fock_moment((0, 1, 1), BINV2) == 0
 
 
 def test_empty_moment_is_one():
     assert hg.wick_moment((), BINV2) == 1
-    assert hg.fock_moment((), BINV2) == 1
+    assert fock_moment((), BINV2) == 1
 
 
 def test_moment_index_range_checked():
     with pytest.raises(ValueError):
         hg.wick_moment((0, 2), BINV2)
-    with pytest.raises(ValueError):
-        hg.fock_moment((-1, 0), BINV2)
 
 
 def test_degree_two_moment_is_twice_inverse():
@@ -81,7 +71,7 @@ def test_wick_equals_fock_exhaustive_small():
     ))):
         for deg in (0, 2, 4, 6):
             for key in itertools.combinations_with_replacement(range(p), deg):
-                assert hg.wick_moment(key, binv) == hg.fock_moment(key, binv)
+                assert hg.wick_moment(key, binv) == fock_moment(key, binv)
 
 
 def test_block_diagonal_moments_factor():
@@ -117,24 +107,13 @@ def test_moments_match_adaptive_quadrature():
         assert abs(num - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
-def _random_spd(rng, size):
-    """A random rational symmetric positive definite matrix, A A^T + 1."""
-    a = rational.matrix(
-        [[F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)]
-         for _ in range(size)]
-    )
-    return rational.add(
-        rational.matmul(a, rational.transpose(a)), rational.identity(size)
-    )
-
-
 def _whitened_moment(key, beta):
     """<omega_{k1} ... omega_{kd}> from the whitened closed form: with
     beta = L diag(d) L^T and omega = L^{-T} eta, eta has covariance
     2 diag(1/d), and <eta^e> = prod_i (e_i - 1)!! (2/d_i)^{e_i/2} when
     every e_i is even."""
     lower, d = rational.ldl(beta)
-    back = rational.transpose(rational.inverse(lower))
+    back = oracles.transpose(inverse(lower))
     p = len(beta)
     # Expand the product of the linear forms omega_k = sum_j back[k][j]
     # eta_j into eta monomials.
@@ -160,14 +139,14 @@ def _whitened_moment(key, beta):
 @pytest.mark.parametrize("size", [2, 3])
 @pytest.mark.parametrize("seed", range(3))
 def test_moment_engines_match_whitened_closed_form(size, seed):
-    beta = _random_spd(random.Random(f"{size}-{seed}"), size)
+    beta = oracles.random_spd(random.Random(f"{size}-{seed}"), size)
     assert any(beta[i][j] for i in range(size) for j in range(i))
     binv = inverse(beta)
     for deg in range(7):
         for key in itertools.combinations_with_replacement(range(size), deg):
             want = _whitened_moment(key, beta)
             assert hg.wick_moment(key, binv) == want
-            assert hg.fock_moment(key, binv) == want
+            assert fock_moment(key, binv) == want
 
 
 def test_moment_memos_stay_bounded():
@@ -183,7 +162,6 @@ def test_moment_memos_stay_bounded():
     for k in range(500):
         binv = inverse(((F(k + 2), F(1)), (F(1), F(k + 3))))
         hg.wick_moment((0, 0, 1, 1), binv)
-        hg.fock_moment((0, 0, 1, 1), binv)
     assert tables() == before
     for module in (averaging, series):
         for name, value in vars(module).items():
@@ -191,10 +169,6 @@ def test_moment_memos_stay_bounded():
                 info = value.cache_info()
                 assert info.maxsize is not None, name
                 assert info.currsize <= info.maxsize, name
-    # 500 distinct betas filled the per-beta calibration memo to its bound.
-    assert averaging._fock_scale.cache_info().currsize == (
-        averaging._fock_scale.cache_info().maxsize
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +242,7 @@ def test_average_is_linear():
 def test_sinh_ratio_dets_scalar_cases():
     xs = [1e-9, 0.3, 1.0, 3.0, 10.0]
     mats = np.array([[[x]] for x in xs])
-    got = averaging._sinh_ratio_dets(mats)
+    got = oracles.sinh_ratio_dets(mats)
     want = np.array([math.sinh(x) / x for x in xs])
     assert np.allclose(got, want, rtol=1e-12)
 
@@ -277,14 +251,14 @@ def test_sinh_ratio_dets_rotation_block():
     # X = theta * J with J^2 = -I gives det(sinh X / X) = (sin theta/theta)^2.
     for theta in (0.5, 1.3, 2.5):
         mats = np.array([[[0.0, -theta], [theta, 0.0]]])
-        got = averaging._sinh_ratio_dets(mats)[0]
+        got = oracles.sinh_ratio_dets(mats)[0]
         want = (math.sin(theta) / theta) ** 2
         assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_sinh_ratio_dets_zero_matrix():
     mats = np.zeros((3, 4, 4))
-    assert np.allclose(averaging._sinh_ratio_dets(mats), 1.0)
+    assert np.allclose(oracles.sinh_ratio_dets(mats), 1.0)
 
 
 def rotation_blocks(thetas, n, rng=None):
@@ -330,7 +304,7 @@ def test_skew_kernel_matches_the_eigen_free_reference(n):
     mats = np.concatenate(batch)
     dets, tops = averaging._skew_sinc_dets(mats)
     np.testing.assert_allclose(
-        dets, averaging._sinh_ratio_dets(mats), rtol=1e-9, atol=1e-12
+        dets, oracles.sinh_ratio_dets(mats), rtol=1e-9, atol=1e-12
     )
     np.testing.assert_allclose(tops, svd_top(mats), rtol=1e-12, atol=1e-15)
     assert ((tops < bound) == (svd_top(mats) < bound)).all()
@@ -384,6 +358,19 @@ def test_mc_needs_two_samples(prepared, samples):
     with pytest.raises(ValueError, match="at least 2 samples"):
         hg.numeric_average(prepared["S2"], 0.1, method="mc",
                            samples=samples)
+
+
+@pytest.mark.parametrize("name,method", [("S2", "mc"), ("S4", "auto")])
+@pytest.mark.parametrize("excess", [1, 10**11])
+def test_mc_sample_count_checked_first(prepared, monkeypatch, name, method,
+                                       excess):
+    def boom(*args, **kwargs):
+        raise AssertionError("integrand built before validation")
+
+    monkeypatch.setattr(averaging, "_Integrand", boom)
+    samples = 10**7 + excess
+    with pytest.raises(ValueError, match=f"limited to 10000000 .* {samples}$"):
+        hg.numeric_average(prepared[name], 0.1, method, samples=samples)
 
 
 @pytest.fixture
@@ -478,7 +465,7 @@ def test_beta_beyond_the_float_range_is_reported():
     # float matrix holds both.
     s2 = hg.builtin("S2")
     tiny = hg.SpaceSpec("S2tiny", s2.n, s2.p, s2.g,
-                        rational.scale(s2.beta, F(1, 10**400)), s2.E)
+                        oracles.scale(s2.beta, F(1, 10**400)), s2.E)
     prep = hg.prepare(hg.catalog.product_spec("wide", s2, tiny))
     for method in ("mc", "quadrature"):
         with pytest.raises(hg.HeatgenError, match="float range"):
@@ -493,12 +480,6 @@ def test_tight_margin_rejects_more(prepared, monkeypatch):
     tight = hg.numeric_average(prepared["S2"], 1.0, method="mc",
                                samples=3000, seed=2)
     assert tight.singularity_hits > loose.singularity_hits
-
-
-def moved_along(spec, P):
-    """The datum in the tangent basis changed by P (test_curvature.moved)."""
-    ident = rational.identity(spec.p)
-    return moved(spec, P, ident, F(1), F(1))
 
 
 TANGENT_MOVES = {
@@ -516,7 +497,10 @@ def test_numeric_average_does_not_depend_on_the_tangent_basis(
     # of D(omega) would reject different points (S2 at t=2: 33 and 243
     # hits; S3: 378 and 32387).
     base = prepared[name]
-    other = hg.prepare(moved_along(base.spec, TANGENT_MOVES[name]))
+    ident = rational.identity(base.spec.p)
+    other = hg.prepare(
+        oracles.moved(base.spec, TANGENT_MOVES[name], ident, 1, 1)
+    )
     assert other.spec.g != base.spec.g
     kw = dict(method=method, samples=20_000, seed=4, nodes=24)
     want = hg.numeric_average(base, 2.0, **kw)
@@ -545,8 +529,8 @@ class ReferenceIntegrand:
         x = np.einsum("si,iab->sab", omegas, self.D) * self.half_sqrt_t
         y = np.einsum("si,ijk->sjk", omegas, self.F) * self.half_sqrt_t
         ok = (svd_top(x) < self.bound) & (svd_top(y) < self.bound)
-        det_d = averaging._sinh_ratio_dets(x[ok])
-        det_f = averaging._sinh_ratio_dets(y[ok])
+        det_d = oracles.sinh_ratio_dets(x[ok])
+        det_f = oracles.sinh_ratio_dets(y[ok])
         positive = (det_d > 0.0) & (det_f > 0.0)
         ok[np.flatnonzero(ok)[~positive]] = False
         vals = np.zeros(len(z))
@@ -616,22 +600,22 @@ def moved_products(draw):
     )
     scales = st.builds(F, st.integers(1, 2**40), st.integers(1, 2**40))
     parts = [
-        moved(spec, rational.identity(spec.n), rational.identity(spec.p),
-              draw(scales), draw(scales))
+        oracles.moved(spec, rational.identity(spec.n),
+                      rational.identity(spec.p), draw(scales), draw(scales))
         for spec in (left, right)
     ]
     return hg.catalog.product_spec("product", *parts)
 
 
 @settings(max_examples=25, deadline=None)
-@given(spec=st.one_of(moved_spaces(), moved_products()))
+@given(spec=st.one_of(oracles.moved_spaces(), moved_products()))
 def test_structure_matrices_are_beta_antisymmetric(spec):
     prep = hg.prepare(spec)
     averaging._check_beta_invariance(prep)
     beta = spec.beta
     for f in prep.hol.F_mats.to_fractions():
-        lowered = rational.matmul(beta, f)
-        assert rational.add(lowered, rational.transpose(lowered)) == (
+        lowered = oracles.matmul(beta, f)
+        assert oracles.add(lowered, oracles.transpose(lowered)) == (
             rational.zeros(spec.p, spec.p)
         )
     # The skew forms carry the determinant of the raw factor matrices,
@@ -649,7 +633,7 @@ def test_structure_matrices_are_beta_antisymmetric(spec):
         inside = tops < math.pi
         assert inside.sum() >= 10
         np.testing.assert_allclose(
-            dets[inside], averaging._sinh_ratio_dets(x[inside]), rtol=1e-10
+            dets[inside], oracles.sinh_ratio_dets(x[inside]), rtol=1e-10
         )
 
 
@@ -691,24 +675,6 @@ def test_replaced_structure_constants_reach_every_reader(prepared):
 
 def test_det_factorization_all_catalog(specs, hols):
     for name, spec in specs.items():
-        samples = hg.random_rational_omegas(spec.p, 25, seed=3)
-        report = hg.check_det_factorization(hols[name], samples)
-        assert report.all_pass, (name, report.max_rel_err)
-        assert report.samples == 25
-        assert report.max_rel_err <= 1e-10
-
-
-def test_det_factorization_empty_input(hols):
-    report = hg.check_det_factorization(hols["S2"], ())
-    assert report.samples == 0 and report.all_pass
-
-
-def test_random_rational_omegas_deterministic():
-    a = hg.random_rational_omegas(3, 4, seed=9)
-    b = hg.random_rational_omegas(3, 4, seed=9)
-    assert a == b
-    assert len(a) == 4 and all(len(row) == 3 for row in a)
-    for row in a:
-        for x in row:
-            assert -1 <= x <= 1
-            assert (x * 64).denominator == 1
+        samples = oracles.random_rational_omegas(spec.p, 25, seed=3)
+        err = oracles.check_det_factorization(hols[name], samples)
+        assert err <= 1e-10, (name, err)

@@ -7,7 +7,7 @@ import pytest
 
 import heatgen as hg
 from heatgen import catalog
-from test_curvature import moved
+from oracles import moved
 
 
 def test_catalog_names_cover_builtins():
@@ -151,14 +151,16 @@ def test_load_rejects_unknown_field(tmp_path):
 
 
 def test_load_rejects_wrong_schema_version(tmp_path):
+    # true and 1.0 compare equal to 1, but only the integer 1 is version 1.
     spec = hg.builtin("S2")
-    path = tmp_path / "v9.json"
+    path = tmp_path / "version.json"
     hg.save(spec, path)
     doc = json.loads(path.read_text())
-    doc["schema_version"] = 9
-    path.write_text(json.dumps(doc))
-    with pytest.raises(hg.ParseError, match="schema_version"):
-        hg.load(path)
+    for version in (9, True, 1.0):
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(hg.ParseError, match="schema_version"):
+            hg.load(path)
 
 
 def test_load_rejects_float_contamination(tmp_path):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import heatgen as hg
+import oracles
 from heatgen import cli, curvature, rational
 from heatgen.cli import main
 
@@ -328,8 +329,8 @@ def test_compare_oracles_follow_the_datum_not_the_name(
     # those oracles do not apply to it.
     base = hg.builtin(name)
     path = tmp_path / f"{name}.json"
-    hg.save(hg.SpaceSpec(name, base.n, base.p, rational.scale(base.g, scale),
-                         rational.scale(base.beta, scale), base.E), path)
+    hg.save(hg.SpaceSpec(name, base.n, base.p, oracles.scale(base.g, scale),
+                         oracles.scale(base.beta, scale), base.E), path)
     code, out, err = run(capsys, "compare", str(path), "--order", "2",
                          "--t", "0.05", "--method", "quadrature", "--nodes",
                          "12", "--json")
@@ -354,6 +355,22 @@ def test_compare_time_beyond_the_spectral_cap_exits_two(capsys):
                        "--t", "1e-14")
     assert code == 2
     assert "cap of 10000000" in err
+
+
+def test_huge_sample_count_exits_two(capsys, monkeypatch):
+    # Refused before the integrand exists, so nothing of its size is
+    # allocated.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrand built for a refused sample count")
+
+    monkeypatch.setattr("heatgen.averaging._Integrand", unreachable)
+    code, out, err = run(capsys, "eval", "S2", "--t", "0.1", "--method",
+                         "mc", "--samples", "100000000000")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: Monte Carlo is limited to 10000000 samples, "
+        "got 100000000000\n"
+    )
 
 
 def test_compare_negative_time_exits_two(capsys):
@@ -419,23 +436,13 @@ def test_compare_product_prepares_each_space_once(capsys, monkeypatch):
 def tilted_three_sphere():
     """S3 under the generator change N (unit lower triangular): E' =
     N^-T E, beta' = N beta N^T, so beta' is not diagonal."""
-    base = hg.builtin("S3")
-    N = rational.matrix([[1, 0, 0], [F(1, 2), 1, 0], [-1, F(2, 3), 1]])
-    ninv_t = rational.transpose(rational.inverse(N))
-    E = tuple(
-        rational.matrix(
-            [[sum((ninv_t[i][j] * base.E[j][a][b] for j in range(3)), F(0))
-              for b in range(3)] for a in range(3)]
-        )
-        for i in range(3)
-    )
-    beta = rational.matmul(rational.matmul(N, base.beta), rational.transpose(N))
-    return hg.SpaceSpec("tilted", 3, 3, base.g, beta, E)
+    N = oracles.matrix([[1, 0, 0], [F(1, 2), 1, 0], [-1, F(2, 3), 1]])
+    return oracles.moved(hg.builtin("S3"), rational.identity(3), N, 1, 1)
 
 
 def count_conversions(monkeypatch):
     """Record every ScaledTensor.from_nested argument and every call of
-    the Fraction matrix loops and factorizations."""
+    rational.ldl, the one Fraction matrix factorization in the package."""
     converted, loops = [], []
     from_nested = rational.ScaledTensor.from_nested.__func__
 
@@ -444,15 +451,13 @@ def count_conversions(monkeypatch):
         return from_nested(cls, nested, shape)
 
     monkeypatch.setattr(rational.ScaledTensor, "from_nested", classmethod(spy))
-    for name in ("matmul", "commutator", "trace_product", "span_decompose",
-                 "inverse", "transpose", "ldl"):
-        original = getattr(rational, name)
+    ldl = rational.ldl
 
-        def loop(*args, _original=original, _name=name):
-            loops.append(_name)
-            return _original(*args)
+    def loop(*args):
+        loops.append("ldl")
+        return ldl(*args)
 
-        monkeypatch.setattr(rational, name, loop)
+    monkeypatch.setattr(rational, "ldl", loop)
     return converted, loops
 
 
@@ -531,7 +536,7 @@ def huge_two_sphere(tmp_path, factor=F(10**1500)):
     base = hg.builtin("S2")
     spec = hg.SpaceSpec(
         "S2huge", base.n, base.p, base.g,
-        rational.scale(base.beta, factor), base.E,
+        oracles.scale(base.beta, factor), base.E,
     )
     path = tmp_path / "huge.json"
     hg.save(spec, path)

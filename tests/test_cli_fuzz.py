@@ -3,6 +3,7 @@ exit code 0, 1 or 2 with an error line, never in a traceback."""
 
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -114,6 +115,22 @@ def test_malformed_and_extreme_space_files(capsys, tmp_path):
             assert_clean(code, err, (label, command))
             # What is wrong is the file's data, not the usage.
             assert code != 2, (label, command, err)
+
+
+@pytest.mark.parametrize("label,data", [
+    ("nested 200000 deep", b"[" * 200_000 + b"]" * 200_000),
+    ("not UTF-8", b"\xff\xfe"),
+])
+def test_unreadable_space_files_are_parse_errors(capsys, tmp_path, label,
+                                                 data):
+    path = tmp_path / "case.json"
+    path.write_bytes(data)
+    with pytest.raises(hg.ParseError, match=f"^{re.escape(str(path))}: "):
+        hg.load(path)
+    for command in COMMANDS:
+        code, err = run_cli(capsys, [command[0], path, *command[1:]])
+        assert_clean(code, err, (label, command))
+        assert code == 1, (label, command, err)
 
 
 BAD_ARGUMENTS = [

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatgen as hg
+import oracles
 from heatgen import rational
+from heatgen.rational import identity
 
 ZERO3 = tuple(tuple(F(0) for _ in range(3)) for _ in range(3))
 
@@ -22,19 +24,6 @@ def antisym(n, entries):
         m[i][j] = F(v)
         m[j][i] = -F(v)
     return tuple(tuple(row) for row in m)
-
-
-def ident(n):
-    return tuple(tuple(F(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def combined_metric(spec):
-    """g + beta, block diagonal on the combined (tangent + holonomy)
-    index."""
-    n, p = spec.n, spec.p
-    return tuple(tuple(row) + (F(0),) * p for row in spec.g) + tuple(
-        (F(0),) * n + tuple(row) for row in spec.beta
-    )
 
 
 def as_fractions(hol):
@@ -50,7 +39,7 @@ def as_fractions(hol):
 def test_spec_rejects_non_antisymmetric_generator():
     bad = ((F(0), F(1)), (F(1), F(0)))
     with pytest.raises(hg.InvalidSpaceSpec, match="antisymmetric"):
-        hg.SpaceSpec("bad", 2, 1, ident(2), ((F(1),),), (bad,))
+        hg.SpaceSpec("bad", 2, 1, identity(2), ((F(1),),), (bad,))
 
 
 def test_spec_names_the_first_non_antisymmetric_generator():
@@ -62,8 +51,8 @@ def test_spec_names_the_first_non_antisymmetric_generator():
             tuple(F(int(a == b == k)) for b in range(3)) for a in range(3)
         )
 
-    E = (s3.E[0], rational.add(s3.E[1], unit(2)),
-         rational.add(s3.E[2], unit(0)))
+    E = (s3.E[0], oracles.add(s3.E[1], unit(2)),
+         oracles.add(s3.E[2], unit(0)))
     with pytest.raises(
         hg.InvalidSpaceSpec, match="^generator 1 is not antisymmetric$"
     ):
@@ -104,13 +93,13 @@ def test_spec_rejects_dependent_generators():
     e = antisym(3, {(0, 1): 1})
     e2 = antisym(3, {(0, 1): 2})
     with pytest.raises(hg.InvalidSpaceSpec, match="redundant"):
-        hg.SpaceSpec("bad", 3, 2, ident(3), ident(2), (e, e2))
+        hg.SpaceSpec("bad", 3, 2, identity(3), identity(2), (e, e2))
 
 
 def test_spec_rejects_shape_mismatch():
     e = antisym(2, {(0, 1): 1})
     with pytest.raises(hg.InvalidSpaceSpec):
-        hg.SpaceSpec("bad", 3, 1, ident(3), ((F(1),),), (e,))
+        hg.SpaceSpec("bad", 3, 1, identity(3), ((F(1),),), (e,))
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +130,12 @@ def test_structure_constants_reproduce_commutators(hols):
         D, Fs, _ = as_fractions(hol)
         for i in range(hol.p):
             for k in range(i + 1, hol.p):
-                comm = rational.commutator(D[i], D[k])
+                comm = oracles.commutator(D[i], D[k])
                 recon = rational.zeros(hol.n, hol.n)
                 for j in range(hol.p):
                     if Fs[j][i][k]:
-                        recon = rational.add(
-                            recon, rational.scale(D[j], Fs[j][i][k])
+                        recon = oracles.add(
+                            recon, oracles.scale(D[j], Fs[j][i][k])
                         )
                 assert comm == recon
 
@@ -159,13 +148,13 @@ def test_combined_generators_close_under_commutators(hols):
         big_n = hol.n + hol.p
         for a in range(big_n):
             for b in range(a + 1, big_n):
-                comm = rational.commutator(C[a], C[b])
+                comm = oracles.commutator(C[a], C[b])
                 recon = rational.zeros(big_n, big_n)
                 for c in range(big_n):
                     coef = C[a][c][b]
                     if coef:
-                        recon = rational.add(
-                            recon, rational.scale(C[c], coef)
+                        recon = oracles.add(
+                            recon, oracles.scale(C[c], coef)
                         )
                 assert comm == recon
 
@@ -177,13 +166,13 @@ def test_flat_space_has_abelian_translations():
     assert len(C) == 2
     for a in range(2):
         for b in range(2):
-            assert rational.commutator(C[a], C[b]) == rational.zeros(2, 2)
+            assert oracles.commutator(C[a], C[b]) == rational.zeros(2, 2)
 
 
 def test_commutator_outside_span():
     e1 = antisym(3, {(0, 1): 1})
     e2 = antisym(3, {(0, 2): 1})
-    spec = hg.SpaceSpec("open", 3, 2, ident(3), ident(2), (e1, e2))
+    spec = hg.SpaceSpec("open", 3, 2, identity(3), identity(2), (e1, e2))
     with pytest.raises(hg.CommutatorOutsideSpan):
         hg.derive_holonomy(spec)
 
@@ -289,7 +278,7 @@ def test_anisotropic_beta_fails_validation():
 
 def test_bianchi_violation_detected():
     e = antisym(4, {(0, 1): 1, (2, 3): 2})
-    spec = hg.SpaceSpec("nonbianchi", 4, 1, ident(4), ((F(1),),), (e,))
+    spec = hg.SpaceSpec("nonbianchi", 4, 1, identity(4), ((F(1),),), (e,))
     report = hg.validate_symmetric_space(spec, hg.derive_holonomy(spec))
     assert "riemann_symmetries" in report.failed_names()
 
@@ -335,20 +324,7 @@ def test_combined_scalar_identity_all_catalog(specs, hols):
     for name, spec in specs.items():
         hol = hols[name]
         curv = hg.curvature_scalars(spec, hol)
-        metric = combined_metric(spec)
-        metric_inv = rational.inverse(metric) if metric else ()
-        C = hol.C.to_fractions()
-        big_n = spec.n + spec.p
-        direct = -sum(
-            (
-                metric_inv[a][b]
-                * rational.trace_product(C[a], C[b])
-                for a in range(big_n)
-                for b in range(big_n)
-                if metric_inv[a][b]
-            ),
-            F(0),
-        ) / 4
+        direct = oracles.combined_scalar(spec, hol)
         assert curv.R_G == direct == F(3, 4) * curv.R + curv.R_H
 
 
@@ -383,20 +359,20 @@ def test_ricci_proportional_to_metric_on_spheres(specs):
 
 def oracle_holonomy(spec):
     """(D, F, C) by per-entry Fraction arithmetic: commutators from
-    rational.commutator, structure constants from span_decompose.  Raises
+    oracles.commutator, structure constants from span_decompose.  Raises
     CommutatorOutsideSpan for the first pair (i, k), i < k, that does not
     close."""
     n, p = spec.n, spec.p
-    ginv = rational.inverse(spec.g)
+    ginv = oracles.inverse(spec.g)
     D = []
     for i in range(p):
         acc = rational.zeros(n, n)
         for k in range(p):
-            acc = rational.add(acc, rational.scale(spec.E[k], spec.beta[i][k]))
-        D.append(rational.scale(rational.matmul(ginv, acc), F(-1)))
+            acc = oracles.add(acc, oracles.scale(spec.E[k], spec.beta[i][k]))
+        D.append(oracles.scale(oracles.matmul(ginv, acc), F(-1)))
     pairs = [(i, k) for i in range(p) for k in range(i + 1, p)]
-    comms = [rational.commutator(D[i], D[k]) for i, k in pairs]
-    rank, sols = rational.span_decompose(D, comms)
+    comms = [oracles.commutator(D[i], D[k]) for i, k in pairs]
+    rank, sols = oracles.span_decompose(D, comms)
     assert rank == p
     fs = [[[F(0)] * p for _ in range(p)] for _ in range(p)]
     for (i, k), sol in zip(pairs, sols):
@@ -429,10 +405,10 @@ def assert_matches_oracle(spec):
     hol = hg.derive_holonomy(spec)
     assert as_fractions(hol) == oracle_holonomy(spec)
     if hol.p and hg.validate_symmetric_space(spec, hol).all_passed:
-        binv = rational.inverse(spec.beta)
+        binv = oracles.inverse(spec.beta)
         F_mats = hol.F_mats.to_fractions()
         want = -sum(
-            (binv[i][k] * rational.trace_product(F_mats[i], F_mats[k])
+            (binv[i][k] * oracles.trace_product(F_mats[i], F_mats[k])
              for i in range(hol.p) for k in range(hol.p)),
             F(0),
         ) / 4
@@ -450,66 +426,15 @@ def test_derive_holonomy_matches_oracle_on_a_huge_metric():
     base = hg.builtin("S2")
     mu = 3**40
     big = hg.SpaceSpec(
-        "S2big", base.n, base.p, rational.scale(base.g, F(mu)), base.beta,
+        "S2big", base.n, base.p, oracles.scale(base.g, F(mu)), base.beta,
         base.E,
     )
     assert_matches_oracle(big)
     assert hg.derive_holonomy(big).D.to_fractions()[0][0][1] == F(-1, mu)
 
 
-def moved(spec, P, N, mu, nu):
-    """The datum moved by a tangent change P, a generator change N and
-    the scalings (mu, nu): g' = mu P^T g P, E'^i = sum_j (N^-T)_ij P^T E^j P,
-    beta' = nu N beta N^T."""
-    PT = rational.transpose(P)
-    E = [rational.matmul(rational.matmul(PT, m), P) for m in spec.E]
-    ninv_t = rational.transpose(rational.inverse(N))
-    E = tuple(
-        tuple(
-            tuple(
-                sum((ninv_t[i][j] * E[j][a][b] for j in range(spec.p)), F(0))
-                for b in range(spec.n)
-            )
-            for a in range(spec.n)
-        )
-        for i in range(spec.p)
-    )
-    g = rational.scale(rational.matmul(rational.matmul(PT, spec.g), P), mu)
-    beta = rational.scale(
-        rational.matmul(rational.matmul(N, spec.beta), rational.transpose(N)),
-        nu,
-    )
-    return hg.SpaceSpec(spec.name, spec.n, spec.p, g, beta, E)
-
-
-SMALL = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
-SCALES = st.one_of(
-    st.builds(F, st.integers(1, 9), st.integers(1, 9)),
-    st.builds(F, st.integers(1, 2**70), st.integers(1, 2**70)),
-)
-
-
-@st.composite
-def moved_spaces(draw):
-    spec = hg.builtin(draw(st.sampled_from(["S2", "S3", "S2xS2", "S2xS3"])))
-    n, p = spec.n, spec.p
-    diag = [draw(st.builds(F, st.integers(1, 3), st.integers(1, 2)))
-            for _ in range(n)]
-    P = tuple(
-        tuple(diag[j] if i == j else draw(SMALL) if i < j else F(0)
-              for j in range(n))
-        for i in range(n)
-    )
-    N = tuple(
-        tuple(F(1) if i == j else draw(SMALL) if i > j else F(0)
-              for j in range(p))
-        for i in range(p)
-    )
-    return moved(spec, P, N, draw(SCALES), draw(SCALES))
-
-
 @settings(max_examples=25, deadline=None)
-@given(spec=moved_spaces())
+@given(spec=oracles.moved_spaces())
 def test_derive_holonomy_matches_oracle_on_moved_spaces(spec):
     assert_matches_oracle(spec)
     assert hg.validate_symmetric_space(
@@ -519,8 +444,8 @@ def test_derive_holonomy_matches_oracle_on_moved_spaces(spec):
 
 def test_moved_data_keeps_small_tensors_in_int64():
     # Reduced entries of F and C are 0 and +-1 here, so both stay int64.
-    P = rational.matrix([[2, 0, 0], [F(1, 2), F(1, 3), 0], [-1, F(2, 3), 1]])
-    spec = moved(hg.builtin("S3"), P, ident(3), 1, 1)
+    P = oracles.matrix([[2, 0, 0], [F(1, 2), F(1, 3), 0], [-1, F(2, 3), 1]])
+    spec = oracles.moved(hg.builtin("S3"), P, identity(3), 1, 1)
     hol = hg.prepare(spec).hol
     for derived in (hol.F, hol.C):
         assert derived.array.dtype == np.int64
@@ -543,7 +468,7 @@ def elementary(n, a, b):
 def test_commutator_outside_span_names_the_first_pair(gens, pair):
     n = 4
     spec = hg.SpaceSpec(
-        "open", n, len(gens), ident(n), ident(len(gens)),
+        "open", n, len(gens), identity(n), identity(len(gens)),
         tuple(elementary(n, a, b) for a, b in gens),
     )
     with pytest.raises(hg.CommutatorOutsideSpan) as want:
@@ -572,7 +497,7 @@ def test_closure_verdict_matches_oracle(gens, weights):
         for i in range(p)
     )
     spec = hg.SpaceSpec(
-        "random", n, p, ident(n), beta,
+        "random", n, p, identity(n), beta,
         tuple(elementary(n, a, b) for a, b in gens),
     )
     try:

@@ -9,53 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatgen as hg
+import oracles
 from heatgen import invariants, rational, series
 from heatgen.invariants import sphere_volume
 
 
-def sin_ratio_inverse_series(order):
-    """Coefficients q_m of z/sin(z) in powers of z^2, by inverting the
-    sin(z)/z series.  Classical values: 1, 1/6, 7/360, 31/15120, ..."""
-    s = [F((-1) ** m, math.factorial(2 * m + 1)) for m in range(order + 1)]
-    q = [F(1)]
-    for m in range(1, order + 1):
-        q.append(-sum(q[j] * s[m - j] for j in range(m)))
-    return q
-
-
-def two_sphere_series(order):
-    """Independent 1-D oracle for the unit two-sphere.
-
-    The average reduces to a single Gaussian variable with second moment 2:
-    <(u/sin u)> with u^2 = t w^2 / 4, times the scalar factor exp(t/4), so
-    a_k = sum_m q_m (2m-1)!!/2^m * (1/4)^{k-m}/(k-m)!.
-    """
-    q = sin_ratio_inverse_series(order)
-
-    def dfact(k):
-        out = 1
-        while k > 1:
-            out *= k
-            k -= 2
-        return out
-
-    coeffs = []
-    for k in range(order + 1):
-        acc = F(0)
-        for m in range(k + 1):
-            gauss = q[m] * dfact(2 * m - 1) / F(2**m)
-            acc += gauss * F(1, 4 ** (k - m)) / math.factorial(k - m)
-        coeffs.append(acc)
-    return tuple(coeffs)
-
-
 def test_sin_ratio_inverse_series_classical_values():
-    q = sin_ratio_inverse_series(3)
+    q = oracles.sin_ratio_inverse_series(3)
     assert q == [F(1), F(1, 6), F(7, 360), F(31, 15120)]
 
 
 def test_s2_matches_independent_one_dimensional_oracle(s2_order6):
-    assert s2_order6.coeffs == two_sphere_series(6)
+    assert s2_order6.coeffs == oracles.two_sphere_series(6)
 
 
 def test_s2_first_coefficients_pinned(s2_order6):
@@ -127,9 +92,9 @@ def _scaled(spec, lam, c=F(1)):
     """The datum (lam g, lam beta, c E)."""
     return hg.SpaceSpec(
         name=spec.name, n=spec.n, p=spec.p,
-        g=rational.scale(spec.g, lam),
-        beta=rational.scale(spec.beta, lam),
-        E=tuple(rational.scale(e, c) for e in spec.E),
+        g=oracles.scale(spec.g, lam),
+        beta=oracles.scale(spec.beta, lam),
+        E=tuple(oracles.scale(e, c) for e in spec.E),
     )
 
 
@@ -195,7 +160,7 @@ def _dict_oracle(prep, order):
     integrand = hg.exponentiate_with_prefactor(
         log_poly, prep.curv.R, prep.curv.R_H
     )
-    return hg.average(integrand, rational.inverse(prep.spec.beta)).coeffs
+    return hg.average(integrand, oracles.inverse(prep.spec.beta)).coeffs
 
 
 @pytest.mark.parametrize("name,order", [("S4", 4), ("S5", 3)])
@@ -213,24 +178,15 @@ def test_non_diagonal_beta_file_matches_dict_oracle(tmp_path):
     base = hg.builtin("S2xS3")
     p = base.p
     rng = random.Random(11)
-    mix = rational.matrix(
+    mix = oracles.matrix(
         [[F(int(i == j)) if j >= i
           else F(rng.randint(-3, 3), rng.randint(1, 4))
           for j in range(p)] for i in range(p)]
     )
-    back = rational.transpose(rational.inverse(mix))
-    gens = tuple(
-        rational.matrix(
-            [[sum((back[i][j] * base.E[j][a][b] for j in range(p)), F(0))
-              for b in range(base.n)] for a in range(base.n)]
-        )
-        for i in range(p)
-    )
-    beta = rational.matmul(rational.matmul(mix, base.beta),
-                           rational.transpose(mix))
-    assert any(beta[i][j] for i in range(p) for j in range(i))
+    mixed = oracles.moved(base, rational.identity(base.n), mix, 1, 1)
+    assert any(mixed.beta[i][j] for i in range(p) for j in range(i))
     path = tmp_path / "mixed.json"
-    hg.save(hg.SpaceSpec("mixed", base.n, p, base.g, beta, gens), path)
+    hg.save(mixed, path)
     prep = hg.prepare(hg.load(path))
     got = hg.heat_coefficients(prep, 3).coeffs
     assert got == _dict_oracle(prep, 3)
@@ -372,7 +328,7 @@ def test_sphere_volumes():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_spectral_fit_recovers_leading_coefficients(n):
-    a0, a1 = hg.spectral_coefficient_fit(n)
+    a0, a1 = oracles.spectral_coefficient_fit(n)
     assert abs(a0 - 1.0) < 1e-5
     assert abs(a1 - n * (n - 1) / 6.0) < 5e-3
 

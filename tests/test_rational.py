@@ -6,50 +6,51 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import oracles
 from heatgen import rational
 from heatgen.curvature import SpaceSpec
 from heatgen.errors import InvalidSpaceSpec
 
 
 def test_rat_accepts_int_str_fraction():
-    assert rational.rat(3) == F(3)
-    assert rational.rat("4/6") == F(2, 3)
-    assert rational.rat(F(1, 2)) == F(1, 2)
+    assert oracles.rat(3) == F(3)
+    assert oracles.rat("4/6") == F(2, 3)
+    assert oracles.rat(F(1, 2)) == F(1, 2)
 
 
 def test_rat_rejects_floats_and_bools():
     with pytest.raises(TypeError):
-        rational.rat(0.5)
+        oracles.rat(0.5)
     with pytest.raises(TypeError):
-        rational.rat(True)
+        oracles.rat(True)
 
 
 def test_matmul_and_trace():
-    a = rational.matrix([[1, 2], [3, 4]])
-    b = rational.matrix([[0, 1], [1, 0]])
-    assert rational.matmul(a, b) == rational.matrix([[2, 1], [4, 3]])
-    assert rational.trace(a) == 5
-    assert rational.trace_product(a, b) == rational.trace(rational.matmul(a, b))
+    a = oracles.matrix([[1, 2], [3, 4]])
+    b = oracles.matrix([[0, 1], [1, 0]])
+    assert oracles.matmul(a, b) == oracles.matrix([[2, 1], [4, 3]])
+    assert oracles.trace(a) == 5
+    assert oracles.trace_product(a, b) == oracles.trace(oracles.matmul(a, b))
 
 
 def test_commutator_antisymmetry():
-    a = rational.matrix([[0, 1], [-1, 0]])
-    b = rational.matrix([[1, 0], [0, -1]])
-    ab = rational.commutator(a, b)
-    ba = rational.commutator(b, a)
-    assert ab == rational.scale(ba, F(-1))
+    a = oracles.matrix([[0, 1], [-1, 0]])
+    b = oracles.matrix([[1, 0], [0, -1]])
+    ab = oracles.commutator(a, b)
+    ba = oracles.commutator(b, a)
+    assert ab == oracles.scale(ba, F(-1))
 
 
 def test_determinant_matches_cofactor_expansion():
-    m = rational.matrix([[F(1, 2), 3, 0], [1, F(-2, 3), 4], [0, 5, 1]])
+    m = oracles.matrix([[F(1, 2), 3, 0], [1, F(-2, 3), 4], [0, 5, 1]])
     # cofactor expansion along the first row
     det = F(1, 2) * (F(-2, 3) * 1 - 4 * 5) - 3 * (1 * 1 - 4 * 0)
-    assert rational.determinant(m) == det
+    assert oracles.determinant(m) == det
 
 
 def test_determinant_singular():
-    m = rational.matrix([[1, 2], [2, 4]])
-    assert rational.determinant(m) == 0
+    m = oracles.matrix([[1, 2], [2, 4]])
+    assert oracles.determinant(m) == 0
 
 
 def _ldl_accepts(a) -> bool:
@@ -63,36 +64,36 @@ def _ldl_accepts(a) -> bool:
 
 
 def test_positive_definite():
-    assert _ldl_accepts(rational.matrix([[2, 1], [1, 2]]))
-    assert not _ldl_accepts(rational.matrix([[1, 2], [2, 1]]))
-    assert not _ldl_accepts(rational.matrix([[0, 0], [0, 1]]))
+    assert _ldl_accepts(oracles.matrix([[2, 1], [1, 2]]))
+    assert not _ldl_accepts(oracles.matrix([[1, 2], [2, 1]]))
+    assert not _ldl_accepts(oracles.matrix([[0, 0], [0, 1]]))
 
 
 def test_inverse_roundtrip():
-    m = rational.matrix([[F(1, 2), 3], [1, F(-2, 3)]])
-    assert rational.matmul(m, rational.inverse(m)) == rational.identity(2)
+    m = oracles.matrix([[F(1, 2), 3], [1, F(-2, 3)]])
+    assert oracles.matmul(m, oracles.inverse(m)) == rational.identity(2)
 
 
 def test_inverse_singular_raises():
     with pytest.raises(ZeroDivisionError):
-        rational.inverse(rational.matrix([[1, 1], [1, 1]]))
+        oracles.inverse(oracles.matrix([[1, 1], [1, 1]]))
 
 
 def test_span_decompose_solves_and_detects_outside():
-    b1 = rational.matrix([[1, 0], [0, 0]])
-    b2 = rational.matrix([[0, 1], [1, 0]])
-    inside = rational.matrix([[F(2, 3), -1], [-1, 0]])
-    outside = rational.matrix([[0, 0], [0, 1]])
-    rank, sols = rational.span_decompose([b1, b2], [inside, outside])
+    b1 = oracles.matrix([[1, 0], [0, 0]])
+    b2 = oracles.matrix([[0, 1], [1, 0]])
+    inside = oracles.matrix([[F(2, 3), -1], [-1, 0]])
+    outside = oracles.matrix([[0, 0], [0, 1]])
+    rank, sols = oracles.span_decompose([b1, b2], [inside, outside])
     assert rank == 2
     assert sols[0] == (F(2, 3), F(-1))
     assert sols[1] is None
 
 
 def test_span_decompose_reports_rank_deficiency():
-    b1 = rational.matrix([[1, 0], [0, 1]])
-    b2 = rational.matrix([[2, 0], [0, 2]])
-    rank, _ = rational.span_decompose([b1, b2], [])
+    b1 = oracles.matrix([[1, 0], [0, 1]])
+    b2 = oracles.matrix([[2, 0], [0, 2]])
+    rank, _ = oracles.span_decompose([b1, b2], [])
     assert rank == 1
 
 
@@ -103,12 +104,12 @@ def test_scaled_tensor_roundtrip():
 
 
 def test_exact_einsum_matches_fraction_matmul():
-    a = rational.matrix([[F(1, 2), 3], [0, F(5, 7)]])
-    b = rational.matrix([[2, F(1, 3)], [F(-4, 9), 1]])
+    a = oracles.matrix([[F(1, 2), 3], [0, F(5, 7)]])
+    b = oracles.matrix([[2, F(1, 3)], [F(-4, 9), 1]])
     ta = rational.ScaledTensor.from_nested(a)
     tb = rational.ScaledTensor.from_nested(b)
     prod = rational.exact_einsum("ij,jk->ik", ta, tb)
-    assert prod.to_fractions() == rational.matmul(a, b)
+    assert prod.to_fractions() == oracles.matmul(a, b)
 
 
 def test_exact_einsum_object_fallback_is_exact():
@@ -164,16 +165,8 @@ def test_scaled_tensor_sums_promote_instead_of_wrapping():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_ldl_reconstructs_positive_definite_matrices(seed):
-    rng = random.Random(seed)
     size = 1 + seed % 4
-    a = rational.matrix(
-        [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(size)]
-         for _ in range(size)]
-    )
-    # a a^T + 1 is symmetric positive definite.
-    spd = rational.add(
-        rational.matmul(a, rational.transpose(a)), rational.identity(size)
-    )
+    spd = oracles.random_spd(random.Random(seed), size)
     lower, d = rational.ldl(spd)
     assert all(lower[i][i] == 1 for i in range(size))
     assert all(
@@ -184,16 +177,16 @@ def test_ldl_reconstructs_positive_definite_matrices(seed):
         tuple(d[i] if i == j else F(0) for j in range(size))
         for i in range(size)
     )
-    assert rational.matmul(
-        rational.matmul(lower, diag), rational.transpose(lower)
+    assert oracles.matmul(
+        oracles.matmul(lower, diag), oracles.transpose(lower)
     ) == spd
 
 
 def test_ldl_rejects_a_non_positive_pivot():
     with pytest.raises(ValueError, match="pivot 1"):
-        rational.ldl(rational.matrix([[1, 2], [2, 4]]))
+        rational.ldl(oracles.matrix([[1, 2], [2, 4]]))
     with pytest.raises(ValueError, match="pivot 0"):
-        rational.ldl(rational.matrix([[-1]]))
+        rational.ldl(oracles.matrix([[-1]]))
 
 
 def test_scaled_tensor_reduced_divides_out_the_content():
@@ -232,7 +225,7 @@ def test_reduced_keeps_object_arrays_past_int64():
 def _sylvester(a):
     """Positive definiteness by Sylvester's criterion, as an oracle."""
     return all(
-        rational.determinant(tuple(row[: k + 1] for row in a[: k + 1])) > 0
+        oracles.determinant(tuple(row[: k + 1] for row in a[: k + 1])) > 0
         for k in range(len(a))
     )
 
@@ -248,14 +241,14 @@ def test_positive_definite_agrees_with_sylvester(seed):
         # A dominant diagonal on every other seed: both verdicts occur.
         if seed % 2:
             a[i][i] += 8
-    a = rational.matrix(a)
+    a = oracles.matrix(a)
     assert _ldl_accepts(a) == _sylvester(a)
 
 
 def test_positive_definite_needs_symmetry():
     # ldl reads only the lower triangle, so SpaceSpec checks symmetry
     # first: this g has the identity's pivots but is not symmetric.
-    lopsided = rational.matrix([[1, 1], [0, 1]])
+    lopsided = oracles.matrix([[1, 1], [0, 1]])
     assert _ldl_accepts(lopsided)
     with pytest.raises(InvalidSpaceSpec, match="^g is not symmetric$"):
         SpaceSpec("lopsided", 2, 0, lopsided, (), ())
@@ -311,15 +304,15 @@ def test_solve_matches_the_fraction_inverse(seed):
         return F(rng.randint(-5, 5) * scale + rng.randint(-1, 1),
                  rng.randint(1, 4))
 
-    a = rational.matrix([[entry() for _ in range(size)] for _ in range(size)])
+    a = oracles.matrix([[entry() for _ in range(size)] for _ in range(size)])
     b = tuple(tuple(entry() for _ in range(cols)) for _ in range(size))
     ta = rational.ScaledTensor.from_nested(a, (size, size))
     tb = rational.ScaledTensor.from_nested(b, (size, cols))
-    if rational.determinant(a) == 0:
+    if oracles.determinant(a) == 0:
         with pytest.raises(ZeroDivisionError):
             rational.solve(ta, tb)
         return
-    want = rational.matmul(rational.inverse(a), b) if cols else tuple(
+    want = oracles.matmul(oracles.inverse(a), b) if cols else tuple(
         () for _ in range(size)
     )
     assert rational.solve(ta, tb).to_fractions() == want
