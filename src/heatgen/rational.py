@@ -7,9 +7,10 @@ tensors: each tensor is rescaled by the lcm of its entry denominators so
 numpy can contract, scale, assemble and solve (fraction-free
 elimination) int64 arrays, with an automatic promotion to Python-int
 object arrays whenever a magnitude bound says int64 could overflow.
-Results stay exact in both regimes; reduced() is the canonical form
-(lowest terms, int64 whenever the entries fit) and solve() gives every
-exact inverse.
+exact_matmul runs a product on float64 BLAS when its bound stays below
+2**53, where float64 holds every integer exactly.  Results stay exact in
+every regime; reduced() is the canonical form (lowest terms, int64
+whenever the entries fit) and solve() gives every exact inverse.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 # int64 contractions are kept well away from 2**63 by this guard.
 _INT64_SAFE = 2**62
+# float64 holds every integer of magnitude at most 2**53 exactly.
+_FLOAT64_EXACT = 2**53
 
 
 def _exact_scalar(x) -> Fraction:
@@ -116,6 +119,29 @@ def exact_dtype(bound: int, *arrays: np.ndarray):
     if bound < _INT64_SAFE and all(a.dtype != object for a in arrays):
         return np.int64
     return object
+
+
+def product_dtype(bound: int, *arrays: np.ndarray):
+    """float64 when a magnitude bound on every operand entry and every
+    partial sum of a product stays below _FLOAT64_EXACT and no operand is
+    object, else exact_dtype(bound, *arrays)."""
+    if bound < _FLOAT64_EXACT and all(a.dtype != object for a in arrays):
+        return np.float64
+    return exact_dtype(bound, *arrays)
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a @ b of integer arrays (int64 or object), exactly, for a bound on
+    the magnitude of every entry of a and b and every partial sum of the
+    product.  Below _FLOAT64_EXACT the product runs as a float64 matmul
+    (BLAS): every product of two entries, every partial sum and every
+    fused multiply-add result is then an integer below 2**53, which
+    float64 holds exactly, whatever the summation order, blocking or
+    thread count, so the cast back to int64 is exact.  Otherwise it runs
+    in the dtype exact_dtype picks.  The result is int64 or object."""
+    dtype = product_dtype(bound, a, b)
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return out.astype(np.int64) if dtype is np.float64 else out
 
 
 def _flatten(nested):

@@ -15,27 +15,36 @@ integers over one common denominator; the omega^alpha coefficients of
 X^k for every degree-k monomial alpha are stacked into one integer array,
 step k coming from step k-1 times each generator.  The coefficients of
 tr X^{2m} are then a Gram matrix tr(P_m[alpha] P_m[beta]) scattered onto
-alpha + beta, with monomials ranked by an additive mixed-radix code.  All
-arithmetic is exact: arrays are int64 only where a magnitude bound proves
-it safe, and Python ints otherwise.
+alpha + beta, with monomials ranked by an additive mixed-radix code; the
+ranks of one Gram row block serve D and F alike.  All arithmetic is
+exact.  Each product of the two steps goes through rational.exact_matmul
+with a bound on every operand entry and every partial sum.  Below 2**53
+it runs on float64 BLAS: a product of two entries, a partial sum and a
+fused multiply-add result are then all integers of magnitude below 2**53,
+which float64 represents exactly, so no rounding happens in any summation
+order, blocking or thread count, and the cast back to int64 is exact.  The
+Gram step scatters those blocks with np.bincount, whose float64 bin sums
+are partial sums of one coefficient and so fall under the same bound.
+Past 2**53 the arrays are int64 while the bound stays below 2**62, and
+Python ints beyond.
 
 Grade m of the log is kept as one integer array over the degree-2m codes
 with one denominator: the ScaledTensor difference of the two trace-power
 sums, scaled by c_m / (2 4^m).  ScaledTensor's - and scale pick int64 or
-Python ints for it, so the only coefficient bounds written out here are
-the two of _trace_power_sums (matrix powers, Gram step) and the one of
-_graded_exp.  The production path, dense_integrand, exponentiates
-it in that form by the recurrence g E_g = sum_m m P_m E_{g-m}, pairing the
-nonzero entries of each product and scattering them onto the summed
-codes; averaging.whitened_average runs it on whitened generators and
-averages in closed form.  integrand_log_expansion returns the same log as
-an OmegaPolynomial, whose dict-of-Fraction exp and the prefactor product
-exponentiate_with_prefactor are kept as the independent oracle of that
-path.  The work, and the budget, is counted in coefficient pairs: the
-Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus the exponential's
-products (exp_units).  check_budget is the one gate for both paths; the
-budget is the caller's budget= (the CLI's --budget), DEFAULT_WORD_BUDGET
-when None.
+Python ints for it, so the coefficient bounds written out here are those
+of the matrix powers (_matrix_powers), the Gram step (_trace_power_sums)
+and the exponential (_graded_exp).  The production path, dense_integrand,
+exponentiates it in that form by the recurrence g E_g = sum_m m P_m
+E_{g-m}, pairing the nonzero entries of each product and scattering them
+onto the summed codes; averaging.whitened_average runs it on whitened
+generators and averages in closed form.  integrand_log_expansion returns
+the same log as an OmegaPolynomial, whose dict-of-Fraction exp and the
+prefactor product exponentiate_with_prefactor are kept as the
+independent oracle of that path.  The work, and the budget, is counted in
+coefficient pairs: the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus
+the exponential's products (exp_units).  check_budget is the one gate for
+both paths; the budget is the caller's budget= (the CLI's --budget),
+DEFAULT_WORD_BUDGET when None.
 """
 
 from __future__ import annotations
@@ -50,7 +59,13 @@ import numpy as np
 
 from .curvature import HolonomyRealization
 from .errors import HeatgenError, InternalInconsistency, OrderTooLarge
-from .rational import ScaledTensor, exact_dtype, max_abs
+from .rational import (
+    ScaledTensor,
+    exact_dtype,
+    exact_matmul,
+    max_abs,
+    product_dtype,
+)
 
 __all__ = [
     "bernoulli",
@@ -306,59 +321,84 @@ def _exponents(codes: np.ndarray, p: int, top: int) -> np.ndarray:
     return digits
 
 
-def _trace_power_sums(
+def _matrix_powers(
     gens: np.ndarray, order: int, codes: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """sums[m][rank(gamma)] = coefficient of omega^gamma in
-    tr (sum_i omega_i gens[i])^{2m}, for m = 1..order (sums[0] unused).
+    """powers[k][rank(alpha)] is the omega^alpha coefficient of
+    (sum_i omega_i gens[i])^k, k = 0..order: the sum of gens along every
+    word with letter counts alpha.
 
-    powers[k][rank(alpha)] is the omega^alpha coefficient of X^k, the sum
-    of gens along every word with letter counts alpha.  Step k adds
-    powers[k-1][beta] @ gens[i] onto beta + e_i, which for a fixed i hits
-    every target once.  A word of length 2m splits into two halves of
-    length m, so the trace coefficient is sum over alpha + beta = gamma of
-    tr(powers[m][alpha] @ powers[m][beta]): a Gram matrix of the flattened
-    powers, scattered onto the code of alpha + beta.  The Gram matrix is
-    symmetric, so only pairs with rank(alpha) <= rank(beta) are formed and
-    the off-diagonal ones count twice."""
+    Step k forms every powers[k-1][beta] @ gens[i] in one product
+    (N dim, dim) @ (dim, p dim) and adds it onto beta + e_i, which for a
+    fixed i hits every target once."""
     p, dim = gens.shape[0], gens.shape[1]
-    weights = codes[1]  # code of e_i, sorted by i
+    step = gens.transpose(1, 0, 2).reshape(dim, p * dim)
     powers = [np.eye(dim, dtype=gens.dtype)[None]]
     for k in range(1, order + 1):
         prev = powers[-1]
+        n = len(prev)
         # Each monomial collects at most min(p, k) products.
         bound = max_abs(prev) * max_abs(gens) * dim * min(p, k)
-        dtype = exact_dtype(bound, prev, gens)
-        prev, step = prev.astype(dtype), gens.astype(dtype)
-        cur = np.zeros((len(codes[k]), dim, dim), dtype=dtype)
+        prod = exact_matmul(prev.reshape(n * dim, dim), step, bound)
+        prod = prod.reshape(n, dim, p, dim)
+        ranks = np.searchsorted(codes[k], codes[k - 1][:, None] + codes[1])
+        cur = np.zeros((len(codes[k]), dim, dim), dtype=prod.dtype)
         for i in range(p):
-            cur[np.searchsorted(codes[k], codes[k - 1] + weights[i])] += (
-                prev @ step[i]
-            )
+            cur[ranks[:, i]] += prod[:, :, i]
         powers.append(cur)
-    sums = [None]
+    return powers
+
+
+def _trace_power_sums(
+    families, order: int, codes: list[np.ndarray]
+) -> list[list[np.ndarray]]:
+    """sums[j][m][rank(gamma)] = coefficient of omega^gamma in
+    tr (sum_i omega_i families[j][i])^{2m}, for m = 1..order (sums[j][0]
+    unused), for generator families of one p.
+
+    A word of length 2m splits into two halves of length m, so the trace
+    coefficient is sum over alpha + beta = gamma of
+    tr(powers[m][alpha] @ powers[m][beta]): a Gram matrix of the flattened
+    powers, scattered onto the code of alpha + beta.  The Gram matrix is
+    symmetric, so only pairs with rank(alpha) <= rank(beta) are formed and
+    the off-diagonal ones count twice.  The ranks of alpha + beta depend
+    on the codes only, so each row block computes them once for every
+    family."""
+    halves = [_matrix_powers(gens, order, codes) for gens in families]
+    sums = [[None] for _ in families]
     for m in range(1, order + 1):
-        half = powers[m]
-        n = len(half)
-        # A Gram entry is a sum of dim^2 products; each degree-2m monomial
-        # collects at most n of them.
-        bound = max_abs(half) ** 2 * dim * dim * n
-        dtype = exact_dtype(bound, half)
-        rows = half.astype(dtype).reshape(n, dim * dim)
-        cols = half.astype(dtype).transpose(0, 2, 1).reshape(n, dim * dim).T
-        out = np.zeros(len(codes[2 * m]), dtype=dtype)
+        n = len(codes[m])
+        grams = []
+        for powers, family_sums in zip(halves, sums):
+            half = powers[m]
+            dim = half.shape[1]
+            # A Gram entry is a sum of dim^2 products; each degree-2m
+            # monomial collects at most n of them, and so does each
+            # partial sum of its scatter.
+            bound = max_abs(half) ** 2 * dim * dim * n
+            rows = half.reshape(n, dim * dim)
+            cols = half.transpose(0, 2, 1).reshape(n, dim * dim).T
+            out = np.zeros(len(codes[2 * m]), dtype=exact_dtype(bound, half))
+            family_sums.append(out)
+            grams.append((rows, cols, bound, out))
         block = max(1, _GRAM_BLOCK // n)
         for s in range(0, n, block):
             e = min(s + block, n)
-            gram = rows[s:e] @ cols[:, s:]
-            square = gram[:, : e - s]
-            gram[:, : e - s] = np.triu(square) + np.triu(square, 1)
-            gram[:, e - s :] *= 2
-            idx = np.searchsorted(
+            ranks = np.searchsorted(
                 codes[2 * m], codes[m][s:e, None] + codes[m][s:]
             )
-            np.add.at(out, idx, gram)
-        sums.append(out)
+            for rows, cols, bound, out in grams:
+                gram = exact_matmul(rows[s:e], cols[:, s:], bound)
+                square = gram[:, : e - s]
+                gram[:, : e - s] = np.triu(square) + np.triu(square, 1)
+                gram[:, e - s :] *= 2
+                if product_dtype(bound, gram) is np.float64:
+                    # Every bin sum is a partial sum of one monomial.
+                    out += np.bincount(
+                        ranks.ravel(), weights=gram.ravel(), minlength=len(out)
+                    ).astype(np.int64)
+                else:
+                    np.add.at(out, ranks, gram)
     return sums
 
 
@@ -404,8 +444,7 @@ def _graded_log(
     sum_m t^m (c_m / 4^m) [tr F(omega)^{2m}/2 - tr D(omega)^{2m}/2], over
     the degree-2m codes (grades[0] unused)."""
     cs = log_sinh_ratio_series(order)
-    d_sums = _trace_power_sums(d.array, order, codes)
-    f_sums = _trace_power_sums(f.array, order, codes)
+    d_sums, f_sums = _trace_power_sums((d.array, f.array), order, codes)
     grades = [None]
     for m in range(1, order + 1):
         tf = ScaledTensor(f_sums[m], f.denom ** (2 * m))

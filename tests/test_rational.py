@@ -1,5 +1,6 @@
 """Exact linear algebra helpers."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -119,6 +120,49 @@ def test_exact_einsum_object_fallback_is_exact():
     prod = rational.exact_einsum("ij,jk->ik", a, a)
     assert prod.array.dtype == object
     assert prod.to_fractions()[0][0] == F(big) ** 2
+
+
+@pytest.mark.parametrize(
+    "limit,above,dtype",
+    [
+        (2**53, False, np.float64),
+        (2**53, True, np.int64),
+        (2**62, False, np.int64),
+        (2**62, True, object),
+    ],
+)
+def test_exact_matmul_on_each_side_of_each_limit(limit, above, dtype):
+    # Row 0 of a and column 0 of b hold the largest entries, so product
+    # entry (0, 0) is the bound itself: just below or at least the limit,
+    # and odd, so float64 could not hold it past 2**53.
+    inner = 3
+    mb = math.isqrt(limit // inner) | 1
+    ma = (limit - 1) // (inner * mb) + above
+    if ma % 2 == 0:
+        ma += 1 if above else -1
+    rng = random.Random(f"{limit}-{above}")
+    a = [[ma] * inner] + [
+        [rng.randint(-ma, ma) for _ in range(inner)] for _ in range(3)
+    ]
+    b = [[mb] + [rng.randint(-mb, mb) for _ in range(4)] for _ in range(inner)]
+    a_arr, b_arr = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    bound = ma * mb * inner
+    assert (bound >= limit) == above
+    want = [
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
+    ]
+    assert want[0][0] == bound
+    got = rational.exact_matmul(a_arr, b_arr, bound)
+    assert got.tolist() == want
+    assert got.dtype == (object if dtype is object else np.int64)
+    assert rational.product_dtype(bound, a_arr, b_arr) is dtype
+
+
+def test_exact_matmul_keeps_object_operands_in_python_ints():
+    a = np.array([[2**70, 1]], dtype=object)
+    b = np.array([[1], [1]], dtype=object)
+    assert rational.product_dtype(1, a, b) is object
+    assert rational.exact_matmul(a, b, 2**70 + 1).tolist() == [[2**70 + 1]]
 
 
 def test_scaled_tensor_equality_cross_denominator():

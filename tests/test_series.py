@@ -3,14 +3,13 @@ truncated series types, and the trace-power expansion."""
 
 import itertools
 import math
-import os
 import random
 import types
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import heatgen as hg
@@ -176,6 +175,8 @@ def _word_sum_expansion(hol, order):
 _ENTRIES = {
     "int": lambda rng: F(rng.randint(-3, 3)),
     "rational": lambda rng: F(rng.randint(-9, 9), rng.randint(1, 12)),
+    # float64 matrix powers under float64, int64 and Python-int Gram steps.
+    "wide": lambda rng: F(rng.randint(-(2**12), 2**12)),
     # int64 for the generators, promoted to Python ints once the powers
     # or the Gram step could pass 2**62.
     "promoted": lambda rng: F(rng.randint(-(2**21), 2**21)),
@@ -219,9 +220,26 @@ def test_trace_power_sums_fall_back_to_python_ints():
     hol = _random_hol("promoted", 2, 3, seed=4)
     gens = hol.D.array
     assert gens.dtype == np.int64
-    sums = series._trace_power_sums(gens, 3, series._monomial_codes(2, 6))
+    (sums,) = series._trace_power_sums(
+        (gens,), 3, series._monomial_codes(2, 6)
+    )
     assert sums[1].dtype == np.int64
     assert sums[3].dtype == object
+
+
+def test_trace_power_sums_mix_float_and_integer_products(monkeypatch):
+    hol = _random_hol("wide", 2, 3, seed="mixed")
+    seen = []
+
+    def spy(a, b, bound):
+        seen.append(rational.product_dtype(bound, a, b))
+        return rational.exact_matmul(a, b, bound)
+
+    monkeypatch.setattr(series, "exact_matmul", spy)
+    series._trace_power_sums((hol.D.array,), 3, series._monomial_codes(2, 6))
+    # Three power steps, then one Gram block for each of m = 1, 2, 3.
+    assert seen == [np.float64] * 4 + [np.int64, object]
+    assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
 
 
 def test_builtin_log_expansion_matches_full_word_sum(hols):
@@ -239,6 +257,18 @@ def test_gram_blocks_do_not_change_the_result(hols, monkeypatch):
     assert hg.integrand_log_expansion(
         hols["S2xS3"], 2
     ) == _word_sum_expansion(hols["S2xS3"], 2)
+
+
+def test_shared_pair_ranks_with_one_row_per_block(hols, monkeypatch):
+    # S5 has D of dim 5 and F of dim 10: one pair rank array serves Gram
+    # blocks of two widths.
+    hol = hols["S5"]
+    log = hg.integrand_log_expansion(hol, 3)
+    exp = log.exp()
+    monkeypatch.setattr(series, "_GRAM_BLOCK", 1)
+    assert hg.integrand_log_expansion(hol, 3) == log
+    dense = series.dense_integrand(hol.D, hol.F_mats, 3)
+    assert _dense_to_poly(dense, 3) == exp
 
 
 def test_trace_units():
