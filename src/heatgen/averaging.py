@@ -7,10 +7,11 @@ one-dimensional quadrature oracle: for p = 1, beta = 1 the even moments
 must be <omega^{2k}> = (2k-1)!! 2^k.
 
 The production path, whitened_average, reads the datum's exact factor
-beta = L diag(d) L^T (SpaceSpec.beta_ldl, from construction), rewrites
-the generators in eta = L^T omega, of diagonal covariance 2 diag(1/d),
-and averages the dense exponential of series.dense_integrand with the
-closed form <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
+(L^-1, d) of beta = L diag(d) L^T (SpaceSpec.beta_ldl, from
+construction), rewrites the generators in eta = L^T omega, of diagonal
+covariance 2 diag(1/d), and averages the dense exponential of
+series.dense_integrand with the closed form <eta^{2b}> = prod_i
+(2b_i - 1)!! (2/d_i)^{b_i}.
 
 average() on an OmegaPolynomial is its oracle: it takes the same
 moments in omega from wick_moment, a memoized sum over pairings.  The
@@ -39,7 +40,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rational
 from .curvature import Prepared
 from .errors import HeatgenError, InternalInconsistency, check_time
 from .rational import Matrix, ScaledTensor, exact_einsum
@@ -122,20 +122,6 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
     return TSeries(poly.order, tuple(coeffs))
 
 
-def _whiten(prep: Prepared) -> tuple[ScaledTensor, ScaledTensor, tuple]:
-    """Rewrite the generator families in eta = L^T omega, with beta =
-    L diag(d) L^T the datum's factor: D'_j = sum_i (L^{-1})_{ji} D_i, and
-    the same for F_mats, so that D(omega) = D'(eta).  Returns D', F' and
-    the pivots d; eta has the diagonal covariance 2 diag(1/d)."""
-    lower, pivots = prep.spec.beta_ldl
-    back = rational.solve(ScaledTensor.from_nested(lower))
-    d, f = (
-        exact_einsum("ji,iab->jab", back, gens).reduced()
-        for gens in (prep.hol.D, prep.hol.F_mats)
-    )
-    return d, f, pivots
-
-
 def whitened_average(
     prep: Prepared, order: int, *, budget: int | None = None
 ) -> TSeries:
@@ -143,18 +129,23 @@ def whitened_average(
     order, where L is the omega-dependent log of the integrand
     (integrand_log_expansion): the exact production average.
 
-    The generators are whitened by the datum's own factor of beta
-    (_whiten), the exponential is built densely grade by grade in eta
-    (series.dense_integrand), and each even monomial eta^{2b} averages to
-    prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The work units trace_units +
-    exp_units are checked against the budget before anything is built."""
+    The generators are whitened by the datum's own factor of beta:
+    D'_j = sum_i (L^-1)_ji D_i, and the same for F_mats, so that
+    D(omega) = D'(eta).  The exponential is built densely grade by grade
+    in eta (series.dense_integrand), and each even monomial eta^{2b}
+    averages to prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The budget is checked
+    first, on trace_units + exp_units, also when p = 0."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     p = prep.hol.p
+    check_budget(p, order, budget)
     if p == 0 or order == 0:
         return TSeries.constant(1, order)
-    check_budget(p, order, budget)
-    d, f, pivots = _whiten(prep)
+    back, pivots = prep.spec.beta_ldl
+    d, f = (
+        exact_einsum("ji,iab->jab", back, gens).reduced()
+        for gens in (prep.hol.D, prep.hol.F_mats)
+    )
     poly = dense_integrand(d, f, order)
     variances = [2 / x for x in pivots]
     coeffs = []

@@ -1,11 +1,11 @@
 """Builtin curvature data and a JSON interchange format for space files.
 
 Builtins cover the unit spheres S2 through S6, the products S2xS2 and
-S2xS3, and flat(n) for any n.  For a unit n-sphere the generators are
-indexed by coordinate pairs c < d with (E^(cd))_ab = delta_ca delta_db -
-delta_da delta_cb, the metric is the identity, and beta is the identity,
-which reconstructs R_abcd = g_ac g_bd - g_ad g_bc exactly.  Products are
-block direct sums of their factors.
+S2xS3, and flat(n) for n <= MAX_FLAT.  For a unit n-sphere the
+generators are indexed by coordinate pairs c < d with (E^(cd))_ab =
+delta_ca delta_db - delta_da delta_cb, the metric is the identity, and
+beta is the identity, which reconstructs R_abcd = g_ac g_bd - g_ad g_bc
+exactly.  Products are block direct sums of their factors.
 
 Files are JSON with every rational written as a string such as "3" or
 "-7/2"; floats never appear.  Loading parses the file and constructs the
@@ -17,11 +17,12 @@ computation runs first.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
 
-from .curvature import SpaceSpec
+from .curvature import MAX_CHECK_ENTRIES, SpaceSpec
 from .errors import InvalidSpaceSpec, ParseError, UnknownSpace
 from .rational import Matrix, format_rational, identity, zeros
 
@@ -32,6 +33,8 @@ PRODUCT_FACTORS: dict[str, tuple[str, str]] = {
     "S2xS2": ("S2", "S2"),
     "S2xS3": ("S2", "S3"),
 }
+# The largest flat(n) that prepare takes: its checks build n^4 entries.
+MAX_FLAT = math.isqrt(math.isqrt(MAX_CHECK_ENTRIES))
 _FLAT_RE = re.compile(r"^flat(?:([0-9]+)|\(([0-9]+)\))$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -103,6 +106,8 @@ def builtin(name: str) -> SpaceSpec:
         n = int(m.group(1) or m.group(2))
         if n == 0:
             raise UnknownSpace("flat dimension must be at least 1")
+        if n > MAX_FLAT:
+            raise UnknownSpace(f"flat dimension must be at most {MAX_FLAT}")
         return _flat_spec(n, f"flat({n})")
     raise UnknownSpace(
         f"no builtin space named {name!r}; known: {', '.join(catalog_names())}"

@@ -100,7 +100,7 @@ def _emit_report(report, args) -> None:
 def _cmd_catalog(args) -> int:
     for name in cat.catalog_names():
         if name == "flat(n)":
-            print("flat(n)   flat space of any dimension n >= 1, e.g. flat3")
+            print(f"flat(n)   flat space, n in 1..{cat.MAX_FLAT}, e.g. flat3")
             continue
         spec = cat.builtin(name)
         print(f"{name:7s}  n={spec.n} p={spec.p}")

@@ -11,15 +11,15 @@ integer-scaled tensors (rational.ScaledTensor): a datum is converted
 once, at construction, and a realization holds nothing but tensors
 (HolonomyRealization), so its fields are the one copy of derived data.
 Construction checks symmetries and independence on those tensors and
-factors each metric once by an exact LDL^T, its positive-definiteness
-test, keeping beta's factor (SpaceSpec.beta_ldl) for the whitened average.
-prepare() runs derivation, checks and curvature scalars once per datum
-and is the one place that turns a failed check into ValidationError.
+factors each metric once by rational.ldl, its positive-definiteness
+test, keeping the factors (SpaceSpec.g_ldl, beta_ldl) for the inverses
+and the whitening.  prepare() runs derivation, checks and curvature
+scalars once per datum, and alone turns failed checks into ValidationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,7 +33,7 @@ from .errors import (
     InvalidSpaceSpec,
     ValidationError,
 )
-from .rational import Matrix, ScaledTensor, assemble, exact_einsum
+from .rational import Factor, Matrix, ScaledTensor, assemble, exact_einsum
 
 __all__ = [
     "SpaceSpec",
@@ -48,6 +48,9 @@ __all__ = [
     "Prepared",
     "prepare",
 ]
+
+# Most entries of a check tensor (32 MB in int64); S6's Jacobi has 21^4.
+MAX_CHECK_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ class SpaceSpec:
     the n-by-n metric, beta the p-by-p generator inner product, and E the
     p generator matrices, each n-by-n antisymmetric.  Construction enforces
     the structural requirements; the deeper Lie-algebraic identities are
-    the validator's job.
+    the validator's job.  g_ldl and beta_ldl keep each metric's ldl factor.
     """
 
     name: str
@@ -105,6 +108,8 @@ class SpaceSpec:
     g: Matrix
     beta: Matrix
     E: tuple[Matrix, ...]
+    g_ldl: Factor = field(init=False, repr=False, compare=False)
+    beta_ldl: Factor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0 or self.p < 0:
@@ -128,11 +133,12 @@ class SpaceSpec:
         for label, mat in (("g", g), ("beta", beta)):
             if not np.array_equal(mat.array, mat.array.T):
                 raise InvalidSpaceSpec(f"{label} is not symmetric")
-        try:
-            rational.ldl(self.g)  # factored for its check only
-        except ValueError:
-            raise InvalidSpaceSpec("g is not positive definite") from None
-        self.beta_ldl  # factored here, once, and kept
+        for label, mat in (("g", g), ("beta", beta)):
+            try:  # factored here, once, and kept
+                object.__setattr__(self, f"{label}_ldl", rational.ldl(mat))
+            except ValueError:
+                msg = f"{label} is not positive definite"
+                raise InvalidSpaceSpec(msg) from None
         if self.p and not rational.independent(E):
             raise InvalidSpaceSpec(
                 "redundant holonomy generators: the E matrices are "
@@ -153,23 +159,14 @@ class SpaceSpec:
         return tuple(out)
 
     @cached_property
-    def beta_ldl(self) -> tuple[Matrix, tuple[Fraction, ...]]:
-        """beta = L diag(d) L^T as (L, d), factored once, by the
-        positive-definiteness check at construction."""
-        try:
-            return rational.ldl(self.beta)
-        except ValueError:
-            raise InvalidSpaceSpec("beta is not positive definite") from None
-
-    @cached_property
     def tensors(self) -> SpecTensors:
         """The datum's tensors, built on first use and kept: derivation,
         checks and curvature scalars all read these."""
-        g, beta, E = self._exact
+        beta, E = self._exact[1:]
         return SpecTensors(
-            ginv=rational.solve(g),
+            ginv=rational.solve(self.g_ldl),
             beta=beta,
-            beta_inv=rational.solve(beta),
+            beta_inv=rational.solve(self.beta_ldl),
             E=E,
             riemann=exact_einsum("ik,iab,kcd->abcd", beta, E, E),
         )
@@ -206,8 +203,8 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
     D_i = -g^{-1} (sum_k beta_ik E^k).  The structure constants come from
     an exact solve of [D_i, D_k] against the D basis, not from any assumed
     form: the Gram system G F_ik = (tr(D_j^T [D_i, D_k]))_j with
-    G_jk = tr(D_j^T D_k), which is nonsingular exactly when the D's are
-    independent, followed by the reconstruction sum_j F^j_ik D_j =
+    G_jk = tr(D_j^T D_k), which rational.ldl factors exactly when the D's
+    are independent, followed by the reconstruction sum_j F^j_ik D_j =
     [D_i, D_k].  Raises DegenerateBasis if the D's are linearly
     dependent, CommutatorOutsideSpan, naming the first pair (i, k) in
     order, if they fail to close.  All of it is integer-scaled tensor
@@ -223,14 +220,14 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
     comms = exact_einsum("qab,qbc->qac", left, right) - exact_einsum(
         "qab,qbc->qac", right, left
     )
-    gram = exact_einsum("jab,kab->jk", D, D)
     try:
-        coeffs = rational.solve(gram, exact_einsum("jab,qab->jq", D, comms))
-    except ZeroDivisionError:
+        gram = rational.ldl(exact_einsum("jab,kab->jk", D, D))
+    except ValueError:
         raise DegenerateBasis(
             "connection generators are linearly dependent; structure "
             "constants are not well defined"
         ) from None
+    coeffs = rational.solve(gram, exact_einsum("jab,qab->jq", D, comms))
     outside = (exact_einsum("jq,jab->qab", coeffs, D) - comms).nonzero_rows()
     if outside.any():
         q = int(np.flatnonzero(outside)[0])
@@ -414,12 +411,21 @@ def prepare(spec: SpaceSpec | Prepared) -> Prepared:
     """Derive the holonomy, run the structural checks and compute the
     curvature scalars of a datum, once.
 
-    Raises ValidationError, carrying the report, when a check fails.  A
-    Prepared passes through unchanged, so a caller that already holds one
-    does not repeat the work.
+    Raises InvalidSpaceSpec, deriving nothing, when a check tensor would
+    pass MAX_CHECK_ENTRIES, and ValidationError, carrying the report, when
+    a check fails.  A Prepared passes through unchanged, so a caller that
+    already holds one does not repeat the work.
     """
     if isinstance(spec, Prepared):
         return spec
+    # Integrability builds n^6 entries when p > 0, and Jacobi (n+p)^4.
+    n, p = spec.n, spec.p
+    entries = max(n**6 if p else 0, (n + p) ** 4)
+    if entries > MAX_CHECK_ENTRIES:
+        raise InvalidSpaceSpec(
+            f"{spec.name}: n={n}, p={p} needs check tensors of "
+            f"{entries} entries, past the limit of {MAX_CHECK_ENTRIES}"
+        )
     hol = derive_holonomy(spec)
     validation = validate_symmetric_space(spec, hol)
     if not validation.all_passed:

@@ -1,16 +1,17 @@
 """Exact rational linear algebra on small dense matrices and tensors.
 
 A datum's matrices are immutable tuples of tuples of Fraction; identity
-and zeros build the builtin data, and ldl factors a metric for its
-positive definiteness check.  Every other computation works on integer
+and zeros build the builtin data.  Every computation works on integer
 tensors: each tensor is rescaled by the lcm of its entry denominators so
-numpy can contract, scale, assemble and solve (fraction-free
-elimination) int64 arrays, with an automatic promotion to Python-int
-object arrays whenever a magnitude bound says int64 could overflow.
-exact_matmul runs a product on float64 BLAS when its bound stays below
-2**53, where float64 holds every integer exactly.  Results stay exact in
-every regime; reduced() is the canonical form (lowest terms, int64
-whenever the entries fit) and solve() gives every exact inverse.
+numpy can contract, scale and assemble int64 arrays, with an automatic
+promotion to Python-int object arrays whenever a magnitude bound says
+int64 could overflow.  exact_matmul runs a product on float64 BLAS when
+its bound stays below 2**53, where float64 holds every integer exactly.
+Every matrix eliminated is a metric or a Gram matrix, so the one
+elimination is ldl, a fraction-free LDL^T without row exchanges that is
+also the positive-definiteness test; solve() applies its factor for
+every exact inverse.  reduced() is the canonical form (lowest terms,
+int64 whenever the entries fit).
 """
 
 from __future__ import annotations
@@ -50,31 +51,6 @@ def identity(n: int) -> Matrix:
 def zeros(r: int, c: int) -> Matrix:
     zero = Fraction(0)
     return tuple(tuple(zero for _ in range(c)) for _ in range(r))
-
-
-def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
-    """Exact factorization a = L diag(d) L^T of a symmetric positive
-    definite matrix, with L unit lower-triangular.  Raises ValueError at
-    the first pivot d_j that is not positive."""
-    n = len(a)
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d: list[Fraction] = []
-    for j in range(n):
-        # Terms with a zero factor are skipped: catalog data is sparse.
-        row = [(k, lower[j][k] * d[k]) for k in range(j) if lower[j][k]]
-        pivot = a[j][j] - sum((lower[j][k] * w for k, w in row), Fraction(0))
-        if pivot <= 0:
-            raise ValueError(f"matrix is not positive definite (pivot {j})")
-        d.append(pivot)
-        for i in range(j + 1, n):
-            lower[i][j] = (
-                a[i][j]
-                - sum(
-                    (lower[i][k] * w for k, w in row if lower[i][k]),
-                    Fraction(0),
-                )
-            ) / pivot
-    return tuple(tuple(row) for row in lower), tuple(d)
 
 
 # str() of an int refuses more than sys.get_int_max_str_digits() digits
@@ -318,51 +294,71 @@ def assemble(shape: tuple[int, ...], blocks) -> ScaledTensor:
     return ScaledTensor(out, den)
 
 
-def solve(a: ScaledTensor, b: ScaledTensor | None = None) -> ScaledTensor:
-    """x with a @ x = b for a square nonsingular a (m, m) and b (m, r);
-    b defaults to the identity, so solve(a) is the inverse of a.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on the integer
-    numerators of [a | b]: step k replaces every row i != k by
-    (p_k row_i - a_ik row_k) / p_{k-1}, with p_k the k-th pivot.  Every
-    entry is then a minor of [a | b], so each division is exact, and at
-    the end the left block is p_{m-1} I and the right one p_{m-1} a^-1 b.
-    Each step runs in int64 only when its products stay below
-    _INT64_SAFE, in Python ints otherwise.  Raises ZeroDivisionError when
-    a is singular."""
+
+Factor = tuple[ScaledTensor, tuple[Fraction, ...]]
+
+
+def _scale_rows(t: ScaledTensor, factors: list[Fraction]) -> ScaledTensor:
+    """diag(factors) t, reduced: row k of the matrix t times factors[k]."""
+    common = lcm(1, *(f.denominator for f in factors))
+    mults = [f.numerator * (common // f.denominator) for f in factors]
+    bound = max(max_abs(t.array), 1) * max(map(abs, mults), default=1)
+    dtype = exact_dtype(bound, t.array)
+    rows = t.array.astype(dtype, copy=False) * np.array(mults, dtype)[:, None]
+    return ScaledTensor(rows, t.denom * common).reduced()
+
+
+def ldl(a: ScaledTensor) -> Factor:
+    """a = L diag(d) L^T, L unit lower-triangular, as (L^-1, d) for a
+    symmetric positive definite a (m, m).
+
+    Fraction-free forward elimination (Bareiss) of [A | I], A the
+    numerators of a, without row exchanges: step k replaces each row
+    i > k by (p_k row_i - A_ik row_k) / p_{k-1}, where the pivot p_k is
+    the leading principal minor of order k + 1 (p_{-1} = 1).  Each
+    division is exact, and row k ends as p_{k-1} [diag(d') L^T | L^-1]_k
+    with d' = d a.denom.  A step runs in int64 only while its products
+    stay below _INT64_SAFE.  Raises ValueError at the first pivot that is
+    not positive, which on a semidefinite a means that a is singular."""
     m = a.array.shape[0]
-    if b is None:
-        b = ScaledTensor(np.eye(m, dtype=np.int64), 1)
-    work = np.concatenate([a.array, b.array], axis=1)
-    prev = 1
+    work = np.concatenate([a.array, np.eye(m, dtype=np.int64)], axis=1)
+    minors = [1]
     for k in range(m):
-        nonzero = np.flatnonzero(work[k:, k])
-        if not nonzero.size:
-            raise ZeroDivisionError("matrix is singular")
-        if nonzero[0]:
-            work[[k, k + nonzero[0]]] = work[[k + nonzero[0], k]]
-        row, col = work[k].copy(), work[:, k].copy()
-        pivot = int(row[k])
-        bound = abs(pivot) * max_abs(work) + max_abs(col) * max_abs(row)
-        dtype = exact_dtype(bound, work)
-        work, row, col = (x.astype(dtype, copy=False) for x in (work, row, col))
-        work = (pivot * work - col[:, None] * row) // prev
-        work[k] = row
-        prev = pivot
-    # x = (a.denom / b.denom) * right / p_{m-1}
-    right = ScaledTensor(work[:, m:], 1)
-    return right.scale(Fraction(a.denom, b.denom * prev)).reduced()
+        pivot = int(work[k, k])
+        if pivot <= 0:
+            raise ValueError(f"matrix is not positive definite (pivot {k})")
+        rest = work[k + 1 :]
+        bound = pivot * max_abs(rest) + max_abs(rest[:, k]) * max_abs(work[k])
+        work = work.astype(exact_dtype(bound, work), copy=False)
+        # Views are taken after the promotion, or the step would wrap.
+        rest, row = work[k + 1 :], work[k]
+        work[k + 1 :] = (pivot * rest - rest[:, k, None] * row) // minors[-1]
+        minors.append(pivot)
+    back = _scale_rows(
+        ScaledTensor(work[:, m:], 1), [Fraction(1, q) for q in minors[:-1]]
+    )
+    return back, tuple(
+        Fraction(p, q * a.denom) for q, p in zip(minors, minors[1:])
+    )
+
+
+def solve(factor: Factor, b: ScaledTensor | None = None) -> ScaledTensor:
+    """x = a^-1 b = L^-T diag(d)^-1 L^-1 b, in lowest terms, for the factor
+    (L^-1, d) = ldl(a) of a (m, m) and b (m, r); b defaults to the
+    identity, so solve(ldl(a)) is the inverse of a."""
+    back, pivots = factor
+    right = back if b is None else exact_einsum("ij,jr->ir", back, b)
+    scaled = _scale_rows(right, [1 / x for x in pivots])
+    return exact_einsum("ki,kr->ir", back, scaled).reduced()
 
 
 def independent(stack: ScaledTensor) -> bool:
-    """Whether the slices stack[0], stack[1], ... are linearly independent:
-    exactly when their Gram matrix of entrywise inner products is
-    nonsingular."""
-    rows = stack.array.shape[0]
-    flat = ScaledTensor(stack.array.reshape(rows, -1), stack.denom)
-    gram = exact_einsum("ix,jx->ij", flat, flat)
+    """Whether the matrices stack[0], stack[1], ... are linearly
+    independent: exactly when ldl factors their Gram matrix of entrywise
+    inner products, which is positive semidefinite."""
     try:
-        solve(gram, ScaledTensor(np.zeros((rows, 0), dtype=np.int64), 1))
-    except ZeroDivisionError:
+        ldl(exact_einsum("iab,jab->ij", stack, stack))
+    except ValueError:
         return False
     return True

@@ -405,14 +405,14 @@ def _trace_power_sums(
 def exp_units(p: int, order: int) -> int:
     """Work units of the dense exponential in dense_integrand: coefficient
     pairs of its products P_m E_{g-m}, sum over 1 <= m <= g <= order of
-    N_{2m} N_{2(g-m)} with N_k = C(p+k-1, k) degree-k monomials."""
-    sizes = [comb(p + 2 * j - 1, 2 * j) for j in range(order + 1)]
+    N_{2m} N_{2(g-m)} with N_k = C(p+k-1, k) degree-k monomials, N_0 = 1."""
+    sizes = [1] + [comb(p + 2 * j - 1, 2 * j) for j in range(1, order + 1)]
     below = list(accumulate(sizes))
     return sum(sizes[m] * below[order - m] for m in range(1, order + 1))
 
 
 def check_budget(p: int, order: int, budget: int | None) -> None:
-    """Raise OrderTooLarge when the exponential of an expansion in p > 0
+    """Raise OrderTooLarge when the exponential of an expansion in p >= 0
     variables needs more work units than the budget (default
     DEFAULT_WORD_BUDGET): trace_units of the log plus exp_units.
 
@@ -566,9 +566,9 @@ def integrand_log_expansion(
     p = hol.p
     if order < 0:
         raise ValueError("order must be nonnegative")
+    check_budget(p, order, budget)
     if p == 0 or order == 0:
         return OmegaPolynomial(p, order, {})
-    check_budget(p, order, budget)
     codes = _monomial_codes(p, 2 * order)
     log = _graded_log(hol.D, hol.F_mats, order, codes)
     terms: dict = {}

@@ -4,7 +4,8 @@ No request and no compare call runs any of this.  It uses only public
 heatgen names, so each reference stays independent of the code it
 checks:
 
-- Fraction matrices as tuples of tuples, with per-entry arithmetic;
+- Fraction matrices as tuples of tuples, with per-entry arithmetic,
+  including an LDL^T factorization;
 - fock_moment, a Gaussian moment engine unrelated to wick_moment;
 - sinh_ratio_dets, an eigenvalue-free det(sinh X / X), and the
   determinant factorization identity built on it;
@@ -134,6 +135,27 @@ def inverse(a: Matrix) -> Matrix:
                 f = m[r][col]
                 m[r] = [x - f * y if y else x for x, y in zip(m[r], m[col])]
     return tuple(tuple(row[n:]) for row in m)
+
+
+def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
+    """a = L diag(d) L^T for a symmetric positive definite a, entry by
+    entry: d_j = a_jj - sum_k L_jk^2 d_k and L_ij = (a_ij - sum_k L_ik
+    L_jk d_k) / d_j below the diagonal."""
+    n = len(a)
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d: list[Fraction] = []
+    for j in range(n):
+        d.append(a[j][j] - sum(
+            (lower[j][k] ** 2 * d[k] for k in range(j)), Fraction(0)
+        ))
+        if d[j] <= 0:
+            raise ValueError(f"pivot {j} is not positive")
+        for i in range(j + 1, n):
+            lower[i][j] = (a[i][j] - sum(
+                (lower[i][k] * lower[j][k] * d[k] for k in range(j)),
+                Fraction(0),
+            )) / d[j]
+    return tuple(tuple(row) for row in lower), tuple(d)
 
 
 def span_decompose(

@@ -112,7 +112,7 @@ def _whitened_moment(key, beta):
     beta = L diag(d) L^T and omega = L^{-T} eta, eta has covariance
     2 diag(1/d), and <eta^e> = prod_i (e_i - 1)!! (2/d_i)^{e_i/2} when
     every e_i is even."""
-    lower, d = rational.ldl(beta)
+    lower, d = oracles.ldl(beta)
     back = oracles.transpose(inverse(lower))
     p = len(beta)
     # Expand the product of the linear forms omega_k = sum_j back[k][j]

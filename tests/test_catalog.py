@@ -41,6 +41,22 @@ def test_flat_zero_dimension_rejected():
         hg.builtin("flat0")
 
 
+def test_flat_dimension_stops_at_the_entry_bound(monkeypatch):
+    # flat(n)'s checks build n^4 entries (the Jacobi contraction).
+    assert catalog.MAX_FLAT**4 <= hg.curvature.MAX_CHECK_ENTRIES
+    assert (catalog.MAX_FLAT + 1) ** 4 > hg.curvature.MAX_CHECK_ENTRIES
+    assert hg.builtin(f"flat({catalog.MAX_FLAT})").n == catalog.MAX_FLAT
+
+    def unbuilt(n):
+        raise AssertionError("identity built for a refused dimension")
+
+    monkeypatch.setattr(catalog, "identity", unbuilt)
+    for n in (catalog.MAX_FLAT + 1, 10**12):
+        with pytest.raises(hg.UnknownSpace,
+                           match="^flat dimension must be at most 45$"):
+            hg.builtin(f"flat({n})")
+
+
 def test_unknown_name():
     with pytest.raises(hg.UnknownSpace, match="S2xS3"):
         hg.builtin("S7")

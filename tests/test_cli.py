@@ -143,8 +143,7 @@ def test_coeffs_budget_exhaustion_exits_one(capsys):
 @pytest.mark.parametrize("space", ["S2", "flat3"])
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_non_positive_budget_is_a_usage_error(capsys, space, budget):
-    # Refused by argparse for every space, flat ones included, which
-    # never reach the budget check.
+    # Refused by argparse for every space, before any space is built.
     with pytest.raises(SystemExit) as info:
         main(["coeffs", space, "--budget", budget])
     err = capsys.readouterr().err
@@ -179,6 +178,29 @@ def test_unknown_space_exits_two(capsys):
     code, _, err = run(capsys, "coeffs", "S99")
     assert code == 2
     assert "error:" in err
+
+
+def test_flat_past_the_entry_bound_exits_two(capsys):
+    code, out, err = run(capsys, "coeffs", "flat(200)")
+    assert (code, out) == (2, "")
+    assert err == "error: flat dimension must be at most 45\n"
+
+
+def test_flat_order_past_the_budget_exits_one(capsys):
+    code, out, err = run(capsys, "coeffs", "flat3", "--order", "1000000000")
+    assert (code, out) == (1, "")
+    assert "budget of 100000000" in err
+
+
+def test_file_past_the_entry_bound_exits_one(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    hg.save(hg.SpaceSpec("wide", 46, 0, rational.identity(46), (), ()), path)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: wide: n=46, p=0 needs check tensors of 4477456 entries, "
+        "past the limit of 4194304\n"
+    )
 
 
 def test_unparseable_file_exits_one(capsys, tmp_path):
@@ -441,9 +463,10 @@ def tilted_three_sphere():
 
 
 def count_conversions(monkeypatch):
-    """Record every ScaledTensor.from_nested argument and every call of
-    rational.ldl, the one Fraction matrix factorization in the package."""
-    converted, loops = [], []
+    """Record every ScaledTensor.from_nested argument, and the shape of
+    every matrix that rational.ldl, the one elimination in the package,
+    factors: each must already be a tensor, none a Fraction matrix."""
+    converted, eliminated = [], []
     from_nested = rational.ScaledTensor.from_nested.__func__
 
     def spy(cls, nested, shape=None):
@@ -453,45 +476,52 @@ def count_conversions(monkeypatch):
     monkeypatch.setattr(rational.ScaledTensor, "from_nested", classmethod(spy))
     ldl = rational.ldl
 
-    def loop(*args):
-        loops.append("ldl")
-        return ldl(*args)
+    def factor(a):
+        assert isinstance(a, rational.ScaledTensor)
+        eliminated.append(a.array.shape)
+        return ldl(a)
 
-    monkeypatch.setattr(rational, "ldl", loop)
-    return converted, loops
+    monkeypatch.setattr(rational, "ldl", factor)
+    return converted, eliminated
 
 
 def datum_matrices(spec):
     """What one exact request converts, in order: g, beta and E when the
-    datum is constructed, then the whitening factor L of beta = L diag(d)
-    L^T."""
-    return [spec.g, spec.beta, spec.E, spec.beta_ldl[0]]
+    datum is constructed, and nothing after."""
+    return [spec.g, spec.beta, spec.E]
+
+
+def construction_eliminations(spec):
+    """The matrices a datum's construction factors: g, beta and the Gram
+    matrix of E."""
+    return [(spec.n, spec.n), (spec.p, spec.p), (spec.p, spec.p)]
 
 
 @pytest.mark.parametrize("make", [tilted_three_sphere,
                                   lambda: hg.builtin("S2xS3")])
 def test_prepare_and_coefficients_convert_only_the_datum(monkeypatch, make):
     base = make()
-    converted, loops = count_conversions(monkeypatch)
+    converted, eliminated = count_conversions(monkeypatch)
     spec = dataclasses.replace(base)
     # Construction converts the datum and factors each metric, once.
-    assert loops == ["ldl", "ldl"]
+    assert eliminated == construction_eliminations(spec)
     prep = hg.prepare(spec)
     hg.heat_coefficients(prep, 3)
     assert converted == datum_matrices(spec)
     assert spec.tensors.E is spec._exact[2]
-    assert loops == ["ldl", "ldl"]
+    # Then only the Gram matrix of D, in derive_holonomy.
+    assert eliminated == construction_eliminations(spec) + [(spec.p, spec.p)]
 
 
 def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
     spec = tilted_three_sphere()
     path = tmp_path / "tilted.json"
     hg.save(spec, path)
-    converted, loops = count_conversions(monkeypatch)
+    converted, eliminated = count_conversions(monkeypatch)
     code, _, _ = run(capsys, "coeffs", str(path), "--order", "3", "--json")
     assert code == 0
     assert converted == datum_matrices(spec)
-    assert loops == ["ldl", "ldl"]
+    assert eliminated == construction_eliminations(spec) + [(spec.p, spec.p)]
 
 
 def count_fraction_views(monkeypatch):

@@ -72,6 +72,43 @@ def test_spec_rejects_indefinite_metric():
         dataclasses.replace(s2xs2, beta=singular)
 
 
+def test_dependent_connection_generators_are_a_degenerate_basis():
+    # A valid datum cannot reach this: independent E give independent D.
+    # So its tensors are replaced by ones whose E^2 repeats E^0.
+    s3 = hg.builtin("S3")
+    E = s3.tensors.E.array.copy()
+    E[2] = E[0]
+    vars(s3)["tensors"] = dataclasses.replace(
+        s3.tensors, E=rational.ScaledTensor(E, s3.tensors.E.denom)
+    )
+    with pytest.raises(
+        hg.DegenerateBasis,
+        match="^connection generators are linearly dependent; structure "
+        "constants are not well defined$",
+    ):
+        hg.derive_holonomy(s3)
+
+
+@pytest.mark.parametrize("n, p, entries", [(46, 0, 46**4), (13, 1, 13**6)])
+def test_prepare_refuses_check_tensors_past_the_bound(monkeypatch, n, p,
+                                                      entries):
+    # Integrability builds n^6 entries when p > 0, Jacobi (n+p)^4.
+    E = (antisym(n, {(0, 1): 1}),) * p
+    spec = hg.SpaceSpec("wide", n, p, identity(n), identity(p), E)
+
+    def unbuilt(spec):
+        raise AssertionError("derived before the bound was checked")
+
+    monkeypatch.setattr(hg.curvature, "derive_holonomy", unbuilt)
+    with pytest.raises(
+        hg.InvalidSpaceSpec,
+        match=f"^wide: n={n}, p={p} needs check tensors of {entries} "
+        f"entries, past the limit of 4194304$",
+    ):
+        hg.prepare(spec)
+    assert "tensors" not in vars(spec)
+
+
 @pytest.mark.parametrize("field", ["g", "beta", "E"])
 def test_spec_rejects_float_entries_naming_the_field(field):
     # Floats and rational strings alike: a datum holds ints and Fractions.

@@ -205,6 +205,20 @@ def test_budget_counts_log_and_exponential_units(specs):
         hg.heat_coefficients(specs["S4"], 3, budget=units - 1)
 
 
+@pytest.mark.parametrize("name", ["flat3", "S2"])
+def test_budget_refuses_flat_and_curved_data_alike(name):
+    # 50 + 50 * 51 / 2 = 1325 units at least, past a budget of 100.
+    with pytest.raises(hg.OrderTooLarge, match="at least 1325"):
+        hg.heat_coefficients(hg.builtin(name), 50, budget=100)
+    prep = hg.prepare(hg.builtin(name))
+    with pytest.raises(hg.OrderTooLarge, match="at least 1325"):
+        hg.integrand_log_expansion(prep.hol, 50, budget=100)
+    # The least count fits: exactly the units of S2 (p = 1), and flat
+    # data have no other.
+    coeffs = hg.heat_coefficients(prep, 50, budget=1325).coeffs
+    assert len(coeffs) == 51 and coeffs[0] == 1
+
+
 def test_validation_report_attached(s2_order6):
     rep = s2_order6.validation
     assert rep is not None and rep.all_passed

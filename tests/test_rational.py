@@ -54,11 +54,16 @@ def test_determinant_singular():
     assert oracles.determinant(m) == 0
 
 
+def _tensor(a) -> rational.ScaledTensor:
+    """A square Fraction matrix as a tensor, () as the empty 0 x 0 one."""
+    return rational.ScaledTensor.from_nested(a, (len(a), len(a)))
+
+
 def _ldl_accepts(a) -> bool:
     """Whether rational.ldl factors a, the positive definiteness test of
     SpaceSpec."""
     try:
-        rational.ldl(a)
+        rational.ldl(_tensor(a))
     except ValueError:
         return False
     return True
@@ -207,14 +212,15 @@ def test_scaled_tensor_sums_promote_instead_of_wrapping():
     assert tiny.equals(rational.ScaledTensor.from_nested([F(1, 3**40)]))
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_ldl_reconstructs_positive_definite_matrices(seed):
-    size = 1 + seed % 4
-    spd = oracles.random_spd(random.Random(seed), size)
-    lower, d = rational.ldl(spd)
-    assert all(lower[i][i] == 1 for i in range(size))
+def _assert_factors(a, factor):
+    """factor = (L^-1, d) with L^-1 unit lower-triangular and
+    L^-1 a L^-T = diag(d), in Fraction arithmetic."""
+    back, d = factor
+    back = back.to_fractions()
+    size = len(a)
+    assert all(back[i][i] == 1 for i in range(size))
     assert all(
-        lower[i][j] == 0 for i in range(size) for j in range(i + 1, size)
+        back[i][j] == 0 for i in range(size) for j in range(i + 1, size)
     )
     assert all(x > 0 for x in d)
     diag = tuple(
@@ -222,15 +228,67 @@ def test_ldl_reconstructs_positive_definite_matrices(seed):
         for i in range(size)
     )
     assert oracles.matmul(
-        oracles.matmul(lower, diag), oracles.transpose(lower)
-    ) == spd
+        oracles.matmul(back, a), oracles.transpose(back)
+    ) == diag
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ldl_reconstructs_positive_definite_matrices(seed):
+    size = 1 + seed % 4
+    spd = oracles.random_spd(random.Random(seed), size)
+    back, d = rational.ldl(_tensor(spd))
+    _assert_factors(spd, (back, d))
+    lower, want = oracles.ldl(spd)
+    assert d == want
+    assert back.to_fractions() == oracles.inverse(lower)
+
+
+def _wide_spd(rng, size, top):
+    """A diagonally dominant symmetric matrix with a_00 = 1, a first row
+    of small entries and every other entry near top: for a top near 2^40,
+    step 0 of the elimination stays in int64 and step 1 needs Python
+    ints."""
+    a = [[F(0)] * size for _ in range(size)]
+    a[0][0] = F(1)
+    for i in range(1, size):
+        a[0][i] = a[i][0] = F(rng.randint(-1, 1))
+        for j in range(1, i):
+            a[i][j] = a[j][i] = F(rng.randint(-top, top), rng.randint(1, 3))
+        a[i][i] = F(size * top + rng.randint(0, top))
+    return oracles.matrix(a)
+
+
+@pytest.mark.parametrize("top", [2**40, 2**70])
+@pytest.mark.parametrize("seed", range(4))
+def test_ldl_promotes_after_the_first_step(monkeypatch, top, seed):
+    a = _wide_spd(random.Random(f"wide-{seed}"), 3 + seed % 3, top)
+    tensor = _tensor(a)
+    # Near 2^70 the numerators are Python ints from the start; near 2^40
+    # they start in int64 and are promoted at a step k >= 1.
+    promotes = tensor.array.dtype == np.int64
+    assert promotes == (top == 2**40)
+    steps = []
+    exact_dtype = rational.exact_dtype
+
+    def spy(bound, *arrays):
+        steps.append(exact_dtype(bound, *arrays))
+        return exact_dtype(bound, *arrays)
+
+    monkeypatch.setattr(rational, "exact_dtype", spy)
+    factor = rational.ldl(tensor)
+    monkeypatch.undo()
+    if promotes:
+        assert steps[0] is np.int64 and object in steps
+    _assert_factors(a, factor)
+    assert rational.solve(factor).to_fractions() == oracles.inverse(a)
 
 
 def test_ldl_rejects_a_non_positive_pivot():
-    with pytest.raises(ValueError, match="pivot 1"):
-        rational.ldl(oracles.matrix([[1, 2], [2, 4]]))
-    with pytest.raises(ValueError, match="pivot 0"):
-        rational.ldl(oracles.matrix([[-1]]))
+    with pytest.raises(ValueError, match=r"^matrix is not positive definite "
+                       r"\(pivot 1\)$"):
+        rational.ldl(_tensor(oracles.matrix([[1, 2], [2, 4]])))
+    with pytest.raises(ValueError, match=r"\(pivot 0\)$"):
+        rational.ldl(_tensor(oracles.matrix([[-1]])))
 
 
 def test_scaled_tensor_reduced_divides_out_the_content():
@@ -290,8 +348,8 @@ def test_positive_definite_agrees_with_sylvester(seed):
 
 
 def test_positive_definite_needs_symmetry():
-    # ldl reads only the lower triangle, so SpaceSpec checks symmetry
-    # first: this g has the identity's pivots but is not symmetric.
+    # ldl assumes a symmetric matrix, so SpaceSpec checks symmetry first:
+    # this g has the identity's pivots but is not symmetric.
     lopsided = oracles.matrix([[1, 1], [0, 1]])
     assert _ldl_accepts(lopsided)
     with pytest.raises(InvalidSpaceSpec, match="^g is not symmetric$"):
@@ -339,7 +397,7 @@ def test_solve_matches_the_fraction_inverse(seed):
     rng = random.Random(f"solve-{seed}")
     size, cols = 1 + seed % 6, seed % 4
     # Every third system has entries near 2^40, so the Bareiss minors
-    # leave the int64 range; sparse rows force row swaps.
+    # leave the int64 range.
     scale = 2**40 if seed % 3 == 0 else 1
 
     def entry():
@@ -348,24 +406,35 @@ def test_solve_matches_the_fraction_inverse(seed):
         return F(rng.randint(-5, 5) * scale + rng.randint(-1, 1),
                  rng.randint(1, 4))
 
-    a = oracles.matrix([[entry() for _ in range(size)] for _ in range(size)])
+    # scale A A^T + diag(positive) is symmetric positive definite.
+    spd = oracles.scale(oracles.random_spd(rng, size), F(scale))
+    a = oracles.add(spd, oracles.matrix([
+        [F(rng.randint(1, 5), rng.randint(1, 4)) if i == j else 0
+         for j in range(size)] for i in range(size)
+    ]))
     b = tuple(tuple(entry() for _ in range(cols)) for _ in range(size))
-    ta = rational.ScaledTensor.from_nested(a, (size, size))
     tb = rational.ScaledTensor.from_nested(b, (size, cols))
-    if oracles.determinant(a) == 0:
-        with pytest.raises(ZeroDivisionError):
-            rational.solve(ta, tb)
-        return
     want = oracles.matmul(oracles.inverse(a), b) if cols else tuple(
         () for _ in range(size)
     )
-    assert rational.solve(ta, tb).to_fractions() == want
+    assert rational.solve(rational.ldl(_tensor(a)), tb).to_fractions() == want
+    assert rational.solve(rational.ldl(_tensor(a))).to_fractions() == (
+        oracles.inverse(a)
+    )
 
 
-def test_solve_refuses_a_singular_matrix():
-    a = rational.ScaledTensor.from_nested([[1, 2], [2, 4]])
-    with pytest.raises(ZeroDivisionError):
-        rational.solve(a, rational.ScaledTensor.from_nested([[1], [1]]))
+def test_ldl_refuses_a_singular_gram_matrix():
+    # Three matrices, the third the sum of the first two: their Gram
+    # matrix is positive semidefinite and singular at pivot 2.
+    first = [[1, 2], [0, F(1, 3)]]
+    second = [[0, -1], [5, 2]]
+    third = [[x + y for x, y in zip(r, s)] for r, s in zip(first, second)]
+    stack = rational.ScaledTensor.from_nested([first, second, third])
+    gram = rational.exact_einsum("iab,jab->ij", stack, stack)
+    with pytest.raises(ValueError, match=r"\(pivot 2\)$"):
+        rational.ldl(gram)
+    assert not rational.independent(stack)
+    assert rational.independent(stack[:2])
 
 
 def test_scaled_tensor_rows_and_shapes():
