@@ -9,9 +9,9 @@ exactly.  Products are block direct sums of their factors.
 
 Files are JSON with every rational written as a string such as "3" or
 "-7/2"; floats never appear.  Loading parses the file and constructs the
-datum, whose constructor checks shapes, symmetry and definiteness; the
-structural identities are checked by curvature.prepare, which every
-computation runs first.
+datum, whose constructor checks shapes, the size of the check tensors,
+symmetry and definiteness; the structural identities are checked by
+curvature.prepare, which every computation runs first.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ PRODUCT_FACTORS: dict[str, tuple[str, str]] = {
     "S2xS2": ("S2", "S2"),
     "S2xS3": ("S2", "S3"),
 }
-# The largest flat(n) that prepare takes: its checks build n^4 entries.
+# The largest flat(n) that SpaceSpec takes: its checks build n^4 entries.
 MAX_FLAT = math.isqrt(math.isqrt(MAX_CHECK_ENTRIES))
 _FLAT_RE = re.compile(r"^flat(?:([0-9]+)|\(([0-9]+)\))$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -103,12 +103,13 @@ def builtin(name: str) -> SpaceSpec:
         return product_spec(name, builtin(a), builtin(b))
     m = _FLAT_RE.match(name)
     if m:
-        n = int(m.group(1) or m.group(2))
-        if n == 0:
+        digits = (m.group(1) or m.group(2)).lstrip("0")
+        if not digits:
             raise UnknownSpace("flat dimension must be at least 1")
-        if n > MAX_FLAT:
+        # Length first: int() refuses strings past 4300 digits.
+        if len(digits) > len(str(MAX_FLAT)) or int(digits) > MAX_FLAT:
             raise UnknownSpace(f"flat dimension must be at most {MAX_FLAT}")
-        return _flat_spec(n, f"flat({n})")
+        return _flat_spec(int(digits), f"flat({digits})")
     raise UnknownSpace(
         f"no builtin space named {name!r}; known: {', '.join(catalog_names())}"
     )
@@ -160,8 +161,9 @@ def load(path) -> SpaceSpec:
     Text that is not UTF-8, syntax errors, JSON nested beyond the
     parser's recursion limit, a schema_version other than the integer
     SCHEMA_VERSION, unknown fields, malformed rationals, and construction
-    defects (shapes, symmetry, positive definiteness, generator
-    independence) raise ParseError with the offending location.
+    defects (shapes, check tensors past MAX_CHECK_ENTRIES, symmetry,
+    positive definiteness, generator independence) raise ParseError with
+    the offending location.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from pathlib import Path
 
 from . import catalog as cat
 from .averaging import numeric_average
@@ -43,7 +43,7 @@ def _resolve_space(token: str):
     try:
         return cat.builtin(token)
     except UnknownSpace:
-        if Path(token).exists():
+        if os.path.exists(token):  # unlike Path.exists, False on OSError
             return cat.load(token)
         raise
 

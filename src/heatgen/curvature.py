@@ -10,10 +10,10 @@ a locally symmetric space.  All of it is exact arithmetic on
 integer-scaled tensors (rational.ScaledTensor): a datum is converted
 once, at construction, and a realization holds nothing but tensors
 (HolonomyRealization), so its fields are the one copy of derived data.
-Construction checks symmetries and independence on those tensors and
-factors each metric once by rational.ldl, its positive-definiteness
-test, keeping the factors (SpaceSpec.g_ldl, beta_ldl) for the inverses
-and the whitening.  prepare() runs derivation, checks and curvature
+Construction bounds the check tensors by MAX_CHECK_ENTRIES, checks
+symmetries and independence on the tensors and factors each metric once
+by rational.ldl, its positive-definiteness test, keeping the factors
+(SpaceSpec.g_ldl, beta_ldl) for the inverses and the whitening.  prepare() runs derivation, checks and curvature
 scalars once per datum, and alone turns failed checks into ValidationError.
 """
 
@@ -98,8 +98,9 @@ class SpaceSpec:
     n is the tangent dimension, p the number of holonomy generators.  g is
     the n-by-n metric, beta the p-by-p generator inner product, and E the
     p generator matrices, each n-by-n antisymmetric.  Construction enforces
-    the structural requirements; the deeper Lie-algebraic identities are
-    the validator's job.  g_ldl and beta_ldl keep each metric's ldl factor.
+    the structural requirements, MAX_CHECK_ENTRIES first of all after the
+    shapes; the deeper Lie-algebraic identities are the validator's job.
+    g_ldl and beta_ldl keep each metric's ldl factor.
     """
 
     name: str
@@ -125,6 +126,14 @@ class SpaceSpec:
         for i, mat in enumerate(self.E):
             if len(mat) != self.n or any(len(r) != self.n for r in mat):
                 raise InvalidSpaceSpec(f"generator {i} must be n-by-n")
+        # Integrability builds n^6 entries when p > 0, and Jacobi (n+p)^4.
+        n, p = self.n, self.p
+        entries = max(n**6 if p else 0, (n + p) ** 4)
+        if entries > MAX_CHECK_ENTRIES:
+            raise InvalidSpaceSpec(
+                f"{self.name}: n={n}, p={p} needs check tensors of "
+                f"{entries} entries, past the limit of {MAX_CHECK_ENTRIES}"
+            )
         g, beta, E = self._exact
         skew = (E + exact_einsum("iab->iba", E)).nonzero_rows()
         if skew.any():
@@ -411,21 +420,13 @@ def prepare(spec: SpaceSpec | Prepared) -> Prepared:
     """Derive the holonomy, run the structural checks and compute the
     curvature scalars of a datum, once.
 
-    Raises InvalidSpaceSpec, deriving nothing, when a check tensor would
-    pass MAX_CHECK_ENTRIES, and ValidationError, carrying the report, when
-    a check fails.  A Prepared passes through unchanged, so a caller that
-    already holds one does not repeat the work.
+    Raises ValidationError, carrying the report, when a check fails; the
+    check tensors fit MAX_CHECK_ENTRIES, which SpaceSpec enforces.  A
+    Prepared passes through unchanged, so a caller that already holds one
+    does not repeat the work.
     """
     if isinstance(spec, Prepared):
         return spec
-    # Integrability builds n^6 entries when p > 0, and Jacobi (n+p)^4.
-    n, p = spec.n, spec.p
-    entries = max(n**6 if p else 0, (n + p) ** 4)
-    if entries > MAX_CHECK_ENTRIES:
-        raise InvalidSpaceSpec(
-            f"{spec.name}: n={n}, p={p} needs check tensors of "
-            f"{entries} entries, past the limit of {MAX_CHECK_ENTRIES}"
-        )
     hol = derive_holonomy(spec)
     validation = validate_symmetric_space(spec, hol)
     if not validation.all_passed:

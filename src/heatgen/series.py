@@ -10,13 +10,13 @@ coefficients are computed twice, from that closed form and from a formal
 logarithm of the sinh z / z series, and must agree exactly.
 
 Trace powers of the omega-linear matrices D(omega) and F(omega) are built
-over monomials, not index words.  Each generator family is scaled to
-integers over one common denominator; the omega^alpha coefficients of
-X^k for every degree-k monomial alpha are stacked into one integer array,
-step k coming from step k-1 times each generator.  The coefficients of
-tr X^{2m} are then a Gram matrix tr(P_m[alpha] P_m[beta]) scattered onto
-alpha + beta, with monomials ranked by an additive mixed-radix code; the
-ranks of one Gram row block serve D and F alike.  All arithmetic is
+over monomials, not index words.  Both families are scaled to integers
+over their common denominator; the omega^alpha coefficients of X^k for
+every degree-k monomial alpha are stacked into one integer array, step k
+coming from step k-1 times each generator.  The coefficients of
+tr F^{2m} - tr D^{2m} are then one signed Gram matrix of F's powers
+beside D's, tr(P_m[alpha] P_m[beta]), scattered onto alpha + beta, with
+monomials ranked by an additive mixed-radix code.  All arithmetic is
 exact.  Each product of the two steps goes through rational.exact_matmul
 with a bound on every operand entry and every partial sum.  Below 2**53
 it runs on float64 BLAS: a product of two entries, a partial sum and a
@@ -29,11 +29,11 @@ Past 2**53 the arrays are int64 while the bound stays below 2**62, and
 Python ints beyond.
 
 Grade m of the log is kept as one integer array over the degree-2m codes
-with one denominator: the ScaledTensor difference of the two trace-power
-sums, scaled by c_m / (2 4^m).  ScaledTensor's - and scale pick int64 or
+with one denominator: the signed Gram sum over the common denominator to
+the power 2m, scaled by c_m / (2 4^m).  ScaledTensor.scale picks int64 or
 Python ints for it, so the coefficient bounds written out here are those
-of the matrix powers (_matrix_powers), the Gram step (_trace_power_sums)
-and the exponential (_graded_exp).  The production path, dense_integrand,
+of the matrix powers (_matrix_powers), the Gram step (_graded_log) and
+the exponential (_graded_exp).  The production path, dense_integrand,
 exponentiates it in that form by the recurrence g E_g = sum_m m P_m
 E_{g-m}, pairing the nonzero entries of each product and scattering them
 onto the summed codes; averaging.whitened_average runs it on whitened
@@ -349,59 +349,6 @@ def _matrix_powers(
     return powers
 
 
-def _trace_power_sums(
-    families, order: int, codes: list[np.ndarray]
-) -> list[list[np.ndarray]]:
-    """sums[j][m][rank(gamma)] = coefficient of omega^gamma in
-    tr (sum_i omega_i families[j][i])^{2m}, for m = 1..order (sums[j][0]
-    unused), for generator families of one p.
-
-    A word of length 2m splits into two halves of length m, so the trace
-    coefficient is sum over alpha + beta = gamma of
-    tr(powers[m][alpha] @ powers[m][beta]): a Gram matrix of the flattened
-    powers, scattered onto the code of alpha + beta.  The Gram matrix is
-    symmetric, so only pairs with rank(alpha) <= rank(beta) are formed and
-    the off-diagonal ones count twice.  The ranks of alpha + beta depend
-    on the codes only, so each row block computes them once for every
-    family."""
-    halves = [_matrix_powers(gens, order, codes) for gens in families]
-    sums = [[None] for _ in families]
-    for m in range(1, order + 1):
-        n = len(codes[m])
-        grams = []
-        for powers, family_sums in zip(halves, sums):
-            half = powers[m]
-            dim = half.shape[1]
-            # A Gram entry is a sum of dim^2 products; each degree-2m
-            # monomial collects at most n of them, and so does each
-            # partial sum of its scatter.
-            bound = max_abs(half) ** 2 * dim * dim * n
-            rows = half.reshape(n, dim * dim)
-            cols = half.transpose(0, 2, 1).reshape(n, dim * dim).T
-            out = np.zeros(len(codes[2 * m]), dtype=exact_dtype(bound, half))
-            family_sums.append(out)
-            grams.append((rows, cols, bound, out))
-        block = max(1, _GRAM_BLOCK // n)
-        for s in range(0, n, block):
-            e = min(s + block, n)
-            ranks = np.searchsorted(
-                codes[2 * m], codes[m][s:e, None] + codes[m][s:]
-            )
-            for rows, cols, bound, out in grams:
-                gram = exact_matmul(rows[s:e], cols[:, s:], bound)
-                square = gram[:, : e - s]
-                gram[:, : e - s] = np.triu(square) + np.triu(square, 1)
-                gram[:, e - s :] *= 2
-                if product_dtype(bound, gram) is np.float64:
-                    # Every bin sum is a partial sum of one monomial.
-                    out += np.bincount(
-                        ranks.ravel(), weights=gram.ravel(), minlength=len(out)
-                    ).astype(np.int64)
-                else:
-                    np.add.at(out, ranks, gram)
-    return sums
-
-
 def exp_units(p: int, order: int) -> int:
     """Work units of the dense exponential in dense_integrand: coefficient
     pairs of its products P_m E_{g-m}, sum over 1 <= m <= g <= order of
@@ -442,14 +389,52 @@ def _graded_log(
 ) -> list[ScaledTensor]:
     """grades[m][rank(gamma)] is the coefficient of t^m omega^gamma in
     sum_m t^m (c_m / 4^m) [tr F(omega)^{2m}/2 - tr D(omega)^{2m}/2], over
-    the degree-2m codes (grades[0] unused)."""
+    the degree-2m codes (grades[0] unused).
+
+    A word of length 2m splits into halves of length m, so the trace
+    coefficient of gamma sums tr(powers[m][alpha] @ powers[m][beta]) over
+    alpha + beta = gamma.  A row of the signed Gram matrix holds F's
+    powers beside D's, and its columns negate D's.  It is symmetric, so
+    only pairs with rank(alpha) <= rank(beta) are formed, and the
+    off-diagonal ones count twice."""
     cs = log_sinh_ratio_series(order)
-    d_sums, f_sums = _trace_power_sums((d.array, f.array), order, codes)
+    den = lcm(d.denom, f.denom)
+    f_powers, d_powers = (
+        _matrix_powers(t.scale(den // t.denom).array, order, codes)
+        for t in (f, d)
+    )
     grades = [None]
     for m in range(1, order + 1):
-        tf = ScaledTensor(f_sums[m], f.denom ** (2 * m))
-        td = ScaledTensor(d_sums[m], d.denom ** (2 * m))
-        grades.append((tf - td).scale(cs[m - 1] / (2 * 4**m)).reduced())
+        n, f_half, d_half = len(codes[m]), f_powers[m], d_powers[m]
+        rows = np.hstack([f_half.reshape(n, -1), d_half.reshape(n, -1)])
+        cols = np.hstack([
+            f_half.transpose(0, 2, 1).reshape(n, -1),
+            -d_half.transpose(0, 2, 1).reshape(n, -1),
+        ]).T
+        # A Gram entry is a sum of rows.shape[1] products; each degree-2m
+        # monomial collects at most n of them, and so does each partial
+        # sum of its scatter.
+        bound = max_abs(rows) ** 2 * rows.shape[1] * n
+        out = np.zeros(len(codes[2 * m]), dtype=exact_dtype(bound, rows))
+        block = max(1, _GRAM_BLOCK // n)
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            ranks = np.searchsorted(
+                codes[2 * m], codes[m][s:e, None] + codes[m][s:]
+            )
+            gram = exact_matmul(rows[s:e], cols[:, s:], bound)
+            square = gram[:, : e - s]
+            gram[:, : e - s] = np.triu(square) + np.triu(square, 1)
+            gram[:, e - s :] *= 2
+            if product_dtype(bound, gram) is np.float64:
+                # Every bin sum is a partial sum of one monomial.
+                out += np.bincount(
+                    ranks.ravel(), weights=gram.ravel(), minlength=len(out)
+                ).astype(np.int64)
+            else:
+                np.add.at(out, ranks, gram)
+        grade = ScaledTensor(out, den ** (2 * m))
+        grades.append(grade.scale(cs[m - 1] / (2 * 4**m)).reduced())
     return grades
 
 

@@ -1,6 +1,7 @@
 """Builtin catalog and the space file format."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -46,15 +47,30 @@ def test_flat_dimension_stops_at_the_entry_bound(monkeypatch):
     assert catalog.MAX_FLAT**4 <= hg.curvature.MAX_CHECK_ENTRIES
     assert (catalog.MAX_FLAT + 1) ** 4 > hg.curvature.MAX_CHECK_ENTRIES
     assert hg.builtin(f"flat({catalog.MAX_FLAT})").n == catalog.MAX_FLAT
+    # Leading zeros do not count toward the length of the digits.
+    assert hg.builtin("flat(00045)").name == "flat(45)"
 
     def unbuilt(n):
         raise AssertionError("identity built for a refused dimension")
 
     monkeypatch.setattr(catalog, "identity", unbuilt)
-    for n in (catalog.MAX_FLAT + 1, 10**12):
+    # 5001 digits: past the digits int() converts, so never converted.
+    for digits in ("46", "1" + "0" * 12, "1" + "0" * 5000):
         with pytest.raises(hg.UnknownSpace,
                            match="^flat dimension must be at most 45$"):
-            hg.builtin(f"flat({n})")
+            hg.builtin(f"flat({digits})")
+
+
+def test_so30_datum_is_refused_before_conversion():
+    # so(30): n = 30, p = 435, whose Jacobi check needs 465^4 entries;
+    # construction refuses it before factoring its Gram matrices.
+    start = time.perf_counter()
+    with pytest.raises(
+        hg.InvalidSpaceSpec,
+        match="^S30: n=30, p=435 needs check tensors of 46753250625 entries",
+    ):
+        catalog._sphere_spec(30, "S30")
+    assert time.perf_counter() - start < 1
 
 
 def test_unknown_name():

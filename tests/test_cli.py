@@ -181,9 +181,11 @@ def test_unknown_space_exits_two(capsys):
 
 
 def test_flat_past_the_entry_bound_exits_two(capsys):
-    code, out, err = run(capsys, "coeffs", "flat(200)")
-    assert (code, out) == (2, "")
-    assert err == "error: flat dimension must be at most 45\n"
+    # 5001 digits also make a name too long to look up as a file.
+    for digits in ("200", "1" + "0" * 5000):
+        code, out, err = run(capsys, "coeffs", f"flat({digits})")
+        assert (code, out) == (2, "")
+        assert err == "error: flat dimension must be at most 45\n"
 
 
 def test_flat_order_past_the_budget_exits_one(capsys):
@@ -193,13 +195,18 @@ def test_flat_order_past_the_budget_exits_one(capsys):
 
 
 def test_file_past_the_entry_bound_exits_one(capsys, tmp_path):
+    # Written by hand: SpaceSpec refuses to construct this datum.
     path = tmp_path / "wide.json"
-    hg.save(hg.SpaceSpec("wide", 46, 0, rational.identity(46), (), ()), path)
+    g = [["1" if i == j else "0" for j in range(46)] for i in range(46)]
+    path.write_text(json.dumps({
+        "schema_version": 1, "name": "wide", "n": 46, "p": 0,
+        "g": g, "beta": [], "E": [],
+    }))
     code, out, err = run(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err == (
-        "error: wide: n=46, p=0 needs check tensors of 4477456 entries, "
-        "past the limit of 4194304\n"
+        f"error: {path}: wide: n=46, p=0 needs check tensors of 4477456 "
+        f"entries, past the limit of 4194304\n"
     )
 
 

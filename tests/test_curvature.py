@@ -92,21 +92,21 @@ def test_dependent_connection_generators_are_a_degenerate_basis():
 @pytest.mark.parametrize("n, p, entries", [(46, 0, 46**4), (13, 1, 13**6)])
 def test_prepare_refuses_check_tensors_past_the_bound(monkeypatch, n, p,
                                                       entries):
-    # Integrability builds n^6 entries when p > 0, Jacobi (n+p)^4.
+    # Integrability builds n^6 entries when p > 0, Jacobi (n+p)^4.  The
+    # datum is refused at construction, before any entry is converted, so
+    # prepare never receives it.
     E = (antisym(n, {(0, 1): 1}),) * p
-    spec = hg.SpaceSpec("wide", n, p, identity(n), identity(p), E)
 
-    def unbuilt(spec):
-        raise AssertionError("derived before the bound was checked")
+    def unbuilt(*args):
+        raise AssertionError("converted before the bound was checked")
 
-    monkeypatch.setattr(hg.curvature, "derive_holonomy", unbuilt)
+    monkeypatch.setattr(rational.ScaledTensor, "from_nested", unbuilt)
     with pytest.raises(
         hg.InvalidSpaceSpec,
         match=f"^wide: n={n}, p={p} needs check tensors of {entries} "
         f"entries, past the limit of 4194304$",
     ):
-        hg.prepare(spec)
-    assert "tensors" not in vars(spec)
+        hg.SpaceSpec("wide", n, p, identity(n), identity(p), E)
 
 
 @pytest.mark.parametrize("field", ["g", "beta", "E"])

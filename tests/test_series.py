@@ -216,30 +216,67 @@ def test_log_expansion_matches_full_word_sum(kind, p, dim, order):
     )
 
 
-def test_trace_power_sums_fall_back_to_python_ints():
-    hol = _random_hol("promoted", 2, 3, seed=4)
-    gens = hol.D.array
-    assert gens.dtype == np.int64
-    (sums,) = series._trace_power_sums(
-        (gens,), 3, series._monomial_codes(2, 6)
-    )
-    assert sums[1].dtype == np.int64
-    assert sums[3].dtype == object
-
-
-def test_trace_power_sums_mix_float_and_integer_products(monkeypatch):
-    hol = _random_hol("wide", 2, 3, seed="mixed")
+def _spy_products(monkeypatch):
+    """(dtype, inner width) of every exact_matmul the series runs."""
     seen = []
 
     def spy(a, b, bound):
-        seen.append(rational.product_dtype(bound, a, b))
+        seen.append((rational.product_dtype(bound, a, b), a.shape[1]))
         return rational.exact_matmul(a, b, bound)
 
     monkeypatch.setattr(series, "exact_matmul", spy)
-    series._trace_power_sums((hol.D.array,), 3, series._monomial_codes(2, 6))
-    # Three power steps, then one Gram block for each of m = 1, 2, 3.
-    assert seen == [np.float64] * 4 + [np.int64, object]
+    return seen
+
+
+def test_signed_gram_falls_back_to_python_ints(monkeypatch):
+    hol = _random_hol("promoted", 2, 3, seed=4)
+    assert hol.D.array.dtype == hol.F_mats.array.dtype == np.int64
+    seen = _spy_products(monkeypatch)
+    series._graded_log(hol.D, hol.F_mats, 3, series._monomial_codes(2, 6))
+    # Three power steps of F (dim 4) and of D (dim 3), then one signed
+    # Gram product of width 4^2 + 3^2 for each of m = 1, 2, 3.
+    f64 = np.float64
+    assert seen == (
+        [(f64, 4), (f64, 4), (object, 4), (f64, 3), (f64, 3), (object, 3)]
+        + [(f64, 25), (object, 25), (object, 25)]
+    )
     assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
+
+
+def test_signed_gram_mixes_float_and_integer_products(monkeypatch):
+    hol = _random_hol("wide", 2, 3, seed="mixed")
+    seen = _spy_products(monkeypatch)
+    series._graded_log(hol.D, hol.F_mats, 3, series._monomial_codes(2, 6))
+    f64 = np.float64
+    assert seen == (
+        [(f64, 4)] * 3 + [(f64, 3)] * 3
+        + [(f64, 25), (np.int64, 25), (object, 25)]
+    )
+    assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
+
+
+@pytest.mark.parametrize("d_den,f_den", [(1, 3**40), (2**61 - 1, 2**31 - 1)])
+def test_log_expansion_rebases_far_apart_denominators(
+    monkeypatch, d_den, f_den
+):
+    # Rebased to the common denominator, D (times 3^40 > 2^62) or F (times
+    # 2^61 - 1) leaves int64, and the signed Gram runs on Python ints.
+    rng = random.Random(f"{d_den}-{f_den}")
+
+    def mats(size, den):
+        return rational.ScaledTensor.from_nested(tuple(
+            oracles.matrix(
+                [[F(rng.randint(-9, 9), den) for _ in range(size)]
+                 for _ in range(size)]
+            )
+            for _ in range(2)
+        ))
+
+    hol = types.SimpleNamespace(p=2, D=mats(3, d_den), F_mats=mats(4, f_den))
+    assert (hol.D.denom, hol.F_mats.denom) == (d_den, f_den)
+    seen = _spy_products(monkeypatch)
+    assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
+    assert seen[-3:] == [(object, 4**2 + 3**2)] * 3
 
 
 def test_builtin_log_expansion_matches_full_word_sum(hols):
@@ -260,8 +297,8 @@ def test_gram_blocks_do_not_change_the_result(hols, monkeypatch):
 
 
 def test_shared_pair_ranks_with_one_row_per_block(hols, monkeypatch):
-    # S5 has D of dim 5 and F of dim 10: one pair rank array serves Gram
-    # blocks of two widths.
+    # S5 has D of dim 5 and F of dim 10: each one-row Gram block holds
+    # both families side by side, 10^2 + 5^2 columns.
     hol = hols["S5"]
     log = hg.integrand_log_expansion(hol, 3)
     exp = log.exp()
