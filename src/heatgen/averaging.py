@@ -21,14 +21,18 @@ it sees.
 The numeric path evaluates the full (not truncated) integrand in floating
 point, by Monte Carlo or tensorized Gauss-Hermite quadrature.  Both
 factors are skew once rewritten by the Cholesky factors of g and beta
-(see _Integrand), so each point costs one symmetric eigensolve per
-factor: with s_j^2 the eigenvalues of X^T X, det(sinh X / X) =
-prod_j sin(s_j)/s_j, and the point is kept inside the regularity ball
-max_j s_j < pi - _MARGIN, a condition that does not depend on the tangent
-or holonomy basis.  Quadrature evaluates half of its symmetric grid, the
-integrand being even.  Monte Carlo and quadrature sizes are capped
-(_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS) and checked before anything
-is built.
+(see _Integrand), and with s_j the singular values of a skew X,
+det(sinh X / X) = prod_j sin(s_j)/s_j; the point is kept inside the
+regularity ball max_j s_j < pi - _MARGIN, a condition that does not
+depend on the tangent or holonomy basis.  Each factor is split once per
+request into the invariant blocks its generators share (the connected
+components of their common nonzero pattern, a permutation similarity),
+and every block takes its determinant and top singular value from the
+kernel for its size (_skew_sinc_dets): closed forms up to 4 x 4, one
+batched symmetric eigensolve beyond.  Quadrature evaluates half of its
+symmetric grid, the integrand being even.  Monte Carlo and quadrature
+sizes and the Monte Carlo seed are checked before anything is built
+(_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -185,20 +189,69 @@ _MAX_SAMPLES = 10**7
 
 
 def _skew_sinc_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det(sinh(X)/X) and the largest singular value for a batch of
-    skew-symmetric matrices, from one symmetric eigensolve each.
+    """det(sinh(X)/X) and the largest singular value for a batch of d x d
+    skew-symmetric matrices.
 
-    X^T X = -X^2 has the eigenvalues s_j^2, where the i s_j are those of
-    X, and sinh(i s)/(i s) = sin(s)/s, so det(sinh(X)/X) = prod_j
-    sin(s_j)/s_j.  The determinant is a smooth function of the s_j^2, so
-    the clamp of a tiny negative s_j^2 to zero costs no accuracy.
+    The i s_j are the eigenvalues of X, each s_j a singular value, and
+    sinh(i s)/(i s) = sin(s)/s, so det(sinh(X)/X) = prod_j sin(s_j)/s_j.
+    The kernel depends on d:
+
+    - d <= 3: one rotation plane, s = sqrt(sum_{i<j} x_ij^2) twice (no
+      plane, s = 0, for d <= 1).
+    - d = 4: so(4) = so(3) + so(3).  The norms a and b of the self-dual
+      and anti-self-dual parts, (x01 + x23, x02 - x13, x03 + x12) and
+      (x01 - x23, x02 + x13, x03 - x12), are s_1 + s_2 and |s_1 - s_2|
+      in some order, so the singular values are (a + b)/2 and
+      |a - b|/2, each twice, with no cancellation in the top one.
+    - d >= 5: the eigenvalues s_j^2 of X^T X = -X^2 from one symmetric
+      eigensolve.  The determinant is a smooth function of the s_j^2,
+      so the clamp of a tiny negative s_j^2 to zero costs no accuracy.
     """
-    count, d = mats.shape[0], mats.shape[-1]
-    if count == 0 or d == 0:
-        return np.ones(count), np.zeros(count)
+    d = mats.shape[-1]
+    if d <= 3:
+        upper = np.triu_indices(d, 1)
+        s = np.sqrt((mats[:, upper[0], upper[1]] ** 2).sum(axis=-1))
+        return np.sinc(s / math.pi) ** 2, s
+    if d == 4:
+        x01, x02, x03, x12, x13, x23 = (
+            mats[:, i, j] for i, j in zip(*np.triu_indices(4, 1))
+        )
+        a = np.sqrt((x01 + x23) ** 2 + (x02 - x13) ** 2 + (x03 + x12) ** 2)
+        b = np.sqrt((x01 - x23) ** 2 + (x02 + x13) ** 2 + (x03 - x12) ** 2)
+        top = (a + b) / 2.0
+        det = np.sinc(top / math.pi) * np.sinc((a - b) / (2.0 * math.pi))
+        return det * det, top
+    if len(mats) == 0:
+        return np.ones(0), np.zeros(0)
     z = np.linalg.eigvalsh(-(mats @ mats))
     s = np.sqrt(np.maximum(z, 0.0))
     return np.prod(np.sinc(s / math.pi), axis=-1), s[:, -1]
+
+
+def _invariant_blocks(stack: np.ndarray) -> list[np.ndarray]:
+    """The stack (k, d, d) restricted to each of its invariant blocks: the
+    connected components of the symmetrized union of its nonzero
+    patterns, indices ascending.  Every matrix of the span is then block
+    diagonal after one permutation, which changes no entry.  A single
+    block is the stack itself, not a copy."""
+    d = stack.shape[-1]
+    link = (stack != 0).any(axis=0)
+    link |= link.T
+    free = np.ones(d, dtype=bool)
+    blocks = []
+    for start in range(d):
+        if not free[start]:
+            continue
+        comp = np.zeros(d, dtype=bool)
+        comp[start] = True
+        size = 0
+        while comp.sum() > size:
+            size = comp.sum()
+            comp |= link[comp].any(axis=0)
+        free &= ~comp
+        idx = np.flatnonzero(comp)
+        blocks.append(stack if len(idx) == d else stack[:, idx[:, None], idx])
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -280,13 +333,18 @@ class _Integrand:
     being antisymmetric, and each F_i for beta (_check_beta_invariance).
     Once per request both families are rewritten by the Cholesky factors
     of g and beta (_skew_stack), a similarity, so that every factor matrix
-    is skew: det(sinh X / X) and its regularity ball then come from one
-    symmetric eigensolve per factor and point (_skew_sinc_dets), and the
-    ball max_j s_j < pi - margin is the same in every tangent and
-    holonomy basis.  The map from z to omega is folded into the
-    generators, after dividing beta by 4^k and the generators by 2^k
-    exactly (_near_unit), which changes no factor matrix and keeps every
-    float in range."""
+    is skew, and the ball max_j s_j < pi - margin on its singular values
+    is the same in every tangent and holonomy basis.  The map from z to
+    omega is folded into the generators, after dividing beta by 4^k and
+    the generators by 2^k exactly (_near_unit), which changes no factor
+    matrix and keeps every float in range.
+
+    D and F hold the whitened stacks.  Each is also split here, once,
+    into its invariant blocks (_invariant_blocks).  A point forms every
+    block's matrices from that block's own generators, multiplies the
+    block determinants and takes the largest block top, each block
+    through the kernel for its size (_skew_sinc_dets): closed forms up
+    to 4 x 4, one symmetric eigensolve beyond."""
 
     def __init__(
         self, prep: Prepared, t: float, margin: float, spread: float
@@ -303,23 +361,30 @@ class _Integrand:
 
         self.D = whitened(hol.D, spec.g)
         self.F = whitened(hol.F_mats, spec.beta)
+        self.blocks = (_invariant_blocks(self.D), _invariant_blocks(self.F))
+
+    @staticmethod
+    def _factor(z: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """det(sinh X/X) and the top singular value of X(z), by block."""
+        dets, tops = zip(*(
+            _skew_sinc_dets(
+                (z @ gens.reshape(len(gens), -1)).reshape(
+                    (len(z),) + gens.shape[1:]
+                )
+            )
+            for gens in blocks
+        ))
+        return reduce(np.multiply, dets), reduce(np.maximum, tops)
 
     def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (values, acceptance mask); rejected rows hold 0."""
-        count = len(z)
-        x = (z @ self.D.reshape(len(self.D), -1)).reshape(
-            (count,) + self.D.shape[1:]
-        )
-        y = (z @ self.F.reshape(len(self.F), -1)).reshape(
-            (count,) + self.F.shape[1:]
-        )
-        det_d, top_d = _skew_sinc_dets(x)
-        det_f, top_f = _skew_sinc_dets(y)
+        det_d, top_d = self._factor(z, self.blocks[0])
+        det_f, top_f = self._factor(z, self.blocks[1])
         # Inside the ball every sin(s)/s is positive; the guard keeps a
         # rounding accident from reaching the square roots.
         ok = (top_d < self.bound) & (top_f < self.bound)
         ok &= (det_d > 0.0) & (det_f > 0.0)
-        vals = np.zeros(count)
+        vals = np.zeros(len(z))
         vals[ok] = np.sqrt(det_f[ok]) / np.sqrt(det_d[ok])
         return vals, ok
 
@@ -354,7 +419,8 @@ def numeric_average(
     positivity) are rejected, counted, and resampled; the result is the
     scalar-prefactor times the mean over the retained domain, with the
     Monte Carlo standard error or a quadrature refinement delta as
-    std_error.  The sample count (2.._MAX_SAMPLES) and the quadrature
+    std_error.  The sample count (2.._MAX_SAMPLES), the Monte Carlo seed
+    (a non-negative integer; quadrature ignores it) and the quadrature
     grid (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS points) are
     checked before anything is built, as is t, which must be finite and
     positive.
@@ -373,6 +439,12 @@ def numeric_average(
     if method == "mc" and samples > _MAX_SAMPLES:
         raise ValueError(
             f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got {samples}"
+        )
+    if method == "mc" and not (
+        isinstance(seed, (int, np.integer)) and seed >= 0
+    ):
+        raise ValueError(
+            f"Monte Carlo seed must be a non-negative integer, got {seed!r}"
         )
     if method == "quadrature":
         if spec.p > 3:

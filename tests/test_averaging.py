@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -317,6 +318,92 @@ def test_skew_kernel_on_an_empty_batch():
     assert dets.shape == tops.shape == (0,)
 
 
+def self_dual(u):
+    """The 4 x 4 skew matrix with x01 = x23, x02 = -x13, x03 = x12 from the
+    vector u: its anti-self-dual part vanishes, so both singular values
+    are |u|, exactly degenerate."""
+    x01, x02, x03 = u
+    out = np.array([[0.0, x01, x02, x03], [0.0, 0.0, x03, -x02],
+                    [0.0, 0.0, 0.0, x01], [0.0, 0.0, 0.0, 0.0]])
+    return out - out.T
+
+
+def test_skew_kernel_on_degenerate_and_reflected_4x4():
+    rng = np.random.default_rng(44)
+    bound = math.pi - 0.01
+    u = rng.standard_normal(3)
+    mats = [self_dual(u * (r / np.linalg.norm(u))) for r in (0.3, 1.7)]
+    mats += [rotation_blocks([theta, theta * (1 + 1e-9)], 4, rng)
+             for theta in (1e-3, 0.8, 2.9)]
+    mats += [rotation_blocks(thetas, 4, rng) for thetas in
+             ([bound * (1 - 1e-9), 1.0], [bound * (1 + 1e-9), 1.0],
+              [bound * (1 - 1e-9)] * 2, [bound * (1 + 1e-9)] * 2)]
+    mats = np.stack(mats)
+    # Conjugation by an orthogonal matrix of determinant -1 swaps the
+    # self-dual and anti-self-dual parts.
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    q[:, 0] *= -np.sign(np.linalg.det(q))
+    assert np.linalg.det(q) < 0
+    flipped = q @ mats @ q.T
+    flipped = (flipped - flipped.transpose(0, 2, 1)) / 2.0
+    for batch in (mats, flipped):
+        dets, tops = averaging._skew_sinc_dets(batch)
+        np.testing.assert_allclose(
+            dets, oracles.sinh_ratio_dets(batch), rtol=1e-9, atol=1e-12
+        )
+        np.testing.assert_allclose(tops, svd_top(batch), rtol=1e-12,
+                                   atol=1e-15)
+        assert (tops[-4:] < bound).tolist() == [True, False, True, False]
+    np.testing.assert_allclose(tops[:2], [0.3, 1.7], rtol=1e-15)
+
+
+def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
+    rng = np.random.default_rng(9)
+    sizes = (1, 2, 3, 4, 5, 2)
+    d, k = sum(sizes), 3
+    stack = np.zeros((k, d, d))
+    start = 0
+    for size in sizes:
+        raw = rng.standard_normal((k, size, size)) * 0.3
+        if size == 5:
+            # A chain 0-1-2-3-4: connected only through several steps.
+            raw = np.triu(np.tril(raw, 1), 1)
+        part = slice(start, start + size)
+        stack[:, part, part] = raw - raw.transpose(0, 2, 1)
+        start += size
+    perm = rng.permutation(d)
+    stack = stack[:, perm][:, :, perm]
+    blocks = averaging._invariant_blocks(stack)
+    assert sorted(len(b[0]) for b in blocks) == sorted(sizes)
+    z = rng.standard_normal((200, k))
+    dets, tops = averaging._Integrand._factor(z, blocks)
+    want_dets, want_tops = averaging._skew_sinc_dets(
+        np.einsum("si,iab->sab", z, stack)
+    )
+    np.testing.assert_allclose(dets, want_dets, rtol=1e-12)
+    np.testing.assert_allclose(tops, want_tops, rtol=1e-13)
+
+
+# The sizes of the whitened D and F blocks of the builtins.
+BUILTIN_BLOCKS = {
+    "S3": ([3], [3]), "S2xS3": ([2, 3], [1, 3]),
+    "S2xS2": ([2, 2], [1, 1]), "S4": ([4], [6]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_BLOCKS))
+def test_integrand_finds_the_invariant_blocks(prepared, name):
+    integrand = averaging._Integrand(prepared[name], 0.1, 0.01, 2.0)
+    d_blocks, f_blocks = integrand.blocks
+    assert (
+        sorted(len(b[0]) for b in d_blocks),
+        sorted(len(b[0]) for b in f_blocks),
+    ) == BUILTIN_BLOCKS[name]
+    # One block is the whitened stack itself.
+    for blocks, stack in ((d_blocks, integrand.D), (f_blocks, integrand.F)):
+        assert (blocks[0] is stack) == (len(blocks) == 1)
+
+
 # ---------------------------------------------------------------------------
 # numeric_average
 # ---------------------------------------------------------------------------
@@ -371,6 +458,26 @@ def test_mc_sample_count_checked_first(prepared, monkeypatch, name, method,
     samples = 10**7 + excess
     with pytest.raises(ValueError, match=f"limited to 10000000 .* {samples}$"):
         hg.numeric_average(prepared[name], 0.1, method, samples=samples)
+
+
+@pytest.mark.parametrize("name,method", [("S2", "mc"), ("S4", "auto")])
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+def test_mc_seed_checked_first(prepared, monkeypatch, name, method, seed):
+    def boom(*args, **kwargs):
+        raise AssertionError("integrand built before validation")
+
+    monkeypatch.setattr(averaging, "_Integrand", boom)
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                       f"integer, got {re.escape(repr(seed))}$"):
+        hg.numeric_average(prepared[name], 0.1, method, samples=10,
+                           seed=seed)
+
+
+def test_quadrature_ignores_the_seed(prepared):
+    kw = dict(method="quadrature", nodes=8)
+    assert hg.numeric_average(prepared["S2"], 0.1, seed=-1, **kw) == (
+        hg.numeric_average(prepared["S2"], 0.1, **kw)
+    )
 
 
 @pytest.fixture
@@ -485,23 +592,39 @@ def test_tight_margin_rejects_more(prepared, monkeypatch):
 TANGENT_MOVES = {
     "S2": ((F(2), F(1)), (F(0), F(1, 3))),
     "S3": ((F(1), F(-2), F(1, 2)), (F(0), F(3), F(1)), (F(0), F(0), F(1, 2))),
+    # Couples the S2 tangent (0, 1) with the S3 tangent (2, 3, 4): the
+    # moved D(omega) is one dense 5 x 5 block.
+    "S2xS3": tuple(
+        tuple(F(x) for x in row) for row in (
+            (1, 0, 2, 0, -1), (0, 2, 1, F(1, 2), 0), (0, 0, 1, -1, 0),
+            (0, 0, 0, 3, 1), (0, 0, 0, 0, F(1, 2)),
+        )
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(TANGENT_MOVES))
-@pytest.mark.parametrize("method", ["mc", "quadrature"])
+@pytest.mark.parametrize("method,name", [
+    ("mc", "S2"), ("mc", "S3"), ("mc", "S2xS3"),
+    ("quadrature", "S2"), ("quadrature", "S3"),
+])
 def test_numeric_average_does_not_depend_on_the_tangent_basis(
     prepared, name, method
 ):
     # g' = P^T P is not the identity, so a ball on the raw singular values
     # of D(omega) would reject different points (S2 at t=2: 33 and 243
-    # hits; S3: 378 and 32387).
+    # hits; S3: 378 and 32387).  For S2xS3 the builtin splits D into
+    # blocks of 2 and 3, each in closed form, while the moved one goes
+    # to the eigensolve as one block of 5.
     base = prepared[name]
     ident = rational.identity(base.spec.p)
     other = hg.prepare(
         oracles.moved(base.spec, TANGENT_MOVES[name], ident, 1, 1)
     )
     assert other.spec.g != base.spec.g
+    if name == "S2xS3":
+        blocks = [averaging._Integrand(prep, 2.0, 0.01, 2.0).blocks[0]
+                  for prep in (base, other)]
+        assert [[len(b[0]) for b in x] for x in blocks] == [[2, 3], [5]]
     kw = dict(method=method, samples=20_000, seed=4, nodes=24)
     want = hg.numeric_average(base, 2.0, **kw)
     got = hg.numeric_average(other, 2.0, **kw)

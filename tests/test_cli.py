@@ -402,6 +402,20 @@ def test_huge_sample_count_exits_two(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_negative_seed_exits_two(capsys, monkeypatch, command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrand built for a refused seed")
+
+    monkeypatch.setattr("heatgen.averaging._Integrand", unreachable)
+    code, out, err = run(capsys, command, "S2", "--t", "0.1", "--method",
+                         "mc", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: Monte Carlo seed must be a non-negative integer, got -1\n"
+    )
+
+
 def test_compare_negative_time_exits_two(capsys):
     code, _, err = run(capsys, "compare", "S2", "--t", "0.05,-0.1")
     assert code == 2
