@@ -24,15 +24,18 @@ factors are skew once rewritten by the Cholesky factors of g and beta
 (see _Integrand), and with s_j the singular values of a skew X,
 det(sinh X / X) = prod_j sin(s_j)/s_j; the point is kept inside the
 regularity ball max_j s_j < pi - _MARGIN, a condition that does not
-depend on the tangent or holonomy basis.  Each factor is split once per
-request into the invariant blocks its generators share (the connected
-components of their common nonzero pattern, a permutation similarity),
-and every block takes its determinant and top singular value from the
-kernel for its size (_skew_sinc_dets): closed forms up to 4 x 4, one
-batched symmetric eigensolve beyond.  Quadrature evaluates half of its
-symmetric grid, the integrand being even.  Monte Carlo and quadrature
-sizes and the Monte Carlo seed are checked before anything is built
-(_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
+depend on the tangent or holonomy basis.  Each factor's generators are
+split once per request, exactly and before any float is formed, into
+invariant blocks (_invariant_split): the common kernel is dropped, and
+the rest divided by the rational eigenspaces of the self-adjoint
+commutant, found with rational.nullspace.  That separates the simple
+ideals of F (S4's so(4) into two 3 x 3 blocks) and the de Rham factors
+of D in any basis.  Every block takes its determinant and top singular
+value from the kernel for its size (_skew_sinc_dets): closed forms up
+to 4 x 4, one batched symmetric eigensolve beyond.  Quadrature
+evaluates half of its symmetric grid, the integrand being even.  Monte
+Carlo and quadrature sizes and the seed are checked before anything is
+built (_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
 """
 
 from __future__ import annotations
@@ -46,7 +49,17 @@ import numpy as np
 
 from .curvature import Prepared
 from .errors import HeatgenError, InternalInconsistency, check_time
-from .rational import Matrix, ScaledTensor, exact_einsum
+from .rational import (
+    Matrix,
+    ScaledTensor,
+    exact_einsum,
+    exact_matmul,
+    ldl,
+    max_abs,
+    nullspace,
+    primitive_columns,
+    solve,
+)
 from .series import OmegaPolynomial, TSeries, check_budget, dense_integrand
 
 __all__ = [
@@ -228,32 +241,6 @@ def _skew_sinc_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.prod(np.sinc(s / math.pi), axis=-1), s[:, -1]
 
 
-def _invariant_blocks(stack: np.ndarray) -> list[np.ndarray]:
-    """The stack (k, d, d) restricted to each of its invariant blocks: the
-    connected components of the symmetrized union of its nonzero
-    patterns, indices ascending.  Every matrix of the span is then block
-    diagonal after one permutation, which changes no entry.  A single
-    block is the stack itself, not a copy."""
-    d = stack.shape[-1]
-    link = (stack != 0).any(axis=0)
-    link |= link.T
-    free = np.ones(d, dtype=bool)
-    blocks = []
-    for start in range(d):
-        if not free[start]:
-            continue
-        comp = np.zeros(d, dtype=bool)
-        comp[start] = True
-        size = 0
-        while comp.sum() > size:
-            size = comp.sum()
-            comp |= link[comp].any(axis=0)
-        free &= ~comp
-        idx = np.flatnonzero(comp)
-        blocks.append(stack if len(idx) == d else stack[:, idx[:, None], idx])
-    return blocks
-
-
 @dataclass(frozen=True)
 class NumericAverage:
     """Result of a floating-point group average."""
@@ -278,19 +265,18 @@ def _inv_sqrt(sym: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def _near_unit(mat: Matrix) -> tuple[np.ndarray, Fraction]:
+def _near_unit(mat: ScaledTensor) -> tuple[np.ndarray, Fraction]:
     """mat / 4^k as floats and the exact 2^-k, for a power of four 4^k
     within a factor of 4 of the largest entry of mat: the floats stay in
     range however large or small the entries are, and a power of two adds
     no rounding."""
-    top = max(abs(x) for row in mat for x in row)
+    top = Fraction(max_abs(mat.array), mat.denom)
     k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
     shrink = Fraction(1, 2**k) if k >= 0 else Fraction(2**-k)
-    quarter = shrink * shrink
-    return np.array([[float(x * quarter) for x in row] for row in mat]), shrink
+    return _float_stack(mat, shrink * shrink), shrink
 
 
-def _skew_stack(gens: np.ndarray, metric: Matrix) -> np.ndarray:
+def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
     """C^T G C^{-T} for each G in the stack, with metric = C C^T up to a
     positive scale (Cholesky): skew-symmetric when metric . G is
     antisymmetric.  The rounding is antisymmetrized away, which leaves an
@@ -325,26 +311,177 @@ def _check_beta_invariance(prep: Prepared) -> None:
         )
 
 
+# Largest denominator tried for a rational eigenvalue read off its float
+# guess.  A wrong guess finds no eigenspace, since every candidate is
+# checked exactly, so this bounds the work, not the correctness.
+_EIGEN_DENOM = 2**16
+
+
+def _restrict(
+    gens: ScaledTensor, metric: ScaledTensor, basis: np.ndarray
+) -> tuple[ScaledTensor, ScaledTensor]:
+    """The stack and its metric on the span of the integer columns T of
+    basis (d, r), a subspace every generator leaves invariant:
+    G_i T = T H_i with H_i = (T^T M T)^-1 T^T M G_i T, and T^T M T."""
+    t = ScaledTensor(basis, 1)
+    left = exact_einsum("ba,bc->ac", t, metric)
+    sub = exact_einsum("ac,cd->ad", left, t).reduced()
+    rhs = exact_einsum(
+        "iad,de->aie", exact_einsum("ac,icd->iad", left, gens), t
+    )
+    k, r = len(gens.array), basis.shape[1]
+    h = solve(ldl(sub), ScaledTensor(rhs.array.reshape(r, k * r), rhs.denom))
+    h_stack = h.array.reshape(r, k, r).transpose(1, 0, 2)
+    return ScaledTensor(h_stack, h.denom), sub
+
+
+def _complement(space: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """Integer columns spanning the metric-orthogonal complement of the
+    span of the integer columns of space."""
+    bound = max_abs(space) * max_abs(metric) * len(space)
+    return nullspace(
+        ScaledTensor(exact_matmul(space.T, metric, bound), 1)
+    ).array
+
+
+def _commutant(gens: np.ndarray) -> np.ndarray:
+    """A basis (m, r, r) of the integer symmetric Y with Y G antisymmetric
+    for every G of the integer stack gens (k, r, r).
+
+    For a metric M with every M G antisymmetric these Y are the M X of
+    the M-self-adjoint X that commute with every G.  The conditions
+    sym(Y G) = 0 on the r(r+1)/2 upper entries of Y are eliminated one
+    generator at a time, on the solutions left by the earlier ones, so
+    every system stays small.  M is always a solution, so the search
+    stops when one is left."""
+    r = gens.shape[-1]
+    upper = np.triu_indices(r)
+    u = len(upper[0])
+    unit = np.zeros((u, r, r), dtype=np.int64)
+    unit[np.arange(u), upper[0], upper[1]] = 1
+    unit[np.arange(u), upper[1], upper[0]] = 1
+    basis = np.eye(u, dtype=np.int64)
+    for g in gens:
+        prod = exact_einsum(
+            "tac,cb->tab", ScaledTensor(unit, 1), ScaledTensor(g, 1)
+        ).array
+        eqs = (prod + prod.transpose(0, 2, 1))[:, upper[0], upper[1]].T
+        bound = max_abs(eqs) * max_abs(basis) * u
+        null = nullspace(ScaledTensor(exact_matmul(eqs, basis, bound), 1))
+        bound = max_abs(basis) * max_abs(null.array) * basis.shape[1]
+        basis = primitive_columns(exact_matmul(basis, null.array, bound))
+        if basis.shape[1] <= 1:
+            break
+    out = np.zeros((basis.shape[1], r, r), dtype=basis.dtype)
+    out[:, upper[0], upper[1]] = basis.T
+    out[:, upper[1], upper[0]] = basis.T
+    return out
+
+
+def _eigenspace(y: np.ndarray, metric: np.ndarray) -> np.ndarray | None:
+    """A proper eigenspace {v : y v = lam metric v}, 0 < dim < r, of the
+    integer pencil (y, metric), as integer columns (r, dim), or None.
+
+    The candidates lam are 0 and the float eigenvalues of the pencil,
+    each turned into the nearest Fraction of denominator at most
+    _EIGEN_DENOM; each is tried exactly, as the nullspace of
+    den(lam) y - num(lam) metric, in ascending order."""
+    ys, ms = ScaledTensor(y, 1), ScaledTensor(metric, 1)
+    (yf, y_shrink), (mf, m_shrink) = _near_unit(ys), _near_unit(ms)
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(mf))
+        guesses = np.linalg.eigvalsh(inv @ yf @ inv.T)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        guesses = []
+    # yf = y / y_shrink^2 and mf = metric / m_shrink^2.
+    ratio = (m_shrink / y_shrink) ** 2
+    candidates = {Fraction(0)} | {
+        (Fraction(float(x)) * ratio).limit_denominator(_EIGEN_DENOM)
+        for x in guesses
+        if math.isfinite(x)
+    }
+    for lam in sorted(candidates):
+        pencil = ys.scale(lam.denominator) - ms.scale(lam.numerator)
+        space = nullspace(pencil).array
+        if 0 < space.shape[1] < len(y):
+            return space
+    return None
+
+
+def _split(
+    gens: ScaledTensor, metric: ScaledTensor
+) -> list[tuple[ScaledTensor, ScaledTensor]]:
+    """The stack, of trivial common kernel, as (generators, metric) pairs
+    on invariant subspaces whose direct sum is the whole space.  A
+    proper eigenspace of an element of the commutant and its metric
+    complement are both invariant, and each is split again; a stack
+    whose commutant offers none stays whole.  So does one of size 3 or
+    less, since any split of it has a part of size 1: an invariant line,
+    on which every metric-skew generator vanishes, which the trivial
+    kernel rules out."""
+    if len(metric.array) <= 3:
+        return [(gens, metric)]
+    commutant = _commutant(gens.array)
+    for y in commutant if len(commutant) > 1 else ():
+        space = _eigenspace(y, metric.array)
+        if space is None:
+            continue
+        rest = _complement(space, metric.array)
+        return [
+            block
+            for part in (space, rest)
+            for block in _split(*_restrict(gens, metric, part))
+        ]
+    return [(gens, metric)]
+
+
+def _invariant_split(
+    gens: ScaledTensor, metric: ScaledTensor
+) -> list[tuple[ScaledTensor, ScaledTensor]]:
+    """A stack (k, d, d) whose every metric . G is antisymmetric, split
+    exactly into invariant blocks, as (generators, metric) pairs.
+
+    The common kernel of the generators is dropped first: every factor
+    matrix vanishes there, which contributes det 1 and top 0.  Its
+    metric complement is invariant (G^T M = -M G), and _split divides it
+    further by the commutant.  The blocks come in ascending size."""
+    d = gens.array.shape[-1]
+    kernel = nullspace(ScaledTensor(gens.array.reshape(-1, d), 1)).array
+    if kernel.shape[1] == d:
+        return []
+    if kernel.shape[1]:
+        gens, metric = _restrict(
+            gens, metric, _complement(kernel, metric.array)
+        )
+    return sorted(_split(gens, metric), key=lambda pair: len(pair[1].array))
+
+
 class _Integrand:
     """Shared evaluation core for both numeric methods, as a function of
     the sample or node z with omega = spread beta^{-1/2} z.
 
     D(omega) is skew for g, g D(omega) = -sum_ik beta_ik omega_i E^k
     being antisymmetric, and each F_i for beta (_check_beta_invariance).
-    Once per request both families are rewritten by the Cholesky factors
-    of g and beta (_skew_stack), a similarity, so that every factor matrix
-    is skew, and the ball max_j s_j < pi - margin on its singular values
-    is the same in every tangent and holonomy basis.  The map from z to
-    omega is folded into the generators, after dividing beta by 4^k and
-    the generators by 2^k exactly (_near_unit), which changes no factor
-    matrix and keeps every float in range.
+    Once per request each family is split exactly into invariant blocks
+    (_invariant_split): its common kernel, where every factor matrix
+    vanishes, is dropped, and the rest divided by the eigenspaces of its
+    self-adjoint commutant, so the simple ideals of F and the de Rham
+    factors of D each become a block of their own.  Each block is then
+    rewritten by the Cholesky factor of its own metric, the restriction
+    of g or beta (_skew_stack), a similarity, so that every factor
+    matrix is skew, and the ball max_j s_j < pi - margin on its singular
+    values is the same in every tangent and holonomy basis.  The map
+    from z to omega is folded into the generators, after dividing beta
+    by 4^k and the generators by 2^k exactly (_near_unit), which changes
+    no factor matrix and keeps every float in range.
 
-    D and F hold the whitened stacks.  Each is also split here, once,
-    into its invariant blocks (_invariant_blocks).  A point forms every
-    block's matrices from that block's own generators, multiplies the
-    block determinants and takes the largest block top, each block
-    through the kernel for its size (_skew_sinc_dets): closed forms up
-    to 4 x 4, one symmetric eigensolve beyond."""
+    blocks holds the whitened stacks of the D blocks and of the F
+    blocks.  A point forms every block's matrices from that block's own
+    generators, multiplies the block determinants and takes the largest
+    block top, each block through the kernel for its size
+    (_skew_sinc_dets): closed forms up to 4 x 4, one symmetric
+    eigensolve beyond.  A family with no block left gives det 1, top 0.
+    """
 
     def __init__(
         self, prep: Prepared, t: float, margin: float, spread: float
@@ -352,20 +489,27 @@ class _Integrand:
         spec, hol = prep.spec, prep.hol
         _check_beta_invariance(prep)
         self.bound = math.pi - margin
-        beta, shrink = _near_unit(spec.beta)
+        splits = (
+            _invariant_split(hol.D, ScaledTensor.from_nested(spec.g)),
+            _invariant_split(hol.F_mats, spec.tensors.beta),
+        )
+        beta, shrink = _near_unit(spec.tensors.beta)
         root = spread * math.sqrt(t) / 2.0 * _inv_sqrt(beta)
 
         def whitened(gens, metric):
             skew = _skew_stack(_float_stack(gens, shrink), metric)
             return np.einsum("ij,iab->jab", root, skew)
 
-        self.D = whitened(hol.D, spec.g)
-        self.F = whitened(hol.F_mats, spec.beta)
-        self.blocks = (_invariant_blocks(self.D), _invariant_blocks(self.F))
+        self.blocks = tuple(
+            [whitened(*block) for block in split] for split in splits
+        )
 
     @staticmethod
     def _factor(z: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-        """det(sinh X/X) and the top singular value of X(z), by block."""
+        """det(sinh X/X) and the top singular value of X(z), by block; no
+        block gives det 1 and top 0."""
+        if not blocks:
+            return np.ones(len(z)), np.zeros(len(z))
         dets, tops = zip(*(
             _skew_sinc_dets(
                 (z @ gens.reshape(len(gens), -1)).reshape(
@@ -403,6 +547,16 @@ def _even_grid(
     )
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_integer(label: str, x) -> None:
+    if not _is_integer(x):
+        raise ValueError(f"{label} must be an integer, got {x!r}")
+
+
 def numeric_average(
     prep: Prepared,
     t: float,
@@ -420,10 +574,11 @@ def numeric_average(
     scalar-prefactor times the mean over the retained domain, with the
     Monte Carlo standard error or a quadrature refinement delta as
     std_error.  The sample count (2.._MAX_SAMPLES), the Monte Carlo seed
-    (a non-negative integer; quadrature ignores it) and the quadrature
-    grid (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS points) are
-    checked before anything is built, as is t, which must be finite and
-    positive.
+    (a non-negative integer; quadrature ignores its value) and the
+    quadrature grid (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS
+    points) are checked before anything is built, as is t, which must be
+    finite and positive; samples, nodes and seed must be integers (not
+    bools) whichever method runs.
     """
     check_time(t)
     spec, curv = prep.spec, prep.curv
@@ -431,6 +586,10 @@ def numeric_average(
         method = "quadrature" if spec.p <= 3 else "mc"
     if method not in ("mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    _check_integer("Monte Carlo samples", samples)
+    _check_integer("quadrature nodes", nodes)
+    if method == "quadrature":
+        _check_integer("the seed", seed)
     if method == "mc" and samples < 2:
         raise ValueError(
             f"Monte Carlo needs at least 2 samples for a standard error, "
@@ -440,9 +599,7 @@ def numeric_average(
         raise ValueError(
             f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got {samples}"
         )
-    if method == "mc" and not (
-        isinstance(seed, (int, np.integer)) and seed >= 0
-    ):
+    if method == "mc" and not (_is_integer(seed) and seed >= 0):
         raise ValueError(
             f"Monte Carlo seed must be a non-negative integer, got {seed!r}"
         )

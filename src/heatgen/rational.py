@@ -7,11 +7,13 @@ numpy can contract, scale and assemble int64 arrays, with an automatic
 promotion to Python-int object arrays whenever a magnitude bound says
 int64 could overflow.  exact_matmul runs a product on float64 BLAS when
 its bound stays below 2**53, where float64 holds every integer exactly.
-Every matrix eliminated is a metric or a Gram matrix, so the one
-elimination is ldl, a fraction-free LDL^T without row exchanges that is
-also the positive-definiteness test; solve() applies its factor for
-every exact inverse.  reduced() is the canonical form (lowest terms,
-int64 whenever the entries fit).
+Every matrix inverted is a metric or a Gram matrix, so the one
+factorization is ldl, a fraction-free LDL^T without row exchanges that
+is also the positive-definiteness test; solve() applies its factor for
+every exact inverse.  The one elimination of a general matrix is
+nullspace, a fraction-free Gauss-Jordan with full pivoting, which the
+numeric oracle's invariant split uses.  reduced() is the canonical form
+(lowest terms, int64 whenever the entries fit).
 """
 
 from __future__ import annotations
@@ -118,6 +120,13 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     dtype = product_dtype(bound, a, b)
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
     return out.astype(np.int64) if dtype is np.float64 else out
+
+
+def primitive_columns(array: np.ndarray) -> np.ndarray:
+    """Each column of an integer matrix divided by the gcd of its entries
+    (a zero column stays zero), so that no column has a common factor."""
+    content = np.gcd.reduce(array, axis=0)
+    return array // np.where(content == 0, 1, content)
 
 
 def _flatten(nested):
@@ -351,6 +360,52 @@ def solve(factor: Factor, b: ScaledTensor | None = None) -> ScaledTensor:
     right = back if b is None else exact_einsum("ij,jr->ir", back, b)
     scaled = _scale_rows(right, [1 / x for x in pivots])
     return exact_einsum("ki,kr->ir", back, scaled).reduced()
+
+
+def nullspace(a: ScaledTensor) -> ScaledTensor:
+    """A basis of {x : a x = 0} for a (r, c), as the columns of an integer
+    tensor (c, k) over denominator 1, each column primitive.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of the integer
+    numerators A of a, with full pivoting: step k takes, among the rows
+    and columns not yet pivoted, the nonzero entry of smallest magnitude
+    as its pivot p_k, and replaces every other row i by
+    (p_k row_i - A_ic row_k) / p_{k-1} (p_{-1} = 1).  Each division is
+    exact, every entry being a minor of A, and afterwards every pivot row
+    holds the last pivot p on its own pivot column and zero on the
+    others.  A free column f then gives the null vector with p at f, zero
+    at the other free columns and -A_rf at the pivot column of each pivot
+    row r.  Rows that become zero are dropped as they appear, and a step
+    runs in int64 only while its products stay below _INT64_SAFE."""
+    cols = a.array.shape[1]
+    work = a.array[a.nonzero_rows()]
+    pivots: list[int] = []
+    last = 1
+    while len(pivots) < len(work):
+        k = len(pivots)
+        mags = np.abs(work)
+        top = int(mags.max())
+        rest = mags[k:]
+        row, col = divmod(int(np.where(rest == 0, top + 1, rest).argmin()), cols)
+        if row:
+            work[[k, k + row]] = work[[k + row, k]]
+        pivot = int(work[k, col])
+        # |pivot|, |A_ic| and |A_kj| are at most top.
+        work = work.astype(exact_dtype(2 * top * top, work), copy=False)
+        keep = work[k].copy()
+        work = (pivot * work - work[:, col, None] * keep) // last
+        work[k] = keep
+        pivots.append(int(col))
+        last = pivot
+        live = work[k + 1 :].any(axis=1)
+        if not live.all():
+            work = np.concatenate([work[: k + 1], work[k + 1 :][live]])
+    free = [j for j in range(cols) if j not in set(pivots)]
+    out = np.zeros((cols, len(free)), dtype=work.dtype)
+    sign = 1 if last > 0 else -1
+    out[free, range(len(free))] = sign * last
+    out[pivots] = -sign * work[:, free]
+    return ScaledTensor(primitive_columns(out), 1)
 
 
 def independent(stack: ScaledTensor) -> bool:

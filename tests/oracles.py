@@ -137,6 +137,22 @@ def inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in m)
 
 
+def rank(a: Matrix) -> int:
+    """Rank by Gaussian elimination in Fractions."""
+    m = [list(row) for row in a]
+    done = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(done, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[done], m[piv] = m[piv], m[done]
+        for r in range(done + 1, len(m)):
+            f = m[r][col] / m[done][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[done])]
+        done += 1
+    return done
+
+
 def ldl(a: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     """a = L diag(d) L^T for a symmetric positive definite a, entry by
     entry: d_j = a_jj - sum_k L_jk^2 d_k and L_ij = (a_ij - sum_k L_ik

@@ -361,10 +361,10 @@ def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
     rng = np.random.default_rng(9)
     sizes = (1, 2, 3, 4, 5, 2)
     d, k = sum(sizes), 3
-    stack = np.zeros((k, d, d))
+    stack = np.zeros((k, d, d), dtype=np.int64)
     start = 0
     for size in sizes:
-        raw = rng.standard_normal((k, size, size)) * 0.3
+        raw = rng.integers(-3, 4, (k, size, size))
         if size == 5:
             # A chain 0-1-2-3-4: connected only through several steps.
             raw = np.triu(np.tril(raw, 1), 1)
@@ -373,21 +373,28 @@ def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
         start += size
     perm = rng.permutation(d)
     stack = stack[:, perm][:, :, perm]
-    blocks = averaging._invariant_blocks(stack)
-    assert sorted(len(b[0]) for b in blocks) == sorted(sizes)
-    z = rng.standard_normal((200, k))
-    dets, tops = averaging._Integrand._factor(z, blocks)
-    want_dets, want_tops = averaging._skew_sinc_dets(
-        np.einsum("si,iab->sab", z, stack)
+    blocks = averaging._invariant_split(
+        rational.ScaledTensor(stack, 1),
+        rational.ScaledTensor(np.eye(d, dtype=np.int64), 1),
     )
+    # The 1 x 1 block is zero, the common kernel, and is dropped.
+    assert [len(metric.array) for _, metric in blocks] == [2, 2, 3, 4, 5]
+    z = rng.standard_normal((200, k)) * 0.05
+    skew = [averaging._skew_stack(averaging._float_stack(gens, F(1)), metric)
+            for gens, metric in blocks]
+    dets, tops = averaging._Integrand._factor(z, skew)
+    want_dets, want_tops = averaging._skew_sinc_dets(
+        np.einsum("si,iab->sab", z, stack.astype(float))
+    )
+    assert want_tops.max() < math.pi
     np.testing.assert_allclose(dets, want_dets, rtol=1e-12)
     np.testing.assert_allclose(tops, want_tops, rtol=1e-13)
 
 
 # The sizes of the whitened D and F blocks of the builtins.
 BUILTIN_BLOCKS = {
-    "S3": ([3], [3]), "S2xS3": ([2, 3], [1, 3]),
-    "S2xS2": ([2, 2], [1, 1]), "S4": ([4], [6]),
+    "S3": ([3], [3]), "S2xS3": ([2, 3], [3]),
+    "S2xS2": ([2, 2], []), "S4": ([4], [3, 3]),
 }
 
 
@@ -396,12 +403,50 @@ def test_integrand_finds_the_invariant_blocks(prepared, name):
     integrand = averaging._Integrand(prepared[name], 0.1, 0.01, 2.0)
     d_blocks, f_blocks = integrand.blocks
     assert (
-        sorted(len(b[0]) for b in d_blocks),
-        sorted(len(b[0]) for b in f_blocks),
+        [len(b[0]) for b in d_blocks], [len(b[0]) for b in f_blocks]
     ) == BUILTIN_BLOCKS[name]
-    # One block is the whitened stack itself.
-    for blocks, stack in ((d_blocks, integrand.D), (f_blocks, integrand.F)):
-        assert (blocks[0] is stack) == (len(blocks) == 1)
+    for block in d_blocks + f_blocks:
+        np.testing.assert_array_equal(block, -block.transpose(0, 2, 1))
+
+
+def unit_lower(p):
+    """A unit lower-triangular p x p matrix of small rationals."""
+    return tuple(
+        tuple(F(1) if i == j else F((i + 2 * j) % 5 - 2, 1 + (i + j) % 3)
+              if i > j else F(0) for j in range(p))
+        for i in range(p)
+    )
+
+
+def test_moved_s4_splits_f_into_its_two_ideals(prepared):
+    base = prepared["S4"]
+    p = base.spec.p
+    N = unit_lower(p)
+    moved = hg.prepare(
+        oracles.moved(base.spec, rational.identity(base.spec.n), N, 1, 1)
+    )
+    beta = np.array(moved.spec.beta, dtype=float)
+    assert (beta != np.diag(np.diag(beta))).any()
+    blocks = averaging._invariant_split(
+        moved.hol.F_mats, moved.spec.tensors.beta
+    )
+    assert [len(metric.array) for _, metric in blocks] == [3, 3]
+    # The moved D'(omega') is D(N^T omega'), and each integrand takes
+    # omega = spread beta^{-1/2} z, so the builtin's z corresponds to
+    # z' = beta'^{1/2} N^{-T} beta^{-1/2} z.
+    t, spread = 0.3, math.sqrt(2.0)
+    want = averaging._Integrand(base, t, 0.01, spread)
+    got = averaging._Integrand(moved, t, 0.01, spread)
+    assert [len(b[0]) for b in got.blocks[1]] == [3, 3]
+    z = np.random.default_rng(16).standard_normal((400, p))
+    omega = z @ averaging._inv_sqrt(np.array(base.spec.beta, float)).T
+    omega_moved = omega @ np.linalg.inv(np.array(N, dtype=float))
+    z_moved = omega_moved @ np.linalg.inv(averaging._inv_sqrt(beta)).T
+    want_vals, want_ok = want(z)
+    got_vals, got_ok = got(z_moved)
+    assert want_ok.sum() > 300
+    np.testing.assert_array_equal(got_ok, want_ok)
+    np.testing.assert_allclose(got_vals, want_vals, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +516,22 @@ def test_mc_seed_checked_first(prepared, monkeypatch, name, method, seed):
                        f"integer, got {re.escape(repr(seed))}$"):
         hg.numeric_average(prepared[name], 0.1, method, samples=10,
                            seed=seed)
+
+
+@pytest.mark.parametrize("method", ["mc", "quadrature"])
+@pytest.mark.parametrize("name,value", [
+    ("samples", True), ("samples", 1000.5), ("samples", "10"),
+    ("nodes", True), ("nodes", 2.5), ("seed", True), ("seed", 2.0),
+])
+def test_numeric_parameters_must_be_integers(prepared, monkeypatch, method,
+                                             name, value):
+    def boom(*args, **kwargs):
+        raise AssertionError("integrand built before validation")
+
+    monkeypatch.setattr(averaging, "_Integrand", boom)
+    with pytest.raises(ValueError, match=f"{name} must be a.*integer, got "
+                       f"{re.escape(repr(value))}$"):
+        hg.numeric_average(prepared["S2"], 0.1, method, **{name: value})
 
 
 def test_quadrature_ignores_the_seed(prepared):
@@ -593,7 +654,7 @@ TANGENT_MOVES = {
     "S2": ((F(2), F(1)), (F(0), F(1, 3))),
     "S3": ((F(1), F(-2), F(1, 2)), (F(0), F(3), F(1)), (F(0), F(0), F(1, 2))),
     # Couples the S2 tangent (0, 1) with the S3 tangent (2, 3, 4): the
-    # moved D(omega) is one dense 5 x 5 block.
+    # moved D(omega) has no block pattern, but splits as 2 + 3 exactly.
     "S2xS3": tuple(
         tuple(F(x) for x in row) for row in (
             (1, 0, 2, 0, -1), (0, 2, 1, F(1, 2), 0), (0, 0, 1, -1, 0),
@@ -612,9 +673,9 @@ def test_numeric_average_does_not_depend_on_the_tangent_basis(
 ):
     # g' = P^T P is not the identity, so a ball on the raw singular values
     # of D(omega) would reject different points (S2 at t=2: 33 and 243
-    # hits; S3: 378 and 32387).  For S2xS3 the builtin splits D into
-    # blocks of 2 and 3, each in closed form, while the moved one goes
-    # to the eigensolve as one block of 5.
+    # hits; S3: 378 and 32387).  For S2xS3 both split D into blocks of
+    # 2 and 3, each in closed form: the builtin in its own coordinates,
+    # the moved one in a basis of its two factors.
     base = prepared[name]
     ident = rational.identity(base.spec.p)
     other = hg.prepare(
@@ -624,7 +685,7 @@ def test_numeric_average_does_not_depend_on_the_tangent_basis(
     if name == "S2xS3":
         blocks = [averaging._Integrand(prep, 2.0, 0.01, 2.0).blocks[0]
                   for prep in (base, other)]
-        assert [[len(b[0]) for b in x] for x in blocks] == [[2, 3], [5]]
+        assert [[len(b[0]) for b in x] for x in blocks] == [[2, 3], [2, 3]]
     kw = dict(method=method, samples=20_000, seed=4, nodes=24)
     want = hg.numeric_average(base, 2.0, **kw)
     got = hg.numeric_average(other, 2.0, **kw)
@@ -741,18 +802,16 @@ def test_structure_matrices_are_beta_antisymmetric(spec):
         assert oracles.add(lowered, oracles.transpose(lowered)) == (
             rational.zeros(spec.p, spec.p)
         )
-    # The skew forms carry the determinant of the raw factor matrices,
+    # The skew blocks carry the determinant of the raw factor matrices,
     # inside the ball, at a time t R = 0.3 that puts most samples there.
     t = float(F(3, 10) / prep.curv.R)
     integrand = averaging._Integrand(prep, t, 0.01, math.sqrt(2.0))
     reference = ReferenceIntegrand(prep, t, 0.01, math.sqrt(2.0))
     z = np.random.default_rng(0).standard_normal((20, spec.p))
     omegas = z @ reference.transform.T
-    for raw, skew in ((reference.D, integrand.D), (reference.F, integrand.F)):
+    for raw, blocks in zip((reference.D, reference.F), integrand.blocks):
         x = np.einsum("si,iab->sab", omegas, raw) * reference.half_sqrt_t
-        dets, tops = averaging._skew_sinc_dets(
-            np.einsum("si,iab->sab", z, skew)
-        )
+        dets, tops = averaging._Integrand._factor(z, blocks)
         inside = tops < math.pi
         assert inside.sum() >= 10
         np.testing.assert_allclose(

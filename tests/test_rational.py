@@ -6,6 +6,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from heatgen import rational
@@ -451,3 +453,50 @@ def test_scaled_tensor_rows_and_shapes():
     assert rational.ScaledTensor.from_nested(
         ((), ()), (2, 0)
     ).to_fractions() == ((), ())
+
+
+SMALL_RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def rational_matrices(draw):
+    """(a, rows, cols) for a small rational matrix a of 0-6 rows and 0-6
+    columns: zero, dense, or a product of rank at most 3 whose right
+    factor is scaled by up to 2^70, so the elimination also runs past
+    int64."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["zero", "dense", "low rank"]))
+    if kind == "dense":
+        a = tuple(tuple(draw(SMALL_RATIONALS) for _ in range(cols))
+                  for _ in range(rows))
+    elif kind == "low rank" and rows and cols:
+        k = draw(st.integers(1, 3))
+        scale = draw(st.sampled_from([1, 2**40, 2**70]))
+        left = [[draw(SMALL_RATIONALS) for _ in range(k)]
+                for _ in range(rows)]
+        right = [[draw(SMALL_RATIONALS) * scale for _ in range(cols)]
+                 for _ in range(k)]
+        a = oracles.matmul(left, right)
+    else:
+        a = rational.zeros(rows, cols)
+    return a, rows, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rational_matrices())
+@example(case=((), 0, 3))
+def test_nullspace_is_an_exact_primitive_basis(case):
+    a, rows, cols = case
+    null = rational.nullspace(
+        rational.ScaledTensor.from_nested(a, (rows, cols))
+    )
+    nullity = cols - oracles.rank(a)
+    assert null.denom == 1
+    assert null.array.shape == (cols, nullity)
+    columns = [[int(x) for x in null.array[:, j]] for j in range(nullity)]
+    for column in columns:
+        assert math.gcd(*column) == 1
+        for row in a:
+            assert sum(x * y for x, y in zip(row, column)) == 0
+    if nullity:
+        assert oracles.rank(oracles.matrix(columns)) == nullity
