@@ -165,6 +165,9 @@ def whitened_average(
     )
     poly = dense_integrand(d, f, order)
     variances = [2 / x for x in pivots]
+    odd = [1]  # odd[b] = (2b - 1)!!
+    for b in range(1, order + 1):
+        odd.append(odd[-1] * (2 * b - 1))
     coeffs = []
     for g in range(order + 1):
         nums, half = poly.even_part(g)
@@ -174,7 +177,7 @@ def whitened_average(
         scale = 1
         for i, v in enumerate(variances):
             table = [
-                math.prod(range(2 * b - 1, 0, -2))
+                odd[b]
                 * v.numerator**b
                 * v.denominator ** (g - b)
                 for b in range(g + 1)

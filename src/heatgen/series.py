@@ -5,9 +5,11 @@ The group average needs the expansion of
     log det( sinh(X)/X )  with  X = sqrt(t)/2 * (generator matrix),
 
 which reduces to trace powers: log(sinh z / z) = sum_m c_m z^{2m} with
-c_m = 2^{2m} B_{2m} / (2m (2m)!), so c_1 = 1/6 and c_2 = -1/180.  The
-coefficients are computed twice, from that closed form and from a formal
-logarithm of the sinh z / z series, and must agree exactly.
+c_m = 2^{2m} B_{2m} / (2m (2m)!), so c_1 = 1/6 and c_2 = -1/180.  Both
+c_m and B_{2m} are read from one integer table of tangent numbers
+(_tangent_numbers), built fresh per call in O(k^2) integer operations;
+the formal logarithm of the sinh z / z series that checks the table is
+in tests/oracles.py.
 
 Trace powers of the omega-linear matrices D(omega) and F(omega) are built
 over monomials, not index words.  Both families are scaled to integers
@@ -51,14 +53,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, lcm
 
 import numpy as np
 
 from .curvature import HolonomyRealization
-from .errors import HeatgenError, InternalInconsistency, OrderTooLarge
+from .errors import HeatgenError, OrderTooLarge
 from .rational import (
     ScaledTensor,
     exact_dtype,
@@ -82,11 +83,23 @@ __all__ = [
 DEFAULT_WORD_BUDGET = 10**8
 
 
-# bernoulli(m) reads B_0..B_{m-1}, so m below this bound never recomputes.
-@lru_cache(maxsize=1024)
+def _tangent_numbers(k: int) -> list[int]:
+    """Tangent numbers [T_1, ..., T_k], tan z = sum_m T_m z^{2m-1}/(2m-1)!.
+
+    Brent & Harvey's recurrence (arXiv:1108.0286, Algorithm
+    TangentNumbers): k^2/2 integer multiply-adds, no division, no gcd."""
+    t = [1] * k
+    for j in range(1, k):
+        t[j] = j * t[j - 1]
+    for i in range(1, k):
+        for j in range(i, k):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t
+
+
 def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (B_1 = -1/2), by the defining recurrence
-    sum_{j=0}^{m} binom(m+1, j) B_j = 0."""
+    """Bernoulli number B_m (B_1 = -1/2); for m = 2j >= 2,
+    B_{2j} = (-1)^{j-1} 2j T_j / (4^j (4^j - 1)) with T_j a tangent number."""
     if m < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if m == 0:
@@ -95,39 +108,20 @@ def bernoulli(m: int) -> Fraction:
         return Fraction(-1, 2)
     if m % 2:
         return Fraction(0)
-    acc = sum(
-        (comb(m + 1, j) * bernoulli(j) for j in range(m)), Fraction(0)
-    )
-    return -acc / (m + 1)
+    j = m // 2
+    tj = _tangent_numbers(j)[-1]
+    return Fraction((-1) ** (j - 1) * m * tj, 4**j * (4**j - 1))
 
 
-@lru_cache(maxsize=64)
 def log_sinh_ratio_series(k: int) -> tuple[Fraction, ...]:
-    """Coefficients (c_1, ..., c_k) of log(sinh z / z) in powers of z^2.
-
-    Computed from the closed Bernoulli form and independently from the
-    formal logarithm of the sinh z / z series; the two must agree exactly.
-    """
-    closed = tuple(
-        Fraction(4**m) * bernoulli(2 * m) / (2 * m * factorial(2 * m))
-        for m in range(1, k + 1)
-    )
-    # sinh z / z = s(u) = sum_m s_m u^m with s_m = 1/(2m+1)! and u = z^2.
-    # l = log s satisfies u l' s = u s', so with s_0 = 1
-    # l_m = s_m - (1/m) sum_{j<m} j l_j s_{m-j}: O(k^2) products.
-    s = [Fraction(1, factorial(2 * m + 1)) for m in range(k + 1)]
-    formal: list[Fraction] = [Fraction(0)]
-    for m in range(1, k + 1):
-        acc = sum(
-            (j * formal[j] * s[m - j] for j in range(1, m)), Fraction(0)
-        )
-        formal.append(s[m] - acc / m)
-    if tuple(formal[1:]) != closed:
-        raise InternalInconsistency(
-            "log(sinh z/z) series mismatch between the Bernoulli closed "
-            "form and the formal logarithm"
-        )
-    return closed
+    """Coefficients (c_1, ..., c_k) of log(sinh z / z) in powers of z^2:
+    c_m = 4^m B_{2m} / (2m (2m)!) = (-1)^{m-1} T_m / ((4^m - 1) (2m)!)."""
+    out = []
+    fact = 1
+    for m, tm in enumerate(_tangent_numbers(k), start=1):
+        fact *= (2 * m - 1) * 2 * m
+        out.append(Fraction((-1) ** (m - 1) * tm, (4**m - 1) * fact))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,8 @@ checks:
 - Fraction matrices as tuples of tuples, with per-entry arithmetic,
   including an LDL^T factorization;
 - fock_moment, a Gaussian moment engine unrelated to wick_moment;
+- the log(sinh z / z) constants by a formal logarithm, and Bernoulli
+  denominators by von Staudt-Clausen;
 - sinh_ratio_dets, an eigenvalue-free det(sinh X / X), and the
   determinant factorization identity built on it;
 - the two-sphere coefficients by series inversion in one variable, and a
@@ -299,6 +301,38 @@ def fock_moment(key, beta_inv: Matrix) -> Fraction:
         beta_inv, (0, 0)
     )
     return _fock_raw(beta_inv, idx) * calibration ** (len(idx) // 2)
+
+
+# ---------------------------------------------------------------------------
+# Series constants
+# ---------------------------------------------------------------------------
+
+
+def formal_log_sinh_ratio(k: int) -> tuple[Fraction, ...]:
+    """(c_1, ..., c_k) of log(sinh z / z) in powers of z^2, by the formal
+    logarithm of the sinh z / z series, with no Bernoulli number."""
+    # sinh z / z = s(u) = sum_m s_m u^m with s_m = 1/(2m+1)! and u = z^2.
+    # l = log s satisfies u l' s = u s', so with s_0 = 1
+    # l_m = s_m - (1/m) sum_{j<m} j l_j s_{m-j}: O(k^2) products.
+    s = [Fraction(1, math.factorial(2 * m + 1)) for m in range(k + 1)]
+    formal: list[Fraction] = [Fraction(0)]
+    for m in range(1, k + 1):
+        acc = sum(
+            (j * formal[j] * s[m - j] for j in range(1, m)), Fraction(0)
+        )
+        formal.append(s[m] - acc / m)
+    return tuple(formal[1:])
+
+
+def staudt_clausen_denominator(m: int) -> int:
+    """The denominator of B_m for even m >= 2 by von Staudt-Clausen: the
+    product of the primes p with (p - 1) | m."""
+    out = 1
+    for d in range(1, m + 1):
+        p = d + 1
+        if m % d == 0 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            out *= p
+    return out
 
 
 # ---------------------------------------------------------------------------

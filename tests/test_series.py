@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatgen as hg
@@ -77,21 +77,31 @@ def test_log_sinh_ratio_matches_the_cubic_formal_logarithm():
     )
 
 
-def test_log_sinh_ratio_cross_check_is_live(monkeypatch):
-    # A wrong Bernoulli number breaks the closed form but not the
-    # log-derivative recurrence, so the two must disagree.
-    exact = series.bernoulli
+def test_log_sinh_ratio_matches_the_formal_logarithm():
+    assert hg.log_sinh_ratio_series(200) == oracles.formal_log_sinh_ratio(200)
 
-    def wrong(m):
-        return exact(m) + (1 if m == 6 else 0)
 
-    series.log_sinh_ratio_series.cache_clear()
-    monkeypatch.setattr(series, "bernoulli", wrong)
-    try:
-        with pytest.raises(hg.InternalInconsistency, match="mismatch"):
-            series.log_sinh_ratio_series(5)
-    finally:
-        series.log_sinh_ratio_series.cache_clear()
+def _check_staudt_clausen(m):
+    b = hg.bernoulli(2 * m)
+    assert b.denominator == oracles.staudt_clausen_denominator(2 * m)
+    assert (b > 0) == (m % 2 == 1)
+    return b
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=600))
+def test_bernoulli_von_staudt_clausen(m):
+    _check_staudt_clausen(m)
+
+
+def test_constants_past_a_thousand_bernoulli_numbers():
+    # Past B_1024 the cost must keep growing as a polynomial in the
+    # index, with no cliff where a bounded memo fills up.
+    m = 520
+    b = _check_staudt_clausen(m)
+    assert hg.log_sinh_ratio_series(m)[-1] == F(4**m) * b / (
+        2 * m * math.factorial(2 * m)
+    )
 
 
 def test_log_sinh_ratio_exponentiates_back():
