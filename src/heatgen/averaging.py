@@ -25,17 +25,21 @@ factors are skew once rewritten by the Cholesky factors of g and beta
 det(sinh X / X) = prod_j sin(s_j)/s_j; the point is kept inside the
 regularity ball max_j s_j < pi - _MARGIN, a condition that does not
 depend on the tangent or holonomy basis.  Each factor's generators are
-split once per request, exactly and before any float is formed, into
+split once per integrand, exactly and before any float is formed, into
 invariant blocks (_invariant_split): the common kernel is dropped, and
 the rest divided by the rational eigenspaces of the self-adjoint
 commutant, found with rational.nullspace.  That separates the simple
 ideals of F (S4's so(4) into two 3 x 3 blocks) and the de Rham factors
-of D in any basis.  Every block takes its determinant and top singular
-value from the kernel for its size (_skew_sinc_dets): closed forms up
-to 4 x 4, one batched symmetric eigensolve beyond.  Quadrature
-evaluates half of its symmetric grid, the integrand being even.  Monte
-Carlo and quadrature sizes and the seed are checked before anything is
-built (_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
+of D in any basis.  The blocks up to 4 x 4 are compiled into rotation
+planes (_Factor): one projection product per factor gives every plane's
+s as the norm of a row triple, and the half-determinant
+sqrt(det(sinh X/X)) is the product of sin(s)/s over the planes.  Larger
+blocks take one batched symmetric eigensolve each.  The integrand
+depends on t only through the scale of its points, so one serves a
+whole compare grid.  Quadrature evaluates half of its symmetric grid,
+the integrand being even.  Monte Carlo and quadrature sizes and the
+seed are checked before anything is built (_MAX_SAMPLES, _MAX_NODES,
+_MAX_GRID_POINTS).
 """
 
 from __future__ import annotations
@@ -204,44 +208,30 @@ _MAX_GRID_POINTS = 64**3
 _MAX_SAMPLES = 10**7
 
 
-def _skew_sinc_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det(sinh(X)/X) and the largest singular value for a batch of d x d
-    skew-symmetric matrices.
+def _sin_ratio(s: np.ndarray) -> np.ndarray:
+    """sin(s)/s elementwise, exactly 1 where s == 0."""
+    with np.errstate(invalid="ignore"):
+        out = np.sin(s)
+        out /= s
+    out[s == 0.0] = 1.0
+    return out
+
+
+def _skew_half_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(det(sinh(X)/X)) and the largest singular value for a batch of
+    d x d skew-symmetric matrices, by one symmetric eigensolve.
 
     The i s_j are the eigenvalues of X, each s_j a singular value, and
-    sinh(i s)/(i s) = sin(s)/s, so det(sinh(X)/X) = prod_j sin(s_j)/s_j.
-    The kernel depends on d:
-
-    - d <= 3: one rotation plane, s = sqrt(sum_{i<j} x_ij^2) twice (no
-      plane, s = 0, for d <= 1).
-    - d = 4: so(4) = so(3) + so(3).  The norms a and b of the self-dual
-      and anti-self-dual parts, (x01 + x23, x02 - x13, x03 + x12) and
-      (x01 - x23, x02 + x13, x03 - x12), are s_1 + s_2 and |s_1 - s_2|
-      in some order, so the singular values are (a + b)/2 and
-      |a - b|/2, each twice, with no cancellation in the top one.
-    - d >= 5: the eigenvalues s_j^2 of X^T X = -X^2 from one symmetric
-      eigensolve.  The determinant is a smooth function of the s_j^2,
-      so the clamp of a tiny negative s_j^2 to zero costs no accuracy.
+    sinh(i s)/(i s) = sin(s)/s, so det(sinh(X)/X) = prod_j sin(s_j)/s_j
+    over the eigenvalues s_j^2 of X^T X = -X^2, which come in equal pairs.
+    The determinant is a smooth function of the s_j^2, so the clamp of a
+    tiny negative s_j^2 to zero costs no accuracy; the product of pairs
+    is nonnegative, and one that rounds below zero (near a root of sin,
+    far outside the ball) gives 0, which the positivity guard rejects.
     """
-    d = mats.shape[-1]
-    if d <= 3:
-        upper = np.triu_indices(d, 1)
-        s = np.sqrt((mats[:, upper[0], upper[1]] ** 2).sum(axis=-1))
-        return np.sinc(s / math.pi) ** 2, s
-    if d == 4:
-        x01, x02, x03, x12, x13, x23 = (
-            mats[:, i, j] for i, j in zip(*np.triu_indices(4, 1))
-        )
-        a = np.sqrt((x01 + x23) ** 2 + (x02 - x13) ** 2 + (x03 + x12) ** 2)
-        b = np.sqrt((x01 - x23) ** 2 + (x02 + x13) ** 2 + (x03 - x12) ** 2)
-        top = (a + b) / 2.0
-        det = np.sinc(top / math.pi) * np.sinc((a - b) / (2.0 * math.pi))
-        return det * det, top
-    if len(mats) == 0:
-        return np.ones(0), np.zeros(0)
-    z = np.linalg.eigvalsh(-(mats @ mats))
-    s = np.sqrt(np.maximum(z, 0.0))
-    return np.prod(np.sinc(s / math.pi), axis=-1), s[:, -1]
+    s = np.sqrt(np.maximum(np.linalg.eigvalsh(-(mats @ mats)), 0.0))
+    det = np.prod(_sin_ratio(s), axis=-1)
+    return np.sqrt(np.maximum(det, 0.0)), s[:, -1]
 
 
 @dataclass(frozen=True)
@@ -459,13 +449,84 @@ def _invariant_split(
     return sorted(_split(gens, metric), key=lambda pair: len(pair[1].array))
 
 
+class _Factor:
+    """One factor of the integrand, D or F, compiled from its whitened
+    skew blocks (p, d, d) into one projection: called on points y (N, p),
+    it returns sqrt(det(sinh X/X)), the half-determinant, and the top
+    singular value of X(y) = sum_l y_l G_l.
+
+    Each X(y) of a block of size 4 or less has its singular values in
+    closed form, from at most six linear functions of y:
+
+    - d <= 3: one rotation plane, s = sqrt(sum_{i<j} x_ij^2), from three
+      rows, the upper entries x_ij padded with zero rows.
+    - d = 4: so(4) = so(3) + so(3).  The norms a and b of the self-dual
+      and anti-self-dual parts, (x01 + x23, x02 - x13, x03 + x12) and
+      (x01 - x23, x02 + x13, x03 - x12), are s_1 + s_2 and |s_1 - s_2|
+      in some order, so the planes are (a + b)/2 and (a - b)/2, with no
+      cancellation in the top one.  The six rows are halved (exactly),
+      so the planes are a' + b' and a' - b'.
+
+    rows stacks them row-major, the 4 x 4 blocks' self-dual triples
+    first, then their anti-self-dual ones, then the smaller blocks'; a
+    batch costs one product rows @ y^T, a sum of squares over each row
+    triple and one sin(s)/s per plane.  The half-determinant is the
+    product over planes, each s_j counted once, and the top the largest
+    s.  Blocks of size 5 or more go to one symmetric eigensolve each
+    (_skew_half_dets).  A factor with no block gives 1 and 0.
+    """
+
+    def __init__(self, blocks: list[np.ndarray]):
+        # (x01, x02, x03) and (x23, -x13, x12) of each 4 x 4 block.
+        fours = [
+            (g[:, [0, 0, 0], [1, 2, 3]],
+             g[:, [2, 1, 1], [3, 3, 2]] * np.array([1.0, -1.0, 1.0]))
+            for g in blocks if g.shape[-1] == 4
+        ]
+        rows = [(left + right).T / 2.0 for left, right in fours]
+        rows += [(left - right).T / 2.0 for left, right in fours]
+        for g in blocks:
+            if g.shape[-1] <= 3:
+                upper = np.zeros((3, len(g)))
+                i, j = np.triu_indices(g.shape[-1], 1)
+                upper[: len(i)] = g[:, i, j].T
+                rows.append(upper)
+        self.rows = np.concatenate(rows) if rows else None
+        self.fours = len(fours)
+        self.eigen = [g for g in blocks if g.shape[-1] >= 5]
+
+    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self.rows is None:
+            half, top = np.ones(len(y)), np.zeros(len(y))
+        else:
+            x = self.rows @ y.T
+            x *= x
+            s = x[0::3] + x[1::3]
+            s += x[2::3]
+            np.sqrt(s, out=s)
+            a, b = slice(0, self.fours), slice(self.fours, 2 * self.fours)
+            s[a], s[b] = s[a] + s[b], s[a] - s[b]
+            half, top = np.prod(_sin_ratio(s), axis=0), s.max(axis=0)
+        for gens in self.eigen:
+            d = gens.shape[-1]
+            mats = (y @ gens.reshape(len(gens), -1)).reshape(len(y), d, d)
+            block_half, block_top = _skew_half_dets(mats)
+            half, top = half * block_half, np.maximum(top, block_top)
+        return half, top
+
+
 class _Integrand:
     """Shared evaluation core for both numeric methods, as a function of
-    the sample or node z with omega = spread beta^{-1/2} z.
+    the point y = sqrt(t) beta^{1/2} omega.
+
+    The factor matrices (sqrt(t)/2) D(omega) and (sqrt(t)/2) F(omega)
+    depend on t and omega only through sqrt(t) omega, so one integrand
+    serves every t; the caller scales its points (a standard normal z
+    gives y = sqrt(2t) z, a Gauss-Hermite node x gives y = 2 sqrt(t) x).
 
     D(omega) is skew for g, g D(omega) = -sum_ik beta_ik omega_i E^k
     being antisymmetric, and each F_i for beta (_check_beta_invariance).
-    Once per request each family is split exactly into invariant blocks
+    Once per integrand each family is split exactly into invariant blocks
     (_invariant_split): its common kernel, where every factor matrix
     vanishes, is dropped, and the rest divided by the eigenspaces of its
     self-adjoint commutant, so the simple ideals of F and the de Rham
@@ -474,21 +535,18 @@ class _Integrand:
     of g or beta (_skew_stack), a similarity, so that every factor
     matrix is skew, and the ball max_j s_j < pi - margin on its singular
     values is the same in every tangent and holonomy basis.  The map
-    from z to omega is folded into the generators, after dividing beta
+    from y to omega is folded into the generators, after dividing beta
     by 4^k and the generators by 2^k exactly (_near_unit), which changes
     no factor matrix and keeps every float in range.
 
     blocks holds the whitened stacks of the D blocks and of the F
-    blocks.  A point forms every block's matrices from that block's own
-    generators, multiplies the block determinants and takes the largest
-    block top, each block through the kernel for its size
-    (_skew_sinc_dets): closed forms up to 4 x 4, one symmetric
-    eigensolve beyond.  A family with no block left gives det 1, top 0.
+    blocks, and factors the two compiled from them (_Factor): a batch of
+    points costs one projection product per family.  The value is
+    half_F / half_D, the square root of det(sinh X_F/X_F) /
+    det(sinh X_D/X_D).
     """
 
-    def __init__(
-        self, prep: Prepared, t: float, margin: float, spread: float
-    ):
+    def __init__(self, prep: Prepared, margin: float):
         spec, hol = prep.spec, prep.hol
         _check_beta_invariance(prep)
         self.bound = math.pi - margin
@@ -497,7 +555,7 @@ class _Integrand:
             _invariant_split(hol.F_mats, spec.tensors.beta),
         )
         beta, shrink = _near_unit(spec.tensors.beta)
-        root = spread * math.sqrt(t) / 2.0 * _inv_sqrt(beta)
+        root = _inv_sqrt(beta) / 2.0
 
         def whitened(gens, metric):
             skew = _skew_stack(_float_stack(gens, shrink), metric)
@@ -506,33 +564,18 @@ class _Integrand:
         self.blocks = tuple(
             [whitened(*block) for block in split] for split in splits
         )
+        self.factors = tuple(_Factor(blocks) for blocks in self.blocks)
 
-    @staticmethod
-    def _factor(z: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-        """det(sinh X/X) and the top singular value of X(z), by block; no
-        block gives det 1 and top 0."""
-        if not blocks:
-            return np.ones(len(z)), np.zeros(len(z))
-        dets, tops = zip(*(
-            _skew_sinc_dets(
-                (z @ gens.reshape(len(gens), -1)).reshape(
-                    (len(z),) + gens.shape[1:]
-                )
-            )
-            for gens in blocks
-        ))
-        return reduce(np.multiply, dets), reduce(np.maximum, tops)
-
-    def __call__(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (values, acceptance mask); rejected rows hold 0."""
-        det_d, top_d = self._factor(z, self.blocks[0])
-        det_f, top_f = self._factor(z, self.blocks[1])
-        # Inside the ball every sin(s)/s is positive; the guard keeps a
-        # rounding accident from reaching the square roots.
+        half_d, top_d = self.factors[0](y)
+        half_f, top_f = self.factors[1](y)
+        # Inside the ball every sin(s)/s is positive; the guard rejects a
+        # half-determinant that rounds to zero (_skew_half_dets' clamp),
+        # so the quotient never divides by it.
         ok = (top_d < self.bound) & (top_f < self.bound)
-        ok &= (det_d > 0.0) & (det_f > 0.0)
-        vals = np.zeros(len(z))
-        vals[ok] = np.sqrt(det_f[ok]) / np.sqrt(det_d[ok])
+        ok &= (half_d > 0.0) & (half_f > 0.0)
+        vals = np.divide(half_f, half_d, out=np.zeros(len(y)), where=ok)
         return vals, ok
 
 
@@ -550,6 +593,19 @@ def _even_grid(
     )
 
 
+def _tensor_grid(
+    x: np.ndarray, w: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The p-fold tensor grid of the 1-d rule (x, w) in C order: points
+    (k^p, p), the last coordinate varying fastest, and their weights,
+    each the product of its coordinates' weights from the first on."""
+    k = len(x)
+    pts = np.empty((k,) * p + (p,))
+    for axis in range(p):
+        pts[..., axis] = x.reshape((k,) + (1,) * (p - 1 - axis))
+    return pts.reshape(-1, p), reduce(np.multiply.outer, [w] * p).ravel()
+
+
 def _is_integer(x) -> bool:
     """An int or numpy integer, not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -558,6 +614,141 @@ def _is_integer(x) -> bool:
 def _check_integer(label: str, x) -> None:
     if not _is_integer(x):
         raise ValueError(f"{label} must be an integer, got {x!r}")
+
+
+class _NumericAverager:
+    """numeric_average of one datum, by one method with one set of
+    parameters, at any number of times t (each checked by the caller).
+
+    The parameters are checked here, before anything is built.  The
+    integrand does not depend on t (_Integrand), so it is built at the
+    first time that needs one and serves every later time."""
+
+    def __init__(
+        self, prep: Prepared, method: str, samples: int, nodes: int, seed: int
+    ):
+        p = prep.spec.p
+        if method == "auto":
+            method = "quadrature" if p <= 3 else "mc"
+        if method not in ("mc", "quadrature"):
+            raise ValueError(f"unknown method {method!r}")
+        _check_integer("Monte Carlo samples", samples)
+        _check_integer("quadrature nodes", nodes)
+        if method == "quadrature":
+            _check_integer("the seed", seed)
+        if method == "mc" and samples < 2:
+            raise ValueError(
+                f"Monte Carlo needs at least 2 samples for a standard "
+                f"error, got {samples}"
+            )
+        if method == "mc" and samples > _MAX_SAMPLES:
+            raise ValueError(
+                f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got "
+                f"{samples}"
+            )
+        if method == "mc" and not (_is_integer(seed) and seed >= 0):
+            raise ValueError(
+                f"Monte Carlo seed must be a non-negative integer, got "
+                f"{seed!r}"
+            )
+        if method == "quadrature":
+            if p > 3:
+                raise ValueError(
+                    "tensorized quadrature is limited to p <= 3; use mc"
+                )
+            if not 1 <= nodes <= _MAX_NODES:
+                raise ValueError(
+                    f"quadrature nodes must be in 1..{_MAX_NODES}, got "
+                    f"{nodes}"
+                )
+            if nodes**p > _MAX_GRID_POINTS:
+                raise ValueError(
+                    f"a quadrature grid of {nodes}^{p} points exceeds the "
+                    f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
+                )
+        self.prep, self.method = prep, method
+        self.samples, self.nodes, self.seed = samples, nodes, seed
+        self._integrand: _Integrand | None = None
+
+    def integrand(self) -> _Integrand:
+        if self._integrand is None:
+            strict = np.errstate(divide="raise", over="raise", invalid="raise")
+            try:
+                with strict:
+                    self._integrand = _Integrand(self.prep, _MARGIN)
+            except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
+                raise HeatgenError(
+                    "g or beta spans more than the float range, or the "
+                    "factor matrices exceed it; this datum has no numeric "
+                    "average"
+                ) from None
+        return self._integrand
+
+    def __call__(self, t: float) -> NumericAverage:
+        curv, p = self.prep.curv, self.prep.spec.p
+        try:
+            prefactor = math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
+        except OverflowError:
+            raise HeatgenError(
+                f"the scalar prefactor overflows at t={t}; this t is far "
+                f"too large for a numeric average"
+            ) from None
+        if p == 0:
+            return NumericAverage(prefactor, 0.0, 0, 0, self.method)
+        integrand = self.integrand()
+        # omega ~ N(0, 2 beta^{-1}) is sqrt(2) beta^{-1/2} z for a standard
+        # normal z, and 2 beta^{-1/2} x for a node x of the weight
+        # exp(-x^2); the integrand takes y = sqrt(t) beta^{1/2} omega.
+        if self.method == "mc":
+            scale = math.sqrt(2.0 * t)
+            rng = np.random.default_rng(self.seed)
+            values = np.empty(self.samples)
+            filled = hits = 0
+            empty_rounds = 0
+            while filled < self.samples:
+                draw = min(65536, self.samples - filled)
+                y = rng.standard_normal((draw, p))
+                y *= scale
+                vals, ok = integrand(y)
+                accepted = int(ok.sum())
+                values[filled : filled + accepted] = vals[ok]
+                filled += accepted
+                hits += draw - accepted
+                empty_rounds = empty_rounds + 1 if accepted == 0 else 0
+                if empty_rounds >= 8:
+                    raise HeatgenError(
+                        f"the regularity ball rejects essentially every "
+                        f"sample at t={t}; this t is too large for a "
+                        f"numeric average"
+                    )
+            mean = float(values.mean())
+            sem = float(values.std(ddof=1) / math.sqrt(self.samples))
+            return NumericAverage(
+                prefactor * mean, prefactor * sem, hits, self.samples + hits,
+                "mc",
+            )
+
+        scale = 2.0 * math.sqrt(t)
+
+        def tensor_value(k: int) -> tuple[float, int, int]:
+            x1, w1 = np.polynomial.hermite.hermgauss(k)
+            pts, weight = _tensor_grid(scale * x1, w1, p)
+            # hermgauss nodes are exactly symmetric, so on this C-ordered
+            # grid point N-1-i is minus point i.
+            vals, ok = _even_grid(integrand, pts)
+            total = float((weight * vals).sum()) * math.pi ** (-p / 2)
+            return total, int((~ok).sum()), len(pts)
+
+        value, hits, used = tensor_value(self.nodes)
+        if self.nodes >= 12:
+            coarse, _, extra = tensor_value(self.nodes - 4)
+            err = abs(value - coarse)
+            used += extra
+        else:
+            err = 0.0
+        return NumericAverage(
+            prefactor * value, prefactor * err, hits, used, "quadrature"
+        )
 
 
 def numeric_average(
@@ -584,107 +775,4 @@ def numeric_average(
     bools) whichever method runs.
     """
     check_time(t)
-    spec, curv = prep.spec, prep.curv
-    if method == "auto":
-        method = "quadrature" if spec.p <= 3 else "mc"
-    if method not in ("mc", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_integer("Monte Carlo samples", samples)
-    _check_integer("quadrature nodes", nodes)
-    if method == "quadrature":
-        _check_integer("the seed", seed)
-    if method == "mc" and samples < 2:
-        raise ValueError(
-            f"Monte Carlo needs at least 2 samples for a standard error, "
-            f"got {samples}"
-        )
-    if method == "mc" and samples > _MAX_SAMPLES:
-        raise ValueError(
-            f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got {samples}"
-        )
-    if method == "mc" and not (_is_integer(seed) and seed >= 0):
-        raise ValueError(
-            f"Monte Carlo seed must be a non-negative integer, got {seed!r}"
-        )
-    if method == "quadrature":
-        if spec.p > 3:
-            raise ValueError(
-                "tensorized quadrature is limited to p <= 3; use mc"
-            )
-        if not 1 <= nodes <= _MAX_NODES:
-            raise ValueError(
-                f"quadrature nodes must be in 1..{_MAX_NODES}, got {nodes}"
-            )
-        if nodes**spec.p > _MAX_GRID_POINTS:
-            raise ValueError(
-                f"a quadrature grid of {nodes}^{spec.p} points exceeds the "
-                f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
-            )
-    try:
-        prefactor = math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
-    except OverflowError:
-        raise HeatgenError(
-            f"the scalar prefactor overflows at t={t}; this t is far too "
-            f"large for a numeric average"
-        ) from None
-    if spec.p == 0:
-        return NumericAverage(prefactor, 0.0, 0, 0, method)
-
-    # omega ~ N(0, 2 beta^{-1}) is sqrt(2) beta^{-1/2} z for a standard
-    # normal z, and 2 beta^{-1/2} x for a node x of the weight exp(-x^2).
-    spread = math.sqrt(2.0) if method == "mc" else 2.0
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            integrand = _Integrand(prep, t, _MARGIN, spread)
-    except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
-        raise HeatgenError(
-            "g or beta spans more than the float range, or the factor "
-            "matrices exceed it; this datum has no numeric average"
-        ) from None
-
-    if method == "mc":
-        rng = np.random.default_rng(seed)
-        values = np.empty(samples)
-        filled = hits = 0
-        empty_rounds = 0
-        while filled < samples:
-            draw = min(65536, samples - filled)
-            vals, ok = integrand(rng.standard_normal((draw, spec.p)))
-            accepted = int(ok.sum())
-            values[filled : filled + accepted] = vals[ok]
-            filled += accepted
-            hits += draw - accepted
-            empty_rounds = empty_rounds + 1 if accepted == 0 else 0
-            if empty_rounds >= 8:
-                raise HeatgenError(
-                    f"the regularity ball rejects essentially every sample "
-                    f"at t={t}; this t is too large for a numeric average"
-                )
-        mean = float(values.mean())
-        sem = float(values.std(ddof=1) / math.sqrt(samples))
-        return NumericAverage(
-            prefactor * mean, prefactor * sem, hits, samples + hits, "mc"
-        )
-
-    def tensor_value(k: int) -> tuple[float, int, int]:
-        x1, w1 = np.polynomial.hermite.hermgauss(k)
-        grids = np.meshgrid(*([x1] * spec.p), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w1] * spec.p), indexing="ij")
-        weight = np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
-        # hermgauss nodes are exactly symmetric, so on this C-ordered grid
-        # point N-1-i is minus point i.
-        vals, ok = _even_grid(integrand, pts)
-        total = float((weight * vals).sum()) * math.pi ** (-spec.p / 2)
-        return total, int((~ok).sum()), len(pts)
-
-    value, hits, used = tensor_value(nodes)
-    if nodes >= 12:
-        coarse, _, extra = tensor_value(nodes - 4)
-        err = abs(value - coarse)
-        used += extra
-    else:
-        err = 0.0
-    return NumericAverage(
-        prefactor * value, prefactor * err, hits, used, "quadrature"
-    )
+    return _NumericAverager(prep, method, samples, nodes, seed)(t)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import catalog as _catalog
-from .averaging import numeric_average, whitened_average
+from .averaging import _NumericAverager, whitened_average
 from .curvature import (
     CheckResult,
     Prepared,
@@ -224,7 +224,8 @@ def compare(
     raises HeatgenError fails that check, with the message as its detail,
     and the others still run.  The datum is prepared once, here unless a
     Prepared is passed, and shared by the pipeline and the oracles; each
-    factor of a product is prepared on its own.
+    distinct factor of a product is prepared and expanded once, on its
+    own.  The numeric integrand is built once for the whole grid.
     """
     start = time.perf_counter()
     for t in t_grid:
@@ -262,11 +263,12 @@ def compare(
     if (factors or sphere_n) and spec != _catalog.builtin(spec.name):
         factors = sphere_n = None
     if factors:
-        parts = [
-            heat_coefficients(_catalog.builtin(f), order, budget=budget)
-            for f in factors
-        ]
-        conv = product_factorize(parts, order)
+        # S2xS2's factors are one builtin twice: expand each name once.
+        parts = {
+            f: heat_coefficients(_catalog.builtin(f), order, budget=budget)
+            for f in dict.fromkeys(factors)
+        }
+        conv = product_factorize([parts[f] for f in factors], order)
         checks.append(
             _check(
                 "product_factorization",
@@ -289,9 +291,7 @@ def compare(
         )
 
     def numeric(t: float) -> tuple[bool, str]:
-        num = numeric_average(
-            prep, t, method, samples=samples, nodes=nodes, seed=seed
-        )
+        num = average_at(t)
         series_val = base.eval_float(t)
         remainder = base.remainder_estimate(t)
         if num.method == "mc":
@@ -310,6 +310,9 @@ def compare(
             _timed_check(f"spectral_oracle@t={t:g}", spectral, t)
             for t in t_grid
         )
+    # One averager for the whole grid: the numeric integrand, its exact
+    # split and its whitening do not depend on t.
+    average_at = _NumericAverager(prep, method, samples, nodes, seed)
     checks.extend(
         _timed_check(f"numeric_average@t={t:g}", numeric, t) for t in t_grid
     )

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -276,13 +277,28 @@ def rotation_blocks(thetas, n, rng=None):
     return out
 
 
+def skew_kernel(mats):
+    """det(sinh X/X) and the top singular value of each skew X (N, n, n)
+    through averaging._Factor: one block whose generators are the unit
+    skew matrices e_ij - e_ji (i < j), at the points y = (x_ij), so that
+    X(y) = X.  Blocks up to 4 x 4 take the plane path, larger ones the
+    eigensolve.  The determinant is the square of the half-determinant."""
+    n = mats.shape[-1]
+    i, j = np.triu_indices(n, 1)
+    gens = np.zeros((len(i), n, n))
+    gens[np.arange(len(i)), i, j] = 1.0
+    gens[np.arange(len(i)), j, i] = -1.0
+    half, top = averaging._Factor([gens])(mats[:, i, j])
+    return half**2, top
+
+
 def test_skew_ball_mask():
     # The cases of the Frobenius/SVD mask this ball replaced, as skew
     # matrices with the same top singular values: the first has Frobenius
     # norm 3.25 > pi but top value 2.3 < pi.
     mats = np.stack([rotation_blocks(thetas, 4) for thetas in
                      ([2.3, 0.0], [3.3, 0.1], [0.2, 0.1])])
-    _, tops = averaging._skew_sinc_dets(mats)
+    _, tops = skew_kernel(mats)
     assert (tops < math.pi).tolist() == [True, False, True]
 
 
@@ -303,7 +319,7 @@ def test_skew_kernel_matches_the_eigen_free_reference(n):
             rest = list(rng.uniform(0.0, 2.0, n // 2 - 1))
             batch.append(rotation_blocks([theta] + rest, n, rng)[None])
     mats = np.concatenate(batch)
-    dets, tops = averaging._skew_sinc_dets(mats)
+    dets, tops = skew_kernel(mats)
     np.testing.assert_allclose(
         dets, oracles.sinh_ratio_dets(mats), rtol=1e-9, atol=1e-12
     )
@@ -314,8 +330,9 @@ def test_skew_kernel_matches_the_eigen_free_reference(n):
 
 
 def test_skew_kernel_on_an_empty_batch():
-    dets, tops = averaging._skew_sinc_dets(np.zeros((0, 3, 3)))
-    assert dets.shape == tops.shape == (0,)
+    for n in (3, 4, 6):
+        dets, tops = skew_kernel(np.zeros((0, n, n)))
+        assert dets.shape == tops.shape == (0,)
 
 
 def self_dual(u):
@@ -347,7 +364,7 @@ def test_skew_kernel_on_degenerate_and_reflected_4x4():
     flipped = q @ mats @ q.T
     flipped = (flipped - flipped.transpose(0, 2, 1)) / 2.0
     for batch in (mats, flipped):
-        dets, tops = averaging._skew_sinc_dets(batch)
+        dets, tops = skew_kernel(batch)
         np.testing.assert_allclose(
             dets, oracles.sinh_ratio_dets(batch), rtol=1e-9, atol=1e-12
         )
@@ -355,6 +372,41 @@ def test_skew_kernel_on_degenerate_and_reflected_4x4():
                                    atol=1e-15)
         assert (tops[-4:] < bound).tolist() == [True, False, True, False]
     np.testing.assert_allclose(tops[:2], [0.3, 1.7], rtol=1e-15)
+
+
+def antisymmetrized(raw):
+    return raw - raw.transpose(0, 2, 1)
+
+
+def test_degenerate_planes_give_exactly_one():
+    # Planes with s = 0 exactly: every plane at y = 0, the zero padding of
+    # a 2 x 2 block, and the second plane a' - b' of a 4 x 4 block of rank
+    # 2 (one rotation plane, a' = b'); an exactly self-dual block has
+    # b' = 0.  None of them may warn of a 0/0.
+    rng = np.random.default_rng(7)
+    p = 3
+    two = antisymmetrized(np.triu(rng.standard_normal((p, 2, 2)), 1))
+    rank2 = np.zeros((p, 4, 4))
+    rank2[:, 1, 3] = rng.standard_normal(p)
+    rank2 = antisymmetrized(rank2)
+    dual = np.stack([self_dual(u) for u in rng.standard_normal((p, 3))])
+    five = antisymmetrized(rng.standard_normal((p, 5, 5)))
+    y = np.vstack([np.zeros(p), rng.standard_normal((6, p)) * 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for blocks in ([two], [rank2], [dual], [two, rank2, dual, five]):
+            half, top = averaging._Factor(blocks)(y)
+            assert half[0] == 1.0 and top[0] == 0.0
+            mats = [np.einsum("si,iab->sab", y, g) for g in blocks]
+            want = np.prod([oracles.sinh_ratio_dets(m) for m in mats], axis=0)
+            np.testing.assert_allclose(half**2, want, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(
+                top, np.max([svd_top(m) for m in mats], axis=0),
+                rtol=1e-12, atol=1e-15,
+            )
+        half, top = averaging._Factor([])(y)
+    np.testing.assert_array_equal(half, np.ones(len(y)))
+    np.testing.assert_array_equal(top, np.zeros(len(y)))
 
 
 def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
@@ -382,12 +434,12 @@ def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
     z = rng.standard_normal((200, k)) * 0.05
     skew = [averaging._skew_stack(averaging._float_stack(gens, F(1)), metric)
             for gens, metric in blocks]
-    dets, tops = averaging._Integrand._factor(z, skew)
-    want_dets, want_tops = averaging._skew_sinc_dets(
+    half, tops = averaging._Factor(skew)(z)
+    want_half, want_tops = averaging._skew_half_dets(
         np.einsum("si,iab->sab", z, stack.astype(float))
     )
     assert want_tops.max() < math.pi
-    np.testing.assert_allclose(dets, want_dets, rtol=1e-12)
+    np.testing.assert_allclose(half**2, want_half**2, rtol=1e-12)
     np.testing.assert_allclose(tops, want_tops, rtol=1e-13)
 
 
@@ -400,7 +452,7 @@ BUILTIN_BLOCKS = {
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_BLOCKS))
 def test_integrand_finds_the_invariant_blocks(prepared, name):
-    integrand = averaging._Integrand(prepared[name], 0.1, 0.01, 2.0)
+    integrand = averaging._Integrand(prepared[name], 0.01)
     d_blocks, f_blocks = integrand.blocks
     assert (
         [len(b[0]) for b in d_blocks], [len(b[0]) for b in f_blocks]
@@ -432,18 +484,18 @@ def test_moved_s4_splits_f_into_its_two_ideals(prepared):
     )
     assert [len(metric.array) for _, metric in blocks] == [3, 3]
     # The moved D'(omega') is D(N^T omega'), and each integrand takes
-    # omega = spread beta^{-1/2} z, so the builtin's z corresponds to
-    # z' = beta'^{1/2} N^{-T} beta^{-1/2} z.
-    t, spread = 0.3, math.sqrt(2.0)
-    want = averaging._Integrand(base, t, 0.01, spread)
-    got = averaging._Integrand(moved, t, 0.01, spread)
+    # sqrt(t) omega = beta^{-1/2} y, so the builtin's y corresponds to
+    # y' = beta'^{1/2} N^{-T} beta^{-1/2} y.
+    want = averaging._Integrand(base, 0.01)
+    got = averaging._Integrand(moved, 0.01)
     assert [len(b[0]) for b in got.blocks[1]] == [3, 3]
-    z = np.random.default_rng(16).standard_normal((400, p))
-    omega = z @ averaging._inv_sqrt(np.array(base.spec.beta, float)).T
+    # Monte Carlo points at t = 0.3.
+    y = np.random.default_rng(16).standard_normal((400, p)) * math.sqrt(0.6)
+    omega = y @ averaging._inv_sqrt(np.array(base.spec.beta, float)).T
     omega_moved = omega @ np.linalg.inv(np.array(N, dtype=float))
-    z_moved = omega_moved @ np.linalg.inv(averaging._inv_sqrt(beta)).T
-    want_vals, want_ok = want(z)
-    got_vals, got_ok = got(z_moved)
+    y_moved = omega_moved @ np.linalg.inv(averaging._inv_sqrt(beta)).T
+    want_vals, want_ok = want(y)
+    got_vals, got_ok = got(y_moved)
     assert want_ok.sum() > 300
     np.testing.assert_array_equal(got_ok, want_ok)
     np.testing.assert_allclose(got_vals, want_vals, rtol=1e-12)
@@ -549,7 +601,7 @@ def no_grid(monkeypatch):
         raise AssertionError("quadrature grid built before validation")
 
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", boom)
-    monkeypatch.setattr(np, "meshgrid", boom)
+    monkeypatch.setattr(averaging, "_tensor_grid", boom)
 
 
 @pytest.mark.parametrize("nodes", [0, -1, 10**12])
@@ -683,7 +735,7 @@ def test_numeric_average_does_not_depend_on_the_tangent_basis(
     )
     assert other.spec.g != base.spec.g
     if name == "S2xS3":
-        blocks = [averaging._Integrand(prep, 2.0, 0.01, 2.0).blocks[0]
+        blocks = [averaging._Integrand(prep, 0.01).blocks[0]
                   for prep in (base, other)]
         assert [[len(b[0]) for b in x] for x in blocks] == [[2, 3], [2, 3]]
     kw = dict(method=method, samples=20_000, seed=4, nodes=24)
@@ -696,28 +748,28 @@ def test_numeric_average_does_not_depend_on_the_tangent_basis(
 
 
 class ReferenceIntegrand:
-    """The integrand as evaluated before the skew eigensolve: omega from
-    the symmetric root of beta, the raw factor matrices, the Frobenius/SVD
-    ball and the eigenvalue-free determinant of the accepted rows."""
+    """The integrand as evaluated before the skew eigensolve: sqrt(t) omega
+    = beta^{-1/2} y from the symmetric root of beta, the raw factor
+    matrices, the Frobenius/SVD ball and the eigenvalue-free determinant
+    of the accepted rows."""
 
-    def __init__(self, prep, t, margin, spread):
+    def __init__(self, prep, margin):
         w, v = np.linalg.eigh(np.array(prep.spec.beta, dtype=float))
-        self.transform = spread * (v / np.sqrt(w)) @ v.T
+        self.transform = (v / np.sqrt(w)) @ v.T
         self.D = np.array(prep.hol.D.to_fractions(), dtype=float)
         self.F = np.array(prep.hol.F_mats.to_fractions(), dtype=float)
-        self.half_sqrt_t = math.sqrt(t) / 2.0
         self.bound = math.pi - margin
 
-    def __call__(self, z):
-        omegas = z @ self.transform.T
-        x = np.einsum("si,iab->sab", omegas, self.D) * self.half_sqrt_t
-        y = np.einsum("si,ijk->sjk", omegas, self.F) * self.half_sqrt_t
-        ok = (svd_top(x) < self.bound) & (svd_top(y) < self.bound)
+    def __call__(self, y):
+        omegas = y @ self.transform.T
+        x = np.einsum("si,iab->sab", omegas, self.D) / 2.0
+        f = np.einsum("si,ijk->sjk", omegas, self.F) / 2.0
+        ok = (svd_top(x) < self.bound) & (svd_top(f) < self.bound)
         det_d = oracles.sinh_ratio_dets(x[ok])
-        det_f = oracles.sinh_ratio_dets(y[ok])
+        det_f = oracles.sinh_ratio_dets(f[ok])
         positive = (det_d > 0.0) & (det_f > 0.0)
         ok[np.flatnonzero(ok)[~positive]] = False
-        vals = np.zeros(len(z))
+        vals = np.zeros(len(y))
         vals[ok] = np.sqrt(det_f[positive]) / np.sqrt(det_d[positive])
         return vals, ok
 
@@ -754,15 +806,23 @@ def test_numeric_average_matches_the_reference_path(
 
 
 @pytest.mark.parametrize("name,t", [("S2", 2.0), ("S2xS2", 1.5), ("S3", 2.0)])
-@pytest.mark.parametrize("nodes", [7, 8, 15, 16])
+@pytest.mark.parametrize("nodes", [7, 8, 15, 16, 40])
 def test_mirrored_quadrature_equals_the_full_grid(
     prepared, monkeypatch, name, t, nodes
 ):
-    prep = prepared[name]
-    integrand = averaging._Integrand(prep, t, 0.01, 2.0)
-    x1, _ = np.polynomial.hermite.hermgauss(nodes)
-    grids = np.meshgrid(*([x1] * prep.spec.p), indexing="ij")
+    prep, p = prepared[name], prepared[name].spec.p
+    x1, w1 = np.polynomial.hermite.hermgauss(nodes)
+    # The broadcast grid is the meshgrid one, bit for bit.
+    grids = np.meshgrid(*([x1] * p), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrids = np.meshgrid(*([w1] * p), indexing="ij")
+    weight = np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
+    got_pts, got_weight = averaging._tensor_grid(x1, w1, p)
+    np.testing.assert_array_equal(got_pts, pts)
+    np.testing.assert_array_equal(got_weight, weight)
+
+    integrand = averaging._Integrand(prep, 0.01)
+    pts = averaging._tensor_grid(2.0 * math.sqrt(t) * x1, w1, p)[0]
     vals, ok = averaging._even_grid(integrand, pts)
     want_vals, want_ok = integrand(pts)
     np.testing.assert_array_equal(ok, want_ok)
@@ -805,17 +865,18 @@ def test_structure_matrices_are_beta_antisymmetric(spec):
     # The skew blocks carry the determinant of the raw factor matrices,
     # inside the ball, at a time t R = 0.3 that puts most samples there.
     t = float(F(3, 10) / prep.curv.R)
-    integrand = averaging._Integrand(prep, t, 0.01, math.sqrt(2.0))
-    reference = ReferenceIntegrand(prep, t, 0.01, math.sqrt(2.0))
-    z = np.random.default_rng(0).standard_normal((20, spec.p))
-    omegas = z @ reference.transform.T
-    for raw, blocks in zip((reference.D, reference.F), integrand.blocks):
-        x = np.einsum("si,iab->sab", omegas, raw) * reference.half_sqrt_t
-        dets, tops = averaging._Integrand._factor(z, blocks)
+    integrand = averaging._Integrand(prep, 0.01)
+    reference = ReferenceIntegrand(prep, 0.01)
+    y = np.random.default_rng(0).standard_normal((20, spec.p))
+    y *= math.sqrt(2.0 * t)
+    omegas = y @ reference.transform.T
+    for raw, factor in zip((reference.D, reference.F), integrand.factors):
+        x = np.einsum("si,iab->sab", omegas, raw) / 2.0
+        half, tops = factor(y)
         inside = tops < math.pi
         assert inside.sum() >= 10
         np.testing.assert_allclose(
-            dets[inside], oracles.sinh_ratio_dets(x[inside]), rtol=1e-10
+            half[inside] ** 2, oracles.sinh_ratio_dets(x[inside]), rtol=1e-10
         )
 
 

@@ -472,8 +472,8 @@ def test_compare_product_prepares_each_space_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "compare", "S2xS2", "--order", "2",
                      "--method", "quadrature", "--nodes", "12", "--json")
     assert code == 0
-    # S2xS2 itself, then each S2 factor of the product check.
-    assert len(scalars) == 3
+    # S2xS2 itself, then its factor S2 once, although it appears twice.
+    assert len(scalars) == 2
 
 
 def tilted_three_sphere():

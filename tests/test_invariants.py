@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import heatgen as hg
 import oracles
-from heatgen import invariants, rational, series
+from heatgen import averaging, invariants, rational, series
 from heatgen.invariants import sphere_volume
 
 
@@ -365,6 +365,31 @@ def test_compare_s2_all_checks_pass(specs):
 def test_compare_s3_all_checks_pass(specs):
     rep = hg.compare(specs["S3"], 4, [0.1], nodes=24)
     assert rep.all_passed, [c for c in rep.checks if not c.passed]
+
+
+def test_compare_builds_one_integrand_for_the_grid(specs, monkeypatch):
+    # t enters the numeric integrand only as the scale sqrt(t) of its
+    # points, so its exact split (one call for D, one for F) runs once
+    # for the whole grid, and each time still gets numeric_average's value.
+    calls = []
+    split = averaging._invariant_split
+
+    def spy(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(averaging, "_invariant_split", spy)
+    grid = [0.05, 0.1]
+    prep = hg.prepare(specs["S3"])
+    rep = hg.compare(prep, 4, grid, method="quadrature", nodes=16)
+    assert len(calls) == 2
+    assert rep.all_passed, [c for c in rep.checks if not c.passed]
+    details = {c.name: c.detail for c in rep.checks}
+    for t in grid:
+        num = hg.numeric_average(prep, t, "quadrature", nodes=16)
+        assert details[f"numeric_average@t={t:g}"].startswith(
+            f"quadrature {num.value:.12g} vs"
+        )
 
 
 def test_compare_product_includes_factorization(specs):
