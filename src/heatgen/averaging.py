@@ -36,10 +36,18 @@ s as the norm of a row triple, and the half-determinant
 sqrt(det(sinh X/X)) is the product of sin(s)/s over the planes.  Larger
 blocks take one batched symmetric eigensolve each.  The integrand
 depends on t only through the scale of its points, so one serves a
-whole compare grid.  Quadrature evaluates half of its symmetric grid,
-the integrand being even.  Monte Carlo and quadrature sizes and the
-seed are checked before anything is built (_MAX_SAMPLES, _MAX_NODES,
-_MAX_GRID_POINTS).
+whole compare grid.  Both methods call it on blocks of at most _BLOCK
+points, whose temporaries stay within a core's L2 cache.  Monte Carlo
+draws rounds of that size; the generator fills rows in stream order, so
+the samples do not depend on it.  Quadrature evaluates the first half of
+its symmetric grid, each point standing for its mirror too (the
+integrand is even), in slabs of the first axis broadcast from a
+(p-1)-dimensional unit grid that is built, with the 1-d rule, once per
+averager (_Rule).  So memory does not grow with the samples or the
+nodes, apart from Monte Carlo's vector of accepted values, 8 bytes a
+sample (and the one temporary of its size that its standard deviation
+takes).  Monte Carlo and quadrature sizes and the seed are checked
+before anything is built (_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,12 +208,17 @@ def whitened_average(
 # A point is kept when every factor's top singular value stays below
 # pi - _MARGIN, where sinh X / X is still well away from singular.
 _MARGIN = 0.01
-# Quadrature limits: hermgauss(k) costs O(k^2) and the tensor grid holds
-# nodes**p points, each with its own factor matrices.
-_MAX_NODES = 512
+# Quadrature limits: hermgauss(k) costs O(k^2), and numpy 2.4's loses
+# its weights to overflow from 371 nodes on (zero, then NaN); the tensor
+# grid has nodes**p points, evaluated a block at a time.
+_MAX_NODES = 256
 _MAX_GRID_POINTS = 64**3
-# Monte Carlo limit: 50 times compare's default, and a buffer of 80 MB.
+# Monte Carlo limit: 50 times compare's default, and a values vector of
+# 80 MB, the one array that grows with the sample count.
 _MAX_SAMPLES = 10**7
+# Points per integrand call, Monte Carlo round or quadrature block: every
+# temporary of the factor kernels stays within a core's L2 cache.
+_BLOCK = 8192
 
 
 def _sin_ratio(s: np.ndarray) -> np.ndarray:
@@ -579,31 +592,83 @@ class _Integrand:
         return vals, ok
 
 
-def _even_grid(
-    integrand: _Integrand, pts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The integrand on a grid with pts[N-1-i] = -pts[i], from its first
-    ceil(N/2) points: the integrand is even, so the rest is the mirror."""
-    half = (len(pts) + 1) // 2
-    vals, ok = integrand(pts[:half])
-    back = len(pts) - half
-    return (
-        np.concatenate([vals, vals[:back][::-1]]),
-        np.concatenate([ok, ok[:back][::-1]]),
-    )
-
-
-def _tensor_grid(
-    x: np.ndarray, w: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The p-fold tensor grid of the 1-d rule (x, w) in C order: points
-    (k^p, p), the last coordinate varying fastest, and their weights,
-    each the product of its coordinates' weights from the first on."""
+def _tensor_grid(x: np.ndarray, p: int) -> np.ndarray:
+    """The p-fold tensor grid of the 1-d nodes x in C order, (k^p, p),
+    the last coordinate varying fastest."""
     k = len(x)
     pts = np.empty((k,) * p + (p,))
     for axis in range(p):
         pts[..., axis] = x.reshape((k,) + (1,) * (p - 1 - axis))
-    return pts.reshape(-1, p), reduce(np.multiply.outer, [w] * p).ravel()
+    return pts.reshape(k**p, p)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rule:
+    """The k-node Gauss-Hermite rule (x, w) of a p-fold tensor grid, and
+    the C-ordered (p-1)-fold grids of its nodes and of its weights, the
+    unit grid that every slab of the first axis shares."""
+
+    x: np.ndarray
+    w: np.ndarray
+    unit_x: np.ndarray
+    unit_w: np.ndarray
+
+    @classmethod
+    def build(cls, k: int, p: int) -> _Rule:
+        x, w = np.polynomial.hermite.hermgauss(k)
+        if not (np.isfinite(w).all() and w.sum() > 0.0):
+            raise HeatgenError(
+                f"the {k}-node Gauss-Hermite rule has non-finite or "
+                f"vanishing weights; use fewer nodes"
+            )
+        return cls(x, w, _tensor_grid(x, p - 1), _tensor_grid(w, p - 1))
+
+    def half_sum(
+        self, integrand: _Integrand, scale: float
+    ) -> tuple[float, int]:
+        """The weighted sum of the integrand at the points scale * x over
+        the whole grid, and the number of rejected points, from the first
+        half of the grid in C order.
+
+        The nodes are exactly symmetric, so point N-1-i of the grid is
+        minus point i, with the same weight, and the integrand is even:
+        each point of the first half counts twice, except the middle one
+        of an odd grid.  The half is cut into blocks of at most _BLOCK
+        points, each whole slabs of the first axis or, if a slab is
+        larger, a run of one slab's points; each block is the unit grid
+        broadcast against its first coordinates, and its weights are the
+        products of its coordinates' weights from the first on."""
+        k, m = len(self.x), len(self.unit_x)
+        p = self.unit_x.shape[1] + 1
+        half = (k * m + 1) // 2
+        rows, cols = max(1, _BLOCK // m), min(m, _BLOCK)
+        total, hits = 0.0, 0
+        for i in range(0, -(-half // m), rows):
+            for j in range(0, m, cols):
+                start = i * m + j
+                if start >= half:
+                    break
+                x, unit_x = self.x[i : i + rows], self.unit_x[j : j + cols]
+                pts = np.empty((len(x), len(unit_x), p))
+                pts[..., 0] = x[:, None]
+                pts[..., 1:] = unit_x
+                weight = np.empty(pts.shape[:2])
+                weight[...] = self.w[i : i + rows, None]
+                for axis in range(p - 1):
+                    weight *= self.unit_w[j : j + cols, axis]
+                count = min(weight.size, half - start)
+                pts = pts.reshape(-1, p)[:count]
+                pts *= scale
+                vals, ok = integrand(pts)
+                vals *= weight.reshape(-1)[:count]
+                total += float(vals.sum())
+                hits += count - int(ok.sum())
+        total, hits = 2.0 * total, 2 * hits
+        if (k * m) % 2:
+            # The middle point, the origin, is its own mirror.
+            total -= float(vals[-1])
+            hits -= int(not ok[-1])
+        return total, hits
 
 
 def _is_integer(x) -> bool:
@@ -621,8 +686,9 @@ class _NumericAverager:
     parameters, at any number of times t (each checked by the caller).
 
     The parameters are checked here, before anything is built.  The
-    integrand does not depend on t (_Integrand), so it is built at the
-    first time that needs one and serves every later time."""
+    integrand (_Integrand) and the quadrature rules (_Rule) do not depend
+    on t, so they are built at the first time that needs them and serve
+    every later time."""
 
     def __init__(
         self, prep: Prepared, method: str, samples: int, nodes: int, seed: int
@@ -669,6 +735,7 @@ class _NumericAverager:
         self.prep, self.method = prep, method
         self.samples, self.nodes, self.seed = samples, nodes, seed
         self._integrand: _Integrand | None = None
+        self._rules: list[_Rule] | None = None
 
     def integrand(self) -> _Integrand:
         if self._integrand is None:
@@ -704,9 +771,11 @@ class _NumericAverager:
             rng = np.random.default_rng(self.seed)
             values = np.empty(self.samples)
             filled = hits = 0
-            empty_rounds = 0
+            rejected_run = 0
             while filled < self.samples:
-                draw = min(65536, self.samples - filled)
+                # The generator fills rows in stream order, so the samples
+                # do not depend on the size of a round.
+                draw = min(_BLOCK, self.samples - filled)
                 y = rng.standard_normal((draw, p))
                 y *= scale
                 vals, ok = integrand(y)
@@ -714,8 +783,12 @@ class _NumericAverager:
                 values[filled : filled + accepted] = vals[ok]
                 filled += accepted
                 hits += draw - accepted
-                empty_rounds = empty_rounds + 1 if accepted == 0 else 0
-                if empty_rounds >= 8:
+                # Give up after 8 * 65536 consecutive rejected draws, or 8
+                # times the samples still missing if fewer: counted in
+                # draws, so the round size does not move the threshold.
+                rejected_run = 0 if accepted else rejected_run + draw
+                missing = self.samples - filled
+                if not accepted and rejected_run >= 8 * min(65536, missing):
                     raise HeatgenError(
                         f"the regularity ball rejects essentially every "
                         f"sample at t={t}; this t is too large for a "
@@ -729,23 +802,16 @@ class _NumericAverager:
             )
 
         scale = 2.0 * math.sqrt(t)
-
-        def tensor_value(k: int) -> tuple[float, int, int]:
-            x1, w1 = np.polynomial.hermite.hermgauss(k)
-            pts, weight = _tensor_grid(scale * x1, w1, p)
-            # hermgauss nodes are exactly symmetric, so on this C-ordered
-            # grid point N-1-i is minus point i.
-            vals, ok = _even_grid(integrand, pts)
-            total = float((weight * vals).sum()) * math.pi ** (-p / 2)
-            return total, int((~ok).sum()), len(pts)
-
-        value, hits, used = tensor_value(self.nodes)
-        if self.nodes >= 12:
-            coarse, _, extra = tensor_value(self.nodes - 4)
-            err = abs(value - coarse)
-            used += extra
-        else:
-            err = 0.0
+        if self._rules is None:
+            sizes = [self.nodes] + [self.nodes - 4] * (self.nodes >= 12)
+            self._rules = [_Rule.build(k, p) for k in sizes]
+        # Gauss-Hermite weights integrate against exp(-|x|^2), of mass
+        # pi^(p/2).
+        norm = math.pi ** (-p / 2)
+        sums = [rule.half_sum(integrand, scale) for rule in self._rules]
+        value, hits = sums[0][0] * norm, sums[0][1]
+        err = abs(value - sums[1][0] * norm) if len(sums) > 1 else 0.0
+        used = sum(len(rule.x) ** p for rule in self._rules)
         return NumericAverage(
             prefactor * value, prefactor * err, hits, used, "quadrature"
         )

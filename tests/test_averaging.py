@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -604,9 +605,9 @@ def no_grid(monkeypatch):
     monkeypatch.setattr(averaging, "_tensor_grid", boom)
 
 
-@pytest.mark.parametrize("nodes", [0, -1, 10**12])
+@pytest.mark.parametrize("nodes", [0, -1, 257, 10**12])
 def test_quadrature_node_count_checked_first(prepared, no_grid, nodes):
-    with pytest.raises(ValueError, match="nodes must be in"):
+    with pytest.raises(ValueError, match=r"nodes must be in 1\.\.256, got"):
         hg.numeric_average(prepared["S2"], 0.1,
                            method="quadrature", nodes=nodes)
 
@@ -616,6 +617,28 @@ def test_quadrature_grid_size_checked_first(specs, prepared, no_grid):
     with pytest.raises(ValueError, match="exceeds the limit"):
         hg.numeric_average(prepared["S3"], 0.1,
                            method="quadrature", nodes=65)
+
+
+def test_largest_node_count_gives_a_finite_value(prepared):
+    # numpy's hermgauss loses its weights to overflow from 371 nodes on;
+    # 256 is the most quadrature accepts.
+    out = hg.numeric_average(prepared["S2"], 0.05, "quadrature", nodes=256)
+    assert math.isfinite(out.value) and math.isfinite(out.std_error)
+    assert out.value == pytest.approx(
+        hg.numeric_average(prepared["S2"], 0.05, "quadrature").value,
+        rel=1e-12,
+    )
+    assert out.evaluations == 256 + 252
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0])
+def test_broken_quadrature_rule_is_reported(prepared, monkeypatch, weight):
+    def rule(k):
+        return np.linspace(-1.0, 1.0, k), np.full(k, weight)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", rule)
+    with pytest.raises(hg.HeatgenError, match="8-node Gauss-Hermite"):
+        hg.numeric_average(prepared["S2"], 0.05, "quadrature", nodes=8)
 
 
 def test_auto_method_selection(prepared):
@@ -672,6 +695,81 @@ def test_mc_aborts_when_ball_rejects_everything(prepared, monkeypatch):
     with pytest.raises(hg.HeatgenError, match="rejects essentially every"):
         hg.numeric_average(prepared["S2"], 0.1, method="mc",
                            samples=50, seed=0)
+
+
+@pytest.mark.parametrize("name,t", [("S4", 0.05), ("S2xS3", 0.05),
+                                    ("S2", 9.0)])
+def test_mc_does_not_depend_on_the_block_size(prepared, monkeypatch, name, t):
+    # The generator fills rows in stream order: rounds of 7 draws, of the
+    # default block and of every sample at once see the same samples.
+    samples = 20_000
+    got = []
+    for block in (7, averaging._BLOCK, samples):
+        monkeypatch.setattr(averaging, "_BLOCK", block)
+        got.append(hg.numeric_average(prepared[name], t, "mc",
+                                      samples=samples, seed=3))
+    assert got[0] == got[1] == got[2]
+    assert (got[0].singularity_hits > 0) == (name == "S2")
+
+
+def test_numeric_memory_does_not_grow_with_the_input(prepared):
+    # Every temporary is one block: S6's 15 x 15 eigensolve on 8192
+    # points is about 30 MB, on all 100 000 samples it would be 250 MB,
+    # and on the whole 64^3 grid of S3 17 MB.
+    tracemalloc.start()
+    try:
+        hg.numeric_average(prepared["S6"], 0.05, "mc", samples=100_000)
+        mc_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        hg.numeric_average(prepared["S3"], 0.05, "quadrature", nodes=64)
+        quadrature_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc_peak < 48e6
+    assert quadrature_peak < 8e6
+
+
+class CountingIntegrand(averaging._Integrand):
+    """The integrand, recording the number of points of every call."""
+
+    calls: list = []
+
+    def __call__(self, y):
+        self.calls.append(len(y))
+        return super().__call__(y)
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    monkeypatch.setattr(CountingIntegrand, "calls", [])
+    monkeypatch.setattr(averaging, "_Integrand", CountingIntegrand)
+    return CountingIntegrand.calls
+
+
+@pytest.mark.parametrize("samples,draws", [(50, 400), (100_000, 8 * 65536)])
+def test_mc_abort_counts_rejected_draws(prepared, monkeypatch, counting,
+                                        samples, draws):
+    # The threshold, 8 * min(65536, samples), is counted in draws, so
+    # rounds of any size give up at the same point.
+    monkeypatch.setattr(averaging, "_MARGIN", 4.0)
+    with pytest.raises(hg.HeatgenError, match="rejects essentially every"):
+        hg.numeric_average(prepared["S2"], 0.1, method="mc",
+                           samples=samples, seed=0)
+    assert sum(counting) == draws
+    assert max(counting) <= averaging._BLOCK
+
+
+@pytest.mark.parametrize("name", ["S2", "S2xS2", "S3"])
+@pytest.mark.parametrize("nodes", [7, 12])
+def test_quadrature_counts_every_rejected_point(prepared, monkeypatch, name,
+                                                nodes):
+    # With margin > pi even the origin, the middle of an odd grid, is out.
+    monkeypatch.setattr(averaging, "_MARGIN", 4.0)
+    p = prepared[name].spec.p
+    out = hg.numeric_average(prepared[name], 0.1, "quadrature", nodes=nodes)
+    assert out.value == out.std_error == 0.0
+    assert out.singularity_hits == nodes**p
+    assert out.evaluations == nodes**p + (nodes >= 12) * (nodes - 4) ** p
 
 
 def test_prefactor_overflow_reported(prepared):
@@ -774,8 +872,29 @@ class ReferenceIntegrand:
         return vals, ok
 
 
-def full_grid(integrand, pts):
-    return integrand(pts)
+def full_grid_average(integrand, prep, t, nodes):
+    """numeric_average's quadrature as one weighted sum over the whole
+    meshgrid tensor grid, and its refinement delta the same way."""
+    p, curv = prep.spec.p, prep.curv
+    prefactor = math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
+
+    def weighted_sum(k):
+        x1, w1 = np.polynomial.hermite.hermgauss(k)
+        grids = np.meshgrid(*([2.0 * math.sqrt(t) * x1] * p), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        wgrids = np.meshgrid(*([w1] * p), indexing="ij")
+        weight = np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
+        vals, ok = integrand(pts)
+        total = float(weight @ vals) * math.pi ** (-p / 2)
+        return total, int((~ok).sum()), len(pts)
+
+    value, hits, used = weighted_sum(nodes)
+    err = 0.0
+    if nodes >= 12:
+        coarse, _, extra = weighted_sum(nodes - 4)
+        err, used = abs(value - coarse), used + extra
+    return hg.NumericAverage(prefactor * value, prefactor * err, hits, used,
+                             "quadrature")
 
 
 # Every numeric average of the benchmark's numeric-oracle workload, at the
@@ -791,10 +910,13 @@ ORACLE_AVERAGES = [
 def test_numeric_average_matches_the_reference_path(
     prepared, monkeypatch, name, t, method, seed
 ):
-    got = hg.numeric_average(prepared[name], t, method, seed=seed)
-    monkeypatch.setattr(averaging, "_Integrand", ReferenceIntegrand)
-    monkeypatch.setattr(averaging, "_even_grid", full_grid)
-    want = hg.numeric_average(prepared[name], t, method, seed=seed)
+    prep = prepared[name]
+    got = hg.numeric_average(prep, t, method, seed=seed)
+    if method == "quadrature":
+        want = full_grid_average(ReferenceIntegrand(prep, 0.01), prep, t, 40)
+    else:
+        monkeypatch.setattr(averaging, "_Integrand", ReferenceIntegrand)
+        want = hg.numeric_average(prep, t, method, seed=seed)
     assert got.value == pytest.approx(want.value, rel=1e-12)
     # A refinement delta of zero is rounding noise of the value's size.
     assert got.std_error == pytest.approx(
@@ -808,32 +930,34 @@ def test_numeric_average_matches_the_reference_path(
 @pytest.mark.parametrize("name,t", [("S2", 2.0), ("S2xS2", 1.5), ("S3", 2.0)])
 @pytest.mark.parametrize("nodes", [7, 8, 15, 16, 40])
 def test_mirrored_quadrature_equals_the_full_grid(
-    prepared, monkeypatch, name, t, nodes
+    prepared, monkeypatch, counting, name, t, nodes
 ):
     prep, p = prepared[name], prepared[name].spec.p
-    x1, w1 = np.polynomial.hermite.hermgauss(nodes)
+    x1 = np.polynomial.hermite.hermgauss(nodes)[0]
     # The broadcast grid is the meshgrid one, bit for bit.
     grids = np.meshgrid(*([x1] * p), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w1] * p), indexing="ij")
-    weight = np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
-    got_pts, got_weight = averaging._tensor_grid(x1, w1, p)
-    np.testing.assert_array_equal(got_pts, pts)
-    np.testing.assert_array_equal(got_weight, weight)
+    np.testing.assert_array_equal(averaging._tensor_grid(x1, p), pts)
 
-    integrand = averaging._Integrand(prep, 0.01)
-    pts = averaging._tensor_grid(2.0 * math.sqrt(t) * x1, w1, p)[0]
-    vals, ok = averaging._even_grid(integrand, pts)
-    want_vals, want_ok = integrand(pts)
-    np.testing.assert_array_equal(ok, want_ok)
-    np.testing.assert_allclose(vals, want_vals, rtol=1e-15, atol=0)
-
-    got = hg.numeric_average(prep, t, "quadrature", nodes=nodes)
-    monkeypatch.setattr(averaging, "_even_grid", full_grid)
-    want = hg.numeric_average(prep, t, "quadrature", nodes=nodes)
-    assert got.singularity_hits == want.singularity_hits > 0
-    assert got.evaluations == want.evaluations
-    assert got.value == pytest.approx(want.value, rel=1e-14)
+    # Half the grid, in blocks of whole slabs or, at 5 points, in runs
+    # smaller than a slab, against one sum over the whole grid.
+    want = full_grid_average(ReferenceIntegrand(prep, 0.01), prep, t, nodes)
+    sizes = [nodes] + [nodes - 4] * (nodes >= 12)
+    for block in (averaging._BLOCK, 5):
+        monkeypatch.setattr(averaging, "_BLOCK", block)
+        counting.clear()
+        got = hg.numeric_average(prep, t, "quadrature", nodes=nodes)
+        # Each grid's first half, and nothing else, a block at a time.
+        assert max(counting) <= block
+        assert sum(counting) == sum(
+            (k**p + 1) // 2 for k in sizes
+        )
+        assert got.singularity_hits == want.singularity_hits > 0
+        assert got.evaluations == want.evaluations
+        assert got.value == pytest.approx(want.value, rel=1e-14)
+        assert got.std_error == pytest.approx(
+            want.std_error, abs=4e-14 * want.value
+        )
 
 
 @st.composite

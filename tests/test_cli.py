@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 import sys
 from fractions import Fraction as F
@@ -273,6 +274,18 @@ def test_eval_huge_node_count_exits_two(capsys):
     )
     assert code == 2
     assert "nodes must be in" in err
+
+
+def test_eval_quadrature_node_range_ends_at_256(capsys):
+    args = ("eval", "S2", "--t", "0.05", "--method", "quadrature", "--json")
+    code, out, _ = run(capsys, *args, "--nodes", "256")
+    assert code == 0
+    assert "nan" not in out
+    assert math.isfinite(float(json.loads(out)["value"]))
+    code, out, err = run(capsys, *args, "--nodes", "257")
+    assert code == 2
+    assert out == ""
+    assert "nodes must be in 1..256, got 257" in err
 
 
 def test_eval_mc_reproducible(capsys):
