@@ -681,6 +681,16 @@ def _check_integer(label: str, x) -> None:
         raise ValueError(f"{label} must be an integer, got {x!r}")
 
 
+def _sample_std(values: np.ndarray, mean: float) -> float:
+    """values.std(ddof=1) for mean = values.mean(), bit for bit: numpy's
+    steps (deviations, their squares, one pairwise sum, division by the
+    count less one, square root), done in place, so values is
+    overwritten and no second array as large is allocated."""
+    values -= mean
+    np.square(values, out=values)
+    return math.sqrt(float(values.sum()) / (len(values) - 1))
+
+
 class _NumericAverager:
     """numeric_average of one datum, by one method with one set of
     parameters, at any number of times t (each checked by the caller).
@@ -795,7 +805,7 @@ class _NumericAverager:
                         f"numeric average"
                     )
             mean = float(values.mean())
-            sem = float(values.std(ddof=1) / math.sqrt(self.samples))
+            sem = _sample_std(values, mean) / math.sqrt(self.samples)
             return NumericAverage(
                 prefactor * mean, prefactor * sem, hits, self.samples + hits,
                 "mc",

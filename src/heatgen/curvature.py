@@ -13,8 +13,15 @@ once, at construction, and a realization holds nothing but tensors
 Construction bounds the check tensors by MAX_CHECK_ENTRIES, checks
 symmetries and independence on the tensors and factors each metric once
 by rational.ldl, its positive-definiteness test, keeping the factors
-(SpaceSpec.g_ldl, beta_ldl) for the inverses and the whitening.  prepare() runs derivation, checks and curvature
-scalars once per datum, and alone turns failed checks into ValidationError.
+(SpaceSpec.g_ldl, beta_ldl) for the inverses and the whitening.  The
+structural checks form each contraction once: Jacobi and integrability
+one matrix product each through rational.exact_matmul (float64 BLAS
+below 2**53, exact in any summation order), the generator identity one
+per side.  Every other term is a transposed view of one of these, never
+a copy, and _vanishes adds the views in the dtype exact_dtype picks for
+the number of terms times the entry bound.  prepare() runs derivation,
+checks and curvature scalars once per datum, and alone turns failed
+checks into ValidationError.
 """
 
 from __future__ import annotations
@@ -33,7 +40,16 @@ from .errors import (
     InvalidSpaceSpec,
     ValidationError,
 )
-from .rational import Factor, Matrix, ScaledTensor, assemble, exact_einsum
+from .rational import (
+    Factor,
+    Matrix,
+    ScaledTensor,
+    assemble,
+    exact_dtype,
+    exact_einsum,
+    exact_matmul,
+    max_abs,
+)
 
 __all__ = [
     "SpaceSpec",
@@ -49,7 +65,12 @@ __all__ = [
     "prepare",
 ]
 
-# Most entries of a check tensor (32 MB in int64); S6's Jacobi has 21^4.
+# Most entries of a check tensor: Jacobi's (N^2, N^2) product, N = n + p,
+# or integrability's (n^3, n^3).  A check holds two arrays of that size
+# at once, the float64 product and its int64 cast, then the product and
+# the signed sum: 64 MB at the limit (32 MB each), which tracemalloc
+# measures for validate_symmetric_space on n = 9, p = 36 (66.3 MB).  S6's
+# Jacobi has 21^4 entries.
 MAX_CHECK_ENTRIES = 2**22
 
 
@@ -260,18 +281,30 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
     return HolonomyRealization(n=n, p=p, D=D, F=F, C=C)
 
 
+def _vanishes(array: np.ndarray, bound: int, *terms) -> bool:
+    """Whether array + sum of sign * array.transpose(axes) over the terms
+    (sign, axes) is zero, for a bound on the magnitude of every entry of
+    the integer array.  The sum runs in the dtype exact_dtype picks for
+    the number of terms times the bound, so int64 never wraps."""
+    a = array.astype(exact_dtype((1 + len(terms)) * bound, array), copy=False)
+    acc = a.copy()
+    for sign, axes in terms:
+        (np.add if sign > 0 else np.subtract)(acc, a.transpose(axes), out=acc)
+    return not acc.any()
+
+
 def _check_generator_identity(spec: SpaceSpec, hol: HolonomyRealization) -> CheckResult:
     """E^i_bc D^c_ka - E^i_ac D^c_kb = E^j_ab F^i_jk for all i, k, a, b."""
     name = "generator_connection_identity"
     if spec.p == 0:
         return CheckResult(name, True, "no holonomy generators; vacuous")
     E, D, F = spec.tensors.E, hol.D, hol.F
-    lhs1 = exact_einsum("ibc,kca->ikab", E, D)
-    lhs2 = exact_einsum("iac,kcb->ikab", E, D)
+    # The second term is the first with a and b swapped.
+    lhs = exact_einsum("ibc,kca->ikab", E, D)
     # F[j][i][k] is the D_j coefficient in [D_i, D_k]; the right side wants
     # the free holonomy index up, i.e. F^i_jk.
     rhs = exact_einsum("jab,ijk->ikab", E, F)
-    ok = (lhs1 - lhs2).equals(rhs)
+    ok = (lhs - exact_einsum("ikab->ikba", lhs)).equals(rhs)
     return CheckResult(
         name, ok, "holds" if ok else "generator/connection intertwining fails"
     )
@@ -279,20 +312,25 @@ def _check_generator_identity(spec: SpaceSpec, hol: HolonomyRealization) -> Chec
 
 def _check_integrability(spec: SpaceSpec) -> CheckResult:
     """The curvature operator annihilates the curvature tensor:
-    R_fgea R^e_bcd - R_fgeb R^e_acd + R_fgec R^e_dab - R_fged R^e_cab = 0."""
+    R_fgea R^e_bcd - R_fgeb R^e_acd + R_fgec R^e_dab - R_fged R^e_cab = 0.
+
+    All four terms are index permutations of one contraction
+    U_fgxbcd = R_fgex R^e_bcd, one (n^3, n) @ (n, n^3) product."""
     name = "curvature_integrability"
-    if spec.p == 0 or spec.n == 0:
+    n = spec.n
+    if spec.p == 0 or n == 0:
         return CheckResult(name, True, "flat datum; vacuous")
-    R, ginv = spec.tensors.riemann, spec.tensors.ginv
-    Rup = exact_einsum("ef,fbcd->ebcd", ginv, R)
-    # All four terms are index permutations of one contraction
-    # U_fgxbcd = R_fgex R^e_bcd.
-    U = exact_einsum("fgex,ebcd->fgxbcd", R, Rup)
-    t1 = U
-    t2 = exact_einsum("fgbacd->fgabcd", U)
-    t3 = exact_einsum("fgcdab->fgabcd", U)
-    t4 = exact_einsum("fgdcab->fgabcd", U)
-    ok = (t1 - t2 + t3 - t4).is_zero()
+    R, ginv = spec.tensors.riemann.array, spec.tensors.ginv.array
+    top = max_abs(R)
+    Rup = exact_matmul(ginv, R.reshape(n, n**3), max_abs(ginv) * top * n)
+    bound = top * max_abs(Rup) * n
+    U = exact_matmul(R.transpose(0, 1, 3, 2).reshape(n**3, n), Rup, bound)
+    ok = _vanishes(
+        U.reshape((n,) * 6), bound,
+        (-1, (0, 1, 3, 2, 4, 5)),
+        (1, (0, 1, 4, 5, 2, 3)),
+        (-1, (0, 1, 4, 5, 3, 2)),
+    )
     return CheckResult(
         name, ok, "holds" if ok else "curvature is not parallel"
     )
@@ -300,15 +338,22 @@ def _check_integrability(spec: SpaceSpec) -> CheckResult:
 
 def _check_structure_jacobi(hol: HolonomyRealization) -> CheckResult:
     """Jacobi identity for the combined structure constants read off the
-    C matrices: sum over cyclic permutations of C^E_AD C^D_BC vanishes."""
+    C matrices: sum over cyclic permutations of C^E_AD C^D_BC vanishes.
+
+    The three cyclic terms are index permutations of one contraction
+    j_abce = C_aed C_bdc, one (N^2, N) @ (N, N^2) product."""
     name = "structure_jacobi"
-    if hol.n + hol.p == 0:
+    N = hol.n + hol.p
+    if N == 0:
         return CheckResult(name, True, "empty algebra; vacuous")
-    # The three cyclic terms are index permutations of one contraction.
-    j1 = exact_einsum("aed,bdc->abce", hol.C, hol.C)
-    j2 = exact_einsum("bcae->abce", j1)
-    j3 = exact_einsum("cabe->abce", j1)
-    ok = (j1 + j2 + j3).is_zero()
+    C = hol.C.array
+    bound = max_abs(C) ** 2 * N
+    prod = exact_matmul(
+        C.reshape(N * N, N), C.transpose(1, 0, 2).reshape(N, N * N), bound
+    )
+    # prod[(a, e), (b, c)] = j_abce
+    j = prod.reshape((N,) * 4).transpose(0, 2, 3, 1)
+    ok = _vanishes(j, bound, (1, (2, 0, 1, 3)), (1, (1, 2, 0, 3)))
     return CheckResult(
         name, ok, "holds" if ok else "combined structure constants fail Jacobi"
     )
@@ -320,17 +365,18 @@ def _check_riemann_symmetries(spec: SpaceSpec) -> CheckResult:
     name = "riemann_symmetries"
     if spec.p == 0 or spec.n == 0:
         return CheckResult(name, True, "flat datum; vacuous")
-    R = spec.tensors.riemann
-    failures = []
-    if not (R + exact_einsum("abcd->bacd", R)).is_zero():
-        failures.append("antisymmetry in the first pair")
-    if not (R + exact_einsum("abcd->abdc", R)).is_zero():
-        failures.append("antisymmetry in the second pair")
-    if not (R - exact_einsum("abcd->cdab", R)).is_zero():
-        failures.append("pair exchange symmetry")
-    cyclic = exact_einsum("abcd->acdb", R) + exact_einsum("abcd->adbc", R)
-    if not (R + cyclic).is_zero():
-        failures.append("first Bianchi identity")
+    R = spec.tensors.riemann.array
+    top = max_abs(R)
+    identities = (
+        ("antisymmetry in the first pair", ((1, (1, 0, 2, 3)),)),
+        ("antisymmetry in the second pair", ((1, (0, 1, 3, 2)),)),
+        ("pair exchange symmetry", ((-1, (2, 3, 0, 1)),)),
+        ("first Bianchi identity", ((1, (0, 2, 3, 1)), (1, (0, 3, 1, 2)))),
+    )
+    failures = [
+        label for label, terms in identities
+        if not _vanishes(R, top, *terms)
+    ]
     ok = not failures
     return CheckResult(name, ok, "holds" if ok else "; ".join(failures))
 

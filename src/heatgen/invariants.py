@@ -173,8 +173,8 @@ def sphere_spectral_trace(n: int, t: float) -> float:
     levels = math.ceil(math.sqrt(50.0 / t)) + 5
     if levels > _MAX_SPECTRAL_LEVELS:
         raise ValueError(
-            f"the spectral sum at t={t:g} needs {levels} levels, more than "
-            f"the cap of {_MAX_SPECTRAL_LEVELS}; use a larger t"
+            f"the spectral sum at t={t:g} needs {levels:.3g} levels, more "
+            f"than the cap of {_MAX_SPECTRAL_LEVELS}; use a larger t"
         )
     total = 0.0
     for start in range(0, levels, _SPECTRAL_CHUNK):

@@ -261,7 +261,19 @@ class ScaledTensor:
 
 def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
     """np.einsum over ScaledTensors, promoting to object dtype when an
-    int64 result could overflow."""
+    int64 result could overflow.  A pure index permutation of one operand
+    ("iab->iba") is the transposed view over the same denominator: no
+    bound pass and no copy, which is safe because no ScaledTensor array
+    is written after construction."""
+    in_part, arrow, out_spec = subscripts.partition("->")
+    if (
+        len(operands) == 1 and arrow
+        and len(set(in_part)) == len(in_part)
+        and sorted(in_part) == sorted(out_spec)
+    ):
+        (op,) = operands
+        axes = tuple(in_part.index(ch) for ch in out_spec)
+        return ScaledTensor(op.array.transpose(axes), op.denom)
     arrays = [op.array for op in operands]
     denom = 1
     for op in operands:
@@ -271,10 +283,8 @@ def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
     bound = 1
     for op in operands:
         bound *= max(max_abs(op.array), 1)
-    in_specs = subscripts.split("->")[0].split(",")
-    out_spec = subscripts.split("->")[1] if "->" in subscripts else ""
     sizes: dict[str, int] = {}
-    for spec, arr in zip(in_specs, arrays):
+    for spec, arr in zip(in_part.split(","), arrays):
         for ch, dim in zip(spec, arr.shape):
             sizes[ch] = dim
     for ch, dim in sizes.items():

@@ -316,11 +316,13 @@ def _exponents(codes: np.ndarray, p: int, top: int) -> np.ndarray:
 
 
 def _matrix_powers(
-    gens: np.ndarray, order: int, codes: list[np.ndarray]
+    gens: np.ndarray, codes: list[np.ndarray], ranks: list[np.ndarray]
 ) -> list[np.ndarray]:
     """powers[k][rank(alpha)] is the omega^alpha coefficient of
-    (sum_i omega_i gens[i])^k, k = 0..order: the sum of gens along every
-    word with letter counts alpha.
+    (sum_i omega_i gens[i])^k, k = 0..len(ranks) - 1: the sum of gens
+    along every word with letter counts alpha.  ranks[k][j, i] is the
+    rank in codes[k] of beta + e_i, beta the j-th degree-(k-1) monomial
+    (ranks[0] unused).
 
     Step k forms every powers[k-1][beta] @ gens[i] in one product
     (N dim, dim) @ (dim, p dim) and adds it onto beta + e_i, which for a
@@ -328,17 +330,16 @@ def _matrix_powers(
     p, dim = gens.shape[0], gens.shape[1]
     step = gens.transpose(1, 0, 2).reshape(dim, p * dim)
     powers = [np.eye(dim, dtype=gens.dtype)[None]]
-    for k in range(1, order + 1):
+    for k in range(1, len(ranks)):
         prev = powers[-1]
         n = len(prev)
         # Each monomial collects at most min(p, k) products.
         bound = max_abs(prev) * max_abs(gens) * dim * min(p, k)
         prod = exact_matmul(prev.reshape(n * dim, dim), step, bound)
         prod = prod.reshape(n, dim, p, dim)
-        ranks = np.searchsorted(codes[k], codes[k - 1][:, None] + codes[1])
         cur = np.zeros((len(codes[k]), dim, dim), dtype=prod.dtype)
         for i in range(p):
-            cur[ranks[:, i]] += prod[:, :, i]
+            cur[ranks[k][:, i]] += prod[:, :, i]
         powers.append(cur)
     return powers
 
@@ -389,12 +390,19 @@ def _graded_log(
     coefficient of gamma sums tr(powers[m][alpha] @ powers[m][beta]) over
     alpha + beta = gamma.  A row of the signed Gram matrix holds F's
     powers beside D's, and its columns negate D's.  It is symmetric, so
-    only pairs with rank(alpha) <= rank(beta) are formed, and the
-    off-diagonal ones count twice."""
+    only pairs with rank(alpha) <= rank(beta) are ranked and scattered,
+    and the off-diagonal ones count twice.  A block of rows s..e forms
+    its products with the columns s..n; of its square part [s:e, s:e]
+    only the upper triangle is used."""
     cs = log_sinh_ratio_series(order)
     den = lcm(d.denom, f.denom)
+    # The same step ranks serve both families.
+    steps = [None] + [
+        np.searchsorted(codes[k], codes[k - 1][:, None] + codes[1])
+        for k in range(1, order + 1)
+    ]
     f_powers, d_powers = (
-        _matrix_powers(t.scale(den // t.denom).array, order, codes)
+        _matrix_powers(t.scale(den // t.denom).array, codes, steps)
         for t in (f, d)
     )
     grades = [None]
@@ -413,17 +421,18 @@ def _graded_log(
         block = max(1, _GRAM_BLOCK // n)
         for s in range(0, n, block):
             e = min(s + block, n)
+            # The pairs (s + i, s + j) with i <= j: the square part's
+            # upper triangle and the rectangle to its right.
+            i, j = np.triu_indices(e - s, 0, n - s)
             ranks = np.searchsorted(
-                codes[2 * m], codes[m][s:e, None] + codes[m][s:]
+                codes[2 * m], codes[m][s + i] + codes[m][s + j]
             )
-            gram = exact_matmul(rows[s:e], cols[:, s:], bound)
-            square = gram[:, : e - s]
-            gram[:, : e - s] = np.triu(square) + np.triu(square, 1)
-            gram[:, e - s :] *= 2
+            gram = exact_matmul(rows[s:e], cols[:, s:], bound)[i, j]
+            gram *= 2 - (i == j)
             if product_dtype(bound, gram) is np.float64:
                 # Every bin sum is a partial sum of one monomial.
                 out += np.bincount(
-                    ranks.ravel(), weights=gram.ravel(), minlength=len(out)
+                    ranks, weights=gram, minlength=len(out)
                 ).astype(np.int64)
             else:
                 np.add.at(out, ranks, gram)

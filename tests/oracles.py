@@ -14,7 +14,9 @@ checks:
 - the two-sphere coefficients by series inversion in one variable, and a
   fit of the sphere spectral sum;
 - curvature data moved by changes of basis and scalings, as functions
-  and as Hypothesis strategies.
+  and as Hypothesis strategies;
+- the four structural checks as separate einsum contractions, one per
+  term, added as ScaledTensors.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import heatgen as hg
-from heatgen.rational import Matrix, identity
+from heatgen.rational import Matrix, exact_einsum, identity
 
 # ---------------------------------------------------------------------------
 # Fraction matrices
@@ -526,3 +528,93 @@ def moved_spaces(draw):
         for i in range(p)
     )
     return moved(spec, P, N, draw(SCALES), draw(SCALES))
+
+
+# ---------------------------------------------------------------------------
+# Structural checks, one einsum per term
+# ---------------------------------------------------------------------------
+
+
+def check_generator_identity(spec, hol) -> hg.CheckResult:
+    """E^i_bc D^c_ka - E^i_ac D^c_kb = E^j_ab F^i_jk for all i, k, a, b."""
+    name = "generator_connection_identity"
+    if spec.p == 0:
+        return hg.CheckResult(name, True, "no holonomy generators; vacuous")
+    E, D, F = spec.tensors.E, hol.D, hol.F
+    lhs1 = exact_einsum("ibc,kca->ikab", E, D)
+    lhs2 = exact_einsum("iac,kcb->ikab", E, D)
+    # F[j][i][k] is the D_j coefficient in [D_i, D_k]; the right side wants
+    # the free holonomy index up, i.e. F^i_jk.
+    rhs = exact_einsum("jab,ijk->ikab", E, F)
+    ok = (lhs1 - lhs2).equals(rhs)
+    return hg.CheckResult(
+        name, ok, "holds" if ok else "generator/connection intertwining fails"
+    )
+
+
+def check_integrability(spec) -> hg.CheckResult:
+    """The curvature operator annihilates the curvature tensor:
+    R_fgea R^e_bcd - R_fgeb R^e_acd + R_fgec R^e_dab - R_fged R^e_cab = 0."""
+    name = "curvature_integrability"
+    if spec.p == 0 or spec.n == 0:
+        return hg.CheckResult(name, True, "flat datum; vacuous")
+    R, ginv = spec.tensors.riemann, spec.tensors.ginv
+    Rup = exact_einsum("ef,fbcd->ebcd", ginv, R)
+    # All four terms are index permutations of one contraction
+    # U_fgxbcd = R_fgex R^e_bcd.
+    U = exact_einsum("fgex,ebcd->fgxbcd", R, Rup)
+    t1 = U
+    t2 = exact_einsum("fgbacd->fgabcd", U)
+    t3 = exact_einsum("fgcdab->fgabcd", U)
+    t4 = exact_einsum("fgdcab->fgabcd", U)
+    ok = (t1 - t2 + t3 - t4).is_zero()
+    return hg.CheckResult(
+        name, ok, "holds" if ok else "curvature is not parallel"
+    )
+
+
+def check_structure_jacobi(hol) -> hg.CheckResult:
+    """Jacobi identity for the combined structure constants read off the
+    C matrices: sum over cyclic permutations of C^E_AD C^D_BC vanishes."""
+    name = "structure_jacobi"
+    if hol.n + hol.p == 0:
+        return hg.CheckResult(name, True, "empty algebra; vacuous")
+    # The three cyclic terms are index permutations of one contraction.
+    j1 = exact_einsum("aed,bdc->abce", hol.C, hol.C)
+    j2 = exact_einsum("bcae->abce", j1)
+    j3 = exact_einsum("cabe->abce", j1)
+    ok = (j1 + j2 + j3).is_zero()
+    return hg.CheckResult(
+        name, ok, "holds" if ok else "combined structure constants fail Jacobi"
+    )
+
+
+def check_riemann_symmetries(spec) -> hg.CheckResult:
+    """Antisymmetry in both pairs, pair exchange, and the first Bianchi
+    identity for the reconstructed tensor."""
+    name = "riemann_symmetries"
+    if spec.p == 0 or spec.n == 0:
+        return hg.CheckResult(name, True, "flat datum; vacuous")
+    R = spec.tensors.riemann
+    failures = []
+    if not (R + exact_einsum("abcd->bacd", R)).is_zero():
+        failures.append("antisymmetry in the first pair")
+    if not (R + exact_einsum("abcd->abdc", R)).is_zero():
+        failures.append("antisymmetry in the second pair")
+    if not (R - exact_einsum("abcd->cdab", R)).is_zero():
+        failures.append("pair exchange symmetry")
+    cyclic = exact_einsum("abcd->acdb", R) + exact_einsum("abcd->adbc", R)
+    if not (R + cyclic).is_zero():
+        failures.append("first Bianchi identity")
+    ok = not failures
+    return hg.CheckResult(name, ok, "holds" if ok else "; ".join(failures))
+
+
+def validation_checks(spec, hol) -> tuple[hg.CheckResult, ...]:
+    """The four checks in the order validate_symmetric_space runs them."""
+    return (
+        check_generator_identity(spec, hol),
+        check_integrability(spec),
+        check_structure_jacobi(hol),
+        check_riemann_symmetries(spec),
+    )

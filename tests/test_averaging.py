@@ -729,6 +729,30 @@ def test_numeric_memory_does_not_grow_with_the_input(prepared):
     assert quadrature_peak < 8e6
 
 
+def test_mc_needs_one_values_vector(prepared):
+    # 10^6 samples are an 8 MB values vector; np.std allocated a second
+    # one for the deviations (16.0 MB).
+    tracemalloc.start()
+    try:
+        hg.numeric_average(prepared["S2"], 0.05, "mc", samples=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("size", [2, 3, 9, 127, 128, 129, 1000, 8193,
+                                  100_003, 1_234_567])
+def test_sample_std_is_numpy_std_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for values in (rng.standard_normal(size),
+                   rng.lognormal(0.0, 3.0, size),
+                   1e6 + rng.random(size)):
+        want = float(np.std(values, ddof=1))
+        got = averaging._sample_std(values.copy(), float(values.mean()))
+        assert got == want
+
+
 class CountingIntegrand(averaging._Integrand):
     """The integrand, recording the number of points of every call."""
 

@@ -399,6 +399,14 @@ def test_compare_time_beyond_the_spectral_cap_exits_two(capsys):
     assert "cap of 10000000" in err
 
 
+def test_spectral_cap_message_prints_the_level_count_to_three_digits(capsys):
+    # ceil(sqrt(50 / 1e-300)) is a 151-digit integer.
+    code, _, err = run(capsys, "compare", "S3", "--order", "2", "--t",
+                       "1e-300", "--method", "quadrature", "--nodes", "4")
+    assert code == 2
+    assert "needs 7.07e+150 levels, more than the cap of 10000000" in err
+
+
 def test_huge_sample_count_exits_two(capsys, monkeypatch):
     # Refused before the integrand exists, so nothing of its size is
     # allocated.

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import types
 from fractions import Fraction as F
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import heatgen as hg
 import oracles
-from heatgen import rational
+from heatgen import curvature, rational
 from heatgen.rational import identity
 
 ZERO3 = tuple(tuple(F(0) for _ in range(3)) for _ in range(3))
@@ -278,6 +279,14 @@ def doubled_beta_three_sphere():
     )
 
 
+def assert_checks_match_oracle(spec, hol):
+    """The report's (name, passed, detail) tuples equal those of the
+    checks as one einsum per term (oracles.validation_checks)."""
+    report = hg.validate_symmetric_space(spec, hol)
+    assert report.checks == oracles.validation_checks(spec, hol)
+    return report
+
+
 def test_stale_structure_constants_fail_generator_identity():
     # Refreshing D for a rescaled beta while keeping the old F breaks the
     # intertwining identity and nothing else.
@@ -287,7 +296,7 @@ def test_stale_structure_constants_fail_generator_identity():
     franken = hg.HolonomyRealization(
         n=3, p=3, D=fresh.D, F=stale.F, C=fresh.C
     )
-    report = hg.validate_symmetric_space(scaled, franken)
+    report = assert_checks_match_oracle(scaled, franken)
     assert report.failed_names() == ("generator_connection_identity",)
 
 
@@ -300,7 +309,7 @@ def test_replaced_stale_structure_constants_fail_generator_identity():
     franken = dataclasses.replace(
         fresh, F=hg.derive_holonomy(hg.builtin("S3")).F
     )
-    report = hg.validate_symmetric_space(scaled, franken)
+    report = assert_checks_match_oracle(scaled, franken)
     assert report.failed_names() == ("generator_connection_identity",)
 
 
@@ -308,22 +317,89 @@ def test_anisotropic_beta_fails_validation():
     s3 = hg.builtin("S3")
     beta = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(2)))
     squashed = hg.SpaceSpec("squashed", 3, 3, s3.g, beta, s3.E)
-    report = hg.validate_symmetric_space(squashed, hg.derive_holonomy(squashed))
-    assert not report.all_passed
-    assert "generator_connection_identity" in report.failed_names()
+    report = assert_checks_match_oracle(
+        squashed, hg.derive_holonomy(squashed)
+    )
+    assert report.failed_names() == (
+        "generator_connection_identity", "curvature_integrability",
+        "structure_jacobi",
+    )
 
 
 def test_bianchi_violation_detected():
     e = antisym(4, {(0, 1): 1, (2, 3): 2})
     spec = hg.SpaceSpec("nonbianchi", 4, 1, identity(4), ((F(1),),), (e,))
-    report = hg.validate_symmetric_space(spec, hg.derive_holonomy(spec))
-    assert "riemann_symmetries" in report.failed_names()
+    report = assert_checks_match_oracle(spec, hg.derive_holonomy(spec))
+    assert report.failed_names() == ("structure_jacobi", "riemann_symmetries")
 
 
 def test_flat_validation_is_vacuous():
     spec = hg.builtin("flat3")
     report = hg.validate_symmetric_space(spec, hg.derive_holonomy(spec))
     assert report.all_passed
+
+
+# ---------------------------------------------------------------------------
+# validate_symmetric_space against the checks as one einsum per term (the
+# builtins and moved data are compared in assert_matches_oracle below)
+# ---------------------------------------------------------------------------
+
+
+def with_one_changed_entry_of_C(hol):
+    """The realization with C_{n, 0, 1}, a holonomy block entry, raised
+    by one; nothing but the Jacobi check reads C."""
+    C = hol.C.array.copy()
+    C[hol.n, 0, 1] += 1
+    return dataclasses.replace(hol, C=rational.ScaledTensor(C, hol.C.denom))
+
+
+def test_one_changed_entry_of_C_fails_only_jacobi():
+    spec = hg.builtin("S3")
+    hol = with_one_changed_entry_of_C(hg.derive_holonomy(spec))
+    report = assert_checks_match_oracle(spec, hol)
+    assert report.failed_names() == ("structure_jacobi",)
+
+
+@pytest.mark.parametrize("scale", [1, 2**70])
+@pytest.mark.parametrize("kind", ["random", "first", "both", "outer"])
+def test_riemann_failure_details_match_the_einsum_oracle(kind, scale):
+    # No datum reaches the first three failures (R = beta E E has them),
+    # so these tensors stand in for spec.tensors.riemann: random entries,
+    # antisymmetrized in the first pair or in both, or A_ab A_cd.
+    rng = np.random.default_rng(len(kind))
+    r = rng.integers(-3, 4, (4, 4, 4, 4)).astype(object) * scale
+    if kind in ("first", "both"):
+        r = r - r.transpose(1, 0, 2, 3)
+    if kind == "both":
+        r = r - r.transpose(0, 1, 3, 2)
+    if kind == "outer":
+        a = rng.integers(-3, 4, (4, 4)).astype(object) * scale
+        a = a - a.T
+        r = np.einsum("ab,cd->abcd", a, a)
+    if scale == 1:
+        r = r.astype(np.int64)
+    spec = types.SimpleNamespace(
+        n=4, p=1,
+        tensors=types.SimpleNamespace(riemann=rational.ScaledTensor(r, 3)),
+    )
+    got = curvature._check_riemann_symmetries(spec)
+    assert got == oracles.check_riemann_symmetries(spec)
+    assert not got.passed
+
+
+def test_checks_on_python_ints_match_the_einsum_oracle():
+    # beta * 10^1500 puts R, D, F and C past int64, so every check sums
+    # Python ints.
+    s3 = hg.builtin("S3")
+    big = hg.SpaceSpec(
+        "S3big", 3, 3, s3.g, oracles.scale(s3.beta, F(10**1500)), s3.E
+    )
+    hol = hg.derive_holonomy(big)
+    assert big.tensors.riemann.array.dtype == object
+    assert hol.C.array.dtype == hol.D.array.dtype == object
+    assert assert_checks_match_oracle(big, hol).all_passed
+    report = assert_checks_match_oracle(big, with_one_changed_entry_of_C(hol))
+    assert report.failed_names() == ("structure_jacobi",)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +517,7 @@ def oracle_holonomy(spec):
 def assert_matches_oracle(spec):
     hol = hg.derive_holonomy(spec)
     assert as_fractions(hol) == oracle_holonomy(spec)
-    if hol.p and hg.validate_symmetric_space(spec, hol).all_passed:
+    if hol.p and assert_checks_match_oracle(spec, hol).all_passed:
         binv = oracles.inverse(spec.beta)
         F_mats = hol.F_mats.to_fractions()
         want = -sum(
@@ -474,7 +550,7 @@ def test_derive_holonomy_matches_oracle_on_a_huge_metric():
 @given(spec=oracles.moved_spaces())
 def test_derive_holonomy_matches_oracle_on_moved_spaces(spec):
     assert_matches_oracle(spec)
-    assert hg.validate_symmetric_space(
+    assert assert_checks_match_oracle(
         spec, hg.derive_holonomy(spec)
     ).all_passed
 

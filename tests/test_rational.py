@@ -129,6 +129,26 @@ def test_exact_einsum_object_fallback_is_exact():
     assert prod.to_fractions()[0][0] == F(big) ** 2
 
 
+@pytest.mark.parametrize("subscripts", ["abc->cab", "abc->abc", "abc->bac"])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_exact_einsum_permutation_is_a_view(subscripts, dtype):
+    array = np.arange(24, dtype=np.int64).reshape(2, 3, 4).astype(dtype)
+    t = rational.ScaledTensor(array * 2**70 if dtype is object else array, 5)
+    got = rational.exact_einsum(subscripts, t)
+    assert np.shares_memory(got.array, t.array) and got.denom == 5
+    assert np.array_equal(got.array, np.einsum(subscripts, t.array))
+
+
+@pytest.mark.parametrize("subscripts,want", [
+    ("ii->i", [1, 4]), ("ij->i", [3, 7]), ("ij->", 10),
+])
+def test_exact_einsum_diagonals_and_sums_are_not_permutations(
+    subscripts, want
+):
+    t = rational.ScaledTensor(np.array([[1, 2], [3, 4]]), 1)
+    assert rational.exact_einsum(subscripts, t).array.tolist() == want
+
+
 @pytest.mark.parametrize(
     "limit,above,dtype",
     [

@@ -370,6 +370,31 @@ def test_dense_exp_falls_back_to_python_ints():
     assert _dense_to_poly(dense, 3) == hg.integrand_log_expansion(hol, 3).exp()
 
 
+@pytest.mark.parametrize("space,block", [
+    # S4 at order 3 has 21 and 56 monomials of degree 2 and 3.  Blocks of
+    # 200 entries take rows 9 + 9 + 3 of degree 2 and 18 x 3 + 2 of
+    # degree 3; blocks of 1000 take degree 2 whole and 3 x 17 + 5 rows of
+    # degree 3.  Every block after the first starts its triangle at s > 0.
+    ("S4", 200), ("S4", 1000),
+    # Two variables at order 3: degree 3 has 4 monomials, in blocks of 3
+    # rows and 1, with Gram products in int64 ("wide") or Python ints
+    # ("promoted"), scattered by np.add.at.
+    ("wide", 12), ("promoted", 12),
+])
+def test_gram_blocks_with_a_square_part_and_a_ragged_end(
+    hols, monkeypatch, space, block
+):
+    if space in hols:
+        hol = hols[space]
+    else:
+        hol = _random_hol(space, 2, 3, seed=f"ragged-{space}")
+    log = hg.integrand_log_expansion(hol, 3)
+    monkeypatch.setattr(series, "_GRAM_BLOCK", block)
+    assert hg.integrand_log_expansion(hol, 3) == log
+    dense = series.dense_integrand(hol.D, hol.F_mats, 3)
+    assert _dense_to_poly(dense, 3) == log.exp()
+
+
 def test_dense_exp_blocks_do_not_change_the_result(hols, monkeypatch):
     d, f = hols["S2xS3"].D, hols["S2xS3"].F_mats
     whole = _dense_to_poly(series.dense_integrand(d, f, 3), 3)
