@@ -1,4 +1,5 @@
-"""Gaussian averages over the holonomy variables, exact and numeric.
+"""Gaussian averages over the holonomy variables: the oracles of the
+production average, series.whitened_average, exact and numeric.
 
 The group average integrates against the centered Gaussian whose
 covariance is Cov(omega^i, omega^j) = 2 beta^{ij}, where beta^{ij} are the
@@ -6,14 +7,7 @@ entries of the inverse of beta.  That normalization is pinned down by the
 one-dimensional quadrature oracle: for p = 1, beta = 1 the even moments
 must be <omega^{2k}> = (2k-1)!! 2^k.
 
-The production path, whitened_average, reads the datum's exact factor
-(L^-1, d) of beta = L diag(d) L^T (SpaceSpec.beta_ldl, from
-construction), rewrites the generators in eta = L^T omega, of diagonal
-covariance 2 diag(1/d), and averages the dense exponential of
-series.dense_integrand with the closed form <eta^{2b}> = prod_i
-(2b_i - 1)!! (2/d_i)^{b_i}.
-
-average() on an OmegaPolynomial is its oracle: it takes the same
+average() on an OmegaPolynomial is the exact oracle: it takes the
 moments in omega from wick_moment, a memoized sum over pairings.  The
 memo is bounded, so a long-lived process does not grow with every beta
 it sees.
@@ -26,11 +20,11 @@ det(sinh X / X) = prod_j sin(s_j)/s_j; the point is kept inside the
 regularity ball max_j s_j < pi - _MARGIN, a condition that does not
 depend on the tangent or holonomy basis.  Each factor's generators are
 split once per integrand, exactly and before any float is formed, into
-invariant blocks (_invariant_split): the common kernel is dropped, and
-the rest divided by the rational eigenspaces of the self-adjoint
-commutant, found with rational.nullspace.  That separates the simple
-ideals of F (S4's so(4) into two 3 x 3 blocks) and the de Rham factors
-of D in any basis.  The blocks up to 4 x 4 are compiled into rotation
+invariant blocks (rational.invariant_split): the common kernel is
+dropped, and the rest divided by the rational eigenspaces of the
+self-adjoint commutant.  That separates the simple ideals of F (S4's
+so(4) into two 3 x 3 blocks) and the de Rham factors of D in any
+basis.  The blocks up to 4 x 4 are compiled into rotation
 planes (_Factor): one projection product per factor gives every plane's
 s as the norm of a row triple, and the half-determinant
 sqrt(det(sinh X/X)) is the product of sin(s)/s over the planes.  Larger
@@ -65,17 +59,13 @@ from .rational import (
     Matrix,
     ScaledTensor,
     exact_einsum,
-    exact_matmul,
-    ldl,
-    max_abs,
-    nullspace,
-    primitive_columns,
-    solve,
+    float_stack,
+    invariant_split,
+    near_unit,
 )
-from .series import OmegaPolynomial, TSeries, check_budget, dense_integrand
+from .series import OmegaPolynomial, TSeries
 
 __all__ = [
-    "whitened_average",
     "wick_moment",
     "average",
     "NumericAverage",
@@ -151,56 +141,6 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
     return TSeries(poly.order, tuple(coeffs))
 
 
-def whitened_average(
-    prep: Prepared, order: int, *, budget: int | None = None
-) -> TSeries:
-    """<exp(L(omega, t))> over omega ~ N(0, 2 beta^{-1}), truncated at the
-    order, where L is the omega-dependent log of the integrand
-    (integrand_log_expansion): the exact production average.
-
-    The generators are whitened by the datum's own factor of beta:
-    D'_j = sum_i (L^-1)_ji D_i, and the same for F_mats, so that
-    D(omega) = D'(eta).  The exponential is built densely grade by grade
-    in eta (series.dense_integrand), and each even monomial eta^{2b}
-    averages to prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The budget is checked
-    first, on trace_units + exp_units, also when p = 0."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    p = prep.hol.p
-    check_budget(p, order, budget)
-    if p == 0 or order == 0:
-        return TSeries.constant(1, order)
-    back, pivots = prep.spec.beta_ldl
-    d, f = (
-        exact_einsum("ji,iab->jab", back, gens).reduced()
-        for gens in (prep.hol.D, prep.hol.F_mats)
-    )
-    poly = dense_integrand(d, f, order)
-    variances = [2 / x for x in pivots]
-    odd = [1]  # odd[b] = (2b - 1)!!
-    for b in range(1, order + 1):
-        odd.append(odd[-1] * (2 * b - 1))
-    coeffs = []
-    for g in range(order + 1):
-        nums, half = poly.even_part(g)
-        # prod_i (2b_i - 1)!! v_i^{b_i}, as integers over the common
-        # denominator prod_i den(v_i)^g.
-        moments = np.ones(len(half), dtype=object)
-        scale = 1
-        for i, v in enumerate(variances):
-            table = [
-                odd[b]
-                * v.numerator**b
-                * v.denominator ** (g - b)
-                for b in range(g + 1)
-            ]
-            moments *= np.array(table, dtype=object)[half[:, i]]
-            scale *= v.denominator**g
-        total = int(np.dot(nums.astype(object), moments))
-        coeffs.append(Fraction(total, poly.grades[g].denom * scale))
-    return TSeries(order, tuple(coeffs))
-
-
 # ---------------------------------------------------------------------------
 # Floating-point evaluation of the untruncated integrand
 # ---------------------------------------------------------------------------
@@ -258,28 +198,9 @@ class NumericAverage:
     method: str
 
 
-def _float_stack(tensor: ScaledTensor, factor: Fraction) -> np.ndarray:
-    """factor times the tensor's entries as floats, each correctly rounded
-    by Python-int true division, as float(Fraction) rounds them."""
-    num, den = factor.numerator, tensor.denom * factor.denominator
-    flat = [x * num / den for x in tensor.array.ravel().tolist()]
-    return np.array(flat, dtype=float).reshape(tensor.array.shape)
-
-
 def _inv_sqrt(sym: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(sym)
     return (v / np.sqrt(w)) @ v.T
-
-
-def _near_unit(mat: ScaledTensor) -> tuple[np.ndarray, Fraction]:
-    """mat / 4^k as floats and the exact 2^-k, for a power of four 4^k
-    within a factor of 4 of the largest entry of mat: the floats stay in
-    range however large or small the entries are, and a power of two adds
-    no rounding."""
-    top = Fraction(max_abs(mat.array), mat.denom)
-    k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
-    shrink = Fraction(1, 2**k) if k >= 0 else Fraction(2**-k)
-    return _float_stack(mat, shrink * shrink), shrink
 
 
 def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
@@ -287,7 +208,7 @@ def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
     positive scale (Cholesky): skew-symmetric when metric . G is
     antisymmetric.  The rounding is antisymmetrized away, which leaves an
     already skew G (metric = I) bit for bit unchanged."""
-    chol = np.linalg.cholesky(_near_unit(metric)[0])
+    chol = np.linalg.cholesky(near_unit(metric)[0])
     out = chol.T @ gens @ np.linalg.inv(chol).T
     return (out - out.transpose(0, 2, 1)) / 2.0
 
@@ -315,151 +236,6 @@ def _check_beta_invariance(prep: Prepared) -> None:
             f"{prep.spec.name}: the structure matrices F_i are not "
             f"beta-antisymmetric although the datum passed validation"
         )
-
-
-# Largest denominator tried for a rational eigenvalue read off its float
-# guess.  A wrong guess finds no eigenspace, since every candidate is
-# checked exactly, so this bounds the work, not the correctness.
-_EIGEN_DENOM = 2**16
-
-
-def _restrict(
-    gens: ScaledTensor, metric: ScaledTensor, basis: np.ndarray
-) -> tuple[ScaledTensor, ScaledTensor]:
-    """The stack and its metric on the span of the integer columns T of
-    basis (d, r), a subspace every generator leaves invariant:
-    G_i T = T H_i with H_i = (T^T M T)^-1 T^T M G_i T, and T^T M T."""
-    t = ScaledTensor(basis, 1)
-    left = exact_einsum("ba,bc->ac", t, metric)
-    sub = exact_einsum("ac,cd->ad", left, t).reduced()
-    rhs = exact_einsum(
-        "iad,de->aie", exact_einsum("ac,icd->iad", left, gens), t
-    )
-    k, r = len(gens.array), basis.shape[1]
-    h = solve(ldl(sub), ScaledTensor(rhs.array.reshape(r, k * r), rhs.denom))
-    h_stack = h.array.reshape(r, k, r).transpose(1, 0, 2)
-    return ScaledTensor(h_stack, h.denom), sub
-
-
-def _complement(space: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Integer columns spanning the metric-orthogonal complement of the
-    span of the integer columns of space."""
-    bound = max_abs(space) * max_abs(metric) * len(space)
-    return nullspace(
-        ScaledTensor(exact_matmul(space.T, metric, bound), 1)
-    ).array
-
-
-def _commutant(gens: np.ndarray) -> np.ndarray:
-    """A basis (m, r, r) of the integer symmetric Y with Y G antisymmetric
-    for every G of the integer stack gens (k, r, r).
-
-    For a metric M with every M G antisymmetric these Y are the M X of
-    the M-self-adjoint X that commute with every G.  The conditions
-    sym(Y G) = 0 on the r(r+1)/2 upper entries of Y are eliminated one
-    generator at a time, on the solutions left by the earlier ones, so
-    every system stays small.  M is always a solution, so the search
-    stops when one is left."""
-    r = gens.shape[-1]
-    upper = np.triu_indices(r)
-    u = len(upper[0])
-    unit = np.zeros((u, r, r), dtype=np.int64)
-    unit[np.arange(u), upper[0], upper[1]] = 1
-    unit[np.arange(u), upper[1], upper[0]] = 1
-    basis = np.eye(u, dtype=np.int64)
-    for g in gens:
-        prod = exact_einsum(
-            "tac,cb->tab", ScaledTensor(unit, 1), ScaledTensor(g, 1)
-        ).array
-        eqs = (prod + prod.transpose(0, 2, 1))[:, upper[0], upper[1]].T
-        bound = max_abs(eqs) * max_abs(basis) * u
-        null = nullspace(ScaledTensor(exact_matmul(eqs, basis, bound), 1))
-        bound = max_abs(basis) * max_abs(null.array) * basis.shape[1]
-        basis = primitive_columns(exact_matmul(basis, null.array, bound))
-        if basis.shape[1] <= 1:
-            break
-    out = np.zeros((basis.shape[1], r, r), dtype=basis.dtype)
-    out[:, upper[0], upper[1]] = basis.T
-    out[:, upper[1], upper[0]] = basis.T
-    return out
-
-
-def _eigenspace(y: np.ndarray, metric: np.ndarray) -> np.ndarray | None:
-    """A proper eigenspace {v : y v = lam metric v}, 0 < dim < r, of the
-    integer pencil (y, metric), as integer columns (r, dim), or None.
-
-    The candidates lam are 0 and the float eigenvalues of the pencil,
-    each turned into the nearest Fraction of denominator at most
-    _EIGEN_DENOM; each is tried exactly, as the nullspace of
-    den(lam) y - num(lam) metric, in ascending order."""
-    ys, ms = ScaledTensor(y, 1), ScaledTensor(metric, 1)
-    (yf, y_shrink), (mf, m_shrink) = _near_unit(ys), _near_unit(ms)
-    try:
-        inv = np.linalg.inv(np.linalg.cholesky(mf))
-        guesses = np.linalg.eigvalsh(inv @ yf @ inv.T)
-    except (np.linalg.LinAlgError, FloatingPointError):
-        guesses = []
-    # yf = y / y_shrink^2 and mf = metric / m_shrink^2.
-    ratio = (m_shrink / y_shrink) ** 2
-    candidates = {Fraction(0)} | {
-        (Fraction(float(x)) * ratio).limit_denominator(_EIGEN_DENOM)
-        for x in guesses
-        if math.isfinite(x)
-    }
-    for lam in sorted(candidates):
-        pencil = ys.scale(lam.denominator) - ms.scale(lam.numerator)
-        space = nullspace(pencil).array
-        if 0 < space.shape[1] < len(y):
-            return space
-    return None
-
-
-def _split(
-    gens: ScaledTensor, metric: ScaledTensor
-) -> list[tuple[ScaledTensor, ScaledTensor]]:
-    """The stack, of trivial common kernel, as (generators, metric) pairs
-    on invariant subspaces whose direct sum is the whole space.  A
-    proper eigenspace of an element of the commutant and its metric
-    complement are both invariant, and each is split again; a stack
-    whose commutant offers none stays whole.  So does one of size 3 or
-    less, since any split of it has a part of size 1: an invariant line,
-    on which every metric-skew generator vanishes, which the trivial
-    kernel rules out."""
-    if len(metric.array) <= 3:
-        return [(gens, metric)]
-    commutant = _commutant(gens.array)
-    for y in commutant if len(commutant) > 1 else ():
-        space = _eigenspace(y, metric.array)
-        if space is None:
-            continue
-        rest = _complement(space, metric.array)
-        return [
-            block
-            for part in (space, rest)
-            for block in _split(*_restrict(gens, metric, part))
-        ]
-    return [(gens, metric)]
-
-
-def _invariant_split(
-    gens: ScaledTensor, metric: ScaledTensor
-) -> list[tuple[ScaledTensor, ScaledTensor]]:
-    """A stack (k, d, d) whose every metric . G is antisymmetric, split
-    exactly into invariant blocks, as (generators, metric) pairs.
-
-    The common kernel of the generators is dropped first: every factor
-    matrix vanishes there, which contributes det 1 and top 0.  Its
-    metric complement is invariant (G^T M = -M G), and _split divides it
-    further by the commutant.  The blocks come in ascending size."""
-    d = gens.array.shape[-1]
-    kernel = nullspace(ScaledTensor(gens.array.reshape(-1, d), 1)).array
-    if kernel.shape[1] == d:
-        return []
-    if kernel.shape[1]:
-        gens, metric = _restrict(
-            gens, metric, _complement(kernel, metric.array)
-        )
-    return sorted(_split(gens, metric), key=lambda pair: len(pair[1].array))
 
 
 class _Factor:
@@ -540,17 +316,17 @@ class _Integrand:
     D(omega) is skew for g, g D(omega) = -sum_ik beta_ik omega_i E^k
     being antisymmetric, and each F_i for beta (_check_beta_invariance).
     Once per integrand each family is split exactly into invariant blocks
-    (_invariant_split): its common kernel, where every factor matrix
-    vanishes, is dropped, and the rest divided by the eigenspaces of its
-    self-adjoint commutant, so the simple ideals of F and the de Rham
-    factors of D each become a block of their own.  Each block is then
-    rewritten by the Cholesky factor of its own metric, the restriction
+    (rational.invariant_split): its common kernel, where every factor
+    matrix vanishes, is dropped, and the rest divided by the eigenspaces
+    of its self-adjoint commutant, so the simple ideals of F and the de
+    Rham factors of D each become a block of their own.  Each block is
+    then rewritten by the Cholesky factor of its own metric, the restriction
     of g or beta (_skew_stack), a similarity, so that every factor
     matrix is skew, and the ball max_j s_j < pi - margin on its singular
     values is the same in every tangent and holonomy basis.  The map
     from y to omega is folded into the generators, after dividing beta
-    by 4^k and the generators by 2^k exactly (_near_unit), which changes
-    no factor matrix and keeps every float in range.
+    by 4^k and the generators by 2^k exactly (rational.near_unit), which
+    changes no factor matrix and keeps every float in range.
 
     blocks holds the whitened stacks of the D blocks and of the F
     blocks, and factors the two compiled from them (_Factor): a batch of
@@ -564,14 +340,14 @@ class _Integrand:
         _check_beta_invariance(prep)
         self.bound = math.pi - margin
         splits = (
-            _invariant_split(hol.D, ScaledTensor.from_nested(spec.g)),
-            _invariant_split(hol.F_mats, spec.tensors.beta),
+            invariant_split(hol.D, spec.tensors.g),
+            invariant_split(hol.F_mats, spec.tensors.beta),
         )
-        beta, shrink = _near_unit(spec.tensors.beta)
+        beta, shrink = near_unit(spec.tensors.beta)
         root = _inv_sqrt(beta) / 2.0
 
         def whitened(gens, metric):
-            skew = _skew_stack(_float_stack(gens, shrink), metric)
+            skew = _skew_stack(float_stack(gens, shrink), metric)
             return np.einsum("ij,iab->jab", root, skew)
 
         self.blocks = tuple(

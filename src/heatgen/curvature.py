@@ -101,10 +101,11 @@ class ValidationReport:
 @dataclass(frozen=True)
 class SpecTensors:
     """A datum as exact integer-scaled tensors, converted once: the
-    inverse metric ginv (n, n), beta and its inverse (p, p), the
-    generators E (p, n, n) and the curvature riemann (n, n, n, n),
+    metric g and its inverse ginv (n, n), beta and its inverse (p, p),
+    the generators E (p, n, n) and the curvature riemann (n, n, n, n),
     R_abcd = beta_ik E^i_ab E^k_cd."""
 
+    g: ScaledTensor
     ginv: ScaledTensor
     beta: ScaledTensor
     beta_inv: ScaledTensor
@@ -192,8 +193,9 @@ class SpaceSpec:
     def tensors(self) -> SpecTensors:
         """The datum's tensors, built on first use and kept: derivation,
         checks and curvature scalars all read these."""
-        beta, E = self._exact[1:]
+        g, beta, E = self._exact
         return SpecTensors(
+            g=g,
             ginv=rational.solve(self.g_ldl),
             beta=beta,
             beta_inv=rational.solve(self.beta_ldl),

@@ -3,7 +3,7 @@
 The diagonal short-time expansion is reported through coefficients a_k
 normalized so that the diagonal equals (4 pi t)^{-n/2} sum_k a_k t^k; a_0
 is always 1.  The pipeline takes the exact Gaussian average of the
-exponentiated trace-power series (averaging.whitened_average) and
+exponentiated trace-power series (series.whitened_average) and
 multiplies in the scalar prefactor exp((R/8 + R_H/6) t).
 
 Cross-checks implemented here: the closed forms a_1 = R/6 and
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import catalog as _catalog
-from .averaging import _NumericAverager, whitened_average
+from .averaging import _NumericAverager
 from .curvature import (
     CheckResult,
     Prepared,
@@ -39,7 +39,7 @@ from .errors import (
     check_time,
 )
 from .rational import exact_einsum, format_rational
-from .series import TSeries, to_float
+from .series import TSeries, to_float, whitened_average
 
 __all__ = [
     "HeatReport",

@@ -11,15 +11,19 @@ Every matrix inverted is a metric or a Gram matrix, so the one
 factorization is ldl, a fraction-free LDL^T without row exchanges that
 is also the positive-definiteness test; solve() applies its factor for
 every exact inverse.  The one elimination of a general matrix is
-nullspace, a fraction-free Gauss-Jordan with full pivoting, which the
-numeric oracle's invariant split uses.  reduced() is the canonical form
-(lowest terms, int64 whenever the entries fit).
+nullspace, a fraction-free Gauss-Jordan with full pivoting, on which
+invariant_split builds: it splits a metric-skew generator stack exactly
+into invariant blocks, dropping the common kernel and dividing the rest
+by the rational eigenspaces of the self-adjoint commutant.  near_unit
+and float_stack give the float views it and the numeric oracle share.
+reduced() is the canonical form (lowest terms, int64 whenever the
+entries fit).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 import numpy as np
 
@@ -427,3 +431,172 @@ def independent(stack: ScaledTensor) -> bool:
     except ValueError:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Float views and the exact invariant split of a metric-skew stack
+# ---------------------------------------------------------------------------
+
+
+def float_stack(tensor: ScaledTensor, factor: Fraction) -> np.ndarray:
+    """factor times the tensor's entries as floats, each correctly rounded
+    by Python-int true division, as float(Fraction) rounds them."""
+    num, den = factor.numerator, tensor.denom * factor.denominator
+    flat = [x * num / den for x in tensor.array.ravel().tolist()]
+    return np.array(flat, dtype=float).reshape(tensor.array.shape)
+
+
+def near_unit(mat: ScaledTensor) -> tuple[np.ndarray, Fraction]:
+    """mat / 4^k as floats and the exact 2^-k, for a power of four 4^k
+    within a factor of 4 of the largest entry of mat: the floats stay in
+    range however large or small the entries are, and a power of two adds
+    no rounding."""
+    top = Fraction(max_abs(mat.array), mat.denom)
+    k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
+    shrink = Fraction(1, 2**k) if k >= 0 else Fraction(2**-k)
+    return float_stack(mat, shrink * shrink), shrink
+
+
+# Largest denominator tried for a rational eigenvalue read off its float
+# guess.  A wrong guess finds no eigenspace, since every candidate is
+# checked exactly, so this bounds the work, not the correctness.
+_EIGEN_DENOM = 2**16
+
+
+def _restrict(
+    gens: ScaledTensor, metric: ScaledTensor, basis: np.ndarray
+) -> tuple[ScaledTensor, ScaledTensor]:
+    """The stack and its metric on the span of the integer columns T of
+    basis (d, r), a subspace every generator leaves invariant:
+    G_i T = T H_i with H_i = (T^T M T)^-1 T^T M G_i T, and T^T M T."""
+    t = ScaledTensor(basis, 1)
+    left = exact_einsum("ba,bc->ac", t, metric)
+    sub = exact_einsum("ac,cd->ad", left, t).reduced()
+    rhs = exact_einsum(
+        "iad,de->aie", exact_einsum("ac,icd->iad", left, gens), t
+    )
+    k, r = len(gens.array), basis.shape[1]
+    h = solve(ldl(sub), ScaledTensor(rhs.array.reshape(r, k * r), rhs.denom))
+    h_stack = h.array.reshape(r, k, r).transpose(1, 0, 2)
+    return ScaledTensor(h_stack, h.denom), sub
+
+
+def _complement(space: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """Integer columns spanning the metric-orthogonal complement of the
+    span of the integer columns of space."""
+    bound = max_abs(space) * max_abs(metric) * len(space)
+    return nullspace(
+        ScaledTensor(exact_matmul(space.T, metric, bound), 1)
+    ).array
+
+
+def _commutant(gens: np.ndarray) -> np.ndarray:
+    """A basis (m, r, r) of the integer symmetric Y with Y G antisymmetric
+    for every G of the integer stack gens (k, r, r).
+
+    For a metric M with every M G antisymmetric these Y are the M X of
+    the M-self-adjoint X that commute with every G.  The conditions
+    sym(Y G) = 0 on the r(r+1)/2 upper entries of Y are eliminated one
+    generator at a time, on the solutions left by the earlier ones, so
+    every system stays small.  M is always a solution, so the search
+    stops when one is left."""
+    r = gens.shape[-1]
+    upper = np.triu_indices(r)
+    u = len(upper[0])
+    unit = np.zeros((u, r, r), dtype=np.int64)
+    unit[np.arange(u), upper[0], upper[1]] = 1
+    unit[np.arange(u), upper[1], upper[0]] = 1
+    basis = np.eye(u, dtype=np.int64)
+    for g in gens:
+        prod = exact_einsum(
+            "tac,cb->tab", ScaledTensor(unit, 1), ScaledTensor(g, 1)
+        ).array
+        eqs = (prod + prod.transpose(0, 2, 1))[:, upper[0], upper[1]].T
+        bound = max_abs(eqs) * max_abs(basis) * u
+        null = nullspace(ScaledTensor(exact_matmul(eqs, basis, bound), 1))
+        bound = max_abs(basis) * max_abs(null.array) * basis.shape[1]
+        basis = primitive_columns(exact_matmul(basis, null.array, bound))
+        if basis.shape[1] <= 1:
+            break
+    out = np.zeros((basis.shape[1], r, r), dtype=basis.dtype)
+    out[:, upper[0], upper[1]] = basis.T
+    out[:, upper[1], upper[0]] = basis.T
+    return out
+
+
+def _eigenspace(y: np.ndarray, metric: np.ndarray) -> np.ndarray | None:
+    """A proper eigenspace {v : y v = lam metric v}, 0 < dim < r, of the
+    integer pencil (y, metric), as integer columns (r, dim), or None.
+
+    The candidates lam are 0 and the float eigenvalues of the pencil,
+    each turned into the nearest Fraction of denominator at most
+    _EIGEN_DENOM; each is tried exactly, as the nullspace of
+    den(lam) y - num(lam) metric, in ascending order."""
+    ys, ms = ScaledTensor(y, 1), ScaledTensor(metric, 1)
+    (yf, y_shrink), (mf, m_shrink) = near_unit(ys), near_unit(ms)
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(mf))
+        guesses = np.linalg.eigvalsh(inv @ yf @ inv.T)
+    except (np.linalg.LinAlgError, FloatingPointError):
+        guesses = []
+    # yf = y / y_shrink^2 and mf = metric / m_shrink^2.
+    ratio = (m_shrink / y_shrink) ** 2
+    candidates = {Fraction(0)} | {
+        (Fraction(float(x)) * ratio).limit_denominator(_EIGEN_DENOM)
+        for x in guesses
+        if isfinite(x)
+    }
+    for lam in sorted(candidates):
+        pencil = ys.scale(lam.denominator) - ms.scale(lam.numerator)
+        space = nullspace(pencil).array
+        if 0 < space.shape[1] < len(y):
+            return space
+    return None
+
+
+def _split(
+    gens: ScaledTensor, metric: ScaledTensor
+) -> list[tuple[ScaledTensor, ScaledTensor]]:
+    """The stack, of trivial common kernel, as (generators, metric) pairs
+    on invariant subspaces whose direct sum is the whole space.  A
+    proper eigenspace of an element of the commutant and its metric
+    complement are both invariant, and each is split again; a stack
+    whose commutant offers none stays whole.  So does one of size 3 or
+    less, since any split of it has a part of size 1: an invariant line,
+    on which every metric-skew generator vanishes, which the trivial
+    kernel rules out."""
+    if len(metric.array) <= 3:
+        return [(gens, metric)]
+    commutant = _commutant(gens.array)
+    for y in commutant if len(commutant) > 1 else ():
+        space = _eigenspace(y, metric.array)
+        if space is None:
+            continue
+        rest = _complement(space, metric.array)
+        return [
+            block
+            for part in (space, rest)
+            for block in _split(*_restrict(gens, metric, part))
+        ]
+    return [(gens, metric)]
+
+
+def invariant_split(
+    gens: ScaledTensor, metric: ScaledTensor
+) -> list[tuple[ScaledTensor, ScaledTensor]]:
+    """A stack (k, d, d) whose every metric . G is antisymmetric, split
+    exactly into invariant blocks, as (generators, metric) pairs.
+
+    The common kernel of the generators is dropped first: every factor
+    matrix vanishes there, which contributes det 1 and top 0.  Its
+    metric complement is invariant (G^T M = -M G), and _split divides it
+    further by the commutant.  The blocks come in ascending size."""
+    d = gens.array.shape[-1]
+    kernel = nullspace(ScaledTensor(gens.array.reshape(-1, d), 1)).array
+    if kernel.shape[1] == d:
+        return []
+    if kernel.shape[1]:
+        gens, metric = _restrict(
+            gens, metric, _complement(kernel, metric.array)
+        )
+    return sorted(_split(gens, metric), key=lambda pair: len(pair[1].array))

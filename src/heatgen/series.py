@@ -38,10 +38,14 @@ of the matrix powers (_matrix_powers), the Gram step (_graded_log) and
 the exponential (_graded_exp).  The production path, dense_integrand,
 exponentiates it in that form by the recurrence g E_g = sum_m m P_m
 E_{g-m}, pairing the nonzero entries of each product and scattering them
-onto the summed codes; averaging.whitened_average runs it on whitened
-generators and averages in closed form.  integrand_log_expansion returns
-the same log as an OmegaPolynomial, whose dict-of-Fraction exp and the
-prefactor product exponentiate_with_prefactor are kept as the
+onto the summed codes.  whitened_average reads the datum's exact factor
+(L^-1, d) of beta = L diag(d) L^T (SpaceSpec.beta_ldl, from
+construction), rewrites the generators in eta = L^T omega, of diagonal
+covariance 2 diag(1/d), and averages their dense exponential with the
+closed form <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
+integrand_log_expansion returns the same log as an OmegaPolynomial,
+whose dict-of-Fraction exp, the prefactor product
+exponentiate_with_prefactor and averaging.average are kept as the
 independent oracle of that path.  The work, and the budget, is counted in
 coefficient pairs: the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus
 the exponential's products (exp_units).  check_budget is the one gate for
@@ -58,11 +62,12 @@ from math import comb, factorial, lcm
 
 import numpy as np
 
-from .curvature import HolonomyRealization
+from .curvature import HolonomyRealization, Prepared
 from .errors import HeatgenError, OrderTooLarge
 from .rational import (
     ScaledTensor,
     exact_dtype,
+    exact_einsum,
     exact_matmul,
     max_abs,
     product_dtype,
@@ -73,9 +78,9 @@ __all__ = [
     "log_sinh_ratio_series",
     "TSeries",
     "OmegaPolynomial",
-    "GradedSeries",
     "integrand_log_expansion",
     "dense_integrand",
+    "whitened_average",
     "exponentiate_with_prefactor",
     "DEFAULT_WORD_BUDGET",
 ]
@@ -505,38 +510,73 @@ def _graded_exp(
     return exp
 
 
-@dataclass(frozen=True, eq=False)
-class GradedSeries:
-    """A polynomial in p variables graded by t, stored densely: grade g is
-    the ScaledTensor grades[g] over the degree-2g monomials codes[2g],
-    one exact integer array (int64 or Python ints) over one denominator."""
-
-    p: int
-    codes: tuple[np.ndarray, ...]
-    grades: tuple[ScaledTensor, ...]
-
-    def even_part(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """(numerators, exponent rows beta) of the all-even monomials
-        2 beta of grade g, the only ones with a nonzero centred Gaussian
-        moment.  The additive code of 2 beta is twice that of beta."""
-        top = len(self.codes) - 1
-        pos = np.searchsorted(self.codes[2 * g], 2 * self.codes[g])
-        return self.grades[g].array[pos], _exponents(
-            self.codes[g], self.p, top
-        )
-
-
 def dense_integrand(
     d: ScaledTensor, f: ScaledTensor, order: int
-) -> GradedSeries:
+) -> tuple[list[np.ndarray], list[ScaledTensor]]:
     """exp of the omega-dependent log of the integrand for generator
     families d (p, n, n) and f (p, p, p): the same graded log as
-    integrand_log_expansion, exponentiated grade by grade.  Its work is
-    trace_units + exp_units, which the caller checks first."""
+    integrand_log_expansion, exponentiated grade by grade.  Returns
+    (codes, grades): grade g is the ScaledTensor grades[g] over the
+    degree-2g monomials codes[2g], one exact integer array (int64 or
+    Python ints) over one denominator.  Its work is trace_units +
+    exp_units, which the caller checks first."""
     p = d.array.shape[0]
     codes = _monomial_codes(p, 2 * order)
     log = _graded_log(d, f, order, codes)
-    return GradedSeries(p, tuple(codes), tuple(_graded_exp(log, codes)))
+    return codes, _graded_exp(log, codes)
+
+
+def whitened_average(
+    prep: Prepared, order: int, *, budget: int | None = None
+) -> TSeries:
+    """<exp(L(omega, t))> over omega ~ N(0, 2 beta^{-1}), truncated at the
+    order, where L is the omega-dependent log of the integrand
+    (integrand_log_expansion): the exact production average.
+
+    The generators are whitened by the datum's own factor of beta:
+    D'_j = sum_i (L^-1)_ji D_i, and the same for F_mats, so that
+    D(omega) = D'(eta).  The exponential is built densely grade by grade
+    in eta (dense_integrand), and each even monomial eta^{2b} averages
+    to prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The budget is checked first,
+    on trace_units + exp_units, also when p = 0."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    p = prep.hol.p
+    check_budget(p, order, budget)
+    if p == 0 or order == 0:
+        return TSeries.constant(1, order)
+    back, pivots = prep.spec.beta_ldl
+    d, f = (
+        exact_einsum("ji,iab->jab", back, gens).reduced()
+        for gens in (prep.hol.D, prep.hol.F_mats)
+    )
+    codes, grades = dense_integrand(d, f, order)
+    variances = [2 / x for x in pivots]
+    odd = [1]  # odd[b] = (2b - 1)!!
+    for b in range(1, order + 1):
+        odd.append(odd[-1] * (2 * b - 1))
+    coeffs = []
+    for g in range(order + 1):
+        # Only the all-even monomials 2 beta have a nonzero centred
+        # moment; the additive code of 2 beta is twice that of beta.
+        nums = grades[g].array[np.searchsorted(codes[2 * g], 2 * codes[g])]
+        half = _exponents(codes[g], p, 2 * order)
+        # prod_i (2b_i - 1)!! v_i^{b_i}, as integers over the common
+        # denominator prod_i den(v_i)^g.
+        moments = np.ones(len(half), dtype=object)
+        scale = 1
+        for i, v in enumerate(variances):
+            table = [
+                odd[b]
+                * v.numerator**b
+                * v.denominator ** (g - b)
+                for b in range(g + 1)
+            ]
+            moments *= np.array(table, dtype=object)[half[:, i]]
+            scale *= v.denominator**g
+        total = int(np.dot(nums.astype(object), moments))
+        coeffs.append(Fraction(total, grades[g].denom * scale))
+    return TSeries(order, tuple(coeffs))
 
 
 def integrand_log_expansion(

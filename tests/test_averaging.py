@@ -175,42 +175,6 @@ def test_moment_memos_stay_bounded():
 
 
 # ---------------------------------------------------------------------------
-# The production average: exact whitening and closed-form moments
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name,order", [("S2", 5), ("S2xS3", 3), ("S4", 3)])
-def test_whitened_average_matches_dict_oracle(prepared, name, order):
-    prep = prepared[name]
-    log_poly = hg.integrand_log_expansion(prep.hol, order)
-    want = hg.average(log_poly.exp(), inverse(prep.spec.beta))
-    assert hg.whitened_average(prep, order) == want
-
-
-def test_whitened_average_checks_budget_before_building():
-    class Unbuilt:
-        p = 10**3
-
-        @property
-        def D(self):
-            raise AssertionError("generators read before the budget check")
-
-        F_mats = D
-
-    class Unprepared:
-        hol = Unbuilt()
-
-        @property
-        def spec(self):
-            raise AssertionError("datum read before the budget check")
-
-    with pytest.raises(hg.OrderTooLarge) as info:
-        hg.whitened_average(Unprepared(), 3)
-    units = series.trace_units(10**3, 3) + series.exp_units(10**3, 3)
-    assert str(units) in str(info.value)
-
-
-# ---------------------------------------------------------------------------
 # average() on polynomials
 # ---------------------------------------------------------------------------
 
@@ -426,14 +390,14 @@ def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
         start += size
     perm = rng.permutation(d)
     stack = stack[:, perm][:, :, perm]
-    blocks = averaging._invariant_split(
+    blocks = rational.invariant_split(
         rational.ScaledTensor(stack, 1),
         rational.ScaledTensor(np.eye(d, dtype=np.int64), 1),
     )
     # The 1 x 1 block is zero, the common kernel, and is dropped.
     assert [len(metric.array) for _, metric in blocks] == [2, 2, 3, 4, 5]
     z = rng.standard_normal((200, k)) * 0.05
-    skew = [averaging._skew_stack(averaging._float_stack(gens, F(1)), metric)
+    skew = [averaging._skew_stack(rational.float_stack(gens, F(1)), metric)
             for gens, metric in blocks]
     half, tops = averaging._Factor(skew)(z)
     want_half, want_tops = averaging._skew_half_dets(
@@ -480,7 +444,7 @@ def test_moved_s4_splits_f_into_its_two_ideals(prepared):
     )
     beta = np.array(moved.spec.beta, dtype=float)
     assert (beta != np.diag(np.diag(beta))).any()
-    blocks = averaging._invariant_split(
+    blocks = rational.invariant_split(
         moved.hol.F_mats, moved.spec.tensors.beta
     )
     assert [len(metric.array) for _, metric in blocks] == [3, 3]

@@ -566,6 +566,17 @@ def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
     assert eliminated == construction_eliminations(spec) + [(spec.p, spec.p)]
 
 
+def test_numeric_average_converts_only_the_datum(monkeypatch):
+    # The integrand splits D on the datum's own tensor of g, converted at
+    # construction, not on a second conversion of spec.g.
+    base = tilted_three_sphere()
+    converted, _ = count_conversions(monkeypatch)
+    spec = dataclasses.replace(base)
+    hg.numeric_average(hg.prepare(spec), 0.05, "quadrature", nodes=8)
+    assert converted == datum_matrices(spec)
+    assert spec.tensors.g is spec._exact[0]
+
+
 def count_fraction_views(monkeypatch):
     """Record the rank of every tensor passed to
     ScaledTensor.to_fractions."""

@@ -372,13 +372,13 @@ def test_compare_builds_one_integrand_for_the_grid(specs, monkeypatch):
     # points, so its exact split (one call for D, one for F) runs once
     # for the whole grid, and each time still gets numeric_average's value.
     calls = []
-    split = averaging._invariant_split
+    split = averaging.invariant_split
 
     def spy(*args):
         calls.append(args)
         return split(*args)
 
-    monkeypatch.setattr(averaging, "_invariant_split", spy)
+    monkeypatch.setattr(averaging, "invariant_split", spy)
     grid = [0.05, 0.1]
     prep = hg.prepare(specs["S3"])
     rep = hg.compare(prep, 4, grid, method="quadrature", nodes=16)

@@ -341,15 +341,18 @@ def test_exp_units():
 
 
 def _dense_to_poly(dense, order):
-    """A GradedSeries as an OmegaPolynomial, entry by entry."""
+    """dense_integrand's (codes, grades) as an OmegaPolynomial, entry by
+    entry."""
+    codes, grades = dense
+    p = len(codes[1])  # one degree-1 monomial per variable
     terms = {}
     for g in range(order + 1):
-        num, den = dense.grades[g].array, dense.grades[g].denom
+        num, den = grades[g].array, grades[g].denom
         nz = np.flatnonzero(num)
-        exps = series._exponents(dense.codes[2 * g][nz], dense.p, 2 * order)
+        exps = series._exponents(codes[2 * g][nz], p, 2 * order)
         for row, val in zip(exps.tolist(), num[nz].tolist()):
             terms[(g, tuple(row))] = F(val, den)
-    return hg.OmegaPolynomial(dense.p, order, terms)
+    return hg.OmegaPolynomial(p, order, terms)
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
@@ -365,8 +368,9 @@ def test_dense_integrand_matches_dict_exp(kind, p, dim, order):
 def test_dense_exp_falls_back_to_python_ints():
     hol = _random_hol("promoted", 2, 3, seed=4)
     dense = series.dense_integrand(hol.D, hol.F_mats, 3)
-    assert dense.grades[1].array.dtype == np.int64
-    assert dense.grades[3].array.dtype == object
+    _, grades = dense
+    assert grades[1].array.dtype == np.int64
+    assert grades[3].array.dtype == object
     assert _dense_to_poly(dense, 3) == hg.integrand_log_expansion(hol, 3).exp()
 
 
@@ -402,6 +406,54 @@ def test_dense_exp_blocks_do_not_change_the_result(hols, monkeypatch):
     monkeypatch.setattr(series, "_GRAM_BLOCK", 1)
     assert _dense_to_poly(series.dense_integrand(d, f, 3), 3) == whole
     assert whole == hg.integrand_log_expansion(hols["S2xS3"], 3).exp()
+
+
+# ---------------------------------------------------------------------------
+# The production average: exact whitening and closed-form moments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,order", [("S2", 5), ("S2xS3", 3), ("S4", 3)])
+def test_whitened_average_matches_dict_oracle(prepared, name, order):
+    prep = prepared[name]
+    log_poly = hg.integrand_log_expansion(prep.hol, order)
+    want = hg.average(log_poly.exp(), oracles.inverse(prep.spec.beta))
+    assert hg.whitened_average(prep, order) == want
+
+
+def test_whitened_average_checks_budget_before_building():
+    class Unbuilt:
+        p = 10**3
+
+        @property
+        def D(self):
+            raise AssertionError("generators read before the budget check")
+
+        F_mats = D
+
+    class Unprepared:
+        hol = Unbuilt()
+
+        @property
+        def spec(self):
+            raise AssertionError("datum read before the budget check")
+
+    with pytest.raises(hg.OrderTooLarge) as info:
+        hg.whitened_average(Unprepared(), 3)
+    units = series.trace_units(10**3, 3) + series.exp_units(10**3, 3)
+    assert str(units) in str(info.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=oracles.moved_spaces())
+def test_whitened_average_matches_dict_oracle_on_moved_spaces(spec):
+    # A moved datum's beta is in general not diagonal, nor its g the
+    # identity, so the exact whitening is not the identity, as it is on
+    # the builtins.
+    prep = hg.prepare(spec)
+    log_poly = hg.integrand_log_expansion(prep.hol, 3)
+    want = hg.average(log_poly.exp(), oracles.inverse(spec.beta))
+    assert hg.whitened_average(prep, 3) == want
 
 
 def test_budget_refusal_precedes_allocation():
