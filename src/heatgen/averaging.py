@@ -8,9 +8,10 @@ one-dimensional quadrature oracle: for p = 1, beta = 1 the even moments
 must be <omega^{2k}> = (2k-1)!! 2^k.
 
 average() on an OmegaPolynomial is the exact oracle: it takes the
-moments in omega from wick_moment, a memoized sum over pairings.  The
-memo is bounded, so a long-lived process does not grow with every beta
-it sees.
+moments in omega from a sum over pairings (_moments).  Each call of
+average or wick_moment builds one table of sub-moments and drops it on
+return, so no table outlives a call and a long-lived process does not
+grow with every beta it sees.
 
 The numeric path evaluates the full (not truncated) integrand in floating
 point, by Monte Carlo or tensorized Gauss-Hermite quadrature.  Both
@@ -49,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,60 +72,47 @@ __all__ = [
     "numeric_average",
 ]
 
-# Entries kept by the moment memo of the oracle path: enough for a whole
-# average at catalog orders, bounded for a long-lived process.
-_MOMENT_MEMO = 2**15
+def _moments(beta_inv: Matrix):
+    """The exact moment function of the Gaussian with covariance
+    2 * beta_inv: called on an index tuple, it returns <omega_{i1} ...
+    omega_{id}> by the sum over pairings of the first index with each
+    other one.  The sub-moments go into a table that lives as long as the
+    function, so one call of an oracle shares them and keeps nothing."""
+    cov = [[2 * Fraction(x) for x in row] for row in beta_inv]
+    table = {(): Fraction(1)}
 
+    def moment(key: tuple[int, ...]) -> Fraction:
+        if len(key) % 2:
+            return Fraction(0)
+        if key not in table:
+            first, rest = key[0], key[1:]
+            total = Fraction(0)
+            for idx in range(len(rest)):
+                c = cov[first][rest[idx]]
+                if c:
+                    total += c * moment(rest[:idx] + rest[idx + 1 :])
+            table[key] = total
+        return table[key]
 
-class _Covariance:
-    """An exact covariance matrix as a memo key, hashed once."""
-
-    __slots__ = ("rows", "_hash")
-
-    def __init__(self, rows: tuple):
-        self.rows = rows
-        self._hash = hash(rows)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Covariance) and self.rows == other.rows
-
-
-def _intern_matrix(mat: Matrix) -> _Covariance:
-    """beta_inv as the memo key of the moment engines."""
-    return _Covariance(tuple(tuple(Fraction(x) for x in row) for row in mat))
-
-
-@lru_cache(maxsize=_MOMENT_MEMO)
-def _wick(binv: _Covariance, key: tuple[int, ...]) -> Fraction:
-    if not key:
-        return Fraction(1)
-    if len(key) % 2:
-        return Fraction(0)
-    first, rest = key[0], key[1:]
-    total = Fraction(0)
-    for idx in range(len(rest)):
-        cov = 2 * binv.rows[first][rest[idx]]
-        if cov:
-            total += cov * _wick(binv, rest[:idx] + rest[idx + 1 :])
-    return total
+    return moment
 
 
 def wick_moment(key, beta_inv: Matrix) -> Fraction:
-    """Exact Gaussian moment <omega_{i1} ... omega_{id}> by a memoized sum
-    over pairings, with covariance 2 * beta_inv."""
+    """Exact Gaussian moment <omega_{i1} ... omega_{id}> by a sum over
+    pairings, with covariance 2 * beta_inv."""
     idx = tuple(sorted(int(i) for i in key))
     p = len(beta_inv)
     if any(i < 0 or i >= p for i in idx):
         raise ValueError("moment index out of range")
-    return _wick(_intern_matrix(beta_inv), idx)
+    return _moments(beta_inv)(idx)
 
 
 def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
     """Average an OmegaPolynomial term by term, keeping the explicit
     t-grade of each monomial.  Odd monomials vanish."""
+    if poly.p > len(beta_inv):
+        raise ValueError("moment index out of range")
+    moment = _moments(beta_inv)
     coeffs = [Fraction(0)] * (poly.order + 1)
     for (grade, exps), val in poly.terms.items():
         degree = sum(exps)
@@ -134,10 +121,9 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
             continue
         if degree % 2:
             continue
-        key = tuple(i for i, e in enumerate(exps) for _ in range(e))
-        moment = wick_moment(key, beta_inv)
-        if moment:
-            coeffs[grade] += val * moment
+        m = moment(tuple(i for i, e in enumerate(exps) for _ in range(e)))
+        if m:
+            coeffs[grade] += val * m
     return TSeries(poly.order, tuple(coeffs))
 
 

@@ -437,6 +437,22 @@ def test_negative_seed_exits_two(capsys, monkeypatch, command):
     )
 
 
+@pytest.mark.parametrize("argv,code", [
+    (("S2", "--t", "1e308"), 1),
+    (("S2", "--order", "3", "--t", "1e103"), 1),
+    (("flat3", "--order", "3", "--t", "1e200"), 0),
+    (("S4", "--order", "4", "--t", "1e90", "--method", "mc",
+      "--samples", "100"), 1),
+])
+def test_compare_time_beyond_the_float_range(capsys, argv, code):
+    # t^order past the float range fails that time's checks (exit 1);
+    # a vanishing last coefficient has no remainder at any t (exit 0).
+    got, out, err = run(capsys, "compare", *argv)
+    assert got == code
+    assert "Traceback" not in err
+    assert out.count("[FAIL]") == 2 * code
+
+
 def test_compare_negative_time_exits_two(capsys):
     code, _, err = run(capsys, "compare", "S2", "--t", "0.05,-0.1")
     assert code == 2

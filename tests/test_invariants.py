@@ -52,6 +52,7 @@ def test_zeroth_coefficient_is_one_everywhere(specs):
 def test_flat_space_has_no_corrections(specs):
     rep = hg.heat_coefficients(specs["flat2"], 5)
     assert rep.coeffs == (F(1), F(0), F(0), F(0), F(0), F(0))
+    assert rep.remainder_estimate(1e308) == 0.0
 
 
 def test_heat_coefficients_rejects_negative_order(specs):
@@ -404,3 +405,59 @@ def test_compare_flat_numeric_only(specs):
     rep = hg.compare(specs["flat2"], 2, [0.5])
     assert rep.all_passed
     assert any(c.name.startswith("numeric_average") for c in rep.checks)
+
+
+# The exact checks of compare, pinned: names and details are exact
+# rationals, the same on every platform.
+EXACT_CHECKS = {
+    ("S3", 4): [
+        ("a1_closed_form", "pipeline 1, scalar curvature gives 1"),
+        ("a2_closed_form", "pipeline 1/2, curvature invariants give 1/2"),
+    ],
+    ("S2xS2", 6): [
+        ("a1_closed_form", "pipeline 2/3, scalar curvature gives 2/3"),
+        ("a2_closed_form",
+         "pipeline 11/45, curvature invariants give 11/45"),
+        ("product_factorization",
+         "direct ['1', '2/3', '11/45', '22/315', '13/675', '106/17325', "
+         "'35258/14189175'] vs convolution ['1', '2/3', '11/45', '22/315', "
+         "'13/675', '106/17325', '35258/14189175']"),
+    ],
+    ("S2", 1): [
+        ("a1_closed_form", "pipeline 1/3, scalar curvature gives 1/3"),
+    ],
+    ("flat3", 3): [
+        ("a1_closed_form", "pipeline 0, scalar curvature gives 0"),
+        ("a2_closed_form", "pipeline 0, curvature invariants give 0"),
+    ],
+    ("S2", 0): [],
+}
+
+
+@pytest.mark.parametrize("name,order", list(EXACT_CHECKS))
+def test_compare_exact_checks_pinned(name, order):
+    rep = hg.compare(hg.builtin(name), order, [0.05], method="quadrature",
+                     nodes=8)
+    exact = [c for c in rep.checks if "@" not in c.name]
+    assert [(c.name, c.detail) for c in exact] == EXACT_CHECKS[name, order]
+    assert all(c.passed is True for c in exact)
+
+
+@pytest.mark.parametrize("name,order,t,method", [
+    ("S2", 4, 1e308, "auto"),
+    ("S2", 3, 1e103, "auto"),
+    ("S4", 4, 1e90, "mc"),
+])
+def test_compare_remainder_beyond_the_float_range(specs, name, order, t,
+                                                  method):
+    rep = hg.compare(specs[name], order, [t], method=method, samples=100)
+    failed = {c.name: c.detail for c in rep.checks if not c.passed}
+    assert failed == {
+        f"spectral_oracle@t={t:g}":
+            f"the truncation remainder at t={t} is beyond the float range",
+        f"numeric_average@t={t:g}":
+            f"the scalar prefactor overflows at t={t}; this t is far too "
+            f"large for a numeric average",
+    }
+    with pytest.raises(hg.HeatgenError, match="truncation remainder"):
+        rep.remainder_estimate(t)
