@@ -211,7 +211,8 @@ class HolonomyRealization:
     D (p, n, n) holds the p tangent-space generators, F (p, p, p) their
     structure constants with F[j, i, k] the coefficient of D_j in
     [D_i, D_k], and C (n+p, n+p, n+p) the combined generator matrices,
-    translations first.
+    translations first.  F_mats and the Cartan data torus are derived
+    from F on first use and kept.
     """
 
     n: int
@@ -226,6 +227,39 @@ class HolonomyRealization:
         indices: F_mats[i, j, k] = F[j, i, k] multiplies D_j in
         [D_i, D_k]."""
         return exact_einsum("jik->ijk", self.F)
+
+    @cached_property
+    def torus(self) -> ScaledTensor:
+        """An integer basis (r, p), over denominator 1, of a maximal
+        abelian subalgebra of h: its rows u_j commute, and every element
+        that commutes with all of them lies in their span.
+
+        The generators are first kept greedily: D_i joins when its
+        structure constants F_mats[i][:, k] vanish against every
+        generator k kept so far.  Then, while the centraliser of the
+        span, the nullspace of the stacked ad(u_j) = sum_i u_ji F_mats[i],
+        is larger than the span, one of its columns independent of the
+        span joins.  A validated datum has a beta-invariant h, so h is
+        compact and this is a Cartan subalgebra, of dimension rank h.
+        For an abelian h the basis is the identity."""
+        p, F = self.p, self.F_mats
+        kept: list[int] = []
+        for i in range(p):
+            if not F.array[i][:, kept].any():
+                kept.append(i)
+        basis = np.eye(p, dtype=np.int64)[kept]
+        while len(basis) < p:
+            ads = exact_einsum("ji,iab->jab", ScaledTensor(basis, 1), F)
+            stacked = ScaledTensor(ads.array.reshape(-1, p), 1)
+            centraliser = rational.nullspace(stacked).array
+            if centraliser.shape[1] == len(basis):
+                break
+            for column in centraliser.T:
+                grown = np.vstack([basis, column[None]])
+                if rational.independent(ScaledTensor(grown[:, :, None], 1)):
+                    basis = grown
+                    break
+        return ScaledTensor(basis, 1)
 
 
 def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:

@@ -198,7 +198,11 @@ def sphere_spectral_trace(n: int, t: float) -> float:
         mult = (2 * level + n - 1) / (n - 1)
         for j in range(1, n - 1):
             mult *= (level + j) / j
-        total += float(np.sum(mult * np.exp(-t * level * (level + n - 1))))
+        # At a huge t the exponent of every level past 0 overflows to
+        # -inf, and exp(-inf) = 0 is its exact contribution.
+        with np.errstate(over="ignore"):
+            decay = np.exp(-t * level * (level + n - 1))
+        total += float(np.sum(mult * decay))
     return total / sphere_volume(n)
 
 

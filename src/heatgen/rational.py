@@ -11,8 +11,9 @@ Every matrix inverted is a metric or a Gram matrix, so the one
 factorization is ldl, a fraction-free LDL^T without row exchanges that
 is also the positive-definiteness test; solve() applies its factor for
 every exact inverse.  The one elimination of a general matrix is
-nullspace, a fraction-free Gauss-Jordan with full pivoting, on which
-invariant_split builds: it splits a metric-skew generator stack exactly
+nullspace, a fraction-free Gauss-Jordan with full pivoting, which finds
+the centralisers of the Cartan data (HolonomyRealization.torus) and on
+which invariant_split builds: it splits a metric-skew generator stack exactly
 into invariant blocks, dropping the common kernel and dividing the rest
 by the rational eigenspaces of the self-adjoint commutant.  near_unit
 and float_stack give the float views it and the numeric oracle share.

@@ -38,19 +38,29 @@ of the matrix powers (_matrix_powers), the Gram step (_graded_log) and
 the exponential (_graded_exp).  The production path, dense_integrand,
 exponentiates it in that form by the recurrence g E_g = sum_m m P_m
 E_{g-m}, pairing the nonzero entries of each product and scattering them
-onto the summed codes.  whitened_average reads the datum's exact factor
-(L^-1, d) of beta = L diag(d) L^T (SpaceSpec.beta_ldl, from
-construction), rewrites the generators in eta = L^T omega, of diagonal
-covariance 2 diag(1/d), and averages their dense exponential with the
-closed form <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
+onto the summed codes.  The Gaussian core (_gaussian_average) averages it
+over the span of an integer basis U of h: it restricts the generators to
+U, factors U beta U^T = L diag(d) L^T exactly (over all of h, U = I, the
+datum's own factor SpaceSpec.beta_ldl, from construction), rewrites the
+generators in eta = L^T omega, of diagonal covariance 2 diag(1/d), and
+averages their dense exponential with the closed form <eta^{2b}> =
+prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The integrand is Ad(H)-invariant and
+so is the Gaussian, since beta is, so Weyl's integration formula gives
+the same average over a maximal torus t, in r = rank h variables instead
+of p = dim h: <f>_h = <f J>_t / <J>_t with J = prod_{alpha>0} alpha^2 =
+e_{p-r}(ad), built by Newton's identities from the trace powers
+(_weyl_weight).  whitened_average takes the torus (hol.torus, the Cartan
+data) when the work units pass _TORUS_UNITS and h is not abelian, and all
+of h otherwise; both give the same exact coefficients.
 integrand_log_expansion returns the same log as an OmegaPolynomial,
 whose dict-of-Fraction exp, the prefactor product
 exponentiate_with_prefactor and averaging.average are kept as the
 independent oracle of that path.  The work, and the budget, is counted in
 coefficient pairs: the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus
-the exponential's products (exp_units).  check_budget is the one gate for
-both paths; the budget is the caller's budget= (the CLI's --budget),
-DEFAULT_WORD_BUDGET when None.
+the exponential's products (exp_units), in all p variables whichever
+average runs.  check_budget is the one gate for both paths; the budget
+is the caller's budget= (the CLI's --budget), DEFAULT_WORD_BUDGET when
+None.
 """
 
 from __future__ import annotations
@@ -63,12 +73,13 @@ from math import comb, factorial, lcm
 import numpy as np
 
 from .curvature import HolonomyRealization, Prepared
-from .errors import HeatgenError, OrderTooLarge
+from .errors import HeatgenError, InternalInconsistency, OrderTooLarge
 from .rational import (
     ScaledTensor,
     exact_dtype,
     exact_einsum,
     exact_matmul,
+    ldl,
     max_abs,
     product_dtype,
 )
@@ -320,6 +331,15 @@ def _exponents(codes: np.ndarray, p: int, top: int) -> np.ndarray:
     return digits
 
 
+def _step_ranks(codes: list[np.ndarray]) -> list[np.ndarray]:
+    """ranks[k][j, i] is the rank in codes[k] of beta + e_i, beta the j-th
+    degree-(k-1) monomial, for every k of codes (ranks[0] unused)."""
+    return [None] + [
+        np.searchsorted(codes[k], codes[k - 1][:, None] + codes[1])
+        for k in range(1, len(codes))
+    ]
+
+
 def _matrix_powers(
     gens: np.ndarray, codes: list[np.ndarray], ranks: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -358,10 +378,10 @@ def exp_units(p: int, order: int) -> int:
     return sum(sizes[m] * below[order - m] for m in range(1, order + 1))
 
 
-def check_budget(p: int, order: int, budget: int | None) -> None:
-    """Raise OrderTooLarge when the exponential of an expansion in p >= 0
-    variables needs more work units than the budget (default
-    DEFAULT_WORD_BUDGET): trace_units of the log plus exp_units.
+def check_budget(p: int, order: int, budget: int | None) -> int:
+    """The work units of the exponential of an expansion in p >= 0
+    variables, trace_units of the log plus exp_units; OrderTooLarge when
+    they exceed the budget (default DEFAULT_WORD_BUDGET).
 
     Every grade of the log, and every product of the exponential, costs
     at least one unit, so an order whose least count exceeds the budget
@@ -373,7 +393,7 @@ def check_budget(p: int, order: int, budget: int | None) -> None:
     else:
         units = trace_units(p, order) + exp_units(p, order)
         if units <= limit:
-            return
+            return units
         needs = str(units)
     raise OrderTooLarge(
         f"the expansion needs {needs} work units (coefficient-matrix "
@@ -402,10 +422,7 @@ def _graded_log(
     cs = log_sinh_ratio_series(order)
     den = lcm(d.denom, f.denom)
     # The same step ranks serve both families.
-    steps = [None] + [
-        np.searchsorted(codes[k], codes[k - 1][:, None] + codes[1])
-        for k in range(1, order + 1)
-    ]
+    steps = _step_ranks(codes[: order + 1])
     f_powers, d_powers = (
         _matrix_powers(t.scale(den // t.denom).array, codes, steps)
         for t in (f, d)
@@ -446,10 +463,11 @@ def _graded_log(
     return grades
 
 
-def _nonzero(grade: ScaledTensor, codes: np.ndarray):
-    """(codes, values) of the nonzero entries of a dense grade."""
-    nz = np.flatnonzero(grade.array)
-    return codes[nz], grade.array[nz]
+def _nonzero(values: np.ndarray, codes: np.ndarray):
+    """(codes, values) of the nonzero entries of a dense coefficient
+    array over the monomial codes."""
+    nz = np.flatnonzero(values)
+    return codes[nz], values[nz]
 
 
 def _scatter_product(out, out_codes, a, b, scale: int) -> None:
@@ -481,9 +499,10 @@ def _graded_exp(
     product, which bounds it for the int64 test."""
     exp = [ScaledTensor(np.ones(1, dtype=np.int64), 1)]
     log_nz = [None] + [
-        _nonzero(grade, codes[2 * m]) for m, grade in enumerate(log[1:], 1)
+        _nonzero(grade.array, codes[2 * m])
+        for m, grade in enumerate(log[1:], 1)
     ]
-    exp_nz = [_nonzero(exp[0], codes[0])]
+    exp_nz = [_nonzero(exp[0].array, codes[0])]
     for g in range(1, len(log)):
         ms = [
             m for m in range(1, g + 1)
@@ -506,7 +525,7 @@ def _graded_exp(
                 out, codes[2 * g], log_nz[m], exp_nz[g - m], scale[m]
             )
         exp.append(ScaledTensor(out, g * den).reduced())
-        exp_nz.append(_nonzero(exp[g], codes[2 * g]))
+        exp_nz.append(_nonzero(exp[g].array, codes[2 * g]))
     return exp
 
 
@@ -526,6 +545,12 @@ def dense_integrand(
     return codes, _graded_exp(log, codes)
 
 
+# Up to this many work units the average runs in all p variables: below
+# it the Cartan data and the Weyl weight of the torus average cost more
+# than its smaller integrand saves.
+_TORUS_UNITS = 10**4
+
+
 def whitened_average(
     prep: Prepared, order: int, *, budget: int | None = None
 ) -> TSeries:
@@ -533,50 +558,156 @@ def whitened_average(
     order, where L is the omega-dependent log of the integrand
     (integrand_log_expansion): the exact production average.
 
-    The generators are whitened by the datum's own factor of beta:
-    D'_j = sum_i (L^-1)_ji D_i, and the same for F_mats, so that
-    D(omega) = D'(eta).  The exponential is built densely grade by grade
-    in eta (dense_integrand), and each even monomial eta^{2b} averages
-    to prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The budget is checked first,
-    on trace_units + exp_units, also when p = 0."""
+    The budget is checked first, on trace_units + exp_units, also when
+    p = 0.  Up to _TORUS_UNITS of them, or when h is abelian, the
+    average runs over all of h (_gaussian_average with no basis);
+    otherwise over the maximal torus hol.torus, in r = rank h variables.
+    Both give the same exact coefficients."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = prep.hol.p
-    check_budget(p, order, budget)
-    if p == 0 or order == 0:
+    hol = prep.hol
+    units = check_budget(hol.p, order, budget)
+    if hol.p == 0 or order == 0:
         return TSeries.constant(1, order)
-    back, pivots = prep.spec.beta_ldl
+    if units <= _TORUS_UNITS or hol.F.is_zero():
+        return _gaussian_average(prep, None, order)
+    return _gaussian_average(prep, hol.torus, order)
+
+
+def _gaussian_average(
+    prep: Prepared, basis: ScaledTensor | None, order: int
+) -> TSeries:
+    """<exp(L)> over all of h (basis None) or, by Weyl's integration
+    formula, over the abelian subalgebra t spanned by the integer rows u_j
+    of basis (r, p), a maximal torus: <f>_h = <f J>_t / <J>_t for every
+    Ad-invariant f, L among them, with the Weyl weight J (_weyl_weight)
+    and the restriction of the Gaussian to t.
+
+    On t, omega = U^T eta and eta ~ N(0, 2 (U beta U^T)^{-1}).  The
+    generators are restricted, D_j(U) = sum_i U_ji D_i, and whitened by
+    the factor (L^-1, d) of U beta U^T (of beta itself, spec.beta_ldl,
+    over all of h): D'_k = sum_j (L^-1)_kj D_j(U), the same for F_mats.
+    The exponential is built densely grade by grade in the whitened
+    variables (dense_integrand), each grade E_g is multiplied by J
+    (_weighted; over all of h, J = 1), and the monomial eta^{2b} averages
+    to prod_i (2b_i - 1)!! (2/d_i)^{b_i}."""
+    hol = prep.hol
+    if basis is None:
+        back, pivots = prep.spec.beta_ldl
+    else:
+        beta = prep.spec.tensors.beta
+        back, pivots = ldl(exact_einsum("ji,ik,lk->jl", basis, beta, basis))
+        back = exact_einsum("jk,ki->ji", back, basis)
     d, f = (
         exact_einsum("ji,iab->jab", back, gens).reduced()
-        for gens in (prep.hol.D, prep.hol.F_mats)
+        for gens in (hol.D, hol.F_mats)
     )
+    r, q = len(pivots), hol.p - len(pivots)
     codes, grades = dense_integrand(d, f, order)
+    if q:
+        # E_g J has degree 2g + q: recode E_g onto codes that hold it.
+        codes, grades = _weighted(codes, grades, f, order)
     variances = [2 / x for x in pivots]
     odd = [1]  # odd[b] = (2b - 1)!!
-    for b in range(1, order + 1):
+    for b in range(1, order + q // 2 + 1):
         odd.append(odd[-1] * (2 * b - 1))
-    coeffs = []
+    totals, dens = [], []
     for g in range(order + 1):
+        top = g + q // 2
         # Only the all-even monomials 2 beta have a nonzero centred
         # moment; the additive code of 2 beta is twice that of beta.
-        nums = grades[g].array[np.searchsorted(codes[2 * g], 2 * codes[g])]
-        half = _exponents(codes[g], p, 2 * order)
+        nums = grades[g].array[
+            np.searchsorted(codes[2 * top], 2 * codes[top])
+        ]
+        half = _exponents(codes[top], r, len(codes) - 1)
         # prod_i (2b_i - 1)!! v_i^{b_i}, as integers over the common
-        # denominator prod_i den(v_i)^g.
+        # denominator prod_i den(v_i)^top.
         moments = np.ones(len(half), dtype=object)
         scale = 1
         for i, v in enumerate(variances):
             table = [
                 odd[b]
                 * v.numerator**b
-                * v.denominator ** (g - b)
-                for b in range(g + 1)
+                * v.denominator ** (top - b)
+                for b in range(top + 1)
             ]
             moments *= np.array(table, dtype=object)[half[:, i]]
-            scale *= v.denominator**g
-        total = int(np.dot(nums.astype(object), moments))
-        coeffs.append(Fraction(total, grades[g].denom * scale))
-    return TSeries(order, tuple(coeffs))
+            scale *= v.denominator**top
+        totals.append(int(np.dot(nums.astype(object), moments)))
+        dens.append(grades[g].denom * scale)
+    if totals[0] <= 0:
+        raise InternalInconsistency(
+            f"the Weyl weight of the torus has the average {totals[0]}/"
+            f"{dens[0]}, not a positive number"
+        )
+    # a_g = <E_g J> / <J>, and E_0 = 1.
+    return TSeries(order, tuple(
+        Fraction(total * dens[0], den * totals[0])
+        for total, den in zip(totals, dens)
+    ))
+
+
+def _weighted(
+    codes: list[np.ndarray], grades: list[ScaledTensor], f: ScaledTensor,
+    order: int,
+) -> tuple[list[np.ndarray], list[ScaledTensor]]:
+    """(codes, grades) of E_g J, grade g over the degree-2g+q codes, for
+    the dense exponential (codes, grades) of dense_integrand and the Weyl
+    weight J of degree q of the torus structure matrices f (r, p, p).
+    The codes run to degree 2 order + q, with a radix that holds it."""
+    r, p = f.array.shape[:2]
+    q = p - r
+    wide = _monomial_codes(r, 2 * order + q)
+    weight = _weyl_weight(f, wide)
+    radix = np.array([(2 * order + q + 1) ** i for i in range(r)],
+                     dtype=wide[0].dtype)
+    products = []
+    for g, grade in enumerate(grades):
+        recoded = _exponents(codes[2 * g], r, 2 * order) @ radix
+        out = np.zeros(len(wide[2 * g + q]), dtype=object)
+        _scatter_product(
+            out, wide[2 * g + q], _nonzero(grade.array, recoded), weight, 1
+        )
+        products.append(ScaledTensor(out, grade.denom))
+    return wide, products
+
+
+def _weyl_weight(
+    f: ScaledTensor, codes: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, values) of the nonzero coefficients of the Weyl weight of
+    a torus times f.denom^q, for its whitened structure matrices f
+    (r, p, p): the integer polynomial e_q(A(eta)), q = p - r, A(eta) =
+    sum_i eta_i A_i, A the numerators f.array, over the degree-q codes
+    (codes[q], codes reaching at least degree q), as Python ints.
+
+    On a torus element H the eigenvalues of ad H are r zeros and the
+    pairs +-i alpha(H) over the positive roots, so e_q(ad H) =
+    prod_{alpha>0} alpha(H)^2.  Newton's identities give e_q from the
+    power sums s_k = tr A(eta)^k, traces of _matrix_powers.  ad H is
+    skew for beta, so the odd s_k vanish, and 2j e_{2j} = -sum_{i=1..j}
+    e_{2(j-i)} s_{2i}.  e_k of an integer matrix is an integer polynomial,
+    so every division by 2j is exact."""
+    r, p = f.array.shape[:2]
+    q = p - r
+    powers = _matrix_powers(f.array, codes, _step_ranks(codes[: q + 1]))
+    sums = {
+        k: _nonzero(
+            powers[k].diagonal(axis1=1, axis2=2).astype(object).sum(axis=1),
+            codes[k],
+        )
+        for k in range(2, q + 1, 2)
+    }
+    elementary = [_nonzero(np.ones(1, dtype=object), codes[0])]
+    for j in range(1, q // 2 + 1):
+        out = np.zeros(len(codes[2 * j]), dtype=object)
+        for i in range(1, j + 1):
+            if len(elementary[j - i][1]) and len(sums[2 * i][1]):
+                _scatter_product(
+                    out, codes[2 * j], elementary[j - i], sums[2 * i], 1
+                )
+        elementary.append(_nonzero(-out // (2 * j), codes[2 * j]))
+    return elementary[-1]
 
 
 def integrand_log_expansion(
@@ -601,7 +732,7 @@ def integrand_log_expansion(
     log = _graded_log(hol.D, hol.F_mats, order, codes)
     terms: dict = {}
     for m in range(1, order + 1):
-        monomials, values = _nonzero(log[m], codes[2 * m])
+        monomials, values = _nonzero(log[m].array, codes[2 * m])
         rows = _exponents(monomials, p, 2 * order).tolist()
         for exps, val in zip(rows, values.tolist()):
             terms[(m, tuple(exps))] = Fraction(val, log[m].denom)

@@ -510,10 +510,12 @@ SCALES = st.one_of(
 
 
 @st.composite
-def moved_spaces(draw):
-    """A builtin moved by an upper triangular P with a rational diagonal,
-    a unit lower triangular N and two scalings."""
-    spec = hg.builtin(draw(st.sampled_from(["S2", "S3", "S2xS2", "S2xS3"])))
+def moved_spaces(draw, bases=("S2", "S3", "S2xS2", "S2xS3"), mixed=False):
+    """A builtin of the bases moved by an upper triangular P with a
+    rational diagonal, a unit lower triangular N and two scalings.  With
+    mixed, every entry of N below the diagonal is nonzero."""
+    spec = hg.builtin(draw(st.sampled_from(bases)))
+    below = SMALL.filter(bool) if mixed else SMALL
     n, p = spec.n, spec.p
     diag = [draw(st.builds(Fraction, st.integers(1, 3), st.integers(1, 2)))
             for _ in range(n)]
@@ -523,7 +525,7 @@ def moved_spaces(draw):
         for i in range(n)
     )
     N = tuple(
-        tuple(Fraction(1) if i == j else draw(SMALL) if i > j else Fraction(0)
+        tuple(Fraction(1) if i == j else draw(below) if i > j else Fraction(0)
               for j in range(p))
         for i in range(p)
     )

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -199,6 +200,14 @@ def test_s6_order4_fits_the_default_budget():
     assert rep.coeffs == (F(1), F(5), F(12), F(1139, 63), F(833, 45))
 
 
+def test_s6_order8_through_the_torus():
+    # Far past the default budget of the dense average, in 3 variables.
+    prep = hg.prepare(hg.builtin("S6"))
+    rep = hg.heat_coefficients(prep, 8, budget=10**12)
+    assert rep.coeffs[1:3] == hg.closed_form_coefficients(prep)
+    assert rep.coeffs[:5] == (F(1), F(5), F(12), F(1139, 63), F(833, 45))
+
+
 def test_budget_counts_log_and_exponential_units(specs):
     units = series.trace_units(6, 3) + series.exp_units(6, 3)
     hg.heat_coefficients(specs["S4"], 3, budget=units)
@@ -319,6 +328,15 @@ def test_spectral_trace_large_time_limit(n):
     # Only the constant eigenfunction survives: the trace tends to 1/Vol.
     assert hg.sphere_spectral_trace(n, 50.0) * sphere_volume(n) == \
         pytest.approx(1.0, abs=1e-15)
+
+
+def test_spectral_trace_at_a_huge_time_warns_nothing():
+    # Every level past 0 decays to exactly 0; its exponent overflows to
+    # -inf on the way, silently.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = hg.sphere_spectral_trace(2, 1e308)
+    assert value * sphere_volume(2) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 6])

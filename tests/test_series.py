@@ -1,6 +1,7 @@
 """Series engine: Bernoulli numbers, the log sinh-ratio expansion, exact
 truncated series types, and the trace-power expansion."""
 
+import functools
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import heatgen as hg
 import oracles
-from heatgen import rational, series
+from heatgen import curvature, rational, series
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +455,160 @@ def test_whitened_average_matches_dict_oracle_on_moved_spaces(spec):
     log_poly = hg.integrand_log_expansion(prep.hol, 3)
     want = hg.average(log_poly.exp(), oracles.inverse(spec.beta))
     assert hg.whitened_average(prep, 3) == want
+
+
+# ---------------------------------------------------------------------------
+# The torus average: Cartan data, Weyl weight and the selection
+# ---------------------------------------------------------------------------
+
+RANKS = {"S2": 1, "S3": 1, "S4": 2, "S5": 2, "S6": 3, "S2xS2": 2, "S2xS3": 2}
+
+
+def _check_maximal_abelian(hol):
+    """hol.torus commutes exactly, and its centraliser is its span."""
+    basis = hol.torus
+    assert basis.denom == 1
+    ads = rational.exact_einsum("ji,iab->jab", basis, hol.F_mats)
+    # ad(u_j) u_k = [u_j, u_k].
+    assert rational.exact_einsum("jab,kb->jka", ads, basis).is_zero()
+    r, p = basis.array.shape
+    centraliser = rational.nullspace(
+        rational.ScaledTensor(ads.array.reshape(-1, p), 1)
+    ).array
+    assert centraliser.shape[1] == r
+    rows = oracles.matrix(basis.array.tolist() + centraliser.T.tolist())
+    assert oracles.rank(rows) == r
+
+
+@pytest.mark.parametrize("name", sorted(RANKS))
+def test_torus_is_a_maximal_abelian_subalgebra(prepared, name):
+    hol = prepared[name].hol
+    _check_maximal_abelian(hol)
+    assert len(hol.torus.array) == RANKS[name]
+    if hol.F.is_zero():
+        assert np.array_equal(hol.torus.array, np.eye(hol.p, dtype=int))
+
+
+# Each curved builtin at an order whose dense average fits the default
+# budget: S5 and S6 at the highest such order, the smaller algebras
+# where the dense average still takes milliseconds.
+@pytest.mark.parametrize("name,order", [
+    ("S3", 12), ("S2xS3", 8), ("S4", 8), ("S5", 5), ("S6", 4),
+])
+def test_torus_average_equals_the_dense_one(prepared, name, order):
+    prep = prepared[name]
+    series.check_budget(prep.hol.p, order, None)
+    torus = series._gaussian_average(prep, prep.hol.torus, order)
+    assert torus == series._gaussian_average(prep, None, order)
+
+
+def test_tilted_s4_torus_extends_by_its_centraliser():
+    # N mixes every generator into the later ones, so the greedy pass
+    # keeps one generator and the centraliser adds a mixed one.
+    base = hg.builtin("S4")
+    N = oracles.matrix([[int(i == j) if j >= i else F(1, 2) for j in range(6)]
+                        for i in range(6)])
+    prep = hg.prepare(oracles.moved(base, rational.identity(4), N, 1, 1))
+    _check_maximal_abelian(prep.hol)
+    rows = prep.hol.torus.array
+    assert (np.abs(rows).sum(axis=1) > 1).any()
+    torus = series._gaussian_average(prep, prep.hol.torus, 4)
+    assert torus == series._gaussian_average(prep, None, 4)
+    assert hg.heat_coefficients(prep, 4).coeffs == \
+        hg.heat_coefficients(base, 4).coeffs
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=oracles.moved_spaces(
+    bases=("S2", "S3", "S2xS2", "S2xS3", "S4"), mixed=True
+))
+def test_torus_average_equals_the_dense_one_on_moved_spaces(spec):
+    prep = hg.prepare(spec)
+    _check_maximal_abelian(prep.hol)
+    assert len(prep.hol.torus.array) == RANKS[spec.name]
+    torus = series._gaussian_average(prep, prep.hol.torus, 3)
+    assert torus == series._gaussian_average(prep, None, 3)
+
+
+def _elementary_symmetric(a, k):
+    """e_k of a Fraction matrix: the sum of its principal k x k minors."""
+    return sum(
+        (oracles.determinant([[a[i][j] for j in idx] for i in idx])
+         for idx in itertools.combinations(range(len(a)), k)),
+        F(0),
+    )
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S5"])
+def test_weyl_weight_is_the_sum_of_principal_minors(prepared, name):
+    hol = prepared[name].hol
+    f = rational.exact_einsum("ji,iab->jab", hol.torus, hol.F_mats).reduced()
+    r, p = f.array.shape[:2]
+    monomials, values = series._weyl_weight(
+        f, series._monomial_codes(r, p - r)
+    )
+    exponents = series._exponents(monomials, r, p - r)
+    mats = f.array.tolist()
+    rng = random.Random(name)
+    for _ in range(2):
+        eta = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r)]
+        a = [[sum(e * m[i][j] for e, m in zip(eta, mats)) for j in range(p)]
+             for i in range(p)]
+        want = _elementary_symmetric(a, p - r)
+        got = sum(
+            int(v) * math.prod(e**x for e, x in zip(eta, row))
+            for row, v in zip(exponents.tolist(), values)
+        )
+        assert got == want
+        # prod over the positive roots of alpha(H)^2.
+        assert want > 0
+
+
+def _count_torus_builds(monkeypatch):
+    """Record p for every HolonomyRealization.torus that is built."""
+    builds = []
+    build = curvature.HolonomyRealization.torus.func
+
+    def spy(hol):
+        builds.append(hol.p)
+        return build(hol)
+
+    prop = functools.cached_property(spy)
+    prop.__set_name__(curvature.HolonomyRealization, "torus")
+    monkeypatch.setattr(curvature.HolonomyRealization, "torus", prop)
+    return builds
+
+
+# spacefiles' and numeric-oracle's requests: the dense average, no
+# Cartan data.
+@pytest.mark.parametrize("name,order", [
+    ("S3", 2), ("S3", 3), ("S3", 4), ("S3", 6), ("S4", 2), ("S2xS3", 2),
+    ("S2xS3", 3), ("S2xS3", 4), ("S2xS2", 6),
+])
+def test_small_requests_never_build_the_torus(monkeypatch, name, order):
+    spec = hg.builtin(name)
+    units = series.trace_units(spec.p, order) + series.exp_units(spec.p, order)
+    assert units <= series._TORUS_UNITS
+    builds = _count_torus_builds(monkeypatch)
+    hg.heat_coefficients(spec, order)
+    assert builds == []
+
+
+def test_abelian_holonomy_never_builds_the_torus(monkeypatch):
+    spec = hg.builtin("S2xS2")
+    units = series.trace_units(spec.p, 40) + series.exp_units(spec.p, 40)
+    assert units > series._TORUS_UNITS
+    builds = _count_torus_builds(monkeypatch)
+    hg.heat_coefficients(spec, 40)
+    assert builds == []
+
+
+@pytest.mark.parametrize("name,order", [("S4", 4), ("S5", 3), ("S6", 3)])
+def test_large_requests_build_the_torus_once(monkeypatch, name, order):
+    builds = _count_torus_builds(monkeypatch)
+    spec = hg.builtin(name)
+    hg.heat_coefficients(spec, order)
+    assert builds == [spec.p]
 
 
 def test_budget_refusal_precedes_allocation():
