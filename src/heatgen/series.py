@@ -35,32 +35,35 @@ with one denominator: the signed Gram sum over the common denominator to
 the power 2m, scaled by c_m / (2 4^m).  ScaledTensor.scale picks int64 or
 Python ints for it, so the coefficient bounds written out here are those
 of the matrix powers (_matrix_powers), the Gram step (_graded_log) and
-the exponential (_graded_exp).  The production path, dense_integrand,
-exponentiates it in that form by the recurrence g E_g = sum_m m P_m
-E_{g-m}, pairing the nonzero entries of each product and scattering them
-onto the summed codes.  The Gaussian core (_gaussian_average) averages it
-over the span of an integer basis U of h: it restricts the generators to
-U, factors U beta U^T = L diag(d) L^T exactly (over all of h, U = I, the
-datum's own factor SpaceSpec.beta_ldl, from construction), rewrites the
-generators in eta = L^T omega, of diagonal covariance 2 diag(1/d), and
-averages their dense exponential with the closed form <eta^{2b}> =
-prod_i (2b_i - 1)!! (2/d_i)^{b_i}.  The integrand is Ad(H)-invariant and
+the exponential (_graded_exp).  The production path (dense_integrand,
+and the Gaussian core) exponentiates it in that form by the recurrence
+g E_g = sum_m m P_m E_{g-m}, pairing the nonzero entries of each product
+and scattering them onto the summed codes.  The Gaussian core
+(_gaussian_average) averages it over the span of an integer basis U of
+h: it restricts the generators to U, factors U beta U^T = L diag(d) L^T
+exactly (over all of h, U = I, the datum's own factor SpaceSpec.beta_ldl,
+from construction), rewrites the generators in eta = L^T omega, of
+diagonal covariance 2 diag(1/d), and averages their dense exponential
+with the closed form <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
+The integrand is Ad(H)-invariant and
 so is the Gaussian, since beta is, so Weyl's integration formula gives
 the same average over a maximal torus t, in r = rank h variables instead
 of p = dim h: <f>_h = <f J>_t / <J>_t with J = prod_{alpha>0} alpha^2 =
 e_{p-r}(ad), built by Newton's identities from the trace powers
 (_weyl_weight).  whitened_average takes the torus (hol.torus, the Cartan
-data) when the work units pass _TORUS_UNITS and h is not abelian, and all
-of h otherwise; both give the same exact coefficients.
+data) when the work units pass _TORUS_UNITS, h is not abelian and the
+torus's own units (torus_units) are fewer, and all of h otherwise; both
+give the same exact coefficients.
 integrand_log_expansion returns the same log as an OmegaPolynomial,
 whose dict-of-Fraction exp, the prefactor product
 exponentiate_with_prefactor and averaging.average are kept as the
 independent oracle of that path.  The work, and the budget, is counted in
 coefficient pairs: the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus
 the exponential's products (exp_units), in all p variables whichever
-average runs.  check_budget is the one gate for both paths; the budget
-is the caller's budget= (the CLI's --budget), DEFAULT_WORD_BUDGET when
-None.
+average runs; the torus runs only when it costs fewer, so neither does
+more than the budget.  check_budget is the one gate for both paths; the
+budget is the caller's budget= (the CLI's --budget), DEFAULT_WORD_BUDGET
+when None.
 """
 
 from __future__ import annotations
@@ -551,6 +554,26 @@ def dense_integrand(
 _TORUS_UNITS = 10**4
 
 
+def torus_units(p: int, r: int, order: int) -> int:
+    """Work units of the torus average of a p-dimensional h of rank r, in
+    the units of trace_units + exp_units: the integrand in r variables,
+    the Weyl weight of degree q = p - r and the products E_g J.
+
+    The weight builds one product of p x p matrices per monomial of degree
+    1..q in r variables; such a product, p^3 multiply-adds, counts p
+    units, a Gram pair being a sum of about p^2 of them.  Newton's
+    identities multiply power sums like an exponential to order q/2."""
+    q = p - r
+    sizes = [comb(r + k - 1, k) for k in range(max(2 * order, q) + 1)]
+    return (
+        trace_units(r, order)
+        + exp_units(r, order)
+        + p * (comb(r + q, q) - 1)
+        + exp_units(r, q // 2)
+        + sizes[q] * sum(sizes[: 2 * order + 1 : 2])
+    )
+
+
 def whitened_average(
     prep: Prepared, order: int, *, budget: int | None = None
 ) -> TSeries:
@@ -560,18 +583,22 @@ def whitened_average(
 
     The budget is checked first, on trace_units + exp_units, also when
     p = 0.  Up to _TORUS_UNITS of them, or when h is abelian, the
-    average runs over all of h (_gaussian_average with no basis);
-    otherwise over the maximal torus hol.torus, in r = rank h variables.
-    Both give the same exact coefficients."""
+    average runs over all of h (_gaussian_average with no basis).  Past
+    it the Cartan data hol.torus give the rank r, and the average runs
+    over that maximal torus, in r variables, when its own work
+    (torus_units) is the smaller; the average that runs so never costs
+    more than the budget.  Both give the same exact coefficients."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     hol = prep.hol
     units = check_budget(hol.p, order, budget)
     if hol.p == 0 or order == 0:
         return TSeries.constant(1, order)
-    if units <= _TORUS_UNITS or hol.F.is_zero():
-        return _gaussian_average(prep, None, order)
-    return _gaussian_average(prep, hol.torus, order)
+    if units > _TORUS_UNITS and not hol.F.is_zero():
+        basis = hol.torus
+        if torus_units(hol.p, len(basis.array), order) < units:
+            return _gaussian_average(prep, basis, order)
+    return _gaussian_average(prep, None, order)
 
 
 def _gaussian_average(
@@ -588,9 +615,10 @@ def _gaussian_average(
     the factor (L^-1, d) of U beta U^T (of beta itself, spec.beta_ldl,
     over all of h): D'_k = sum_j (L^-1)_kj D_j(U), the same for F_mats.
     The exponential is built densely grade by grade in the whitened
-    variables (dense_integrand), each grade E_g is multiplied by J
-    (_weighted; over all of h, J = 1), and the monomial eta^{2b} averages
-    to prod_i (2b_i - 1)!! (2/d_i)^{b_i}."""
+    variables (_graded_log and _graded_exp, as in dense_integrand), on
+    codes that reach degree 2 order + q, q = p - r; each grade E_g is
+    multiplied by J, of degree q (over all of h, q = 0 and J = 1), and
+    the monomial eta^{2b} averages to prod_i (2b_i - 1)!! (2/d_i)^{b_i}."""
     hol = prep.hol
     if basis is None:
         back, pivots = prep.spec.beta_ldl
@@ -603,10 +631,17 @@ def _gaussian_average(
         for gens in (hol.D, hol.F_mats)
     )
     r, q = len(pivots), hol.p - len(pivots)
-    codes, grades = dense_integrand(d, f, order)
+    codes = _monomial_codes(r, 2 * order + q)
+    grades = _graded_exp(_graded_log(d, f, order, codes), codes)
     if q:
-        # E_g J has degree 2g + q: recode E_g onto codes that hold it.
-        codes, grades = _weighted(codes, grades, f, order)
+        weight = _weyl_weight(f, codes)
+        for g, grade in enumerate(grades):
+            out = np.zeros(len(codes[2 * g + q]), dtype=object)
+            _scatter_product(
+                out, codes[2 * g + q], _nonzero(grade.array, codes[2 * g]),
+                weight, 1,
+            )
+            grades[g] = ScaledTensor(out, grade.denom)
     variances = [2 / x for x in pivots]
     odd = [1]  # odd[b] = (2b - 1)!!
     for b in range(1, order + q // 2 + 1):
@@ -647,31 +682,6 @@ def _gaussian_average(
     ))
 
 
-def _weighted(
-    codes: list[np.ndarray], grades: list[ScaledTensor], f: ScaledTensor,
-    order: int,
-) -> tuple[list[np.ndarray], list[ScaledTensor]]:
-    """(codes, grades) of E_g J, grade g over the degree-2g+q codes, for
-    the dense exponential (codes, grades) of dense_integrand and the Weyl
-    weight J of degree q of the torus structure matrices f (r, p, p).
-    The codes run to degree 2 order + q, with a radix that holds it."""
-    r, p = f.array.shape[:2]
-    q = p - r
-    wide = _monomial_codes(r, 2 * order + q)
-    weight = _weyl_weight(f, wide)
-    radix = np.array([(2 * order + q + 1) ** i for i in range(r)],
-                     dtype=wide[0].dtype)
-    products = []
-    for g, grade in enumerate(grades):
-        recoded = _exponents(codes[2 * g], r, 2 * order) @ radix
-        out = np.zeros(len(wide[2 * g + q]), dtype=object)
-        _scatter_product(
-            out, wide[2 * g + q], _nonzero(grade.array, recoded), weight, 1
-        )
-        products.append(ScaledTensor(out, grade.denom))
-    return wide, products
-
-
 def _weyl_weight(
     f: ScaledTensor, codes: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -684,20 +694,39 @@ def _weyl_weight(
     On a torus element H the eigenvalues of ad H are r zeros and the
     pairs +-i alpha(H) over the positive roots, so e_q(ad H) =
     prod_{alpha>0} alpha(H)^2.  Newton's identities give e_q from the
-    power sums s_k = tr A(eta)^k, traces of _matrix_powers.  ad H is
-    skew for beta, so the odd s_k vanish, and 2j e_{2j} = -sum_{i=1..j}
-    e_{2(j-i)} s_{2i}.  e_k of an integer matrix is an integer polynomial,
-    so every division by 2j is exact."""
+    power sums s_k = tr A(eta)^k.  The A_i commute, being ad of a torus,
+    so A(eta)^k = sum_{|alpha|=k} k!/alpha! eta^alpha A^alpha with A^alpha
+    = prod_i A_i^{alpha_i}, each one product from a monomial of degree
+    k - 1; only the previous degree is kept.  ad H is skew for beta, so
+    every A^alpha of odd degree has trace 0 (InternalInconsistency
+    otherwise), the odd s_k vanish, and 2j e_{2j} = -sum_{i=1..j}
+    e_{2(j-i)} s_{2i}, whose divisions by 2j are then exact, e_k of an
+    integer matrix being an integer polynomial."""
     r, p = f.array.shape[:2]
-    q = p - r
-    powers = _matrix_powers(f.array, codes, _step_ranks(codes[: q + 1]))
-    sums = {
-        k: _nonzero(
-            powers[k].diagonal(axis1=1, axis2=2).astype(object).sum(axis=1),
-            codes[k],
-        )
-        for k in range(2, q + 1, 2)
-    }
+    q, top = p - r, len(codes) - 1
+    gens = f.array
+    factorials = np.array([factorial(k) for k in range(q + 1)], dtype=object)
+    power = np.eye(p, dtype=gens.dtype)[None]
+    sums = {}
+    for k in range(1, q + 1):
+        exps = _exponents(codes[k], r, top)
+        # A^alpha = A^(alpha - e_i) A_i, i the first variable of alpha.
+        first = (exps > 0).argmax(axis=1)
+        prev = np.searchsorted(codes[k - 1], codes[k] - codes[1][first])
+        bound = max_abs(power) * max_abs(gens) * p
+        power = exact_matmul(power[prev], gens[first], bound)
+        traces = power.diagonal(axis1=1, axis2=2).astype(object).sum(axis=1)
+        if k % 2:
+            if traces.any():
+                raise InternalInconsistency(
+                    f"a torus power of odd degree {k} has a nonzero trace; "
+                    f"the structure matrices are not skew"
+                )
+            continue
+        multinomial = np.full(len(exps), factorials[k], dtype=object)
+        for i in range(r):
+            multinomial //= factorials[exps[:, i]]
+        sums[k] = _nonzero(multinomial * traces, codes[k])
     elementary = [_nonzero(np.ones(1, dtype=object), codes[0])]
     for j in range(1, q // 2 + 1):
         out = np.zeros(len(codes[2 * j]), dtype=object)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import heatgen as hg
 import oracles
-from heatgen import curvature, rational, series
+from heatgen import catalog, curvature, rational, series
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +564,14 @@ def test_weyl_weight_is_the_sum_of_principal_minors(prepared, name):
         assert want > 0
 
 
+def test_weyl_weight_refuses_structure_matrices_that_are_not_skew():
+    # diag(1, 0, 0) has trace 1: Newton's identities without the odd
+    # power sums would return a wrong e_2 with no error.
+    f = rational.ScaledTensor(np.diag([1, 0, 0])[None], 1)
+    with pytest.raises(hg.InternalInconsistency, match="odd degree 1"):
+        series._weyl_weight(f, series._monomial_codes(1, 2))
+
+
 def _count_torus_builds(monkeypatch):
     """Record p for every HolonomyRealization.torus that is built."""
     builds = []
@@ -609,6 +617,31 @@ def test_large_requests_build_the_torus_once(monkeypatch, name, order):
     spec = hg.builtin(name)
     hg.heat_coefficients(spec, order)
     assert builds == [spec.p]
+
+
+# so(n) has rank n // 2, so its Weyl weight has degree q = p - n // 2:
+# 18 for S7, 24 for S8, 32 for S9.  At order 2 the weight costs S8 and
+# S9 more than their whole dense average, which then runs.
+@pytest.mark.parametrize("n,torus", [(7, True), (8, False), (9, False)])
+def test_sphere_files_take_the_cheaper_average(tmp_path, monkeypatch, n,
+                                               torus):
+    path = tmp_path / f"S{n}.json"
+    hg.save(catalog._sphere_spec(n, f"S{n}"), path)
+    prep = hg.prepare(hg.load(path))
+    p, r = prep.hol.p, n // 2
+    units = series.check_budget(p, 2, None)
+    assert (series.torus_units(p, r, 2) < units) == torus
+    bases = []
+    average = series._gaussian_average
+
+    def spy(prep, basis, order):
+        bases.append(None if basis is None else len(basis.array))
+        return average(prep, basis, order)
+
+    monkeypatch.setattr(series, "_gaussian_average", spy)
+    rep = hg.heat_coefficients(prep, 2)
+    assert bases == [r if torus else None]
+    assert rep.coeffs[1:] == hg.closed_form_coefficients(prep)
 
 
 def test_budget_refusal_precedes_allocation():
