@@ -36,7 +36,7 @@ PRODUCT_FACTORS: dict[str, tuple[str, str]] = {
 # The largest flat(n) that SpaceSpec takes: its checks build n^4 entries.
 MAX_FLAT = math.isqrt(math.isqrt(MAX_CHECK_ENTRIES))
 _FLAT_RE = re.compile(r"^flat(?:([0-9]+)|\(([0-9]+)\))$")
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
 
 def sphere_dimension(name: str) -> int | None:
@@ -123,13 +123,19 @@ _REQUIRED_FIELDS = ("schema_version", "name", "n", "p", "g", "beta", "E")
 
 
 def _parse_rational(text, where: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    """The Fraction a rational string writes, built from the groups of
+    its one validating match."""
+    match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
+    if match is None:
         raise ParseError(
             f"{where}: expected a rational string like '3' or '-7/2', "
             f"got {text!r}"
         )
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        if den is None:
+            return Fraction(int(num))
+        return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
         raise ParseError(f"{where}: zero denominator in {text!r}") from exc
     except ValueError as exc:

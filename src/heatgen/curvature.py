@@ -49,6 +49,7 @@ from .rational import (
     exact_einsum,
     exact_matmul,
     max_abs,
+    upper_indices,
 )
 
 __all__ = [
@@ -281,7 +282,7 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
     D = exact_einsum("ab,ik,kbc->iac", st.ginv, st.beta, st.E).scale(-1)
     D = D.reduced()  # small numerators keep the later products in int64
 
-    first, second = np.triu_indices(p, 1)
+    first, second = upper_indices(p, 1)
     left, right = D[first], D[second]
     comms = exact_einsum("qab,qbc->qac", left, right) - exact_einsum(
         "qab,qbc->qac", right, left
@@ -356,9 +357,9 @@ def _check_integrability(spec: SpaceSpec) -> CheckResult:
     n = spec.n
     if spec.p == 0 or n == 0:
         return CheckResult(name, True, "flat datum; vacuous")
-    R, ginv = spec.tensors.riemann.array, spec.tensors.ginv.array
-    top = max_abs(R)
-    Rup = exact_matmul(ginv, R.reshape(n, n**3), max_abs(ginv) * top * n)
+    riemann, ginv = spec.tensors.riemann, spec.tensors.ginv
+    R, top = riemann.array, riemann.bound
+    Rup = exact_matmul(ginv.array, R.reshape(n, n**3), ginv.bound * top * n)
     bound = top * max_abs(Rup) * n
     U = exact_matmul(R.transpose(0, 1, 3, 2).reshape(n**3, n), Rup, bound)
     ok = _vanishes(
@@ -383,7 +384,7 @@ def _check_structure_jacobi(hol: HolonomyRealization) -> CheckResult:
     if N == 0:
         return CheckResult(name, True, "empty algebra; vacuous")
     C = hol.C.array
-    bound = max_abs(C) ** 2 * N
+    bound = hol.C.bound**2 * N
     prod = exact_matmul(
         C.reshape(N * N, N), C.transpose(1, 0, 2).reshape(N, N * N), bound
     )
@@ -401,8 +402,7 @@ def _check_riemann_symmetries(spec: SpaceSpec) -> CheckResult:
     name = "riemann_symmetries"
     if spec.p == 0 or spec.n == 0:
         return CheckResult(name, True, "flat datum; vacuous")
-    R = spec.tensors.riemann.array
-    top = max_abs(R)
+    R, top = spec.tensors.riemann.array, spec.tensors.riemann.bound
     identities = (
         ("antisymmetry in the first pair", ((1, (1, 0, 2, 3)),)),
         ("antisymmetry in the second pair", ((1, (0, 1, 3, 2)),)),

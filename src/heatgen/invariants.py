@@ -185,7 +185,14 @@ def sphere_spectral_trace(n: int, t: float) -> float:
     if not 2 <= n <= 6:
         raise ValueError("spectral oracle covers n in 2..6")
     check_time(t)
-    levels = math.ceil(math.sqrt(50.0 / t)) + 5
+    quotient = 50.0 / t
+    # Below t = 50 / DBL_MAX (about 2.8e-307) the quotient overflows to
+    # inf, whose ceil raises; the quotient of the roots stays finite.
+    root = (
+        math.sqrt(quotient) if math.isfinite(quotient)
+        else math.sqrt(50.0) / math.sqrt(t)
+    )
+    levels = math.ceil(root) + 5
     if levels > _MAX_SPECTRAL_LEVELS:
         raise ValueError(
             f"the spectral sum at t={t:g} needs {levels:.3g} levels, more "

@@ -5,7 +5,11 @@ and zeros build the builtin data.  Every computation works on integer
 tensors: each tensor is rescaled by the lcm of its entry denominators so
 numpy can contract, scale and assemble int64 arrays, with an automatic
 promotion to Python-int object arrays whenever a magnitude bound says
-int64 could overflow.  exact_matmul runs a product on float64 BLAS when
+int64 could overflow.  No ScaledTensor array is written after
+construction, so each tensor measures its entry bound, max_abs of its
+array, at most once and keeps it (ScaledTensor.bound); scale, reduced
+and the transposed views of exact_einsum hand their results the bound
+they already know.  exact_matmul runs a product on float64 BLAS when
 its bound stays below 2**53, where float64 holds every integer exactly.
 Every matrix inverted is a metric or a Gram matrix, so the one
 factorization is ldl, a fraction-free LDL^T without row exchanges that
@@ -127,6 +131,14 @@ def exact_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     return out.astype(np.int64) if dtype is np.float64 else out
 
 
+def upper_indices(rows: int, k: int = 0, cols: int | None = None):
+    """np.triu_indices(rows, k, cols), the (i, j) with j >= i + k in
+    row-major order, from one boolean mask; triu_indices builds a whole
+    triangular matrix first and costs several times more."""
+    cols = rows if cols is None else cols
+    return np.nonzero(np.arange(cols) >= np.arange(rows)[:, None] + k)
+
+
 def primitive_columns(array: np.ndarray) -> np.ndarray:
     """Each column of an integer matrix divided by the gcd of its entries
     (a zero column stays zero), so that no column has a common factor."""
@@ -165,16 +177,29 @@ class ScaledTensor:
     """An exact rational tensor stored as integer_array / denom.
 
     The array dtype is int64 while magnitudes allow it and object (Python
-    int) otherwise, so arithmetic never overflows silently.
+    int) otherwise, so arithmetic never overflows silently.  The array is
+    never written after construction: bound, the largest entry magnitude,
+    is measured on first use and kept, or given by a constructor's caller
+    that already knows it exactly.
     """
 
-    __slots__ = ("array", "denom")
+    __slots__ = ("array", "denom", "_bound")
 
-    def __init__(self, array: np.ndarray, denom: int):
+    def __init__(
+        self, array: np.ndarray, denom: int, bound: int | None = None
+    ):
         if denom <= 0:
             raise ValueError("denominator must be positive")
         self.array = array
         self.denom = denom
+        self._bound = bound
+
+    @property
+    def bound(self) -> int:
+        """max_abs(self.array), measured once."""
+        if self._bound is None:
+            self._bound = max_abs(self.array)
+        return self._bound
 
     @classmethod
     def from_nested(cls, nested, shape: tuple[int, ...] | None = None
@@ -185,14 +210,12 @@ class ScaledTensor:
         if shape is None:
             shape = _shape(nested)
         vals = [_exact_scalar(x) for x in _flatten(nested)]
-        den = 1
-        for v in vals:
-            den = lcm(den, v.denominator)
+        den = lcm(*{v.denominator for v in vals})
         ints = [v.numerator * (den // v.denominator) for v in vals]
-        big = max((abs(i) for i in ints), default=0)
+        big = max(map(abs, ints), default=0)
         arr = np.empty(len(ints), dtype=exact_dtype(big))
         arr[:] = ints
-        return cls(arr.reshape(shape), den)
+        return cls(arr.reshape(shape), den, big)
 
     def to_fractions(self):
         """The entries as nested tuples of Fraction (a Fraction for a
@@ -207,15 +230,22 @@ class ScaledTensor:
 
     def reduced(self) -> "ScaledTensor":
         """The tensor in canonical form: gcd(denom, every entry) divided
-        out, and int64 whenever the reduced entries fit below _INT64_SAFE."""
-        array, denom = self.array, 1
+        out, and int64 whenever the reduced entries fit below _INT64_SAFE.
+        Every entry is a multiple of the divisor, so a kept bound divides
+        exactly too."""
+        array, denom, bound = self.array, 1, self._bound
         content = int(np.gcd.reduce(array, axis=None))
         if content:
             common = gcd(self.denom, content)
             array, denom = array // common, self.denom // common
-        if array.dtype == object and max_abs(array) < _INT64_SAFE:
-            array = array.astype(np.int64)
-        return ScaledTensor(array, denom)
+            if bound is not None:
+                bound //= common
+        if array.dtype == object:
+            if bound is None:
+                bound = max_abs(array)
+            if bound < _INT64_SAFE:
+                array = array.astype(np.int64)
+        return ScaledTensor(array, denom, bound)
 
     def scale(self, c) -> "ScaledTensor":
         """c times the tensor for a rational c, promoted to Python ints
@@ -223,11 +253,12 @@ class ScaledTensor:
         c = Fraction(c)
         # At least 1: numpy refuses to multiply int64 by a too large int
         # even when every entry is zero.
-        bound = max(max_abs(self.array), 1) * abs(c.numerator)
+        bound = max(self.bound, 1) * abs(c.numerator)
         dtype = exact_dtype(bound, self.array)
         return ScaledTensor(
             self.array.astype(dtype, copy=False) * c.numerator,
             self.denom * c.denominator,
+            self.bound * abs(c.numerator),
         )
 
     def nonzero_rows(self) -> np.ndarray:
@@ -246,7 +277,7 @@ class ScaledTensor:
         den = lcm(self.denom, other.denom)
         fa, fb = den // self.denom, den // other.denom
         a, b = self.array, other.array
-        bound = max(max_abs(a), 1) * fa + max(max_abs(b), 1) * fb
+        bound = max(self.bound, 1) * fa + max(other.bound, 1) * fb
         if exact_dtype(bound, a, b) is object:
             a, b = a.astype(object), b.astype(object)
         return ScaledTensor(np.asarray(a * fa + sign * (b * fb)), den)
@@ -268,8 +299,9 @@ def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
     """np.einsum over ScaledTensors, promoting to object dtype when an
     int64 result could overflow.  A pure index permutation of one operand
     ("iab->iba") is the transposed view over the same denominator: no
-    bound pass and no copy, which is safe because no ScaledTensor array
-    is written after construction."""
+    copy, and one bound pass serves the operand and its view, which is
+    safe because no ScaledTensor array is written after construction.
+    Every other contraction reads each operand's kept bound."""
     in_part, arrow, out_spec = subscripts.partition("->")
     if (
         len(operands) == 1 and arrow
@@ -278,20 +310,16 @@ def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
     ):
         (op,) = operands
         axes = tuple(in_part.index(ch) for ch in out_spec)
-        return ScaledTensor(op.array.transpose(axes), op.denom)
+        return ScaledTensor(op.array.transpose(axes), op.denom, op.bound)
     arrays = [op.array for op in operands]
-    denom = 1
-    for op in operands:
-        denom *= op.denom
     # Conservative magnitude bound: product of entry maxima times the
     # total number of summed terms.
-    bound = 1
-    for op in operands:
-        bound *= max(max_abs(op.array), 1)
+    denom = bound = 1
     sizes: dict[str, int] = {}
-    for spec, arr in zip(in_part.split(","), arrays):
-        for ch, dim in zip(spec, arr.shape):
-            sizes[ch] = dim
+    for spec, op in zip(in_part.split(","), operands):
+        denom *= op.denom
+        bound *= max(op.bound, 1)
+        sizes.update(zip(spec, op.array.shape))
     for ch, dim in sizes.items():
         if ch not in out_spec:
             bound *= max(dim, 1)
@@ -308,7 +336,7 @@ def assemble(shape: tuple[int, ...], blocks) -> ScaledTensor:
     lcm of the block denominators, in int64 only when that stays safe."""
     den = lcm(1, *(t.denom for _, t in blocks))
     bound = max(
-        (max(max_abs(t.array), 1) * (den // t.denom) for _, t in blocks),
+        (max(t.bound, 1) * (den // t.denom) for _, t in blocks),
         default=0,
     )
     dtype = exact_dtype(bound, *(t.array for _, t in blocks))
@@ -327,7 +355,7 @@ def _scale_rows(t: ScaledTensor, factors: list[Fraction]) -> ScaledTensor:
     """diag(factors) t, reduced: row k of the matrix t times factors[k]."""
     common = lcm(1, *(f.denominator for f in factors))
     mults = [f.numerator * (common // f.denominator) for f in factors]
-    bound = max(max_abs(t.array), 1) * max(map(abs, mults), default=1)
+    bound = max(t.bound, 1) * max(map(abs, mults), default=1)
     dtype = exact_dtype(bound, t.array)
     rows = t.array.astype(dtype, copy=False) * np.array(mults, dtype)[:, None]
     return ScaledTensor(rows, t.denom * common).reduced()
@@ -343,8 +371,10 @@ def ldl(a: ScaledTensor) -> Factor:
     the leading principal minor of order k + 1 (p_{-1} = 1).  Each
     division is exact, and row k ends as p_{k-1} [diag(d') L^T | L^-1]_k
     with d' = d a.denom.  A step runs in int64 only while its products
-    stay below _INT64_SAFE.  Raises ValueError at the first pivot that is
-    not positive, which on a semidefinite a means that a is singular."""
+    stay below _INT64_SAFE, which one magnitude pass over its rows k..
+    bounds; once promoted, the work stays object and needs no bound.
+    Raises ValueError at the first pivot that is not positive, which on a
+    semidefinite a means that a is singular."""
     m = a.array.shape[0]
     work = np.concatenate([a.array, np.eye(m, dtype=np.int64)], axis=1)
     minors = [1]
@@ -352,12 +382,16 @@ def ldl(a: ScaledTensor) -> Factor:
         pivot = int(work[k, k])
         if pivot <= 0:
             raise ValueError(f"matrix is not positive definite (pivot {k})")
-        rest = work[k + 1 :]
-        bound = pivot * max_abs(rest) + max_abs(rest[:, k]) * max_abs(work[k])
-        work = work.astype(exact_dtype(bound, work), copy=False)
-        # Views are taken after the promotion, or the step would wrap.
-        rest, row = work[k + 1 :], work[k]
-        work[k + 1 :] = (pivot * rest - rest[:, k, None] * row) // minors[-1]
+        if k + 1 < m:
+            if work.dtype != object:
+                mags = np.abs(work[k:])
+                top, col = int(mags[1:].max()), int(mags[1:, k].max())
+                bound = pivot * top + col * int(mags[0].max())
+                work = work.astype(exact_dtype(bound), copy=False)
+            # Views are taken after the promotion, or the step would wrap.
+            rest, row = work[k + 1 :], work[k]
+            step = pivot * rest - rest[:, k, None] * row
+            work[k + 1 :] = step // minors[-1]
         minors.append(pivot)
     back = _scale_rows(
         ScaledTensor(work[:, m:], 1), [Fraction(1, q) for q in minors[:-1]]
@@ -452,7 +486,7 @@ def near_unit(mat: ScaledTensor) -> tuple[np.ndarray, Fraction]:
     within a factor of 4 of the largest entry of mat: the floats stay in
     range however large or small the entries are, and a power of two adds
     no rounding."""
-    top = Fraction(max_abs(mat.array), mat.denom)
+    top = Fraction(mat.bound, mat.denom)
     k = (top.numerator.bit_length() - top.denominator.bit_length()) // 2
     shrink = Fraction(1, 2**k) if k >= 0 else Fraction(2**-k)
     return float_stack(mat, shrink * shrink), shrink
@@ -502,7 +536,7 @@ def _commutant(gens: np.ndarray) -> np.ndarray:
     every system stays small.  M is always a solution, so the search
     stops when one is left."""
     r = gens.shape[-1]
-    upper = np.triu_indices(r)
+    upper = upper_indices(r)
     u = len(upper[0])
     unit = np.zeros((u, r, r), dtype=np.int64)
     unit[np.arange(u), upper[0], upper[1]] = 1
@@ -513,9 +547,10 @@ def _commutant(gens: np.ndarray) -> np.ndarray:
             "tac,cb->tab", ScaledTensor(unit, 1), ScaledTensor(g, 1)
         ).array
         eqs = (prod + prod.transpose(0, 2, 1))[:, upper[0], upper[1]].T
-        bound = max_abs(eqs) * max_abs(basis) * u
+        top = max_abs(basis)
+        bound = max_abs(eqs) * top * u
         null = nullspace(ScaledTensor(exact_matmul(eqs, basis, bound), 1))
-        bound = max_abs(basis) * max_abs(null.array) * basis.shape[1]
+        bound = top * null.bound * basis.shape[1]
         basis = primitive_columns(exact_matmul(basis, null.array, bound))
         if basis.shape[1] <= 1:
             break

@@ -85,6 +85,7 @@ from .rational import (
     ldl,
     max_abs,
     product_dtype,
+    upper_indices,
 )
 
 __all__ = [
@@ -317,7 +318,7 @@ def _monomial_codes(p: int, top: int) -> list[np.ndarray]:
         # Sort and drop repeats by hand: np.unique pulls in numpy.ma on
         # first use, which costs more than the whole expansion for small p.
         step = np.sort((codes[-1][:, None] + weights).ravel())
-        codes.append(step[np.r_[True, step[1:] != step[:-1]]])
+        codes.append(step[np.concatenate(([True], step[1:] != step[:-1]))])
     return codes
 
 
@@ -344,31 +345,34 @@ def _step_ranks(codes: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _matrix_powers(
-    gens: np.ndarray, codes: list[np.ndarray], ranks: list[np.ndarray]
-) -> list[np.ndarray]:
-    """powers[k][rank(alpha)] is the omega^alpha coefficient of
-    (sum_i omega_i gens[i])^k, k = 0..len(ranks) - 1: the sum of gens
+    gens: ScaledTensor, codes: list[np.ndarray], ranks: list[np.ndarray]
+) -> list[ScaledTensor]:
+    """powers[k].array[rank(alpha)] is the omega^alpha coefficient of
+    (sum_i omega_i A_i)^k, A = gens.array the numerators (the
+    denominator is the caller's), k = 0..len(ranks) - 1: the sum of A
     along every word with letter counts alpha.  ranks[k][j, i] is the
     rank in codes[k] of beta + e_i, beta the j-th degree-(k-1) monomial
-    (ranks[0] unused).
+    (ranks[0] unused).  Each power is an integer tensor over denominator
+    1, so its bound is measured once, by the next step or the caller.
 
-    Step k forms every powers[k-1][beta] @ gens[i] in one product
+    Step k forms every powers[k-1][beta] @ A_i in one product
     (N dim, dim) @ (dim, p dim) and adds it onto beta + e_i, which for a
     fixed i hits every target once."""
-    p, dim = gens.shape[0], gens.shape[1]
-    step = gens.transpose(1, 0, 2).reshape(dim, p * dim)
-    powers = [np.eye(dim, dtype=gens.dtype)[None]]
+    a = gens.array
+    p, dim = a.shape[0], a.shape[1]
+    step = a.transpose(1, 0, 2).reshape(dim, p * dim)
+    powers = [ScaledTensor(np.eye(dim, dtype=a.dtype)[None], 1)]
     for k in range(1, len(ranks)):
         prev = powers[-1]
-        n = len(prev)
+        n = len(prev.array)
         # Each monomial collects at most min(p, k) products.
-        bound = max_abs(prev) * max_abs(gens) * dim * min(p, k)
-        prod = exact_matmul(prev.reshape(n * dim, dim), step, bound)
+        bound = prev.bound * gens.bound * dim * min(p, k)
+        prod = exact_matmul(prev.array.reshape(n * dim, dim), step, bound)
         prod = prod.reshape(n, dim, p, dim)
         cur = np.zeros((len(codes[k]), dim, dim), dtype=prod.dtype)
         for i in range(p):
             cur[ranks[k][:, i]] += prod[:, :, i]
-        powers.append(cur)
+        powers.append(ScaledTensor(cur, 1))
     return powers
 
 
@@ -427,28 +431,31 @@ def _graded_log(
     # The same step ranks serve both families.
     steps = _step_ranks(codes[: order + 1])
     f_powers, d_powers = (
-        _matrix_powers(t.scale(den // t.denom).array, codes, steps)
-        for t in (f, d)
+        _matrix_powers(t.scale(den // t.denom), codes, steps) for t in (f, d)
     )
     grades = [None]
     for m in range(1, order + 1):
-        n, f_half, d_half = len(codes[m]), f_powers[m], d_powers[m]
-        rows = np.hstack([f_half.reshape(n, -1), d_half.reshape(n, -1)])
-        cols = np.hstack([
+        n = len(codes[m])
+        f_half, d_half = f_powers[m].array, d_powers[m].array
+        rows = np.concatenate(
+            [f_half.reshape(n, -1), d_half.reshape(n, -1)], axis=1
+        )
+        cols = np.concatenate([
             f_half.transpose(0, 2, 1).reshape(n, -1),
             -d_half.transpose(0, 2, 1).reshape(n, -1),
-        ]).T
+        ], axis=1).T
         # A Gram entry is a sum of rows.shape[1] products; each degree-2m
         # monomial collects at most n of them, and so does each partial
         # sum of its scatter.
-        bound = max_abs(rows) ** 2 * rows.shape[1] * n
+        top = max(f_powers[m].bound, d_powers[m].bound)
+        bound = top**2 * rows.shape[1] * n
         out = np.zeros(len(codes[2 * m]), dtype=exact_dtype(bound, rows))
         block = max(1, _GRAM_BLOCK // n)
         for s in range(0, n, block):
             e = min(s + block, n)
             # The pairs (s + i, s + j) with i <= j: the square part's
             # upper triangle and the rectangle to its right.
-            i, j = np.triu_indices(e - s, 0, n - s)
+            i, j = upper_indices(e - s, 0, n - s)
             ranks = np.searchsorted(
                 codes[2 * m], codes[m][s + i] + codes[m][s + j]
             )
@@ -499,7 +506,8 @@ def _graded_exp(
 
     The products of one grade share the lcm of their denominators.  An
     entry collects at most min(nnz P_m, nnz E_{g-m}) pairs from each
-    product, which bounds it for the int64 test."""
+    product, which bounds it for the int64 test; each grade's bound is
+    measured once, the first time it enters a product."""
     exp = [ScaledTensor(np.ones(1, dtype=np.int64), 1)]
     log_nz = [None] + [
         _nonzero(grade.array, codes[2 * m])
@@ -516,8 +524,8 @@ def _graded_exp(
         scale = {m: m * (den // pair_den[m]) for m in ms}
         bound = sum(
             scale[m]
-            * max_abs(log_nz[m][1])
-            * max_abs(exp_nz[g - m][1])
+            * log[m].bound
+            * exp[g - m].bound
             * min(len(log_nz[m][1]), len(exp_nz[g - m][1]))
             for m in ms
         )
@@ -713,7 +721,7 @@ def _weyl_weight(
         # A^alpha = A^(alpha - e_i) A_i, i the first variable of alpha.
         first = (exps > 0).argmax(axis=1)
         prev = np.searchsorted(codes[k - 1], codes[k] - codes[1][first])
-        bound = max_abs(power) * max_abs(gens) * p
+        bound = max_abs(power) * f.bound * p
         power = exact_matmul(power[prev], gens[first], bound)
         traces = power.diagonal(axis1=1, axis2=2).astype(object).sum(axis=1)
         if k % 2:

@@ -206,6 +206,38 @@ def test_load_rejects_float_contamination(tmp_path):
         hg.load(path)
 
 
+def _int_limit_message(digits: str) -> str:
+    with pytest.raises(ValueError) as info:
+        int(digits)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0/0", "zero denominator in '0/0'"),
+    ("1/-2", "expected a rational string like '3' or '-7/2', got '1/-2'"),
+    ("+1", "expected a rational string like '3' or '-7/2', got '+1'"),
+    (" 1", "expected a rational string like '3' or '-7/2', got ' 1'"),
+    ("1" * 5000, _int_limit_message("1" * 5000)),
+    ("3/" + "7" * 5000, _int_limit_message("7" * 5000)),
+], ids=["0/0", "1/-2", "+1", "space 1", "5000-digit numerator",
+        "5000-digit denominator"])
+def test_parse_rational_errors_name_the_entry(text, message):
+    with pytest.raises(hg.ParseError) as info:
+        catalog._parse_rational(text, "beta[1][0]")
+    assert str(info.value) == f"beta[1][0]: {message}"
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0", F(0)), ("-0", F(0)), ("-0/5", F(0)), ("6/4", F(3, 2)),
+    ("-7/2", F(-7, 2)), ("12", F(12)), ("1\n", F(1)),
+    ("9" * 300 + "/3", F(int("3" * 300))),
+], ids=["0", "-0", "-0/5", "6/4", "-7/2", "12", "1 newline", "300 digits"])
+def test_parse_rational_reads_lowest_terms(text, value):
+    # A trailing newline passes the pattern's $, as it always has.
+    got = catalog._parse_rational(text, "g[0][0]")
+    assert type(got) is F and got == value
+
+
 def test_load_rejects_zero_denominator(tmp_path):
     spec = hg.builtin("S2")
     path = tmp_path / "zden.json"

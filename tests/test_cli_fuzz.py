@@ -157,6 +157,9 @@ BAD_ARGUMENTS = [
     ("compare", "S2", "--order", "2", "--t", "0"),
     ("compare", "S2", "--order", "2", "--t", "1e-14"),
     ("compare", "S2", "--order", "-1"),
+    ("compare", "S2", "--t", "1e-310"),
+    ("compare", "S4", "--order", "2", "--t", "5e-324", "--method", "mc",
+     "--samples", "100"),
 ]
 
 
@@ -165,6 +168,15 @@ def test_malformed_and_extreme_arguments(capsys, argv):
     code, err = run_cli(capsys, argv)
     assert_clean(code, err, argv)
     assert code != 0
+
+
+@pytest.mark.parametrize("t", ["1e-300", "1e-310", "5e-324"])
+def test_tiny_compare_times_are_usage_errors(capsys, t):
+    # The spectral sum needs more levels than its cap at each of these
+    # times, subnormal or not: exit 2, named.
+    code, err = run_cli(capsys, ["compare", "S2", "--t", t])
+    assert_clean(code, err, t)
+    assert code == 2 and "levels" in err, err
 
 
 LEAVES = st.sampled_from(

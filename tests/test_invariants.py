@@ -354,6 +354,14 @@ def test_spectral_trace_refuses_beyond_the_level_cap():
         hg.sphere_spectral_trace(2, 1e-14)
 
 
+@pytest.mark.parametrize("t", [1e-310, 5e-324])
+def test_spectral_trace_refuses_subnormal_times(t):
+    # Below t = 50 / DBL_MAX the quotient 50 / t overflows to inf; the
+    # level count must still be named and refused, not raise OverflowError.
+    with pytest.raises(ValueError, match="levels, more than the cap"):
+        hg.sphere_spectral_trace(2, t)
+
+
 def test_sphere_volumes():
     assert sphere_volume(2) == pytest.approx(4 * math.pi)
     assert sphere_volume(3) == pytest.approx(2 * math.pi**2)

@@ -1,5 +1,7 @@
 """Exact linear algebra helpers."""
 
+import contextlib
+import io
 import math
 import random
 from fractions import Fraction as F
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heatgen as hg
 import oracles
 from heatgen import rational
+from heatgen.cli import main
 from heatgen.curvature import SpaceSpec
 from heatgen.errors import InvalidSpaceSpec
 
@@ -520,3 +524,203 @@ def test_nullspace_is_an_exact_primitive_basis(case):
             assert sum(x * y for x, y in zip(row, column)) == 0
     if nullity:
         assert oracles.rank(oracles.matrix(columns)) == nullity
+
+
+# ---------------------------------------------------------------------------
+# Kept bounds and the int64/object boundary of the Bareiss eliminations
+# ---------------------------------------------------------------------------
+
+
+def _fresh(t) -> bool:
+    """Whether a tensor's kept bound, if it holds one, is the entry bound
+    of its array now."""
+    return t._bound is None or t._bound == rational.max_abs(t.array)
+
+
+def test_kept_bounds_are_the_entry_bounds():
+    t = rational.ScaledTensor.from_nested([[F(-3, 2), F(5)], [0, F(1, 4)]])
+    # The constructor measured the numerators -6, 20, 0 and 1.
+    assert t._bound == 20 and _fresh(t)
+    made = [
+        t.scale(F(-3, 7)),
+        t.scale(0),
+        t.scale(3**50),
+        t.reduced(),
+        t.scale(6).reduced(),
+        rational.exact_einsum("ab->ba", t),
+        rational.ScaledTensor(np.array([3**50, -(3**51)], dtype=object),
+                              3**49).reduced(),
+        rational.ScaledTensor(np.zeros((2, 0), dtype=np.int64), 1),
+    ]
+    assert [m._bound for m in made[:-1]] == [
+        60, 0, 20 * 3**50, 20, 60, 20, 9,
+    ]
+    assert all(_fresh(m) for m in made)
+    # A bound nobody has asked for is measured on first use, once.
+    lazy = made[-1]
+    assert lazy._bound is None and lazy.bound == 0 and lazy._bound == 0
+
+
+def _ldl_step_bounds(a):
+    """The bound of each step k < m - 1 of ldl's elimination of [A | I],
+    for an integer matrix A, in Python ints: p_k max|rest| +
+    max|rest[:, k]| max|row k|, the rest being the rows below k."""
+    m = len(a)
+    work = [list(row) + [int(i == j) for j in range(m)]
+            for i, row in enumerate(a)]
+    last, bounds = 1, []
+    for k in range(m - 1):
+        pivot, rest = work[k][k], work[k + 1:]
+        bounds.append(
+            pivot * max(abs(x) for row in rest for x in row)
+            + max(abs(row[k]) for row in rest) * max(map(abs, work[k]))
+        )
+        work[k + 1:] = [
+            [(pivot * x - row[k] * y) // last for x, y in zip(row, work[k])]
+            for row in rest
+        ]
+        last = pivot
+    return bounds
+
+
+def _nullspace_step_bounds(a):
+    """The bound 2 top^2 of each step of nullspace's elimination of an
+    integer matrix, in Python ints: the pivot is the nonzero entry of
+    least magnitude among the rows not yet pivoted, the first in row-major
+    order, and rows that become zero are dropped."""
+    work = [list(row) for row in a if any(row)]
+    bounds, last, k = [], 1, 0
+    while k < len(work):
+        top = max(abs(x) for row in work for x in row)
+        _, r, c = min((abs(x), i, j) for i, row in enumerate(work[k:], k)
+                      for j, x in enumerate(row) if x)
+        work[k], work[r] = work[r], work[k]
+        pivot, keep = work[k][c], work[k]
+        bounds.append(2 * top * top)
+        work = [[(pivot * x - row[c] * y) // last for x, y in zip(row, keep)]
+                for row in work]
+        work[k] = keep
+        last, k = pivot, k + 1
+        work = work[:k] + [row for row in work[k:] if any(row)]
+    return bounds
+
+
+def _spy_dtypes(monkeypatch):
+    """Record each (bound, dtype) exact_dtype chooses from here on."""
+    chosen = []
+    exact_dtype = rational.exact_dtype
+
+    def spy(bound, *arrays):
+        chosen.append((bound, exact_dtype(bound, *arrays)))
+        return chosen[-1][1]
+
+    monkeypatch.setattr(rational, "exact_dtype", spy)
+    return chosen
+
+
+def _per_step_rule(bounds):
+    """(bound, dtype) of each step up to the first promotion: int64 while
+    the bound stays below _INT64_SAFE, object from there on."""
+    out = []
+    for bound in bounds:
+        out.append((bound, np.int64 if bound < rational._INT64_SAFE
+                    else object))
+        if out[-1][1] is object:
+            break
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ldl_crosses_int64_at_a_middle_pivot(monkeypatch, seed):
+    rng = random.Random(f"cross-{seed}")
+    size = 5 + seed % 2
+    b = [[rng.randint(-64, 64) for _ in range(size)] for _ in range(size)]
+    # B B^T + size I: symmetric positive definite integers near 2^14.
+    a = [[sum(x * y for x, y in zip(r, s)) + size * (i == j)
+          for j, s in enumerate(b)] for i, r in enumerate(b)]
+    rule = _per_step_rule(_ldl_step_bounds(a))
+    assert 0 < len(rule) - 1 < size - 2, "the promotion is at a middle pivot"
+    tensor = _tensor(oracles.matrix(a))
+    assert tensor.array.dtype == np.int64
+    chosen = _spy_dtypes(monkeypatch)
+    back, d = rational.ldl(tensor)
+    monkeypatch.undo()
+    # Once promoted, the elimination stays object and chooses nothing.
+    assert chosen[: len(rule)] == rule
+    lower, want = oracles.ldl(oracles.matrix(a))
+    assert d == want
+    assert back.to_fractions() == oracles.inverse(lower)
+    # reduced() gives the factor its canonical dtype.
+    fits = back.bound < rational._INT64_SAFE
+    assert back.array.dtype == (np.int64 if fits else object)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nullspace_crosses_int64_at_a_middle_pivot(monkeypatch, seed):
+    rng = random.Random(f"null-{seed}")
+    rows, cols, rank = 6, 8, 5
+    left = [[rng.randint(-64, 64) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-64, 64) for _ in range(cols)] for _ in range(rank)]
+    a = oracles.matmul(oracles.matrix(left), oracles.matrix(right))
+    ints = [[int(x) for x in row] for row in a]
+    bounds = _nullspace_step_bounds(ints)
+    rule = _per_step_rule(bounds)
+    assert 0 < len(rule) - 1 < len(bounds) - 1, "promoted at a middle pivot"
+    tensor = rational.ScaledTensor.from_nested(a, (rows, cols))
+    assert tensor.array.dtype == np.int64
+    chosen = _spy_dtypes(monkeypatch)
+    null = rational.nullspace(tensor)
+    monkeypatch.undo()
+    # Every step measures the same bound as the rule; from the promotion
+    # on, the work is object whatever the bound.
+    assert chosen[: len(rule)] == rule
+    assert [b for b, _ in chosen[len(rule): len(bounds)]] == bounds[len(rule):]
+    assert null.array.dtype == object
+    nullity = cols - oracles.rank(a)
+    assert nullity == cols - rank
+    assert null.array.shape == (cols, nullity)
+    columns = [[int(x) for x in null.array[:, j]] for j in range(nullity)]
+    for column in columns:
+        assert math.gcd(*column) == 1
+        assert all(
+            sum(x * y for x, y in zip(row, column)) == 0 for row in a
+        )
+    assert oracles.rank(oracles.matrix(columns)) == nullity
+
+
+def test_kept_bounds_never_go_stale(monkeypatch, tmp_path):
+    """Every ScaledTensor built by the golden requests, a space file whose
+    metric is scaled by 3^40 and one whose beta is scaled by 10^1500
+    keeps, after each request, the entry bound of its array now: no array
+    is written after construction, and no caller hands its tensor a
+    wrong bound."""
+    from test_golden import CASES
+
+    built = []
+    init = rational.ScaledTensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(rational.ScaledTensor, "__init__", recording)
+    s3, s2 = hg.builtin("S3"), hg.builtin("S2")
+    files = {
+        "metric": hg.SpaceSpec("S3metric", s3.n, s3.p,
+                               oracles.scale(s3.g, F(3**40)), s3.beta, s3.E),
+        "beta": hg.SpaceSpec("S2beta", s2.n, s2.p, s2.g,
+                             oracles.scale(s2.beta, F(10**1500)), s2.E),
+    }
+    requests = list(CASES)
+    for key, spec in files.items():
+        path = tmp_path / f"{key}.json"
+        hg.save(spec, path)
+        requests += [("coeffs", str(path), "--order", "3", "--json"),
+                     ("validate", str(path), "--json")]
+    for argv in requests:
+        start = len(built)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0, argv
+        assert any(t._bound is not None for t in built[start:]), argv
+        # Tensors of earlier requests too: a later one must not write them.
+        assert all(_fresh(t) for t in built), argv
