@@ -122,14 +122,19 @@ def builtin(name: str) -> SpaceSpec:
 _REQUIRED_FIELDS = ("schema_version", "name", "n", "p", "g", "beta", "E")
 
 
-def _parse_rational(text, where: str) -> Fraction:
+def _location(where: str, index: tuple[int, ...]) -> str:
+    return where + "".join(f"[{k}]" for k in index)
+
+
+def _parse_rational(text, where: str, *index: int) -> Fraction:
     """The Fraction a rational string writes, built from the groups of
-    its one validating match."""
+    its one validating match.  An error names where, followed by [k] for
+    each index: that location is built only when the entry is refused."""
     match = _RATIONAL_RE.match(text) if isinstance(text, str) else None
     if match is None:
         raise ParseError(
-            f"{where}: expected a rational string like '3' or '-7/2', "
-            f"got {text!r}"
+            f"{_location(where, index)}: expected a rational string like "
+            f"'3' or '-7/2', got {text!r}"
         )
     num, den = match.groups()
     try:
@@ -137,26 +142,33 @@ def _parse_rational(text, where: str) -> Fraction:
             return Fraction(int(num))
         return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
-        raise ParseError(f"{where}: zero denominator in {text!r}") from exc
+        raise ParseError(
+            f"{_location(where, index)}: zero denominator in {text!r}"
+        ) from exc
     except ValueError as exc:
         # Python refuses integers of more than sys.get_int_max_str_digits()
         # digits.
-        raise ParseError(f"{where}: {exc}") from None
+        raise ParseError(f"{_location(where, index)}: {exc}") from None
 
 
-def _parse_matrix(data, rows: int, cols: int, where: str):
+def _parse_matrix(data, rows: int, cols: int, where: str,
+                  parsed: dict[str, Fraction]):
+    """The rows x cols matrix that data writes.  parsed holds the entries
+    read so far, by their text, so that each distinct text is parsed once
+    per file."""
     if not isinstance(data, list) or len(data) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
     out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}[{i}]: expected {cols} entries")
-        out.append(
-            tuple(
-                _parse_rational(x, f"{where}[{i}][{j}]")
-                for j, x in enumerate(row)
-            )
-        )
+        values = []
+        for j, x in enumerate(row):
+            value = parsed.get(x) if isinstance(x, str) else None
+            if value is None:
+                value = parsed[x] = _parse_rational(x, where, i, j)
+            values.append(value)
+        out.append(tuple(values))
     return tuple(out)
 
 
@@ -206,12 +218,14 @@ def load(path) -> SpaceSpec:
         raise ParseError(f"{path}: n must be a nonnegative integer")
     if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise ParseError(f"{path}: p must be a nonnegative integer")
-    g = _parse_matrix(doc["g"], n, n, "g")
-    beta = _parse_matrix(doc["beta"], p, p, "beta")
+    parsed: dict[str, Fraction] = {}
+    g = _parse_matrix(doc["g"], n, n, "g", parsed)
+    beta = _parse_matrix(doc["beta"], p, p, "beta", parsed)
     if not isinstance(doc["E"], list) or len(doc["E"]) != p:
         raise ParseError(f"E: expected {p} generator matrices")
     E = tuple(
-        _parse_matrix(mat, n, n, f"E[{i}]") for i, mat in enumerate(doc["E"])
+        _parse_matrix(mat, n, n, f"E[{i}]", parsed)
+        for i, mat in enumerate(doc["E"])
     )
     try:
         return SpaceSpec(name=name, n=n, p=p, g=g, beta=beta, E=E)

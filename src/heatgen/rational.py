@@ -23,11 +23,21 @@ by the rational eigenspaces of the self-adjoint commutant.  near_unit
 and float_stack give the float views it and the numeric oracle share.
 reduced() is the canonical form (lowest terms, int64 whenever the
 entries fit).
+
+Both eliminations make one overflow decision up front, by Hadamard's
+inequality: every entry of a fraction-free elimination is a minor of
+the matrix it starts from ([A | I] for ldl, A for nullspace), so it is
+at most H = prod_i max(1, |row_i|), and every p a - b c a step forms is
+at most 2 H^2.  When 2 H^2 < _INT64_SAFE the whole elimination runs in
+int64 with no magnitude pass; otherwise each step measures its own
+bound and promotes the work to Python ints when int64 could overflow,
+as a step always did (_fits_hadamard).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isfinite, lcm
 
 import numpy as np
@@ -146,14 +156,6 @@ def primitive_columns(array: np.ndarray) -> np.ndarray:
     return array // np.where(content == 0, 1, content)
 
 
-def _flatten(nested):
-    if isinstance(nested, (list, tuple)):
-        for item in nested:
-            yield from _flatten(item)
-    else:
-        yield nested
-
-
 def _shape(nested) -> tuple[int, ...]:
     if isinstance(nested, (list, tuple)):
         if len(nested) == 0:
@@ -206,15 +208,22 @@ class ScaledTensor:
                     ) -> "ScaledTensor":
         """Convert nested sequences of ints and Fractions (anything else
         raises TypeError).  An explicit shape gives empty data its full
-        shape, e.g. (0, n, n) for no generators."""
+        shape, e.g. (0, n, n) for no generators.  The data are flattened
+        one nesting level per axis; ints and Fractions alike carry
+        numerator and denominator, so neither is converted."""
         if shape is None:
             shape = _shape(nested)
-        vals = [_exact_scalar(x) for x in _flatten(nested)]
+        flat = nested
+        for _ in shape[1:]:
+            flat = chain.from_iterable(flat)
+        vals = list(flat) if shape else [nested]
+        if not {type(v) for v in vals} <= {int, Fraction}:
+            for v in vals:
+                _exact_scalar(v)
         den = lcm(*{v.denominator for v in vals})
         ints = [v.numerator * (den // v.denominator) for v in vals]
         big = max(map(abs, ints), default=0)
-        arr = np.empty(len(ints), dtype=exact_dtype(big))
-        arr[:] = ints
+        arr = np.array(ints, dtype=exact_dtype(big))
         return cls(arr.reshape(shape), den, big)
 
     def to_fractions(self):
@@ -311,22 +320,26 @@ def exact_einsum(subscripts: str, *operands: ScaledTensor) -> ScaledTensor:
         (op,) = operands
         axes = tuple(in_part.index(ch) for ch in out_spec)
         return ScaledTensor(op.array.transpose(axes), op.denom, op.bound)
-    arrays = [op.array for op in operands]
     # Conservative magnitude bound: product of entry maxima times the
-    # total number of summed terms.
+    # total number of summed terms, the dimension of each summed letter
+    # (one not in the output) counted at its first occurrence.
     denom = bound = 1
-    sizes: dict[str, int] = {}
-    for spec, op in zip(in_part.split(","), operands):
+    shape: tuple[int, ...] = ()
+    wide = False
+    for op in operands:
         denom *= op.denom
-        bound *= max(op.bound, 1)
-        sizes.update(zip(spec, op.array.shape))
-    for ch, dim in sizes.items():
-        if ch not in out_spec:
-            bound *= max(dim, 1)
-    if exact_dtype(bound, *arrays) is object:
+        bound *= op.bound or 1
+        shape += op.array.shape
+        wide = wide or op.array.dtype.hasobject
+    seen = out_spec
+    for ch, dim in zip(in_part.replace(",", ""), shape):
+        if ch not in seen:
+            seen += ch
+            bound *= dim or 1
+    arrays = [op.array for op in operands]
+    if wide or bound >= _INT64_SAFE:
         arrays = [a.astype(object) for a in arrays]
-    result = np.einsum(subscripts, *arrays)
-    return ScaledTensor(np.asarray(result), denom)
+    return ScaledTensor(np.asarray(np.einsum(subscripts, *arrays)), denom)
 
 
 def assemble(shape: tuple[int, ...], blocks) -> ScaledTensor:
@@ -351,14 +364,27 @@ def assemble(shape: tuple[int, ...], blocks) -> ScaledTensor:
 Factor = tuple[ScaledTensor, tuple[Fraction, ...]]
 
 
-def _scale_rows(t: ScaledTensor, factors: list[Fraction]) -> ScaledTensor:
-    """diag(factors) t, reduced: row k of the matrix t times factors[k]."""
-    common = lcm(1, *(f.denominator for f in factors))
-    mults = [f.numerator * (common // f.denominator) for f in factors]
-    bound = max(t.bound, 1) * max(map(abs, mults), default=1)
-    dtype = exact_dtype(bound, t.array)
-    rows = t.array.astype(dtype, copy=False) * np.array(mults, dtype)[:, None]
-    return ScaledTensor(rows, t.denom * common).reduced()
+def _fits_hadamard(a: ScaledTensor, extra: int = 0) -> bool:
+    """Whether 2 H^2 < _INT64_SAFE for the numerators A (r, c) of a and
+    the Hadamard bound H = prod_i max(1, |row_i|) of A, each squared row
+    norm taken plus extra (1 for the rows of [A | I]).  Every minor of
+    the matrix is at most H in magnitude, so every entry of a
+    fraction-free elimination of it is too, and every p a - b c formed
+    from them at most 2 H^2: the whole elimination then stays in int64
+    with no bound per pivot.  False for object numerators, and when the
+    squared norms could leave int64, so the caller keeps its per-pivot
+    bounds."""
+    array = a.array
+    if array.dtype == object or (
+        (a.bound**2 + extra) * array.shape[1] >= _INT64_SAFE
+    ):
+        return False
+    square = 1
+    for norm in np.einsum("ij,ij->i", array, array).tolist():
+        square *= max(1, norm + extra)
+        if 2 * square >= _INT64_SAFE:
+            return False
+    return True
 
 
 def ldl(a: ScaledTensor) -> Factor:
@@ -370,20 +396,23 @@ def ldl(a: ScaledTensor) -> Factor:
     i > k by (p_k row_i - A_ik row_k) / p_{k-1}, where the pivot p_k is
     the leading principal minor of order k + 1 (p_{-1} = 1).  Each
     division is exact, and row k ends as p_{k-1} [diag(d') L^T | L^-1]_k
-    with d' = d a.denom.  A step runs in int64 only while its products
-    stay below _INT64_SAFE, which one magnitude pass over its rows k..
-    bounds; once promoted, the work stays object and needs no bound.
-    Raises ValueError at the first pivot that is not positive, which on a
+    with d' = d a.denom.  When the Hadamard bound of [A | I] passes
+    (_fits_hadamard), the elimination runs in int64 with no further
+    check; otherwise a step runs in int64 only while its products stay
+    below _INT64_SAFE, which one magnitude pass over its rows k.. bounds,
+    and once promoted the work stays object and needs no bound.  Raises
+    ValueError at the first pivot that is not positive, which on a
     semidefinite a means that a is singular."""
     m = a.array.shape[0]
     work = np.concatenate([a.array, np.eye(m, dtype=np.int64)], axis=1)
+    checked = not _fits_hadamard(a, 1)
     minors = [1]
     for k in range(m):
         pivot = int(work[k, k])
         if pivot <= 0:
             raise ValueError(f"matrix is not positive definite (pivot {k})")
         if k + 1 < m:
-            if work.dtype != object:
+            if checked and work.dtype != object:
                 mags = np.abs(work[k:])
                 top, col = int(mags[1:].max()), int(mags[1:, k].max())
                 bound = pivot * top + col * int(mags[0].max())
@@ -393,10 +422,21 @@ def ldl(a: ScaledTensor) -> Factor:
             step = pivot * rest - rest[:, k, None] * row
             work[k + 1 :] = step // minors[-1]
         minors.append(pivot)
-    back = _scale_rows(
-        ScaledTensor(work[:, m:], 1), [Fraction(1, q) for q in minors[:-1]]
-    )
-    return back, tuple(
+    # Row k of L^-1 is row k of the right block over p_{k-1}, which that
+    # row holds on the diagonal, so the gcd g_k of the row divides it.
+    # Over p_{k-1} / g_k the row is in lowest terms, and over the lcm of
+    # these the rows are the canonical tensor of reduced(), whose exact
+    # bound the row maxima give.
+    gcds = np.gcd.reduce(work[:, m:], axis=1)[:, None]
+    right = work[:, m:] // gcds
+    dens = [q // g for q, g in zip(minors, gcds.ravel().tolist())]
+    common = lcm(*dens)
+    mults = [common // d for d in dens]
+    tops = np.abs(right).max(axis=1, initial=0).tolist()
+    bound = max((t * c for t, c in zip(tops, mults)), default=0)
+    dtype = exact_dtype(bound)
+    back = right.astype(dtype) * np.array(mults, dtype)[:, None]
+    return ScaledTensor(back, common, bound), tuple(
         Fraction(p, q * a.denom) for q, p in zip(minors, minors[1:])
     )
 
@@ -404,10 +444,16 @@ def ldl(a: ScaledTensor) -> Factor:
 def solve(factor: Factor, b: ScaledTensor | None = None) -> ScaledTensor:
     """x = a^-1 b = L^-T diag(d)^-1 L^-1 b, in lowest terms, for the factor
     (L^-1, d) = ldl(a) of a (m, m) and b (m, r); b defaults to the
-    identity, so solve(ldl(a)) is the inverse of a."""
+    identity, so solve(ldl(a)) is the inverse of a.  diag(d)^-1 scales
+    row k by den(d_k) lcm(num(d)) / num(d_k), over lcm(num(d))."""
     back, pivots = factor
     right = back if b is None else exact_einsum("ij,jr->ir", back, b)
-    scaled = _scale_rows(right, [1 / x for x in pivots])
+    common = lcm(*(x.numerator for x in pivots))
+    mults = [x.denominator * (common // x.numerator) for x in pivots]
+    bound = max(right.bound, 1) * max(mults, default=1)
+    dtype = exact_dtype(bound, right.array)
+    rows = right.array.astype(dtype, copy=False) * np.array(mults, dtype)[:, None]
+    scaled = ScaledTensor(rows, right.denom * common)
     return exact_einsum("ki,kr->ir", back, scaled).reduced()
 
 
@@ -424,10 +470,13 @@ def nullspace(a: ScaledTensor) -> ScaledTensor:
     holds the last pivot p on its own pivot column and zero on the
     others.  A free column f then gives the null vector with p at f, zero
     at the other free columns and -A_rf at the pivot column of each pivot
-    row r.  Rows that become zero are dropped as they appear, and a step
-    runs in int64 only while its products stay below _INT64_SAFE."""
+    row r.  Rows that become zero are dropped as they appear.  When the
+    Hadamard bound of A passes (_fits_hadamard) the elimination runs in
+    int64 throughout; otherwise a step runs in int64 only while its
+    products stay below _INT64_SAFE."""
     cols = a.array.shape[1]
     work = a.array[a.nonzero_rows()]
+    checked = not _fits_hadamard(a)
     pivots: list[int] = []
     last = 1
     while len(pivots) < len(work):
@@ -439,8 +488,9 @@ def nullspace(a: ScaledTensor) -> ScaledTensor:
         if row:
             work[[k, k + row]] = work[[k + row, k]]
         pivot = int(work[k, col])
-        # |pivot|, |A_ic| and |A_kj| are at most top.
-        work = work.astype(exact_dtype(2 * top * top, work), copy=False)
+        if checked:
+            # |pivot|, |A_ic| and |A_kj| are at most top.
+            work = work.astype(exact_dtype(2 * top * top, work), copy=False)
         keep = work[k].copy()
         work = (pivot * work - work[:, col, None] * keep) // last
         work[k] = keep

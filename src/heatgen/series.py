@@ -59,9 +59,10 @@ whose dict-of-Fraction exp, the prefactor product
 exponentiate_with_prefactor and averaging.average are kept as the
 independent oracle of that path.  The work, and the budget, is counted in
 coefficient pairs: the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus
-the exponential's products (exp_units), in all p variables whichever
-average runs; the torus runs only when it costs fewer, so neither does
-more than the budget.  check_budget is the one gate for both paths; the
+the exponential's products (exp_units), in all p variables, or the
+torus's own units (torus_units) when the torus runs.  The budget holds
+the average that runs: check_budget gates the expansion in all p
+variables, and whitened_average the cheaper of the two averages.  The
 budget is the caller's budget= (the CLI's --budget), DEFAULT_WORD_BUDGET
 when None.
 """
@@ -385,30 +386,43 @@ def exp_units(p: int, order: int) -> int:
     return sum(sizes[m] * below[order - m] for m in range(1, order + 1))
 
 
-def check_budget(p: int, order: int, budget: int | None) -> int:
-    """The work units of the exponential of an expansion in p >= 0
-    variables, trace_units of the log plus exp_units; OrderTooLarge when
-    they exceed the budget (default DEFAULT_WORD_BUDGET).
+def _over_budget(needs: str, what: str, p: int, order: int, limit: int
+                 ) -> OrderTooLarge:
+    return OrderTooLarge(
+        f"the expansion needs {needs} work units ({what}) for p={p}, "
+        f"order {order}, exceeding the budget of {limit}; lower the order, "
+        f"use a numeric average, or raise --budget (budget= in the library)"
+    )
 
-    Every grade of the log, and every product of the exponential, costs
-    at least one unit, so an order whose least count exceeds the budget
-    is refused before any binomial is summed."""
+
+_DENSE_UNITS = (
+    "coefficient-matrix pairs, sum_m C(p+m-1,m)^2, plus the coefficient "
+    "pairs of the exponential"
+)
+
+
+def _budget_limit(p: int, order: int, budget: int | None) -> int:
+    """The budget, DEFAULT_WORD_BUDGET when None.  Every grade of the
+    log, and every product of the exponential, costs at least one unit,
+    so an order whose least count exceeds the budget is refused before
+    any binomial is summed."""
     limit = DEFAULT_WORD_BUDGET if budget is None else budget
     least = order + order * (order + 1) // 2
     if least > limit:
-        needs = f"at least {least}"
-    else:
-        units = trace_units(p, order) + exp_units(p, order)
-        if units <= limit:
-            return units
-        needs = str(units)
-    raise OrderTooLarge(
-        f"the expansion needs {needs} work units (coefficient-matrix "
-        f"pairs, sum_m C(p+m-1,m)^2, plus the coefficient pairs of the "
-        f"exponential) for p={p}, order {order}, exceeding the budget of "
-        f"{limit}; lower the order, use a numeric average, or raise "
-        f"--budget (budget= in the library)"
-    )
+        raise _over_budget(f"at least {least}", _DENSE_UNITS, p, order, limit)
+    return limit
+
+
+def check_budget(p: int, order: int, budget: int | None) -> int:
+    """The work units of the exponential of an expansion in p >= 0
+    variables, trace_units of the log plus exp_units; OrderTooLarge when
+    they exceed the budget (default DEFAULT_WORD_BUDGET), or when its
+    least count does (_budget_limit)."""
+    limit = _budget_limit(p, order, budget)
+    units = trace_units(p, order) + exp_units(p, order)
+    if units > limit:
+        raise _over_budget(str(units), _DENSE_UNITS, p, order, limit)
+    return units
 
 
 def _graded_log(
@@ -582,6 +596,14 @@ def torus_units(p: int, r: int, order: int) -> int:
     )
 
 
+def least_torus_units(p: int) -> int:
+    """A lower bound of torus_units(p, r, order) over the ranks r of every
+    compact non-abelian h of dimension p: r = 1 only for su(2), p = 3,
+    and otherwise 2 <= r <= p - 2, where the weight's p (C(p, r) - 1)
+    is least at the ends, p (C(p, 2) - 1)."""
+    return p * (comb(p, 2) - 1)
+
+
 def whitened_average(
     prep: Prepared, order: int, *, budget: int | None = None
 ) -> TSeries:
@@ -589,24 +611,40 @@ def whitened_average(
     order, where L is the omega-dependent log of the integrand
     (integrand_log_expansion): the exact production average.
 
-    The budget is checked first, on trace_units + exp_units, also when
-    p = 0.  Up to _TORUS_UNITS of them, or when h is abelian, the
-    average runs over all of h (_gaussian_average with no basis).  Past
-    it the Cartan data hol.torus give the rank r, and the average runs
-    over that maximal torus, in r variables, when its own work
-    (torus_units) is the smaller; the average that runs so never costs
-    more than the budget.  Both give the same exact coefficients."""
+    The work units of all of h are trace_units + exp_units.  Up to
+    _TORUS_UNITS of them, or when h is abelian, the average runs over
+    all of h (_gaussian_average with no basis).  Past it the Cartan data
+    hol.torus give the rank r, and the average runs over that maximal
+    torus, in r variables, when its own work (torus_units) is the
+    smaller.  The budget holds the average that runs: its units must not
+    pass it (OrderTooLarge, naming them, otherwise).  An order whose
+    least count passes the budget (_budget_limit), or whose units over
+    all of h do while no torus could cost less (least_torus_units), is
+    refused before anything is built, also when p = 0.  Both averages
+    give the same exact coefficients."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     hol = prep.hol
-    units = check_budget(hol.p, order, budget)
-    if hol.p == 0 or order == 0:
+    p = hol.p
+    limit = _budget_limit(p, order, budget)
+    units = trace_units(p, order) + exp_units(p, order)
+    if units > limit and least_torus_units(p) > limit:
+        least = f"; at least {least_torus_units(p)} over a maximal torus"
+        raise _over_budget(str(units), _DENSE_UNITS + least, p, order, limit)
+    if p == 0 or order == 0:
         return TSeries.constant(1, order)
+    basis, cost, what = None, units, _DENSE_UNITS
     if units > _TORUS_UNITS and not hol.F.is_zero():
-        basis = hol.torus
-        if torus_units(hol.p, len(basis.array), order) < units:
-            return _gaussian_average(prep, basis, order)
-    return _gaussian_average(prep, None, order)
+        torus = hol.torus
+        r = len(torus.array)
+        torus_cost = torus_units(p, r, order)
+        if torus_cost < units:
+            basis, cost = torus, torus_cost
+            what = (f"its average over a maximal torus of rank {r}; "
+                    f"{units} over all of h")
+    if cost > limit:
+        raise _over_budget(str(cost), what, p, order, limit)
+    return _gaussian_average(prep, basis, order)
 
 
 def _gaussian_average(

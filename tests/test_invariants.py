@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import heatgen as hg
 import oracles
-from heatgen import averaging, invariants, rational, series
+from heatgen import averaging, catalog, invariants, rational, series
 from heatgen.invariants import sphere_volume
 
 
@@ -206,6 +206,45 @@ def test_s6_order8_through_the_torus():
     rep = hg.heat_coefficients(prep, 8, budget=10**12)
     assert rep.coeffs[1:3] == hg.closed_form_coefficients(prep)
     assert rep.coeffs[:5] == (F(1), F(5), F(12), F(1139, 63), F(833, 45))
+
+
+S6_ORDER8 = (F(1), F(5), F(12), F(1139, 63), F(833, 45), F(137, 11),
+             F(485768, 135135), F(-90502, 27027), F(-23068481, 3828825))
+
+
+def test_s6_order8_fits_the_default_budget():
+    # The budget holds the torus average that runs, 85 925 units, not
+    # the dense one it replaces (4.8e11).
+    prep = hg.prepare(hg.builtin("S6"))
+    assert series.torus_units(15, 3, 8) <= hg.DEFAULT_WORD_BUDGET
+    coeffs = hg.heat_coefficients(prep, 8).coeffs
+    assert coeffs == S6_ORDER8
+    assert coeffs == hg.heat_coefficients(prep, 8, budget=10**12).coeffs
+
+
+def test_s8_sphere_file_order6_fits_the_default_budget(tmp_path):
+    # so(8): p = 28, rank 4, 6.6e6 torus units against 4.4e12 dense.
+    path = tmp_path / "S8.json"
+    hg.save(catalog._sphere_spec(8, "S8"), path)
+    prep = hg.prepare(hg.load(path))
+    units = series.trace_units(28, 6) + series.exp_units(28, 6)
+    assert series.torus_units(28, 4, 6) <= hg.DEFAULT_WORD_BUDGET < units
+    coeffs = hg.heat_coefficients(prep, 6).coeffs
+    assert len(coeffs) == 7
+    assert coeffs[1:3] == hg.closed_form_coefficients(prep)
+
+
+def test_budget_names_the_units_of_the_cheaper_average():
+    prep = hg.prepare(hg.builtin("S6"))
+    torus = series.torus_units(15, 3, 8)
+    dense = series.trace_units(15, 8) + series.exp_units(15, 8)
+    assert torus < dense
+    with pytest.raises(hg.OrderTooLarge) as info:
+        hg.heat_coefficients(prep, 8, budget=torus - 1)
+    message = str(info.value)
+    assert message.startswith(f"the expansion needs {torus} work units")
+    assert "maximal torus of rank 3" in message
+    assert f"budget of {torus - 1};" in message
 
 
 def test_budget_counts_log_and_exponential_units(specs):

@@ -724,3 +724,279 @@ def test_kept_bounds_never_go_stale(monkeypatch, tmp_path):
         assert any(t._bound is not None for t in built[start:]), argv
         # Tensors of earlier requests too: a later one must not write them.
         assert all(_fresh(t) for t in built), argv
+
+
+# ---------------------------------------------------------------------------
+# One overflow decision per elimination: the Hadamard rule against the
+# per-pivot bounds, and the thin exact_einsum and from_nested
+# ---------------------------------------------------------------------------
+
+
+def _hadamard_fits(a, extra) -> bool:
+    """2 H^2 < 2^62 for the Hadamard bound H of the integer matrix a, each
+    squared row norm taken plus extra, in Python ints."""
+    square = math.prod(max(1, sum(x * x for x in row) + extra) for row in a)
+    return 2 * square < rational._INT64_SAFE
+
+
+@st.composite
+def integer_spd(draw):
+    """B B^T + I for an integer B of size 1-6 with entries up to 1, 3, 20
+    or 2^10: small ones pass the Hadamard rule, and 20 or 2^10 at larger
+    sizes fail it, some with every per-pivot bound in int64, some not."""
+    size = draw(st.integers(1, 6))
+    top = draw(st.sampled_from([1, 3, 20, 2**10]))
+    b = [[draw(st.integers(-top, top)) for _ in range(size)]
+         for _ in range(size)]
+    return [[sum(x * y for x, y in zip(r, s)) + (i == j)
+             for j, s in enumerate(b)] for i, r in enumerate(b)]
+
+
+# Passes the Hadamard rule; fails it with every per-pivot bound in int64;
+# fails it and the per-pivot bounds too.
+HADAMARD_CASES = {
+    "fits": [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+    "per pivot": [[1000 + (i == j) for j in range(6)] for i in range(6)],
+    "object": [[2**40 * (1 + (i == j)) for j in range(4)] for i in range(4)],
+}
+
+
+# The largest x with 2 (x^2 + 1) < 2^62: a row [x] fits the rule with
+# extra 1, and a row [x + 1] does not.
+EDGE = math.isqrt(2**61 - 1)
+
+
+@pytest.mark.parametrize("rows", [
+    [[EDGE]], [[EDGE + 1]], [[EDGE, 1]], [[EDGE - 1, 0]],
+    [[2**15, 2**15], [2**15, -(2**15)]], [[2**15, 2**15], [2**15, 2**15]],
+    [[0, 0], [0, 0]], [[3, 1, 4], [1, 5, 9], [2, 6, 5]], [[2**40]],
+    # 2^60 and 2^61 with extra 1: one fits 2 H^2 < 2^62, the other not.
+    [[1]] * 60, [[1]] * 61,
+])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_fits_hadamard_is_the_python_int_rule(rows, extra):
+    # On these rows the squared norms stay in int64, so the guard that
+    # keeps them there decides nothing.
+    t = rational.ScaledTensor(np.array(rows, dtype=np.int64), 1)
+    assert rational._fits_hadamard(t, extra) == _hadamard_fits(rows, extra)
+
+
+def test_the_hadamard_cases_are_on_their_sides():
+    rules = {key: (_hadamard_fits(a, 1), _per_step_rule(_ldl_step_bounds(a)))
+             for key, a in HADAMARD_CASES.items()}
+    assert rules["fits"][0]
+    assert not rules["per pivot"][0]
+    assert all(d is np.int64 for _, d in rules["per pivot"][1])
+    assert not rules["object"][0]
+    assert any(d is object for _, d in rules["object"][1])
+
+
+def _check_ldl_and_solve(a):
+    """ldl and solve of the integer SPD a against the Fraction oracles,
+    with the parent's dtype choices: the per-pivot rule wherever the
+    Hadamard rule fails, and int64 throughout where it passes."""
+    rule = _per_step_rule(_ldl_step_bounds(a))
+    fits = _hadamard_fits(a, 1)
+    if fits:  # the Hadamard bound covers every per-pivot bound
+        assert all(d is np.int64 for _, d in rule)
+    fractions = oracles.matrix(a)
+    tensor = _tensor(fractions)
+    with pytest.MonkeyPatch.context() as patch:
+        chosen = _spy_dtypes(patch)
+        back, d = rational.ldl(tensor)
+    if not fits:
+        assert chosen[: len(rule)] == rule
+    lower, want = oracles.ldl(fractions)
+    assert d == want
+    assert back.to_fractions() == oracles.inverse(lower)
+    inverse = rational.solve((back, d))
+    assert inverse.to_fractions() == oracles.inverse(fractions)
+    for t in (back, inverse):
+        # The canonical form of reduced(), with a kept bound that holds:
+        # lowest terms, int64 exactly when the entries fit.
+        canonical = t.reduced()
+        assert t.denom == canonical.denom and _fresh(t)
+        assert np.array_equal(t.array, canonical.array)
+        fits_int64 = rational.max_abs(t.array) < rational._INT64_SAFE
+        assert t.array.dtype == (np.int64 if fits_int64 else object)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=integer_spd())
+@example(a=HADAMARD_CASES["fits"])
+@example(a=HADAMARD_CASES["per pivot"])
+@example(a=HADAMARD_CASES["object"])
+def test_ldl_and_solve_match_the_oracles_on_both_sides_of_the_rule(a):
+    _check_ldl_and_solve(a)
+
+
+@st.composite
+def integer_low_rank(draw):
+    """An integer matrix (rows, cols) of rank at most k, a product of
+    factors with entries up to 3, 40 or 2^12."""
+    rows, cols, k = (draw(st.integers(1, 6)), draw(st.integers(1, 7)),
+                     draw(st.integers(1, 4)))
+    top = draw(st.sampled_from([3, 40, 2**12]))
+    left = [[draw(st.integers(-top, top)) for _ in range(k)]
+            for _ in range(rows)]
+    right = [[draw(st.integers(-top, top)) for _ in range(cols)]
+             for _ in range(k)]
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*right)]
+            for r in left]
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=integer_low_rank())
+# Rank 1 inside the Hadamard rule; rank 2 outside it, with every
+# per-pivot bound in int64.
+@example(a=[[1, 2, 3], [2, 4, 6]])
+@example(a=[[40 * i + j + 1 for j in range(7)] for i in range(6)])
+def test_nullspace_matches_the_oracle_on_both_sides_of_the_rule(a):
+    rows, cols = len(a), len(a[0])
+    bounds = _nullspace_step_bounds(a)
+    promoted = any(b >= rational._INT64_SAFE for b in bounds)
+    if _hadamard_fits(a, 0):
+        assert not promoted
+    tensor = rational.ScaledTensor.from_nested(a, (rows, cols))
+    null = rational.nullspace(tensor)
+    # int64 unless a per-pivot bound left int64, as before the rule.
+    assert null.array.dtype == (object if promoted else np.int64)
+    nullity = cols - oracles.rank(oracles.matrix(a))
+    assert null.array.shape == (cols, nullity)
+    columns = [[int(x) for x in null.array[:, j]] for j in range(nullity)]
+    for column in columns:
+        assert math.gcd(*column) == 1
+        assert all(sum(x * y for x, y in zip(row, column)) == 0
+                   for row in a)
+    if nullity:
+        assert oracles.rank(oracles.matrix(columns)) == nullity
+
+
+def _fraction_einsum(subscripts, *operands):
+    """einsum with explicit output over object arrays of Fractions, one
+    index assignment at a time, as nested tuples (a Fraction for a scalar
+    result)."""
+    in_part, out = subscripts.split("->")
+    specs = in_part.split(",")
+    dims = {}
+    for spec, op in zip(specs, operands):
+        dims.update(zip(spec, op.shape))
+    letters = sorted(dims)
+    total = np.full(tuple(dims[c] for c in out), F(0), dtype=object)
+    for values in np.ndindex(*(dims[c] for c in letters)):
+        at = dict(zip(letters, values))
+        term = F(1)
+        for spec, op in zip(specs, operands):
+            term *= op[tuple(at[c] for c in spec)]
+        total[tuple(at[c] for c in out)] += term
+    return rational._nest(total.ravel().tolist(), total.shape)
+
+
+@st.composite
+def einsum_cases(draw):
+    """(subscripts, operands as object arrays of Fractions) over 1-3
+    operands of up to 3 axes, dimensions 1-3: contractions to any subset
+    of the letters in any order (a scalar among them), and pure
+    permutations of one operand; entries are small rationals, scaled by
+    up to 2^70 so that some contractions need Python ints."""
+    count = draw(st.integers(1, 3))
+    letters = "abcde"
+    dims = {c: draw(st.integers(1, 3)) for c in letters}
+    specs = [
+        "".join(draw(st.permutations(letters))[: draw(st.integers(0, 3))])
+        for _ in range(count)
+    ]
+    used = sorted(set("".join(specs)))
+    if count == 1 and draw(st.booleans()):
+        out = "".join(draw(st.permutations(specs[0])))
+    else:
+        keep = draw(st.lists(st.sampled_from(used), unique=True)) if used \
+            else []
+        out = "".join(keep)
+    scale = draw(st.sampled_from([1, 1, 2**40, 2**70]))
+    operands = []
+    for spec in specs:
+        shape = tuple(dims[c] for c in spec)
+        size = math.prod(shape)
+        values = [draw(SMALL_RATIONALS) * scale for _ in range(size)]
+        operands.append(np.array(values + [None], dtype=object)[:-1]
+                        .reshape(shape))
+    return ",".join(specs) + "->" + out, operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=einsum_cases())
+@example(case=("ab->ba", [np.array([[F(1, 2), F(3)], [F(-1), F(0)]],
+                                    dtype=object)]))
+@example(case=("ab,ab->", [np.array([[F(1, 2), F(3)]], dtype=object)] * 2))
+@example(case=("ij,jk->ik", [
+    np.array([[F(2**30)] * 4], dtype=object),
+    np.array([[F(2**30)]] * 4, dtype=object),
+]))
+def test_exact_einsum_matches_a_fraction_einsum(case):
+    subscripts, operands = case
+    tensors = [rational.ScaledTensor.from_nested(
+        rational._nest(op.ravel().tolist(), op.shape), op.shape)
+        for op in operands]
+    got = rational.exact_einsum(subscripts, *tensors)
+    assert got.to_fractions() == _fraction_einsum(subscripts, *operands)
+    in_part, out = subscripts.split("->")
+    if len(tensors) == 1 and sorted(in_part) == sorted(out):
+        # A permutation is a view of the operand, in its dtype.
+        assert np.shares_memory(got.array, tensors[0].array)
+        assert got.array.dtype == tensors[0].array.dtype
+        return
+    if not out:
+        # An object contraction to a scalar is a Python int, which
+        # np.asarray stores as int64 when it fits.
+        return
+    # The dtype rule: entry bounds times the sizes of the summed letters.
+    bound = math.prod(max(t.bound, 1) for t in tensors)
+    summed = set(in_part) - set(out) - {","}
+    dims = {c: n for spec, t in zip(in_part.split(","), tensors)
+            for c, n in zip(spec, t.array.shape)}
+    bound *= math.prod(dims[c] for c in summed)
+    wide = (bound >= rational._INT64_SAFE
+            or any(t.array.dtype == object for t in tensors))
+    assert got.array.dtype == (object if wide else np.int64)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("1/2", "expected exact rational, got str"),
+    (True, "bool is not a rational scalar"),
+    (0.5, "expected exact rational, got float"),
+    (None, "expected exact rational, got NoneType"),
+])
+def test_from_nested_refuses_what_is_not_exact(bad, message):
+    for nested, shape in [
+        (bad, None),
+        ((F(1), bad), None),
+        (((F(1), 2), (3, bad)), (2, 2)),
+        ([[[0, 0], [0, 0]], [[0, 0], [bad, 0]]], None),
+    ]:
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            rational.ScaledTensor.from_nested(nested, shape)
+
+
+@pytest.mark.parametrize("nested,shape", [
+    ((), (0, 3, 3)), ((), (0, 0)), ((), None), (((), ()), None),
+    ((((),),), None), (F(-7, 2), None), (5, ()),
+])
+def test_from_nested_keeps_every_shape(nested, shape):
+    t = rational.ScaledTensor.from_nested(nested, shape)
+    want = rational._shape(nested) if shape is None else shape
+    assert t.array.shape == want
+    assert t.array.dtype == np.int64
+    if t.array.ndim == 0:
+        assert t.to_fractions() == F(nested)
+    else:
+        assert t.array.size == 0
+
+
+def test_from_nested_reads_ints_and_fractions_alike():
+    t = rational.ScaledTensor.from_nested(
+        [[1, F(1, 2)], [F(-2, 3), 2**70]]
+    )
+    assert (t.denom, t.array.dtype) == (6, object)
+    assert t.to_fractions() == ((F(1), F(1, 2)), (F(-2, 3), F(2**70)))
+    assert t.bound == 6 * 2**70
