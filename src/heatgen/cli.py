@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -157,6 +158,10 @@ def _cmd_eval(args) -> int:
     if args.method == "series":
         report = heat_coefficients(prep, args.order, budget=args.budget)
         value = report.eval_float(args.t)
+        if not math.isfinite(value):
+            raise HeatgenError(
+                f"the series value at t={args.t} is beyond the float range"
+            )
         doc = {
             "space": spec.name,
             "t": args.t,
@@ -236,8 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="t truncation order (default 4)")
         p.add_argument("--budget", type=_positive_int, default=None,
                        help="the expansion budget, a positive number of "
-                            "coefficient pairs of the trace powers and "
-                            "their exponential (default 10^8)")
+                            "work units of the average that runs, over "
+                            "all of h or over a maximal torus "
+                            "(default 10^8)")
         p.add_argument("--json", action="store_true",
                        help="machine readable output")
         p.add_argument("--timing", action="store_true",

@@ -45,7 +45,8 @@ class UnknownSpace(HeatgenError):
 
 
 class OrderTooLarge(HeatgenError):
-    """The requested expansion order exceeds the enumeration budget."""
+    """The work units of the average that runs, over all of h or over a
+    maximal torus, exceed the budget."""
 
 
 class OrderMismatch(HeatgenError):

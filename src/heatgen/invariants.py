@@ -100,7 +100,8 @@ def heat_coefficients(
     unless a Prepared is passed.
 
     Raises ValidationError when the structural identity checks fail and
-    propagates OrderTooLarge from the trace enumeration.
+    OrderTooLarge when the work units of the average that runs, over all
+    of h or over a maximal torus, pass the budget.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

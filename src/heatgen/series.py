@@ -50,21 +50,19 @@ so is the Gaussian, since beta is, so Weyl's integration formula gives
 the same average over a maximal torus t, in r = rank h variables instead
 of p = dim h: <f>_h = <f J>_t / <J>_t with J = prod_{alpha>0} alpha^2 =
 e_{p-r}(ad), built by Newton's identities from the trace powers
-(_weyl_weight).  whitened_average takes the torus (hol.torus, the Cartan
-data) when the work units pass _TORUS_UNITS, h is not abelian and the
-torus's own units (torus_units) are fewer, and all of h otherwise; both
-give the same exact coefficients.
+(_weyl_weight).  whitened_average takes the torus (hol.torus, the
+Cartan data) when the dense work units pass _TORUS_UNITS and the
+torus's own (torus_units) are fewer, and all of h otherwise; both give
+the same exact coefficients.
 integrand_log_expansion returns the same log as an OmegaPolynomial,
 whose dict-of-Fraction exp, the prefactor product
 exponentiate_with_prefactor and averaging.average are kept as the
-independent oracle of that path.  The work, and the budget, is counted in
-coefficient pairs: the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus
-the exponential's products (exp_units), in all p variables, or the
-torus's own units (torus_units) when the torus runs.  The budget holds
-the average that runs: check_budget gates the expansion in all p
-variables, and whitened_average the cheaper of the two averages.  The
-budget is the caller's budget= (the CLI's --budget), DEFAULT_WORD_BUDGET
-when None.
+independent oracle of that path.  The budget (budget=, the CLI's
+--budget, DEFAULT_WORD_BUDGET when None) counts work units of the
+average that runs, over all of h or over a maximal torus: the dense
+units are the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus the
+exponential's coefficient pairs (exp_units), in all p variables, which
+check_budget holds for the dict expansion too.
 """
 
 from __future__ import annotations
@@ -596,14 +594,6 @@ def torus_units(p: int, r: int, order: int) -> int:
     )
 
 
-def least_torus_units(p: int) -> int:
-    """A lower bound of torus_units(p, r, order) over the ranks r of every
-    compact non-abelian h of dimension p: r = 1 only for su(2), p = 3,
-    and otherwise 2 <= r <= p - 2, where the weight's p (C(p, r) - 1)
-    is least at the ends, p (C(p, 2) - 1)."""
-    return p * (comb(p, 2) - 1)
-
-
 def whitened_average(
     prep: Prepared, order: int, *, budget: int | None = None
 ) -> TSeries:
@@ -611,30 +601,23 @@ def whitened_average(
     order, where L is the omega-dependent log of the integrand
     (integrand_log_expansion): the exact production average.
 
-    The work units of all of h are trace_units + exp_units.  Up to
-    _TORUS_UNITS of them, or when h is abelian, the average runs over
-    all of h (_gaussian_average with no basis).  Past it the Cartan data
-    hol.torus give the rank r, and the average runs over that maximal
-    torus, in r variables, when its own work (torus_units) is the
-    smaller.  The budget holds the average that runs: its units must not
-    pass it (OrderTooLarge, naming them, otherwise).  An order whose
-    least count passes the budget (_budget_limit), or whose units over
-    all of h do while no torus could cost less (least_torus_units), is
-    refused before anything is built, also when p = 0.  Both averages
-    give the same exact coefficients."""
+    It runs over all of h (_gaussian_average with no basis), or, past
+    _TORUS_UNITS dense work units (trace_units + exp_units), over the
+    maximal torus hol.torus when that average's units (torus_units) are
+    fewer.  The budget holds the units of the average that runs: past
+    it, OrderTooLarge names them.  An order whose least count passes the
+    budget (_budget_limit) is refused before anything is built.  Both
+    averages give the same exact coefficients."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     hol = prep.hol
     p = hol.p
     limit = _budget_limit(p, order, budget)
-    units = trace_units(p, order) + exp_units(p, order)
-    if units > limit and least_torus_units(p) > limit:
-        least = f"; at least {least_torus_units(p)} over a maximal torus"
-        raise _over_budget(str(units), _DENSE_UNITS + least, p, order, limit)
     if p == 0 or order == 0:
         return TSeries.constant(1, order)
+    units = trace_units(p, order) + exp_units(p, order)
     basis, cost, what = None, units, _DENSE_UNITS
-    if units > _TORUS_UNITS and not hol.F.is_zero():
+    if units > _TORUS_UNITS:
         torus = hol.torus
         r = len(torus.array)
         torus_cost = torus_units(p, r, order)

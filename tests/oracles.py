@@ -11,8 +11,11 @@ checks:
   denominators by von Staudt-Clausen;
 - sinh_ratio_dets, an eigenvalue-free det(sinh X / X), and the
   determinant factorization identity built on it;
-- the two-sphere coefficients by series inversion in one variable, and a
+- the two-sphere coefficients by series inversion in one variable, the
+  odd-sphere coefficients from the spectrum by Poisson summation, and a
   fit of the sphere spectral sum;
+- Gilkey's a_3 of a locally symmetric space from its eight cubic
+  curvature invariants;
 - curvature data moved by changes of basis and scalings, as functions
   and as Hypothesis strategies;
 - the four structural checks as separate einsum contractions, one per
@@ -21,6 +24,7 @@ checks:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -452,6 +456,70 @@ def two_sphere_series(order: int) -> tuple[Fraction, ...]:
         )
         for k in range(order + 1)
     )
+
+
+def odd_sphere_series(n: int, order: int) -> tuple[Fraction, ...]:
+    """Exact a_0..a_order of the unit n-sphere, n >= 3 odd, from its
+    spectrum.  No pipeline code.
+
+    The eigenvalues nu^2 - rho^2, rho = (n-1)/2, nu = rho, rho+1, ...,
+    have the multiplicity P(nu) = 2 nu^2 prod_{k=1}^{rho-1} (nu^2 - k^2)
+    / (n-1)!, even and zero at |nu| < rho, so the heat trace is
+    e^{rho^2 t}/2 sum_{nu in Z} P(nu) e^{-nu^2 t}.  Poisson summation
+    turns the sum into sum_j p_j Gamma(j + 1/2) t^{-j-1/2}, p_j the nu^{2j}
+    coefficient of P, up to terms exponentially small in 1/t.  Hence
+    sum_k a_k t^k = e^{rho^2 t} Q(t)/Q(0) with
+    Q(t) = sum_{j=1}^{rho} p_j (2j-1)!!/2^j t^{rho-j}."""
+    rho = (n - 1) // 2
+    # P as coefficients of x = nu^2, built one factor x - k^2 at a time.
+    poly = [Fraction(0), Fraction(2, math.factorial(n - 1))]
+    for k in range(1, rho):
+        poly = [a - k * k * b for a, b in zip([0] + poly, poly + [0])]
+    # q[i], the t^i coefficient of Q, comes from j = rho - i.
+    q = [poly[rho - i] * double_factorial(2 * (rho - i) - 1) / 2 ** (rho - i)
+         for i in range(rho)]
+    return tuple(
+        sum((q[i] / q[0] * Fraction(rho**2) ** (k - i) / math.factorial(k - i)
+             for i in range(min(k, rho - 1) + 1)), Fraction(0))
+        for k in range(order + 1)
+    )
+
+
+def gilkey_a3(spec) -> Fraction:
+    """a_3 of a locally symmetric datum (nabla R = 0) from Gilkey's eight
+    cubic curvature invariants, with R_ijkl = -riemann, Ric_jk = R_ijki
+    and every contraction through g^-1, on Fraction object arrays built
+    from spec.g, spec.beta and spec.E.  No pipeline code."""
+    n, p = spec.n, spec.p
+    ginv = np.array(inverse(spec.g), dtype=object)
+    beta = np.array(spec.beta, dtype=object).reshape(p, p)
+    E = np.array(spec.E, dtype=object).reshape(p, n, n)
+    # optimize: pairwise contractions instead of one loop over all letters.
+    contract = functools.partial(np.einsum, optimize=True)
+    low = -contract("ik,iab,kcd->abcd", beta, E, E)
+
+    def up(t, *axes):
+        for ax in axes:
+            t = np.moveaxis(np.tensordot(ginv, t, axes=(1, ax)), 0, ax)
+        return t
+
+    ric = contract("ia,ajki->jk", ginv, low)
+    ric_up, mixed = up(ric, 0, 1), up(ric, 0)
+    R = np.trace(mixed)
+    terms = (
+        Fraction(35, 9) * R**3,
+        Fraction(-14, 3) * R * np.sum(ric * ric_up),
+        Fraction(14, 3) * R * np.sum(low * up(low, 0, 1, 2, 3)),
+        Fraction(-208, 9) * np.trace(mixed @ mixed @ mixed),
+        Fraction(-64, 3) * contract("ij,kl,ikjl->", ric_up, ric_up, low),
+        Fraction(-16, 3) * contract("jk,jnli,knli->", ric_up, low,
+                                     up(low, 1, 2, 3)),
+        Fraction(-44, 9) * contract("ijkn,ijlp,knlp->", low, up(low, 0, 1),
+                                     up(low, 0, 1, 2, 3)),
+        Fraction(-80, 9) * contract("ijkn,ilkp,jlnp->", low,
+                                     up(low, 0, 2, 3), up(low, 0, 1, 2)),
+    )
+    return sum(terms, Fraction(0)) / math.factorial(7)
 
 
 def spectral_coefficient_fit(n: int, t0: float = 0.01) -> tuple[float, float]:

@@ -258,6 +258,23 @@ def test_eval_non_finite_t_exits_two(capsys, method, t):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("space,order", [("S2", "4"), ("S6", "8")])
+def test_eval_series_beyond_the_float_range_exits_one(capsys, space, order):
+    # The sum overflows to +inf (S2) or -inf (S6) at this t.
+    code, out, err = run(capsys, "eval", space, "--t", "1e300",
+                         "--method", "series", "--order", order, "--json")
+    assert code == 1
+    assert out == ""
+    assert "series value at t=1e+300 is beyond the float range" in err
+
+
+def test_eval_series_of_a_flat_space_at_a_huge_t(capsys):
+    code, out, err = run(capsys, "eval", "flat3", "--order", "3", "--t",
+                         "1e200", "--method", "series", "--json")
+    assert code == 0, err
+    assert json.loads(out)["value"] == "1"
+
+
 def test_eval_mc_single_sample_exits_two(capsys):
     code, out, err = run(
         capsys, "eval", "S3", "--t", "0.1", "--method", "mc", "--samples", "1"

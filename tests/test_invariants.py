@@ -311,6 +311,48 @@ def test_pipeline_matches_closed_forms_on_products(specs, prepared):
         assert rep.coeffs[2] == a2
 
 
+# The builtins S3 and S5 at order 16 and S7 at order 8 run on their
+# maximal tori, S9 at order 2 on all of so(9): both sides of the
+# average's gate.
+@pytest.mark.parametrize("n,order,torus", [
+    (3, 16, True), (5, 16, True), (7, 8, True), (9, 2, False),
+])
+def test_odd_spheres_match_their_spectrum(n, order, torus):
+    spec = catalog._sphere_spec(n, f"S{n}")
+    p = spec.p
+    dense = series.trace_units(p, order) + series.exp_units(p, order)
+    assert (dense > series._TORUS_UNITS
+            and series.torus_units(p, n // 2, order) < dense) == torus
+    want = oracles.odd_sphere_series(n, order)
+    assert hg.heat_coefficients(spec, order).coeffs == want
+
+
+def test_odd_sphere_oracle_values():
+    assert oracles.odd_sphere_series(7, 3)[1:] == (F(7), F(707, 30),
+                                                   F(501, 10))
+    assert oracles.odd_sphere_series(9, 3)[1:] == (F(12), F(348, 5),
+                                                   F(5408, 21))
+
+
+GILKEY_A3 = {
+    "S2": F(4, 315), "S3": F(1, 6), "S4": F(74, 63), "S5": F(16, 3),
+    "S6": F(1139, 63), "S2xS2": F(22, 315), "S2xS3": F(26, 63),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GILKEY_A3))
+def test_gilkey_a3_on_the_builtins(prepared, name):
+    assert oracles.gilkey_a3(prepared[name].spec) == GILKEY_A3[name]
+    assert hg.heat_coefficients(prepared[name], 3).coeffs[3] == \
+        GILKEY_A3[name]
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=oracles.moved_spaces(mixed=True))
+def test_gilkey_a3_on_moved_spaces(spec):
+    assert hg.heat_coefficients(spec, 3).coeffs[3] == oracles.gilkey_a3(spec)
+
+
 # ---------------------------------------------------------------------------
 # Product factorization
 # ---------------------------------------------------------------------------

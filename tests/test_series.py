@@ -422,27 +422,20 @@ def test_whitened_average_matches_dict_oracle(prepared, name, order):
     assert hg.whitened_average(prep, order) == want
 
 
-def test_whitened_average_checks_budget_before_building():
-    class Unbuilt:
-        p = 10**3
-
-        @property
-        def D(self):
-            raise AssertionError("generators read before the budget check")
-
-        F_mats = D
-
-    class Unprepared:
-        hol = Unbuilt()
-
-        @property
-        def spec(self):
-            raise AssertionError("datum read before the budget check")
-
-    with pytest.raises(hg.OrderTooLarge) as info:
-        hg.whitened_average(Unprepared(), 3)
-    units = series.trace_units(10**3, 3) + series.exp_units(10**3, 3)
-    assert str(units) in str(info.value)
+def test_whitened_average_refuses_once_naming_the_chosen_units():
+    # S9's dense units pass any budget below them; the refusal still
+    # names the torus units that would run, the budget that admits it.
+    prep = hg.prepare(catalog._sphere_spec(9, "S9"))
+    p = prep.hol.p
+    dense = series.trace_units(p, 4) + series.exp_units(p, 4)
+    torus = series.torus_units(p, 4, 4)
+    assert torus == 25_364_247 < dense
+    want = (f"needs {torus} work units (its average over a maximal torus "
+            f"of rank 4; {dense} over all of h)")
+    for budget in (1000, torus - 1):
+        with pytest.raises(hg.OrderTooLarge) as info:
+            hg.whitened_average(prep, 4, budget=budget)
+        assert want in str(info.value)
 
 
 @settings(max_examples=30, deadline=None)
@@ -602,13 +595,29 @@ def test_small_requests_never_build_the_torus(monkeypatch, name, order):
     assert builds == []
 
 
-def test_abelian_holonomy_never_builds_the_torus(monkeypatch):
+def _record_bases(monkeypatch):
+    """Record the basis rank (None over all of h) of every
+    _gaussian_average that runs."""
+    bases = []
+    average = series._gaussian_average
+
+    def spy(prep, basis, order):
+        bases.append(None if basis is None else len(basis.array))
+        return average(prep, basis, order)
+
+    monkeypatch.setattr(series, "_gaussian_average", spy)
+    return bases
+
+
+def test_abelian_holonomy_averages_over_all_of_h(monkeypatch):
+    # An abelian h is its own torus, whose units pass the dense ones.
     spec = hg.builtin("S2xS2")
     units = series.trace_units(spec.p, 40) + series.exp_units(spec.p, 40)
     assert units > series._TORUS_UNITS
-    builds = _count_torus_builds(monkeypatch)
+    assert series.torus_units(spec.p, spec.p, 40) > units
+    bases = _record_bases(monkeypatch)
     hg.heat_coefficients(spec, 40)
-    assert builds == []
+    assert bases == [None]
 
 
 @pytest.mark.parametrize("name,order", [("S4", 4), ("S5", 3), ("S6", 3)])
@@ -631,14 +640,7 @@ def test_sphere_files_take_the_cheaper_average(tmp_path, monkeypatch, n,
     p, r = prep.hol.p, n // 2
     units = series.check_budget(p, 2, None)
     assert (series.torus_units(p, r, 2) < units) == torus
-    bases = []
-    average = series._gaussian_average
-
-    def spy(prep, basis, order):
-        bases.append(None if basis is None else len(basis.array))
-        return average(prep, basis, order)
-
-    monkeypatch.setattr(series, "_gaussian_average", spy)
+    bases = _record_bases(monkeypatch)
     rep = hg.heat_coefficients(prep, 2)
     assert bases == [r if torus else None]
     assert rep.coeffs[1:] == hg.closed_form_coefficients(prep)
