@@ -49,7 +49,8 @@ def catalog_names() -> tuple[str, ...]:
     return _SPHERES + tuple(PRODUCT_FACTORS) + ("flat(n)",)
 
 
-def _sphere_spec(n: int, name: str) -> SpaceSpec:
+def _sphere_fields(n: int) -> tuple:
+    """(n, p, g, beta, E) of the unit n-sphere, SpaceSpec's fields."""
     pairs = [(c, d) for c in range(n) for d in range(c + 1, n)]
     one, zero = Fraction(1), Fraction(0)
     E = []
@@ -58,8 +59,11 @@ def _sphere_spec(n: int, name: str) -> SpaceSpec:
         mat[c][d] = one
         mat[d][c] = -one
         E.append(tuple(tuple(row) for row in mat))
-    return SpaceSpec(name=name, n=n, p=len(pairs), g=identity(n),
-                     beta=identity(len(pairs)), E=tuple(E))
+    return n, len(pairs), identity(n), identity(len(pairs)), tuple(E)
+
+
+def _sphere_spec(n: int, name: str) -> SpaceSpec:
+    return SpaceSpec(name, *_sphere_fields(n))
 
 
 def _flat_spec(n: int, name: str) -> SpaceSpec:
@@ -74,20 +78,20 @@ def _block_diag(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def _direct_sum(left: tuple, right: tuple) -> tuple:
+    """The fields of the block direct sum of two data, given by theirs."""
+    (n1, p1, g1, b1, E1), (n2, p2, g2, b2, E2) = left, right
+    pad_left, pad_right = zeros(n1, n1), zeros(n2, n2)
+    E = tuple(_block_diag(m, pad_right) for m in E1) + tuple(
+        _block_diag(pad_left, m) for m in E2
+    )
+    return n1 + n2, p1 + p2, _block_diag(g1, g2), _block_diag(b1, b2), E
+
+
 def product_spec(name: str, left: SpaceSpec, right: SpaceSpec) -> SpaceSpec:
     """Block direct sum of two curvature data."""
-    pad_left, pad_right = zeros(left.n, left.n), zeros(right.n, right.n)
-    E = tuple(_block_diag(m, pad_right) for m in left.E) + tuple(
-        _block_diag(pad_left, m) for m in right.E
-    )
-    return SpaceSpec(
-        name=name,
-        n=left.n + right.n,
-        p=left.p + right.p,
-        g=_block_diag(left.g, right.g),
-        beta=_block_diag(left.beta, right.beta),
-        E=E,
-    )
+    fields = [(s.n, s.p, s.g, s.beta, s.E) for s in (left, right)]
+    return SpaceSpec(name, *_direct_sum(*fields))
 
 
 def builtin(name: str) -> SpaceSpec:
@@ -99,8 +103,9 @@ def builtin(name: str) -> SpaceSpec:
     if name in _SPHERES:
         return _sphere_spec(int(name[1:]), name)
     if name in PRODUCT_FACTORS:
-        a, b = PRODUCT_FACTORS[name]
-        return product_spec(name, builtin(a), builtin(b))
+        # The factors' fields alone: each factor is not built and checked.
+        a, b = (_sphere_fields(int(x[1:])) for x in PRODUCT_FACTORS[name])
+        return SpaceSpec(name, *_direct_sum(a, b))
     m = _FLAT_RE.match(name)
     if m:
         digits = (m.group(1) or m.group(2)).lstrip("0")

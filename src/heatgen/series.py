@@ -11,49 +11,40 @@ c_m and B_{2m} are read from one integer table of tangent numbers
 the formal logarithm of the sinh z / z series that checks the table is
 in tests/oracles.py.
 
-Trace powers of the omega-linear matrices D(omega) and F(omega) are built
-over monomials, not index words.  Both families are scaled to integers
-over their common denominator; the omega^alpha coefficients of X^k for
-every degree-k monomial alpha are stacked into one integer array, step k
-coming from step k-1 times each generator.  The coefficients of
-tr F^{2m} - tr D^{2m} are then one signed Gram matrix of F's powers
-beside D's, tr(P_m[alpha] P_m[beta]), scattered onto alpha + beta, with
-monomials ranked by an additive mixed-radix code.  All arithmetic is
-exact.  Each product of the two steps goes through rational.exact_matmul
-with a bound on every operand entry and every partial sum.  Below 2**53
-it runs on float64 BLAS: a product of two entries, a partial sum and a
-fused multiply-add result are then all integers of magnitude below 2**53,
-which float64 represents exactly, so no rounding happens in any summation
-order, blocking or thread count, and the cast back to int64 is exact.  The
-Gram step scatters those blocks with np.bincount, whose float64 bin sums
-are partial sums of one coefficient and so fall under the same bound.
-Past 2**53 the arrays are int64 while the bound stays below 2**62, and
-Python ints beyond.
+Trace powers of the omega-linear matrices D(omega) and F(omega) come
+from one pass over monomials, not index words (_power_sums).  Each
+generator is skew for its metric (g for D, beta for F), so a d x d
+X(omega) has an even characteristic polynomial sum_j e_{2j} lambda^{d-2j}
+that fixes every power sum s_m = tr X^{2m} from the first d // 2 (Newton's
+identities and Cayley-Hamilton; Macdonald, Symmetric Functions and Hall
+Polynomials, ch. I.2).  Those come from the Gram step: the omega^alpha
+coefficients of X^k for every degree-k monomial alpha, stacked into one
+integer array, step k from step k-1 times each generator, and s_m is
+tr(P_m[alpha] P_m[beta]) scattered onto alpha + beta, with monomials
+ranked by an additive mixed-radix code.  Every matrix product goes
+through rational.exact_matmul with a bound on every operand entry and
+partial sum: float64 BLAS below 2**53, exact in any summation order, and
+scattered by np.bincount, whose bin sums are partial sums of one
+coefficient; int64 below 2**62 and Python ints beyond, the rule by which
+the polynomial products of Newton's identities, the recurrence and the
+exponential also pick their dtype.
 
-Grade m of the log is kept as one integer array over the degree-2m codes
-with one denominator: the signed Gram sum over the common denominator to
-the power 2m, scaled by c_m / (2 4^m).  ScaledTensor.scale picks int64 or
-Python ints for it, so the coefficient bounds written out here are those
-of the matrix powers (_matrix_powers), the Gram step (_graded_log) and
-the exponential (_graded_exp).  The production path (dense_integrand,
-and the Gaussian core) exponentiates it in that form by the recurrence
-g E_g = sum_m m P_m E_{g-m}, pairing the nonzero entries of each product
-and scattering them onto the summed codes.  The Gaussian core
-(_gaussian_average) averages it over the span of an integer basis U of
-h: it restricts the generators to U, factors U beta U^T = L diag(d) L^T
-exactly (over all of h, U = I, the datum's own factor SpaceSpec.beta_ldl,
-from construction), rewrites the generators in eta = L^T omega, of
-diagonal covariance 2 diag(1/d), and averages their dense exponential
-with the closed form <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
-The integrand is Ad(H)-invariant and
-so is the Gaussian, since beta is, so Weyl's integration formula gives
-the same average over a maximal torus t, in r = rank h variables instead
-of p = dim h: <f>_h = <f J>_t / <J>_t with J = prod_{alpha>0} alpha^2 =
-e_{p-r}(ad), built by Newton's identities from the trace powers
-(_weyl_weight).  whitened_average takes the torus (hol.torus, the
-Cartan data) when the dense work units pass _TORUS_UNITS and the
-torus's own (torus_units) are fewer, and all of h otherwise; both give
-the same exact coefficients.
+Grade m of the log is one integer array over the degree-2m codes with
+one denominator, s^F_m - s^D_m scaled by c_m / (2 4^m).  The production
+path (dense_integrand, and the Gaussian core) exponentiates it in that
+form by the recurrence g E_g = sum_m m P_m E_{g-m}, pairing the nonzero
+entries of each product and scattering them onto the summed codes.  The
+Gaussian core (_gaussian_average) averages it over the span of an integer
+basis U of h, in whitened variables eta = L^T omega, U beta U^T =
+L diag(d) L^T, with <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
+The integrand is Ad(H)-invariant and so is the Gaussian, since beta is,
+so Weyl's integration formula gives the same average over a maximal
+torus t, in r = rank h variables instead of p = dim h: <f>_h = <f J>_t /
+<J>_t with J = prod_{alpha>0} alpha^2 = e_{p-r}(ad), the coefficient of
+F's characteristic polynomial from the same pass.  whitened_average
+takes the torus (hol.torus) when the dense work units pass _TORUS_UNITS
+and the torus's own (torus_units) are fewer; both give the same exact
+coefficients.
 integrand_log_expansion returns the same log as an OmegaPolynomial,
 whose dict-of-Fraction exp, the prefactor product
 exponentiate_with_prefactor and averaging.average are kept as the
@@ -70,7 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -325,13 +317,8 @@ def _exponents(codes: np.ndarray, p: int, top: int) -> np.ndarray:
     """Exponent rows, one per monomial, of mixed-radix codes from
     _monomial_codes."""
     radix = top + 1
-    digits = np.empty((len(codes), p), dtype=np.int64)
-    rest = codes.copy()
-    for i in range(p):
-        # Not np.divmod: it has no loop for object arrays.
-        digits[:, i] = rest % radix
-        rest //= radix
-    return digits
+    weights = np.array([radix**i for i in range(p)], dtype=codes.dtype)
+    return (codes[:, None] // weights % radix).astype(np.int64)
 
 
 def _step_ranks(codes: list[np.ndarray]) -> list[np.ndarray]:
@@ -423,45 +410,55 @@ def check_budget(p: int, order: int, budget: int | None) -> int:
     return units
 
 
-def _graded_log(
-    d: ScaledTensor, f: ScaledTensor, order: int, codes: list[np.ndarray]
-) -> list[ScaledTensor]:
-    """grades[m][rank(gamma)] is the coefficient of t^m omega^gamma in
-    sum_m t^m (c_m / 4^m) [tr F(omega)^{2m}/2 - tr D(omega)^{2m}/2], over
-    the degree-2m codes (grades[0] unused).
+def _power_sums(
+    families: list[ScaledTensor], order: int, codes: list[np.ndarray],
+    q: int = 0,
+) -> tuple[list[ScaledTensor], list[ScaledTensor]]:
+    """(sums, elementary) for one or two families of generators (k, d, d),
+    each matrix skew for some metric: sums[m] is tr X(omega)^{2m} of the
+    first family minus that of the second, over the degree-2m codes
+    (m = 1..order), and elementary[j] the coefficient e_{2j} of the first
+    family's characteristic polynomial over the degree-2j codes, at least
+    to e_q, the Weyl weight when that family is ad of a torus.  Each is an
+    integer array over the families' common denominator to its degree.
 
-    A word of length 2m splits into halves of length m, so the trace
-    coefficient of gamma sums tr(powers[m][alpha] @ powers[m][beta]) over
-    alpha + beta = gamma.  A row of the signed Gram matrix holds F's
-    powers beside D's, and its columns negate D's.  It is symmetric, so
-    only pairs with rank(alpha) <= rank(beta) are ranked and scattered,
-    and the off-diagonal ones count twice.  A block of rows s..e forms
-    its products with the columns s..n; of its square part [s:e, s:e]
-    only the upper triangle is used."""
-    cs = log_sinh_ratio_series(order)
-    den = lcm(d.denom, f.denom)
-    # The same step ranks serve both families.
-    steps = _step_ranks(codes[: order + 1])
-    f_powers, d_powers = (
-        _matrix_powers(t.scale(den // t.denom), codes, steps) for t in (f, d)
-    )
-    grades = [None]
-    for m in range(1, order + 1):
+    s_m comes from the Gram step up to h = d // 2 (for the first family
+    also up to q/2): the coefficient of gamma sums tr(powers[m][alpha]
+    powers[m][beta]) over alpha + beta = gamma, a word of length 2m split
+    in halves.  The Gram matrix is symmetric: only the pairs rank(alpha)
+    <= rank(beta) are ranked, once per block for both families, and the
+    off-diagonal ones count twice; rows s..e take the columns s..n.  With
+    c_m = sum_{j=1..m-1} e_{2j} s_{m-j}, Newton's identities give e_{2m}
+    = -(s_m + c_m) / 2m, exact for an integer matrix, and past h, where
+    e_{2m} vanishes, s_m = -c_m (Cayley-Hamilton): both families at once,
+    as the rows of one array, a row past its Gram grades zero until then."""
+    den = lcm(*(x.denom for x in families))
+    gens = [x if x.denom == den else x.scale(den // x.denom) for x in families]
+    halves = [x.array.shape[1] // 2 for x in gens]
+    grams = [min(order, h) for h in halves]
+    newton = [h if order > h else 0 for h in halves]
+    grams[0], newton[0] = max(grams[0], q // 2), max(newton[0], q // 2)
+    # The same step ranks serve every family.
+    steps = _step_ranks(codes[: max(grams) + 1])
+    powers = [
+        _matrix_powers(x, codes, steps[: top + 1])
+        for x, top in zip(gens, grams)
+    ]
+    sums = [None]
+    for m in range(1, max(grams) + 1):
         n = len(codes[m])
-        f_half, d_half = f_powers[m].array, d_powers[m].array
-        rows = np.concatenate(
-            [f_half.reshape(n, -1), d_half.reshape(n, -1)], axis=1
-        )
-        cols = np.concatenate([
-            f_half.transpose(0, 2, 1).reshape(n, -1),
-            -d_half.transpose(0, 2, 1).reshape(n, -1),
-        ], axis=1).T
-        # A Gram entry is a sum of rows.shape[1] products; each degree-2m
-        # monomial collects at most n of them, and so does each partial
-        # sum of its scatter.
-        top = max(f_powers[m].bound, d_powers[m].bound)
-        bound = top**2 * rows.shape[1] * n
-        out = np.zeros(len(codes[2 * m]), dtype=exact_dtype(bound, rows))
+        live = [(k, powers[k][m]) for k, top in enumerate(grams) if top >= m]
+        # A Gram entry is a sum of d^2 products; each degree-2m monomial
+        # collects at most n of them, and so does each partial sum of its
+        # scatter.
+        bounds = [x.bound**2 * x.array[0].size * n for _, x in live]
+        dtype = exact_dtype(max(bounds), *(x.array for _, x in live))
+        out = np.zeros((len(gens), len(codes[2 * m])), dtype=dtype)
+        parts = [
+            (out[k], x.array.reshape(n, -1),
+             x.array.transpose(0, 2, 1).reshape(n, -1).T, bound)
+            for (k, x), bound in zip(live, bounds)
+        ]
         block = max(1, _GRAM_BLOCK // n)
         for s in range(0, n, block):
             e = min(s + block, n)
@@ -471,84 +468,130 @@ def _graded_log(
             ranks = np.searchsorted(
                 codes[2 * m], codes[m][s + i] + codes[m][s + j]
             )
-            gram = exact_matmul(rows[s:e], cols[:, s:], bound)[i, j]
-            gram *= 2 - (i == j)
-            if product_dtype(bound, gram) is np.float64:
-                # Every bin sum is a partial sum of one monomial.
-                out += np.bincount(
-                    ranks, weights=gram, minlength=len(out)
-                ).astype(np.int64)
-            else:
-                np.add.at(out, ranks, gram)
-        grade = ScaledTensor(out, den ** (2 * m))
-        grades.append(grade.scale(cs[m - 1] / (2 * 4**m)).reduced())
-    return grades
+            twice = 2 - (i == j)
+            for row, rows, cols, bound in parts:
+                gram = exact_matmul(rows[s:e], cols[:, s:], bound)[i, j]
+                gram *= twice
+                if product_dtype(bound, gram) is np.float64:
+                    # Every bin sum is a partial sum of one monomial.
+                    row += np.bincount(
+                        ranks, weights=gram, minlength=len(row)
+                    ).astype(np.int64)
+                else:
+                    np.add.at(row, ranks, gram)
+        sums.append(out)
+    elementary = [np.ones((len(gens), 1), dtype=np.int64)]
+    if any(newton) or max(grams) < order:
+        top = max(newton)
+        last = max(order, top)
+        # Rows past their Gram grades hold zeros until the recurrence.
+        lates = np.arange(last + 1) > np.array(grams)[:, None]
+        sums += [np.zeros((len(gens), len(codes[2 * m])), np.int64)
+                 for m in range(len(sums), last + 1)]
+        s_nz, e_nz = [None], [None]
+        for m in range(1, last + 1):
+            late = lates[:, m : m + 1]
+            terms = [(1, e_nz[j], s_nz[m - j])
+                     for j in range(1, min(m - 1, top) + 1)]
+            acc = _products(codes[2 * m], terms, sums[m])  # s_m + c_m
+            sums[m] = sums[m] - late * acc
+            if m < last:
+                s_nz.append(_nonzero(sums[m], codes[2 * m]))
+            if m <= top:
+                elementary.append(acc * ~late // (-2 * m))
+                e_nz.append(_nonzero(elementary[m], codes[2 * m]))
+    # int64 rows lie below 2**62, so their difference fits int64.
+    total = [ScaledTensor(s[0] - s[1] if len(s) > 1 else s[0], den ** (2 * m))
+             for m, s in enumerate(sums[: order + 1]) if m]
+    return [None] + total, [
+        ScaledTensor(x[0], den ** (2 * j)) for j, x in enumerate(elementary)
+    ]
 
 
-def _nonzero(values: np.ndarray, codes: np.ndarray):
-    """(codes, values) of the nonzero entries of a dense coefficient
-    array over the monomial codes."""
-    nz = np.flatnonzero(values)
-    return codes[nz], values[nz]
+def _graded_log(
+    d: ScaledTensor, f: ScaledTensor, order: int, codes: list[np.ndarray],
+    q: int = 0,
+) -> tuple[list[ScaledTensor], ScaledTensor]:
+    """(grades, weight): grades[m][rank(gamma)] is the coefficient of
+    t^m omega^gamma in sum_m t^m (c_m / 4^m) [tr F(omega)^{2m}/2
+    - tr D(omega)^{2m}/2] over the degree-2m codes (grades[0] unused),
+    weight e_q(F(omega)) from the same pass (_power_sums)."""
+    cs = log_sinh_ratio_series(order)
+    sums, elementary = _power_sums([f, d], order, codes, q)
+    grades = [None] + [
+        sums[m].scale(cs[m - 1] / (2 * 4**m)).reduced()
+        for m in range(1, order + 1)
+    ]
+    return grades, elementary[q // 2]
 
 
-def _scatter_product(out, out_codes, a, b, scale: int) -> None:
-    """out[rank(alpha + beta)] += scale * a[alpha] * b[beta] over the
-    nonzero entries (codes, values) a and b, in blocks of at most
-    _GRAM_BLOCK pairs.  The codes are additive, so alpha + beta is ranked
-    by searchsorted on the sum of the two codes."""
-    if len(a[1]) > len(b[1]):
-        a, b = b, a
-    (a_codes, a_vals), (b_codes, b_vals) = a, b
-    rows, cols = a_vals.astype(out.dtype) * scale, b_vals.astype(out.dtype)
-    block = max(1, _GRAM_BLOCK // len(cols))
-    for s in range(0, len(rows), block):
-        idx = np.searchsorted(
-            out_codes, a_codes[s : s + block, None] + b_codes
-        )
-        np.add.at(out, idx, rows[s : s + block, None] * cols)
+def _nonzero(values: np.ndarray, codes: np.ndarray, bound=None):
+    """(codes, values, bound) of the coefficients over the codes (the last
+    axis of values) where a row is nonzero; bound, measured unless given,
+    is their largest magnitude."""
+    nz = (values if values.ndim == 1 else values.any(0)).nonzero()[0]
+    values = values[..., nz]
+    return codes[nz], values, max_abs(values) if bound is None else bound
+
+
+def _products(out_codes: np.ndarray, terms, start=None) -> np.ndarray:
+    """start (zeros when None) plus the sum of scale * a * b over the
+    terms (scale, a, b), a and b from _nonzero with the same rows, over
+    out_codes: int64 or Python ints as the bound allows, an entry taking
+    at most min(nnz a, nnz b) pairs from each product.  The codes are
+    additive, so searchsorted on the sum of two codes ranks alpha + beta,
+    once for every row; the pairs go in blocks of about _GRAM_BLOCK."""
+    terms = [t for t in terms if len(t[1][0]) and len(t[2][0])]
+    bound = sum(
+        abs(c) * a[2] * b[2] * min(len(a[0]), len(b[0])) for c, a, b in terms
+    )
+    factors = [x[1] for _, a, b in terms for x in (a, b)]
+    if start is None:
+        out = np.zeros(len(out_codes), dtype=exact_dtype(bound, *factors))
+    else:
+        bound += max_abs(start) if terms else 0
+        out = start.astype(exact_dtype(bound, start, *factors))
+    for c, a, b in terms:
+        if len(a[0]) > len(b[0]):
+            a, b = b, a
+        rows = a[1].astype(out.dtype, copy=False)
+        rows = rows * c if c != 1 else rows
+        cols = b[1].astype(out.dtype, copy=False)
+        block = max(1, _GRAM_BLOCK // cols.size)
+        for s in range(0, len(a[0]), block):
+            ranks = np.searchsorted(
+                out_codes, a[0][s : s + block, None] + b[0]
+            )
+            if out.ndim == 1:
+                np.add.at(out, ranks, rows[s : s + block, None] * cols)
+            else:  # One row per family, sharing the ranks.
+                pairs = rows[:, s : s + block, None] * cols[:, None, :]
+                np.add.at(out, (slice(None), ranks), pairs)
+    return out
 
 
 def _graded_exp(
     log: list[ScaledTensor], codes: list[np.ndarray]
 ) -> list[ScaledTensor]:
-    """exp of a graded log, grade g over the degree-2g codes, by the
-    recurrence g E_g = sum_{m=1..g} m P_m E_{g-m} (E_0 = 1) that comes
-    from dE/dt = P'(t) E.
-
-    The products of one grade share the lcm of their denominators.  An
-    entry collects at most min(nnz P_m, nnz E_{g-m}) pairs from each
-    product, which bounds it for the int64 test; each grade's bound is
-    measured once, the first time it enters a product."""
+    """exp of a graded log, grade g over the degree-2g codes, by g E_g =
+    sum_{m=1..g} m P_m E_{g-m} (E_0 = 1), from dE/dt = P'(t) E, each
+    grade's products over the lcm of their denominators."""
     exp = [ScaledTensor(np.ones(1, dtype=np.int64), 1)]
     log_nz = [None] + [
-        _nonzero(grade.array, codes[2 * m])
+        _nonzero(grade.array, codes[2 * m], grade.bound)
         for m, grade in enumerate(log[1:], 1)
     ]
     exp_nz = [_nonzero(exp[0].array, codes[0])]
     for g in range(1, len(log)):
-        ms = [
-            m for m in range(1, g + 1)
-            if len(log_nz[m][1]) and len(exp_nz[g - m][1])
-        ]
+        ms = [m for m in range(1, g + 1)
+              if len(log_nz[m][1]) and len(exp_nz[g - m][1])]
         pair_den = {m: log[m].denom * exp[g - m].denom for m in ms}
         den = lcm(1, *pair_den.values())
-        scale = {m: m * (den // pair_den[m]) for m in ms}
-        bound = sum(
-            scale[m]
-            * log[m].bound
-            * exp[g - m].bound
-            * min(len(log_nz[m][1]), len(exp_nz[g - m][1]))
-            for m in ms
-        )
-        factors = [log_nz[m][1] for m in ms] + [exp_nz[g - m][1] for m in ms]
-        out = np.zeros(len(codes[2 * g]), dtype=exact_dtype(bound, *factors))
-        for m in ms:
-            _scatter_product(
-                out, codes[2 * g], log_nz[m], exp_nz[g - m], scale[m]
-            )
+        out = _products(codes[2 * g], [
+            (m * (den // pair_den[m]), log_nz[m], exp_nz[g - m]) for m in ms
+        ])
         exp.append(ScaledTensor(out, g * den).reduced())
-        exp_nz.append(_nonzero(exp[g].array, codes[2 * g]))
+        exp_nz.append(_nonzero(exp[g].array, codes[2 * g], exp[g].bound))
     return exp
 
 
@@ -564,7 +607,7 @@ def dense_integrand(
     exp_units, which the caller checks first."""
     p = d.array.shape[0]
     codes = _monomial_codes(p, 2 * order)
-    log = _graded_log(d, f, order, codes)
+    log, _ = _graded_log(d, f, order, codes)
     return codes, _graded_exp(log, codes)
 
 
@@ -576,20 +619,22 @@ _TORUS_UNITS = 10**4
 
 def torus_units(p: int, r: int, order: int) -> int:
     """Work units of the torus average of a p-dimensional h of rank r, in
-    the units of trace_units + exp_units: the integrand in r variables,
-    the Weyl weight of degree q = p - r and the products E_g J.
-
-    The weight builds one product of p x p matrices per monomial of degree
-    1..q in r variables; such a product, p^3 multiply-adds, counts p
-    units, a Gram pair being a sum of about p^2 of them.  Newton's
-    identities multiply power sums like an exponential to order q/2."""
+    the units of trace_units + exp_units, in r variables: the Gram pairs
+    (trace_units) to the order or F's top Gram grade h = max(min(order,
+    p // 2), q // 2), q = p - r; the exponential; F's Newton's identities
+    to e_{2k}, k = p // 2 past the order and q // 2 otherwise, counted
+    like an exponential to order k; F's recurrence past h, e_{2j} nonzero
+    for j <= q/2; and the products E_g J with the weight J = e_q."""
     q = p - r
+    top = max(min(order, p // 2), q // 2)
+    newton = p // 2 if order > p // 2 else q // 2
     sizes = [comb(r + k - 1, k) for k in range(max(2 * order, q) + 1)]
     return (
-        trace_units(r, order)
+        trace_units(r, max(order, top))
         + exp_units(r, order)
-        + p * (comb(r + q, q) - 1)
-        + exp_units(r, q // 2)
+        + exp_units(r, newton)
+        + sum(sizes[2 * j] * sizes[2 * (m - j)]
+              for m in range(top + 1, order + 1) for j in range(1, q // 2 + 1))
         + sizes[q] * sum(sizes[: 2 * order + 1 : 2])
     )
 
@@ -597,17 +642,17 @@ def torus_units(p: int, r: int, order: int) -> int:
 def whitened_average(
     prep: Prepared, order: int, *, budget: int | None = None
 ) -> TSeries:
-    """<exp(L(omega, t))> over omega ~ N(0, 2 beta^{-1}), truncated at the
-    order, where L is the omega-dependent log of the integrand
-    (integrand_log_expansion): the exact production average.
+    """<exp(L(omega, t))> over omega ~ N(0, 2 beta^{-1}) to the order, L
+    the omega-dependent log of the integrand: the exact production
+    average, its log and Weyl weight from one power-sum pass.
 
     It runs over all of h (_gaussian_average with no basis), or, past
     _TORUS_UNITS dense work units (trace_units + exp_units), over the
-    maximal torus hol.torus when that average's units (torus_units) are
-    fewer.  The budget holds the units of the average that runs: past
-    it, OrderTooLarge names them.  An order whose least count passes the
-    budget (_budget_limit) is refused before anything is built.  Both
-    averages give the same exact coefficients."""
+    maximal torus hol.torus when that average's units (torus_units, the
+    weight's Gram, Newton and recurrence work included) are fewer; both
+    give the same exact coefficients.  The budget holds the units of the
+    average that runs: past it, OrderTooLarge names them, and an order
+    whose least count passes it (_budget_limit) is refused at once."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     hol = prep.hol
@@ -636,69 +681,73 @@ def _gaussian_average(
     """<exp(L)> over all of h (basis None) or, by Weyl's integration
     formula, over the abelian subalgebra t spanned by the integer rows u_j
     of basis (r, p), a maximal torus: <f>_h = <f J>_t / <J>_t for every
-    Ad-invariant f, L among them, with the Weyl weight J (_weyl_weight)
-    and the restriction of the Gaussian to t.
+    Ad-invariant f, L among them, with the Weyl weight J.
 
     On t, omega = U^T eta and eta ~ N(0, 2 (U beta U^T)^{-1}).  The
     generators are restricted, D_j(U) = sum_i U_ji D_i, and whitened by
     the factor (L^-1, d) of U beta U^T (of beta itself, spec.beta_ldl,
-    over all of h): D'_k = sum_j (L^-1)_kj D_j(U), the same for F_mats.
-    The exponential is built densely grade by grade in the whitened
-    variables (_graded_log and _graded_exp, as in dense_integrand), on
-    codes that reach degree 2 order + q, q = p - r; each grade E_g is
-    multiplied by J, of degree q (over all of h, q = 0 and J = 1), and
-    the monomial eta^{2b} averages to prod_i (2b_i - 1)!! (2/d_i)^{b_i}."""
-    hol = prep.hol
+    over all of h): D'_k = sum_j (L^-1)_kj D_j(U), the same for F_mats,
+    each then checked skew for its metric (g for D, beta for F), as the
+    power sums need.  On a torus element H, ad H has r zero eigenvalues
+    and the pairs +-i alpha(H), so J = prod_{alpha>0} alpha(H)^2 =
+    e_q(ad H), q = p - r, from _graded_log beside the log.  Each grade
+    E_g of the exponential, on codes to degree 2 order + q, is multiplied
+    by J (over all of h, J = 1), and eta^{2b} averages to
+    prod_i (2b_i - 1)!! (2/d_i)^{b_i}, read for every grade from one
+    table per variable at the top degree order + q/2."""
+    hol, tensors = prep.hol, prep.spec.tensors
     if basis is None:
         back, pivots = prep.spec.beta_ldl
     else:
-        beta = prep.spec.tensors.beta
+        beta = tensors.beta
         back, pivots = ldl(exact_einsum("ji,ik,lk->jl", basis, beta, basis))
         back = exact_einsum("jk,ki->ji", back, basis)
     d, f = (
         exact_einsum("ji,iab->jab", back, gens).reduced()
         for gens in (hol.D, hol.F_mats)
     )
+    for name, gens, metric in (("D", d, tensors.g), ("F", f, tensors.beta)):
+        a, b = metric.array, gens.array
+        bound = max(metric.bound, 1) * max(gens.bound, 1) * len(a)
+        dtype = exact_dtype(bound, a, b)
+        lowered = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+        if np.count_nonzero(lowered + lowered.transpose(0, 2, 1)):
+            raise InternalInconsistency(f"the generators {name} are not "
+                                        f"skew for their metric")
     r, q = len(pivots), hol.p - len(pivots)
     codes = _monomial_codes(r, 2 * order + q)
-    grades = _graded_exp(_graded_log(d, f, order, codes), codes)
+    log, weight = _graded_log(d, f, order, codes, q)
+    grades = _graded_exp(log, codes)
     if q:
-        weight = _weyl_weight(f, codes)
-        for g, grade in enumerate(grades):
-            out = np.zeros(len(codes[2 * g + q]), dtype=object)
-            _scatter_product(
-                out, codes[2 * g + q], _nonzero(grade.array, codes[2 * g]),
-                weight, 1,
-            )
-            grades[g] = ScaledTensor(out, grade.denom)
+        weight = _nonzero(weight.array, codes[q])
+        grades = [ScaledTensor(_products(
+            codes[2 * g + q], [(1, _nonzero(x.array, codes[2 * g]), weight)]
+        ), x.denom) for g, x in enumerate(grades)]
+    top = order + q // 2
+    odd = list(accumulate(range(1, 2 * top, 2), mul, initial=1))  # (2b-1)!!
+    # tables[i, b] = (2b - 1)!! v_i^b, v_i = 2 / d_i, as integers over the
+    # common denominator prod_i den(v_i)^top, for every b <= top.
     variances = [2 / x for x in pivots]
-    odd = [1]  # odd[b] = (2b - 1)!!
-    for b in range(1, order + q // 2 + 1):
-        odd.append(odd[-1] * (2 * b - 1))
-    totals, dens = [], []
-    for g in range(order + 1):
-        top = g + q // 2
-        # Only the all-even monomials 2 beta have a nonzero centred
-        # moment; the additive code of 2 beta is twice that of beta.
-        nums = grades[g].array[
-            np.searchsorted(codes[2 * top], 2 * codes[top])
-        ]
-        half = _exponents(codes[top], r, len(codes) - 1)
-        # prod_i (2b_i - 1)!! v_i^{b_i}, as integers over the common
-        # denominator prod_i den(v_i)^top.
-        moments = np.ones(len(half), dtype=object)
-        scale = 1
-        for i, v in enumerate(variances):
-            table = [
-                odd[b]
-                * v.numerator**b
-                * v.denominator ** (top - b)
-                for b in range(top + 1)
-            ]
-            moments *= np.array(table, dtype=object)[half[:, i]]
-            scale *= v.denominator**top
-        totals.append(int(np.dot(nums.astype(object), moments)))
-        dens.append(grades[g].denom * scale)
+    tables = np.array([
+        [odd[b] * v.numerator**b * v.denominator ** (top - b)
+         for b in range(top + 1)]
+        for v in variances
+    ], dtype=object)
+    scale = prod(v.denominator**top for v in variances)
+    # Grade g has degree 2 (g + q/2).  Only its all-even monomials 2 beta
+    # have a nonzero centred moment; the additive code of 2 beta is twice
+    # that of beta.  Every grade's moments come from one table lookup.
+    halves = [codes[g + q // 2] for g in range(order + 1)]
+    nums = np.concatenate([
+        grades[g].array[np.searchsorted(codes[2 * (g + q // 2)], 2 * half)]
+        for g, half in enumerate(halves)
+    ])
+    moments = tables[
+        np.arange(r), _exponents(np.concatenate(halves), r, len(codes) - 1)
+    ].prod(axis=1)
+    starts = np.cumsum([0] + [len(half) for half in halves[:-1]])
+    totals = np.add.reduceat(nums * moments, starts)
+    dens = [grade.denom * scale for grade in grades]
     if totals[0] <= 0:
         raise InternalInconsistency(
             f"the Weyl weight of the torus has the average {totals[0]}/"
@@ -711,63 +760,6 @@ def _gaussian_average(
     ))
 
 
-def _weyl_weight(
-    f: ScaledTensor, codes: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, values) of the nonzero coefficients of the Weyl weight of
-    a torus times f.denom^q, for its whitened structure matrices f
-    (r, p, p): the integer polynomial e_q(A(eta)), q = p - r, A(eta) =
-    sum_i eta_i A_i, A the numerators f.array, over the degree-q codes
-    (codes[q], codes reaching at least degree q), as Python ints.
-
-    On a torus element H the eigenvalues of ad H are r zeros and the
-    pairs +-i alpha(H) over the positive roots, so e_q(ad H) =
-    prod_{alpha>0} alpha(H)^2.  Newton's identities give e_q from the
-    power sums s_k = tr A(eta)^k.  The A_i commute, being ad of a torus,
-    so A(eta)^k = sum_{|alpha|=k} k!/alpha! eta^alpha A^alpha with A^alpha
-    = prod_i A_i^{alpha_i}, each one product from a monomial of degree
-    k - 1; only the previous degree is kept.  ad H is skew for beta, so
-    every A^alpha of odd degree has trace 0 (InternalInconsistency
-    otherwise), the odd s_k vanish, and 2j e_{2j} = -sum_{i=1..j}
-    e_{2(j-i)} s_{2i}, whose divisions by 2j are then exact, e_k of an
-    integer matrix being an integer polynomial."""
-    r, p = f.array.shape[:2]
-    q, top = p - r, len(codes) - 1
-    gens = f.array
-    factorials = np.array([factorial(k) for k in range(q + 1)], dtype=object)
-    power = np.eye(p, dtype=gens.dtype)[None]
-    sums = {}
-    for k in range(1, q + 1):
-        exps = _exponents(codes[k], r, top)
-        # A^alpha = A^(alpha - e_i) A_i, i the first variable of alpha.
-        first = (exps > 0).argmax(axis=1)
-        prev = np.searchsorted(codes[k - 1], codes[k] - codes[1][first])
-        bound = max_abs(power) * f.bound * p
-        power = exact_matmul(power[prev], gens[first], bound)
-        traces = power.diagonal(axis1=1, axis2=2).astype(object).sum(axis=1)
-        if k % 2:
-            if traces.any():
-                raise InternalInconsistency(
-                    f"a torus power of odd degree {k} has a nonzero trace; "
-                    f"the structure matrices are not skew"
-                )
-            continue
-        multinomial = np.full(len(exps), factorials[k], dtype=object)
-        for i in range(r):
-            multinomial //= factorials[exps[:, i]]
-        sums[k] = _nonzero(multinomial * traces, codes[k])
-    elementary = [_nonzero(np.ones(1, dtype=object), codes[0])]
-    for j in range(1, q // 2 + 1):
-        out = np.zeros(len(codes[2 * j]), dtype=object)
-        for i in range(1, j + 1):
-            if len(elementary[j - i][1]) and len(sums[2 * i][1]):
-                _scatter_product(
-                    out, codes[2 * j], elementary[j - i], sums[2 * i], 1
-                )
-        elementary.append(_nonzero(-out // (2 * j), codes[2 * j]))
-    return elementary[-1]
-
-
 def integrand_log_expansion(
     hol: HolonomyRealization, order: int, budget: int | None = None
 ) -> OmegaPolynomial:
@@ -776,7 +768,9 @@ def integrand_log_expansion(
     Returns sum over m of t^m (c_m / 4^m) [ tr F(omega)^{2m}/2
     - tr D(omega)^{2m}/2 ] as an OmegaPolynomial of the given t order,
     where D(omega) and F(omega) are the omega-linear generator matrices
-    and c_m are the log(sinh z/z) coefficients.  Its callers always
+    and c_m are the log(sinh z/z) coefficients, from power sums that need
+    D and F skew for some metric, as a derived holonomy's are (D for g,
+    F = ad for an invariant form of the compact h).  Its callers always
     exponentiate it, so the work units of log and exponential,
     trace_units + exp_units, must stay within the budget; this is checked
     before anything is built."""
@@ -787,10 +781,10 @@ def integrand_log_expansion(
     if p == 0 or order == 0:
         return OmegaPolynomial(p, order, {})
     codes = _monomial_codes(p, 2 * order)
-    log = _graded_log(hol.D, hol.F_mats, order, codes)
+    log, _ = _graded_log(hol.D, hol.F_mats, order, codes)
     terms: dict = {}
     for m in range(1, order + 1):
-        monomials, values = _nonzero(log[m].array, codes[2 * m])
+        monomials, values, _ = _nonzero(log[m].array, codes[2 * m])
         rows = _exponents(monomials, p, 2 * order).tolist()
         for exps, val in zip(rows, values.tolist()):
             terms[(m, tuple(exps))] = Fraction(val, log[m].denom)

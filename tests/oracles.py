@@ -11,6 +11,8 @@ checks:
   denominators by von Staudt-Clausen;
 - sinh_ratio_dets, an eigenvalue-free det(sinh X / X), and the
   determinant factorization identity built on it;
+- the power sums tr X(omega)^{2m} of a generator family by the Gram
+  step at every grade, with no Newton's identities;
 - the two-sphere coefficients by series inversion in one variable, the
   odd-sphere coefficients from the spectrum by Poisson summation, and a
   fit of the sphere spectral sum;
@@ -261,6 +263,51 @@ def combined_scalar(spec, hol) -> Fraction:
         ),
         Fraction(0),
     ) / 4
+
+
+# ---------------------------------------------------------------------------
+# Trace powers by the Gram step at every grade
+# ---------------------------------------------------------------------------
+
+
+def gram_power_sums(gens: Sequence[Matrix], order: int) -> list[dict]:
+    """[s_1, ..., s_order], s_m the coefficients of tr X(omega)^{2m} for
+    X(omega) = sum_i omega_i A_i, A the Fraction matrices gens, as dicts
+    from exponent tuples to nonzero Fractions.  No Newton's identities and
+    no characteristic polynomial: every grade by the Gram step.
+
+    The omega^alpha coefficient of X^k sums the products of the A along
+    every word with letter counts alpha, each one product from degree
+    k - 1.  A word of length 2m splits into halves of length m, so s_m
+    sums tr(P[alpha] P[beta]) over alpha + beta = gamma: one matmul of
+    the stacked halves per grade, on Python ints over the common
+    denominator."""
+    p = len(gens)
+    den = math.lcm(*(x.denominator for a in gens for row in a for x in row))
+    mats = [np.array([[int(x * den) for x in row] for row in a], dtype=object)
+            for a in gens]
+    powers = {(0,) * p: np.eye(len(gens[0]), dtype=int).astype(object)}
+    out = []
+    for m in range(1, order + 1):
+        step: dict = {}
+        for alpha, mat in powers.items():
+            for i in range(p):
+                key = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                prod = mat.dot(mats[i])
+                step[key] = step[key] + prod if key in step else prod
+        powers = step
+        keys = list(powers)
+        rows = np.array([powers[k].ravel() for k in keys])
+        cols = np.array([powers[k].T.ravel() for k in keys]).T
+        gram = rows.dot(cols).tolist()
+        sums: dict = {}
+        for a, alpha in enumerate(keys):
+            for b, beta in enumerate(keys):
+                key = tuple(x + y for x, y in zip(alpha, beta))
+                sums[key] = sums.get(key, 0) + gram[a][b]
+        out.append({k: Fraction(v, den ** (2 * m))
+                    for k, v in sums.items() if v})
+    return out
 
 
 # ---------------------------------------------------------------------------

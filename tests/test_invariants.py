@@ -311,11 +311,14 @@ def test_pipeline_matches_closed_forms_on_products(specs, prepared):
         assert rep.coeffs[2] == a2
 
 
-# The builtins S3 and S5 at order 16 and S7 at order 8 run on their
-# maximal tori, S9 at order 2 on all of so(9): both sides of the
-# average's gate.
+# The builtins S3 and S5 at order 16, S7 at orders 8 and 16 and S9 at
+# order 4 run on their maximal tori, S9 at order 2 on all of so(9): both
+# sides of the average's gate.  At order 16, F on S7's torus (size 21)
+# passes half its size, where its power sums follow from its
+# characteristic polynomial.
 @pytest.mark.parametrize("n,order,torus", [
-    (3, 16, True), (5, 16, True), (7, 8, True), (9, 2, False),
+    (3, 16, True), (5, 16, True), (7, 8, True), (7, 16, True),
+    (9, 2, False), (9, 4, True),
 ])
 def test_odd_spheres_match_their_spectrum(n, order, torus):
     spec = catalog._sphere_spec(n, f"S{n}")

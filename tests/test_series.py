@@ -196,18 +196,27 @@ _ENTRIES = {
 }
 
 
+def _skew(size, draw):
+    """A random antisymmetric size x size Fraction matrix, its entries
+    above the diagonal from draw()."""
+    upper = {(a, b): draw() for a in range(size) for b in range(a + 1, size)}
+    return oracles.matrix([
+        [upper[a, b] if a < b else -upper[b, a] if a > b else F(0)
+         for b in range(size)]
+        for a in range(size)
+    ])
+
+
 def _random_hol(kind, p, dim, seed):
-    """A stand-in holonomy with p random D and F matrices; the expansion
-    reads nothing else, so F need not be p x p here."""
+    """A stand-in holonomy with p random antisymmetric D and F matrices,
+    skew for the identity as a datum's generators are for its metrics,
+    which the power sums need; the expansion reads nothing else, so F
+    need not be p x p here."""
     rng = random.Random(seed)
 
     def mats(size):
         return rational.ScaledTensor.from_nested(tuple(
-            oracles.matrix(
-                [[_ENTRIES[kind](rng) for _ in range(size)]
-                 for _ in range(size)]
-            )
-            for _ in range(p)
+            _skew(size, lambda: _ENTRIES[kind](rng)) for _ in range(p)
         ))
 
     return types.SimpleNamespace(p=p, D=mats(dim), F_mats=mats(dim + 1))
@@ -240,28 +249,30 @@ def _spy_products(monkeypatch):
 
 
 def test_signed_gram_falls_back_to_python_ints(monkeypatch):
-    hol = _random_hol("promoted", 2, 3, seed=4)
+    hol = _random_hol("promoted", 2, 6, seed=4)
     assert hol.D.array.dtype == hol.F_mats.array.dtype == np.int64
     seen = _spy_products(monkeypatch)
     series._graded_log(hol.D, hol.F_mats, 3, series._monomial_codes(2, 6))
-    # Three power steps of F (dim 4) and of D (dim 3), then one signed
-    # Gram product of width 4^2 + 3^2 for each of m = 1, 2, 3.
+    # Three power steps of F (dim 7) and of D (dim 6), then Gram products
+    # of width 7^2 and 6^2 for each of m = 1, 2, 3: with d // 2 = 3 every
+    # grade comes from the Gram step.
     f64 = np.float64
     assert seen == (
-        [(f64, 4), (f64, 4), (object, 4), (f64, 3), (f64, 3), (object, 3)]
-        + [(f64, 25), (object, 25), (object, 25)]
+        [(f64, 7), (f64, 7), (object, 7), (f64, 6), (f64, 6), (object, 6)]
+        + [(f64, 49), (f64, 36)] + [(object, 49), (object, 36)] * 2
     )
     assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
 
 
 def test_signed_gram_mixes_float_and_integer_products(monkeypatch):
-    hol = _random_hol("wide", 2, 3, seed="mixed")
+    hol = _random_hol("wide", 2, 6, seed="mixed")
     seen = _spy_products(monkeypatch)
     series._graded_log(hol.D, hol.F_mats, 3, series._monomial_codes(2, 6))
     f64 = np.float64
     assert seen == (
-        [(f64, 4)] * 3 + [(f64, 3)] * 3
-        + [(f64, 25), (np.int64, 25), (object, 25)]
+        [(f64, 7)] * 3 + [(f64, 6)] * 3
+        + [(f64, 49), (f64, 36), (np.int64, 49), (np.int64, 36)]
+        + [(object, 49), (object, 36)]
     )
     assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
 
@@ -271,23 +282,21 @@ def test_log_expansion_rebases_far_apart_denominators(
     monkeypatch, d_den, f_den
 ):
     # Rebased to the common denominator, D (times 3^40 > 2^62) or F (times
-    # 2^61 - 1) leaves int64, and the signed Gram runs on Python ints.
+    # 2^61 - 1) leaves int64, and its power step and Gram run on Python
+    # ints.
     rng = random.Random(f"{d_den}-{f_den}")
 
     def mats(size, den):
         return rational.ScaledTensor.from_nested(tuple(
-            oracles.matrix(
-                [[F(rng.randint(-9, 9), den) for _ in range(size)]
-                 for _ in range(size)]
-            )
-            for _ in range(2)
+            _skew(size, lambda: F(rng.randint(-9, 9), den)) for _ in range(2)
         ))
 
     hol = types.SimpleNamespace(p=2, D=mats(3, d_den), F_mats=mats(4, f_den))
     assert (hol.D.denom, hol.F_mats.denom) == (d_den, f_den)
     seen = _spy_products(monkeypatch)
     assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
-    assert seen[-3:] == [(object, 4**2 + 3**2)] * 3
+    widths = (3, 3**2) if f_den == 3**40 else (4, 4**2)
+    assert {dtype for dtype, width in seen if width in widths} == {object}
 
 
 def test_builtin_log_expansion_matches_full_word_sum(hols):
@@ -317,6 +326,61 @@ def test_shared_pair_ranks_with_one_row_per_block(hols, monkeypatch):
     assert hg.integrand_log_expansion(hol, 3) == log
     dense = series.dense_integrand(hol.D, hol.F_mats, 3)
     assert _dense_to_poly(dense, 3) == exp
+
+
+def _series_power_sums(gens, order):
+    """series._power_sums of one generator family as the dicts of
+    oracles.gram_power_sums."""
+    k = len(gens.array)
+    codes = series._monomial_codes(k, 2 * order)
+    sums, _ = series._power_sums([gens], order, codes)
+    out = []
+    for m in range(1, order + 1):
+        nz = np.flatnonzero(sums[m].array)
+        rows = series._exponents(codes[2 * m][nz], k, 2 * order).tolist()
+        out.append({tuple(row): F(int(v), sums[m].denom)
+                    for row, v in zip(rows, sums[m].array[nz].tolist())})
+    return out
+
+
+def _check_power_sums(gens, order):
+    # Past half the matrix size every grade comes from the
+    # characteristic polynomial, which the reference never forms.
+    assert order > gens.array.shape[1] // 2
+    want = oracles.gram_power_sums(gens.to_fractions(), order)
+    assert _series_power_sums(gens, order) == want
+
+
+# D (size n) over all of h, or on the torus where p would make the
+# reference's Gram too large, and F (size p) where p is small.
+@pytest.mark.parametrize("name,family,torus,order", [
+    ("S2", "D", False, 4), ("S3", "D", False, 4), ("S4", "D", False, 4),
+    ("S5", "D", False, 3), ("S6", "D", True, 5), ("S2xS2", "D", False, 4),
+    ("S2xS3", "D", False, 4), ("S7", "D", True, 5), ("S8", "D", True, 6),
+    ("S9", "D", True, 6),
+    ("S3", "F_mats", False, 3), ("S2xS3", "F_mats", False, 4),
+    ("S4", "F_mats", False, 5), ("S5", "F_mats", True, 7),
+    ("S6", "F_mats", True, 9),
+])
+def test_power_sums_past_half_the_matrix_size(prepared, name, family, torus,
+                                              order):
+    prep = prepared.get(name) or hg.prepare(
+        catalog._sphere_spec(int(name[1:]), name)
+    )
+    gens = getattr(prep.hol, family)
+    if torus:
+        gens = rational.exact_einsum(
+            "ji,iab->jab", prep.hol.torus, gens
+        ).reduced()
+    _check_power_sums(gens, order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=oracles.moved_spaces(mixed=True))
+def test_power_sums_past_half_the_matrix_size_on_moved_spaces(spec):
+    hol = hg.prepare(spec).hol
+    _check_power_sums(hol.D, spec.n // 2 + 2)
+    _check_power_sums(hol.F_mats, spec.p // 2 + 2)
 
 
 def test_trace_units():
@@ -429,7 +493,7 @@ def test_whitened_average_refuses_once_naming_the_chosen_units():
     p = prep.hol.p
     dense = series.trace_units(p, 4) + series.exp_units(p, 4)
     torus = series.torus_units(p, 4, 4)
-    assert torus == 25_364_247 < dense
+    assert torus == 26_146_054 < dense
     want = (f"needs {torus} work units (its average over a maximal torus "
             f"of rank 4; {dense} over all of h)")
     for budget in (1000, torus - 1):
@@ -533,15 +597,16 @@ def _elementary_symmetric(a, k):
 
 
 @pytest.mark.parametrize("name", ["S3", "S4", "S5"])
-def test_weyl_weight_is_the_sum_of_principal_minors(prepared, name):
+def test_torus_weight_is_the_sum_of_principal_minors(prepared, name):
     hol = prepared[name].hol
-    f = rational.exact_einsum("ji,iab->jab", hol.torus, hol.F_mats).reduced()
+    d, f = (rational.exact_einsum("ji,iab->jab", hol.torus, gens).reduced()
+            for gens in (hol.D, hol.F_mats))
     r, p = f.array.shape[:2]
-    monomials, values = series._weyl_weight(
-        f, series._monomial_codes(r, p - r)
-    )
-    exponents = series._exponents(monomials, r, p - r)
-    mats = f.array.tolist()
+    codes = series._monomial_codes(r, 2 + p - r)
+    _, weight = series._graded_log(d, f, 1, codes, p - r)
+    nz = np.flatnonzero(weight.array)
+    exponents = series._exponents(codes[p - r][nz], r, 2 + p - r)
+    mats = f.to_fractions()
     rng = random.Random(name)
     for _ in range(2):
         eta = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(r)]
@@ -549,20 +614,29 @@ def test_weyl_weight_is_the_sum_of_principal_minors(prepared, name):
              for i in range(p)]
         want = _elementary_symmetric(a, p - r)
         got = sum(
-            int(v) * math.prod(e**x for e, x in zip(eta, row))
-            for row, v in zip(exponents.tolist(), values)
+            F(int(v), weight.denom) * math.prod(e**x for e, x in zip(eta, row))
+            for row, v in zip(exponents.tolist(), weight.array[nz].tolist())
         )
         assert got == want
         # prod over the positive roots of alpha(H)^2.
         assert want > 0
 
 
-def test_weyl_weight_refuses_structure_matrices_that_are_not_skew():
-    # diag(1, 0, 0) has trace 1: Newton's identities without the odd
-    # power sums would return a wrong e_2 with no error.
-    f = rational.ScaledTensor(np.diag([1, 0, 0])[None], 1)
-    with pytest.raises(hg.InternalInconsistency, match="odd degree 1"):
-        series._weyl_weight(f, series._monomial_codes(1, 2))
+@pytest.mark.parametrize("family", ["D", "F_mats"])
+def test_average_refuses_generators_that_are_not_skew(prepared, family):
+    # One diagonal entry makes a generator's trace 1: the power sums past
+    # half the matrix size would then be wrong with no error.
+    prep = prepared["S3"]
+    gens = getattr(prep.hol, family)
+    array = gens.array.copy()
+    array[0, 0, 0] += gens.denom
+    hol = types.SimpleNamespace(p=prep.hol.p, D=prep.hol.D,
+                                F_mats=prep.hol.F_mats)
+    setattr(hol, family, rational.ScaledTensor(array, gens.denom))
+    broken = types.SimpleNamespace(spec=prep.spec, hol=hol)
+    for basis in (None, prep.hol.torus):
+        with pytest.raises(hg.InternalInconsistency, match="not skew"):
+            series._gaussian_average(broken, basis, 2)
 
 
 def _count_torus_builds(monkeypatch):
