@@ -152,9 +152,9 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    check_time(args.t)
     prep = prepare(_resolve_space(args.space))
     spec = prep.spec
-    check_time(args.t)
     if args.method == "series":
         report = heat_coefficients(prep, args.order, budget=args.budget)
         value = report.eval_float(args.t)
@@ -201,13 +201,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    prep = prepare(_resolve_space(args.space))
     try:
         t_grid = [float(x) for x in args.t.split(",") if x]
     except ValueError:
         raise InvalidTime(f"bad t grid {args.t!r}") from None
     if not t_grid:
         raise InvalidTime(f"empty t grid {args.t!r}")
+    prep = prepare(_resolve_space(args.space))
     report = compare(
         prep,
         args.order,

@@ -248,13 +248,18 @@ def compare(
     and the others still run.  The datum is prepared once, here unless a
     Prepared is passed, and shared by the pipeline and the oracles; each
     distinct factor of a product is prepared and expanded once, on its
-    own.  The numeric integrand is built once for the whole grid.
+    own.  The numeric parameters are checked before the exact expansion
+    runs, and the numeric integrand is built once for the whole grid.
     """
     start = time.perf_counter()
     for t in t_grid:
         check_time(t)
     prep = prepare(spec)
     spec = prep.spec
+    # One averager for the whole grid: the numeric integrand, its exact
+    # split and its whitening do not depend on t, and are built at the
+    # first grid time.
+    average_at = _NumericAverager(prep, method, samples, nodes, seed)
     base = heat_coefficients(prep, order, budget=budget)
     checks: list[CheckResult] = []
 
@@ -324,9 +329,6 @@ def compare(
             _timed_check(f"spectral_oracle@t={t:g}", spectral, t)
             for t in t_grid
         )
-    # One averager for the whole grid: the numeric integrand, its exact
-    # split and its whitening do not depend on t.
-    average_at = _NumericAverager(prep, method, samples, nodes, seed)
     checks.extend(
         _timed_check(f"numeric_average@t={t:g}", numeric, t) for t in t_grid
     )

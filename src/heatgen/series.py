@@ -30,30 +30,33 @@ the polynomial products of Newton's identities, the recurrence and the
 exponential also pick their dtype.
 
 Grade m of the log is one integer array over the degree-2m codes with
-one denominator, s^F_m - s^D_m scaled by c_m / (2 4^m).  The production
-path (dense_integrand, and the Gaussian core) exponentiates it in that
-form by the recurrence g E_g = sum_m m P_m E_{g-m}, pairing the nonzero
-entries of each product and scattering them onto the summed codes.  The
-Gaussian core (_gaussian_average) averages it over the span of an integer
-basis U of h, in whitened variables eta = L^T omega, U beta U^T =
-L diag(d) L^T, with <eta^{2b}> = prod_i (2b_i - 1)!! (2/d_i)^{b_i}.
-The integrand is Ad(H)-invariant and so is the Gaussian, since beta is,
-so Weyl's integration formula gives the same average over a maximal
-torus t, in r = rank h variables instead of p = dim h: <f>_h = <f J>_t /
-<J>_t with J = prod_{alpha>0} alpha^2 = e_{p-r}(ad), the coefficient of
-F's characteristic polynomial from the same pass.  whitened_average
-takes the torus (hol.torus) when the dense work units pass _TORUS_UNITS
-and the torus's own (torus_units) are fewer; both give the same exact
-coefficients.
+one denominator, s^F_m - s^D_m scaled by c_m / (2 4^m).  The Gaussian
+core (_gaussian_average) exponentiates it in that form by the recurrence
+g E_g = sum_m m P_m E_{g-m}, pairing the nonzero entries of each product
+and scattering them onto the summed codes, and averages it over the span
+of an integer basis U of h, in whitened variables eta = L^T omega,
+U beta U^T = L diag(d) L^T, with <eta^{2b}> = prod_i (2b_i - 1)!!
+(2/d_i)^{b_i}.  The integrand is Ad(H)-invariant and so is the Gaussian,
+since beta is, so Weyl's integration formula gives the same average over
+a maximal torus t, in r = rank h variables instead of p = dim h: <f>_h =
+<f J>_t / <J>_t with J = prod_{alpha>0} alpha^2 = e_{p-r}(ad), the
+coefficient of F's characteristic polynomial from the same pass.
 integrand_log_expansion returns the same log as an OmegaPolynomial,
 whose dict-of-Fraction exp, the prefactor product
 exponentiate_with_prefactor and averaging.average are kept as the
-independent oracle of that path.  The budget (budget=, the CLI's
---budget, DEFAULT_WORD_BUDGET when None) counts work units of the
-average that runs, over all of h or over a maximal torus: the dense
-units are the Gram step's sum_m C(p+m-1, m)^2 (trace_units) plus the
-exponential's coefficient pairs (exp_units), in all p variables, which
-check_budget holds for the dict expansion too.
+independent oracle of that path.
+
+One count prices every average.  _plan fixes how far each family's Gram
+step runs and where Newton's identities take over; average_units counts,
+in the r variables of a basis, the dense coefficient pairs that plan
+runs: the Gram pairs, the Newton and Cayley-Hamilton products, the
+exponential's products and, with a weight of degree q > 0, the products
+E_g J.  All of h is r = p, q = 0, and the torus r = rank, q = p - r.
+whitened_average takes the torus (hol.torus) when the units over all of
+h pass _TORUS_UNITS and the torus's own are fewer; both give the same
+exact coefficients.  The budget (budget=, the CLI's --budget,
+DEFAULT_WORD_BUDGET when None) holds the units of the average that runs,
+and those over all of h for integrand_log_expansion.
 """
 
 from __future__ import annotations
@@ -85,7 +88,6 @@ __all__ = [
     "TSeries",
     "OmegaPolynomial",
     "integrand_log_expansion",
-    "dense_integrand",
     "whitened_average",
     "exponentiate_with_prefactor",
     "DEFAULT_WORD_BUDGET",
@@ -290,12 +292,6 @@ class OmegaPolynomial:
 _GRAM_BLOCK = 2**20
 
 
-def trace_units(p: int, order: int) -> int:
-    """Work units of integrand_log_expansion: the coefficient-matrix pairs
-    of its Gram step, sum_m C(p+m-1, m)^2 for m = 1..order."""
-    return sum(comb(p + m - 1, m) ** 2 for m in range(1, order + 1))
-
-
 def _monomial_codes(p: int, top: int) -> list[np.ndarray]:
     """codes[k] lists the degree-k monomials in p variables, k <= top, as
     sorted mixed-radix codes sum_i e_i R^i with R = top + 1.  The code is
@@ -362,28 +358,52 @@ def _matrix_powers(
     return powers
 
 
-def exp_units(p: int, order: int) -> int:
-    """Work units of the dense exponential in dense_integrand: coefficient
-    pairs of its products P_m E_{g-m}, sum over 1 <= m <= g <= order of
-    N_{2m} N_{2(g-m)} with N_k = C(p+k-1, k) degree-k monomials, N_0 = 1."""
-    sizes = [1] + [comb(p + 2 * j - 1, 2 * j) for j in range(1, order + 1)]
-    below = list(accumulate(sizes))
-    return sum(sizes[m] * below[order - m] for m in range(1, order + 1))
+def _plan(sizes: list[int], order: int, q: int = 0
+          ) -> tuple[list[int], list[int]]:
+    """(grams, newton) of the power-sum pass over families of d x d skew
+    matrices, one d per family in sizes: family k runs its Gram step to
+    grade grams[k] = min(order, d // 2) and Newton's identities to
+    e_{2 newton[k]}: d // 2 when the order passes it, none otherwise; the
+    first family runs both at least to q/2, for the Weyl weight e_q."""
+    halves = [d // 2 for d in sizes]
+    grams = [min(order, h) for h in halves]
+    newton = [h if order > h else 0 for h in halves]
+    grams[0], newton[0] = max(grams[0], q // 2), max(newton[0], q // 2)
+    return grams, newton
 
 
-def _over_budget(needs: str, what: str, p: int, order: int, limit: int
-                 ) -> OrderTooLarge:
-    return OrderTooLarge(
-        f"the expansion needs {needs} work units ({what}) for p={p}, "
-        f"order {order}, exceeding the budget of {limit}; lower the order, "
-        f"use a numeric average, or raise --budget (budget= in the library)"
+def average_units(r: int, sizes: list[int], order: int, q: int = 0) -> int:
+    """Work units of an average in r >= 1 variables whose power sums run
+    _plan(sizes, order, q): dense coefficient pairs, with N_k = C(r+k-1,
+    k) monomials of degree k, of the Gram step (N_m^2 matrix pairs at
+    each grade m to the top Gram grade), of the products e_{2j} s_{m-j}
+    of Newton's identities and Cayley-Hamilton (N_{2j} N_{2(m-j)}, j to
+    the top Newton grade, m to the order or past it), of the exponential
+    (N_{2m} N_{2(g-m)}, 1 <= m <= g <= order) and, with the weight J of
+    degree q > 0, of the products E_g J (N_{2g} N_q)."""
+    grams, newton = _plan(sizes, order, q)
+    top = max(newton)
+    last = max(order, top)
+    n = [comb(r + k - 1, k) for k in range(max(2 * last, q) + 1)]
+    even = n[::2]
+    below = list(accumulate(even[: order + 1]))
+    return (
+        sum(x * x for x in n[1 : max(grams) + 1])
+        + sum(even[j] * even[m - j] for m in range(2, last + 1)
+              for j in range(1, min(m - 1, top) + 1))
+        + sum(even[m] * below[order - m] for m in range(1, order + 1))
+        + (n[q] * below[order] if q else 0)
     )
 
 
-_DENSE_UNITS = (
-    "coefficient-matrix pairs, sum_m C(p+m-1,m)^2, plus the coefficient "
-    "pairs of the exponential"
-)
+def _over_budget(needs: str, where: str, p: int, order: int, limit: int
+                 ) -> OrderTooLarge:
+    return OrderTooLarge(
+        f"the expansion needs {needs} work units (coefficient pairs of its "
+        f"power sums and exponential, {where}) for p={p}, order {order}, "
+        f"exceeding the budget of {limit}; lower the order, use a numeric "
+        f"average, or raise --budget (budget= in the library)"
+    )
 
 
 def _budget_limit(p: int, order: int, budget: int | None) -> int:
@@ -394,20 +414,9 @@ def _budget_limit(p: int, order: int, budget: int | None) -> int:
     limit = DEFAULT_WORD_BUDGET if budget is None else budget
     least = order + order * (order + 1) // 2
     if least > limit:
-        raise _over_budget(f"at least {least}", _DENSE_UNITS, p, order, limit)
+        raise _over_budget(f"at least {least}", "on either average", p, order,
+                           limit)
     return limit
-
-
-def check_budget(p: int, order: int, budget: int | None) -> int:
-    """The work units of the exponential of an expansion in p >= 0
-    variables, trace_units of the log plus exp_units; OrderTooLarge when
-    they exceed the budget (default DEFAULT_WORD_BUDGET), or when its
-    least count does (_budget_limit)."""
-    limit = _budget_limit(p, order, budget)
-    units = trace_units(p, order) + exp_units(p, order)
-    if units > limit:
-        raise _over_budget(str(units), _DENSE_UNITS, p, order, limit)
-    return units
 
 
 def _power_sums(
@@ -422,22 +431,20 @@ def _power_sums(
     to e_q, the Weyl weight when that family is ad of a torus.  Each is an
     integer array over the families' common denominator to its degree.
 
-    s_m comes from the Gram step up to h = d // 2 (for the first family
-    also up to q/2): the coefficient of gamma sums tr(powers[m][alpha]
-    powers[m][beta]) over alpha + beta = gamma, a word of length 2m split
-    in halves.  The Gram matrix is symmetric: only the pairs rank(alpha)
-    <= rank(beta) are ranked, once per block for both families, and the
-    off-diagonal ones count twice; rows s..e take the columns s..n.  With
-    c_m = sum_{j=1..m-1} e_{2j} s_{m-j}, Newton's identities give e_{2m}
-    = -(s_m + c_m) / 2m, exact for an integer matrix, and past h, where
-    e_{2m} vanishes, s_m = -c_m (Cayley-Hamilton): both families at once,
-    as the rows of one array, a row past its Gram grades zero until then."""
+    s_m comes from the Gram step to the grades of _plan (h = d // 2, for
+    the first family also q/2, or the order): the coefficient of gamma
+    sums tr(powers[m][alpha] powers[m][beta]) over alpha + beta = gamma,
+    a word of length 2m split in halves.  The Gram matrix is symmetric:
+    only the pairs rank(alpha) <= rank(beta) are ranked, once per block
+    for both families, and the off-diagonal ones count twice; rows s..e
+    take the columns s..n.  With c_m = sum_{j=1..m-1} e_{2j} s_{m-j},
+    Newton's identities give e_{2m} = -(s_m + c_m) / 2m, exact for an
+    integer matrix, and past h, where e_{2m} vanishes, s_m = -c_m
+    (Cayley-Hamilton): both families at once, as the rows of one array, a
+    row past its Gram grades zero until then."""
     den = lcm(*(x.denom for x in families))
     gens = [x if x.denom == den else x.scale(den // x.denom) for x in families]
-    halves = [x.array.shape[1] // 2 for x in gens]
-    grams = [min(order, h) for h in halves]
-    newton = [h if order > h else 0 for h in halves]
-    grams[0], newton[0] = max(grams[0], q // 2), max(newton[0], q // 2)
+    grams, newton = _plan([x.array.shape[1] for x in gens], order, q)
     # The same step ranks serve every family.
     steps = _step_ranks(codes[: max(grams) + 1])
     powers = [
@@ -595,48 +602,10 @@ def _graded_exp(
     return exp
 
 
-def dense_integrand(
-    d: ScaledTensor, f: ScaledTensor, order: int
-) -> tuple[list[np.ndarray], list[ScaledTensor]]:
-    """exp of the omega-dependent log of the integrand for generator
-    families d (p, n, n) and f (p, p, p): the same graded log as
-    integrand_log_expansion, exponentiated grade by grade.  Returns
-    (codes, grades): grade g is the ScaledTensor grades[g] over the
-    degree-2g monomials codes[2g], one exact integer array (int64 or
-    Python ints) over one denominator.  Its work is trace_units +
-    exp_units, which the caller checks first."""
-    p = d.array.shape[0]
-    codes = _monomial_codes(p, 2 * order)
-    log, _ = _graded_log(d, f, order, codes)
-    return codes, _graded_exp(log, codes)
-
-
 # Up to this many work units the average runs in all p variables: below
 # it the Cartan data and the Weyl weight of the torus average cost more
 # than its smaller integrand saves.
 _TORUS_UNITS = 10**4
-
-
-def torus_units(p: int, r: int, order: int) -> int:
-    """Work units of the torus average of a p-dimensional h of rank r, in
-    the units of trace_units + exp_units, in r variables: the Gram pairs
-    (trace_units) to the order or F's top Gram grade h = max(min(order,
-    p // 2), q // 2), q = p - r; the exponential; F's Newton's identities
-    to e_{2k}, k = p // 2 past the order and q // 2 otherwise, counted
-    like an exponential to order k; F's recurrence past h, e_{2j} nonzero
-    for j <= q/2; and the products E_g J with the weight J = e_q."""
-    q = p - r
-    top = max(min(order, p // 2), q // 2)
-    newton = p // 2 if order > p // 2 else q // 2
-    sizes = [comb(r + k - 1, k) for k in range(max(2 * order, q) + 1)]
-    return (
-        trace_units(r, max(order, top))
-        + exp_units(r, order)
-        + exp_units(r, newton)
-        + sum(sizes[2 * j] * sizes[2 * (m - j)]
-              for m in range(top + 1, order + 1) for j in range(1, q // 2 + 1))
-        + sizes[q] * sum(sizes[: 2 * order + 1 : 2])
-    )
 
 
 def whitened_average(
@@ -646,11 +615,11 @@ def whitened_average(
     the omega-dependent log of the integrand: the exact production
     average, its log and Weyl weight from one power-sum pass.
 
-    It runs over all of h (_gaussian_average with no basis), or, past
-    _TORUS_UNITS dense work units (trace_units + exp_units), over the
-    maximal torus hol.torus when that average's units (torus_units, the
-    weight's Gram, Newton and recurrence work included) are fewer; both
-    give the same exact coefficients.  The budget holds the units of the
+    It runs over all of h (_gaussian_average with no basis; average_units
+    in r = p variables, q = 0), or, past _TORUS_UNITS of those, over the
+    maximal torus hol.torus (r = rank, q = p - r, the Weyl weight's Gram,
+    Newton and E_g J pairs included) when its units are fewer; both give
+    the same exact coefficients.  The budget holds the units of the
     average that runs: past it, OrderTooLarge names them, and an order
     whose least count passes it (_budget_limit) is refused at once."""
     if order < 0:
@@ -660,18 +629,18 @@ def whitened_average(
     limit = _budget_limit(p, order, budget)
     if p == 0 or order == 0:
         return TSeries.constant(1, order)
-    units = trace_units(p, order) + exp_units(p, order)
-    basis, cost, what = None, units, _DENSE_UNITS
+    sizes = [p, hol.n]
+    units = average_units(p, sizes, order)
+    basis, cost, where = None, units, "over all of h"
     if units > _TORUS_UNITS:
         torus = hol.torus
         r = len(torus.array)
-        torus_cost = torus_units(p, r, order)
+        torus_cost = average_units(r, sizes, order, p - r)
         if torus_cost < units:
             basis, cost = torus, torus_cost
-            what = (f"its average over a maximal torus of rank {r}; "
-                    f"{units} over all of h")
+            where = f"over a maximal torus of rank {r}; {units} over all of h"
     if cost > limit:
-        raise _over_budget(str(cost), what, p, order, limit)
+        raise _over_budget(str(cost), where, p, order, limit)
     return _gaussian_average(prep, basis, order)
 
 
@@ -771,15 +740,18 @@ def integrand_log_expansion(
     and c_m are the log(sinh z/z) coefficients, from power sums that need
     D and F skew for some metric, as a derived holonomy's are (D for g,
     F = ad for an invariant form of the compact h).  Its callers always
-    exponentiate it, so the work units of log and exponential,
-    trace_units + exp_units, must stay within the budget; this is checked
-    before anything is built."""
+    exponentiate it, so the budget holds the units of the average over
+    all of h (average_units in p variables), checked before anything is
+    built."""
     p = hol.p
     if order < 0:
         raise ValueError("order must be nonnegative")
-    check_budget(p, order, budget)
+    limit = _budget_limit(p, order, budget)
     if p == 0 or order == 0:
         return OmegaPolynomial(p, order, {})
+    units = average_units(p, [p, hol.n], order)
+    if units > limit:
+        raise _over_budget(str(units), "over all of h", p, order, limit)
     codes = _monomial_codes(p, 2 * order)
     log, _ = _graded_log(hol.D, hol.F_mats, order, codes)
     terms: dict = {}

@@ -2,7 +2,9 @@
 
 No request and no compare call runs any of this.  It uses only public
 heatgen names, so each reference stays independent of the code it
-checks:
+checks; dense_integrand alone is no reference but a harness that drives
+series' private graded log and exponential for the tests that hold them
+to the dict pipeline:
 
 - Fraction matrices as tuples of tuples, with per-entry arithmetic,
   including an LDL^T factorization;
@@ -37,6 +39,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import heatgen as hg
+from heatgen import series
 from heatgen.rational import Matrix, exact_einsum, identity
 
 # ---------------------------------------------------------------------------
@@ -308,6 +311,25 @@ def gram_power_sums(gens: Sequence[Matrix], order: int) -> list[dict]:
         out.append({k: Fraction(v, den ** (2 * m))
                     for k, v in sums.items() if v})
     return out
+
+
+# ---------------------------------------------------------------------------
+# The dense exponential over all of h, for the tests of series
+# ---------------------------------------------------------------------------
+
+
+def dense_integrand(d, f, order: int):
+    """exp of the omega-dependent log of the integrand for generator
+    families d (p, n, n) and f (p, p, p), by series' own graded log and
+    exponential, with no budget: the same graded log as
+    integrand_log_expansion, exponentiated grade by grade.  Returns
+    (codes, grades): grade g is the ScaledTensor grades[g] over the
+    degree-2g monomials codes[2g], one exact integer array (int64 or
+    Python ints) over one denominator."""
+    p = d.array.shape[0]
+    codes = series._monomial_codes(p, 2 * order)
+    log, _ = series._graded_log(d, f, order, codes)
+    return codes, series._graded_exp(log, codes)
 
 
 # ---------------------------------------------------------------------------

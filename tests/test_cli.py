@@ -440,6 +440,45 @@ def test_huge_sample_count_exits_two(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("name,order,options", [
+    ("S2", 2048, {"method": "mc", "samples": 1}),
+    ("S4", 4, {"method": "quadrature"}),
+], ids=["mc-one-sample", "quadrature-p6"])
+def test_compare_checks_numeric_parameters_before_the_expansion(
+    capsys, monkeypatch, name, order, options
+):
+    # S2 at order 2048 is inside the default budget but takes minutes:
+    # its expansion must not run for an averager that is refused.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("expansion ran before a numeric refusal")
+
+    monkeypatch.setattr("heatgen.invariants.whitened_average", unreachable)
+    with pytest.raises(ValueError):
+        hg.compare(hg.builtin(name), order, [0.05], **options)
+    argv = [f"--{key}={value}" for key, value in options.items()]
+    code, out, err = run(capsys, "compare", name, "--order", str(order),
+                         *argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # A refused order (exit 1 alone) with a refused sample count.
+    ("compare", "S2", "--order", "1000000000", "--method", "mc",
+     "--samples", "1"),
+    # A file that fails its checks (exit 1 alone) with a bad time.
+    ("eval", "{bad}", "--t", "-1"),
+    ("compare", "{bad}", "--t", "abc"),
+], ids=["order", "eval-file", "compare-file"])
+def test_bad_numeric_parameters_exit_two_before_the_space_fails(
+    capsys, tmp_path, argv
+):
+    bad = squashed_file(tmp_path)
+    code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
 @pytest.mark.parametrize("command", ["eval", "compare"])
 def test_negative_seed_exits_two(capsys, monkeypatch, command):
     def unreachable(*args, **kwargs):

@@ -213,22 +213,24 @@ S6_ORDER8 = (F(1), F(5), F(12), F(1139, 63), F(833, 45), F(137, 11),
 
 
 def test_s6_order8_fits_the_default_budget():
-    # The budget holds the torus average that runs, 85 925 units, not
-    # the dense one it replaces (4.8e11).
+    # The budget holds the torus average that runs, 92 322 units, not
+    # the dense one it replaces (7.5e11).
     prep = hg.prepare(hg.builtin("S6"))
-    assert series.torus_units(15, 3, 8) <= hg.DEFAULT_WORD_BUDGET
+    torus = series.average_units(3, [15, 6], 8, 12)
+    assert torus == 92_322 <= hg.DEFAULT_WORD_BUDGET
     coeffs = hg.heat_coefficients(prep, 8).coeffs
     assert coeffs == S6_ORDER8
     assert coeffs == hg.heat_coefficients(prep, 8, budget=10**12).coeffs
 
 
 def test_s8_sphere_file_order6_fits_the_default_budget(tmp_path):
-    # so(8): p = 28, rank 4, 6.6e6 torus units against 4.4e12 dense.
+    # so(8): p = 28, rank 4, 6.6e6 torus units against 7.3e12 dense.
     path = tmp_path / "S8.json"
     hg.save(catalog._sphere_spec(8, "S8"), path)
     prep = hg.prepare(hg.load(path))
-    units = series.trace_units(28, 6) + series.exp_units(28, 6)
-    assert series.torus_units(28, 4, 6) <= hg.DEFAULT_WORD_BUDGET < units
+    units = series.average_units(28, [28, 8], 6)
+    torus = series.average_units(4, [28, 8], 6, 24)
+    assert torus <= hg.DEFAULT_WORD_BUDGET < units
     coeffs = hg.heat_coefficients(prep, 6).coeffs
     assert len(coeffs) == 7
     assert coeffs[1:3] == hg.closed_form_coefficients(prep)
@@ -236,8 +238,8 @@ def test_s8_sphere_file_order6_fits_the_default_budget(tmp_path):
 
 def test_budget_names_the_units_of_the_cheaper_average():
     prep = hg.prepare(hg.builtin("S6"))
-    torus = series.torus_units(15, 3, 8)
-    dense = series.trace_units(15, 8) + series.exp_units(15, 8)
+    torus = series.average_units(3, [15, 6], 8, 12)
+    dense = series.average_units(15, [15, 6], 8)
     assert torus < dense
     with pytest.raises(hg.OrderTooLarge) as info:
         hg.heat_coefficients(prep, 8, budget=torus - 1)
@@ -248,10 +250,12 @@ def test_budget_names_the_units_of_the_cheaper_average():
 
 
 def test_budget_counts_log_and_exponential_units(specs):
-    units = series.trace_units(6, 3) + series.exp_units(6, 3)
-    hg.heat_coefficients(specs["S4"], 3, budget=units)
+    # S4 at order 2 stays on all of h (order 3 now takes the torus).
+    units = series.average_units(6, [6, 4], 2)
+    assert units <= series._TORUS_UNITS
+    hg.heat_coefficients(specs["S4"], 2, budget=units)
     with pytest.raises(hg.OrderTooLarge, match=str(units)):
-        hg.heat_coefficients(specs["S4"], 3, budget=units - 1)
+        hg.heat_coefficients(specs["S4"], 2, budget=units - 1)
 
 
 @pytest.mark.parametrize("name", ["flat3", "S2"])
@@ -323,9 +327,10 @@ def test_pipeline_matches_closed_forms_on_products(specs, prepared):
 def test_odd_spheres_match_their_spectrum(n, order, torus):
     spec = catalog._sphere_spec(n, f"S{n}")
     p = spec.p
-    dense = series.trace_units(p, order) + series.exp_units(p, order)
+    r = n // 2
+    dense = series.average_units(p, [p, n], order)
     assert (dense > series._TORUS_UNITS
-            and series.torus_units(p, n // 2, order) < dense) == torus
+            and series.average_units(r, [p, n], order, p - r) < dense) == torus
     want = oracles.odd_sphere_series(n, order)
     assert hg.heat_coefficients(spec, order).coeffs == want
 

@@ -210,8 +210,8 @@ def _skew(size, draw):
 def _random_hol(kind, p, dim, seed):
     """A stand-in holonomy with p random antisymmetric D and F matrices,
     skew for the identity as a datum's generators are for its metrics,
-    which the power sums need; the expansion reads nothing else, so F
-    need not be p x p here."""
+    which the power sums need; the expansion reads nothing else but p
+    and n, the size of D, for its budget, so F need not be p x p here."""
     rng = random.Random(seed)
 
     def mats(size):
@@ -219,7 +219,8 @@ def _random_hol(kind, p, dim, seed):
             _skew(size, lambda: _ENTRIES[kind](rng)) for _ in range(p)
         ))
 
-    return types.SimpleNamespace(p=p, D=mats(dim), F_mats=mats(dim + 1))
+    return types.SimpleNamespace(p=p, n=dim, D=mats(dim),
+                                 F_mats=mats(dim + 1))
 
 
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
@@ -291,7 +292,8 @@ def test_log_expansion_rebases_far_apart_denominators(
             _skew(size, lambda: F(rng.randint(-9, 9), den)) for _ in range(2)
         ))
 
-    hol = types.SimpleNamespace(p=2, D=mats(3, d_den), F_mats=mats(4, f_den))
+    hol = types.SimpleNamespace(p=2, n=3, D=mats(3, d_den),
+                                F_mats=mats(4, f_den))
     assert (hol.D.denom, hol.F_mats.denom) == (d_den, f_den)
     seen = _spy_products(monkeypatch)
     assert hg.integrand_log_expansion(hol, 3) == _word_sum_expansion(hol, 3)
@@ -324,7 +326,7 @@ def test_shared_pair_ranks_with_one_row_per_block(hols, monkeypatch):
     exp = log.exp()
     monkeypatch.setattr(series, "_GRAM_BLOCK", 1)
     assert hg.integrand_log_expansion(hol, 3) == log
-    dense = series.dense_integrand(hol.D, hol.F_mats, 3)
+    dense = oracles.dense_integrand(hol.D, hol.F_mats, 3)
     assert _dense_to_poly(dense, 3) == exp
 
 
@@ -383,26 +385,96 @@ def test_power_sums_past_half_the_matrix_size_on_moved_spaces(spec):
     _check_power_sums(hol.F_mats, spec.p // 2 + 2)
 
 
-def test_trace_units():
-    # One generator: one unit per order, the same as one word per order.
-    assert [series.trace_units(1, k) for k in range(5)] == [0, 1, 2, 3, 4]
-    assert series.trace_units(6, 4) == 6**2 + 21**2 + 56**2 + 126**2
-    # S6 (p = 15) at order 4 fits the default budget.
-    assert series.trace_units(15, 4) == 9_840_625 < hg.DEFAULT_WORD_BUDGET
+def _record_gram_grades(monkeypatch):
+    """Record the top grade of every _matrix_powers call."""
+    tops = []
+    powers = series._matrix_powers
+
+    def spy(gens, codes, ranks):
+        tops.append(len(ranks) - 1)
+        return powers(gens, codes, ranks)
+
+    monkeypatch.setattr(series, "_matrix_powers", spy)
+    return tops
 
 
-def test_exp_units():
-    # One generator: grade g pairs P_m with E_{g-m} for m = 1..g.
-    assert [series.exp_units(1, k) for k in range(5)] == [0, 1, 3, 6, 10]
-    assert series.exp_units(2, 1) == 3
-    # S6 (p = 15) at order 4, with N_k = C(14+k, k) degree-k monomials:
-    # log and exponential together fit the default budget.
+# Orders below and past d // 2 of D (n // 2) and of F (p // 2), over all
+# of h and on the torus, where F runs at least to q/2; the top Gram
+# grades of F and D.
+@pytest.mark.parametrize("name,torus,order,f_top,d_top", [
+    ("S3", False, 1, 1, 1), ("S3", False, 3, 1, 1),
+    ("S3", True, 1, 1, 1), ("S3", True, 3, 1, 1),
+    ("S4", False, 2, 2, 2), ("S4", False, 5, 3, 2),
+    ("S4", True, 1, 2, 1), ("S4", True, 5, 3, 2),
+    ("S6", False, 2, 2, 2), ("S6", False, 4, 4, 3),
+    ("S6", True, 2, 6, 2), ("S6", True, 9, 7, 3),
+])
+def test_power_sums_run_the_gram_grades_of_the_plan(
+    prepared, monkeypatch, name, torus, order, f_top, d_top
+):
+    hol = prepared[name].hol
+    d, f = hol.D, hol.F_mats
+    r, q = hol.p, 0
+    if torus:
+        d, f = (rational.exact_einsum("ji,iab->jab", hol.torus, x).reduced()
+                for x in (d, f))
+        r = len(hol.torus.array)
+        q = hol.p - r
+    grams, _ = series._plan([hol.p, hol.n], order, q)
+    assert grams == [f_top, d_top]
+    tops = _record_gram_grades(monkeypatch)
+    series._power_sums([f, d], order, series._monomial_codes(r, 2 * order + q),
+                       q)
+    assert tops == grams
+
+
+def test_average_units_counts_the_plan():
+    # S2 (F 1 x 1, D 2 x 2, one variable): one Gram grade, then one
+    # Newton product per grade past it, and the exponential; the least
+    # count of _budget_limit, exactly.
+    assert series._plan([1, 2], 4) == ([0, 1], [0, 1])
+    assert [series.average_units(1, [1, 2], k) for k in range(5)] == [
+        k + k * (k + 1) // 2 for k in range(5)
+    ]
+    # S4 over all of h at order 4: F (6 x 6) and D (4 x 4) stop their
+    # Gram steps at 3 and 2, and Newton's identities run to e_6, with
+    # N_k = C(5+k, k) degree-k monomials in 6 variables.
+    assert series._plan([6, 4], 4) == ([3, 2], [3, 2])
+    assert series._plan([6, 4], 2) == ([2, 2], [0, 0])
+    n1, n2, n3, n4, n6 = 6, 21, 56, 126, 462
+    gram = n1 * n1 + n2 * n2 + n3 * n3
+    newton = n2 * n2 + 2 * n2 * n4 + (2 * n2 * n6 + n4 * n4)
+    assert series.average_units(6, [6, 4], 4) == (
+        gram + newton + series.average_units(6, [1], 4)
+    )
+    # S6 on its torus (rank 3): F's Gram step runs to q/2 = 6 for the
+    # Weyl weight e_12 whatever the order, to 7 = 15 // 2 at most.
+    assert series._plan([15, 6], 2, 12) == ([6, 2], [6, 0])
+    assert series._plan([15, 6], 8, 12) == ([7, 3], [7, 3])
+
+
+def test_average_units_counts_the_exponential():
+    # A 1 x 1 family has no Gram grade and no Newton grade: what is left
+    # is the exponential.  One variable: grade g pairs P_m with E_{g-m}
+    # for m = 1..g.
+    assert [series.average_units(1, [1], k) for k in range(5)] == [
+        0, 1, 3, 6, 10
+    ]
+    assert series.average_units(2, [1], 1) == 3
+    # S6 (p = 15) at order 4, with N_k = C(14+k, k) degree-k monomials.
     n2, n4, n6, n8 = 120, 3060, 38760, 319770
-    assert series.exp_units(15, 4) == (
+    assert series.average_units(15, [1], 4) == (
         n2 + (n2 * n2 + n4) + (2 * n2 * n4 + n6) + (2 * n2 * n6 + n4 * n4 + n8)
     )
-    total = series.trace_units(15, 4) + series.exp_units(15, 4)
-    assert total == 29_617_135 < hg.DEFAULT_WORD_BUDGET
+    # On S3's torus (rank 1) the weight J = e_2 needs no grade past the
+    # plan over all of h, and adds one product E_g J per grade g = 0..3.
+    assert series._plan([3, 3], 3, 2) == series._plan([3, 3], 3)
+    assert series.average_units(1, [3, 3], 3, 2) == (
+        series.average_units(1, [3, 3], 3) + 4
+    )
+    # S6 over all of h at order 4 fits the default budget.
+    units = series.average_units(15, [15, 6], 4)
+    assert units == 49_031_935 < hg.DEFAULT_WORD_BUDGET
 
 
 def _dense_to_poly(dense, order):
@@ -424,7 +496,7 @@ def _dense_to_poly(dense, order):
 @pytest.mark.parametrize("p,dim,order", [(1, 3, 5), (2, 3, 3), (3, 2, 3)])
 def test_dense_integrand_matches_dict_exp(kind, p, dim, order):
     hol = _random_hol(kind, p, dim, seed=f"exp-{kind}-{p}")
-    dense = series.dense_integrand(hol.D, hol.F_mats, order)
+    dense = oracles.dense_integrand(hol.D, hol.F_mats, order)
     assert _dense_to_poly(dense, order) == hg.integrand_log_expansion(
         hol, order
     ).exp()
@@ -432,7 +504,7 @@ def test_dense_integrand_matches_dict_exp(kind, p, dim, order):
 
 def test_dense_exp_falls_back_to_python_ints():
     hol = _random_hol("promoted", 2, 3, seed=4)
-    dense = series.dense_integrand(hol.D, hol.F_mats, 3)
+    dense = oracles.dense_integrand(hol.D, hol.F_mats, 3)
     _, grades = dense
     assert grades[1].array.dtype == np.int64
     assert grades[3].array.dtype == object
@@ -460,16 +532,16 @@ def test_gram_blocks_with_a_square_part_and_a_ragged_end(
     log = hg.integrand_log_expansion(hol, 3)
     monkeypatch.setattr(series, "_GRAM_BLOCK", block)
     assert hg.integrand_log_expansion(hol, 3) == log
-    dense = series.dense_integrand(hol.D, hol.F_mats, 3)
+    dense = oracles.dense_integrand(hol.D, hol.F_mats, 3)
     assert _dense_to_poly(dense, 3) == log.exp()
 
 
 def test_dense_exp_blocks_do_not_change_the_result(hols, monkeypatch):
     d, f = hols["S2xS3"].D, hols["S2xS3"].F_mats
-    whole = _dense_to_poly(series.dense_integrand(d, f, 3), 3)
+    whole = _dense_to_poly(oracles.dense_integrand(d, f, 3), 3)
     # One pair per block: every product crosses a block boundary.
     monkeypatch.setattr(series, "_GRAM_BLOCK", 1)
-    assert _dense_to_poly(series.dense_integrand(d, f, 3), 3) == whole
+    assert _dense_to_poly(oracles.dense_integrand(d, f, 3), 3) == whole
     assert whole == hg.integrand_log_expansion(hols["S2xS3"], 3).exp()
 
 
@@ -490,12 +562,13 @@ def test_whitened_average_refuses_once_naming_the_chosen_units():
     # S9's dense units pass any budget below them; the refusal still
     # names the torus units that would run, the budget that admits it.
     prep = hg.prepare(catalog._sphere_spec(9, "S9"))
-    p = prep.hol.p
-    dense = series.trace_units(p, 4) + series.exp_units(p, 4)
-    torus = series.torus_units(p, 4, 4)
-    assert torus == 26_146_054 < dense
-    want = (f"needs {torus} work units (its average over a maximal torus "
-            f"of rank 4; {dense} over all of h)")
+    p, n = prep.hol.p, prep.hol.n
+    dense = series.average_units(p, [p, n], 4)
+    torus = series.average_units(4, [p, n], 4, p - 4)
+    assert torus == 26_114_894 < dense
+    want = (f"needs {torus} work units (coefficient pairs of its power sums "
+            f"and exponential, over a maximal torus of rank 4; {dense} over "
+            f"all of h)")
     for budget in (1000, torus - 1):
         with pytest.raises(hg.OrderTooLarge) as info:
             hg.whitened_average(prep, 4, budget=budget)
@@ -554,7 +627,8 @@ def test_torus_is_a_maximal_abelian_subalgebra(prepared, name):
 ])
 def test_torus_average_equals_the_dense_one(prepared, name, order):
     prep = prepared[name]
-    series.check_budget(prep.hol.p, order, None)
+    p, n = prep.hol.p, prep.hol.n
+    assert series.average_units(p, [p, n], order) <= hg.DEFAULT_WORD_BUDGET
     torus = series._gaussian_average(prep, prep.hol.torus, order)
     assert torus == series._gaussian_average(prep, None, order)
 
@@ -654,15 +728,15 @@ def _count_torus_builds(monkeypatch):
     return builds
 
 
-# spacefiles' and numeric-oracle's requests: the dense average, no
-# Cartan data.
+# spacefiles' and numeric-oracle's requests, and exact-catalog's but S4
+# o4 and S5 o3: the dense average, no Cartan data.
 @pytest.mark.parametrize("name,order", [
-    ("S3", 2), ("S3", 3), ("S3", 4), ("S3", 6), ("S4", 2), ("S2xS3", 2),
-    ("S2xS3", 3), ("S2xS3", 4), ("S2xS2", 6),
+    ("S2", 6), ("S3", 2), ("S3", 3), ("S3", 4), ("S3", 6), ("S4", 2),
+    ("S2xS3", 2), ("S2xS3", 3), ("S2xS3", 4), ("S2xS2", 6),
 ])
 def test_small_requests_never_build_the_torus(monkeypatch, name, order):
     spec = hg.builtin(name)
-    units = series.trace_units(spec.p, order) + series.exp_units(spec.p, order)
+    units = series.average_units(spec.p, [spec.p, spec.n], order)
     assert units <= series._TORUS_UNITS
     builds = _count_torus_builds(monkeypatch)
     hg.heat_coefficients(spec, order)
@@ -686,15 +760,22 @@ def _record_bases(monkeypatch):
 def test_abelian_holonomy_averages_over_all_of_h(monkeypatch):
     # An abelian h is its own torus, whose units pass the dense ones.
     spec = hg.builtin("S2xS2")
-    units = series.trace_units(spec.p, 40) + series.exp_units(spec.p, 40)
+    sizes = [spec.p, spec.n]
+    units = series.average_units(spec.p, sizes, 40)
     assert units > series._TORUS_UNITS
-    assert series.torus_units(spec.p, spec.p, 40) > units
+    # r = p and q = 0: the same count, which the strict test keeps dense.
+    assert series.average_units(len(hg.prepare(spec).hol.torus.array),
+                                sizes, 40, 0) == units
     bases = _record_bases(monkeypatch)
     hg.heat_coefficients(spec, 40)
     assert bases == [None]
 
 
-@pytest.mark.parametrize("name,order", [("S4", 4), ("S5", 3), ("S6", 3)])
+# exact-catalog's S4 o4 and S5 o3, and S4 o3, the least order on S4's
+# torus.
+@pytest.mark.parametrize("name,order", [
+    ("S4", 3), ("S4", 4), ("S5", 3), ("S6", 3),
+])
 def test_large_requests_build_the_torus_once(monkeypatch, name, order):
     builds = _count_torus_builds(monkeypatch)
     spec = hg.builtin(name)
@@ -712,8 +793,9 @@ def test_sphere_files_take_the_cheaper_average(tmp_path, monkeypatch, n,
     hg.save(catalog._sphere_spec(n, f"S{n}"), path)
     prep = hg.prepare(hg.load(path))
     p, r = prep.hol.p, n // 2
-    units = series.check_budget(p, 2, None)
-    assert (series.torus_units(p, r, 2) < units) == torus
+    units = series.average_units(p, [p, n], 2)
+    assert units <= hg.DEFAULT_WORD_BUDGET
+    assert (series.average_units(r, [p, n], 2, p - r) < units) == torus
     bases = _record_bases(monkeypatch)
     rep = hg.heat_coefficients(prep, 2)
     assert bases == [r if torus else None]
@@ -722,7 +804,7 @@ def test_sphere_files_take_the_cheaper_average(tmp_path, monkeypatch, n,
 
 def test_budget_refusal_precedes_allocation():
     class Unbuilt:
-        p = 10**6
+        p, n = 10**6, 1415
 
         @property
         def D(self):
@@ -733,11 +815,25 @@ def test_budget_refusal_precedes_allocation():
     with pytest.raises(hg.OrderTooLarge) as info:
         hg.integrand_log_expansion(Unbuilt(), 3)
     message = str(info.value)
-    units = series.trace_units(10**6, 3) + series.exp_units(10**6, 3)
+    units = series.average_units(10**6, [10**6, 1415], 3)
     assert str(units) in message
     assert "units" in message
     assert "--budget" in message
     assert str(hg.DEFAULT_WORD_BUDGET) in message
+
+
+def test_least_count_never_exceeds_the_units(prepared):
+    # _budget_limit refuses on a least count before any binomial is
+    # summed: it must not refuse an order that either average admits.
+    preps = [prepared[name] for name in RANKS]
+    preps += [hg.prepare(catalog._sphere_spec(n, f"S{n}")) for n in (7, 8, 9)]
+    for prep in preps:
+        p, n = prep.hol.p, prep.hol.n
+        r = len(prep.hol.torus.array)
+        for order in range(1, 17):
+            least = order + order * (order + 1) // 2
+            assert least <= series.average_units(p, [p, n], order)
+            assert least <= series.average_units(r, [p, n], order, p - r)
 
 
 # ---------------------------------------------------------------------------
@@ -787,9 +883,10 @@ def test_budget_refusal():
 
 
 def test_log_budget_counts_the_exponential_it_feeds(hols):
-    # S2 has a single generator: order 3 costs 3 log units and 6
-    # exponential units, and the log is refused below their sum.
-    units = series.trace_units(1, 3) + series.exp_units(1, 3)
+    # S2 has a single generator: order 3 costs one Gram pair, two Newton
+    # products and 6 exponential units, and the log is refused below
+    # their sum.
+    units = series.average_units(1, [1, 2], 3)
     assert units == 9
     assert hg.integrand_log_expansion(hols["S2"], 3, budget=units).terms
     with pytest.raises(hg.OrderTooLarge, match="budget of 8;"):
