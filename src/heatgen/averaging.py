@@ -41,8 +41,9 @@ integrand is even), in slabs of the first axis broadcast from a
 averager (_Rule).  So memory does not grow with the samples or the
 nodes, apart from Monte Carlo's vector of accepted values, 8 bytes a
 sample (and the one temporary of its size that its standard deviation
-takes).  Monte Carlo and quadrature sizes and the seed are checked
-before anything is built (_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
+takes).  Monte Carlo and quadrature sizes and the seed are checked from
+p alone, before the datum is prepared (_MAX_SAMPLES, _MAX_NODES,
+_MAX_GRID_POINTS).
 """
 
 from __future__ import annotations
@@ -53,12 +54,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import Prepared
-from .errors import HeatgenError, InternalInconsistency, check_time
+from .curvature import Prepared, SpaceSpec, check_skew, prepare
+from .errors import HeatgenError, check_time
 from .rational import (
     Matrix,
     ScaledTensor,
-    exact_einsum,
     float_stack,
     invariant_split,
     near_unit,
@@ -199,31 +199,6 @@ def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
     return (out - out.transpose(0, 2, 1)) / 2.0
 
 
-def _check_beta_invariance(prep: Prepared) -> None:
-    """beta F_i + F_i^T beta = 0 exactly, for every structure matrix F_i.
-
-    It follows from the validated datum.  The curvature is R = sum_jl
-    beta^{jl} (g D_j) (x) (g D_l), since g D_i = -beta_ik E^k.
-    Integrability says each curvature operator, a combination of the
-    D_i, annihilates R as a derivation, and every D_i is such a
-    combination because beta^{-1} is nonsingular and the g D_l, like the
-    E^k, are independent.  The derivation D_i sends g D_j to
-    sum_m (F_i)_mj g D_m, so the D_m (x) D_l coefficients of D_i . R are
-    (F_i beta^{-1} + beta^{-1} F_i^T)_ml, which must vanish: multiply by
-    beta on both sides.  With g D(omega) antisymmetric by construction
-    (E is), both factors of the numeric integrand are skew in the
-    Cholesky bases of g and beta.  Raises InternalInconsistency if the
-    identity fails, which no validated datum allows."""
-    lowered = exact_einsum(
-        "jl,ilk->ijk", prep.spec.tensors.beta, prep.hol.F_mats
-    )
-    if not (lowered + exact_einsum("ijk->ikj", lowered)).is_zero():
-        raise InternalInconsistency(
-            f"{prep.spec.name}: the structure matrices F_i are not "
-            f"beta-antisymmetric although the datum passed validation"
-        )
-
-
 class _Factor:
     """One factor of the integrand, D or F, compiled from its whitened
     skew blocks (p, d, d) into one projection: called on points y (N, p),
@@ -299,8 +274,8 @@ class _Integrand:
     serves every t; the caller scales its points (a standard normal z
     gives y = sqrt(2t) z, a Gauss-Hermite node x gives y = 2 sqrt(t) x).
 
-    D(omega) is skew for g, g D(omega) = -sum_ik beta_ik omega_i E^k
-    being antisymmetric, and each F_i for beta (_check_beta_invariance).
+    D(omega) is skew for g and F(omega) for beta (curvature.check_skew,
+    run on the raw generators when the integrand is built).
     Once per integrand each family is split exactly into invariant blocks
     (rational.invariant_split): its common kernel, where every factor
     matrix vanishes, is dropped, and the rest divided by the eigenspaces
@@ -323,7 +298,7 @@ class _Integrand:
 
     def __init__(self, prep: Prepared, margin: float):
         spec, hol = prep.spec, prep.hol
-        _check_beta_invariance(prep)
+        check_skew(prep)
         self.bound = math.pi - margin
         splits = (
             invariant_split(hol.D, spec.tensors.g),
@@ -457,15 +432,15 @@ class _NumericAverager:
     """numeric_average of one datum, by one method with one set of
     parameters, at any number of times t (each checked by the caller).
 
-    The parameters are checked here, before anything is built.  The
-    integrand (_Integrand) and the quadrature rules (_Rule) do not depend
-    on t, so they are built at the first time that needs them and serve
-    every later time."""
+    The parameters are checked here from p alone, and only then is the
+    datum prepared, unless a Prepared is passed.  The integrand
+    (_Integrand) and the quadrature rules (_Rule) do not depend on t, so
+    they are built at the first time that needs them and serve every
+    later time."""
 
-    def __init__(
-        self, prep: Prepared, method: str, samples: int, nodes: int, seed: int
-    ):
-        p = prep.spec.p
+    def __init__(self, spec: SpaceSpec | Prepared, method: str, samples: int,
+                 nodes: int, seed: int):
+        p = (spec.spec if isinstance(spec, Prepared) else spec).p
         if method == "auto":
             method = "quadrature" if p <= 3 else "mc"
         if method not in ("mc", "quadrature"):
@@ -504,7 +479,7 @@ class _NumericAverager:
                     f"a quadrature grid of {nodes}^{p} points exceeds the "
                     f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
                 )
-        self.prep, self.method = prep, method
+        self.prep, self.method = prepare(spec), method
         self.samples, self.nodes, self.seed = samples, nodes, seed
         self._integrand: _Integrand | None = None
         self._rules: list[_Rule] | None = None
@@ -590,7 +565,7 @@ class _NumericAverager:
 
 
 def numeric_average(
-    prep: Prepared,
+    spec: SpaceSpec | Prepared,
     t: float,
     method: str = "auto",
     *,
@@ -608,9 +583,9 @@ def numeric_average(
     std_error.  The sample count (2.._MAX_SAMPLES), the Monte Carlo seed
     (a non-negative integer; quadrature ignores its value) and the
     quadrature grid (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS
-    points) are checked before anything is built, as is t, which must be
-    finite and positive; samples, nodes and seed must be integers (not
+    points) are checked before the datum is prepared, as is t, which must
+    be finite and positive; samples, nodes and seed must be integers (not
     bools) whichever method runs.
     """
     check_time(t)
-    return _NumericAverager(prep, method, samples, nodes, seed)(t)
+    return _NumericAverager(spec, method, samples, nodes, seed)(t)

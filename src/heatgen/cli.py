@@ -40,7 +40,7 @@ _USAGE_ERRORS = (UnknownSpace, NonPositiveT, InvalidTime, ValueError, OSError)
 
 def _resolve_space(token: str):
     """A builtin by name, else a space file.  Neither is validated here:
-    every command validates its space exactly once, itself."""
+    the library function each command calls validates it exactly once."""
     try:
         return cat.builtin(token)
     except UnknownSpace:
@@ -145,18 +145,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    prep = prepare(_resolve_space(args.space))
-    report = heat_coefficients(prep, args.order, budget=args.budget)
+    spec = _resolve_space(args.space)
+    report = heat_coefficients(spec, args.order, budget=args.budget)
     _emit_report(report, args)
     return 0
 
 
 def _cmd_eval(args) -> int:
     check_time(args.t)
-    prep = prepare(_resolve_space(args.space))
-    spec = prep.spec
+    spec = _resolve_space(args.space)
     if args.method == "series":
-        report = heat_coefficients(prep, args.order, budget=args.budget)
+        report = heat_coefficients(spec, args.order, budget=args.budget)
         value = report.eval_float(args.t)
         if not math.isfinite(value):
             raise HeatgenError(
@@ -174,7 +173,7 @@ def _cmd_eval(args) -> int:
         }
     else:
         result = numeric_average(
-            prep,
+            spec,
             args.t,
             args.method,
             samples=args.samples,
@@ -207,9 +206,8 @@ def _cmd_compare(args) -> int:
         raise InvalidTime(f"bad t grid {args.t!r}") from None
     if not t_grid:
         raise InvalidTime(f"empty t grid {args.t!r}")
-    prep = prepare(_resolve_space(args.space))
     report = compare(
-        prep,
+        _resolve_space(args.space),
         args.order,
         t_grid,
         method=args.method,

@@ -518,3 +518,25 @@ def prepare(spec: SpaceSpec | Prepared) -> Prepared:
             report=validation,
         )
     return Prepared(spec, hol, validation, curvature_scalars(spec, hol))
+
+
+def check_skew(prep: Prepared) -> None:
+    """Every raw generator is skew for its metric, exactly: g D_i and
+    beta F_i antisymmetric; InternalInconsistency otherwise, which no
+    validated datum allows.  g D_i = -beta_ik E^k, and integrability
+    makes each curvature operator, so each D_i (beta is nonsingular),
+    annihilate R = sum_jl beta^{jl} (g D_j) (x) (g D_l) as a derivation:
+    the D_m (x) D_l coefficients of D_i . R are (F_i beta^{-1} +
+    beta^{-1} F_i^T)_ml.  Skewness for a fixed metric is linear, so every
+    whitened or torus-restricted stack is skew too."""
+    tensors, hol = prep.spec.tensors, prep.hol
+    for name, gens, label, metric in (
+        ("D", hol.D, "g", tensors.g), ("F", hol.F_mats, "beta", tensors.beta)
+    ):
+        bound = max(metric.bound, 1) * max(gens.bound, 1) * len(metric.array)
+        lowered = exact_matmul(metric.array, gens.array, bound)
+        if not _vanishes(lowered, bound, (1, (0, 2, 1))):
+            raise InternalInconsistency(
+                f"{prep.spec.name}: the generators {name}_i are not skew for "
+                f"their metric (not {label}-antisymmetric)"
+            )

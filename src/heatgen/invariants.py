@@ -177,15 +177,8 @@ _SPECTRAL_CHUNK = 2**16
 _SPECTRAL_TOL = 1e-3
 
 
-def sphere_spectral_trace(n: int, t: float) -> float:
-    """Heat kernel diagonal on the unit n-sphere by direct eigenvalue sum:
-    Vol^{-1} sum_l mult(l) exp(-t l (l+n-1)), with the level-l eigenspace
-    dimension mult(l) = (2l+n-1) (l+n-2)! / (l! (n-1)!), over the levels
-    predicted from t.  Raises ValueError when t needs more than
-    _MAX_SPECTRAL_LEVELS levels."""
-    if not 2 <= n <= 6:
-        raise ValueError("spectral oracle covers n in 2..6")
-    check_time(t)
+def _spectral_levels(t: float) -> int:
+    """Levels of the spectral sum at t > 0; ValueError past the cap."""
     quotient = 50.0 / t
     # Below t = 50 / DBL_MAX (about 2.8e-307) the quotient overflows to
     # inf, whose ceil raises; the quotient of the roots stays finite.
@@ -199,6 +192,19 @@ def sphere_spectral_trace(n: int, t: float) -> float:
             f"the spectral sum at t={t:g} needs {levels:.3g} levels, more "
             f"than the cap of {_MAX_SPECTRAL_LEVELS}; use a larger t"
         )
+    return levels
+
+
+def sphere_spectral_trace(n: int, t: float) -> float:
+    """Heat kernel diagonal on the unit n-sphere by direct eigenvalue sum:
+    Vol^{-1} sum_l mult(l) exp(-t l (l+n-1)), with the level-l eigenspace
+    dimension mult(l) = (2l+n-1) (l+n-2)! / (l! (n-1)!), over the levels
+    predicted from t.  Raises ValueError when t needs more than
+    _MAX_SPECTRAL_LEVELS levels."""
+    if not 2 <= n <= 6:
+        raise ValueError("spectral oracle covers n in 2..6")
+    check_time(t)
+    levels = _spectral_levels(t)
     total = 0.0
     for start in range(0, levels, _SPECTRAL_CHUNK):
         stop = min(start + _SPECTRAL_CHUNK, levels)
@@ -245,21 +251,30 @@ def compare(
     the floating-point average on each grid time within three standard
     errors plus the truncation remainder.  A grid time at which a check
     raises HeatgenError fails that check, with the message as its detail,
-    and the others still run.  The datum is prepared once, here unless a
-    Prepared is passed, and shared by the pipeline and the oracles; each
-    distinct factor of a product is prepared and expanded once, on its
-    own.  The numeric parameters are checked before the exact expansion
-    runs, and the numeric integrand is built once for the whole grid.
+    and the others still run.  The order, the times (on a builtin sphere
+    with their spectral levels) and the numeric parameters are refused
+    first; then the averager prepares the datum, unless a Prepared is
+    passed, for the pipeline and every oracle.  Each distinct factor of a
+    product is prepared and expanded once, on its own.  The numeric
+    integrand is built once for the whole grid.
     """
     start = time.perf_counter()
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    parsed = spec.spec if isinstance(spec, Prepared) else spec
+    factors = _catalog.PRODUCT_FACTORS.get(parsed.name)
+    sphere_n = _catalog.sphere_dimension(parsed.name)
+    if (factors or sphere_n) and parsed != _catalog.builtin(parsed.name):
+        factors = sphere_n = None
     for t in t_grid:
         check_time(t)
-    prep = prepare(spec)
-    spec = prep.spec
+        if sphere_n is not None:
+            _spectral_levels(t)
     # One averager for the whole grid: the numeric integrand, its exact
     # split and its whitening do not depend on t, and are built at the
     # first grid time.
-    average_at = _NumericAverager(prep, method, samples, nodes, seed)
+    average_at = _NumericAverager(spec, method, samples, nodes, seed)
+    prep = average_at.prep
     base = heat_coefficients(prep, order, budget=budget)
     checks: list[CheckResult] = []
 
@@ -277,10 +292,6 @@ def compare(
             )
         )
 
-    factors = _catalog.PRODUCT_FACTORS.get(spec.name)
-    sphere_n = _catalog.sphere_dimension(spec.name)
-    if (factors or sphere_n) and spec != _catalog.builtin(spec.name):
-        factors = sphere_n = None
     if factors:
         # S2xS2's factors are one builtin twice: expand each name once.
         parts = {

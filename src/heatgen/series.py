@@ -69,7 +69,7 @@ from operator import mul
 
 import numpy as np
 
-from .curvature import HolonomyRealization, Prepared
+from .curvature import HolonomyRealization, Prepared, check_skew
 from .errors import HeatgenError, InternalInconsistency, OrderTooLarge
 from .rational import (
     ScaledTensor,
@@ -406,17 +406,23 @@ def _over_budget(needs: str, where: str, p: int, order: int, limit: int
     )
 
 
-def _budget_limit(p: int, order: int, budget: int | None) -> int:
-    """The budget, DEFAULT_WORD_BUDGET when None.  Every grade of the
-    log, and every product of the exponential, costs at least one unit,
-    so an order whose least count exceeds the budget is refused before
-    any binomial is summed."""
+def _budget_gate(hol: HolonomyRealization, order: int, budget: int | None
+                 ) -> tuple[int, int]:
+    """(limit, units over all of h) of an expansion of hol to the order:
+    the budget, DEFAULT_WORD_BUDGET when None, and 0 units when the
+    expansion is trivial (p == 0 or order == 0).  A negative order is a
+    ValueError.  Every grade of the log, and every product of the
+    exponential, costs at least one unit, so an order whose least count
+    exceeds the budget is refused before any binomial is summed."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    p = hol.p
     limit = DEFAULT_WORD_BUDGET if budget is None else budget
     least = order + order * (order + 1) // 2
     if least > limit:
         raise _over_budget(f"at least {least}", "on either average", p, order,
                            limit)
-    return limit
+    return limit, average_units(p, [p, hol.n], order) if p and order else 0
 
 
 def _power_sums(
@@ -621,26 +627,21 @@ def whitened_average(
     Newton and E_g J pairs included) when its units are fewer; both give
     the same exact coefficients.  The budget holds the units of the
     average that runs: past it, OrderTooLarge names them, and an order
-    whose least count passes it (_budget_limit) is refused at once."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    whose least count passes it (_budget_gate) is refused at once."""
     hol = prep.hol
-    p = hol.p
-    limit = _budget_limit(p, order, budget)
-    if p == 0 or order == 0:
+    limit, units = _budget_gate(hol, order, budget)
+    if not units:
         return TSeries.constant(1, order)
-    sizes = [p, hol.n]
-    units = average_units(p, sizes, order)
     basis, cost, where = None, units, "over all of h"
     if units > _TORUS_UNITS:
         torus = hol.torus
         r = len(torus.array)
-        torus_cost = average_units(r, sizes, order, p - r)
+        torus_cost = average_units(r, [hol.p, hol.n], order, hol.p - r)
         if torus_cost < units:
             basis, cost = torus, torus_cost
             where = f"over a maximal torus of rank {r}; {units} over all of h"
     if cost > limit:
-        raise _over_budget(str(cost), where, p, order, limit)
+        raise _over_budget(str(cost), where, hol.p, order, limit)
     return _gaussian_average(prep, basis, order)
 
 
@@ -655,15 +656,17 @@ def _gaussian_average(
     On t, omega = U^T eta and eta ~ N(0, 2 (U beta U^T)^{-1}).  The
     generators are restricted, D_j(U) = sum_i U_ji D_i, and whitened by
     the factor (L^-1, d) of U beta U^T (of beta itself, spec.beta_ldl,
-    over all of h): D'_k = sum_j (L^-1)_kj D_j(U), the same for F_mats,
-    each then checked skew for its metric (g for D, beta for F), as the
-    power sums need.  On a torus element H, ad H has r zero eigenvalues
+    over all of h): D'_k = sum_j (L^-1)_kj D_j(U), the same for F_mats.
+    The power sums need them skew for their metric (g for D, beta for F),
+    which check_skew asserts of the raw generators, and so of every
+    combination.  On a torus element H, ad H has r zero eigenvalues
     and the pairs +-i alpha(H), so J = prod_{alpha>0} alpha(H)^2 =
     e_q(ad H), q = p - r, from _graded_log beside the log.  Each grade
     E_g of the exponential, on codes to degree 2 order + q, is multiplied
     by J (over all of h, J = 1), and eta^{2b} averages to
     prod_i (2b_i - 1)!! (2/d_i)^{b_i}, read for every grade from one
     table per variable at the top degree order + q/2."""
+    check_skew(prep)
     hol, tensors = prep.hol, prep.spec.tensors
     if basis is None:
         back, pivots = prep.spec.beta_ldl
@@ -675,14 +678,6 @@ def _gaussian_average(
         exact_einsum("ji,iab->jab", back, gens).reduced()
         for gens in (hol.D, hol.F_mats)
     )
-    for name, gens, metric in (("D", d, tensors.g), ("F", f, tensors.beta)):
-        a, b = metric.array, gens.array
-        bound = max(metric.bound, 1) * max(gens.bound, 1) * len(a)
-        dtype = exact_dtype(bound, a, b)
-        lowered = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-        if np.count_nonzero(lowered + lowered.transpose(0, 2, 1)):
-            raise InternalInconsistency(f"the generators {name} are not "
-                                        f"skew for their metric")
     r, q = len(pivots), hol.p - len(pivots)
     codes = _monomial_codes(r, 2 * order + q)
     log, weight = _graded_log(d, f, order, codes, q)
@@ -744,12 +739,9 @@ def integrand_log_expansion(
     all of h (average_units in p variables), checked before anything is
     built."""
     p = hol.p
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    limit = _budget_limit(p, order, budget)
-    if p == 0 or order == 0:
+    limit, units = _budget_gate(hol, order, budget)
+    if not units:
         return OmegaPolynomial(p, order, {})
-    units = average_units(p, [p, hol.n], order)
     if units > limit:
         raise _over_budget(str(units), "over all of h", p, order, limit)
     codes = _monomial_codes(p, 2 * order)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import heatgen as hg
 import oracles
-from heatgen import averaging, rational, series
+from heatgen import averaging, curvature, rational, series
 from oracles import double_factorial, fock_moment, inverse
 
 ID1 = ((F(1),),)
@@ -560,6 +560,28 @@ def test_numeric_parameters_must_be_integers(prepared, monkeypatch, method,
         hg.numeric_average(prepared["S2"], 0.1, method, **{name: value})
 
 
+def test_numeric_average_prepares_a_spec_itself(prepared):
+    spec = hg.builtin("S2")
+    for kw in (dict(method="mc", samples=100), dict(nodes=8)):
+        assert hg.numeric_average(spec, 0.1, **kw) == (
+            hg.numeric_average(prepared["S2"], 0.1, **kw)
+        )
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("S2", dict(method="mc", samples=1)),
+    ("S4", dict(method="quadrature")),
+])
+def test_numeric_parameters_refused_before_the_spec_is_prepared(
+    monkeypatch, name, kw
+):
+    calls = []
+    monkeypatch.setattr(curvature, "derive_holonomy", calls.append)
+    with pytest.raises(ValueError):
+        hg.numeric_average(hg.builtin(name), 0.1, **kw)
+    assert calls == []
+
+
 def test_quadrature_ignores_the_seed(prepared):
     kw = dict(method="quadrature", nodes=8)
     assert hg.numeric_average(prepared["S2"], 0.1, seed=-1, **kw) == (
@@ -976,7 +998,7 @@ def moved_products(draw):
 @given(spec=st.one_of(oracles.moved_spaces(), moved_products()))
 def test_structure_matrices_are_beta_antisymmetric(spec):
     prep = hg.prepare(spec)
-    averaging._check_beta_invariance(prep)
+    curvature.check_skew(prep)
     beta = spec.beta
     for f in prep.hol.F_mats.to_fractions():
         lowered = oracles.matmul(beta, f)

@@ -416,6 +416,27 @@ def test_compare_time_beyond_the_spectral_cap_exits_two(capsys):
     assert "cap of 10000000" in err
 
 
+@pytest.mark.parametrize("order,t", [
+    # S2 at order 2048 fits the default budget but takes minutes.
+    (2048, "1e-13"),
+    # At order 300 the remainder at this t is beyond the float range.
+    (300, "1e-320"),
+])
+def test_compare_checks_the_spectral_cap_before_the_expansion(
+    capsys, monkeypatch, order, t
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("expansion ran before the spectral refusal")
+
+    monkeypatch.setattr("heatgen.invariants.whitened_average", unreachable)
+    with pytest.raises(ValueError, match="cap of 10000000"):
+        hg.compare(hg.builtin("S2"), order, [0.05, float(t)])
+    code, out, err = run(capsys, "compare", "S2", "--order", str(order),
+                         "--t", t)
+    assert (code, out) == (2, "")
+    assert "cap of 10000000" in err
+
+
 def test_spectral_cap_message_prints_the_level_count_to_three_digits(capsys):
     # ceil(sqrt(50 / 1e-300)) is a 151-digit integer.
     code, _, err = run(capsys, "compare", "S3", "--order", "2", "--t",
@@ -469,7 +490,14 @@ def test_compare_checks_numeric_parameters_before_the_expansion(
     # A file that fails its checks (exit 1 alone) with a bad time.
     ("eval", "{bad}", "--t", "-1"),
     ("compare", "{bad}", "--t", "abc"),
-], ids=["order", "eval-file", "compare-file"])
+    # The same file with a refused order or numeric parameter: the
+    # library refuses it before it prepares the file.
+    ("coeffs", "{bad}", "--order", "-1"),
+    ("eval", "{bad}", "--t", "0.1", "--method", "mc", "--samples", "1"),
+    ("compare", "{bad}", "--method", "mc", "--samples", "1"),
+    ("compare", "{bad}", "--order", "-1"),
+], ids=["order", "eval-file", "compare-file", "coeffs-order",
+        "eval-samples", "compare-samples", "compare-order"])
 def test_bad_numeric_parameters_exit_two_before_the_space_fails(
     capsys, tmp_path, argv
 ):

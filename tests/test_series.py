@@ -431,7 +431,7 @@ def test_power_sums_run_the_gram_grades_of_the_plan(
 def test_average_units_counts_the_plan():
     # S2 (F 1 x 1, D 2 x 2, one variable): one Gram grade, then one
     # Newton product per grade past it, and the exponential; the least
-    # count of _budget_limit, exactly.
+    # count of _budget_gate, exactly.
     assert series._plan([1, 2], 4) == ([0, 1], [0, 1])
     assert [series.average_units(1, [1, 2], k) for k in range(5)] == [
         k + k * (k + 1) // 2 for k in range(5)
@@ -823,7 +823,7 @@ def test_budget_refusal_precedes_allocation():
 
 
 def test_least_count_never_exceeds_the_units(prepared):
-    # _budget_limit refuses on a least count before any binomial is
+    # _budget_gate refuses on a least count before any binomial is
     # summed: it must not refuse an order that either average admits.
     preps = [prepared[name] for name in RANKS]
     preps += [hg.prepare(catalog._sphere_spec(n, f"S{n}")) for n in (7, 8, 9)]
