@@ -38,12 +38,14 @@ the samples do not depend on it.  Quadrature evaluates the first half of
 its symmetric grid, each point standing for its mirror too (the
 integrand is even), in slabs of the first axis broadcast from a
 (p-1)-dimensional unit grid that is built, with the 1-d rule, once per
-averager (_Rule).  So memory does not grow with the samples or the
-nodes, apart from Monte Carlo's vector of accepted values, 8 bytes a
-sample (and the one temporary of its size that its standard deviation
-takes).  Monte Carlo and quadrature sizes and the seed are checked from
-p alone, before the datum is prepared (_MAX_SAMPLES, _MAX_NODES,
-_MAX_GRID_POINTS).
+averager (_Rule).  The 1-d rule comes from one symmetric eigensolve of
+the Jacobi matrix of exp(-x^2) (_hermite_rule, Golub and Welsch),
+mirrored exactly, as the half grid needs.  So memory does not grow with
+the samples or the nodes, apart from Monte Carlo's vector of accepted
+values, 8 bytes a sample (and the one temporary of its size that its
+standard deviation takes).  Monte Carlo and quadrature sizes and the
+seed are checked from p alone, before the datum is prepared
+(_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
 """
 
 from __future__ import annotations
@@ -134,9 +136,10 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
 # A point is kept when every factor's top singular value stays below
 # pi - _MARGIN, where sinh X / X is still well away from singular.
 _MARGIN = 0.01
-# Quadrature limits: hermgauss(k) costs O(k^2), and numpy 2.4's loses
-# its weights to overflow from 371 nodes on (zero, then NaN); the tensor
-# grid has nodes**p points, evaluated a block at a time.
+# Quadrature limits: the k-node rule is one k x k symmetric eigensolve
+# (_hermite_rule), O(k^3), and p = 1 evaluates its whole grid of k
+# points; the tensor grid has nodes**p points, evaluated a block at a
+# time.
 _MAX_NODES = 256
 _MAX_GRID_POINTS = 64**3
 # Monte Carlo limit: 50 times compare's default, and a values vector of
@@ -339,6 +342,20 @@ def _tensor_grid(x: np.ndarray, p: int) -> np.ndarray:
     return pts.reshape(k**p, p)
 
 
+def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k-node Gauss-Hermite rule (x, w) of the weight exp(-x^2), by
+    Golub and Welsch: the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the weight (zero diagonal, off-diagonal
+    sqrt(j/2) for j = 1..k-1), and each weight is the mass sqrt(pi) times
+    the square of the first component of its unit eigenvector.  The rule
+    is then mirrored, so node k-1-i is exactly minus node i, with the same
+    weight, and the middle node of an odd rule is exactly 0."""
+    off = np.sqrt(np.arange(1, k) / 2.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = math.sqrt(math.pi) * v[0] ** 2
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+
+
 @dataclass(frozen=True, eq=False)
 class _Rule:
     """The k-node Gauss-Hermite rule (x, w) of a p-fold tensor grid, and
@@ -352,7 +369,7 @@ class _Rule:
 
     @classmethod
     def build(cls, k: int, p: int) -> _Rule:
-        x, w = np.polynomial.hermite.hermgauss(k)
+        x, w = _hermite_rule(k)
         if not (np.isfinite(w).all() and w.sum() > 0.0):
             raise HeatgenError(
                 f"the {k}-node Gauss-Hermite rule has non-finite or "
@@ -428,58 +445,63 @@ def _sample_std(values: np.ndarray, mean: float) -> float:
     return math.sqrt(float(values.sum()) / (len(values) - 1))
 
 
+def _numeric_method(p: int, method: str, samples: int, nodes: int,
+                    seed: int) -> str:
+    """The method that runs on a datum with p holonomy variables ("auto"
+    takes quadrature up to p = 3), once the samples, nodes and seed pass
+    every check that needs p alone; ValueError otherwise.  Callers run it
+    on the parsed datum, before it is prepared."""
+    if method == "auto":
+        method = "quadrature" if p <= 3 else "mc"
+    if method not in ("mc", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    _check_integer("Monte Carlo samples", samples)
+    _check_integer("quadrature nodes", nodes)
+    if method == "quadrature":
+        _check_integer("the seed", seed)
+    if method == "mc" and samples < 2:
+        raise ValueError(
+            f"Monte Carlo needs at least 2 samples for a standard "
+            f"error, got {samples}"
+        )
+    if method == "mc" and samples > _MAX_SAMPLES:
+        raise ValueError(
+            f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got "
+            f"{samples}"
+        )
+    if method == "mc" and not (_is_integer(seed) and seed >= 0):
+        raise ValueError(
+            f"Monte Carlo seed must be a non-negative integer, got "
+            f"{seed!r}"
+        )
+    if method == "quadrature":
+        if p > 3:
+            raise ValueError(
+                "tensorized quadrature is limited to p <= 3; use mc"
+            )
+        if not 1 <= nodes <= _MAX_NODES:
+            raise ValueError(
+                f"quadrature nodes must be in 1..{_MAX_NODES}, got "
+                f"{nodes}"
+            )
+        if nodes**p > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"a quadrature grid of {nodes}^{p} points exceeds the "
+                f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
+            )
+    return method
+
+
 class _NumericAverager:
-    """numeric_average of one datum, by one method with one set of
-    parameters, at any number of times t (each checked by the caller).
+    """numeric_average of one prepared datum, by one method with one set
+    of parameters (both checked by _numeric_method), at any number of
+    times t (each checked by the caller).  The integrand (_Integrand) and
+    the quadrature rules (_Rule) do not depend on t, so they are built at
+    the first time that needs them and serve every later time."""
 
-    The parameters are checked here from p alone, and only then is the
-    datum prepared, unless a Prepared is passed.  The integrand
-    (_Integrand) and the quadrature rules (_Rule) do not depend on t, so
-    they are built at the first time that needs them and serve every
-    later time."""
-
-    def __init__(self, spec: SpaceSpec | Prepared, method: str, samples: int,
+    def __init__(self, prep: Prepared, method: str, samples: int,
                  nodes: int, seed: int):
-        p = (spec.spec if isinstance(spec, Prepared) else spec).p
-        if method == "auto":
-            method = "quadrature" if p <= 3 else "mc"
-        if method not in ("mc", "quadrature"):
-            raise ValueError(f"unknown method {method!r}")
-        _check_integer("Monte Carlo samples", samples)
-        _check_integer("quadrature nodes", nodes)
-        if method == "quadrature":
-            _check_integer("the seed", seed)
-        if method == "mc" and samples < 2:
-            raise ValueError(
-                f"Monte Carlo needs at least 2 samples for a standard "
-                f"error, got {samples}"
-            )
-        if method == "mc" and samples > _MAX_SAMPLES:
-            raise ValueError(
-                f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got "
-                f"{samples}"
-            )
-        if method == "mc" and not (_is_integer(seed) and seed >= 0):
-            raise ValueError(
-                f"Monte Carlo seed must be a non-negative integer, got "
-                f"{seed!r}"
-            )
-        if method == "quadrature":
-            if p > 3:
-                raise ValueError(
-                    "tensorized quadrature is limited to p <= 3; use mc"
-                )
-            if not 1 <= nodes <= _MAX_NODES:
-                raise ValueError(
-                    f"quadrature nodes must be in 1..{_MAX_NODES}, got "
-                    f"{nodes}"
-                )
-            if nodes**p > _MAX_GRID_POINTS:
-                raise ValueError(
-                    f"a quadrature grid of {nodes}^{p} points exceeds the "
-                    f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
-                )
-        self.prep, self.method = prepare(spec), method
+        self.prep, self.method = prep, method
         self.samples, self.nodes, self.seed = samples, nodes, seed
         self._integrand: _Integrand | None = None
         self._rules: list[_Rule] | None = None
@@ -588,4 +610,6 @@ def numeric_average(
     bools) whichever method runs.
     """
     check_time(t)
-    return _NumericAverager(spec, method, samples, nodes, seed)(t)
+    p = (spec.spec if isinstance(spec, Prepared) else spec).p
+    method = _numeric_method(p, method, samples, nodes, seed)
+    return _NumericAverager(prepare(spec), method, samples, nodes, seed)(t)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import catalog as _catalog
-from .averaging import _NumericAverager
+from .averaging import _NumericAverager, _numeric_method
 from .curvature import (
     CheckResult,
     Prepared,
@@ -42,7 +42,7 @@ from .errors import (
     check_time,
 )
 from .rational import exact_einsum, format_rational
-from .series import TSeries, to_float, whitened_average
+from .series import TSeries, _order_gate, to_float, whitened_average
 
 __all__ = [
     "HeatReport",
@@ -93,18 +93,24 @@ class HeatReport:
         return value
 
 
+def _parsed(spec: SpaceSpec | Prepared) -> SpaceSpec:
+    return spec.spec if isinstance(spec, Prepared) else spec
+
+
 def heat_coefficients(
     spec: SpaceSpec | Prepared, order: int, *, budget: int | None = None
 ) -> HeatReport:
     """Exact coefficients a_0..a_order of a curvature datum, prepared here
     unless a Prepared is passed.
 
-    Raises ValidationError when the structural identity checks fail and
+    Raises ValueError for a negative order or a budget that is not None
+    or a positive int, and OrderTooLarge for an order whose least count
+    passes the budget, both before the datum is prepared; then
+    ValidationError when the structural identity checks fail and
     OrderTooLarge when the work units of the average that runs, over all
     of h or over a maximal torus, pass the budget.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _order_gate(_parsed(spec).p, order, budget)
     start = time.perf_counter()
     prep = prepare(spec)
     spec, curv = prep.spec, prep.curv
@@ -251,17 +257,16 @@ def compare(
     the floating-point average on each grid time within three standard
     errors plus the truncation remainder.  A grid time at which a check
     raises HeatgenError fails that check, with the message as its detail,
-    and the others still run.  The order, the times (on a builtin sphere
-    with their spectral levels) and the numeric parameters are refused
-    first; then the averager prepares the datum, unless a Prepared is
-    passed, for the pipeline and every oracle.  Each distinct factor of a
+    and the others still run.  The times (on a builtin sphere with their
+    spectral levels), the numeric parameters, the order and the budget
+    are refused first, and an order whose least count passes the budget;
+    then the datum is prepared once, unless a Prepared is passed, for the
+    pipeline and every oracle.  Each distinct factor of a
     product is prepared and expanded once, on its own.  The numeric
     integrand is built once for the whole grid.
     """
     start = time.perf_counter()
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    parsed = spec.spec if isinstance(spec, Prepared) else spec
+    parsed = _parsed(spec)
     factors = _catalog.PRODUCT_FACTORS.get(parsed.name)
     sphere_n = _catalog.sphere_dimension(parsed.name)
     if (factors or sphere_n) and parsed != _catalog.builtin(parsed.name):
@@ -270,11 +275,13 @@ def compare(
         check_time(t)
         if sphere_n is not None:
             _spectral_levels(t)
+    method = _numeric_method(parsed.p, method, samples, nodes, seed)
+    _order_gate(parsed.p, order, budget)
+    prep = prepare(spec)
     # One averager for the whole grid: the numeric integrand, its exact
     # split and its whitening do not depend on t, and are built at the
     # first grid time.
-    average_at = _NumericAverager(spec, method, samples, nodes, seed)
-    prep = average_at.prep
+    average_at = _NumericAverager(prep, method, samples, nodes, seed)
     base = heat_coefficients(prep, order, budget=budget)
     checks: list[CheckResult] = []
 

@@ -406,22 +406,37 @@ def _over_budget(needs: str, where: str, p: int, order: int, limit: int
     )
 
 
-def _budget_gate(hol: HolonomyRealization, order: int, budget: int | None
-                 ) -> tuple[int, int]:
-    """(limit, units over all of h) of an expansion of hol to the order:
-    the budget, DEFAULT_WORD_BUDGET when None, and 0 units when the
-    expansion is trivial (p == 0 or order == 0).  A negative order is a
-    ValueError.  Every grade of the log, and every product of the
-    exponential, costs at least one unit, so an order whose least count
-    exceeds the budget is refused before any binomial is summed."""
+def _order_gate(p: int, order: int, budget: int | None) -> int:
+    """The limit of an expansion in p variables to the order: the budget,
+    DEFAULT_WORD_BUDGET when None.  A negative order, or a budget that is
+    neither None nor a positive int (a bool is not one), is a ValueError.
+    Every grade of the log, and every product of the exponential, costs at
+    least one unit, so an order whose least count exceeds the limit is
+    refused from p, the order and the budget alone, before the datum is
+    prepared or any binomial summed."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = hol.p
+    if budget is not None and not (
+        isinstance(budget, int) and not isinstance(budget, bool) and budget > 0
+    ):
+        raise ValueError(
+            f"budget must be a positive integer or None, got {budget!r}"
+        )
     limit = DEFAULT_WORD_BUDGET if budget is None else budget
     least = order + order * (order + 1) // 2
     if least > limit:
         raise _over_budget(f"at least {least}", "on either average", p, order,
                            limit)
+    return limit
+
+
+def _budget_gate(hol: HolonomyRealization, order: int, budget: int | None
+                 ) -> tuple[int, int]:
+    """(limit, units over all of h) of an expansion of hol to the order:
+    the limit of _order_gate, and 0 units when the expansion is trivial
+    (p == 0 or order == 0)."""
+    p = hol.p
+    limit = _order_gate(p, order, budget)
     return limit, average_units(p, [p, hol.n], order) if p and order else 0
 
 
@@ -627,7 +642,7 @@ def whitened_average(
     Newton and E_g J pairs included) when its units are fewer; both give
     the same exact coefficients.  The budget holds the units of the
     average that runs: past it, OrderTooLarge names them, and an order
-    whose least count passes it (_budget_gate) is refused at once."""
+    whose least count passes it (_order_gate) is refused at once."""
     hol = prep.hol
     limit, units = _budget_gate(hol, order, budget)
     if not units:

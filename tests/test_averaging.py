@@ -596,7 +596,7 @@ def no_grid(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("quadrature grid built before validation")
 
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", boom)
+    monkeypatch.setattr(averaging, "_hermite_rule", boom)
     monkeypatch.setattr(averaging, "_tensor_grid", boom)
 
 
@@ -615,8 +615,8 @@ def test_quadrature_grid_size_checked_first(specs, prepared, no_grid):
 
 
 def test_largest_node_count_gives_a_finite_value(prepared):
-    # numpy's hermgauss loses its weights to overflow from 371 nodes on;
-    # 256 is the most quadrature accepts.
+    # 256 is the most quadrature accepts: a 256 x 256 eigensolve, whose
+    # outer weights are tiny but finite.
     out = hg.numeric_average(prepared["S2"], 0.05, "quadrature", nodes=256)
     assert math.isfinite(out.value) and math.isfinite(out.std_error)
     assert out.value == pytest.approx(
@@ -626,12 +626,48 @@ def test_largest_node_count_gives_a_finite_value(prepared):
     assert out.evaluations == 256 + 252
 
 
+RULE_SIZES = [1, 2, 3, 7, 8, 36, 40, 64, 256]
+
+
+@pytest.mark.parametrize("k", RULE_SIZES)
+def test_hermite_rule_integrates_the_even_moments(k):
+    # A k-node rule is exact to degree 2k - 1: sum w x^(2j) is the
+    # moment Gamma(j + 1/2) of exp(-x^2) for 2j < 2k.
+    x, w = averaging._hermite_rule(k)
+    for j in range(min(k, 12)):
+        assert math.fsum(w * x ** (2 * j)) == pytest.approx(
+            math.gamma(j + 0.5), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("k", RULE_SIZES)
+def test_hermite_rule_is_exactly_mirrored(k):
+    # The half-grid sum needs node k-1-i to be minus node i, with the
+    # same weight, and the middle node of an odd rule to be the origin.
+    x, w = averaging._hermite_rule(k)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    assert (np.diff(x) > 0).all()
+    if k % 2:
+        assert x[k // 2] == 0.0
+
+
+@pytest.mark.parametrize("k", RULE_SIZES)
+def test_hermite_rule_matches_numpy(k):
+    # numpy's companion-matrix rule, with its Newton step, is an
+    # independent oracle for the Jacobi eigensolve.
+    x, w = averaging._hermite_rule(k)
+    want_x, want_w = np.polynomial.hermite.hermgauss(k)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(w, want_w, rtol=0, atol=1e-13 * want_w.max())
+
+
 @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0])
 def test_broken_quadrature_rule_is_reported(prepared, monkeypatch, weight):
     def rule(k):
         return np.linspace(-1.0, 1.0, k), np.full(k, weight)
 
-    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", rule)
+    monkeypatch.setattr(averaging, "_hermite_rule", rule)
     with pytest.raises(hg.HeatgenError, match="8-node Gauss-Hermite"):
         hg.numeric_average(prepared["S2"], 0.05, "quadrature", nodes=8)
 

@@ -195,6 +195,15 @@ def test_flat_order_past_the_budget_exits_one(capsys):
     assert "budget of 100000000" in err
 
 
+def test_failing_file_at_an_order_past_the_budget_exits_one(capsys, tmp_path):
+    # The order is refused from the parsed file, before its checks run.
+    code, out, err = run(capsys, "coeffs", squashed_file(tmp_path),
+                         "--order", "1000000000")
+    assert (code, out) == (1, "")
+    assert "budget of 100000000" in err
+    assert "structural checks failed" not in err
+
+
 def test_file_past_the_entry_bound_exits_one(capsys, tmp_path):
     # Written by hand: SpaceSpec refuses to construct this datum.
     path = tmp_path / "wide.json"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import heatgen as hg
 import oracles
-from heatgen import averaging, catalog, invariants, rational, series
+from heatgen import averaging, catalog, curvature, invariants, rational, series
 from heatgen.invariants import sphere_volume
 
 
@@ -270,6 +270,52 @@ def test_budget_refuses_flat_and_curved_data_alike(name):
     # data have no other.
     coeffs = hg.heat_coefficients(prep, 50, budget=1325).coeffs
     assert len(coeffs) == 51 and coeffs[0] == 1
+
+
+def derive_calls(monkeypatch) -> list:
+    """Replace derive_holonomy, the first stage of prepare, by a spy."""
+    calls = []
+    monkeypatch.setattr(curvature, "derive_holonomy", calls.append)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [0, -1, 2.5, True, "10"])
+def test_bad_budget_refused_before_the_spec_is_prepared(monkeypatch, budget):
+    calls = derive_calls(monkeypatch)
+    spec = hg.builtin("S2")
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
+        hg.heat_coefficients(spec, 2, budget=budget)
+    with pytest.raises(ValueError, match="budget must be a positive integer"):
+        hg.compare(spec, 2, [0.1], budget=budget)
+    assert calls == []
+
+
+def test_over_budget_order_refused_before_the_file_is_prepared(
+    monkeypatch, tmp_path
+):
+    # The least count needs only p, the order and the budget: a 36-variable
+    # sphere file is never derived.
+    path = tmp_path / "nine_sphere.json"
+    hg.save(catalog._sphere_spec(9, "S9"), path)
+    spec = hg.load(path)
+    calls = derive_calls(monkeypatch)
+    order = 10**9
+    least = order + order * (order + 1) // 2
+    message = (
+        f"the expansion needs at least {least} work units (coefficient "
+        f"pairs of its power sums and exponential, on either average) for "
+        f"p=36, order {order}, exceeding the budget of 100000000; lower the "
+        f"order, use a numeric average, or raise --budget (budget= in the "
+        f"library)"
+    )
+    for run in (
+        lambda: hg.heat_coefficients(spec, order),
+        lambda: hg.compare(spec, order, [0.1]),
+    ):
+        with pytest.raises(hg.OrderTooLarge) as info:
+            run()
+        assert str(info.value) == message
+    assert calls == []
 
 
 def test_validation_report_attached(s2_order6):
