@@ -14,38 +14,57 @@ return, so no table outlives a call and a long-lived process does not
 grow with every beta it sees.
 
 The numeric path evaluates the full (not truncated) integrand in floating
-point, by Monte Carlo or tensorized Gauss-Hermite quadrature.  Both
-factors are skew once rewritten by the Cholesky factors of g and beta
-(see _Integrand), and with s_j the singular values of a skew X,
-det(sinh X / X) = prod_j sin(s_j)/s_j; the point is kept inside the
-regularity ball max_j s_j < pi - _MARGIN, a condition that does not
-depend on the tangent or holonomy basis.  Each factor's generators are
-split once per integrand, exactly and before any float is formed, into
-invariant blocks (rational.invariant_split): the common kernel is
-dropped, and the rest divided by the rational eigenspaces of the
-self-adjoint commutant.  That separates the simple ideals of F (S4's
-so(4) into two 3 x 3 blocks) and the de Rham factors of D in any
-basis.  The blocks up to 4 x 4 are compiled into rotation
-planes (_Factor): one projection product per factor gives every plane's
-s as the norm of a row triple, and the half-determinant
-sqrt(det(sinh X/X)) is the product of sin(s)/s over the planes.  Larger
-blocks take one batched symmetric eigensolve each.  The integrand
-depends on t only through the scale of its points, so one serves a
-whole compare grid.  Both methods call it on blocks of at most _BLOCK
-points, whose temporaries stay within a core's L2 cache.  Monte Carlo
-draws rounds of that size; the generator fills rows in stream order, so
-the samples do not depend on it.  Quadrature evaluates the first half of
-its symmetric grid, each point standing for its mirror too (the
-integrand is even), in slabs of the first axis broadcast from a
-(p-1)-dimensional unit grid that is built, with the 1-d rule, once per
-averager (_Rule).  The 1-d rule comes from one symmetric eigensolve of
-the Jacobi matrix of exp(-x^2) (_hermite_rule, Golub and Welsch),
-mirrored exactly, as the half grid needs.  So memory does not grow with
-the samples or the nodes, apart from Monte Carlo's vector of accepted
-values, 8 bytes a sample (and the one temporary of its size that its
-standard deviation takes).  Monte Carlo and quadrature sizes and the
-seed are checked from p alone, before the datum is prepared
-(_MAX_SAMPLES, _MAX_NODES, _MAX_GRID_POINTS).
+point, by Monte Carlo over all of h or by Gauss-Hermite quadrature on a
+maximal torus.  Both factors are skew once rewritten by the Cholesky
+factors of g and beta (see _Integrand), and with s_j the singular values
+of a skew X, det(sinh X / X) = prod_j sin(s_j)/s_j; the point is kept
+inside the regularity ball max_j s_j < pi - _MARGIN, a condition that
+does not depend on the tangent or holonomy basis.  Each factor's
+generators are split once per integrand, exactly and before any float
+is formed, into invariant blocks (rational.invariant_split): the common
+kernel is dropped, and the rest divided by the rational eigenspaces of
+the self-adjoint commutant.  That separates the simple ideals of F
+(S4's so(4) into two 3 x 3 blocks) and the de Rham factors of D in any
+basis.  The blocks up to 4 x 4 are compiled into rotation planes
+(_Factor): one projection product per factor gives every plane's s as
+the norm of a row triple, and the half-determinant sqrt(det(sinh X/X))
+is the product of sin(s)/s over the planes.  Larger blocks take one
+batched symmetric eigensolve each, except on the torus, where their
+commuting generators share eigenvectors and each plane is |theta . x|
+for a fixed linear form theta (_torus_planes).  The integrand depends
+on t only through the scale of its points, so one serves a whole
+compare grid.  Both methods call it on blocks of at most _BLOCK points,
+whose temporaries stay within a core's L2 cache.  Monte Carlo draws
+rounds of that size; the generator fills rows in stream order, so the
+samples do not depend on it.
+
+The integrand is Ad(H)-invariant and so is its Gaussian, so Weyl's
+integration formula gives its average over h as one over a maximal
+torus t = span(U), U = hol.torus of shape (r, p), r = rank h:
+<f>_h = sum w f(U^T eta) J(eta) / sum w J(eta), with eta on an r-fold
+Gauss-Hermite grid for N(0, 2 (U beta U^T)^{-1}) and the Weyl weight
+J = prod_{alpha>0} alpha(eta)^2, taken in floats from the planes of F
+(_Integrand.weyl) and divided by its largest value on the grid.  The map
+from the grid to omega is folded into the projection rows once per
+averager, so a point costs r multiply-adds per row, not p.  For an
+abelian h the torus is all of h (r = p, U = I, J = 1), and its p-fold
+grid runs as before.  S3 takes 40 + 36 points where the p-fold grid took
+40^3 + 36^3, and every builtin fits the grid limit at the default 40
+nodes.  Quadrature evaluates the first half of its symmetric grid, each
+point standing for its mirror too (the integrand and J are even), in
+slabs of the first axis broadcast from an (r-1)-dimensional unit grid
+that is built, with the 1-d rule and the weights of the half grid, once
+per averager (_Rule).  The 1-d rule comes from the eigenvalues of the
+Jacobi matrix of exp(-x^2) and the Christoffel function of its
+orthonormal recurrence (_hermite_rule, Golub and Welsch), mirrored
+exactly, as the half grid needs.  So memory does not grow with the
+samples, apart from Monte Carlo's vector of accepted values, 8 bytes a
+sample (and the one temporary of its size that its standard deviation
+takes), and the weights of the half grid, 4 bytes a grid point.  The
+Monte Carlo and quadrature sizes and the seed are checked before the
+datum is prepared (_MAX_SAMPLES, _MAX_NODES), and the grid of nodes^r
+points against _MAX_GRID_POINTS when the torus is built, before any grid
+array is allocated.
 """
 
 from __future__ import annotations
@@ -136,10 +155,11 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
 # A point is kept when every factor's top singular value stays below
 # pi - _MARGIN, where sinh X / X is still well away from singular.
 _MARGIN = 0.01
-# Quadrature limits: the k-node rule is one k x k symmetric eigensolve
-# (_hermite_rule), O(k^3), and p = 1 evaluates its whole grid of k
-# points; the tensor grid has nodes**p points, evaluated a block at a
-# time.
+# Quadrature limits: the k-node rule's nodes are the eigenvalues of a
+# k x k symmetric matrix (_hermite_rule), and r = 1 evaluates its whole
+# grid of k points; the tensor grid on a torus of rank r has nodes**r
+# points, evaluated a block at a time, and its half-grid weights are
+# kept.
 _MAX_NODES = 256
 _MAX_GRID_POINTS = 64**3
 # Monte Carlo limit: 50 times compare's default, and a values vector of
@@ -202,6 +222,31 @@ def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
     return (out - out.transpose(0, 2, 1)) / 2.0
 
 
+def _torus_planes(gens: np.ndarray) -> np.ndarray | None:
+    """The planes of commuting skew generators (r, d, d) as linear forms:
+    rows theta (d // 2, r) such that the singular values of X(y) =
+    sum_m y_m G_m are |theta @ y|, each pair once, or None when a fixed
+    generic combination does not separate them to rounding.
+
+    Commuting skew matrices share their eigenvectors: each G_m has the
+    eigenvalue -i theta_j(e_m) on the eigenvector v_j of iA, A = sum_m
+    c_m G_m, once the eigenvalues of iA are distinct (zero apart, where
+    every G_m vanishes).  The d // 2 largest are taken, one of each pair
+    +-lambda, and theta read off as Rayleigh quotients; an eigenvector
+    that some i G_m moves off its line by more than rounding (two weights
+    nearly equal at c) gives None, and the block keeps its eigensolve."""
+    r, d = gens.shape[0], gens.shape[-1]
+    herm = 1j * gens
+    c = np.sqrt(np.arange(2.0, r + 2.0))
+    v = np.linalg.eigh(np.einsum("m,mab->ab", c, herm))[1][:, d - d // 2 :]
+    moved = herm @ v
+    theta = np.einsum("ak,mak->km", v.conj(), moved).real
+    off = moved - v * theta.T[:, None, :]
+    if np.abs(off).max() > 1e-10 * max(float(np.abs(gens).max()), 1e-300):
+        return None
+    return theta
+
+
 class _Factor:
     """One factor of the integrand, D or F, compiled from its whitened
     skew blocks (p, d, d) into one projection: called on points y (N, p),
@@ -229,7 +274,7 @@ class _Factor:
     (_skew_half_dets).  A factor with no block gives 1 and 0.
     """
 
-    def __init__(self, blocks: list[np.ndarray]):
+    def __init__(self, blocks: list[np.ndarray], commuting: bool = False):
         # (x01, x02, x03) and (x23, -x13, x12) of each 4 x 4 block.
         fours = [
             (g[:, [0, 0, 0], [1, 2, 3]],
@@ -246,31 +291,67 @@ class _Factor:
                 rows.append(upper)
         self.rows = np.concatenate(rows) if rows else None
         self.fours = len(fours)
-        self.eigen = [g for g in blocks if g.shape[-1] >= 5]
+        self.eigen, linear = [], []
+        for g in blocks:
+            if g.shape[-1] >= 5:
+                forms = _torus_planes(g) if commuting else None
+                if forms is None:
+                    self.eigen.append(g)
+                else:
+                    linear.append(forms)
+        self.linear = np.concatenate(linear) if linear else None
 
-    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.rows is None:
-            half, top = np.ones(len(y)), np.zeros(len(y))
-        else:
+    def _planes(self, y: np.ndarray) -> list[np.ndarray]:
+        """s of the closed-form planes and of the linear ones, each
+        (planes, N): every plane but the eigensolved blocks'."""
+        s = []
+        if self.rows is not None:
             x = self.rows @ y.T
             x *= x
-            s = x[0::3] + x[1::3]
-            s += x[2::3]
-            np.sqrt(s, out=s)
+            closed = x[0::3] + x[1::3]
+            closed += x[2::3]
+            np.sqrt(closed, out=closed)
             a, b = slice(0, self.fours), slice(self.fours, 2 * self.fours)
-            s[a], s[b] = s[a] + s[b], s[a] - s[b]
+            closed[a], closed[b] = closed[a] + closed[b], closed[a] - closed[b]
+            s.append(closed)
+        if self.linear is not None:
+            s.append(np.abs(self.linear @ y.T))
+        return s
+
+    def _mats(self, y: np.ndarray, gens: np.ndarray) -> np.ndarray:
+        d = gens.shape[-1]
+        return (y @ gens.reshape(len(gens), -1)).reshape(len(y), d, d)
+
+    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = self._planes(y)
+        if not s:
+            half, top = np.ones(len(y)), np.zeros(len(y))
+        else:
+            s = s[0] if len(s) == 1 else np.concatenate(s)
             half, top = np.prod(_sin_ratio(s), axis=0), s.max(axis=0)
         for gens in self.eigen:
-            d = gens.shape[-1]
-            mats = (y @ gens.reshape(len(gens), -1)).reshape(len(y), d, d)
-            block_half, block_top = _skew_half_dets(mats)
+            block_half, block_top = _skew_half_dets(self._mats(y, gens))
             half, top = half * block_half, np.maximum(top, block_top)
         return half, top
+
+    def planes(self, y: np.ndarray) -> np.ndarray:
+        """The s of every rotation plane of X(y), (planes, N), each
+        equal pair of an eigensolved block once: its ascending s_j^2 are
+        the pairs, after a zero when d is odd."""
+        s = self._planes(y)
+        for gens in self.eigen:
+            mats = self._mats(y, gens)
+            squares = np.linalg.eigvalsh(-(mats @ mats))
+            pairs = squares[:, gens.shape[-1] % 2 :: 2].T
+            s.append(np.sqrt(np.maximum(pairs, 0.0)))
+        return np.concatenate(s) if s else np.zeros((0, len(y)))
 
 
 class _Integrand:
     """Shared evaluation core for both numeric methods, as a function of
-    the point y = sqrt(t) beta^{1/2} omega.
+    the point y = sqrt(t) beta^{1/2} omega over all of h, or, given an
+    integer basis U (r, p) of a maximal torus, of y = sqrt(t) L^T eta
+    with omega = U^T eta and U beta U^T = L L^T.
 
     The factor matrices (sqrt(t)/2) D(omega) and (sqrt(t)/2) F(omega)
     depend on t and omega only through sqrt(t) omega, so one integrand
@@ -288,9 +369,11 @@ class _Integrand:
     of g or beta (_skew_stack), a similarity, so that every factor
     matrix is skew, and the ball max_j s_j < pi - margin on its singular
     values is the same in every tangent and holonomy basis.  The map
-    from y to omega is folded into the generators, after dividing beta
-    by 4^k and the generators by 2^k exactly (rational.near_unit), which
-    changes no factor matrix and keeps every float in range.
+    from y to omega, (p, p) or, on the torus, (p, r), is folded into the
+    generators, after dividing beta by 4^k and the generators by 2^k
+    exactly (rational.near_unit), which changes no factor matrix and
+    keeps every float in range; a point then costs r multiply-adds per
+    projection row, not p.
 
     blocks holds the whitened stacks of the D blocks and of the F
     blocks, and factors the two compiled from them (_Factor): a batch of
@@ -299,7 +382,8 @@ class _Integrand:
     det(sinh X_D/X_D).
     """
 
-    def __init__(self, prep: Prepared, margin: float):
+    def __init__(self, prep: Prepared, margin: float,
+                 basis: np.ndarray | None = None):
         spec, hol = prep.spec, prep.hol
         check_skew(prep)
         self.bound = math.pi - margin
@@ -308,7 +392,13 @@ class _Integrand:
             invariant_split(hol.F_mats, spec.tensors.beta),
         )
         beta, shrink = near_unit(spec.tensors.beta)
-        root = _inv_sqrt(beta) / 2.0
+        if basis is None:
+            root = _inv_sqrt(beta) / 2.0
+        else:
+            chol = np.linalg.cholesky(basis @ beta @ basis.T)
+            root = basis.T @ np.linalg.inv(chol).T / 2.0
+        # Positive roots of h on the torus: each is one plane of F.
+        self.roots = (hol.p - len(root.T)) // 2
 
         def whitened(gens, metric):
             skew = _skew_stack(float_stack(gens, shrink), metric)
@@ -317,7 +407,9 @@ class _Integrand:
         self.blocks = tuple(
             [whitened(*block) for block in split] for split in splits
         )
-        self.factors = tuple(_Factor(blocks) for blocks in self.blocks)
+        self.factors = tuple(
+            _Factor(blocks, basis is not None) for blocks in self.blocks
+        )
 
     def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (values, acceptance mask); rejected rows hold 0."""
@@ -330,6 +422,18 @@ class _Integrand:
         ok &= (half_d > 0.0) & (half_f > 0.0)
         vals = np.divide(half_f, half_d, out=np.zeros(len(y)), where=ok)
         return vals, ok
+
+    def weyl(self, y: np.ndarray) -> np.ndarray:
+        """The Weyl weight J = prod_{alpha>0} alpha(eta)^2 at torus points
+        y, up to a constant factor.  X_F(y) is ad(omega)/2 up to a
+        similarity, whose eigenvalues are +-i alpha(omega)/2 and r zeros,
+        so its q/2 = roots nonzero planes are the positive roots: J is
+        the product of the squares of the roots largest planes, the
+        others being zero up to rounding.  J vanishes at the origin and
+        on every root hyperplane."""
+        s = self.factors[1].planes(y)
+        s = np.partition(s, len(s) - self.roots, axis=0)[len(s) - self.roots:]
+        return np.prod(s * s, axis=0)
 
 
 def _tensor_grid(x: np.ndarray, p: int) -> np.ndarray:
@@ -346,77 +450,122 @@ def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k-node Gauss-Hermite rule (x, w) of the weight exp(-x^2), by
     Golub and Welsch: the nodes are the eigenvalues of the symmetric
     tridiagonal Jacobi matrix of the weight (zero diagonal, off-diagonal
-    sqrt(j/2) for j = 1..k-1), and each weight is the mass sqrt(pi) times
-    the square of the first component of its unit eigenvector.  The rule
-    is then mirrored, so node k-1-i is exactly minus node i, with the same
-    weight, and the middle node of an odd rule is exactly 0."""
+    b_j = sqrt(j/2) for j = 1..k-1).  Each weight is the Christoffel
+    function 1 / sum_{j<k} p_j(x)^2 at its node, with p_j the orthonormal
+    polynomials of the weight, from the recurrence x p_j = b_{j+1}
+    p_{j+1} + b_j p_{j-1}, p_0 = pi^(-1/4): O(k^2), where the eigenvectors
+    would cost O(k^3).  The rule is then mirrored, so node k-1-i is
+    exactly minus node i, with the same weight, and the middle node of an
+    odd rule is exactly 0."""
     off = np.sqrt(np.arange(1, k) / 2.0)
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    w = math.sqrt(math.pi) * v[0] ** 2
-    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    x = (x - x[::-1]) / 2
+    prev, cur = np.zeros(k), np.full(k, math.pi**-0.25)
+    total = cur * cur
+    b_prev = 0.0
+    for b in off.tolist():
+        prev, cur = cur, (x * cur - b_prev * prev) / b
+        total += cur * cur
+        b_prev = b
+    w = 1.0 / total
+    return x, (w + w[::-1]) / 2
+
+
+def _grid_blocks(k: int, m: int):
+    """The first half, in C order, of a grid of k slabs of m points,
+    (k*m + 1) // 2 points, in blocks of at most _BLOCK points: whole
+    slabs or, if a slab is larger, a run of one slab's points.  Yields
+    (start, rows, cols, count): the block is the product of the slabs
+    rows with their points cols, cut to its first count points, and
+    starts at point start of the grid."""
+    half = (k * m + 1) // 2
+    size, cols = max(1, _BLOCK // m), min(m, _BLOCK)
+    for i in range(0, -(-half // m), size):
+        for j in range(0, m, cols):
+            start = i * m + j
+            if start >= half:
+                return
+            rows, run = slice(i, i + size), slice(j, j + cols)
+            count = len(range(k)[rows]) * len(range(m)[run])
+            yield start, rows, run, min(count, half - start)
 
 
 @dataclass(frozen=True, eq=False)
 class _Rule:
-    """The k-node Gauss-Hermite rule (x, w) of a p-fold tensor grid, and
-    the C-ordered (p-1)-fold grids of its nodes and of its weights, the
-    unit grid that every slab of the first axis shares."""
+    """The k-node Gauss-Hermite rule x of an r-fold tensor grid, the
+    C-ordered (r-1)-fold grid of its nodes, the unit grid that every
+    slab of the first axis shares, and the weights of the first half of
+    the grid: the products of its coordinates' weights, times the Weyl
+    weight J / max J of the torus when there is one.  norm is one over
+    the weight of the whole grid: pi^(-r/2), the mass of exp(-|x|^2),
+    without J, and one over the grid's sum of w J with it."""
 
     x: np.ndarray
-    w: np.ndarray
     unit_x: np.ndarray
-    unit_w: np.ndarray
+    weights: np.ndarray
+    norm: float
 
     @classmethod
-    def build(cls, k: int, p: int) -> _Rule:
+    def build(cls, k: int, r: int, weyl=None) -> _Rule:
         x, w = _hermite_rule(k)
         if not (np.isfinite(w).all() and w.sum() > 0.0):
             raise HeatgenError(
                 f"the {k}-node Gauss-Hermite rule has non-finite or "
                 f"vanishing weights; use fewer nodes"
             )
-        return cls(x, w, _tensor_grid(x, p - 1), _tensor_grid(w, p - 1))
+        unit_x, unit_w = _tensor_grid(x, r - 1), _tensor_grid(w, r - 1)
+        weights = np.empty((k**r + 1) // 2)
+        for start, rows, cols, count in _grid_blocks(k, len(unit_x)):
+            weight = np.empty((len(x[rows]), len(unit_x[cols])))
+            weight[...] = w[rows, None]
+            for axis in range(r - 1):
+                weight *= unit_w[cols, axis]
+            weights[start : start + count] = weight.reshape(-1)[:count]
+        rule = cls(x, unit_x, weights, math.pi ** (-r / 2))
+        if weyl is None:
+            return rule
+        j = np.concatenate([
+            weyl(rule._points(rows, cols, count))
+            for _, rows, cols, count in _grid_blocks(k, len(unit_x))
+        ])
+        if not j.max() > 0.0:
+            raise HeatgenError(
+                f"every point of the {k}-node grid of the torus lies where "
+                f"the Weyl weight vanishes; use more nodes"
+            )
+        weights *= j / j.max()
+        mass = 2.0 * float(weights.sum()) - (k**r % 2) * float(weights[-1])
+        return cls(x, unit_x, weights, 1.0 / mass)
+
+    def _points(self, rows: slice, cols: slice, count: int) -> np.ndarray:
+        """The first count points of a block, unscaled: the unit grid
+        broadcast against the first coordinates."""
+        x, unit_x = self.x[rows], self.unit_x[cols]
+        pts = np.empty((len(x), len(unit_x), unit_x.shape[1] + 1))
+        pts[..., 0] = x[:, None]
+        pts[..., 1:] = unit_x
+        return pts.reshape(-1, pts.shape[-1])[:count]
 
     def half_sum(
         self, integrand: _Integrand, scale: float
     ) -> tuple[float, int]:
         """The weighted sum of the integrand at the points scale * x over
         the whole grid, and the number of rejected points, from the first
-        half of the grid in C order.
+        half of the grid in C order, a block at a time (_grid_blocks).
 
         The nodes are exactly symmetric, so point N-1-i of the grid is
-        minus point i, with the same weight, and the integrand is even:
-        each point of the first half counts twice, except the middle one
-        of an odd grid.  The half is cut into blocks of at most _BLOCK
-        points, each whole slabs of the first axis or, if a slab is
-        larger, a run of one slab's points; each block is the unit grid
-        broadcast against its first coordinates, and its weights are the
-        products of its coordinates' weights from the first on."""
+        minus point i, with the same weight (J is even), and the
+        integrand is even: each point of the first half counts twice,
+        except the middle one of an odd grid."""
         k, m = len(self.x), len(self.unit_x)
-        p = self.unit_x.shape[1] + 1
-        half = (k * m + 1) // 2
-        rows, cols = max(1, _BLOCK // m), min(m, _BLOCK)
         total, hits = 0.0, 0
-        for i in range(0, -(-half // m), rows):
-            for j in range(0, m, cols):
-                start = i * m + j
-                if start >= half:
-                    break
-                x, unit_x = self.x[i : i + rows], self.unit_x[j : j + cols]
-                pts = np.empty((len(x), len(unit_x), p))
-                pts[..., 0] = x[:, None]
-                pts[..., 1:] = unit_x
-                weight = np.empty(pts.shape[:2])
-                weight[...] = self.w[i : i + rows, None]
-                for axis in range(p - 1):
-                    weight *= self.unit_w[j : j + cols, axis]
-                count = min(weight.size, half - start)
-                pts = pts.reshape(-1, p)[:count]
-                pts *= scale
-                vals, ok = integrand(pts)
-                vals *= weight.reshape(-1)[:count]
-                total += float(vals.sum())
-                hits += count - int(ok.sum())
+        for start, rows, cols, count in _grid_blocks(k, m):
+            pts = self._points(rows, cols, count)
+            pts *= scale
+            vals, ok = integrand(pts)
+            vals *= self.weights[start : start + count]
+            total += float(vals.sum())
+            hits += count - int(ok.sum())
         total, hits = 2.0 * total, 2 * hits
         if (k * m) % 2:
             # The middle point, the origin, is its own mirror.
@@ -445,62 +594,78 @@ def _sample_std(values: np.ndarray, mean: float) -> float:
     return math.sqrt(float(values.sum()) / (len(values) - 1))
 
 
-def _numeric_method(p: int, method: str, samples: int, nodes: int,
+def _numeric_method(method: str, samples: int, nodes: int,
                     seed: int) -> str:
-    """The method that runs on a datum with p holonomy variables ("auto"
-    takes quadrature up to p = 3), once the samples, nodes and seed pass
-    every check that needs p alone; ValueError otherwise.  Callers run it
-    on the parsed datum, before it is prepared."""
-    if method == "auto":
-        method = "quadrature" if p <= 3 else "mc"
-    if method not in ("mc", "quadrature"):
+    """method, once the samples, nodes and seed pass every check that
+    needs no prepared datum; ValueError otherwise.  "auto" is checked
+    for both methods, since which one runs depends on the rank of h:
+    _NumericAverager resolves it, and checks the grid size, once the
+    torus is built.  Callers run this on the parsed datum, before it is
+    prepared."""
+    if method not in ("auto", "mc", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     _check_integer("Monte Carlo samples", samples)
     _check_integer("quadrature nodes", nodes)
     if method == "quadrature":
         _check_integer("the seed", seed)
-    if method == "mc" and samples < 2:
-        raise ValueError(
-            f"Monte Carlo needs at least 2 samples for a standard "
-            f"error, got {samples}"
-        )
-    if method == "mc" and samples > _MAX_SAMPLES:
-        raise ValueError(
-            f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got "
-            f"{samples}"
-        )
-    if method == "mc" and not (_is_integer(seed) and seed >= 0):
-        raise ValueError(
-            f"Monte Carlo seed must be a non-negative integer, got "
-            f"{seed!r}"
-        )
-    if method == "quadrature":
-        if p > 3:
+    if method != "quadrature":
+        if samples < 2:
             raise ValueError(
-                "tensorized quadrature is limited to p <= 3; use mc"
+                f"Monte Carlo needs at least 2 samples for a standard "
+                f"error, got {samples}"
             )
-        if not 1 <= nodes <= _MAX_NODES:
+        if samples > _MAX_SAMPLES:
             raise ValueError(
-                f"quadrature nodes must be in 1..{_MAX_NODES}, got "
-                f"{nodes}"
+                f"Monte Carlo is limited to {_MAX_SAMPLES} samples, got "
+                f"{samples}"
             )
-        if nodes**p > _MAX_GRID_POINTS:
+        if not (_is_integer(seed) and seed >= 0):
             raise ValueError(
-                f"a quadrature grid of {nodes}^{p} points exceeds the "
-                f"limit of {_MAX_GRID_POINTS}; use fewer nodes"
+                f"Monte Carlo seed must be a non-negative integer, got "
+                f"{seed!r}"
             )
+    if method != "mc" and not 1 <= nodes <= _MAX_NODES:
+        raise ValueError(
+            f"quadrature nodes must be in 1..{_MAX_NODES}, got {nodes}"
+        )
     return method
 
 
 class _NumericAverager:
     """numeric_average of one prepared datum, by one method with one set
-    of parameters (both checked by _numeric_method), at any number of
-    times t (each checked by the caller).  The integrand (_Integrand) and
-    the quadrature rules (_Rule) do not depend on t, so they are built at
-    the first time that needs them and serve every later time."""
+    of parameters (checked by _numeric_method), at any number of times t
+    (each checked by the caller).
+
+    Quadrature runs on a maximal torus (hol.torus, U of shape (r, p)):
+    by Weyl's integration formula the average over h of the
+    Ad(H)-invariant integrand is <f J>_t / <J>_t over the torus, with
+    eta ~ N(0, 2 (U beta U^T)^{-1}) and the Weyl weight J (_Integrand.
+    weyl), on an r-fold grid instead of a p-fold one.  For an abelian h
+    the torus is all of h (r = p, U = I, J = 1), and the grid over all of
+    h runs as it is.  The grid of nodes^r points is checked against
+    _MAX_GRID_POINTS here, when the torus is built and before any grid
+    array is; "auto" takes quadrature when it fits and Monte Carlo
+    otherwise.  The integrand (_Integrand) and the quadrature rules
+    (_Rule) do not depend on t, so they are built at the first time that
+    needs them and serve every later time."""
 
     def __init__(self, prep: Prepared, method: str, samples: int,
                  nodes: int, seed: int):
+        self.basis = None
+        if method != "mc":
+            torus = prep.hol.torus.array
+            r = len(torus)
+            fits = nodes**r <= _MAX_GRID_POINTS
+            if method == "auto":
+                method = "quadrature" if fits else "mc"
+            elif not fits:
+                raise ValueError(
+                    f"a quadrature grid of {nodes}^{r} points (a maximal "
+                    f"torus of rank {r}) exceeds the limit of "
+                    f"{_MAX_GRID_POINTS}; use fewer nodes or mc"
+                )
+            if method == "quadrature" and r < prep.spec.p:
+                self.basis = torus
         self.prep, self.method = prep, method
         self.samples, self.nodes, self.seed = samples, nodes, seed
         self._integrand: _Integrand | None = None
@@ -511,7 +676,9 @@ class _NumericAverager:
             strict = np.errstate(divide="raise", over="raise", invalid="raise")
             try:
                 with strict:
-                    self._integrand = _Integrand(self.prep, _MARGIN)
+                    self._integrand = _Integrand(
+                        self.prep, _MARGIN, self.basis
+                    )
             except (OverflowError, FloatingPointError, np.linalg.LinAlgError):
                 raise HeatgenError(
                     "g or beta spans more than the float range, or the "
@@ -571,16 +738,18 @@ class _NumericAverager:
             )
 
         scale = 2.0 * math.sqrt(t)
+        r = p if self.basis is None else len(self.basis)
         if self._rules is None:
             sizes = [self.nodes] + [self.nodes - 4] * (self.nodes >= 12)
-            self._rules = [_Rule.build(k, p) for k in sizes]
-        # Gauss-Hermite weights integrate against exp(-|x|^2), of mass
-        # pi^(p/2).
-        norm = math.pi ** (-p / 2)
+            weyl = None if self.basis is None else integrand.weyl
+            self._rules = [_Rule.build(k, r, weyl) for k in sizes]
         sums = [rule.half_sum(integrand, scale) for rule in self._rules]
-        value, hits = sums[0][0] * norm, sums[0][1]
-        err = abs(value - sums[1][0] * norm) if len(sums) > 1 else 0.0
-        used = sum(len(rule.x) ** p for rule in self._rules)
+        value, hits = sums[0][0] * self._rules[0].norm, sums[0][1]
+        err = (
+            abs(value - sums[1][0] * self._rules[1].norm)
+            if len(sums) > 1 else 0.0
+        )
+        used = sum(len(rule.x) ** r for rule in self._rules)
         return NumericAverage(
             prefactor * value, prefactor * err, hits, used, "quadrature"
         )
@@ -602,14 +771,19 @@ def numeric_average(
     positivity) are rejected, counted, and resampled; the result is the
     scalar-prefactor times the mean over the retained domain, with the
     Monte Carlo standard error or a quadrature refinement delta as
-    std_error.  The sample count (2.._MAX_SAMPLES), the Monte Carlo seed
-    (a non-negative integer; quadrature ignores its value) and the
-    quadrature grid (1.._MAX_NODES nodes, at most _MAX_GRID_POINTS
-    points) are checked before the datum is prepared, as is t, which must
-    be finite and positive; samples, nodes and seed must be integers (not
-    bools) whichever method runs.
+    std_error.  Quadrature runs on a maximal torus of rank r with the
+    Weyl weight (_NumericAverager), on grids of nodes and nodes - 4 (from
+    12 nodes on) points a side, so its evaluations are the sum of k**r
+    over both.  "auto" takes quadrature when nodes**r is at most
+    _MAX_GRID_POINTS, Monte Carlo otherwise.  The sample count
+    (2.._MAX_SAMPLES) and the Monte Carlo seed (a non-negative integer;
+    quadrature ignores its value) under "mc" or "auto", and the node
+    count (1.._MAX_NODES) under "quadrature" or "auto", are checked
+    before the datum is prepared, as is t, which must be finite and
+    positive; samples, nodes and seed must be integers (not bools)
+    whichever method runs.  The grid size needs r: it is checked once
+    the torus is built, before any grid array.
     """
     check_time(t)
-    p = (spec.spec if isinstance(spec, Prepared) else spec).p
-    method = _numeric_method(p, method, samples, nodes, seed)
+    method = _numeric_method(method, samples, nodes, seed)
     return _NumericAverager(prepare(spec), method, samples, nodes, seed)(t)

@@ -32,9 +32,9 @@ from .errors import (
 from .invariants import compare, heat_coefficients
 from .rational import format_rational
 
-# Usage errors exit 2.  Library-level misuse (quadrature with too many
-# generators, negative order, ...) raises ValueError, and unreadable files
-# OSError; both are usage errors at the CLI surface too.
+# Usage errors exit 2.  Library-level misuse (a quadrature grid above the
+# limit on the torus, negative order, ...) raises ValueError, and
+# unreadable files OSError; both are usage errors at the CLI surface too.
 _USAGE_ERRORS = (UnknownSpace, NonPositiveT, InvalidTime, ValueError, OSError)
 
 

@@ -254,16 +254,21 @@ def compare(
     the closed form, product factorization when the datum is a builtin
     product's, the spectral sum on each grid time when it is a builtin
     sphere's (equal to catalog.builtin(spec.name), not only named so), and
-    the floating-point average on each grid time within three standard
-    errors plus the truncation remainder.  A grid time at which a check
-    raises HeatgenError fails that check, with the message as its detail,
-    and the others still run.  The times (on a builtin sphere with their
-    spectral levels), the numeric parameters, the order and the budget
-    are refused first, and an order whose least count passes the budget;
-    then the datum is prepared once, unless a Prepared is passed, for the
-    pipeline and every oracle.  Each distinct factor of a
-    product is prepared and expanded once, on its own.  The numeric
-    integrand is built once for the whole grid.
+    the floating-point average on each grid time: Monte Carlo within
+    three standard errors plus the truncation remainder, quadrature on a
+    maximal torus within ten refinement deltas plus the remainder plus
+    1e-8.  "auto" takes quadrature whenever nodes**r fits the grid limit
+    (every builtin at the default 40 nodes), Monte Carlo otherwise.  A
+    grid time at which a check raises HeatgenError fails that check,
+    with the message as its detail, and the others still run.  The times
+    (on a builtin sphere with their spectral levels), the numeric
+    parameters, the order and the budget are refused first, and an order
+    whose least count passes the budget; then the datum is prepared
+    once, unless a Prepared is passed, for the pipeline and every
+    oracle, and the quadrature grid checked against its torus before the
+    expansion.  Each distinct factor of a product is prepared and
+    expanded once, on its own.  The numeric integrand is built once for
+    the whole grid.
     """
     start = time.perf_counter()
     parsed = _parsed(spec)
@@ -275,7 +280,7 @@ def compare(
         check_time(t)
         if sphere_n is not None:
             _spectral_levels(t)
-    method = _numeric_method(parsed.p, method, samples, nodes, seed)
+    method = _numeric_method(method, samples, nodes, seed)
     _order_gate(parsed.p, order, budget)
     prep = prepare(spec)
     # One averager for the whole grid: the numeric integrand, its exact

@@ -13,6 +13,11 @@ to the dict pipeline:
   denominators by von Staudt-Clausen;
 - sinh_ratio_dets, an eigenvalue-free det(sinh X / X), and the
   determinant factorization identity built on it;
+- the numeric average by Gauss-Hermite quadrature summed over a whole
+  grid from numpy's hermgauss: p-fold over all of h (grid_average), the
+  independent oracle of the torus grid, or r-fold on a maximal torus
+  with the Weyl weight from the eigenvalues of the raw F(omega)
+  (torus_grid_average), for any integrand of the points over all of h;
 - the power sums tr X(omega)^{2m} of a generator family by the Gram
   step at every grade, with no Newton's identities;
 - the two-sphere coefficients by series inversion in one variable, the
@@ -447,6 +452,75 @@ def sinh_ratio_dets(mats: np.ndarray) -> np.ndarray:
         ratio = ratio @ cosh
         cosh = 2.0 * (cosh @ cosh) - eye
     return np.linalg.det(ratio)
+
+
+def _hermite_grid(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole dim-fold grid of numpy's nodes-point Gauss-Hermite rule:
+    points (nodes**dim, dim) and their weights, by meshgrid."""
+    x1, w1 = np.polynomial.hermite.hermgauss(nodes)
+    grids = np.meshgrid(*([x1] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrids = np.meshgrid(*([w1] * dim), indexing="ij")
+    return pts, np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
+
+
+def _grid_average(prep, t, nodes, dim, weighted_sum) -> hg.NumericAverage:
+    """numeric_average's quadrature result from weighted_sum(k), which
+    gives (mean, rejected points) on the k-node grid: the prefactor, the
+    refinement delta against k - 4 nodes from 12 nodes on, and every
+    grid point counted."""
+    curv = prep.curv
+    prefactor = math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
+    value, hits = weighted_sum(nodes)
+    err, used = 0.0, nodes**dim
+    if nodes >= 12:
+        err = abs(value - weighted_sum(nodes - 4)[0])
+        used += (nodes - 4) ** dim
+    return hg.NumericAverage(prefactor * value, prefactor * err, hits, used,
+                             "quadrature")
+
+
+def grid_average(integrand, prep, t, nodes) -> hg.NumericAverage:
+    """The average over all of h by the p-fold Gauss-Hermite grid, summed
+    whole: omega ~ N(0, 2 beta^{-1}) is 2 beta^{-1/2} x at a node x, and
+    integrand(y) gives (values, acceptance mask) at y = sqrt(t) beta^{1/2}
+    omega = 2 sqrt(t) x."""
+    p = prep.spec.p
+
+    def weighted_sum(k):
+        pts, weight = _hermite_grid(k, p)
+        vals, ok = integrand(2.0 * math.sqrt(t) * pts)
+        return float(weight @ vals) * math.pi ** (-p / 2), int((~ok).sum())
+
+    return _grid_average(prep, t, nodes, p, weighted_sum)
+
+
+def torus_grid_average(integrand, prep, t, nodes) -> hg.NumericAverage:
+    """The same average by Weyl's integration formula on the maximal
+    torus U = hol.torus (r, p), summed over the whole r-fold grid: eta ~
+    N(0, 2 (U beta U^T)^{-1}) is 2 L^{-T} x at a node x, with U beta U^T =
+    L L^T, omega = U^T eta, and the mean is sum w J f / sum w J, with J
+    the product of the p - r largest |eigenvalues| of the raw F(omega) =
+    sum_i omega_i F_i (each root alpha(omega) twice).  integrand takes the
+    points over all of h, y = sqrt(t) beta^{1/2} omega."""
+    basis = np.array(prep.hol.torus.to_fractions(), dtype=float)
+    r, p = basis.shape
+    beta = np.array(prep.spec.beta, dtype=float)
+    w, v = np.linalg.eigh(beta)
+    root = (v * np.sqrt(w)) @ v.T
+    chol = np.linalg.cholesky(basis @ beta @ basis.T)
+    to_omega = basis.T @ np.linalg.inv(chol).T * 2.0
+    F = np.array(prep.hol.F_mats.to_fractions(), dtype=float)
+
+    def weighted_sum(k):
+        pts, weight = _hermite_grid(k, r)
+        omegas = pts @ to_omega.T
+        eig = np.abs(np.linalg.eigvals(np.einsum("si,ijk->sjk", omegas, F)))
+        J = np.prod(np.sort(eig, axis=1)[:, r:], axis=1)
+        vals, ok = integrand(math.sqrt(t) * omegas @ root.T)
+        return float((weight * J) @ vals) / float(weight @ J), int((~ok).sum())
+
+    return _grid_average(prep, t, nodes, r, weighted_sum)
 
 
 def random_rational_omegas(

@@ -506,9 +506,14 @@ def test_numeric_average_unknown_method(prepared):
         hg.numeric_average(prepared["S2"], 0.1, method="magic")
 
 
-def test_quadrature_limited_to_three_variables(prepared):
-    with pytest.raises(ValueError, match="p <= 3"):
-        hg.numeric_average(prepared["S4"], 0.1, method="quadrature")
+def test_quadrature_runs_on_the_torus_past_three_variables(prepared):
+    # S4 (p = 6) has a maximal torus of rank 2: 40^2 + 36^2 points, not
+    # 40^6 + 36^6, which the p-fold grid refused.
+    out = hg.numeric_average(prepared["S4"], 0.1, method="quadrature")
+    assert len(prepared["S4"].hol.torus.array) == 2
+    assert out.method == "quadrature"
+    assert out.evaluations == 40**2 + 36**2
+    assert math.isfinite(out.value) and math.isfinite(out.std_error)
 
 
 @pytest.mark.parametrize("samples", [1, 0, -5])
@@ -570,7 +575,7 @@ def test_numeric_average_prepares_a_spec_itself(prepared):
 
 @pytest.mark.parametrize("name,kw", [
     ("S2", dict(method="mc", samples=1)),
-    ("S4", dict(method="quadrature")),
+    ("S4", dict(method="quadrature", nodes=0)),
 ])
 def test_numeric_parameters_refused_before_the_spec_is_prepared(
     monkeypatch, name, kw
@@ -607,11 +612,25 @@ def test_quadrature_node_count_checked_first(prepared, no_grid, nodes):
                            method="quadrature", nodes=nodes)
 
 
-def test_quadrature_grid_size_checked_first(specs, prepared, no_grid):
-    assert specs["S3"].p == 3
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        hg.numeric_average(prepared["S3"], 0.1,
+def test_quadrature_grid_size_checked_first(prepared, monkeypatch, no_grid):
+    # S6 has a torus of rank 3, so 65 nodes are 65^3 > 64^3 points: the
+    # torus is built, and the grid refused before any grid array or the
+    # integrand.
+    def boom(*args, **kwargs):
+        raise AssertionError("integrand built before validation")
+
+    monkeypatch.setattr(averaging, "_Integrand", boom)
+    with pytest.raises(ValueError, match=r"65\^3 points \(a maximal torus "
+                       r"of rank 3\) exceeds the limit of 262144"):
+        hg.numeric_average(prepared["S6"], 0.1,
                            method="quadrature", nodes=65)
+
+
+def test_grid_where_the_weyl_weight_vanishes_is_reported(prepared):
+    # One node is the origin alone, where J = 0: the torus average has
+    # no weight to divide by.
+    with pytest.raises(hg.HeatgenError, match="Weyl weight vanishes"):
+        hg.numeric_average(prepared["S3"], 0.1, "quadrature", nodes=1)
 
 
 def test_largest_node_count_gives_a_finite_value(prepared):
@@ -673,10 +692,15 @@ def test_broken_quadrature_rule_is_reported(prepared, monkeypatch, weight):
 
 
 def test_auto_method_selection(prepared):
-    q = hg.numeric_average(prepared["S2"], 0.05, nodes=16)
-    assert q.method == "quadrature"
-    m = hg.numeric_average(prepared["S4"], 0.05, samples=2000)
+    # auto takes quadrature whenever nodes^r fits the grid limit, with r
+    # the rank of h: every builtin at the default 40 nodes.
+    for name in ("S2", "S3", "S4", "S2xS3", "S6"):
+        q = hg.numeric_average(prepared[name], 0.05, nodes=16, samples=100)
+        assert q.method == "quadrature"
+    m = hg.numeric_average(prepared["S6"], 0.05, nodes=65, samples=2000)
     assert m.method == "mc"
+    assert m == hg.numeric_average(prepared["S6"], 0.05, "mc", nodes=65,
+                                   samples=2000)
 
 
 def test_mc_is_reproducible_per_seed(prepared):
@@ -820,11 +844,11 @@ def test_quadrature_counts_every_rejected_point(prepared, monkeypatch, name,
                                                 nodes):
     # With margin > pi even the origin, the middle of an odd grid, is out.
     monkeypatch.setattr(averaging, "_MARGIN", 4.0)
-    p = prepared[name].spec.p
+    r = len(prepared[name].hol.torus.array)
     out = hg.numeric_average(prepared[name], 0.1, "quadrature", nodes=nodes)
     assert out.value == out.std_error == 0.0
-    assert out.singularity_hits == nodes**p
-    assert out.evaluations == nodes**p + (nodes >= 12) * (nodes - 4) ** p
+    assert out.singularity_hits == nodes**r
+    assert out.evaluations == nodes**r + (nodes >= 12) * (nodes - 4) ** r
 
 
 def test_prefactor_overflow_reported(prepared):
@@ -906,7 +930,8 @@ class ReferenceIntegrand:
     matrices, the Frobenius/SVD ball and the eigenvalue-free determinant
     of the accepted rows."""
 
-    def __init__(self, prep, margin):
+    def __init__(self, prep, margin, basis=None):
+        assert basis is None, "the reference runs over all of h"
         w, v = np.linalg.eigh(np.array(prep.spec.beta, dtype=float))
         self.transform = (v / np.sqrt(w)) @ v.T
         self.D = np.array(prep.hol.D.to_fractions(), dtype=float)
@@ -927,29 +952,13 @@ class ReferenceIntegrand:
         return vals, ok
 
 
-def full_grid_average(integrand, prep, t, nodes):
-    """numeric_average's quadrature as one weighted sum over the whole
-    meshgrid tensor grid, and its refinement delta the same way."""
-    p, curv = prep.spec.p, prep.curv
-    prefactor = math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
-
-    def weighted_sum(k):
-        x1, w1 = np.polynomial.hermite.hermgauss(k)
-        grids = np.meshgrid(*([2.0 * math.sqrt(t) * x1] * p), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w1] * p), indexing="ij")
-        weight = np.prod(np.stack([w.ravel() for w in wgrids]), axis=0)
-        vals, ok = integrand(pts)
-        total = float(weight @ vals) * math.pi ** (-p / 2)
-        return total, int((~ok).sum()), len(pts)
-
-    value, hits, used = weighted_sum(nodes)
-    err = 0.0
-    if nodes >= 12:
-        coarse, _, extra = weighted_sum(nodes - 4)
-        err, used = abs(value - coarse), used + extra
-    return hg.NumericAverage(prefactor * value, prefactor * err, hits, used,
-                             "quadrature")
+def grid_reference(prep, t, nodes):
+    """The quadrature that numeric_average runs, summed over the whole
+    grid with the reference integrand: on the maximal torus, or over all
+    of h when h is abelian (the torus is all of h)."""
+    average = (oracles.grid_average if prep.hol.torus.array.shape[0]
+               == prep.spec.p else oracles.torus_grid_average)
+    return average(ReferenceIntegrand(prep, 0.01), prep, t, nodes)
 
 
 # Every numeric average of the benchmark's numeric-oracle workload, at the
@@ -968,7 +977,7 @@ def test_numeric_average_matches_the_reference_path(
     prep = prepared[name]
     got = hg.numeric_average(prep, t, method, seed=seed)
     if method == "quadrature":
-        want = full_grid_average(ReferenceIntegrand(prep, 0.01), prep, t, 40)
+        want = grid_reference(prep, t, 40)
     else:
         monkeypatch.setattr(averaging, "_Integrand", ReferenceIntegrand)
         want = hg.numeric_average(prep, t, method, seed=seed)
@@ -987,16 +996,18 @@ def test_numeric_average_matches_the_reference_path(
 def test_mirrored_quadrature_equals_the_full_grid(
     prepared, monkeypatch, counting, name, t, nodes
 ):
-    prep, p = prepared[name], prepared[name].spec.p
+    # r = p for the abelian S2 and S2xS2; S3 runs on its torus, r = 1.
+    prep, r = prepared[name], len(prepared[name].hol.torus.array)
     x1 = np.polynomial.hermite.hermgauss(nodes)[0]
     # The broadcast grid is the meshgrid one, bit for bit.
-    grids = np.meshgrid(*([x1] * p), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    np.testing.assert_array_equal(averaging._tensor_grid(x1, p), pts)
+    for dim in {r, prep.spec.p}:
+        grids = np.meshgrid(*([x1] * dim), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        np.testing.assert_array_equal(averaging._tensor_grid(x1, dim), pts)
 
     # Half the grid, in blocks of whole slabs or, at 5 points, in runs
     # smaller than a slab, against one sum over the whole grid.
-    want = full_grid_average(ReferenceIntegrand(prep, 0.01), prep, t, nodes)
+    want = grid_reference(prep, t, nodes)
     sizes = [nodes] + [nodes - 4] * (nodes >= 12)
     for block in (averaging._BLOCK, 5):
         monkeypatch.setattr(averaging, "_BLOCK", block)
@@ -1005,7 +1016,7 @@ def test_mirrored_quadrature_equals_the_full_grid(
         # Each grid's first half, and nothing else, a block at a time.
         assert max(counting) <= block
         assert sum(counting) == sum(
-            (k**p + 1) // 2 for k in sizes
+            (k**r + 1) // 2 for k in sizes
         )
         assert got.singularity_hits == want.singularity_hits > 0
         assert got.evaluations == want.evaluations
@@ -1013,6 +1024,126 @@ def test_mirrored_quadrature_equals_the_full_grid(
         assert got.std_error == pytest.approx(
             want.std_error, abs=4e-14 * want.value
         )
+
+
+# ---------------------------------------------------------------------------
+# Quadrature on a maximal torus
+# ---------------------------------------------------------------------------
+
+
+def over_h(prep):
+    """The production integrand over all of h, Monte Carlo's."""
+    return averaging._Integrand(prep, averaging._MARGIN)
+
+
+@pytest.mark.parametrize("name", ["S3", "S2xS2"])
+@pytest.mark.parametrize("t", [0.05, 0.1])
+def test_torus_grid_matches_the_p_fold_grid(prepared, name, t):
+    # Equal accuracy: both grids at 40 nodes, the p-fold one over all of
+    # h (40^3 + 36^3 points for S3) against the torus's 40 + 36.  The
+    # outer nodes of S3's p-fold grid leave the ball, with weights far
+    # below rounding; no point of its torus grid does.
+    prep = prepared[name]
+    got = hg.numeric_average(prep, t, "quadrature")
+    want = oracles.grid_average(over_h(prep), prep, t, 40)
+    assert got.value == pytest.approx(want.value, rel=1e-13)
+    assert got.singularity_hits == 0
+    r = len(prep.hol.torus.array)
+    assert got.evaluations == 40**r + 36**r
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=oracles.moved_spaces(bases=("S2", "S3", "S2xS2"), mixed=True))
+def test_torus_grid_matches_the_p_fold_grid_on_moved_spaces(spec):
+    # In a moved basis the torus basis has mixed entries and U beta U^T
+    # is no longer diagonal.  At t R = 0.1 both are near rounding at 24
+    # nodes.
+    prep = hg.prepare(spec)
+    t = float(F(1, 10) / prep.curv.R)
+    got = hg.numeric_average(prep, t, "quadrature", nodes=24)
+    want = oracles.grid_average(over_h(prep), prep, t, 24)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,samples,seed", [
+    ("S4", 100_000, 1), ("S5", 20_000, 2), ("S2xS3", 100_000, 3),
+])
+@pytest.mark.parametrize("t", [0.05, 0.2])
+def test_torus_grid_matches_monte_carlo(prepared, name, samples, seed, t):
+    # p > 3, which the p-fold grid never ran: the torus grid's value is
+    # within Monte Carlo's own three standard errors of its mean.
+    prep = prepared[name]
+    quad = hg.numeric_average(prep, t, "quadrature")
+    mc = hg.numeric_average(prep, t, "mc", samples=samples, seed=seed)
+    assert quad.std_error < 1e-3 * mc.std_error
+    assert abs(quad.value - mc.value) <= 3.0 * mc.std_error
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S2xS3", "S6"])
+def test_weyl_weight_is_the_product_of_the_positive_roots(prepared, name):
+    # J from the planes of X_F against J from the eigenvalues of the raw
+    # F(omega): equal up to one constant factor, and zero at the origin.
+    prep = prepared[name]
+    basis = prep.hol.torus.array
+    integrand = averaging._Integrand(prep, averaging._MARGIN, basis)
+    x = np.random.default_rng(5).standard_normal((50, len(basis)))
+    x[0] = 0.0
+    beta = np.array(prep.spec.beta, dtype=float)
+    chol = np.linalg.cholesky(basis @ beta @ basis.T)
+    omegas = x @ (basis.T @ np.linalg.inv(chol).T).T
+    F_mats = np.array(prep.hol.F_mats.to_fractions(), dtype=float)
+    eig = np.abs(np.linalg.eigvals(np.einsum("si,ijk->sjk", omegas, F_mats)))
+    want = np.prod(np.sort(eig, axis=1)[:, len(basis):], axis=1)
+    got = integrand.weyl(x)
+    assert got[0] == want[0] == 0.0
+    np.testing.assert_allclose(got[1:] / want[1:], got[1] / want[1],
+                               rtol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["S5", "S6"])
+def test_torus_planes_are_the_eigensolved_ones(prepared, name):
+    # On the torus the eigensolved blocks (so(5), so(6) and their tangent
+    # spaces) become linear forms |theta @ x|: the same planes as one
+    # eigensolve per point, which a factor over all of h still runs.
+    prep = prepared[name]
+    basis = prep.hol.torus.array
+    integrand = averaging._Integrand(prep, averaging._MARGIN, basis)
+    x = np.random.default_rng(6).standard_normal((200, len(basis)))
+    for blocks, factor in zip(integrand.blocks, integrand.factors):
+        assert factor.eigen == [] and factor.linear is not None
+        solved = averaging._Factor(blocks)
+        assert solved.linear is None and solved.eigen
+        np.testing.assert_allclose(
+            np.sort(factor.planes(x), axis=0),
+            np.sort(solved.planes(x), axis=0), rtol=1e-12, atol=1e-12,
+        )
+        for want, got in zip(solved(x), factor(x)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_torus_planes_refuse_weights_a_combination_does_not_separate():
+    # Two rotation planes with the weights (sqrt 3, 0) and (0, sqrt 2),
+    # in a random orthonormal basis: at the combination c = (sqrt 2,
+    # sqrt 3) both are sqrt 6, so the eigenvectors mix the planes and the
+    # block keeps its eigensolve.
+    def rotated(weights):
+        gens = np.zeros((2, 5, 5))
+        for m, (a, b) in enumerate(weights):
+            gens[m, 0, 1], gens[m, 2, 3] = a, b
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0]
+        return q @ (gens - gens.transpose(0, 2, 1)) @ q.T
+
+    gens = rotated([(math.sqrt(3), 0.0), (0.0, math.sqrt(2))])
+    assert averaging._torus_planes(gens) is None
+    factor = averaging._Factor([gens], commuting=True)
+    assert factor.linear is None and len(factor.eigen) == 1
+    # Separated weights are read off as linear forms.
+    theta = averaging._torus_planes(
+        rotated([(math.sqrt(3), 0.0), (0.0, 1.0)])
+    )
+    np.testing.assert_allclose(np.sort(np.abs(theta), axis=0),
+                               [[0.0, 0.0], [math.sqrt(3), 1.0]],
+                               atol=1e-14)
 
 
 @st.composite

@@ -325,12 +325,31 @@ def test_eval_mc_reproducible(capsys):
     assert doc["singularity_hits"] >= 0
 
 
-def test_eval_quadrature_too_many_generators_exits_two(capsys):
-    code, _, err = run(
-        capsys, "eval", "S4", "--t", "0.05", "--method", "quadrature"
+def test_eval_quadrature_grid_above_the_limit_exits_two(capsys, tmp_path):
+    # S8 (p = 28) runs on its maximal torus, of rank 4: 40^4 points
+    # exceed the grid limit of 64^3, 22^4 do not.
+    path = tmp_path / "S8.json"
+    hg.save(hg.catalog._sphere_spec(8, "S8"), path)
+    args = ("eval", str(path), "--t", "0.05", "--method", "quadrature")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a quadrature grid of 40^4 points (a maximal torus of rank "
+        "4) exceeds the limit of 262144; use fewer nodes or mc\n"
     )
-    assert code == 2
-    assert "p <= 3" in err
+    code, out, _ = run(capsys, *args, "--nodes", "22", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "quadrature"
+    assert "nan" not in out and math.isfinite(float(doc["value"]))
+
+
+def test_eval_quadrature_past_three_generators(capsys):
+    code, out, _ = run(capsys, "eval", "S4", "--t", "0.05", "--method",
+                       "quadrature", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "quadrature" and "nan" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +491,11 @@ def test_huge_sample_count_exits_two(capsys, monkeypatch):
 
 @pytest.mark.parametrize("name,order,options", [
     ("S2", 2048, {"method": "mc", "samples": 1}),
-    ("S4", 4, {"method": "quadrature"}),
-], ids=["mc-one-sample", "quadrature-p6"])
+    ("S4", 4, {"method": "quadrature", "nodes": 257}),
+    # The grid limit needs the torus (rank 3 here), and is checked when
+    # it is built, still before the expansion.
+    ("S6", 4, {"method": "quadrature", "nodes": 65}),
+], ids=["mc-one-sample", "quadrature-p6", "quadrature-torus-grid"])
 def test_compare_checks_numeric_parameters_before_the_expansion(
     capsys, monkeypatch, name, order, options
 ):

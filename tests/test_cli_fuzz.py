@@ -150,7 +150,7 @@ BAD_ARGUMENTS = [
     ("eval", "S2", "--t", "1e300", "--method", "mc", "--samples", "50"),
     ("eval", "S2", "--t", "0.05", "--method", "mc", "--samples", "0"),
     ("eval", "S2", "--t", "0.05", "--method", "quadrature", "--nodes", "0"),
-    ("eval", "S4", "--t", "0.05", "--method", "quadrature"),
+    ("eval", "S6", "--t", "0.05", "--method", "quadrature", "--nodes", "65"),
     ("compare", "S2", "--order", "2", "--t", ""),
     ("compare", "S2", "--order", "2", "--t", ","),
     ("compare", "S2", "--order", "2", "--t", "0.05,abc"),

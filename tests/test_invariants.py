@@ -529,6 +529,18 @@ def test_compare_s3_all_checks_pass(specs):
     assert rep.all_passed, [c for c in rep.checks if not c.passed]
 
 
+@pytest.mark.parametrize("name", ["S3", "S4", "S5", "S6", "S2xS3"])
+def test_compare_checks_by_torus_quadrature(name):
+    # auto runs quadrature on every builtin's maximal torus (rank 1 to 3)
+    # at the default 40 nodes, and it passes the default tolerance
+    # 10 delta + remainder + 1e-8.
+    rep = hg.compare(hg.builtin(name), 4, [0.05, 0.1])
+    assert rep.all_passed, [c for c in rep.checks if not c.passed]
+    numeric = [c.detail for c in rep.checks if c.name.startswith("numeric")]
+    assert len(numeric) == 2
+    assert all(detail.startswith("quadrature ") for detail in numeric)
+
+
 def test_compare_builds_one_integrand_for_the_grid(specs, monkeypatch):
     # t enters the numeric integrand only as the scale sqrt(t) of its
     # points, so its exact split (one call for D, one for F) runs once
