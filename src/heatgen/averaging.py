@@ -29,14 +29,12 @@ basis.  The blocks up to 4 x 4 are compiled into rotation planes
 (_Factor): one projection product per factor gives every plane's s as
 the norm of a row triple, and the half-determinant sqrt(det(sinh X/X))
 is the product of sin(s)/s over the planes.  Larger blocks take one
-batched symmetric eigensolve each, except on the torus, where their
-commuting generators share eigenvectors and each plane is |theta . x|
-for a fixed linear form theta (_torus_planes).  The integrand depends
-on t only through the scale of its points, so one serves a whole
-compare grid.  Both methods call it on blocks of at most _BLOCK points,
-whose temporaries stay within a core's L2 cache.  Monte Carlo draws
-rounds of that size; the generator fills rows in stream order, so the
-samples do not depend on it.
+batched symmetric eigensolve each.  The integrand depends on t only
+through the scale of its points, so one serves a whole compare grid.
+Both methods call it on blocks of at most _BLOCK points, whose
+temporaries stay within a core's L2 cache.  Monte Carlo draws rounds of
+that size; the generator fills rows in stream order, so the samples do
+not depend on it.
 
 The integrand is Ad(H)-invariant and so is its Gaussian, so Weyl's
 integration formula gives its average over h as one over a maximal
@@ -222,31 +220,6 @@ def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
     return (out - out.transpose(0, 2, 1)) / 2.0
 
 
-def _torus_planes(gens: np.ndarray) -> np.ndarray | None:
-    """The planes of commuting skew generators (r, d, d) as linear forms:
-    rows theta (d // 2, r) such that the singular values of X(y) =
-    sum_m y_m G_m are |theta @ y|, each pair once, or None when a fixed
-    generic combination does not separate them to rounding.
-
-    Commuting skew matrices share their eigenvectors: each G_m has the
-    eigenvalue -i theta_j(e_m) on the eigenvector v_j of iA, A = sum_m
-    c_m G_m, once the eigenvalues of iA are distinct (zero apart, where
-    every G_m vanishes).  The d // 2 largest are taken, one of each pair
-    +-lambda, and theta read off as Rayleigh quotients; an eigenvector
-    that some i G_m moves off its line by more than rounding (two weights
-    nearly equal at c) gives None, and the block keeps its eigensolve."""
-    r, d = gens.shape[0], gens.shape[-1]
-    herm = 1j * gens
-    c = np.sqrt(np.arange(2.0, r + 2.0))
-    v = np.linalg.eigh(np.einsum("m,mab->ab", c, herm))[1][:, d - d // 2 :]
-    moved = herm @ v
-    theta = np.einsum("ak,mak->km", v.conj(), moved).real
-    off = moved - v * theta.T[:, None, :]
-    if np.abs(off).max() > 1e-10 * max(float(np.abs(gens).max()), 1e-300):
-        return None
-    return theta
-
-
 class _Factor:
     """One factor of the integrand, D or F, compiled from its whitened
     skew blocks (p, d, d) into one projection: called on points y (N, p),
@@ -274,7 +247,7 @@ class _Factor:
     (_skew_half_dets).  A factor with no block gives 1 and 0.
     """
 
-    def __init__(self, blocks: list[np.ndarray], commuting: bool = False):
+    def __init__(self, blocks: list[np.ndarray]):
         # (x01, x02, x03) and (x23, -x13, x12) of each 4 x 4 block.
         fours = [
             (g[:, [0, 0, 0], [1, 2, 3]],
@@ -291,31 +264,20 @@ class _Factor:
                 rows.append(upper)
         self.rows = np.concatenate(rows) if rows else None
         self.fours = len(fours)
-        self.eigen, linear = [], []
-        for g in blocks:
-            if g.shape[-1] >= 5:
-                forms = _torus_planes(g) if commuting else None
-                if forms is None:
-                    self.eigen.append(g)
-                else:
-                    linear.append(forms)
-        self.linear = np.concatenate(linear) if linear else None
+        self.eigen = [g for g in blocks if g.shape[-1] >= 5]
 
-    def _planes(self, y: np.ndarray) -> list[np.ndarray]:
-        """s of the closed-form planes and of the linear ones, each
-        (planes, N): every plane but the eigensolved blocks'."""
-        s = []
-        if self.rows is not None:
-            x = self.rows @ y.T
-            x *= x
-            closed = x[0::3] + x[1::3]
-            closed += x[2::3]
-            np.sqrt(closed, out=closed)
-            a, b = slice(0, self.fours), slice(self.fours, 2 * self.fours)
-            closed[a], closed[b] = closed[a] + closed[b], closed[a] - closed[b]
-            s.append(closed)
-        if self.linear is not None:
-            s.append(np.abs(self.linear @ y.T))
+    def _closed(self, y: np.ndarray) -> np.ndarray | None:
+        """s of the closed-form planes, (planes, N), or None without
+        them."""
+        if self.rows is None:
+            return None
+        x = self.rows @ y.T
+        x *= x
+        s = x[0::3] + x[1::3]
+        s += x[2::3]
+        np.sqrt(s, out=s)
+        a, b = slice(0, self.fours), slice(self.fours, 2 * self.fours)
+        s[a], s[b] = s[a] + s[b], s[a] - s[b]
         return s
 
     def _mats(self, y: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -323,11 +285,10 @@ class _Factor:
         return (y @ gens.reshape(len(gens), -1)).reshape(len(y), d, d)
 
     def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = self._planes(y)
-        if not s:
+        s = self._closed(y)
+        if s is None:
             half, top = np.ones(len(y)), np.zeros(len(y))
         else:
-            s = s[0] if len(s) == 1 else np.concatenate(s)
             half, top = np.prod(_sin_ratio(s), axis=0), s.max(axis=0)
         for gens in self.eigen:
             block_half, block_top = _skew_half_dets(self._mats(y, gens))
@@ -338,7 +299,8 @@ class _Factor:
         """The s of every rotation plane of X(y), (planes, N), each
         equal pair of an eigensolved block once: its ascending s_j^2 are
         the pairs, after a zero when d is odd."""
-        s = self._planes(y)
+        closed = self._closed(y)
+        s = [] if closed is None else [closed]
         for gens in self.eigen:
             mats = self._mats(y, gens)
             squares = np.linalg.eigvalsh(-(mats @ mats))
@@ -407,9 +369,7 @@ class _Integrand:
         self.blocks = tuple(
             [whitened(*block) for block in split] for split in splits
         )
-        self.factors = tuple(
-            _Factor(blocks, basis is not None) for blocks in self.blocks
-        )
+        self.factors = tuple(_Factor(blocks) for blocks in self.blocks)
 
     def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (values, acceptance mask); rejected rows hold 0."""

@@ -12,8 +12,9 @@ the curvature is parallel), multiplicativity under products via Cauchy
 convolution, and for unit spheres the eigenvalue sum over spherical
 harmonics with multiplicities (2l+n-1) (l+n-2)! / (l! (n-1)!).  The
 spectral and numeric checks run at each grid time and allow the
-truncation remainder, the last retained term; a remainder beyond the
-float range at some t fails only that time's checks.
+truncation remainder, the last retained term that does not vanish; a
+remainder beyond the float range at some t fails only that time's
+checks.
 """
 
 from __future__ import annotations
@@ -76,14 +77,20 @@ class HeatReport:
         return TSeries(self.order, self.coeffs).eval_float(t)
 
     def remainder_estimate(self, t: float) -> float:
-        """Magnitude of the last retained term, used as the truncation
-        error proxy: 0 at any t when that term vanishes, HeatgenError when
-        it lies beyond the float range."""
-        last = self.coeffs[self.order]
+        """Magnitude of the last retained term that does not vanish, of
+        order 1 or more (a_0 at order 0), used as the truncation error
+        proxy.  A vanishing coefficient, such as a sphere S9's a_8, says
+        nothing of the terms after it, so the term before it stands in.
+        0 at any t when a_1 .. a_order all vanish (flat space),
+        HeatgenError when the term lies beyond the float range."""
+        k = self.order
+        while k > 1 and not self.coeffs[k]:
+            k -= 1
+        last = self.coeffs[k]
         if not last:
             return 0.0
         try:
-            value = abs(to_float(last)) * t**self.order
+            value = abs(to_float(last)) * t**k
             if value == math.inf:
                 raise OverflowError
         except OverflowError:

@@ -991,23 +991,31 @@ def test_numeric_average_matches_the_reference_path(
     assert got.method == want.method == method
 
 
-@pytest.mark.parametrize("name,t", [("S2", 2.0), ("S2xS2", 1.5), ("S3", 2.0)])
+@pytest.mark.parametrize("name,t", [
+    ("S2", 2.0), ("S2xS2", 1.5), ("S3", 2.0), ("S4", 2.0), ("S2xS3", 1.5),
+    ("S6", 0.5),
+])
 @pytest.mark.parametrize("nodes", [7, 8, 15, 16, 40])
 def test_mirrored_quadrature_equals_the_full_grid(
     prepared, monkeypatch, counting, name, t, nodes
 ):
-    # r = p for the abelian S2 and S2xS2; S3 runs on its torus, r = 1.
+    # r = p for the abelian S2 and S2xS2; S3 runs on its torus, r = 1,
+    # S4 and S2xS3 on theirs, r = 2, and S6 on its torus of rank 3.
     prep, r = prepared[name], len(prepared[name].hol.torus.array)
     x1 = np.polynomial.hermite.hermgauss(nodes)[0]
-    # The broadcast grid is the meshgrid one, bit for bit.
-    for dim in {r, prep.spec.p}:
+    # The broadcast grid, and the unit grids of its slabs, are the
+    # meshgrid ones, bit for bit.
+    for dim in range(1, r + 1):
         grids = np.meshgrid(*([x1] * dim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         np.testing.assert_array_equal(averaging._tensor_grid(x1, dim), pts)
 
     # Half the grid, in blocks of whole slabs or, at 5 points, in runs
-    # smaller than a slab, against one sum over the whole grid.
+    # smaller than a slab, against one sum over the whole grid.  From rank
+    # 2 on, J weighs the points unevenly, from F's planes here and from
+    # the eigenvalues of the raw F in the oracle: equal to 1e-12.
     want = grid_reference(prep, t, nodes)
+    rel = 1e-14 if r < 2 or r == prep.spec.p else 1e-12
     sizes = [nodes] + [nodes - 4] * (nodes >= 12)
     for block in (averaging._BLOCK, 5):
         monkeypatch.setattr(averaging, "_BLOCK", block)
@@ -1020,9 +1028,9 @@ def test_mirrored_quadrature_equals_the_full_grid(
         )
         assert got.singularity_hits == want.singularity_hits > 0
         assert got.evaluations == want.evaluations
-        assert got.value == pytest.approx(want.value, rel=1e-14)
+        assert got.value == pytest.approx(want.value, rel=rel)
         assert got.std_error == pytest.approx(
-            want.std_error, abs=4e-14 * want.value
+            want.std_error, abs=4 * rel * want.value
         )
 
 
@@ -1098,52 +1106,6 @@ def test_weyl_weight_is_the_product_of_the_positive_roots(prepared, name):
     assert got[0] == want[0] == 0.0
     np.testing.assert_allclose(got[1:] / want[1:], got[1] / want[1],
                                rtol=1e-10)
-
-
-@pytest.mark.parametrize("name", ["S5", "S6"])
-def test_torus_planes_are_the_eigensolved_ones(prepared, name):
-    # On the torus the eigensolved blocks (so(5), so(6) and their tangent
-    # spaces) become linear forms |theta @ x|: the same planes as one
-    # eigensolve per point, which a factor over all of h still runs.
-    prep = prepared[name]
-    basis = prep.hol.torus.array
-    integrand = averaging._Integrand(prep, averaging._MARGIN, basis)
-    x = np.random.default_rng(6).standard_normal((200, len(basis)))
-    for blocks, factor in zip(integrand.blocks, integrand.factors):
-        assert factor.eigen == [] and factor.linear is not None
-        solved = averaging._Factor(blocks)
-        assert solved.linear is None and solved.eigen
-        np.testing.assert_allclose(
-            np.sort(factor.planes(x), axis=0),
-            np.sort(solved.planes(x), axis=0), rtol=1e-12, atol=1e-12,
-        )
-        for want, got in zip(solved(x), factor(x)):
-            np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-def test_torus_planes_refuse_weights_a_combination_does_not_separate():
-    # Two rotation planes with the weights (sqrt 3, 0) and (0, sqrt 2),
-    # in a random orthonormal basis: at the combination c = (sqrt 2,
-    # sqrt 3) both are sqrt 6, so the eigenvectors mix the planes and the
-    # block keeps its eigensolve.
-    def rotated(weights):
-        gens = np.zeros((2, 5, 5))
-        for m, (a, b) in enumerate(weights):
-            gens[m, 0, 1], gens[m, 2, 3] = a, b
-        q = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0]
-        return q @ (gens - gens.transpose(0, 2, 1)) @ q.T
-
-    gens = rotated([(math.sqrt(3), 0.0), (0.0, math.sqrt(2))])
-    assert averaging._torus_planes(gens) is None
-    factor = averaging._Factor([gens], commuting=True)
-    assert factor.linear is None and len(factor.eigen) == 1
-    # Separated weights are read off as linear forms.
-    theta = averaging._torus_planes(
-        rotated([(math.sqrt(3), 0.0), (0.0, 1.0)])
-    )
-    np.testing.assert_allclose(np.sort(np.abs(theta), axis=0),
-                               [[0.0, 0.0], [math.sqrt(3), 1.0]],
-                               atol=1e-14)
 
 
 @st.composite

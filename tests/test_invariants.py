@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -539,6 +540,22 @@ def test_compare_checks_by_torus_quadrature(name):
     numeric = [c.detail for c in rep.checks if c.name.startswith("numeric")]
     assert len(numeric) == 2
     assert all(detail.startswith("quadrature ") for detail in numeric)
+
+
+def test_compare_past_a_vanishing_last_coefficient(tmp_path):
+    # S9's a_8 vanishes, so the truncation remainder at order 8 is a_7 t^7,
+    # not 0.  auto runs quadrature on the torus of rank 4 at 22 nodes; the
+    # series misses a_9 t^9 (about 2.4e-6 at t = 0.1), far more than ten
+    # refinement deltas plus 1e-8.
+    path = tmp_path / "nine_sphere.json"
+    hg.save(catalog._sphere_spec(9, "S9"), path)
+    rep = hg.compare(hg.load(path), 8, [0.1], nodes=22)
+    assert rep.coeffs[8] == 0 and rep.coeffs[7] == F(262144, 175)
+    assert rep.remainder_estimate(0.1) == float(rep.coeffs[7]) * 0.1**7
+    assert rep.all_passed, [c for c in rep.checks if not c.passed]
+    (detail,) = [c.detail for c in rep.checks if c.name.startswith("numeric")]
+    diff = float(re.search(r"\|diff\| (\S+)", detail).group(1))
+    assert detail.startswith("quadrature ") and 1e-6 < diff < 1e-5
 
 
 def test_compare_builds_one_integrand_for_the_grid(specs, monkeypatch):
