@@ -22,47 +22,53 @@ inside the regularity ball max_j s_j < pi - _MARGIN, a condition that
 does not depend on the tangent or holonomy basis.  Each factor's
 generators are split once per integrand, exactly and before any float
 is formed, into invariant blocks (rational.invariant_split): the common
-kernel is dropped, and the rest divided by the rational eigenspaces of
-the self-adjoint commutant.  That separates the simple ideals of F
-(S4's so(4) into two 3 x 3 blocks) and the de Rham factors of D in any
-basis.  The blocks up to 4 x 4 are compiled into rotation planes
-(_Factor): one projection product per factor gives every plane's s as
-the norm of a row triple, and the half-determinant sqrt(det(sinh X/X))
-is the product of sin(s)/s over the planes.  Larger blocks take one
-batched symmetric eigensolve each.  The integrand depends on t only
-through the scale of its points, so one serves a whole compare grid.
-Both methods call it on blocks of at most _BLOCK points, whose
-temporaries stay within a core's L2 cache.  Monte Carlo draws rounds of
-that size; the generator fills rows in stream order, so the samples do
-not depend on it.
+kernel is dropped, and a part larger than 4 x 4 divided by the rational
+eigenspaces of the self-adjoint commutant.  That separates the simple
+ideals of F (S4's so(4) into two 3 x 3 blocks) and the de Rham factors
+of D in any basis.  The blocks up to 4 x 4 are compiled into rotation
+planes (_Factor), kept squared, u = s^2: one projection product for both
+factors gives each plane's u as the sum of squares of a row triple (a
+4 x 4 block's two planes from two triples and one sqrt), and a larger
+block gives its eigenvalue pairs of -X^2, one batched symmetric
+eigensolve each.  The ball is max u < (pi - _MARGIN)^2, and
+sin(s)/s = (1 - u/pi^2) P(u) with P a fitted polynomial (_sin_ratio), so
+a plane costs no sin, no sqrt and no division; u is clamped to the ball
+first, so a point far outside stays finite.  The half-determinant
+sqrt(det(sinh X/X)) is the product of sin(s)/s over the planes.  The
+integrand depends on t only through the scale of its points, so one
+serves a whole compare grid.  Both methods call it on blocks of at most
+_BLOCK points, whose temporaries stay within a core's L2 cache.  Monte
+Carlo draws rounds of that size; the generator fills rows in stream
+order, so the samples do not depend on it.
 
 The integrand is Ad(H)-invariant and so is its Gaussian, so Weyl's
 integration formula gives its average over h as one over a maximal
 torus t = span(U), U = hol.torus of shape (r, p), r = rank h:
 <f>_h = sum w f(U^T eta) J(eta) / sum w J(eta), with eta on an r-fold
 Gauss-Hermite grid for N(0, 2 (U beta U^T)^{-1}) and the Weyl weight
-J = prod_{alpha>0} alpha(eta)^2, taken in floats from the planes of F
-(_Integrand.weyl) and divided by its largest value on the grid.  The map
-from the grid to omega is folded into the projection rows once per
-averager, so a point costs r multiply-adds per row, not p.  For an
-abelian h the torus is all of h (r = p, U = I, J = 1), and its p-fold
-grid runs as before.  S3 takes 40 + 36 points where the p-fold grid took
-40^3 + 36^3, and every builtin fits the grid limit at the default 40
-nodes.  Quadrature evaluates the first half of its symmetric grid, each
-point standing for its mirror too (the integrand and J are even), in
-slabs of the first axis broadcast from an (r-1)-dimensional unit grid
-that is built, with the 1-d rule and the weights of the half grid, once
-per averager (_Rule).  The 1-d rule comes from the eigenvalues of the
-Jacobi matrix of exp(-x^2) and the Christoffel function of its
-orthonormal recurrence (_hermite_rule, Golub and Welsch), mirrored
-exactly, as the half grid needs.  So memory does not grow with the
-samples, apart from Monte Carlo's vector of accepted values, 8 bytes a
-sample (and the one temporary of its size that its standard deviation
-takes), and the weights of the half grid, 4 bytes a grid point.  The
-Monte Carlo and quadrature sizes and the seed are checked before the
-datum is prepared (_MAX_SAMPLES, _MAX_NODES), and the grid of nodes^r
-points against _MAX_GRID_POINTS when the torus is built, before any grid
-array is allocated.
+J = prod_{alpha>0} alpha(eta)^2, taken in floats from the same planes of
+F as the integrand (_Integrand.weyl) and divided by its largest value on
+the grid, so both sums come from one walk of the grid.  The map from the
+grid to omega is folded into the projection rows once per averager, so a
+point costs r multiply-adds per row, not p.  For an abelian h the torus
+is all of h (r = p, U = I, J = 1), and its p-fold grid runs as before.
+S3 takes 40 + 36 points where the p-fold grid took 40^3 + 36^3, and
+every builtin fits the grid limit at the default 40 nodes.  Quadrature
+evaluates the first half of its symmetric grid, each point standing for
+its mirror too (the integrand and J are even), in slabs of the first
+axis broadcast from an (r-1)-dimensional unit grid that is built, with
+the 1-d rule and the weights of the half grid, once per averager
+(_Rule).  The 1-d rule comes from the eigenvalues of the Jacobi matrix
+of exp(-x^2) and the Christoffel function of its orthonormal recurrence
+(_hermite_rule, Golub and Welsch), mirrored exactly, as the half grid
+needs.  So memory does not grow with the samples, apart from Monte
+Carlo's vector of accepted values, 8 bytes a sample (and the one
+temporary of its size that its standard deviation takes), and the
+weights of the half grid, 4 bytes a grid point.  The Monte Carlo and
+quadrature sizes and the seed are checked before the datum is prepared
+(_MAX_SAMPLES, _MAX_NODES), and the grid of nodes^r points against
+_MAX_GRID_POINTS when the torus is built, before any grid array is
+allocated.
 """
 
 from __future__ import annotations
@@ -166,32 +172,34 @@ _MAX_SAMPLES = 10**7
 # Points per integrand call, Monte Carlo round or quadrature block: every
 # temporary of the factor kernels stays within a core's L2 cache.
 _BLOCK = 8192
+# sin(s)/s = (1 - u/pi^2) P(u) in u = s^2, with P(u) = sum_n _SIN_RATIO[n]
+# u^n fitted to sin(s)/s / (1 - s^2/pi^2) = prod_{k>=2} (1 - u/(k pi)^2)
+# on [0, pi^2], by least squares in the relative error at 400 Chebyshev
+# points in 60-digit arithmetic with P(0) = 1 held: its own error, 9e-18,
+# is far below rounding, so a value is as accurate as np.sin(s)/s.
+_SIN_RATIO = (
+    1.0, -0.06534548302432878, 0.0017124516476276304,
+    -2.4905070544208292e-05, 2.3232069574846863e-07,
+    -1.5131003360127907e-09, 7.281276823935411e-12,
+    -2.696130353448335e-14, 7.889084654537133e-17,
+    -1.715917335372976e-19,
+)
 
 
-def _sin_ratio(s: np.ndarray) -> np.ndarray:
-    """sin(s)/s elementwise, exactly 1 where s == 0."""
-    with np.errstate(invalid="ignore"):
-        out = np.sin(s)
-        out /= s
-    out[s == 0.0] = 1.0
+def _sin_ratio(u: np.ndarray) -> np.ndarray:
+    """sin(s)/s at s = sqrt(u), elementwise, for u in [0, pi^2]: (1 -
+    u/pi^2) P(u) by Horner, exactly 1 at u = 0.  It needs no sin, sqrt or
+    division, so a plane with s = 0 is no 0/0; past pi^2 the fit does not
+    hold, and the integrand clamps u to its ball first."""
+    out = u * _SIN_RATIO[-1]
+    out += _SIN_RATIO[-2]
+    for c in _SIN_RATIO[-3::-1]:
+        out *= u
+        out += c
+    root = u * (-1.0 / math.pi**2)
+    root += 1.0
+    out *= root
     return out
-
-
-def _skew_half_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(det(sinh(X)/X)) and the largest singular value for a batch of
-    d x d skew-symmetric matrices, by one symmetric eigensolve.
-
-    The i s_j are the eigenvalues of X, each s_j a singular value, and
-    sinh(i s)/(i s) = sin(s)/s, so det(sinh(X)/X) = prod_j sin(s_j)/s_j
-    over the eigenvalues s_j^2 of X^T X = -X^2, which come in equal pairs.
-    The determinant is a smooth function of the s_j^2, so the clamp of a
-    tiny negative s_j^2 to zero costs no accuracy; the product of pairs
-    is nonnegative, and one that rounds below zero (near a root of sin,
-    far outside the ball) gives 0, which the positivity guard rejects.
-    """
-    s = np.sqrt(np.maximum(np.linalg.eigvalsh(-(mats @ mats)), 0.0))
-    det = np.prod(_sin_ratio(s), axis=-1)
-    return np.sqrt(np.maximum(det, 0.0)), s[:, -1]
 
 
 @dataclass(frozen=True)
@@ -220,34 +228,42 @@ def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
     return (out - out.transpose(0, 2, 1)) / 2.0
 
 
+def _plane_sums(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sum of squares of each row triple of rows @ y^T, (len(rows) //
+    3, N), for points y (N, dim): one product for the whole batch."""
+    x = rows @ y.T
+    x *= x
+    u = x[0::3] + x[1::3]
+    u += x[2::3]
+    return u
+
+
 class _Factor:
     """One factor of the integrand, D or F, compiled from its whitened
-    skew blocks (p, d, d) into one projection: called on points y (N, p),
-    it returns sqrt(det(sinh X/X)), the half-determinant, and the top
-    singular value of X(y) = sum_l y_l G_l.
+    skew blocks (dim, d, d): at points y (N, dim) it gives the squares
+    u = s^2 of the rotation planes of X(y) = sum_l y_l G_l, each plane
+    once (its s is one of an equal pair of singular values).
 
-    Each X(y) of a block of size 4 or less has its singular values in
-    closed form, from at most six linear functions of y:
+    A block of size 4 or less has its planes in closed form, from at
+    most six linear functions of y, the projection rows (three a plane):
 
-    - d <= 3: one rotation plane, s = sqrt(sum_{i<j} x_ij^2), from three
-      rows, the upper entries x_ij padded with zero rows.
+    - d <= 3: one plane, u = sum_{i<j} x_ij^2, from three rows, the upper
+      entries x_ij padded with zero rows.
     - d = 4: so(4) = so(3) + so(3).  The norms a and b of the self-dual
       and anti-self-dual parts, (x01 + x23, x02 - x13, x03 + x12) and
       (x01 - x23, x02 + x13, x03 - x12), are s_1 + s_2 and |s_1 - s_2|
-      in some order, so the planes are (a + b)/2 and (a - b)/2, with no
-      cancellation in the top one.  The six rows are halved (exactly),
-      so the planes are a' + b' and a' - b'.
+      in some order, so the planes are (a + b)/2 and (a - b)/2.  The six
+      rows are halved (exactly), so with u_sd = a^2/4 and u_asd = b^2/4
+      the planes are u_sd + u_asd +- 2 sqrt(u_sd u_asd): one sqrt a pair.
 
-    rows stacks them row-major, the 4 x 4 blocks' self-dual triples
-    first, then their anti-self-dual ones, then the smaller blocks'; a
-    batch costs one product rows @ y^T, a sum of squares over each row
-    triple and one sin(s)/s per plane.  The half-determinant is the
-    product over planes, each s_j counted once, and the top the largest
-    s.  Blocks of size 5 or more go to one symmetric eigensolve each
-    (_skew_half_dets).  A factor with no block gives 1 and 0.
+    rows stacks the triples row-major, the 4 x 4 blocks' self-dual ones
+    first, then their anti-self-dual ones, then the smaller blocks';
+    _plane_sums sums each triple's squares, and planes finishes them.
+    Blocks of size 5 or more (eigen) take one symmetric eigensolve each.
+    count is the number of planes, 0 for a factor with no block.
     """
 
-    def __init__(self, blocks: list[np.ndarray]):
+    def __init__(self, blocks: list[np.ndarray], dim: int):
         # (x01, x02, x03) and (x23, -x13, x12) of each 4 x 4 block.
         fours = [
             (g[:, [0, 0, 0], [1, 2, 3]],
@@ -262,51 +278,35 @@ class _Factor:
                 i, j = np.triu_indices(g.shape[-1], 1)
                 upper[: len(i)] = g[:, i, j].T
                 rows.append(upper)
-        self.rows = np.concatenate(rows) if rows else None
+        self.rows = np.concatenate(rows) if rows else np.zeros((0, dim))
         self.fours = len(fours)
         self.eigen = [g for g in blocks if g.shape[-1] >= 5]
+        self.count = len(self.rows) // 3 + sum(
+            g.shape[-1] // 2 for g in self.eigen
+        )
 
-    def _closed(self, y: np.ndarray) -> np.ndarray | None:
-        """s of the closed-form planes, (planes, N), or None without
-        them."""
-        if self.rows is None:
-            return None
-        x = self.rows @ y.T
-        x *= x
-        s = x[0::3] + x[1::3]
-        s += x[2::3]
-        np.sqrt(s, out=s)
-        a, b = slice(0, self.fours), slice(self.fours, 2 * self.fours)
-        s[a], s[b] = s[a] + s[b], s[a] - s[b]
-        return s
-
-    def _mats(self, y: np.ndarray, gens: np.ndarray) -> np.ndarray:
-        d = gens.shape[-1]
-        return (y @ gens.reshape(len(gens), -1)).reshape(len(y), d, d)
-
-    def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = self._closed(y)
-        if s is None:
-            half, top = np.ones(len(y)), np.zeros(len(y))
-        else:
-            half, top = np.prod(_sin_ratio(s), axis=0), s.max(axis=0)
+    def planes(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """u of every plane at the points y, (count, N), from the triple
+        sums of rows at y, which are overwritten: the closed-form planes,
+        then each eigensolved block's.  The eigenvalues of -X^2 = X^T X
+        are the s_j^2, ascending, in equal pairs after a zero when d is
+        odd; one of each pair is a plane."""
+        if self.fours:
+            a, b = u[: self.fours], u[self.fours : 2 * self.fours]
+            cross = a * b
+            np.sqrt(cross, out=cross)
+            cross += cross
+            total = a + b
+            np.add(total, cross, out=a)
+            np.subtract(total, cross, out=b)
+        if not self.eigen:
+            return u
+        pairs = []
         for gens in self.eigen:
-            block_half, block_top = _skew_half_dets(self._mats(y, gens))
-            half, top = half * block_half, np.maximum(top, block_top)
-        return half, top
-
-    def planes(self, y: np.ndarray) -> np.ndarray:
-        """The s of every rotation plane of X(y), (planes, N), each
-        equal pair of an eigensolved block once: its ascending s_j^2 are
-        the pairs, after a zero when d is odd."""
-        closed = self._closed(y)
-        s = [] if closed is None else [closed]
-        for gens in self.eigen:
-            mats = self._mats(y, gens)
-            squares = np.linalg.eigvalsh(-(mats @ mats))
-            pairs = squares[:, gens.shape[-1] % 2 :: 2].T
-            s.append(np.sqrt(np.maximum(pairs, 0.0)))
-        return np.concatenate(s) if s else np.zeros((0, len(y)))
+            d = gens.shape[-1]
+            mats = (y @ gens.reshape(len(gens), -1)).reshape(len(y), d, d)
+            pairs.append(np.linalg.eigvalsh(-(mats @ mats))[:, d % 2 :: 2].T)
+        return np.concatenate([u, *pairs])
 
 
 class _Integrand:
@@ -324,31 +324,37 @@ class _Integrand:
     run on the raw generators when the integrand is built).
     Once per integrand each family is split exactly into invariant blocks
     (rational.invariant_split): its common kernel, where every factor
-    matrix vanishes, is dropped, and the rest divided by the eigenspaces
-    of its self-adjoint commutant, so the simple ideals of F and the de
-    Rham factors of D each become a block of their own.  Each block is
-    then rewritten by the Cholesky factor of its own metric, the restriction
-    of g or beta (_skew_stack), a similarity, so that every factor
-    matrix is skew, and the ball max_j s_j < pi - margin on its singular
-    values is the same in every tangent and holonomy basis.  The map
-    from y to omega, (p, p) or, on the torus, (p, r), is folded into the
-    generators, after dividing beta by 4^k and the generators by 2^k
-    exactly (rational.near_unit), which changes no factor matrix and
+    matrix vanishes, is dropped, and the rest, when it is larger than
+    4 x 4, divided by the eigenspaces of its self-adjoint commutant, so
+    the simple ideals of F and the de Rham factors of D each become a
+    block of their own; a block of 4 x 4 or less is left whole, since
+    its planes have a closed form whatever it holds (_Factor).  Each
+    block is then rewritten by the Cholesky factor of its own metric,
+    the restriction of g or beta (_skew_stack), a similarity, so that
+    every factor matrix is skew, and the ball max_j s_j < pi - margin on
+    its singular values is the same in every tangent and holonomy basis.
+    The map from y to omega, (p, p) or, on the torus, (p, r), is folded
+    into the generators, after dividing beta by 4^k and the generators by
+    2^k exactly (rational.near_unit), which changes no factor matrix and
     keeps every float in range; a point then costs r multiply-adds per
     projection row, not p.
 
     blocks holds the whitened stacks of the D blocks and of the F
-    blocks, and factors the two compiled from them (_Factor): a batch of
-    points costs one projection product per family.  The value is
-    half_F / half_D, the square root of det(sinh X_F/X_F) /
-    det(sinh X_D/X_D).
+    blocks, and factors the two compiled from them (_Factor).  Both
+    factors' rows form one projection, so a batch of points costs one
+    product, and planes gives the squared planes u of both, D's split
+    first.  The value is prod_F sin(s)/s / prod_D sin(s)/s, the square
+    root of det(sinh X_F/X_F) / det(sinh X_D/X_D), and a point is kept
+    when max u < (pi - margin)^2, the ball (values).
     """
 
     def __init__(self, prep: Prepared, margin: float,
                  basis: np.ndarray | None = None):
         spec, hol = prep.spec, prep.hol
         check_skew(prep)
-        self.bound = math.pi - margin
+        bound = math.pi - margin
+        # bound^2 with the sign of bound: a margin past pi keeps no point.
+        self.ball = bound * abs(bound)
         splits = (
             invariant_split(hol.D, spec.tensors.g),
             invariant_split(hol.F_mats, spec.tensors.beta),
@@ -369,31 +375,53 @@ class _Integrand:
         self.blocks = tuple(
             [whitened(*block) for block in split] for split in splits
         )
-        self.factors = tuple(_Factor(blocks) for blocks in self.blocks)
+        self.factors = tuple(
+            _Factor(blocks, len(root.T)) for blocks in self.blocks
+        )
+        self.rows = np.concatenate([f.rows for f in self.factors])
+        self.split = self.factors[0].count
+
+    def planes(self, y: np.ndarray) -> np.ndarray:
+        """u = s^2 of every rotation plane of X_D(y) and X_F(y), (planes,
+        N), the split planes of D first."""
+        u = _plane_sums(self.rows, y)
+        d, f = self.factors
+        n = len(d.rows) // 3
+        parts = d.planes(u[:n], y), f.planes(u[n:], y)
+        return np.concatenate(parts) if d.eigen or f.eigen else u
+
+    def values(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(values, acceptance mask) at the points whose planes are u;
+        rejected rows hold 0.  Inside the ball every sin(s)/s is
+        positive; u is clamped to it before the polynomial (_sin_ratio),
+        so a point far outside stays finite."""
+        ok = np.max(u, axis=0, initial=0.0) < self.ball
+        ratio = _sin_ratio(np.minimum(u, self.ball))
+        num = np.prod(ratio[self.split :], axis=0)
+        den = np.prod(ratio[: self.split], axis=0)
+        return np.divide(num, den, out=np.zeros(len(ok)), where=ok), ok
 
     def __call__(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (values, acceptance mask); rejected rows hold 0."""
-        half_d, top_d = self.factors[0](y)
-        half_f, top_f = self.factors[1](y)
-        # Inside the ball every sin(s)/s is positive; the guard rejects a
-        # half-determinant that rounds to zero (_skew_half_dets' clamp),
-        # so the quotient never divides by it.
-        ok = (top_d < self.bound) & (top_f < self.bound)
-        ok &= (half_d > 0.0) & (half_f > 0.0)
-        vals = np.divide(half_f, half_d, out=np.zeros(len(y)), where=ok)
-        return vals, ok
+        return self.values(self.planes(y))
 
-    def weyl(self, y: np.ndarray) -> np.ndarray:
-        """The Weyl weight J = prod_{alpha>0} alpha(eta)^2 at torus points
-        y, up to a constant factor.  X_F(y) is ad(omega)/2 up to a
-        similarity, whose eigenvalues are +-i alpha(omega)/2 and r zeros,
-        so its q/2 = roots nonzero planes are the positive roots: J is
-        the product of the squares of the roots largest planes, the
-        others being zero up to rounding.  J vanishes at the origin and
-        on every root hyperplane."""
-        s = self.factors[1].planes(y)
-        s = np.partition(s, len(s) - self.roots, axis=0)[len(s) - self.roots:]
-        return np.prod(s * s, axis=0)
+    def weyl(self, u: np.ndarray, scale: float) -> np.ndarray:
+        """The Weyl weight J = prod_{alpha>0} alpha(eta)^2, up to a
+        constant factor, at the torus nodes x whose points y = scale * x
+        have the planes u.  X_F(y) is ad(omega)/2 up to a similarity,
+        whose eigenvalues are +-i alpha(omega)/2 and r zeros, so its
+        roots nonzero planes are the positive roots: J is the product of
+        the roots largest u of F, the others being zero up to rounding
+        (a u that rounds below zero counts as zero), each divided by
+        scale^2, so that J is taken at x and does not under- or overflow
+        with t.  J vanishes at the origin and on every root hyperplane."""
+        f = u[self.split :]
+        if len(f) > self.roots:
+            f = np.partition(f, len(f) - self.roots, axis=0)
+            f = f[len(f) - self.roots :]
+        f = np.maximum(f, 0.0)
+        f /= scale * scale
+        return np.prod(f, axis=0)
 
 
 def _tensor_grid(x: np.ndarray, p: int) -> np.ndarray:
@@ -455,18 +483,14 @@ class _Rule:
     """The k-node Gauss-Hermite rule x of an r-fold tensor grid, the
     C-ordered (r-1)-fold grid of its nodes, the unit grid that every
     slab of the first axis shares, and the weights of the first half of
-    the grid: the products of its coordinates' weights, times the Weyl
-    weight J / max J of the torus when there is one.  norm is one over
-    the weight of the whole grid: pi^(-r/2), the mass of exp(-|x|^2),
-    without J, and one over the grid's sum of w J with it."""
+    the grid, the products of its coordinates' weights."""
 
     x: np.ndarray
     unit_x: np.ndarray
     weights: np.ndarray
-    norm: float
 
     @classmethod
-    def build(cls, k: int, r: int, weyl=None) -> _Rule:
+    def build(cls, k: int, r: int) -> _Rule:
         x, w = _hermite_rule(k)
         if not (np.isfinite(w).all() and w.sum() > 0.0):
             raise HeatgenError(
@@ -481,21 +505,7 @@ class _Rule:
             for axis in range(r - 1):
                 weight *= unit_w[cols, axis]
             weights[start : start + count] = weight.reshape(-1)[:count]
-        rule = cls(x, unit_x, weights, math.pi ** (-r / 2))
-        if weyl is None:
-            return rule
-        j = np.concatenate([
-            weyl(rule._points(rows, cols, count))
-            for _, rows, cols, count in _grid_blocks(k, len(unit_x))
-        ])
-        if not j.max() > 0.0:
-            raise HeatgenError(
-                f"every point of the {k}-node grid of the torus lies where "
-                f"the Weyl weight vanishes; use more nodes"
-            )
-        weights *= j / j.max()
-        mass = 2.0 * float(weights.sum()) - (k**r % 2) * float(weights[-1])
-        return cls(x, unit_x, weights, 1.0 / mass)
+        return cls(x, unit_x, weights)
 
     def _points(self, rows: slice, cols: slice, count: int) -> np.ndarray:
         """The first count points of a block, unscaled: the unit grid
@@ -506,32 +516,62 @@ class _Rule:
         pts[..., 1:] = unit_x
         return pts.reshape(-1, pts.shape[-1])[:count]
 
-    def half_sum(
+    def average(
         self, integrand: _Integrand, scale: float
     ) -> tuple[float, int]:
-        """The weighted sum of the integrand at the points scale * x over
-        the whole grid, and the number of rejected points, from the first
+        """The mean of the integrand at the points scale * x over the
+        whole grid, and the number of rejected points, from the first
         half of the grid in C order, a block at a time (_grid_blocks).
+
+        Over all of h (no roots) the mean is pi^(-r/2) sum w f, pi^(r/2)
+        being the mass of exp(-|x|^2).  On a torus it is sum w J f /
+        sum w J, with the Weyl weight J taken from the same planes as f
+        (_Integrand.weyl), so each point costs one pass.  J is divided by
+        the largest value so far, and the sums so far are rescaled when a
+        block raises it, so both sums weigh by J / max J whatever the
+        scale of J.
 
         The nodes are exactly symmetric, so point N-1-i of the grid is
         minus point i, with the same weight (J is even), and the
         integrand is even: each point of the first half counts twice,
         except the middle one of an odd grid."""
         k, m = len(self.x), len(self.unit_x)
-        total, hits = 0.0, 0
+        total = mass = peak = 0.0
+        hits = 0
         for start, rows, cols, count in _grid_blocks(k, m):
             pts = self._points(rows, cols, count)
             pts *= scale
-            vals, ok = integrand(pts)
-            vals *= self.weights[start : start + count]
+            u = integrand.planes(pts)
+            w = self.weights[start : start + count]
+            if integrand.roots:
+                j = integrand.weyl(u, scale)
+                top = float(j.max())
+                if top > peak:
+                    total, mass = total * (peak / top), mass * (peak / top)
+                    peak = top
+                w = w * j
+                if peak > 0.0:
+                    w /= peak
+                mass += float(w.sum())
+            vals, ok = integrand.values(u)
+            vals *= w
             total += float(vals.sum())
             hits += count - int(ok.sum())
-        total, hits = 2.0 * total, 2 * hits
+        total, mass, hits = 2.0 * total, 2.0 * mass, 2 * hits
         if (k * m) % 2:
             # The middle point, the origin, is its own mirror.
             total -= float(vals[-1])
+            mass -= float(w[-1])
             hits -= int(not ok[-1])
-        return total, hits
+        if not integrand.roots:
+            r = self.unit_x.shape[1] + 1
+            return total * math.pi ** (-r / 2), hits
+        if not peak > 0.0:
+            raise HeatgenError(
+                f"every point of the {k}-node grid of the torus lies where "
+                f"the Weyl weight vanishes; use more nodes"
+            )
+        return total / mass, hits
 
 
 def _is_integer(x) -> bool:
@@ -600,7 +640,8 @@ class _NumericAverager:
     by Weyl's integration formula the average over h of the
     Ad(H)-invariant integrand is <f J>_t / <J>_t over the torus, with
     eta ~ N(0, 2 (U beta U^T)^{-1}) and the Weyl weight J (_Integrand.
-    weyl), on an r-fold grid instead of a p-fold one.  For an abelian h
+    weyl), on an r-fold grid instead of a p-fold one; J and f come from
+    one pass over each point (_Rule.average).  For an abelian h
     the torus is all of h (r = p, U = I, J = 1), and the grid over all of
     h runs as it is.  The grid of nodes^r points is checked against
     _MAX_GRID_POINTS here, when the torus is built and before any grid
@@ -701,14 +742,10 @@ class _NumericAverager:
         r = p if self.basis is None else len(self.basis)
         if self._rules is None:
             sizes = [self.nodes] + [self.nodes - 4] * (self.nodes >= 12)
-            weyl = None if self.basis is None else integrand.weyl
-            self._rules = [_Rule.build(k, r, weyl) for k in sizes]
-        sums = [rule.half_sum(integrand, scale) for rule in self._rules]
-        value, hits = sums[0][0] * self._rules[0].norm, sums[0][1]
-        err = (
-            abs(value - sums[1][0] * self._rules[1].norm)
-            if len(sums) > 1 else 0.0
-        )
+            self._rules = [_Rule.build(k, r) for k in sizes]
+        means = [rule.average(integrand, scale) for rule in self._rules]
+        value, hits = means[0]
+        err = abs(value - means[1][0]) if len(means) > 1 else 0.0
         used = sum(len(rule.x) ** r for rule in self._rules)
         return NumericAverage(
             prefactor * value, prefactor * err, hits, used, "quadrature"
@@ -727,15 +764,15 @@ def numeric_average(
     """Evaluate the full generating average at time t in floating point.
 
     Samples falling where a factor matrix, in its skew form, has a
-    singular value within _MARGIN of pi (or where a factor loses
-    positivity) are rejected, counted, and resampled; the result is the
-    scalar-prefactor times the mean over the retained domain, with the
-    Monte Carlo standard error or a quadrature refinement delta as
-    std_error.  Quadrature runs on a maximal torus of rank r with the
-    Weyl weight (_NumericAverager), on grids of nodes and nodes - 4 (from
-    12 nodes on) points a side, so its evaluations are the sum of k**r
-    over both.  "auto" takes quadrature when nodes**r is at most
-    _MAX_GRID_POINTS, Monte Carlo otherwise.  The sample count
+    singular value of pi - _MARGIN or more (outside the ball, where a
+    factor can lose positivity) are rejected, counted, and resampled;
+    the result is the scalar-prefactor times the mean over the retained
+    domain, with the Monte Carlo standard error or a quadrature
+    refinement delta as std_error.  Quadrature runs on a maximal torus of
+    rank r with the Weyl weight (_NumericAverager), on grids of nodes and
+    nodes - 4 (from 12 nodes on) points a side, so its evaluations are
+    the sum of k**r over both.  "auto" takes quadrature when nodes**r is
+    at most _MAX_GRID_POINTS, Monte Carlo otherwise.  The sample count
     (2.._MAX_SAMPLES) and the Monte Carlo seed (a non-negative integer;
     quadrature ignores its value) under "mc" or "auto", and the node
     count (1.._MAX_NODES) under "quadrature" or "auto", are checked

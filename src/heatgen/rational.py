@@ -18,11 +18,11 @@ every exact inverse.  The one elimination of a general matrix is
 nullspace, a fraction-free Gauss-Jordan with full pivoting, which finds
 the centralisers of the Cartan data (HolonomyRealization.torus) and on
 which invariant_split builds: it splits a metric-skew generator stack exactly
-into invariant blocks, dropping the common kernel and dividing the rest
-by the rational eigenspaces of the self-adjoint commutant.  near_unit
-and float_stack give the float views it and the numeric oracle share.
-reduced() is the canonical form (lowest terms, int64 whenever the
-entries fit).
+into invariant blocks, dropping the common kernel and dividing the rest,
+down to parts of 4 x 4, by the rational eigenspaces of the self-adjoint
+commutant.  near_unit and float_stack give the float views it and the
+numeric oracle share.  reduced() is the canonical form (lowest terms,
+int64 whenever the entries fit).
 
 Both eliminations make one overflow decision up front, by Hadamard's
 inequality: every entry of a fraction-free elimination is a minor of
@@ -647,11 +647,12 @@ def _split(
     on invariant subspaces whose direct sum is the whole space.  A
     proper eigenspace of an element of the commutant and its metric
     complement are both invariant, and each is split again; a stack
-    whose commutant offers none stays whole.  So does one of size 3 or
-    less, since any split of it has a part of size 1: an invariant line,
-    on which every metric-skew generator vanishes, which the trivial
-    kernel rules out."""
-    if len(metric.array) <= 3:
+    whose commutant offers none stays whole.  So does one of size 4 or
+    less: any split of a part of size 3 or less has a part of size 1, an
+    invariant line, on which every metric-skew generator vanishes, which
+    the trivial kernel rules out; and a skew 4 x 4 block has closed-form
+    planes (averaging._Factor), so its split would buy nothing."""
+    if len(metric.array) <= 4:
         return [(gens, metric)]
     commutant = _commutant(gens.array)
     for y in commutant if len(commutant) > 1 else ():
@@ -676,7 +677,8 @@ def invariant_split(
     The common kernel of the generators is dropped first: every factor
     matrix vanishes there, which contributes det 1 and top 0.  Its
     metric complement is invariant (G^T M = -M G), and _split divides it
-    further by the commutant.  The blocks come in ascending size."""
+    further by the commutant, leaving a part of size 4 or less whole.
+    The blocks come in ascending size."""
     d = gens.array.shape[-1]
     kernel = nullspace(ScaledTensor(gens.array.reshape(-1, d), 1)).array
     if kernel.shape[1] == d:

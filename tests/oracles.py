@@ -454,6 +454,18 @@ def sinh_ratio_dets(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(ratio)
 
 
+def skew_half_dets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(det(sinh(X)/X)) and the largest singular value for a batch of
+    skew-symmetric matrices, by one symmetric eigensolve of the whole
+    matrix: its i s_j are the eigenvalues of X, and det(sinh(X)/X) =
+    prod_j sin(s_j)/s_j over the eigenvalues s_j^2 of X^T X = -X^2."""
+    s = np.sqrt(np.maximum(np.linalg.eigvalsh(-(mats @ mats)), 0.0))
+    ratio = np.ones_like(s)
+    np.divide(np.sin(s), s, out=ratio, where=s > 0.0)
+    det = np.prod(ratio, axis=-1)
+    return np.sqrt(np.maximum(det, 0.0)), s[:, -1]
+
+
 def _hermite_grid(nodes: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The whole dim-fold grid of numpy's nodes-point Gauss-Hermite rule:
     points (nodes**dim, dim) and their weights, by meshgrid."""

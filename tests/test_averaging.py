@@ -251,6 +251,23 @@ def rotation_blocks(thetas, n, rng=None):
     return out
 
 
+def factor_planes(factor, y):
+    """The squared planes u of one compiled factor at the points y, from
+    its own projection rows."""
+    return factor.planes(averaging._plane_sums(factor.rows, y), y)
+
+
+def half_and_top(factor, y):
+    """sqrt(det(sinh X/X)) and the top singular value of X(y) from the
+    planes of one compiled factor, with np.sin: the product of sin(s)/s
+    over the planes (1 where s = 0) and the largest s (0 without one).
+    Unlike the integrand's polynomial it holds past s = pi too."""
+    s = np.sqrt(np.maximum(factor_planes(factor, y), 0.0))
+    ratio = np.ones_like(s)
+    np.divide(np.sin(s), s, out=ratio, where=s > 0.0)
+    return np.prod(ratio, axis=0), np.max(s, axis=0, initial=0.0)
+
+
 def skew_kernel(mats):
     """det(sinh X/X) and the top singular value of each skew X (N, n, n)
     through averaging._Factor: one block whose generators are the unit
@@ -262,7 +279,7 @@ def skew_kernel(mats):
     gens = np.zeros((len(i), n, n))
     gens[np.arange(len(i)), i, j] = 1.0
     gens[np.arange(len(i)), j, i] = -1.0
-    half, top = averaging._Factor([gens])(mats[:, i, j])
+    half, top = half_and_top(averaging._Factor([gens], len(i)), mats[:, i, j])
     return half**2, top
 
 
@@ -356,7 +373,8 @@ def test_degenerate_planes_give_exactly_one():
     # Planes with s = 0 exactly: every plane at y = 0, the zero padding of
     # a 2 x 2 block, and the second plane a' - b' of a 4 x 4 block of rank
     # 2 (one rotation plane, a' = b'); an exactly self-dual block has
-    # b' = 0.  None of them may warn of a 0/0.
+    # b' = 0.  None of them may warn, and the integrand's sin(s)/s
+    # (averaging._sin_ratio) is exactly 1 there.
     rng = np.random.default_rng(7)
     p = 3
     two = antisymmetrized(np.triu(rng.standard_normal((p, 2, 2)), 1))
@@ -369,7 +387,10 @@ def test_degenerate_planes_give_exactly_one():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for blocks in ([two], [rank2], [dual], [two, rank2, dual, five]):
-            half, top = averaging._Factor(blocks)(y)
+            u = factor_planes(averaging._Factor(blocks, p), y)
+            assert u.max() < math.pi**2
+            half = np.prod(averaging._sin_ratio(u), axis=0)
+            top = np.sqrt(np.max(u, axis=0))
             assert half[0] == 1.0 and top[0] == 0.0
             mats = [np.einsum("si,iab->sab", y, g) for g in blocks]
             want = np.prod([oracles.sinh_ratio_dets(m) for m in mats], axis=0)
@@ -378,7 +399,7 @@ def test_degenerate_planes_give_exactly_one():
                 top, np.max([svd_top(m) for m in mats], axis=0),
                 rtol=1e-12, atol=1e-15,
             )
-        half, top = averaging._Factor([])(y)
+        half, top = half_and_top(averaging._Factor([], p), y)
     np.testing.assert_array_equal(half, np.ones(len(y)))
     np.testing.assert_array_equal(top, np.zeros(len(y)))
 
@@ -408,8 +429,8 @@ def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
     z = rng.standard_normal((200, k)) * 0.05
     skew = [averaging._skew_stack(rational.float_stack(gens, F(1)), metric)
             for gens, metric in blocks]
-    half, tops = averaging._Factor(skew)(z)
-    want_half, want_tops = averaging._skew_half_dets(
+    half, tops = half_and_top(averaging._Factor(skew, k), z)
+    want_half, want_tops = oracles.skew_half_dets(
         np.einsum("si,iab->sab", z, stack.astype(float))
     )
     assert want_tops.max() < math.pi
@@ -420,7 +441,7 @@ def test_invariant_blocks_of_a_permuted_block_diagonal_stack():
 # The sizes of the whitened D and F blocks of the builtins.
 BUILTIN_BLOCKS = {
     "S3": ([3], [3]), "S2xS3": ([2, 3], [3]),
-    "S2xS2": ([2, 2], []), "S4": ([4], [3, 3]),
+    "S2xS2": ([4], []), "S4": ([4], [3, 3]), "S5": ([5], [10]),
 }
 
 
@@ -433,6 +454,78 @@ def test_integrand_finds_the_invariant_blocks(prepared, name):
     ) == BUILTIN_BLOCKS[name]
     for block in d_blocks + f_blocks:
         np.testing.assert_array_equal(block, -block.transpose(0, 2, 1))
+
+
+def exact_sin_ratio(u):
+    """sin(s)/s at s^2 = u, for a Fraction u in [0, 10], as the Fraction
+    sum of its Taylor series sum_n (-u)^n / (2n+1)! to 1e-40."""
+    total, term, n = F(0), F(1), 0
+    while abs(term) > F(1, 10**40):
+        total += term
+        n += 1
+        term *= -u / ((2 * n) * (2 * n + 1))
+    return total
+
+
+def test_sin_ratio_polynomial_matches_the_exact_series():
+    # 301 floats spread over [0, pi^2] and 100 more in [1/7, 6.1], each
+    # exactly a Fraction: within rounding of sin(s)/s where the ball keeps
+    # points, as np.sin(s)/s is (measured 3.4e-16 up to u = 6 and 1.0e-14
+    # up to the bound, where sin(s)/s is 0.0032, against 4.5e-16 and
+    # 1.3e-14 for np.sin(s)/s).  Past the bound, where no value is used,
+    # the error stays absolute.
+    bound = (math.pi - averaging._MARGIN) ** 2
+    pts = [F(math.pi**2 * k / 300) for k in range(301)]
+    pts += [F(6 * k / 100 + 1 / 7) for k in range(100)]
+    got = averaging._sin_ratio(np.array([float(u) for u in pts]))
+    assert got[0] == 1.0
+    for value, u in zip(got.tolist(), pts):
+        want = exact_sin_ratio(u)
+        err = abs(F(value) - want)
+        if u <= 6:
+            assert err <= F(1, 10**15) * want, float(u)
+        elif u <= bound:
+            assert err <= 2 * F(1, 10**14) * want, float(u)
+        else:
+            assert err <= F(1, 10**16), float(u)
+
+
+@pytest.mark.parametrize("name", ["S2", "S3", "S2xS2", "S4", "S5"])
+def test_ball_boundary_to_a_few_ulps(prepared, name):
+    # Points whose top singular value is pi - _MARGIN times 1 -+ 16 ulps,
+    # along random directions, from an SVD of the whitened blocks: the
+    # ball test on the squared planes keeps the first and rejects the
+    # second, through 2 x 2, 3 x 3 and 4 x 4 planes and eigensolved pairs
+    # (whose top s differs from the SVD's by up to 5 ulps, so 4 ulps are
+    # too few).
+    integrand = averaging._Integrand(prepared[name], averaging._MARGIN)
+    blocks = integrand.blocks[0] + integrand.blocks[1]
+    v = np.random.default_rng(8).standard_normal((50, prepared[name].spec.p))
+    top = np.max([svd_top(np.einsum("si,iab->sab", v, g)) for g in blocks],
+                 axis=0)
+    bound = math.pi - averaging._MARGIN
+    ulps = 16 * np.finfo(float).eps
+    inside, outside = (v * (bound / top * (1 + k * ulps))[:, None]
+                       for k in (-1, 1))
+    assert integrand(inside)[1].all()
+    assert not integrand(outside)[1].any()
+
+
+@pytest.mark.parametrize("name", ["S2", "S3", "S2xS2", "S4", "S5"])
+def test_integrand_stays_finite_far_outside_the_ball(prepared, name):
+    # Monte Carlo points at t = 1e40, where sin(s)/s would need s ~ 1e20:
+    # each plane is clamped to the ball before the polynomial, which would
+    # overflow on it, so every point is rejected without a warning.
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(averaging._sin_ratio(np.array([1e40])))[0]
+    integrand = averaging._Integrand(prepared[name], averaging._MARGIN)
+    y = np.random.default_rng(3).standard_normal((200, prepared[name].spec.p))
+    y *= math.sqrt(2e40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, ok = integrand(y)
+    assert not ok.any()
+    np.testing.assert_array_equal(vals, np.zeros(len(y)))
 
 
 def unit_lower(p):
@@ -633,6 +726,16 @@ def test_grid_where_the_weyl_weight_vanishes_is_reported(prepared):
         hg.numeric_average(prepared["S3"], 0.1, "quadrature", nodes=1)
 
 
+@pytest.mark.parametrize("t", [1e-300, 1e-200, 1e-20])
+def test_weyl_weight_is_taken_at_the_nodes_at_any_time(prepared, t):
+    # J is read off the planes at the scaled points 2 sqrt(t) x, where a
+    # product of S6's six roots would be of order t^6 and underflow; it is
+    # divided back to the nodes x, so the grid keeps its weight.
+    out = hg.numeric_average(prepared["S6"], t, "quadrature", nodes=8)
+    assert out.value == pytest.approx(1.0, abs=1e-12)
+    assert out.singularity_hits == 0
+
+
 def test_largest_node_count_gives_a_finite_value(prepared):
     # 256 is the most quadrature accepts: a 256 x 256 eigensolve, whose
     # outer weights are tiny but finite.
@@ -809,13 +912,14 @@ def test_sample_std_is_numpy_std_bit_for_bit(size):
 
 
 class CountingIntegrand(averaging._Integrand):
-    """The integrand, recording the number of points of every call."""
+    """The integrand, recording the number of points of every plane
+    pass: each Monte Carlo round and each quadrature block."""
 
     calls: list = []
 
-    def __call__(self, y):
+    def planes(self, y):
         self.calls.append(len(y))
-        return super().__call__(y)
+        return super().planes(y)
 
 
 @pytest.fixture
@@ -991,6 +1095,51 @@ def test_numeric_average_matches_the_reference_path(
     assert got.method == want.method == method
 
 
+@pytest.mark.parametrize("method,kw", [
+    ("mc", dict(samples=20_000, seed=5)), ("quadrature", dict(nodes=16)),
+])
+def test_numeric_average_matches_the_reference_path_on_s5(
+    prepared, monkeypatch, method, kw
+):
+    # S5's D (5 x 5) and F (10 x 10) have no closed form: each block's
+    # eigensolved pairs are merged into one array of planes, D's first.
+    # At t = 0.5 the ball rejects some points.
+    prep = prepared["S5"]
+    got = hg.numeric_average(prep, 0.5, method, **kw)
+    if method == "quadrature":
+        want = grid_reference(prep, 0.5, kw["nodes"])
+    else:
+        monkeypatch.setattr(averaging, "_Integrand", ReferenceIntegrand)
+        want = hg.numeric_average(prep, 0.5, method, **kw)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.std_error == pytest.approx(
+        want.std_error, rel=1e-12, abs=1e-12 * abs(want.value)
+    )
+    assert got.singularity_hits == want.singularity_hits > 0
+    assert got.evaluations == want.evaluations
+
+
+def test_quadrature_eigensolves_each_block_once(prepared, monkeypatch):
+    # The Weyl weight comes from the integrand's own planes: S5 at 16
+    # nodes takes one eigensolve of each rule's Jacobi matrix (16 and 12
+    # nodes) and one of each large block (D 5 x 5, F 10 x 10) per grid
+    # block (the 128 and 72 points of the half grids), not a second one
+    # of F for J.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    hg.numeric_average(prepared["S5"], 0.05, "quadrature", nodes=16)
+    assert calls == [
+        (16, 16), (12, 12), (128, 5, 5), (128, 10, 10), (72, 5, 5),
+        (72, 10, 10),
+    ]
+
+
 @pytest.mark.parametrize("name,t", [
     ("S2", 2.0), ("S2xS2", 1.5), ("S3", 2.0), ("S4", 2.0), ("S2xS3", 1.5),
     ("S6", 0.5),
@@ -1102,7 +1251,7 @@ def test_weyl_weight_is_the_product_of_the_positive_roots(prepared, name):
     F_mats = np.array(prep.hol.F_mats.to_fractions(), dtype=float)
     eig = np.abs(np.linalg.eigvals(np.einsum("si,ijk->sjk", omegas, F_mats)))
     want = np.prod(np.sort(eig, axis=1)[:, len(basis):], axis=1)
-    got = integrand.weyl(x)
+    got = integrand.weyl(integrand.planes(x), 1.0)
     assert got[0] == want[0] == 0.0
     np.testing.assert_allclose(got[1:] / want[1:], got[1] / want[1],
                                rtol=1e-10)
@@ -1144,7 +1293,7 @@ def test_structure_matrices_are_beta_antisymmetric(spec):
     omegas = y @ reference.transform.T
     for raw, factor in zip((reference.D, reference.F), integrand.factors):
         x = np.einsum("si,iab->sab", omegas, raw) / 2.0
-        half, tops = factor(y)
+        half, tops = half_and_top(factor, y)
         inside = tops < math.pi
         assert inside.sum() >= 10
         np.testing.assert_allclose(
