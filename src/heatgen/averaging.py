@@ -169,6 +169,13 @@ _MAX_GRID_POINTS = 64**3
 # Monte Carlo limit: 50 times compare's default, and a values vector of
 # 80 MB, the one array that grows with the sample count.
 _MAX_SAMPLES = 10**7
+# Monte Carlo gives up once its draws reach this many per sample asked
+# for, a ball that accepts under 1 % of them: every benchmark request
+# accepts over 96 %, and S4 at t = 10 about 4 %, while S4 at t = 200
+# accepts about 1e-5 and would draw 10^10 times for 10^5 samples.  A
+# refused request costs at most 100 times a well-posed one, and a
+# quadrature average has no such floor.
+_DRAWS_PER_SAMPLE = 100
 # Points per integrand call, Monte Carlo round or quadrature block: every
 # temporary of the factor kernels stays within a core's L2 cache.
 _BLOCK = 8192
@@ -721,11 +728,15 @@ class _NumericAverager:
                 filled += accepted
                 hits += draw - accepted
                 # Give up after 8 * 65536 consecutive rejected draws, or 8
-                # times the samples still missing if fewer: counted in
-                # draws, so the round size does not move the threshold.
+                # times the samples still missing if fewer, or once the
+                # draws reach _DRAWS_PER_SAMPLE per sample: counted in
+                # draws, so the round size does not move either threshold.
                 rejected_run = 0 if accepted else rejected_run + draw
                 missing = self.samples - filled
-                if not accepted and rejected_run >= 8 * min(65536, missing):
+                if missing and (
+                    rejected_run >= 8 * min(65536, missing)
+                    or filled + hits >= _DRAWS_PER_SAMPLE * self.samples
+                ):
                     raise HeatgenError(
                         f"the regularity ball rejects essentially every "
                         f"sample at t={t}; this t is too large for a "

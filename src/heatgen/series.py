@@ -41,6 +41,23 @@ since beta is, so Weyl's integration formula gives the same average over
 a maximal torus t, in r = rank h variables instead of p = dim h: <f>_h =
 <f J>_t / <J>_t with J = prod_{alpha>0} alpha^2 = e_{p-r}(ad), the
 coefficient of F's characteristic polynomial from the same pass.
+
+When the average that runs has one variable, r = 1 (p = 1 over all of
+h, or the rank-one torus of an su(2) holonomy), every trace power is a
+single number times eta^{2m}, and _rank_one_average works on univariate
+series instead: the same whitening and skewness check (_whitened), the
+power sums tr A^{2m} of each family's one integer matrix as Python ints
+(_char_sums: powers of A^2 to d // 2, then Newton's identities and
+Cayley-Hamilton), the Weyl weight e_q of F, and the exponential by the
+classical power-series recurrence (Brent & Kung, J. ACM 25, 1978) in
+the scaled form eps_g = sum_m C(2g-1, 2m-1) lambda_m eps_{g-m}, each
+eps_g an integer over one denominator per grade, reduced once.
+_gaussian_average stays the one path for r >= 2 and the reference at
+r = 1.  TSeries products (the prefactor in invariants.heat_coefficients,
+the convolution of product_factorize) are integer convolutions over one
+lcm of denominators per operand, with one Fraction per output
+coefficient.
+
 integrand_log_expansion returns the same log as an OmegaPolynomial,
 whose dict-of-Fraction exp, the prefactor product
 exponentiate_with_prefactor and averaging.average are kept as the
@@ -63,8 +80,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, factorial, lcm, prod
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 import numpy as np
@@ -158,21 +175,32 @@ class TSeries:
         return self.coeffs[k]
 
     def __mul__(self, other: "TSeries") -> "TSeries":
+        """The Cauchy product to the lower order: each operand's numerators
+        over the lcm of its denominators, integer products, and one
+        Fraction per output coefficient."""
         k = min(self.order, other.order)
-        out = [Fraction(0)] * (k + 1)
-        for i, a in enumerate(self.coeffs[: k + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: k + 1 - i]):
-                if b:
-                    out[i + j] += a * b
-        return TSeries(k, tuple(out))
+        (a, den_a), (b, den_b) = (
+            _over_lcm(x.coeffs[: k + 1]) for x in (self, other)
+        )
+        den = den_a * den_b
+        return TSeries(k, tuple(
+            Fraction(sum(x * b[c - i] for i, x in enumerate(a[: c + 1]) if x),
+                     den)
+            for c in range(k + 1)
+        ))
 
     def eval_float(self, t: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * t + to_float(c)
         return acc
+
+
+def _over_lcm(coeffs) -> tuple[list[int], int]:
+    """(numerators, den): the Fractions coeffs as integers over the lcm of
+    their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def to_float(c: Fraction) -> float:
@@ -636,28 +664,56 @@ def whitened_average(
     the omega-dependent log of the integrand: the exact production
     average, its log and Weyl weight from one power-sum pass.
 
-    It runs over all of h (_gaussian_average with no basis; average_units
-    in r = p variables, q = 0), or, past _TORUS_UNITS of those, over the
-    maximal torus hol.torus (r = rank, q = p - r, the Weyl weight's Gram,
-    Newton and E_g J pairs included) when its units are fewer; both give
-    the same exact coefficients.  The budget holds the units of the
-    average that runs: past it, OrderTooLarge names them, and an order
-    whose least count passes it (_order_gate) is refused at once."""
+    It runs over all of h (no basis; average_units in r = p variables,
+    q = 0), or, past _TORUS_UNITS of those, over the maximal torus
+    hol.torus (r = rank, q = p - r, the Weyl weight's Gram, Newton and
+    E_g J pairs included) when its units are fewer; both give the same
+    exact coefficients.  An average in r = 1 variable runs as univariate
+    series (_rank_one_average), any other as _gaussian_average.  The
+    budget holds the units of the average that runs: past it,
+    OrderTooLarge names them, and an order whose least count passes it
+    (_order_gate) is refused at once."""
     hol = prep.hol
     limit, units = _budget_gate(hol, order, budget)
     if not units:
         return TSeries.constant(1, order)
-    basis, cost, where = None, units, "over all of h"
+    basis, r, cost, where = None, hol.p, units, "over all of h"
     if units > _TORUS_UNITS:
         torus = hol.torus
-        r = len(torus.array)
-        torus_cost = average_units(r, [hol.p, hol.n], order, hol.p - r)
+        rank = len(torus.array)
+        torus_cost = average_units(rank, [hol.p, hol.n], order, hol.p - rank)
         if torus_cost < units:
-            basis, cost = torus, torus_cost
+            basis, r, cost = torus, rank, torus_cost
             where = f"over a maximal torus of rank {r}; {units} over all of h"
     if cost > limit:
         raise _over_budget(str(cost), where, hol.p, order, limit)
-    return _gaussian_average(prep, basis, order)
+    average = _rank_one_average if r == 1 else _gaussian_average
+    return average(prep, basis, order)
+
+
+def _whitened(
+    prep: Prepared, basis: ScaledTensor | None
+) -> tuple[ScaledTensor, ScaledTensor, tuple[Fraction, ...]]:
+    """(d, f, pivots): the generators D and F_mats restricted to the span
+    of the integer rows u_j of basis (r, p), or of all of h when basis is
+    None, and whitened by the factor (L^-1, d) of U beta U^T (of beta
+    itself, spec.beta_ldl, over all of h): D'_k = sum_j (L^-1)_kj D_j(U),
+    D_j(U) = sum_i U_ji D_i, the same for F_mats.  The power sums need
+    them skew for their metric (g for D, beta for F), which check_skew
+    asserts of the raw generators, and so of every combination."""
+    check_skew(prep)
+    hol = prep.hol
+    if basis is None:
+        back, pivots = prep.spec.beta_ldl
+    else:
+        beta = prep.spec.tensors.beta
+        back, pivots = ldl(exact_einsum("ji,ik,lk->jl", basis, beta, basis))
+        back = exact_einsum("jk,ki->ji", back, basis)
+    d, f = (
+        exact_einsum("ji,iab->jab", back, gens).reduced()
+        for gens in (hol.D, hol.F_mats)
+    )
+    return d, f, pivots
 
 
 def _gaussian_average(
@@ -668,32 +724,18 @@ def _gaussian_average(
     of basis (r, p), a maximal torus: <f>_h = <f J>_t / <J>_t for every
     Ad-invariant f, L among them, with the Weyl weight J.
 
-    On t, omega = U^T eta and eta ~ N(0, 2 (U beta U^T)^{-1}).  The
-    generators are restricted, D_j(U) = sum_i U_ji D_i, and whitened by
-    the factor (L^-1, d) of U beta U^T (of beta itself, spec.beta_ldl,
-    over all of h): D'_k = sum_j (L^-1)_kj D_j(U), the same for F_mats.
-    The power sums need them skew for their metric (g for D, beta for F),
-    which check_skew asserts of the raw generators, and so of every
-    combination.  On a torus element H, ad H has r zero eigenvalues
-    and the pairs +-i alpha(H), so J = prod_{alpha>0} alpha(H)^2 =
-    e_q(ad H), q = p - r, from _graded_log beside the log.  Each grade
-    E_g of the exponential, on codes to degree 2 order + q, is multiplied
-    by J (over all of h, J = 1), and eta^{2b} averages to
-    prod_i (2b_i - 1)!! (2/d_i)^{b_i}, read for every grade from one
-    table per variable at the top degree order + q/2."""
-    check_skew(prep)
-    hol, tensors = prep.hol, prep.spec.tensors
-    if basis is None:
-        back, pivots = prep.spec.beta_ldl
-    else:
-        beta = tensors.beta
-        back, pivots = ldl(exact_einsum("ji,ik,lk->jl", basis, beta, basis))
-        back = exact_einsum("jk,ki->ji", back, basis)
-    d, f = (
-        exact_einsum("ji,iab->jab", back, gens).reduced()
-        for gens in (hol.D, hol.F_mats)
-    )
-    r, q = len(pivots), hol.p - len(pivots)
+    On t, omega = U^T eta and eta ~ N(0, 2 (U beta U^T)^{-1}), with the
+    generators restricted and whitened by _whitened.  On a torus element
+    H, ad H has r zero eigenvalues and the pairs +-i alpha(H), so
+    J = prod_{alpha>0} alpha(H)^2 = e_q(ad H), q = p - r, from _graded_log
+    beside the log.  Each grade E_g of the exponential, on codes to
+    degree 2 order + q, is multiplied by J (over all of h, J = 1), and
+    eta^{2b} averages to prod_i (2b_i - 1)!! (2/d_i)^{b_i}, read for every
+    grade from one table per variable at the top degree order + q/2.
+    whitened_average runs it for r >= 2; at r = 1 it is the reference of
+    _rank_one_average."""
+    d, f, pivots = _whitened(prep, basis)
+    r, q = len(pivots), prep.hol.p - len(pivots)
     codes = _monomial_codes(r, 2 * order + q)
     log, weight = _graded_log(d, f, order, codes, q)
     grades = _graded_exp(log, codes)
@@ -737,6 +779,93 @@ def _gaussian_average(
         Fraction(total * dens[0], den * totals[0])
         for total, den in zip(totals, dens)
     ))
+
+
+def _char_sums(a: np.ndarray, top: int) -> tuple[list[int], list[int]]:
+    """(s, e) of a d x d integer matrix A, skew for some metric, as Python
+    ints: s[m] = tr A^{2m} for m = 1..max(top, d // 2) (s[0] = d), and
+    e[j] = e_{2j}, j = 0..d // 2, the coefficients of its characteristic
+    polynomial sum_j e_{2j} lambda^{d-2j}.  The first d // 2 power sums
+    are traces of the powers of A^2; Newton's identities give e (exact
+    integer division) and Cayley-Hamilton every later s_m = -sum_{j>=1}
+    e_{2j} s_{m-j}."""
+    a = a.astype(object)
+    half = len(a) // 2
+    s, e = [len(a)], [1]
+    square = a @ a
+    for m, power in enumerate(accumulate(repeat(square, half), np.matmul), 1):
+        s.append(int(np.trace(power)))
+        e.append(-sum(e[j] * s[m - j] for j in range(m)) // (2 * m))
+    for m in range(half + 1, top + 1):
+        s.append(-sum(e[j] * s[m - j] for j in range(1, half + 1)))
+    return s, e
+
+
+def _rank_one_average(
+    prep: Prepared, basis: ScaledTensor | None, order: int
+) -> TSeries:
+    """<exp(L)> in one whitened variable eta ~ N(0, 2/d): over all of h
+    when p = 1 (basis None), else over the rank-one torus spanned by the
+    row of basis, with the Weyl weight J of degree q = p - 1 (as in
+    _gaussian_average, whose coefficients it equals).
+
+    _whitened leaves each family one integer matrix over a denominator,
+    A_D / den_D and A_F / den_F, so tr X(eta)^{2m} = s_m eta^{2m} /
+    den^{2m} with s_m = tr A^{2m} (_char_sums), grade m of the log is
+    l_m eta^{2m}, l_m = c_m (s^F_m / den_F^{2m} - s^D_m / den_D^{2m})
+    / (2 4^m), and J = e_q(A_F) eta^q / den_F^q.  So a_g = <E_g eta^{2g}
+    J> / <J> = E_g (2/d)^g (2g+q-1)!!/(q-1)!!, E_g the exponential's
+    grades, g E_g = sum_m m l_m E_{g-m}.
+
+    With den = lcm(den_D, den_F), E_g = eps_g / ((2g)! (4 den^2)^g),
+    where eps_0 = 1 and eps_g = sum_{m=1..g} C(2g-1, 2m-1) lambda_m
+    eps_{g-m}, lambda_m = (2m)! c_m S_m / 2 = (-1)^{m-1} T_m S_m /
+    (2 (4^m - 1)), T_m a tangent number and S_m = s^F_m (den/den_F)^{2m}
+    - s^D_m (den/den_D)^{2m} an integer.  Each eps_g is an integer over
+    one denominator, the lcm of its products' denominators, reduced once
+    per grade; C(2g-1, .) is Pascal's row."""
+    d, f, (pivot,) = _whitened(prep, basis)
+    q = prep.hol.p - 1
+    s_f, e_f = _char_sums(f.array[0], order)
+    s_d, _ = _char_sums(d.array[0], order)
+    # <J> = e_q(A_F) / den_F^q (q-1)!! (2/d)^{q/2}.
+    mean = Fraction(e_f[q // 2], f.denom**q) * prod(range(q - 1, 0, -2)) \
+        * (2 / pivot) ** (q // 2)
+    if mean <= 0:
+        raise InternalInconsistency(
+            f"the Weyl weight of the torus has the average "
+            f"{mean.numerator}/{mean.denominator}, not a positive number"
+        )
+    den = lcm(d.denom, f.denom)
+    up_f, up_d = (den // f.denom) ** 2, (den // d.denom) ** 2
+    sums = [s_f[m] * up_f**m - s_d[m] * up_d**m for m in range(order + 1)]
+    # The tangent numbers run to the last S_m that is not 0; S3's log
+    # vanishes, and so every grade of its exponential.
+    top = max((m for m, x in enumerate(sums) if m and x), default=0)
+    lams = {
+        m: Fraction((-1) ** (m - 1) * t * sums[m], 2 * (4**m - 1))
+        for m, t in enumerate(_tangent_numbers(top), 1) if sums[m]
+    }
+    if not lams:
+        return TSeries.constant(1, order)
+    nums, dens, row = [1], [1], [1]
+    for g in range(1, order + 1):
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]  # 2g - 1
+        parts = {m: lam.denominator * dens[g - m]
+                 for m, lam in lams.items() if m <= g and nums[g - m]}
+        common = lcm(*parts.values())
+        num = sum(row[2 * m - 1] * lams[m].numerator * nums[g - m]
+                  * (common // part) for m, part in parts.items())
+        shared = gcd(num, common)
+        nums.append(num // shared)
+        dens.append(common // shared)
+        row = [1] + [x + y for x, y in zip(row, row[1:])] + [1]  # 2g
+    # a_g = eps_g prod_{i<=g} (q + 2i - 1) / ((2i - 1) 4i den^2 d).
+    coeffs, scale = [Fraction(1)], Fraction(1)
+    for g in range(1, order + 1):
+        scale *= Fraction(q + 2 * g - 1, (2 * g - 1) * 4 * g * den**2) / pivot
+        coeffs.append(Fraction(nums[g], dens[g]) * scale)
+    return TSeries(order, tuple(coeffs))
 
 
 def integrand_log_expansion(

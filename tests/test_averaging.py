@@ -942,6 +942,18 @@ def test_mc_abort_counts_rejected_draws(prepared, monkeypatch, counting,
     assert max(counting) <= averaging._BLOCK
 
 
+def test_mc_gives_up_once_its_draws_per_sample_are_spent(prepared,
+                                                        counting):
+    # S4 at t = 50 accepts about 5e-4 of its draws, too many for the
+    # consecutive rule: 10^5 samples would take 2e8 draws.  The round
+    # that reaches 100 draws per sample is the last.
+    with pytest.raises(hg.HeatgenError, match="rejects essentially every"):
+        hg.numeric_average(prepared["S4"], 50.0, method="mc",
+                           samples=100_000, seed=0)
+    cap = averaging._DRAWS_PER_SAMPLE * 100_000
+    assert cap <= sum(counting) < cap + averaging._BLOCK
+
+
 @pytest.mark.parametrize("name", ["S2", "S2xS2", "S3"])
 @pytest.mark.parametrize("nodes", [7, 12])
 def test_quadrature_counts_every_rejected_point(prepared, monkeypatch, name,

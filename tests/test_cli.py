@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -566,6 +567,16 @@ def test_compare_time_beyond_the_float_range(capsys, argv, code):
     assert got == code
     assert "Traceback" not in err
     assert out.count("[FAIL]") == 2 * code
+
+
+def test_eval_mc_where_the_ball_accepts_almost_nothing_exits_one(capsys):
+    # S4 accepts about 4e-6 of its draws at t = 280: the request is
+    # refused, after at most 100 draws per sample, within seconds.
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "S4", "--t", "280", "--method", "mc")
+    assert code == 1
+    assert "rejects essentially every sample" in err
+    assert time.perf_counter() - start < 20
 
 
 def test_compare_negative_time_exits_two(capsys):

@@ -389,6 +389,17 @@ def test_odd_sphere_oracle_values():
                                                    F(5408, 21))
 
 
+def test_rank_one_high_orders_match_the_sphere_oracles():
+    # S3 at order 1024 runs on its rank-one torus, S2 at order 200 in its
+    # one variable: univariate series over one denominator per grade and
+    # the integer prefactor product.  two_sphere_series, a Fraction
+    # double loop, takes about a second at order 200.
+    s3 = hg.heat_coefficients(hg.builtin("S3"), 1024).coeffs
+    assert s3 == oracles.odd_sphere_series(3, 1024)
+    s2 = hg.heat_coefficients(hg.builtin("S2"), 200).coeffs
+    assert s2 == oracles.two_sphere_series(200)
+
+
 GILKEY_A3 = {
     "S2": F(4, 315), "S3": F(1, 6), "S4": F(74, 63), "S5": F(16, 3),
     "S6": F(1139, 63), "S2xS2": F(22, 315), "S2xS3": F(26, 63),

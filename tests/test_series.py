@@ -132,6 +132,38 @@ def test_tseries_mul_truncates_to_min_order():
     assert prod.coeffs == (F(1), F(3), F(5))
 
 
+def _cauchy_product(a, b):
+    """The Fraction double loop that TSeries.__mul__ replaced."""
+    k = min(len(a), len(b)) - 1
+    out = [F(0)] * (k + 1)
+    for i in range(k + 1):
+        for j in range(k + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return tuple(out)
+
+
+_DIGITS_1000 = st.integers(10**999, 10**1000 - 1)
+_COEFFS = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(lambda sign, num, den: F(sign * num, den),
+              st.sampled_from([-1, 1]), _DIGITS_1000,
+              st.one_of(st.integers(1, 10**6), _DIGITS_1000)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(_COEFFS, min_size=1, max_size=10),
+       b=st.lists(_COEFFS, min_size=1, max_size=10))
+def test_tseries_product_equals_the_fraction_double_loop(a, b):
+    # Zeros, unequal orders and numerators of 1000 digits: the integer
+    # convolution over one lcm per operand gives the same Fractions.
+    got = hg.TSeries(len(a) - 1, tuple(a)) * hg.TSeries(len(b) - 1, tuple(b))
+    assert got.order == min(len(a), len(b)) - 1
+    assert got.coeffs == _cauchy_product(a, b)
+    assert all(type(c) is F for c in got.coeffs)
+
+
 def test_tseries_eval_float():
     t = hg.TSeries(2, (F(1), F(1, 2), F(1, 4)))
     assert t.eval_float(2.0) == pytest.approx(1 + 1 + 1)
@@ -661,6 +693,90 @@ def test_torus_average_equals_the_dense_one_on_moved_spaces(spec):
     assert torus == series._gaussian_average(prep, None, 3)
 
 
+# ---------------------------------------------------------------------------
+# The rank-one average: univariate series over one denominator per grade
+# ---------------------------------------------------------------------------
+
+
+def test_rank_one_average_equals_the_multivariate_one(prepared):
+    # S2 has p = 1 and averages over all of h; S3 takes its rank-one
+    # torus from order 7.
+    s2, s3 = prepared["S2"], prepared["S3"]
+    for order in range(41):
+        assert series._rank_one_average(s2, None, order) == \
+            series._gaussian_average(s2, None, order)
+    torus = s3.hol.torus
+    for order in range(7, 33):
+        assert series._rank_one_average(s3, torus, order) == \
+            series._gaussian_average(s3, torus, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=oracles.moved_spaces(bases=("S2",), mixed=True))
+def test_rank_one_average_equals_the_multivariate_one_on_moved_spaces(spec):
+    # A moved datum whitens to one generator over a denominator that is
+    # in general not 1, with a pivot that is not 1.
+    prep = hg.prepare(spec)
+    for order in (1, 2, 7):
+        assert series._rank_one_average(prep, None, order) == \
+            series._gaussian_average(prep, None, order)
+
+
+@pytest.mark.parametrize("num,den", [(2, 1), (3, 2)])
+def test_rank_one_torus_average_of_a_log_that_does_not_vanish(prepared, num,
+                                                              den):
+    # On S3, D and F have one spectrum and the log vanishes.  D scaled by
+    # num/den is still g-skew, and its log runs through the exponential
+    # beside the Weyl weight of degree 2, over the lcm of two
+    # denominators.
+    prep = prepared["S3"]
+    d = prep.hol.D
+    hol = types.SimpleNamespace(
+        p=prep.hol.p, F_mats=prep.hol.F_mats,
+        D=rational.ScaledTensor(d.array * num, d.denom * den),
+    )
+    scaled = types.SimpleNamespace(spec=prep.spec, hol=hol)
+    torus = prep.hol.torus
+    for order in (1, 5, 12):
+        got = series._rank_one_average(scaled, torus, order)
+        assert got == series._gaussian_average(scaled, torus, order)
+        assert any(got.coeffs[1:])
+
+
+def test_weyl_weight_that_is_not_positive_is_refused(prepared, monkeypatch):
+    # A negated pivot makes <J> = e_2 (2/d) negative on S3's torus.
+    ldl = series.ldl
+
+    def negated(a):
+        back, pivots = ldl(a)
+        return back, tuple(-x for x in pivots)
+
+    monkeypatch.setattr(series, "ldl", negated)
+    prep = prepared["S3"]
+    for average in (series._rank_one_average, series._gaussian_average):
+        with pytest.raises(hg.InternalInconsistency,
+                           match="not a positive number"):
+            average(prep, prep.hol.torus, 7)
+
+
+@pytest.mark.parametrize("name,order,rank_one", [
+    ("S2", 6, True), ("S3", 6, False), ("S3", 7, True), ("S2xS2", 6, False),
+    ("S4", 4, False),
+])
+def test_whitened_average_runs_the_rank_one_path_at_rank_one(
+    prepared, monkeypatch, name, order, rank_one
+):
+    ran = []
+    for fn in ("_rank_one_average", "_gaussian_average"):
+        def spy(*args, _fn=fn, _average=getattr(series, fn)):
+            ran.append(_fn)
+            return _average(*args)
+
+        monkeypatch.setattr(series, fn, spy)
+    hg.whitened_average(prepared[name], order)
+    assert ran == ["_rank_one_average" if rank_one else "_gaussian_average"]
+
+
 def _elementary_symmetric(a, k):
     """e_k of a Fraction matrix: the sum of its principal k x k minors."""
     return sum(
@@ -711,6 +827,8 @@ def test_average_refuses_generators_that_are_not_skew(prepared, family):
     for basis in (None, prep.hol.torus):
         with pytest.raises(hg.InternalInconsistency, match="not skew"):
             series._gaussian_average(broken, basis, 2)
+    with pytest.raises(hg.InternalInconsistency, match="not skew"):
+        series._rank_one_average(broken, prep.hol.torus, 2)
 
 
 def _count_torus_builds(monkeypatch):
