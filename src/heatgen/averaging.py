@@ -27,19 +27,25 @@ eigenspaces of the self-adjoint commutant.  That separates the simple
 ideals of F (S4's so(4) into two 3 x 3 blocks) and the de Rham factors
 of D in any basis.  The blocks up to 4 x 4 are compiled into rotation
 planes (_Factor), kept squared, u = s^2: one projection product for both
-factors gives each plane's u as the sum of squares of a row triple (a
-4 x 4 block's two planes from two triples and one sqrt), and a larger
-block gives its eigenvalue pairs of -X^2, one batched symmetric
-eigensolve each.  The ball is max u < (pi - _MARGIN)^2, and
-sin(s)/s = (1 - u/pi^2) P(u) with P a fitted polynomial (_sin_ratio), so
-a plane costs no sin, no sqrt and no division; u is clamped to the ball
-first, so a point far outside stays finite.  The half-determinant
-sqrt(det(sinh X/X)) is the product of sin(s)/s over the planes.  The
-integrand depends on t only through the scale of its points, so one
-serves a whole compare grid.  Both methods call it on blocks of at most
-_BLOCK points, whose temporaries stay within a core's L2 cache.  Monte
-Carlo draws rounds of that size; the generator fills rows in stream
-order, so the samples do not depend on it.
+factors gives each plane's u as the square of one row (a 2 x 2 block)
+or the sum of squares of a row triple (a 3 x 3 block; a 4 x 4 block's
+two planes from two triples and one sqrt), and a larger block gives its
+eigenvalue pairs of -X^2, one batched symmetric eigensolve each.  A
+block of one plane has the exact form K_ij = -1/2 tr(G_i G_j), u =
+omega^T K omega; a D block and an F block of equal forms have equal
+planes at every point, so their sin(s)/s cancel in the ratio, and the
+pair's plane is projected once, from D's rows, for the ball and the
+Weyl weight alone (S3's integrand is 1 inside the ball).  The ball is
+max u < (pi - _MARGIN)^2, and sin(s)/s = (1 - u/pi^2) P(u) with P a
+fitted polynomial (_sin_ratio), so a plane costs no sin, no sqrt and no
+division; u is clamped to the ball first, so a point far outside stays
+finite.  The half-determinant sqrt(det(sinh X/X)) is the product of
+sin(s)/s over the planes.  The integrand depends on t only through the
+scale of its points, so one serves a whole compare grid.  Both methods
+call it on blocks of at most _BLOCK points, whose temporaries stay
+within a core's L2 cache.  Monte Carlo draws rounds of that size; the
+generator fills rows in stream order, so the samples do not depend on
+it.
 
 The integrand is Ad(H)-invariant and so is its Gaussian, so Weyl's
 integration formula gives its average over h as one over a maximal
@@ -84,6 +90,7 @@ from .errors import HeatgenError, check_time
 from .rational import (
     Matrix,
     ScaledTensor,
+    exact_einsum,
     float_stack,
     invariant_split,
     near_unit,
@@ -235,27 +242,34 @@ def _skew_stack(gens: np.ndarray, metric: ScaledTensor) -> np.ndarray:
     return (out - out.transpose(0, 2, 1)) / 2.0
 
 
-def _plane_sums(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The sum of squares of each row triple of rows @ y^T, (len(rows) //
-    3, N), for points y (N, dim): one product for the whole batch."""
+def _squares(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(rows @ y^T)^2, (len(rows), N): every projection row at the points
+    y (N, dim), squared, from one product for the whole batch."""
     x = rows @ y.T
     x *= x
-    u = x[0::3] + x[1::3]
-    u += x[2::3]
-    return u
+    return x
+
+
+def _plane_form(gens: ScaledTensor) -> ScaledTensor:
+    """The exact form K_ij = -1/2 tr(G_i G_j), (k, k), of a block of one
+    plane, d <= 3, whose stack (k, d, d) is skew for some metric: X =
+    sum_i omega_i G_i is similar to a skew A, and tr X^2 = tr A^2 = -2 s^2,
+    so s^2 = omega^T K omega.  The trace does not see the metric, nor the
+    similarity that whitens the block."""
+    return exact_einsum("iab,jba->ij", gens, gens).scale(Fraction(-1, 2))
 
 
 class _Factor:
-    """One factor of the integrand, D or F, compiled from its whitened
-    skew blocks (dim, d, d): at points y (N, dim) it gives the squares
-    u = s^2 of the rotation planes of X(y) = sum_l y_l G_l, each plane
-    once (its s is one of an equal pair of singular values).
+    """Blocks of one factor, D or F, compiled from their whitened skew
+    stacks (dim, d, d): at points y (N, dim) it gives the squares u = s^2
+    of the rotation planes of X(y) = sum_l y_l G_l, each plane once (its
+    s is one of an equal pair of singular values).
 
     A block of size 4 or less has its planes in closed form, from at
-    most six linear functions of y, the projection rows (three a plane):
+    most six linear functions of y, the projection rows:
 
-    - d <= 3: one plane, u = sum_{i<j} x_ij^2, from three rows, the upper
-      entries x_ij padded with zero rows.
+    - d = 2: one plane, u = x01^2, from one row.
+    - d = 3: one plane, u = x01^2 + x02^2 + x12^2, from a row triple.
     - d = 4: so(4) = so(3) + so(3).  The norms a and b of the self-dual
       and anti-self-dual parts, (x01 + x23, x02 - x13, x03 + x12) and
       (x01 - x23, x02 + x13, x03 - x12), are s_1 + s_2 and |s_1 - s_2|
@@ -264,10 +278,11 @@ class _Factor:
       the planes are u_sd + u_asd +- 2 sqrt(u_sd u_asd): one sqrt a pair.
 
     rows stacks the triples row-major, the 4 x 4 blocks' self-dual ones
-    first, then their anti-self-dual ones, then the smaller blocks';
-    _plane_sums sums each triple's squares, and planes finishes them.
-    Blocks of size 5 or more (eigen) take one symmetric eigensolve each.
-    count is the number of planes, 0 for a factor with no block.
+    first, then their anti-self-dual ones, then the 3 x 3 blocks', and
+    after the triples the 2 x 2 blocks' single rows; planes finishes
+    them from the squared rows (_squares).  Blocks of size 5 or more
+    (eigen) take one symmetric eigensolve each.  count is the number of
+    planes, 0 for a factor with no block.
     """
 
     def __init__(self, blocks: list[np.ndarray], dim: int):
@@ -279,41 +294,47 @@ class _Factor:
         ]
         rows = [(left + right).T / 2.0 for left, right in fours]
         rows += [(left - right).T / 2.0 for left, right in fours]
-        for g in blocks:
-            if g.shape[-1] <= 3:
-                upper = np.zeros((3, len(g)))
-                i, j = np.triu_indices(g.shape[-1], 1)
-                upper[: len(i)] = g[:, i, j].T
-                rows.append(upper)
+        rows += [g[:, [0, 0, 1], [1, 2, 2]].T
+                 for g in blocks if g.shape[-1] == 3]
+        self.triples = len(rows)
+        rows += [g[:, 0, 1][None] for g in blocks if g.shape[-1] == 2]
         self.rows = np.concatenate(rows) if rows else np.zeros((0, dim))
         self.fours = len(fours)
         self.eigen = [g for g in blocks if g.shape[-1] >= 5]
-        self.count = len(self.rows) // 3 + sum(
-            g.shape[-1] // 2 for g in self.eigen
-        )
+        self.closed = len(self.rows) - 2 * self.triples
+        self.count = self.closed + sum(g.shape[-1] // 2 for g in self.eigen)
 
-    def planes(self, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """u of every plane at the points y, (count, N), from the triple
-        sums of rows at y, which are overwritten: the closed-form planes,
-        then each eigensolved block's.  The eigenvalues of -X^2 = X^T X
-        are the s_j^2, ascending, in equal pairs after a zero when d is
-        odd; one of each pair is a plane."""
+    def planes(self, x: np.ndarray, y: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """u of every plane at the points y, (count, N), written into out
+        when given, from x, the squares of rows at y: each triple's sum
+        and each single row, the 4 x 4 pairs finished, then each
+        eigensolved block's.  The eigenvalues of -X^2 = X^T X are the
+        s_j^2, ascending, in equal pairs after a zero when d is odd; one
+        of each pair is a plane."""
+        if out is None:
+            out = np.empty((self.count, len(y)))
+        n = self.triples
+        if n:
+            np.add(x[0 : 3 * n : 3], x[1 : 3 * n : 3], out=out[:n])
+            out[:n] += x[2 : 3 * n : 3]
+        out[n : self.closed] = x[3 * n :]
         if self.fours:
-            a, b = u[: self.fours], u[self.fours : 2 * self.fours]
+            a, b = out[: self.fours], out[self.fours : 2 * self.fours]
             cross = a * b
             np.sqrt(cross, out=cross)
             cross += cross
             total = a + b
             np.add(total, cross, out=a)
             np.subtract(total, cross, out=b)
-        if not self.eigen:
-            return u
-        pairs = []
+        start = self.closed
         for gens in self.eigen:
             d = gens.shape[-1]
             mats = (y @ gens.reshape(len(gens), -1)).reshape(len(y), d, d)
-            pairs.append(np.linalg.eigvalsh(-(mats @ mats))[:, d % 2 :: 2].T)
-        return np.concatenate([u, *pairs])
+            pairs = np.linalg.eigvalsh(-(mats @ mats))[:, d % 2 :: 2]
+            out[start : start + d // 2] = pairs.T
+            start += d // 2
+        return out
 
 
 class _Integrand:
@@ -346,13 +367,24 @@ class _Integrand:
     keeps every float in range; a point then costs r multiply-adds per
     projection row, not p.
 
+    Each F block of one plane is paired, in exact arithmetic, with a D
+    block of one plane whose form (_plane_form) is equal: D and F share
+    the map from y to omega and its scale, so the two planes are equal
+    at every point, and the pair's sin(s)/s cancels in the ratio (S3,
+    S2xS3's S3 factor: h and m carry one representation).  The pair's
+    plane is projected once, from D's rows, and enters the ball and the
+    Weyl weight alone.
+
     blocks holds the whitened stacks of the D blocks and of the F
-    blocks, and factors the two compiled from them (_Factor).  Both
-    factors' rows form one projection, so a batch of points costs one
-    product, and planes gives the squared planes u of both, D's split
-    first.  The value is prod_F sin(s)/s / prod_D sin(s)/s, the square
-    root of det(sinh X_F/X_F) / det(sinh X_D/X_D), and a point is kept
-    when max u < (pi - margin)^2, the ball (values).
+    blocks, and factors the three compiled from them (_Factor): D's
+    unpaired blocks, F's unpaired blocks and the pairs.  Their rows form
+    one projection, so a batch of points costs one product, and planes
+    gives the squared planes u of all three in that order: D's split
+    first, F's own up to shared, the pairs' after.  The value is
+    prod_F sin(s)/s / prod_D sin(s)/s over the unpaired planes, the
+    square root of det(sinh X_F/X_F) / det(sinh X_D/X_D), and a point is
+    kept when max u < (pi - margin)^2 over every plane, the ball
+    (values).
     """
 
     def __init__(self, prep: Prepared, margin: float,
@@ -372,8 +404,9 @@ class _Integrand:
         else:
             chol = np.linalg.cholesky(basis @ beta @ basis.T)
             root = basis.T @ np.linalg.inv(chol).T / 2.0
+        dim = len(root.T)
         # Positive roots of h on the torus: each is one plane of F.
-        self.roots = (hol.p - len(root.T)) // 2
+        self.roots = (hol.p - dim) // 2
 
         def whitened(gens, metric):
             skew = _skew_stack(float_stack(gens, shrink), metric)
@@ -382,28 +415,51 @@ class _Integrand:
         self.blocks = tuple(
             [whitened(*block) for block in split] for split in splits
         )
-        self.factors = tuple(
-            _Factor(blocks, len(root.T)) for blocks in self.blocks
+        d_forms, f_forms = (
+            [(k, _plane_form(gens)) for k, (gens, metric) in enumerate(split)
+             if len(metric.array) <= 3]
+            for split in splits
+        )
+        paired: dict[int, int] = {}  # D block -> its F block
+        for j, form in f_forms:
+            match = next((i for i, other in d_forms
+                          if i not in paired and form.equals(other)), None)
+            if match is not None:
+                paired[match] = j
+        d_blocks, f_blocks = self.blocks
+        self.factors = (
+            _Factor([b for i, b in enumerate(d_blocks) if i not in paired],
+                    dim),
+            _Factor([b for j, b in enumerate(f_blocks)
+                     if j not in paired.values()], dim),
+            _Factor([d_blocks[i] for i in paired], dim),
         )
         self.rows = np.concatenate([f.rows for f in self.factors])
         self.split = self.factors[0].count
+        self.shared = self.split + self.factors[1].count
+        self.count = self.shared + self.factors[2].count
 
     def planes(self, y: np.ndarray) -> np.ndarray:
-        """u = s^2 of every rotation plane of X_D(y) and X_F(y), (planes,
-        N), the split planes of D first."""
-        u = _plane_sums(self.rows, y)
-        d, f = self.factors
-        n = len(d.rows) // 3
-        parts = d.planes(u[:n], y), f.planes(u[n:], y)
-        return np.concatenate(parts) if d.eigen or f.eigen else u
+        """u = s^2 of every rotation plane of X_D(y) and X_F(y), (count,
+        N): D's unpaired planes first, F's up to shared, the pairs'
+        after."""
+        x = _squares(self.rows, y)
+        u = np.empty((self.count, len(y)))
+        row = plane = 0
+        for factor in self.factors:
+            rows, planes = len(factor.rows), factor.count
+            factor.planes(x[row : row + rows], y, u[plane : plane + planes])
+            row, plane = row + rows, plane + planes
+        return u
 
     def values(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(values, acceptance mask) at the points whose planes are u;
         rejected rows hold 0.  Inside the ball every sin(s)/s is
         positive; u is clamped to it before the polynomial (_sin_ratio),
-        so a point far outside stays finite."""
+        so a point far outside stays finite.  The pairs' planes count in
+        the ball only."""
         ok = np.max(u, axis=0, initial=0.0) < self.ball
-        ratio = _sin_ratio(np.minimum(u, self.ball))
+        ratio = _sin_ratio(np.minimum(u[: self.shared], self.ball))
         num = np.prod(ratio[self.split :], axis=0)
         den = np.prod(ratio[: self.split], axis=0)
         return np.divide(num, den, out=np.zeros(len(ok)), where=ok), ok
@@ -418,10 +474,11 @@ class _Integrand:
         have the planes u.  X_F(y) is ad(omega)/2 up to a similarity,
         whose eigenvalues are +-i alpha(omega)/2 and r zeros, so its
         roots nonzero planes are the positive roots: J is the product of
-        the roots largest u of F, the others being zero up to rounding
-        (a u that rounds below zero counts as zero), each divided by
-        scale^2, so that J is taken at x and does not under- or overflow
-        with t.  J vanishes at the origin and on every root hyperplane."""
+        the roots largest u of F, its own and the pairs', the others
+        being zero up to rounding (a u that rounds below zero counts as
+        zero), each divided by scale^2, so that J is taken at x and does
+        not under- or overflow with t.  J vanishes at the origin and on
+        every root hyperplane."""
         f = u[self.split :]
         if len(f) > self.roots:
             f = np.partition(f, len(f) - self.roots, axis=0)
@@ -728,13 +785,14 @@ class _NumericAverager:
                 filled += accepted
                 hits += draw - accepted
                 # Give up after 8 * 65536 consecutive rejected draws, or 8
-                # times the samples still missing if fewer, or once the
-                # draws reach _DRAWS_PER_SAMPLE per sample: counted in
-                # draws, so the round size does not move either threshold.
+                # times the samples asked for if fewer, or once the draws
+                # reach _DRAWS_PER_SAMPLE per sample: counted in draws, so
+                # the round size does not move either threshold.  Not the
+                # samples still missing: the last rounds are that small,
+                # and a few rejected ones would end a run that was fine.
                 rejected_run = 0 if accepted else rejected_run + draw
-                missing = self.samples - filled
-                if missing and (
-                    rejected_run >= 8 * min(65536, missing)
+                if filled < self.samples and (
+                    rejected_run >= 8 * min(65536, self.samples)
                     or filled + hits >= _DRAWS_PER_SAMPLE * self.samples
                 ):
                     raise HeatgenError(

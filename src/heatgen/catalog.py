@@ -94,18 +94,29 @@ def product_spec(name: str, left: SpaceSpec, right: SpaceSpec) -> SpaceSpec:
     return SpaceSpec(name, *_direct_sum(*fields))
 
 
+def builtin_fields(name: str) -> tuple | None:
+    """(n, p, g, beta, E), SpaceSpec's fields, of the builtin sphere or
+    product with the given name, None for any other name: builtin builds
+    from them, and invariants.compare tests a datum against them without
+    building and checking a second SpaceSpec."""
+    if name in _SPHERES:
+        return _sphere_fields(int(name[1:]))
+    if name in PRODUCT_FACTORS:
+        # The factors' fields alone: each factor is not built and checked.
+        a, b = (_sphere_fields(int(x[1:])) for x in PRODUCT_FACTORS[name])
+        return _direct_sum(a, b)
+    return None
+
+
 def builtin(name: str) -> SpaceSpec:
     """Return the builtin curvature datum with the given name.
 
     Sphere names are S2..S6, products S2xS2 and S2xS3, and flat spaces may
     be written flat(3) or flat3.
     """
-    if name in _SPHERES:
-        return _sphere_spec(int(name[1:]), name)
-    if name in PRODUCT_FACTORS:
-        # The factors' fields alone: each factor is not built and checked.
-        a, b = (_sphere_fields(int(x[1:])) for x in PRODUCT_FACTORS[name])
-        return SpaceSpec(name, *_direct_sum(a, b))
+    fields = builtin_fields(name)
+    if fields is not None:
+        return SpaceSpec(name, *fields)
     m = _FLAT_RE.match(name)
     if m:
         digits = (m.group(1) or m.group(2)).lstrip("0")

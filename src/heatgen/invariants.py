@@ -281,7 +281,12 @@ def compare(
     parsed = _parsed(spec)
     factors = _catalog.PRODUCT_FACTORS.get(parsed.name)
     sphere_n = _catalog.sphere_dimension(parsed.name)
-    if (factors or sphere_n) and parsed != _catalog.builtin(parsed.name):
+    # The datum's fields against the builtin's: SpaceSpec's equality,
+    # without building and checking a second SpaceSpec.
+    fields = (parsed.n, parsed.p, parsed.g, parsed.beta, parsed.E)
+    if (factors or sphere_n) and fields != _catalog.builtin_fields(
+        parsed.name
+    ):
         factors = sphere_n = None
     for t in t_grid:
         check_time(t)

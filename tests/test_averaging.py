@@ -254,7 +254,7 @@ def rotation_blocks(thetas, n, rng=None):
 def factor_planes(factor, y):
     """The squared planes u of one compiled factor at the points y, from
     its own projection rows."""
-    return factor.planes(averaging._plane_sums(factor.rows, y), y)
+    return factor.planes(averaging._squares(factor.rows, y), y)
 
 
 def half_and_top(factor, y):
@@ -954,6 +954,19 @@ def test_mc_gives_up_once_its_draws_per_sample_are_spent(prepared,
     assert cap <= sum(counting) < cap + averaging._BLOCK
 
 
+@pytest.mark.parametrize("t", [5.0, 10.0])
+def test_mc_answers_a_ball_that_accepts_a_share_of_its_draws(prepared,
+                                                             counting, t):
+    # S4 accepts about 18 % of its draws at t = 5 and 4 % at t = 10.  The
+    # last rounds are as small as the samples still missing, a few draws
+    # each, and a few of them rejected in a row are no reason to give
+    # up: the consecutive rule counts against the samples asked for.
+    out = hg.numeric_average(prepared["S4"], t, method="mc", seed=0)
+    assert out.evaluations == 100_000 + out.singularity_hits == sum(counting)
+    assert out.singularity_hits > 4 * 100_000
+    assert min(counting) < 8
+
+
 @pytest.mark.parametrize("name", ["S2", "S2xS2", "S3"])
 @pytest.mark.parametrize("nodes", [7, 12])
 def test_quadrature_counts_every_rejected_point(prepared, monkeypatch, name,
@@ -1068,6 +1081,22 @@ class ReferenceIntegrand:
         return vals, ok
 
 
+class MovedReference(ReferenceIntegrand):
+    """The reference integrand in orthonormal frames, for moved data: D is
+    g-skew and F beta-skew, so with g = C C^T the matrices C^T D C^-T are
+    skew, and so are F's with beta's factor.  The raw SVD ball depends on
+    the basis (test_numeric_average_does_not_depend_on_the_tangent_basis),
+    and the raw determinants of matrices that are only similar to skew
+    ones lose digits near the ball's edge."""
+
+    def __init__(self, prep, margin, basis=None):
+        super().__init__(prep, margin, basis)
+        c = np.linalg.cholesky(np.array(prep.spec.g, dtype=float))
+        self.D = c.T @ self.D @ np.linalg.inv(c).T
+        c = np.linalg.cholesky(np.array(prep.spec.beta, dtype=float))
+        self.F = c.T @ self.F @ np.linalg.inv(c).T
+
+
 def grid_reference(prep, t, nodes):
     """The quadrature that numeric_average runs, summed over the whole
     grid with the reference integrand: on the maximal torus, or over all
@@ -1129,6 +1158,131 @@ def test_numeric_average_matches_the_reference_path_on_s5(
     )
     assert got.singularity_hits == want.singularity_hits > 0
     assert got.evaluations == want.evaluations
+
+
+# ---------------------------------------------------------------------------
+# Paired planes: a D block and an F block of one exact form
+# ---------------------------------------------------------------------------
+
+# The projection rows and the planes in the ratio: a 2 x 2 block is one
+# row, and a D and an F block of one form (S3, S2xS3's S3 factor) one
+# row triple whose plane stays out of the ratio.
+BUILTIN_ROWS = {
+    "S2": (1, 1), "S3": (3, 0), "S2xS3": (4, 1), "S2xS2": (6, 2),
+    "S4": (12, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_ROWS))
+def test_projection_rows_and_ratio_planes(prepared, name):
+    integrand = averaging._Integrand(prepared[name], averaging._MARGIN)
+    assert (len(integrand.rows), integrand.shared) == BUILTIN_ROWS[name]
+
+
+@pytest.mark.parametrize("method,t", [
+    ("mc", 0.05), ("mc", 0.1), ("mc", 2.0), ("quadrature", 0.05),
+    ("quadrature", 0.1),
+])
+def test_s3_average_is_exactly_the_prefactor(prepared, method, t):
+    # SU(2) = S3 is a group manifold: h and m carry one representation,
+    # so D's and F's plane forms are equal and the integrand is exactly 1
+    # inside the ball.  Monte Carlo resamples what the ball rejects (at
+    # t = 2 too); no point of the torus grid leaves it at these t.
+    prep = prepared["S3"]
+    out = hg.numeric_average(prep, t, method)
+    curv = prep.curv
+    assert out.value == math.exp(float(curv.R / 8 + curv.R_H / 6) * t)
+    assert out.std_error == 0.0
+    assert (out.singularity_hits > 0) == (t > 1)
+
+
+@pytest.mark.parametrize("method", ["mc", "quadrature"])
+@pytest.mark.parametrize("t", [0.05, 1.5])
+def test_paired_planes_match_the_reference_path(prepared, monkeypatch,
+                                                method, t):
+    # S2xS3's D is {2, 3} and its F {3}: the S3 factor's pair leaves the
+    # ratio, and its plane, from D's rows, stays in the ball and in J.
+    # At t = 1.5 the ball rejects points.
+    prep = prepared["S2xS3"]
+    kw = dict(samples=20_000, seed=3, nodes=24)
+    got = hg.numeric_average(prep, t, method, **kw)
+    if method == "quadrature":
+        want = grid_reference(prep, t, kw["nodes"])
+    else:
+        monkeypatch.setattr(averaging, "_Integrand", ReferenceIntegrand)
+        want = hg.numeric_average(prep, t, method, **kw)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.std_error == pytest.approx(
+        want.std_error, rel=1e-12, abs=1e-12 * abs(want.value)
+    )
+    assert got.singularity_hits == want.singularity_hits
+    assert (got.singularity_hits > 0) == (t > 1)
+    assert got.evaluations == want.evaluations
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=oracles.moved_spaces(bases=("S3", "S2xS3"), mixed=True))
+def test_paired_planes_match_the_reference_path_on_moved_spaces(spec):
+    # A move changes neither form's equality (the trace does not see the
+    # tangent basis, and both forms follow the generator change), so the
+    # S3 pair is found in any basis where D's S3 block is: S2xS3's D
+    # stays one 5 x 5 block when the split misses its factors.  t R = 0.4
+    # keeps every point, t R = 12 rejects some.
+    prep = hg.prepare(spec)
+    integrand = averaging._Integrand(prep, averaging._MARGIN)
+    whole = [len(b[0]) for b in integrand.blocks[0]] == [5]
+    assert integrand.factors[2].count == (not whole)
+    curv = prep.curv
+    for scaled in (F(2, 5), F(12)):
+        t = float(scaled / curv.R)
+        kw = dict(samples=4000, seed=6)
+        got = hg.numeric_average(prep, t, "mc", **kw)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(averaging, "_Integrand", MovedReference)
+            want = hg.numeric_average(prep, t, "mc", **kw)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.std_error == pytest.approx(
+            want.std_error, rel=1e-12, abs=1e-12 * abs(want.value)
+        )
+        assert got.singularity_hits == want.singularity_hits
+        assert (got.singularity_hits > 0) == (scaled > 1)
+        if spec.name == "S3":
+            assert got.value == math.exp(
+                float(curv.R / 8 + curv.R_H / 6) * t
+            )
+            assert got.std_error == 0.0
+
+
+@pytest.mark.parametrize("name,t", [("S2", 2.0), ("S4", 1.0),
+                                    ("S2xS2", 1.5)])
+def test_unequal_plane_forms_are_never_paired(prepared, name, t):
+    # S4's D is one 4 x 4 block and its F two 3 x 3 ideals, S2's D one
+    # 2 x 2 block and S2xS2's one 4 x 4 block, with no F: nothing pairs,
+    # and the planes and values are those of the two families compiled
+    # on their own, bit for bit, from the same squared rows.
+    prep = prepared[name]
+    integrand = averaging._Integrand(prep, averaging._MARGIN)
+    assert integrand.factors[2].count == 0
+    d, f = (averaging._Factor(blocks, prep.spec.p)
+            for blocks in integrand.blocks)
+    np.testing.assert_array_equal(integrand.rows,
+                                  np.concatenate([d.rows, f.rows]))
+    y = np.random.default_rng(12).standard_normal((2000, prep.spec.p))
+    y *= math.sqrt(2.0 * t)
+    x = averaging._squares(integrand.rows, y)
+    want = np.concatenate([d.planes(x[: len(d.rows)], y),
+                           f.planes(x[len(d.rows) :], y)])
+    u = integrand.planes(y)
+    np.testing.assert_array_equal(u, want)
+    ok = want.max(axis=0) < integrand.ball
+    assert 0 < ok.sum() < len(y)
+    ratio = averaging._sin_ratio(np.minimum(want, integrand.ball))
+    half_f = np.prod(ratio[d.count :], axis=0)
+    half_d = np.prod(ratio[: d.count], axis=0)
+    vals, got_ok = integrand.values(u)
+    np.testing.assert_array_equal(got_ok, ok)
+    np.testing.assert_array_equal(vals[ok], half_f[ok] / half_d[ok])
+    np.testing.assert_array_equal(vals[~ok], 0.0)
 
 
 def test_quadrature_eigensolves_each_block_once(prepared, monkeypatch):
@@ -1303,9 +1457,9 @@ def test_structure_matrices_are_beta_antisymmetric(spec):
     y = np.random.default_rng(0).standard_normal((20, spec.p))
     y *= math.sqrt(2.0 * t)
     omegas = y @ reference.transform.T
-    for raw, factor in zip((reference.D, reference.F), integrand.factors):
+    for raw, blocks in zip((reference.D, reference.F), integrand.blocks):
         x = np.einsum("si,iab->sab", omegas, raw) / 2.0
-        half, tops = half_and_top(factor, y)
+        half, tops = half_and_top(averaging._Factor(blocks, spec.p), y)
         inside = tops < math.pi
         assert inside.sum() >= 10
         np.testing.assert_allclose(

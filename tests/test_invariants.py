@@ -602,6 +602,34 @@ def test_compare_product_includes_factorization(specs):
     assert rep.all_passed, [c for c in rep.checks if not c.passed]
 
 
+@pytest.mark.parametrize("name,oracle", [
+    ("S3", "spectral_oracle@t=0.05"), ("S2xS3", "product_factorization"),
+])
+@pytest.mark.parametrize("edited", [False, True])
+def test_compare_holds_a_builtin_name_to_the_builtin_fields(
+    monkeypatch, name, oracle, edited
+):
+    # compare tests the datum's fields against the builtin's, building no
+    # second SpaceSpec: a builtin keeps its oracle, and the same name on
+    # g and beta doubled (another space, other a_k) skips it.
+    base = hg.builtin(name)
+    spec = hg.SpaceSpec(name, base.n, base.p,
+                        oracles.scale(base.g, 1 + edited),
+                        oracles.scale(base.beta, 1 + edited), base.E)
+    factors = catalog.PRODUCT_FACTORS.get(name, ())
+    real = catalog.builtin
+
+    def factors_only(key):
+        assert key in factors, key
+        return real(key)
+
+    monkeypatch.setattr(catalog, "builtin", factors_only)
+    rep = hg.compare(spec, 2, [0.05], method="quadrature", nodes=12)
+    names = [c.name for c in rep.checks]
+    assert (oracle in names) == (not edited)
+    assert rep.all_passed, [c for c in rep.checks if not c.passed]
+
+
 def test_compare_flat_numeric_only(specs):
     rep = hg.compare(specs["flat2"], 2, [0.5])
     assert rep.all_passed
