@@ -56,25 +56,25 @@ J = prod_{alpha>0} alpha(eta)^2, taken in floats from the same planes of
 F as the integrand (_Integrand.weyl) and divided by its largest value on
 the grid, so both sums come from one walk of the grid.  The map from the
 grid to omega is folded into the projection rows once per averager, so a
-point costs r multiply-adds per row, not p.  For an abelian h the torus
-is all of h (r = p, U = I, J = 1), and its p-fold grid runs as before.
-S3 takes 40 + 36 points where the p-fold grid took 40^3 + 36^3, and
+point costs r multiply-adds per row, not p.  An abelian h takes the same
+path: its torus is all of h (r = p, U = I), it has no roots, and J = 1.
+S3 takes 40 + 36 points where a p-fold grid would take 40^3 + 36^3, and
 every builtin fits the grid limit at the default 40 nodes.  Quadrature
 evaluates the first half of its symmetric grid, each point standing for
-its mirror too (the integrand and J are even), in slabs of the first
-axis broadcast from an (r-1)-dimensional unit grid that is built, with
-the 1-d rule and the weights of the half grid, once per averager
-(_Rule).  The 1-d rule comes from the eigenvalues of the Jacobi matrix
-of exp(-x^2) and the Christoffel function of its orthonormal recurrence
+its mirror too (the integrand and J are even).  That half, in C order,
+and its weights are built once per averager from the point indices,
+never from the whole grid, and walked _BLOCK points at a time (_Rule).
+The 1-d rule comes from the eigenvalues of the Jacobi matrix of
+exp(-x^2) and the Christoffel function of its orthonormal recurrence
 (_hermite_rule, Golub and Welsch), mirrored exactly, as the half grid
 needs.  So memory does not grow with the samples, apart from Monte
 Carlo's vector of accepted values, 8 bytes a sample (and the one
-temporary of its size that its standard deviation takes), and the
-weights of the half grid, 4 bytes a grid point.  The Monte Carlo and
-quadrature sizes and the seed are checked before the datum is prepared
-(_MAX_SAMPLES, _MAX_NODES), and the grid of nodes^r points against
-_MAX_GRID_POINTS when the torus is built, before any grid array is
-allocated.
+temporary of its size that its standard deviation takes), and the half
+grid's points and weights, (r + 1) 4 bytes a grid point.  The Monte
+Carlo and quadrature sizes and the seed are checked before the datum is
+prepared (_MAX_SAMPLES, _MAX_NODES), and the grid of nodes^r points
+against _MAX_GRID_POINTS when the torus is built, before any grid array
+is allocated.
 """
 
 from __future__ import annotations
@@ -167,10 +167,9 @@ def average(poly: OmegaPolynomial, beta_inv: Matrix) -> TSeries:
 # pi - _MARGIN, where sinh X / X is still well away from singular.
 _MARGIN = 0.01
 # Quadrature limits: the k-node rule's nodes are the eigenvalues of a
-# k x k symmetric matrix (_hermite_rule), and r = 1 evaluates its whole
-# grid of k points; the tensor grid on a torus of rank r has nodes**r
-# points, evaluated a block at a time, and its half-grid weights are
-# kept.
+# k x k symmetric matrix (_hermite_rule); the tensor grid on a torus of
+# rank r has nodes**r points, and the first half of it is kept, points
+# and weights, (r + 1) 4 bytes a grid point: 4 MB for 64^3 points.
 _MAX_NODES = 256
 _MAX_GRID_POINTS = 64**3
 # Monte Carlo limit: 50 times compare's default, and a values vector of
@@ -488,16 +487,6 @@ class _Integrand:
         return np.prod(f, axis=0)
 
 
-def _tensor_grid(x: np.ndarray, p: int) -> np.ndarray:
-    """The p-fold tensor grid of the 1-d nodes x in C order, (k^p, p),
-    the last coordinate varying fastest."""
-    k = len(x)
-    pts = np.empty((k,) * p + (p,))
-    for axis in range(p):
-        pts[..., axis] = x.reshape((k,) + (1,) * (p - 1 - axis))
-    return pts.reshape(k**p, p)
-
-
 def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k-node Gauss-Hermite rule (x, w) of the weight exp(-x^2), by
     Golub and Welsch: the nodes are the eigenvalues of the symmetric
@@ -523,34 +512,15 @@ def _hermite_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, (w + w[::-1]) / 2
 
 
-def _grid_blocks(k: int, m: int):
-    """The first half, in C order, of a grid of k slabs of m points,
-    (k*m + 1) // 2 points, in blocks of at most _BLOCK points: whole
-    slabs or, if a slab is larger, a run of one slab's points.  Yields
-    (start, rows, cols, count): the block is the product of the slabs
-    rows with their points cols, cut to its first count points, and
-    starts at point start of the grid."""
-    half = (k * m + 1) // 2
-    size, cols = max(1, _BLOCK // m), min(m, _BLOCK)
-    for i in range(0, -(-half // m), size):
-        for j in range(0, m, cols):
-            start = i * m + j
-            if start >= half:
-                return
-            rows, run = slice(i, i + size), slice(j, j + cols)
-            count = len(range(k)[rows]) * len(range(m)[run])
-            yield start, rows, run, min(count, half - start)
-
-
 @dataclass(frozen=True, eq=False)
 class _Rule:
-    """The k-node Gauss-Hermite rule x of an r-fold tensor grid, the
-    C-ordered (r-1)-fold grid of its nodes, the unit grid that every
-    slab of the first axis shares, and the weights of the first half of
-    the grid, the products of its coordinates' weights."""
+    """The first half, in C order, of the r-fold tensor grid of the
+    k-node Gauss-Hermite rule: its (k^r + 1) // 2 points (half, r), the
+    last coordinate varying fastest, and their weights, the products of
+    their coordinates' weights.  Both are built from the point indices,
+    never from the whole grid."""
 
-    x: np.ndarray
-    unit_x: np.ndarray
+    points: np.ndarray
     weights: np.ndarray
 
     @classmethod
@@ -561,79 +531,60 @@ class _Rule:
                 f"the {k}-node Gauss-Hermite rule has non-finite or "
                 f"vanishing weights; use fewer nodes"
             )
-        unit_x, unit_w = _tensor_grid(x, r - 1), _tensor_grid(w, r - 1)
-        weights = np.empty((k**r + 1) // 2)
-        for start, rows, cols, count in _grid_blocks(k, len(unit_x)):
-            weight = np.empty((len(x[rows]), len(unit_x[cols])))
-            weight[...] = w[rows, None]
-            for axis in range(r - 1):
-                weight *= unit_w[cols, axis]
-            weights[start : start + count] = weight.reshape(-1)[:count]
-        return cls(x, unit_x, weights)
-
-    def _points(self, rows: slice, cols: slice, count: int) -> np.ndarray:
-        """The first count points of a block, unscaled: the unit grid
-        broadcast against the first coordinates."""
-        x, unit_x = self.x[rows], self.unit_x[cols]
-        pts = np.empty((len(x), len(unit_x), unit_x.shape[1] + 1))
-        pts[..., 0] = x[:, None]
-        pts[..., 1:] = unit_x
-        return pts.reshape(-1, pts.shape[-1])[:count]
+        index = np.unravel_index(np.arange((k**r + 1) // 2), (k,) * r)
+        weights = w[index[0]]
+        for axis in index[1:]:
+            weights *= w[axis]
+        return cls(np.stack([x[axis] for axis in index], axis=1), weights)
 
     def average(
         self, integrand: _Integrand, scale: float
     ) -> tuple[float, int]:
         """The mean of the integrand at the points scale * x over the
-        whole grid, and the number of rejected points, from the first
-        half of the grid in C order, a block at a time (_grid_blocks).
+        whole grid, and the number of rejected points, from the stored
+        half, _BLOCK points at a time.
 
-        Over all of h (no roots) the mean is pi^(-r/2) sum w f, pi^(r/2)
-        being the mass of exp(-|x|^2).  On a torus it is sum w J f /
-        sum w J, with the Weyl weight J taken from the same planes as f
-        (_Integrand.weyl), so each point costs one pass.  J is divided by
-        the largest value so far, and the sums so far are rescaled when a
+        The mean is sum w J f / sum w J, with the Weyl weight J taken
+        from the same planes as f (_Integrand.weyl; J = 1 when h has no
+        roots), so each point costs one pass.  J is divided by the
+        largest value so far, and the sums so far are rescaled when a
         block raises it, so both sums weigh by J / max J whatever the
         scale of J.
 
         The nodes are exactly symmetric, so point N-1-i of the grid is
         minus point i, with the same weight (J is even), and the
         integrand is even: each point of the first half counts twice,
-        except the middle one of an odd grid."""
-        k, m = len(self.x), len(self.unit_x)
+        except the middle one of an odd grid, the origin."""
         total = mass = peak = 0.0
         hits = 0
-        for start, rows, cols, count in _grid_blocks(k, m):
-            pts = self._points(rows, cols, count)
-            pts *= scale
+        for start in range(0, len(self.points), _BLOCK):
+            pts = self.points[start : start + _BLOCK] * scale
             u = integrand.planes(pts)
-            w = self.weights[start : start + count]
-            if integrand.roots:
-                j = integrand.weyl(u, scale)
-                top = float(j.max())
-                if top > peak:
-                    total, mass = total * (peak / top), mass * (peak / top)
-                    peak = top
-                w = w * j
-                if peak > 0.0:
-                    w /= peak
-                mass += float(w.sum())
+            j = integrand.weyl(u, scale)
+            top = float(j.max())
+            if top > peak:
+                total, mass = total * (peak / top), mass * (peak / top)
+                peak = top
+            w = self.weights[start : start + _BLOCK] * j
+            if peak > 0.0:
+                w /= peak
+            mass += float(w.sum())
             vals, ok = integrand.values(u)
             vals *= w
             total += float(vals.sum())
-            hits += count - int(ok.sum())
+            hits += len(ok) - int(ok.sum())
         total, mass, hits = 2.0 * total, 2.0 * mass, 2 * hits
-        if (k * m) % 2:
-            # The middle point, the origin, is its own mirror.
+        # The middle point of an odd grid, the origin, is its own mirror.
+        middle = not self.points[-1].any()
+        if middle:
             total -= float(vals[-1])
             mass -= float(w[-1])
             hits -= int(not ok[-1])
-        if not integrand.roots:
-            r = self.unit_x.shape[1] + 1
-            return total * math.pi ** (-r / 2), hits
         if not peak > 0.0:
             raise HeatgenError(
-                f"every point of the {k}-node grid of the torus lies where "
-                f"the Weyl weight vanishes; use more nodes"
+                f"every point of the {2 * len(self.points) - middle}-point "
+                f"grid of the torus lies where the Weyl weight vanishes; "
+                f"use more nodes"
             )
         return total / mass, hits
 
@@ -705,12 +656,12 @@ class _NumericAverager:
     Ad(H)-invariant integrand is <f J>_t / <J>_t over the torus, with
     eta ~ N(0, 2 (U beta U^T)^{-1}) and the Weyl weight J (_Integrand.
     weyl), on an r-fold grid instead of a p-fold one; J and f come from
-    one pass over each point (_Rule.average).  For an abelian h
-    the torus is all of h (r = p, U = I, J = 1), and the grid over all of
-    h runs as it is.  The grid of nodes^r points is checked against
-    _MAX_GRID_POINTS here, when the torus is built and before any grid
-    array is; "auto" takes quadrature when it fits and Monte Carlo
-    otherwise.  The integrand (_Integrand) and the quadrature rules
+    one pass over each point (_Rule.average).  An abelian h is no
+    special case: its torus is all of h (r = p, U = I) and J = 1.
+    Monte Carlo samples all of h.  The grid of nodes^r points is checked
+    against _MAX_GRID_POINTS here, when the torus is built and before
+    any grid array is; "auto" takes quadrature when it fits and Monte
+    Carlo otherwise.  The integrand (_Integrand) and the quadrature rules
     (_Rule) do not depend on t, so they are built at the first time that
     needs them and serve every later time."""
 
@@ -729,7 +680,7 @@ class _NumericAverager:
                     f"torus of rank {r}) exceeds the limit of "
                     f"{_MAX_GRID_POINTS}; use fewer nodes or mc"
                 )
-            if method == "quadrature" and r < prep.spec.p:
+            if method == "quadrature":
                 self.basis = torus
         self.prep, self.method = prep, method
         self.samples, self.nodes, self.seed = samples, nodes, seed
@@ -808,14 +759,14 @@ class _NumericAverager:
             )
 
         scale = 2.0 * math.sqrt(t)
-        r = p if self.basis is None else len(self.basis)
+        r = len(self.basis)
+        sizes = [self.nodes] + [self.nodes - 4] * (self.nodes >= 12)
         if self._rules is None:
-            sizes = [self.nodes] + [self.nodes - 4] * (self.nodes >= 12)
             self._rules = [_Rule.build(k, r) for k in sizes]
         means = [rule.average(integrand, scale) for rule in self._rules]
         value, hits = means[0]
         err = abs(value - means[1][0]) if len(means) > 1 else 0.0
-        used = sum(len(rule.x) ** r for rule in self._rules)
+        used = sum(k**r for k in sizes)
         return NumericAverage(
             prefactor * value, prefactor * err, hits, used, "quadrature"
         )
@@ -838,10 +789,11 @@ def numeric_average(
     the result is the scalar-prefactor times the mean over the retained
     domain, with the Monte Carlo standard error or a quadrature
     refinement delta as std_error.  Quadrature runs on a maximal torus of
-    rank r with the Weyl weight (_NumericAverager), on grids of nodes and
-    nodes - 4 (from 12 nodes on) points a side, so its evaluations are
-    the sum of k**r over both.  "auto" takes quadrature when nodes**r is
-    at most _MAX_GRID_POINTS, Monte Carlo otherwise.  The sample count
+    rank r with the Weyl weight (_NumericAverager), all of h when h is
+    abelian, on grids of nodes and nodes - 4 (from 12 nodes on) points a
+    side, so its evaluations are the sum of k**r over both.  "auto" takes
+    quadrature when nodes**r is at most _MAX_GRID_POINTS, Monte Carlo
+    otherwise.  The sample count
     (2.._MAX_SAMPLES) and the Monte Carlo seed (a non-negative integer;
     quadrature ignores its value) under "mc" or "auto", and the node
     count (1.._MAX_NODES) under "quadrature" or "auto", are checked

@@ -617,7 +617,11 @@ def _eigenspace(y: np.ndarray, metric: np.ndarray) -> np.ndarray | None:
     The candidates lam are 0 and the float eigenvalues of the pencil,
     each turned into the nearest Fraction of denominator at most
     _EIGEN_DENOM; each is tried exactly, as the nullspace of
-    den(lam) y - num(lam) metric, in ascending order."""
+    den(lam) y - num(lam) metric, in ascending order.  The metric is
+    divided by its content first: a common factor c of its entries
+    would multiply the denominators of the eigenvalues by c, past
+    _EIGEN_DENOM, and it does not change an eigenspace."""
+    metric = metric // np.gcd.reduce(metric, axis=None)
     ys, ms = ScaledTensor(y, 1), ScaledTensor(metric, 1)
     (yf, y_shrink), (mf, m_shrink) = near_unit(ys), near_unit(ms)
     try:

@@ -695,7 +695,7 @@ def no_grid(monkeypatch):
         raise AssertionError("quadrature grid built before validation")
 
     monkeypatch.setattr(averaging, "_hermite_rule", boom)
-    monkeypatch.setattr(averaging, "_tensor_grid", boom)
+    monkeypatch.setattr(averaging._Rule, "build", boom)
 
 
 @pytest.mark.parametrize("nodes", [0, -1, 257, 10**12])
@@ -1224,14 +1224,12 @@ def test_paired_planes_match_the_reference_path(prepared, monkeypatch,
 @given(spec=oracles.moved_spaces(bases=("S3", "S2xS3"), mixed=True))
 def test_paired_planes_match_the_reference_path_on_moved_spaces(spec):
     # A move changes neither form's equality (the trace does not see the
-    # tangent basis, and both forms follow the generator change), so the
-    # S3 pair is found in any basis where D's S3 block is: S2xS3's D
-    # stays one 5 x 5 block when the split misses its factors.  t R = 0.4
-    # keeps every point, t R = 12 rejects some.
+    # tangent basis, and both forms follow the generator change), and the
+    # split finds D's S3 block in every basis, so the S3 pair is always
+    # found.  t R = 0.4 keeps every point, t R = 12 rejects some.
     prep = hg.prepare(spec)
     integrand = averaging._Integrand(prep, averaging._MARGIN)
-    whole = [len(b[0]) for b in integrand.blocks[0]] == [5]
-    assert integrand.factors[2].count == (not whole)
+    assert integrand.factors[2].count == 1
     curv = prep.curv
     for scaled in (F(2, 5), F(12)):
         t = float(scaled / curv.R)
@@ -1251,6 +1249,24 @@ def test_paired_planes_match_the_reference_path_on_moved_spaces(spec):
                 float(curv.R / 8 + curv.R_H / 6) * t
             )
             assert got.std_error == 0.0
+
+
+def test_a_metric_with_a_large_content_still_splits_de_rham():
+    # g = 65537 P^T P: every entry of the integer metric carries 65537,
+    # which multiplied the denominators of the pencil's eigenvalues past
+    # the 2^16 that their float guesses are rounded to.  Divided by its
+    # content first, the metric gives them back: D splits into S2's and
+    # S3's blocks, and the S3 pair is found.
+    spec = hg.builtin("S2xS3")
+    P = tuple(tuple(F(x) for x in row) for row in (
+        (2, 1, 0, -1, 0), (0, 2, 1, -1, -1), (0, 0, 2, -1, 1),
+        (0, 0, 0, 2, 0), (0, 0, 0, 0, 1),
+    ))
+    moved = oracles.moved(spec, P, rational.identity(spec.p), F(65537),
+                          F(1))
+    integrand = averaging._Integrand(hg.prepare(moved), averaging._MARGIN)
+    assert [len(b[0]) for b in integrand.blocks[0]] == [2, 3]
+    assert integrand.factors[2].count == 1
 
 
 @pytest.mark.parametrize("name,t", [("S2", 2.0), ("S4", 1.0),
@@ -1314,24 +1330,32 @@ def test_quadrature_eigensolves_each_block_once(prepared, monkeypatch):
 def test_mirrored_quadrature_equals_the_full_grid(
     prepared, monkeypatch, counting, name, t, nodes
 ):
-    # r = p for the abelian S2 and S2xS2; S3 runs on its torus, r = 1,
-    # S4 and S2xS3 on theirs, r = 2, and S6 on its torus of rank 3.
+    # r = p for the abelian S2 and S2xS2, whose torus is the identity;
+    # S3 runs on its torus, r = 1, S4 and S2xS3 on theirs, r = 2, and S6
+    # on its torus of rank 3.
     prep, r = prepared[name], len(prepared[name].hol.torus.array)
-    x1 = np.polynomial.hermite.hermgauss(nodes)[0]
-    # The broadcast grid, and the unit grids of its slabs, are the
-    # meshgrid ones, bit for bit.
-    for dim in range(1, r + 1):
-        grids = np.meshgrid(*([x1] * dim), indexing="ij")
+    sizes = [nodes] + [nodes - 4] * (nodes >= 12)
+    # Each rule's points and weights are the first half of the meshgrid
+    # ones, bit for bit, the weights multiplied in axis order.
+    for k in sizes:
+        x, w = averaging._hermite_rule(k)
+        half = (k**r + 1) // 2
+        rule = averaging._Rule.build(k, r)
+        grids = np.meshgrid(*([x] * r), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
-        np.testing.assert_array_equal(averaging._tensor_grid(x1, dim), pts)
+        np.testing.assert_array_equal(rule.points, pts[:half])
+        weights = np.meshgrid(*([w] * r), indexing="ij")
+        want_w = weights[0].ravel()
+        for g in weights[1:]:
+            want_w = want_w * g.ravel()
+        np.testing.assert_array_equal(rule.weights, want_w[:half])
 
-    # Half the grid, in blocks of whole slabs or, at 5 points, in runs
-    # smaller than a slab, against one sum over the whole grid.  From rank
-    # 2 on, J weighs the points unevenly, from F's planes here and from
-    # the eigenvalues of the raw F in the oracle: equal to 1e-12.
+    # Half the grid, in blocks of _BLOCK or of 5 points, against one sum
+    # over the whole grid.  From rank 2 on, J weighs the points unevenly,
+    # from F's planes here and from the eigenvalues of the raw F in the
+    # oracle: equal to 1e-12.
     want = grid_reference(prep, t, nodes)
     rel = 1e-14 if r < 2 or r == prep.spec.p else 1e-12
-    sizes = [nodes] + [nodes - 4] * (nodes >= 12)
     for block in (averaging._BLOCK, 5):
         monkeypatch.setattr(averaging, "_BLOCK", block)
         counting.clear()
@@ -1347,6 +1371,42 @@ def test_mirrored_quadrature_equals_the_full_grid(
         assert got.std_error == pytest.approx(
             want.std_error, abs=4 * rel * want.value
         )
+
+
+@pytest.mark.parametrize("name", ["S2", "S2xS2", "S3", "S4", "S6"])
+@pytest.mark.parametrize("nodes", [1, 8, 15])
+def test_quadrature_rules_hold_half_their_grid(prepared, name, nodes):
+    # Each rule keeps the (k^r + 1) // 2 points of its half grid and
+    # their weights in arrays of its own, not views of a whole grid.
+    # Every h, abelian or not, takes hol.torus as the basis of its
+    # quadrature: for S2 and S2xS2 the identity, with no roots and J = 1.
+    prep = prepared[name]
+    torus = prep.hol.torus.array
+    r, p = torus.shape
+    averager = averaging._NumericAverager(prep, "quadrature", 2, nodes, 0)
+    assert averager.basis is torus
+    abelian = name in ("S2", "S2xS2")
+    if abelian:
+        np.testing.assert_array_equal(torus, np.eye(p))
+        integrand = averager.integrand()
+        assert integrand.roots == 0
+        u = integrand.planes(np.ones((3, r)))
+        np.testing.assert_array_equal(integrand.weyl(u, 1.0), 1.0)
+    if nodes == 1 and not abelian:
+        with pytest.raises(hg.HeatgenError, match="every point of the "
+                           "1-point grid of the torus lies where the Weyl "
+                           "weight vanishes"):
+            averager(0.05)
+    else:
+        averager(0.05)
+    sizes = [nodes] + [nodes - 4] * (nodes >= 12)
+    assert len(averager._rules) == len(sizes)
+    for rule, k in zip(averager._rules, sizes):
+        half = (k**r + 1) // 2
+        assert rule.points.shape == (half, r)
+        assert rule.weights.shape == (half,)
+        for array in (rule.points, rule.weights):
+            assert array.base is None and array.flags.owndata
 
 
 # ---------------------------------------------------------------------------
