@@ -9,9 +9,9 @@ exactly.  Products are block direct sums of their factors.
 
 Files are JSON with every rational written as a string such as "3" or
 "-7/2"; floats never appear.  Loading parses the file and constructs the
-datum, whose constructor checks shapes, the size of the check tensors,
-symmetry and definiteness; the structural identities are checked by
-curvature.prepare, which every computation runs first.
+datum, whose constructor checks shapes, the size of the check tensors
+and symmetry; definiteness, independence and the structural identities
+are checked by curvature.prepare, which every computation runs first.
 """
 
 from __future__ import annotations
@@ -195,9 +195,8 @@ def load(path) -> SpaceSpec:
     Text that is not UTF-8, syntax errors, JSON nested beyond the
     parser's recursion limit, a schema_version other than the integer
     SCHEMA_VERSION, unknown fields, malformed rationals, and construction
-    defects (shapes, check tensors past MAX_CHECK_ENTRIES, symmetry,
-    positive definiteness, generator independence) raise ParseError with
-    the offending location.
+    defects (shapes, check tensors past MAX_CHECK_ENTRIES, symmetry)
+    raise ParseError with the offending location.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))

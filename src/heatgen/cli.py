@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from . import catalog as cat
 from .averaging import numeric_average
@@ -161,17 +162,10 @@ def _cmd_eval(args) -> int:
             raise HeatgenError(
                 f"the series value at t={args.t} is beyond the float range"
             )
-        doc = {
-            "space": spec.name,
-            "t": args.t,
-            "method": "series",
-            "order": args.order,
-            "value": _fmt_float(value),
-            "std_error": None,
-            "singularity_hits": None,
-            "timing_ms": report.timing_ms if args.timing else None,
-        }
+        method, order, timing = "series", args.order, report.timing_ms
+        std_error = hits = None
     else:
+        start = time.perf_counter()
         result = numeric_average(
             spec,
             args.t,
@@ -180,16 +174,19 @@ def _cmd_eval(args) -> int:
             nodes=args.nodes,
             seed=args.seed,
         )
-        doc = {
-            "space": spec.name,
-            "t": args.t,
-            "method": result.method,
-            "order": None,
-            "value": _fmt_float(result.value),
-            "std_error": _fmt_float(result.std_error),
-            "singularity_hits": result.singularity_hits,
-            "timing_ms": None,
-        }
+        timing = (time.perf_counter() - start) * 1000.0
+        method, order, value = result.method, None, result.value
+        std_error, hits = _fmt_float(result.std_error), result.singularity_hits
+    doc = {
+        "space": spec.name,
+        "t": args.t,
+        "method": method,
+        "order": order,
+        "value": _fmt_float(value),
+        "std_error": std_error,
+        "singularity_hits": hits,
+        "timing_ms": timing if args.timing else None,
+    }
     if args.json:
         print(json.dumps(doc, indent=2))
     else:

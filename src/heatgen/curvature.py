@@ -10,23 +10,22 @@ a locally symmetric space.  All of it is exact arithmetic on
 integer-scaled tensors (rational.ScaledTensor): a datum is converted
 once, at construction, and a realization holds nothing but tensors
 (HolonomyRealization), so its fields are the one copy of derived data.
-Construction bounds the check tensors by MAX_CHECK_ENTRIES, checks
-symmetries and independence on the tensors and factors each metric once
-by rational.ldl, its positive-definiteness test, keeping the factors
-(SpaceSpec.g_ldl, beta_ldl) for the inverses and the whitening.  The
-structural checks form each contraction once: Jacobi and integrability
-one matrix product each through rational.exact_matmul (float64 BLAS
-below 2**53, exact in any summation order), the generator identity one
-per side.  Every other term is a transposed view of one of these, never
-a copy, and _vanishes adds the views in the dtype exact_dtype picks for
-the number of terms times the entry bound.  prepare() runs derivation,
-checks and curvature scalars once per datum, and alone turns failed
-checks into ValidationError.
+Construction checks shapes, MAX_CHECK_ENTRIES, exact entries and the
+symmetries, and eliminates nothing: prepare() factors each metric by
+rational.ldl, its definiteness test, and the Gram matrix of D, the one
+test of independence.  The structural checks form each contraction
+once: Jacobi and integrability one matrix product each through
+rational.exact_matmul (float64 BLAS below 2**53, exact in any summation
+order), the generator identity one per side.  Every other term is a
+transposed view of one of these, never a copy, and _vanishes adds the
+views in the dtype exact_dtype picks for the number of terms times the
+entry bound.  prepare() runs derivation, checks and curvature scalars
+once per datum, and alone turns failed checks into ValidationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -102,13 +101,14 @@ class ValidationReport:
 @dataclass(frozen=True)
 class SpecTensors:
     """A datum as exact integer-scaled tensors, converted once: the
-    metric g and its inverse ginv (n, n), beta and its inverse (p, p),
-    the generators E (p, n, n) and the curvature riemann (n, n, n, n),
-    R_abcd = beta_ik E^i_ab E^k_cd."""
+    metric g and its inverse ginv (n, n), beta, its ldl factor and its
+    inverse (p, p), the generators E (p, n, n) and the curvature riemann
+    (n, n, n, n), R_abcd = beta_ik E^i_ab E^k_cd."""
 
     g: ScaledTensor
     ginv: ScaledTensor
     beta: ScaledTensor
+    beta_ldl: Factor
     beta_inv: ScaledTensor
     E: ScaledTensor
     riemann: ScaledTensor
@@ -120,10 +120,9 @@ class SpaceSpec:
 
     n is the tangent dimension, p the number of holonomy generators.  g is
     the n-by-n metric, beta the p-by-p generator inner product, and E the
-    p generator matrices, each n-by-n antisymmetric.  Construction enforces
-    the structural requirements, MAX_CHECK_ENTRIES first of all after the
-    shapes; the deeper Lie-algebraic identities are the validator's job.
-    g_ldl and beta_ldl keep each metric's ldl factor.
+    p generator matrices, each n-by-n antisymmetric.  Construction checks
+    the shapes, MAX_CHECK_ENTRIES, exact entries and the symmetries;
+    definiteness, independence and the Lie identities are prepare()'s.
     """
 
     name: str
@@ -132,8 +131,6 @@ class SpaceSpec:
     g: Matrix
     beta: Matrix
     E: tuple[Matrix, ...]
-    g_ldl: Factor = field(init=False, repr=False, compare=False)
-    beta_ldl: Factor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0 or self.p < 0:
@@ -165,17 +162,6 @@ class SpaceSpec:
         for label, mat in (("g", g), ("beta", beta)):
             if not np.array_equal(mat.array, mat.array.T):
                 raise InvalidSpaceSpec(f"{label} is not symmetric")
-        for label, mat in (("g", g), ("beta", beta)):
-            try:  # factored here, once, and kept
-                object.__setattr__(self, f"{label}_ldl", rational.ldl(mat))
-            except ValueError:
-                msg = f"{label} is not positive definite"
-                raise InvalidSpaceSpec(msg) from None
-        if self.p and not rational.independent(E):
-            raise InvalidSpaceSpec(
-                "redundant holonomy generators: the E matrices are "
-                "linearly dependent"
-            )
 
     @cached_property
     def _exact(self) -> tuple[ScaledTensor, ScaledTensor, ScaledTensor]:
@@ -193,16 +179,27 @@ class SpaceSpec:
     @cached_property
     def tensors(self) -> SpecTensors:
         """The datum's tensors, built on first use and kept: derivation,
-        checks and curvature scalars all read these."""
+        checks and curvature scalars all read these.  InvalidSpaceSpec
+        names a metric that is not positive definite."""
         g, beta, E = self._exact
+        g_ldl, beta_ldl = _definite("g", g), _definite("beta", beta)
         return SpecTensors(
             g=g,
-            ginv=rational.solve(self.g_ldl),
+            ginv=rational.solve(g_ldl),
             beta=beta,
-            beta_inv=rational.solve(self.beta_ldl),
+            beta_ldl=beta_ldl,
+            beta_inv=rational.solve(beta_ldl),
             E=E,
             riemann=exact_einsum("ik,iab,kcd->abcd", beta, E, E),
         )
+
+
+def _definite(label: str, metric: ScaledTensor) -> Factor:
+    """ldl(metric), which exists exactly when it is positive definite."""
+    try:
+        return rational.ldl(metric)
+    except ValueError:
+        raise InvalidSpaceSpec(f"{label} is not positive definite") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,10 +269,11 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
     form: the Gram system G F_ik = (tr(D_j^T [D_i, D_k]))_j with
     G_jk = tr(D_j^T D_k), which rational.ldl factors exactly when the D's
     are independent, followed by the reconstruction sum_j F^j_ik D_j =
-    [D_i, D_k].  Raises DegenerateBasis if the D's are linearly
-    dependent, CommutatorOutsideSpan, naming the first pair (i, k) in
-    order, if they fail to close.  All of it is integer-scaled tensor
-    arithmetic on spec.tensors.
+    [D_i, D_k].  D is an invertible image of E, so this is the one test
+    that the E's are independent: DegenerateBasis if not,
+    CommutatorOutsideSpan, naming the first pair (i, k) in order, if the
+    D's fail to close.  All of it is integer-scaled tensor arithmetic on
+    spec.tensors.
     """
     n, p = spec.n, spec.p
     st = spec.tensors
@@ -291,8 +289,8 @@ def derive_holonomy(spec: SpaceSpec) -> HolonomyRealization:
         gram = rational.ldl(exact_einsum("jab,kab->jk", D, D))
     except ValueError:
         raise DegenerateBasis(
-            "connection generators are linearly dependent; structure "
-            "constants are not well defined"
+            "redundant holonomy generators: the E matrices, and so the "
+            "connection generators, are linearly dependent"
         ) from None
     coeffs = rational.solve(gram, exact_einsum("jab,qab->jq", D, comms))
     outside = (exact_einsum("jq,jab->qab", coeffs, D) - comms).nonzero_rows()
@@ -502,8 +500,11 @@ def prepare(spec: SpaceSpec | Prepared) -> Prepared:
     """Derive the holonomy, run the structural checks and compute the
     curvature scalars of a datum, once.
 
-    Raises ValidationError, carrying the report, when a check fails; the
-    check tensors fit MAX_CHECK_ENTRIES, which SpaceSpec enforces.  A
+    Raises InvalidSpaceSpec for a metric that is not positive definite,
+    DegenerateBasis for dependent generators, CommutatorOutsideSpan when
+    they do not close, and ValidationError, carrying the report, when a
+    check fails; the check tensors fit MAX_CHECK_ENTRIES, which SpaceSpec
+    enforces.  A
     Prepared passes through unchanged, so a caller that already holds one
     does not repeat the work.
     """

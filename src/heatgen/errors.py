@@ -9,13 +9,13 @@ class HeatgenError(Exception):
 
 
 class InvalidSpaceSpec(HeatgenError):
-    """Curvature datum violates a structural requirement (shape, symmetry,
-    positive definiteness, or linear independence of the generators)."""
+    """Curvature datum violates a structural requirement: a shape, size,
+    exact entry or symmetry at construction, definiteness in prepare."""
 
 
 class DegenerateBasis(HeatgenError):
-    """The derived connection generators are linearly dependent, so structure
-    constants cannot be read off uniquely."""
+    """The generators E, and so the connection generators derived from
+    them, are linearly dependent; prepare raises it."""
 
 
 class CommutatorOutsideSpan(HeatgenError):

@@ -651,9 +651,10 @@ def _graded_exp(
     return exp
 
 
-# Up to this many work units the average runs in all p variables: below
-# it the Cartan data and the Weyl weight of the torus average cost more
-# than its smaller integrand saves.
+# Up to this many work units the average runs in all p variables.  At
+# rank 2 that is cheaper: S2xS3 o3 and S4 o2 take 0.1-0.35 ms less than
+# the torus and its build.  At rank one it is not: S3 o4 and o6 take
+# 0.6-1.3 ms against 0.35 ms (in-process, one BLAS thread, 2-vCPU Xeon).
 _TORUS_UNITS = 10**4
 
 
@@ -697,14 +698,15 @@ def _whitened(
     """(d, f, pivots): the generators D and F_mats restricted to the span
     of the integer rows u_j of basis (r, p), or of all of h when basis is
     None, and whitened by the factor (L^-1, d) of U beta U^T (of beta
-    itself, spec.beta_ldl, over all of h): D'_k = sum_j (L^-1)_kj D_j(U),
-    D_j(U) = sum_i U_ji D_i, the same for F_mats.  The power sums need
-    them skew for their metric (g for D, beta for F), which check_skew
-    asserts of the raw generators, and so of every combination."""
+    itself, spec.tensors.beta_ldl, over all of h):
+    D'_k = sum_j (L^-1)_kj D_j(U), D_j(U) = sum_i U_ji D_i, the same for
+    F_mats.  The power sums need them skew for their metric (g for D,
+    beta for F), which check_skew asserts of the raw generators, and so
+    of every combination."""
     check_skew(prep)
     hol = prep.hol
     if basis is None:
-        back, pivots = prep.spec.beta_ldl
+        back, pivots = prep.spec.tensors.beta_ldl
     else:
         beta = prep.spec.tensors.beta
         back, pivots = ldl(exact_einsum("ji,ik,lk->jl", basis, beta, basis))

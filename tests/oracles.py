@@ -726,9 +726,13 @@ def moved(spec, P, N, mu, nu):
 
 
 SMALL = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+# The last draw gives a metric a large integer content, which
+# rational._eigenspace divides out before it reads eigenvalues; the
+# random 70-bit fractions above rarely do.
 SCALES = st.one_of(
     st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)),
     st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**70)),
+    st.sampled_from([65537, 2**20 + 3, 3**40]).map(Fraction),
 )
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import heatgen as hg
 import oracles
-from heatgen import cli, curvature, rational
+from heatgen import cli, curvature, rational, series
 from heatgen.cli import main
 
 RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
@@ -134,6 +134,19 @@ def test_coeffs_timing_flag(capsys):
     assert isinstance(doc["timing_ms"], float) and doc["timing_ms"] > 0
 
 
+@pytest.mark.parametrize("method", ["mc", "quadrature"])
+def test_eval_timing_flag_for_numeric_methods(capsys, method):
+    argv = ("eval", "S4", "--t", "0.05", "--method", method,
+            "--samples", "2000", "--nodes", "8")
+    code, out, _ = run(capsys, *argv, "--json", "--timing")
+    assert code == 0
+    timing = json.loads(out)["timing_ms"]
+    assert isinstance(timing, float) and timing > 0
+    # Timings appear only under --timing.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "timing_ms" not in out
+
+
 def test_coeffs_budget_exhaustion_exits_one(capsys):
     code, _, err = run(
         capsys, "coeffs", "S4", "--order", "4", "--budget", "100"
@@ -174,6 +187,34 @@ def test_coeffs_invalid_file_exits_one(capsys, tmp_path):
     assert out == ""
     assert "squashed: structural checks failed" in err
     assert "generator_connection_identity" in err
+
+
+@pytest.mark.parametrize("defect, error, message", [
+    ("indefinite", hg.InvalidSpaceSpec, "g is not positive definite"),
+    ("dependent", hg.DegenerateBasis, "redundant holonomy generators"),
+])
+def test_file_that_prepare_refuses_loads_and_exits_one(
+    capsys, tmp_path, defect, error, message
+):
+    # Definiteness and independence need an elimination: load parses and
+    # constructs the datum, and prepare refuses it.
+    s2, s3 = hg.builtin("S2"), hg.builtin("S3")
+    spec = {
+        "indefinite": dataclasses.replace(s2, g=((F(1), F(0)), (F(0), F(-1)))),
+        "dependent": dataclasses.replace(s3, E=(s3.E[0], s3.E[1], s3.E[0])),
+    }[defect]
+    path = tmp_path / f"{defect}.json"
+    hg.save(spec, path)
+    loaded = hg.load(path)
+    assert loaded == spec
+    with pytest.raises(error, match=f"^{message}"):
+        hg.prepare(loaded)
+    for argv in (("validate",), ("coeffs", "--order", "2"),
+                 ("eval", "--t", "0.05", "--method", "quadrature",
+                  "--nodes", "6")):
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
 
 
 def test_unknown_space_exits_two(capsys):
@@ -675,9 +716,9 @@ def datum_matrices(spec):
     return [spec.g, spec.beta, spec.E]
 
 
-def construction_eliminations(spec):
-    """The matrices a datum's construction factors: g, beta and the Gram
-    matrix of E."""
+def prepare_eliminations(spec):
+    """The matrices prepare factors, construction none: g and beta, on
+    the first reading of the datum's tensors, and the Gram matrix of D."""
     return [(spec.n, spec.n), (spec.p, spec.p), (spec.p, spec.p)]
 
 
@@ -687,14 +728,13 @@ def test_prepare_and_coefficients_convert_only_the_datum(monkeypatch, make):
     base = make()
     converted, eliminated = count_conversions(monkeypatch)
     spec = dataclasses.replace(base)
-    # Construction converts the datum and factors each metric, once.
-    assert eliminated == construction_eliminations(spec)
+    # Construction converts the datum and factors nothing.
+    assert eliminated == []
     prep = hg.prepare(spec)
     hg.heat_coefficients(prep, 3)
     assert converted == datum_matrices(spec)
     assert spec.tensors.E is spec._exact[2]
-    # Then only the Gram matrix of D, in derive_holonomy.
-    assert eliminated == construction_eliminations(spec) + [(spec.p, spec.p)]
+    assert eliminated == prepare_eliminations(spec)
 
 
 def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
@@ -705,7 +745,7 @@ def test_file_coeffs_converts_only_the_datum(capsys, monkeypatch, tmp_path):
     code, _, _ = run(capsys, "coeffs", str(path), "--order", "3", "--json")
     assert code == 0
     assert converted == datum_matrices(spec)
-    assert eliminated == construction_eliminations(spec) + [(spec.p, spec.p)]
+    assert eliminated == prepare_eliminations(spec)
 
 
 def test_numeric_average_converts_only_the_datum(monkeypatch):
@@ -717,6 +757,50 @@ def test_numeric_average_converts_only_the_datum(monkeypatch):
     hg.numeric_average(hg.prepare(spec), 0.05, "quadrature", nodes=8)
     assert converted == datum_matrices(spec)
     assert spec.tensors.g is spec._exact[0]
+
+
+def count_factorizations(monkeypatch):
+    """Count the calls of rational.ldl, from every module that calls it,
+    and of rational.independent, which calls ldl once."""
+    counts = {"ldl": 0, "independent": 0}
+    for module, name in ((rational, "ldl"), (series, "ldl"),
+                         (rational, "independent")):
+        def spy(*args, original=getattr(module, name), name=name):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+def test_construction_and_catalog_factor_nothing(capsys, monkeypatch,
+                                                 tmp_path):
+    tilted = tilted_three_sphere()
+    counts = count_factorizations(monkeypatch)
+    names = [name for name in hg.catalog_names() if name != "flat(n)"]
+    for spec in [hg.builtin(name) for name in names + ["flat3"]] + [tilted]:
+        path = tmp_path / "space.json"
+        hg.save(spec, path)
+        assert hg.load(path) == spec
+    code, _, _ = run(capsys, "catalog")
+    assert code == 0
+    assert counts == {"ldl": 0, "independent": 0}
+
+
+@pytest.mark.parametrize("argv, factorizations", [
+    # g, beta and the Gram matrix of D, each once.
+    (("coeffs", "S4", "--order", "2"), 3),
+    # Three for S2xS3 and three for each factor, S2 and S3, then three
+    # for the numeric integrand's exact split of S2xS3's D and F.
+    (("compare", "S2xS3", "--order", "4", "--t", "0.05",
+      "--method", "quadrature"), 12),
+])
+def test_requests_factor_each_matrix_once(capsys, monkeypatch, argv,
+                                          factorizations):
+    counts = count_factorizations(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert counts == {"ldl": factorizations, "independent": 0}
 
 
 def count_fraction_views(monkeypatch):
